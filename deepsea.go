@@ -273,6 +273,9 @@ func WithRematOnAppend() Option {
 type System struct {
 	ds      *core.DeepSea
 	schemas map[string]relation.Schema
+	// slabs holds each table's load-time row allocator: Insert carves
+	// rows out of shared allocations instead of making one per row.
+	slabs map[string]*relation.Slab
 }
 
 // New creates a System. Without options it runs full DeepSea with an
@@ -285,6 +288,7 @@ func New(opts ...Option) *System {
 	return &System{
 		ds:      core.New(cfg),
 		schemas: make(map[string]relation.Schema),
+		slabs:   make(map[string]*relation.Slab),
 	}
 }
 
@@ -321,6 +325,8 @@ func (s *System) CreateTable(def TableDef) error {
 		schema.Cols = append(schema.Cols, col)
 	}
 	s.schemas[def.Name] = schema
+	slab := relation.NewSlab(len(schema.Cols), relation.SlabRows)
+	s.slabs[def.Name] = &slab
 	s.ds.AddBaseTable(relation.NewTable(schema))
 	return nil
 }
@@ -343,22 +349,23 @@ func (s *System) Insert(table string, values []any) error {
 		return fmt.Errorf("deepsea: table %q wants %d values, got %d",
 			table, len(schema.Cols), len(values))
 	}
-	row, err := convertRow(schema, values)
-	if err != nil {
+	slab := s.slabs[table]
+	row := slab.Next()
+	if err := convertRow(schema, values, row); err != nil {
+		slab.Undo()
 		return err
 	}
 	s.ds.Eng.BaseTable(table).Append(row)
 	return nil
 }
 
-// convertRow converts one []any value tuple to a relation.Row per the
-// schema's column kinds.
-func convertRow(schema relation.Schema, values []any) (relation.Row, error) {
+// convertRow converts one []any value tuple into row per the schema's
+// column kinds; row must be as wide as the schema.
+func convertRow(schema relation.Schema, values []any, row relation.Row) error {
 	if len(values) != len(schema.Cols) {
-		return nil, fmt.Errorf("deepsea: table %q wants %d values, got %d",
+		return fmt.Errorf("deepsea: table %q wants %d values, got %d",
 			schema.Name, len(schema.Cols), len(values))
 	}
-	row := make(relation.Row, len(values))
 	for i, v := range values {
 		col := schema.Cols[i]
 		switch col.Type {
@@ -370,7 +377,7 @@ func convertRow(schema relation.Schema, values []any) (relation.Row, error) {
 				}
 			}
 			if !ok {
-				return nil, fmt.Errorf("deepsea: column %q wants int64, got %T", col.Name, v)
+				return fmt.Errorf("deepsea: column %q wants int64, got %T", col.Name, v)
 			}
 			row[i] = relation.IntVal(x)
 		case relation.Float:
@@ -383,18 +390,18 @@ func convertRow(schema relation.Schema, values []any) (relation.Row, error) {
 				}
 			}
 			if !ok {
-				return nil, fmt.Errorf("deepsea: column %q wants float64, got %T", col.Name, v)
+				return fmt.Errorf("deepsea: column %q wants float64, got %T", col.Name, v)
 			}
 			row[i] = relation.FloatVal(x)
 		default:
 			x, ok := v.(string)
 			if !ok {
-				return nil, fmt.Errorf("deepsea: column %q wants string, got %T", col.Name, v)
+				return fmt.Errorf("deepsea: column %q wants string, got %T", col.Name, v)
 			}
 			row[i] = relation.StringVal(x)
 		}
 	}
-	return row, nil
+	return nil
 }
 
 // AppendReport summarises one Append call: the table's new row count,
@@ -422,12 +429,12 @@ func (s *System) Append(table string, rows [][]any) (AppendReport, error) {
 		return AppendReport{}, fmt.Errorf("deepsea: unknown table %q", table)
 	}
 	converted := make([]relation.Row, len(rows))
+	slab := relation.NewSlab(len(schema.Cols), len(rows))
 	for i, values := range rows {
-		row, err := convertRow(schema, values)
-		if err != nil {
+		converted[i] = slab.Next()
+		if err := convertRow(schema, values, converted[i]); err != nil {
 			return AppendReport{}, err
 		}
-		converted[i] = row
 	}
 	return s.ds.Append(table, converted)
 }
@@ -447,8 +454,9 @@ func (s *System) ValidateRows(table string, rows [][]any) error {
 	if !ok {
 		return fmt.Errorf("deepsea: unknown table %q", table)
 	}
+	scratch := make(relation.Row, len(schema.Cols))
 	for _, values := range rows {
-		if _, err := convertRow(schema, values); err != nil {
+		if err := convertRow(schema, values, scratch); err != nil {
 			return err
 		}
 	}

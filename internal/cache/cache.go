@@ -2,8 +2,9 @@
 // fingerprint. Entries record the pool generation of every materialized
 // view the cached plan read, so a pool mutation (materialize, evict,
 // split, merge, refinement) invalidates exactly the entries over the
-// touched views — unrelated entries keep hitting. Cached tables are
-// shared and immutable: callers must not mutate a returned *Table.
+// touched views — unrelated entries keep hitting. The cache keeps its
+// own copy of every result; the tables it returns are shared and
+// immutable: callers must not mutate a returned *Table.
 package cache
 
 import (
@@ -125,11 +126,16 @@ func (c *ResultCache) Get(key string, gen func(viewID string) uint64) (*relation
 	return e.tbl, true
 }
 
-// Put stores tbl under key with the given view dependencies (deps may be
-// nil for results over base tables only). A table larger than the
-// admission limit (NewWithEntryLimit; at most the whole cache) is
-// refused and counted as an admission reject. Storing under an existing
-// key replaces the old entry.
+// Put stores a copy of tbl under key with the given view dependencies
+// (deps may be nil for results over base tables only). A table larger
+// than the admission limit (NewWithEntryLimit; at most the whole cache)
+// is refused and counted as an admission reject. Storing under an
+// existing key replaces the old entry.
+//
+// The copy is the cache's side of the engine's slab ownership rule: a
+// result's rows are carved from allocations shared with rows the query
+// filtered out or never returned, so keeping them would hold more
+// memory than the bytes the entry is charged for.
 func (c *ResultCache) Put(key string, tbl *relation.Table, deps []Dep) {
 	if c == nil || tbl == nil {
 		return
@@ -141,12 +147,15 @@ func (c *ResultCache) Put(key string, tbl *relation.Table, deps []Dep) {
 		return
 	}
 	bytes := tbl.Bytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if bytes > c.maxEntry || bytes > c.maxBytes {
+	if bytes > c.maxEntry {
+		c.mu.Lock()
 		c.stats.AdmissionRejects++
+		c.mu.Unlock()
 		return
 	}
+	tbl = tbl.Clone()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if old, ok := c.entries[key]; ok {
 		c.drop(old)
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"deepsea/internal/relation"
@@ -27,8 +28,11 @@ func TestGetPutRoundTrip(t *testing.T) {
 	tbl := testTable(10)
 	c.Put("k", tbl, nil)
 	got, ok := c.Get("k", gens(nil))
-	if !ok || got != tbl {
+	if !ok || !reflect.DeepEqual(got, tbl) {
 		t.Fatalf("Get = (%v, %v), want the stored table", got, ok)
+	}
+	if &got.Rows[0][0] == &tbl.Rows[0][0] {
+		t.Fatal("cache kept the caller's rows instead of a copy")
 	}
 	if _, ok := c.Get("other", gens(nil)); ok {
 		t.Fatal("Get on unknown key hit")
@@ -112,7 +116,7 @@ func TestPutReplacesExistingKey(t *testing.T) {
 	repl := testTable(2)
 	c.Put("k", repl, nil)
 	got, ok := c.Get("k", gens(nil))
-	if !ok || got != repl {
+	if !ok || !reflect.DeepEqual(got, repl) {
 		t.Fatal("Put did not replace the existing entry")
 	}
 	if c.Len() != 1 || c.Bytes() != repl.Bytes() {

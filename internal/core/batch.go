@@ -85,7 +85,7 @@ func (d *DeepSea) ProcessBatchContext(items []BatchItem) ([]QueryReport, []error
 		if l.pq == nil {
 			// Not planned as part of the batch (the vanilla-engine
 			// configuration has no planning section): full per-query path.
-			reports[l.idx], errs[l.idx] = d.processWithRetries(l.ctx, q, l.key)
+			reports[l.idx], errs[l.idx] = d.processWithRetries(l.ctx, q, l.key, nil)
 			return
 		}
 		rep, quar, err := d.finishPlanned(l.ctx, l.pq)
@@ -103,9 +103,8 @@ func (d *DeepSea) ProcessBatchContext(items []BatchItem) ([]QueryReport, []error
 			// Same recoverable faults ProcessQueryContext retries; the
 			// fallback re-plans from scratch (its own lock acquisition) and
 			// carries the batch attempt's quarantines and retry count.
-			rep, rerr := d.processWithRetries(l.ctx, q, l.key)
+			rep, rerr := d.processWithRetries(l.ctx, q, l.key, quar)
 			if rerr == nil {
-				rep.Quarantined = append(quar, rep.Quarantined...)
 				rep.Retries++
 				reports[l.idx] = rep
 				return
@@ -134,7 +133,7 @@ func (d *DeepSea) ProcessBatchContext(items []BatchItem) ([]QueryReport, []error
 	d.planMu.Lock()
 	d.views.rlockAll()
 	for _, l := range live {
-		pq, err := d.planLocked(items[l.idx].Query, l.key)
+		pq, err := d.planLocked(items[l.idx].Query, l.key, nil)
 		if err != nil {
 			errs[l.idx] = err
 			continue

@@ -384,17 +384,30 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 		}
 	}
 
-	return d.processWithRetries(ctx, q, key)
+	return d.processWithRetries(ctx, q, key, nil)
 }
 
 // processWithRetries is the retry loop of ProcessQueryContext, shared
 // with batch processing (whose items fall back here after a recoverable
-// first-attempt failure).
-func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string) (QueryReport, error) {
+// first-attempt failure, bringing the paths that attempt quarantined).
+//
+// Every attempt plans around the paths this query has quarantined so
+// far, not just around what is missing from the live pool: background
+// healing may restore a quarantined file between attempts, and a query
+// that re-planned onto it would fault on it again until its retries ran
+// out. With the exclusion each storage-read retry has strictly fewer
+// files to fault on.
+func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string, quarantined []string) (QueryReport, error) {
 	maxRetries := d.Cfg.faultRetries()
-	var quarantined []string
 	for attempt := 0; ; attempt++ {
-		rep, quar, err := d.processOnce(ctx, q, key)
+		var exclude map[string]bool
+		if len(quarantined) > 0 {
+			exclude = make(map[string]bool, len(quarantined))
+			for _, p := range quarantined {
+				exclude[p] = true
+			}
+		}
+		rep, quar, err := d.processOnce(ctx, q, key, exclude)
 		quarantined = append(quarantined, quar...)
 		if err == nil {
 			rep.Quarantined = quarantined
@@ -412,9 +425,8 @@ func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key stri
 		switch {
 		case f.Site == faults.StorageRead:
 			// The unreadable file was quarantined above (or is pinned by
-			// a concurrent query and left in place); re-plan against the
-			// current pool — with the file gone the new plan answers the
-			// lost range from base tables.
+			// a concurrent query and left in place); re-plan — without the
+			// file the new plan answers the lost range from base tables.
 		case f.Site == faults.Worker && !f.Permanent:
 			// Transient worker fault (lost container, timeout): the plan
 			// is fine, re-execute it.
@@ -426,8 +438,8 @@ func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key stri
 
 // processOnce runs one attempt of Algorithm 1. It returns the paths it
 // quarantined while handling an execution failure (the caller
-// accumulates them across retries).
-func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string) (QueryReport, []string, error) {
+// accumulates them across retries and passes them back as exclude).
+func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string, exclude map[string]bool) (QueryReport, []string, error) {
 	if !d.Cfg.Materialize {
 		// Vanilla engine: the optimizer pushes selections down to the
 		// scans (DeepSea deliberately does not, Section 10.2); execute
@@ -458,7 +470,7 @@ func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string) (Qu
 	d.planAcq.Add(1)
 	d.planMu.Lock()
 	d.views.rlockAll()
-	pq, err := d.planLocked(q, key)
+	pq, err := d.planLocked(q, key, exclude)
 	d.views.runlockAll()
 	d.planMu.Unlock()
 	lockcheck.Release(lockcheck.RankPlan, 0, "planMu")
@@ -483,7 +495,7 @@ type plannedQuery struct {
 	selViews []selectedView
 	selFrags []fragCandidate
 	evict    []pool.Candidate
-	capture  map[query.Node]bool
+	capture  map[query.Node]engine.Capture
 	lockIDs  []string
 	pins     []string
 	// baseCounts is the per-table row count of every base table the
@@ -499,10 +511,10 @@ type plannedQuery struct {
 // materialized paths its chosen plan reads. The caller holds planMu and
 // every view stripe shared; batch processing calls it once per query
 // under a single acquisition, which is why the lock handling lives in
-// the callers.
-func (d *DeepSea) planLocked(q query.Node, key string) (*plannedQuery, error) {
+// the callers. exclude lists stored paths the plan must not read.
+func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) (*plannedQuery, error) {
 	// Step 1-2: compute rewritings and update statistics (Section 8.4).
-	rewritings, origCost, err := d.rewriter.ComputeRewritings(q)
+	rewritings, origCost, err := d.rewriter.ComputeRewritingsExcluding(q, exclude)
 	if err != nil {
 		return nil, err
 	}
@@ -529,14 +541,20 @@ func (d *DeepSea) planLocked(q query.Node, key string) (*plannedQuery, error) {
 	// Step 6: VIEWSELECTION — filter (7.2) and greedy selection (7.3).
 	selViews, selFrags, evict := d.selectConfiguration(vcands, fcands)
 
-	// Step 7: INSTRUMENTQUERY — capture candidate intermediates.
-	capture := make(map[query.Node]bool)
+	// Step 7: INSTRUMENTQUERY — capture candidate intermediates. Only
+	// what this query will materialize needs its rows; every other
+	// candidate needs its measured size (step 9), which leaves the engine
+	// free to never build it.
+	capture := make(map[query.Node]engine.Capture)
 	for _, vc := range vcands {
-		capture[vc.node] = true
+		capture[vc.node] = engine.CaptureSize
+	}
+	for _, sv := range selViews {
+		capture[sv.vc.node] = engine.CaptureRows
 	}
 	for _, fc := range selFrags {
 		if fc.fromGap {
-			capture[fc.gapNode] = true
+			capture[fc.gapNode] = engine.CaptureRows
 		}
 	}
 
@@ -578,6 +596,10 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 	qbest, bestRW := pq.qbest, pq.bestRW
 	vcands, selViews, selFrags, evict := pq.vcands, pq.selViews, pq.selFrags, pq.evict
 	lockIDs, pins, key := pq.lockIDs, pq.pins, pq.key
+	if d.maint == nil {
+		// Runs last, after the pins are dropped and the stripes released.
+		defer d.drainInlineRetries()
+	}
 
 	// Step 8: EXECUTEQUERY — outside every manager lock.
 	res, runErr := d.Eng.RunContext(ctx, qbest, pq.capture)
@@ -609,7 +631,7 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 			report.FragmentsRead = len(bestRW.CoverFrags)
 			report.RemainderGaps = len(bestRW.Gaps)
 		}
-		report.MaintTasksEnqueued = d.enqueueMaintenance(pq, res.Captured)
+		report.MaintTasksEnqueued = d.enqueueMaintenance(pq, &res)
 		d.Eng.Advance(res.Cost.Seconds)
 		if key != "" && res.Table != nil {
 			d.Cache.Put(key, res.Table, d.viewDeps(qbest))
@@ -639,10 +661,10 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 	// Step 9: UPDATESTATS — precise sizes for captured candidates.
 	if d.Cfg.ExecuteRows {
 		for _, vc := range vcands {
-			if tbl := res.Captured[vc.node]; tbl != nil {
+			if bytes, ok := res.CapturedBytes[vc.node]; ok {
 				vs := d.Stats.View(vc.id)
 				if !vs.Measured {
-					vs.Size = tbl.Bytes()
+					vs.Size = bytes
 					d.journalVStat(vs)
 				}
 			}

@@ -84,8 +84,8 @@ type Health struct {
 	// dependent views. IngestStaleViews counts views currently
 	// unreadable while their refresh is pending (transient in background
 	// mode). IngestRetryBacklog is the degraded signal: views stuck
-	// still-stale in inline mode, with no retry pending until a later
-	// append happens to land.
+	// still-stale in inline mode, with no retry pending until the next
+	// query finishes or append lands.
 	IngestAppends        uint64
 	IngestAppendedRows   uint64
 	IngestTrackedViews   int

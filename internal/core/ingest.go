@@ -90,8 +90,9 @@ type ingestState struct {
 	appLog map[string]*relation.Table
 	// retry is the inline-mode retry backlog: views a refresh left
 	// still-stale (pinned files blocked a drop, a write fault poisoned
-	// an apply). Inline mode has no maintenance pool to re-enqueue them,
-	// so every later Append — to any table — drains this set.
+	// an apply) or a racing append made register stale. Inline mode has
+	// no maintenance pool to re-enqueue them, so every finishing query
+	// and every later Append — to any table — retries this set.
 	retry map[string]bool
 
 	appends        uint64
@@ -126,8 +127,8 @@ type IngestStats struct {
 	StaleViews   int `json:"stale_views"`
 	// RetryBacklog is the number of views stuck still-stale in inline
 	// mode (no maintenance pool to retry them); they stay unreadable
-	// until a later append drains the backlog, so a persistently
-	// nonzero value is an operator signal.
+	// until the next finishing query or append retries the backlog, so
+	// a persistently nonzero value is an operator signal.
 	RetryBacklog int `json:"retry_backlog"`
 	// Refreshes counts applied refreshes (incremental, including
 	// empty-delta fast paths, counted separately in EmptyRefreshes);
@@ -253,9 +254,15 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 		rep.Deferred = len(ids) > 0
 		return rep, nil
 	}
-	// Inline refresh covers this append's dependents plus the retry
-	// backlog: views an earlier inline round left still-stale have no
-	// other retry trigger.
+	d.refreshInline(ids, &rep)
+	return rep, nil
+}
+
+// refreshInline is inline mode's refresh driver: it brings ids (one
+// append's dependents) and the retry backlog fresh, each view under its
+// own stripe, records the outcomes in rep and advances the clock by the
+// work. Caller holds no stripe.
+func (d *DeepSea) refreshInline(ids []string, rep *AppendReport) {
 	for _, id := range d.inlineRefreshSet(ids) {
 		held := d.views.lockViews([]string{id})
 		cost, outcome := d.applyRefreshLocked(id)
@@ -271,7 +278,21 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 	if rep.RefreshCost.Seconds > 0 {
 		d.Eng.Advance(rep.RefreshCost.Seconds)
 	}
-	return rep, nil
+}
+
+// drainInlineRetries retries the inline retry backlog as a query leaves
+// (stripes released, pins dropped). Appends are not the only thing that
+// can unblock a still-stale view: a view whose drop was blocked by this
+// query's pins, or one this query registered stale because an append
+// raced its materialization, can settle now — without this the view
+// would sit unreadable until some later append happened by.
+func (d *DeepSea) drainInlineRetries() {
+	d.ingest.mu.Lock()
+	n := len(d.ingest.retry)
+	d.ingest.mu.Unlock()
+	if n > 0 {
+		d.refreshInline(nil, &AppendReport{})
+	}
 }
 
 // markDependentsStale records the append in the ingest log and flips the
@@ -336,8 +357,8 @@ const (
 	// refreshStillStale: the view is still stale (pinned files blocked a
 	// drop, a write fault interrupted the apply, or appends kept racing
 	// past the retry bound). In background mode a retry is enqueued; in
-	// inline mode the view joins the retry backlog, drained by the next
-	// Append to any table.
+	// inline mode the view joins the retry backlog, retried by the next
+	// finishing query or Append to any table.
 	refreshStillStale
 )
 
@@ -362,8 +383,11 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 		d.ingest.mu.Lock()
 		m := d.ingest.views[id]
 		stale := m != nil && m.stale
+		if !stale {
+			delete(d.ingest.retry, id)
+		}
 		d.ingest.mu.Unlock()
-		if m == nil || !stale {
+		if !stale {
 			return total, refreshNoop
 		}
 		if d.Cfg.RematOnAppend || m.plan == nil || m.marks == nil {
@@ -504,7 +528,8 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 }
 
 // refreshRetry re-enqueues a still-stale view in background mode; in
-// inline mode it joins the retry backlog the next Append drains.
+// inline mode it joins the retry backlog the next finishing query or
+// Append retries.
 func (d *DeepSea) refreshRetry(id string) refreshOutcome {
 	if d.maint != nil {
 		d.enqueueRefresh(id)
@@ -518,8 +543,11 @@ func (d *DeepSea) refreshRetry(id string) refreshOutcome {
 }
 
 // inlineRefreshSet merges one append's dependent views with the inline
-// retry backlog (drained here; a view that stays stale re-enters it via
-// refreshRetry). Returns the union sorted by id.
+// retry backlog. The backlog is read, not emptied: an entry leaves only
+// when its view is seen fresh, dropped or gone (applyRefreshLocked,
+// finalizeRefresh, dropStaleView), so a query that releases the pins
+// blocking a drop while another caller is mid-attempt still finds the
+// entry and retries. Returns the union sorted by id.
 func (d *DeepSea) inlineRefreshSet(ids []string) []string {
 	s := d.ingest
 	s.mu.Lock()
@@ -534,7 +562,6 @@ func (d *DeepSea) inlineRefreshSet(ids []string) []string {
 	for id := range s.retry {
 		set[id] = true
 	}
-	s.retry = make(map[string]bool)
 	s.mu.Unlock()
 	out := make([]string, 0, len(set))
 	for id := range set {
@@ -795,9 +822,9 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 		if d.maint != nil {
 			d.enqueueRefresh(id)
 		} else {
-			// Inline mode: without a backlog entry this view's first
-			// refresh (which will drop it — no valid marks) would only
-			// ever trigger on an append to one of its own tables.
+			// Inline mode: the backlog entry has the registering query
+			// run this view's first refresh (which will drop it — no
+			// valid marks) as it leaves.
 			s.retry[id] = true
 		}
 	}

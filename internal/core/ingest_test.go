@@ -418,6 +418,46 @@ func TestInlineRetryBacklogDrains(t *testing.T) {
 	}
 }
 
+// TestInlineRetryBacklogDrainsOnQuery: in inline mode a finishing query
+// retries the backlog too — a still-stale view does not wait for an
+// append that may never come.
+func TestInlineRetryBacklogDrainsOnQuery(t *testing.T) {
+	d := newTestSystem(t, nil)
+	persistWorkload(t, d)
+	_, frags := appendMaintainedView(t, d)
+
+	// Same stuck state as TestInlineRetryBacklogDrains: a pin blocks the
+	// drop a mid-apply fault requires.
+	d.pin(frags[:1])
+	d.Eng.DeleteMaterialized(frags[len(frags)-1])
+	b1 := appendRows(9, 300)
+	if _, err := d.Append("sales", b1); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if is := d.IngestStats(); is.RetryBacklog != 1 || is.StaleViews != 1 {
+		t.Fatalf("stuck view not in retry backlog: %+v", is)
+	}
+
+	// While the pin is held a finishing query retries and fails again;
+	// the entry stays.
+	run(t, d, q30(0, 4999))
+	if is := d.IngestStats(); is.RetryBacklog != 1 || is.StaleViews != 1 {
+		t.Fatalf("pinned view left the backlog: %+v", is)
+	}
+
+	// Pin released, no further append: the next query to finish settles
+	// the view.
+	d.unpin(frags[:1])
+	got := resultJSON(t, run(t, d, q30(0, 4999)))
+	if is := d.IngestStats(); is.RetryBacklog != 0 || is.StaleViews != 0 || is.Drops == 0 {
+		t.Fatalf("query did not drain the backlog: %+v", is)
+	}
+	want := resultJSON(t, run(t, freshWithAppends(t, b1), q30(0, 4999)))
+	if got != want {
+		t.Errorf("post-drain result diverges:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestAppendUnknownTable: appending to a table the engine does not know
 // fails cleanly.
 func TestAppendUnknownTable(t *testing.T) {

@@ -133,7 +133,8 @@ func maintTaskViews(t *maintain.Task) []string {
 // pool queues once; after the pool moved, it may queue again (and the
 // apply-side re-validation makes the second application a no-op).
 // Returns how many tasks were accepted.
-func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, captured map[query.Node]*relation.Table) int {
+func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, res *engine.Result) int {
+	captured := res.Captured
 	n := 0
 	push := func(t *maintain.Task) {
 		if d.maint.Push(t) {
@@ -182,8 +183,8 @@ func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, captured map[query.Node]*
 	var sweep sweepTask
 	if d.Cfg.ExecuteRows {
 		for _, vc := range pq.vcands {
-			if tbl := captured[vc.node]; tbl != nil {
-				sweep.measure = append(sweep.measure, measuredSize{id: vc.id, bytes: tbl.Bytes()})
+			if bytes, ok := res.CapturedBytes[vc.node]; ok {
+				sweep.measure = append(sweep.measure, measuredSize{id: vc.id, bytes: bytes})
 			}
 		}
 	}
@@ -396,7 +397,7 @@ func (d *DeepSea) applyRemat(p *rematTask) (engine.Cost, error) {
 	var err error
 	bytes := p.size
 	if p.rows != nil {
-		cost, err = d.Eng.WriteMaterialized(p.path, p.rows)
+		cost, err = d.Eng.RewriteMaterialized(p.path, p.rows)
 		bytes = p.rows.Bytes()
 	} else {
 		cost, err = d.Eng.WriteMaterializedSize(p.path, p.size)

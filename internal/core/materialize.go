@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"deepsea/internal/engine"
@@ -46,6 +48,11 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 	if captured != nil {
 		viewBytes = captured.Bytes()
 	}
+	// Captured rows are a query's; reconstructed ones the store's own.
+	write := d.Eng.WriteMaterialized
+	if fromFiles {
+		write = d.Eng.RewriteMaterialized
+	}
 
 	mode := d.Cfg.Partition
 	attr, dom := sv.attr, sv.dom
@@ -61,7 +68,7 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 		path := d.viewPath(vc.id)
 		var err error
 		if captured != nil {
-			cost, err = d.Eng.WriteMaterialized(path, captured)
+			cost, err = write(path, captured)
 		} else {
 			cost, err = d.Eng.WriteMaterializedSize(path, viewBytes)
 		}
@@ -75,41 +82,50 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 		if err != nil {
 			return engine.Cost{}, false, err
 		}
-		// Partial materialization may extend an existing partition.
+		// Partial materialization may extend an existing partition. Write
+		// only the parts of each piece not already covered by existing
+		// fragments or by an earlier piece: coalesced proposals can span
+		// a materialized fragment plus a hole, and a horizontal partition
+		// must stay disjoint.
 		part := d.Pool.EnsurePartition(vc.id, attr, dom, d.Cfg.overlapping())
+		covered := part.Intervals()
+		var writes []interval.Interval
 		for _, piece := range ivs {
-			// Write only the parts of the piece not already covered by
-			// existing fragments: coalesced proposals can span a
-			// materialized fragment plus a hole, and a horizontal
-			// partition must stay disjoint.
-			writes := []interval.Interval{piece}
-			if part.NumFragments() > 0 {
-				writes = part.Intervals().Gaps(piece)
+			gaps := []interval.Interval{piece}
+			if len(covered) > 0 {
+				gaps = covered.Gaps(piece)
 			}
-			for _, iv := range writes {
-				fragBytes, fragTbl := d.fragmentData(captured, attr, iv, viewBytes, dom)
-				path := d.fragPath(vc.id, attr, iv)
-				var wc engine.Cost
-				var err error
-				if fragTbl != nil {
-					wc, err = d.Eng.WriteMaterialized(path, fragTbl)
-				} else {
-					wc, err = d.Eng.WriteMaterializedSize(path, fragBytes)
-				}
-				if err != nil {
-					// Fragments from earlier iterations are already
-					// registered in the pool and stay: a partial
-					// partition is valid (gaps fall back to remainder
-					// plans), and the FS and pool still agree.
-					return cost, false, fmt.Errorf("core: materialize view %s: %w", shortID(vc.id), err)
-				}
-				cost.Add(wc)
-				d.Pool.AddFragment(vc.id, attr, partition.Fragment{Iv: iv, Path: path, Size: fragBytes})
-				fs := d.Stats.Partition(vc.id, attr, dom).Frag(iv)
-				fs.Size = fragBytes
-				fs.Measured = fragTbl != nil
-				d.journalFStat(vc.id, attr, fs)
+			writes = append(writes, gaps...)
+			covered = append(covered, gaps...)
+		}
+		var frags []*relation.Table
+		if captured != nil {
+			frags = fragmentRows(captured, attr, writes)
+		}
+		for i, iv := range writes {
+			path := d.fragPath(vc.id, attr, iv)
+			fragBytes := uniformShare(viewBytes, iv, dom)
+			var wc engine.Cost
+			var err error
+			if frags != nil {
+				fragBytes = frags[i].Bytes()
+				wc, err = write(path, frags[i])
+			} else {
+				wc, err = d.Eng.WriteMaterializedSize(path, fragBytes)
 			}
+			if err != nil {
+				// Fragments from earlier iterations are already registered
+				// in the pool and stay: a partial partition is valid (gaps
+				// fall back to remainder plans), and the FS and pool still
+				// agree.
+				return cost, false, fmt.Errorf("core: materialize view %s: %w", shortID(vc.id), err)
+			}
+			cost.Add(wc)
+			d.Pool.AddFragment(vc.id, attr, partition.Fragment{Iv: iv, Path: path, Size: fragBytes})
+			fs := d.Stats.Partition(vc.id, attr, dom).Frag(iv)
+			fs.Size = fragBytes
+			fs.Measured = frags != nil
+			d.journalFStat(vc.id, attr, fs)
 		}
 	}
 
@@ -283,23 +299,21 @@ func guardSplit(ivs []interval.Interval, isHot func(interval.Interval) bool, gua
 	return out
 }
 
+// uniformShare is a fragment's size when no rows are at hand
+// (estimate-only mode): its share of the view's bytes by key range.
+func uniformShare(viewBytes int64, iv, dom interval.Interval) int64 {
+	return int64(float64(viewBytes) * float64(iv.Len()) / float64(dom.Len()))
+}
+
 // fragmentSizer returns a fast interval-size estimator: in exec mode it
 // sorts the captured partition-key column once and answers each interval
 // by binary search; in estimate-only mode it falls back to the uniform
-// share. (fragmentData would build a whole table per probe — quadratic
-// when bounding/coalescing probe many intervals.)
+// share. (Bounding and coalescing probe many intervals.)
 func (d *DeepSea) fragmentSizer(captured *relation.Table, attr string, viewBytes int64, dom interval.Interval) func(interval.Interval) int64 {
 	if captured == nil {
-		return func(iv interval.Interval) int64 {
-			return int64(float64(viewBytes) * float64(iv.Len()) / float64(dom.Len()))
-		}
+		return func(iv interval.Interval) int64 { return uniformShare(viewBytes, iv, dom) }
 	}
-	ai := captured.Schema.ColIndex(attr)
-	vals := make([]int64, len(captured.Rows))
-	for i, row := range captured.Rows {
-		vals[i] = row[ai].I
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	vals := sortedKeys(captured, attr)
 	width := captured.Schema.RowWidth()
 	return func(iv interval.Interval) int64 {
 		lo := sort.Search(len(vals), func(i int) bool { return vals[i] >= iv.Lo })
@@ -308,35 +322,52 @@ func (d *DeepSea) fragmentSizer(captured *relation.Table, attr string, viewBytes
 	}
 }
 
-// fragmentData returns the byte size of a fragment and, in exec mode, its
-// row data. In estimate-only mode the size is the uniform share of the
-// view's bytes.
-func (d *DeepSea) fragmentData(captured *relation.Table, attr string, iv interval.Interval, viewBytes int64, dom interval.Interval) (int64, *relation.Table) {
-	if captured == nil {
-		return int64(float64(viewBytes) * float64(iv.Len()) / float64(dom.Len())), nil
+// sortedKeys returns the table's attr column, ascending.
+func sortedKeys(tbl *relation.Table, attr string) []int64 {
+	ai := tbl.Schema.ColIndex(attr)
+	vals := make([]int64, len(tbl.Rows))
+	for i, row := range tbl.Rows {
+		vals[i] = row[ai].I
+	}
+	slices.Sort(vals)
+	return vals
+}
+
+// fragmentRows deals the captured rows out to the fragments they belong
+// to in one pass over the table. ivs must be disjoint; a fragment's rows
+// keep their captured order. The fragments share the captured rows —
+// storing one copies it (engine.WriteMaterialized).
+func fragmentRows(captured *relation.Table, attr string, ivs []interval.Interval) []*relation.Table {
+	byLo := make([]int, len(ivs))
+	for i := range byLo {
+		byLo[i] = i
+	}
+	slices.SortFunc(byLo, func(a, b int) int { return cmp.Compare(ivs[a].Lo, ivs[b].Lo) })
+	out := make([]*relation.Table, len(ivs))
+	for i := range out {
+		out[i] = relation.NewTable(captured.Schema)
 	}
 	ai := captured.Schema.ColIndex(attr)
-	frag := relation.NewTable(captured.Schema)
 	for _, row := range captured.Rows {
-		if iv.Contains(row[ai].I) {
-			frag.Append(row)
+		v := row[ai].I
+		// The only interval that can hold v is the last one starting at
+		// or below it.
+		k := sort.Search(len(byLo), func(j int) bool { return ivs[byLo[j]].Lo > v }) - 1
+		if k >= 0 && v <= ivs[byLo[k]].Hi {
+			frag := out[byLo[k]]
+			frag.Rows = append(frag.Rows, row)
 		}
 	}
-	return frag.Bytes(), frag
+	return out
 }
 
 // equiDepthFromData computes k fragment intervals holding approximately
 // equal row counts (true equi-depth boundaries from the data's quantiles).
 func equiDepthFromData(tbl *relation.Table, attr string, k int, dom interval.Interval) []interval.Interval {
-	ai := tbl.Schema.ColIndex(attr)
-	vals := make([]int64, 0, len(tbl.Rows))
-	for _, row := range tbl.Rows {
-		vals = append(vals, row[ai].I)
-	}
-	if len(vals) == 0 || k <= 1 {
+	if len(tbl.Rows) == 0 || k <= 1 {
 		return []interval.Interval{dom}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	vals := sortedKeys(tbl, attr)
 	cuts := make([]int64, 0, k-1)
 	prev := dom.Lo
 	for i := 1; i < k; i++ {
@@ -509,7 +540,7 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, captured map[query.Node]*rel
 				undoPending(pending)
 				return engine.Cost{}, nil, err
 			}
-			wc, werr = d.Eng.WriteMaterialized(path, tbl)
+			wc, werr = d.Eng.RewriteMaterialized(path, tbl)
 			bytes = tbl.Bytes()
 		} else {
 			bytes = part.EstimateCandidateSize(iv)

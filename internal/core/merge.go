@@ -96,7 +96,7 @@ func (d *DeepSea) mergePair(viewID string, part *partition.Partition, pstat *sta
 		}
 		tbl := relation.NewTable(ta.Schema)
 		tbl.Rows = append(append(tbl.Rows, ta.Rows...), tb.Rows...)
-		wc, err := d.Eng.WriteMaterialized(path, tbl)
+		wc, err := d.Eng.RewriteMaterialized(path, tbl)
 		if err != nil {
 			// Nothing was dropped yet, so a failed merge write leaves the
 			// pair untouched — the merge simply did not happen.

@@ -1,0 +1,162 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"deepsea/internal/interval"
+	"deepsea/internal/query"
+	"deepsea/internal/relation"
+)
+
+// Layer microbenchmarks for the row data path, at the sizes the
+// serve_adaptive workload runs them: a 24 000-row fact table probing a
+// 4 800-row dimension. allocs/op is exact and gated by
+// TestFusedProbeAllocations; ns/op is advisory.
+//
+//	go test -run '^$' -bench . -benchmem ./internal/engine
+
+const (
+	benchFactRows = 24000
+	benchDimRows  = 4800
+)
+
+// probeFixture returns a fact and a dimension table shaped like
+// store_sales and item — every fact row joins exactly one dimension row —
+// and the template stack over them: a range selection over the
+// projected join.
+func probeFixture(factRows, dimRows int) (fact, dim *relation.Table, sel *query.Select) {
+	fact = relation.NewTable(relation.Schema{Name: "fact", Cols: []relation.Column{
+		{Name: "f_k", Type: relation.Int, Ordered: true, Lo: 0, Hi: int64(dimRows) - 1},
+		{Name: "f_cust", Type: relation.Int},
+		{Name: "f_store", Type: relation.Int},
+		{Name: "f_date", Type: relation.Int},
+		{Name: "f_qty", Type: relation.Int},
+		{Name: "f_price", Type: relation.Float},
+		{Name: "f_note", Type: relation.String},
+	}})
+	for i := 0; i < factRows; i++ {
+		fact.Append(relation.Row{
+			relation.IntVal(int64(i * 7919 % dimRows)),
+			relation.IntVal(int64(i % 997)),
+			relation.IntVal(int64(i % 13)),
+			relation.IntVal(int64(i % 365)),
+			relation.IntVal(int64(1 + i%9)),
+			relation.FloatVal(0.1 * float64(i%311)),
+			relation.StringVal("n"),
+		})
+	}
+	dim = relation.NewTable(relation.Schema{Name: "dim", Cols: []relation.Column{
+		{Name: "d_k", Type: relation.Int},
+		{Name: "d_cat", Type: relation.Int},
+		{Name: "d_name", Type: relation.String},
+		{Name: "d_price", Type: relation.Float},
+	}})
+	for i := 0; i < dimRows; i++ {
+		dim.Append(relation.Row{
+			relation.IntVal(int64(i)),
+			relation.IntVal(int64(i % 10)),
+			relation.StringVal(fmt.Sprintf("item-%d", i)),
+			relation.FloatVal(float64(i%500) / 4),
+		})
+	}
+	join := &query.Join{
+		Left: query.NewScan("fact", fact.Schema), Right: query.NewScan("dim", dim.Schema),
+		LCol: "f_k", RCol: "d_k",
+	}
+	proj := &query.Project{Child: join, Cols: []string{"f_k", "d_cat", "f_qty", "f_price"}}
+	// 5% of the key domain, as the workloads' selections are.
+	lo := int64(dimRows) * 2 / 5
+	sel = &query.Select{Child: proj, Ranges: []query.RangePred{{Col: "f_k", Iv: interval.New(lo, lo+int64(dimRows)/20-1)}}}
+	return fact, dim, sel
+}
+
+// mustFuse returns the kernel's stack rooted at n.
+func mustFuse(tb testing.TB, n query.Node) *fusedJoin {
+	tb.Helper()
+	f, ok := fuseJoin(n, noRowsWanted)
+	if !ok {
+		tb.Fatalf("%T does not fuse", n)
+	}
+	return &f
+}
+
+var benchSink *relation.Table
+
+func BenchmarkProbe(b *testing.B) {
+	fact, dim, sel := probeFixture(benchFactRows, benchDimRows)
+	proj := sel.Child.(*query.Project)
+	for _, bc := range []struct {
+		name string
+		top  query.Node
+	}{
+		{"join", proj.Child},
+		{"join+project", proj},
+		{"join+project+select5pct", sel},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := mustFuse(b, bc.top)
+			bud := newBudget(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = f.probe(fact, dim, false, bud)
+			}
+		})
+	}
+}
+
+func BenchmarkProjectTable(b *testing.B) {
+	fact, _, _ := probeFixture(benchFactRows, benchDimRows)
+	bud := newBudget(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = projectTable(fact, []string{"f_k", "f_qty", "f_price"}, bud)
+	}
+}
+
+func BenchmarkAggregate(b *testing.B) {
+	fact, _, _ := probeFixture(benchFactRows, benchDimRows)
+	agg := &query.Aggregate{
+		Child:   query.NewScan("fact", fact.Schema),
+		GroupBy: []string{"f_store"},
+		Aggs: []query.AggSpec{
+			{Func: query.Count, As: "n"},
+			{Func: query.Sum, Col: "f_price", As: "revenue"},
+		},
+	}
+	bud := newBudget(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = aggregate(fact, agg, bud)
+	}
+}
+
+func BenchmarkExactAccAdd(b *testing.B) {
+	var acc exactAcc
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		acc.add(0.1 * float64(i%311))
+	}
+}
+
+// TestFusedProbeAllocations is the kernel's exact allocation gate: the
+// fused select-probe allocates per slab and per chunk, never per row.
+func TestFusedProbeAllocations(t *testing.T) {
+	fact, dim, sel := probeFixture(benchFactRows, benchDimRows)
+	f := mustFuse(t, sel)
+	bud := newBudget(1)
+	out, _ := f.probe(fact, dim, false, bud)
+	if len(out.Rows) == 0 || len(out.Rows) >= len(fact.Rows)/10 {
+		t.Fatalf("selection kept %d of %d rows; the fixture is not a 5%% selection", len(out.Rows), len(fact.Rows))
+	}
+	limit := float64(len(out.Rows)/relation.SlabRows + 4*numChunks(len(fact.Rows)) + 16)
+	got := testing.AllocsPerRun(10, func() {
+		benchSink, _ = f.probe(fact, dim, false, bud)
+	})
+	if got > limit {
+		t.Errorf("fused select-probe allocates %.0f objects for %d output rows, limit %.0f", got, len(out.Rows), limit)
+	}
+}

@@ -25,8 +25,8 @@ import (
 //   - Select/Project: filter/project the child delta (row order kept).
 //   - Join: valid only when exactly one input changed, that input is the
 //     probe side, and the build-or-probe orientation (chosen by input
-//     cardinality, exactly as hashJoin chooses it) is the same before
-//     and after the append — then the new output is the old output plus
+//     cardinality, the buildsLeft rule every join follows) is the same
+//     before and after the append — then the new output is the old output plus
 //     delta-probe ⋈ build, in probe-major order, matching a remat.
 //     Otherwise (both sides changed, delta on the build side, or the
 //     orientation flips) incremental maintenance cannot reproduce the
@@ -181,6 +181,25 @@ func (e *Engine) PrimeRefresh(plan query.Node, old map[string]*relation.Table) (
 // append-linear in a subtree position, so they surface as rematError.
 func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) {
 	var out *relation.Table
+	if f, ok := fuseJoin(n, noRowsWanted); ok {
+		l, err := c.snapEval(f.join.Left, record)
+		if err != nil {
+			return nil, err
+		}
+		r, err := c.snapEval(f.join.Right, record)
+		if err != nil {
+			return nil, err
+		}
+		var joined int
+		out, joined = f.probe(l, r, buildsLeft(len(l.Rows), len(r.Rows)), c.bud)
+		if record {
+			for _, m := range f.below {
+				c.newSizes[m] = joined
+			}
+			c.newSizes[n] = len(out.Rows)
+		}
+		return out, nil
+	}
 	switch t := n.(type) {
 	case *query.Scan:
 		tbl := c.snaps[t.Table]
@@ -201,16 +220,6 @@ func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) 
 			return nil, err
 		}
 		out = projectTable(child, t.Cols, c.bud)
-	case *query.Join:
-		l, err := c.snapEval(t.Left, record)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.snapEval(t.Right, record)
-		if err != nil {
-			return nil, err
-		}
-		out = hashJoin(l, r, t.LCol, t.RCol, t.Schema(), c.bud)
 	case *query.Aggregate:
 		return nil, rematError{"aggregate below the plan root"}
 	case *query.ViewScan:
@@ -223,6 +232,10 @@ func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) 
 	}
 	return out, nil
 }
+
+// noRowsWanted is fuseJoin's rowsWanted for the refresh paths, which
+// read only the plan root's rows.
+func noRowsWanted(query.Node) bool { return false }
 
 // DeltaApply pushes the appended base rows through a primed view plan
 // and returns what the refresh must do to the stored content. snaps are
@@ -311,6 +324,14 @@ func (c *deltaCtx) deltaNode(n query.Node) (*relation.Table, error) {
 	if !primed {
 		return nil, rematError{"plan node missing from primed sizes"}
 	}
+	if f, ok := fuseJoin(n, noRowsWanted); ok {
+		out, err := c.deltaJoin(&f)
+		if err != nil {
+			return nil, err
+		}
+		c.newSizes[n] = oldSize + len(out.Rows)
+		return out, nil
+	}
 	var out *relation.Table
 	switch t := n.(type) {
 	case *query.Scan:
@@ -336,11 +357,6 @@ func (c *deltaCtx) deltaNode(n query.Node) (*relation.Table, error) {
 			return nil, err
 		}
 		out = projectTable(child, t.Cols, c.bud)
-	case *query.Join:
-		var err error
-		if out, err = c.deltaJoinNode(t); err != nil {
-			return nil, err
-		}
 	case *query.Aggregate:
 		return nil, rematError{"aggregate below the plan root"}
 	case *query.ViewScan:
@@ -352,11 +368,23 @@ func (c *deltaCtx) deltaNode(n query.Node) (*relation.Table, error) {
 	return out, nil
 }
 
-// deltaJoinNode computes the appended output suffix of an equi-join
-// whose inputs may each have grown. The suffix equals delta-probe ⋈
-// build only under the conditions documented on DeltaApply; any other
-// shape is a rematError.
-func (c *deltaCtx) deltaJoinNode(t *query.Join) (*relation.Table, error) {
+// deltaJoin computes the appended output suffix of a fused join stack
+// whose join inputs may each have grown. The suffix equals delta-probe ⋈
+// build — pushed through the stack's projection and selection by the
+// same pass — only under the conditions documented on DeltaApply; any
+// other shape is a rematError.
+func (c *deltaCtx) deltaJoin(f *fusedJoin) (*relation.Table, error) {
+	t := f.join
+	for _, m := range f.below {
+		if _, primed := c.oldSizes[m]; !primed {
+			return nil, rematError{"plan node missing from primed sizes"}
+		}
+	}
+	grow := func(joined int) {
+		for _, m := range f.below {
+			c.newSizes[m] = c.oldSizes[m] + joined
+		}
+	}
 	ld, err := c.deltaNode(t.Left)
 	if err != nil {
 		return nil, err
@@ -366,7 +394,8 @@ func (c *deltaCtx) deltaJoinNode(t *query.Join) (*relation.Table, error) {
 		return nil, err
 	}
 	if len(ld.Rows) == 0 && len(rd.Rows) == 0 {
-		return relation.NewTable(t.Schema()), nil
+		grow(0)
+		return relation.NewTable(f.top.Schema()), nil
 	}
 	if len(ld.Rows) > 0 && len(rd.Rows) > 0 {
 		return nil, rematError{"both join inputs changed"}
@@ -376,75 +405,31 @@ func (c *deltaCtx) deltaJoinNode(t *query.Join) (*relation.Table, error) {
 	if !lok || !rok {
 		return nil, rematError{"join input missing from primed sizes"}
 	}
-	lNew, rNew := c.newSizes[t.Left], c.newSizes[t.Right]
-	// hashJoin builds on the left unless the left is strictly larger;
-	// the choice must agree before and after the append or the remat
-	// output would switch from right-major to left-major (or back).
-	buildLeftOld := !(lOld > rOld)
-	buildLeftNew := !(lNew > rNew)
-	if buildLeftOld != buildLeftNew {
+	// The build side must be the same before and after the append or the
+	// remat output would switch from right-major to left-major (or back).
+	buildLeft := buildsLeft(lOld, rOld)
+	if buildLeft != buildsLeft(c.newSizes[t.Left], c.newSizes[t.Right]) {
 		return nil, rematError{"join build orientation flips under this delta"}
 	}
 	// The changed side must be the probe side: new probe rows extend
 	// the probe-major output, while new build rows would interleave.
-	if buildLeftOld && len(ld.Rows) > 0 {
+	if buildLeft && len(ld.Rows) > 0 || !buildLeft && len(rd.Rows) > 0 {
 		return nil, rematError{"delta lands on the join build side"}
-	}
-	if !buildLeftOld && len(rd.Rows) > 0 {
-		return nil, rematError{"delta lands on the join build side"}
-	}
-	var buildNode query.Node
-	var probeDelta *relation.Table
-	if buildLeftOld {
-		buildNode, probeDelta = t.Left, rd
-	} else {
-		buildNode, probeDelta = t.Right, ld
 	}
 	// The build side is unchanged, so evaluating it over the current
 	// snapshots reproduces exactly what the original materialization
 	// joined against.
-	build, err := c.snapEval(buildNode, false)
+	l, r := ld, rd
+	if buildLeft {
+		l, err = c.snapEval(t.Left, false)
+	} else {
+		r, err = c.snapEval(t.Right, false)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return deltaJoin(build, probeDelta, t, buildLeftOld, c.bud)
-}
-
-// deltaJoin joins the appended probe rows against the full build side,
-// preserving hashJoin's output contract: probe-major row order, build
-// matches in build-row order, output columns always left ++ right.
-func deltaJoin(build, probe *relation.Table, t *query.Join, buildLeft bool, bud *budget) (*relation.Table, error) {
-	bCol, pCol := t.LCol, t.RCol
-	if !buildLeft {
-		bCol, pCol = t.RCol, t.LCol
-	}
-	bi := build.Schema.ColIndex(bCol)
-	pi := probe.Schema.ColIndex(pCol)
-	if bi < 0 || pi < 0 {
-		return nil, fmt.Errorf("engine: join columns %q/%q missing in refresh plan", t.LCol, t.RCol)
-	}
-	m := make(map[int64][]relation.Row, len(build.Rows))
-	for _, row := range build.Rows {
-		k := row[bi].I
-		m[k] = append(m[k], row)
-	}
-	n := len(probe.Rows)
-	parts := make([][]relation.Row, numChunks(n))
-	forEachChunk(bud, n, func(c, lo, hi int) {
-		var rows []relation.Row
-		for _, pr := range probe.Rows[lo:hi] {
-			for _, br := range m[pr[pi].I] {
-				if buildLeft {
-					rows = append(rows, concatRows(br, pr))
-				} else {
-					rows = append(rows, concatRows(pr, br))
-				}
-			}
-		}
-		parts[c] = rows
-	})
-	out := relation.NewTable(t.Schema())
-	out.Rows = concatChunks(parts)
+	out, joined := f.probe(l, r, buildLeft, c.bud)
+	grow(joined)
 	return out, nil
 }
 

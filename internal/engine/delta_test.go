@@ -63,7 +63,18 @@ func deltaPlans(e *Engine) map[string]query.Node {
 	join := func() query.Node {
 		return &query.Join{Left: factScan(), Right: dimScan(), LCol: "f_k", RCol: "d_k"}
 	}
+	// The query templates' shape — a selection over a projected join —
+	// which the probe kernel runs as one pass.
+	fused := func(lo, hi int64) query.Node {
+		return sel(&query.Project{Child: join(), Cols: []string{"f_k", "f_g", "f_v", "d_name"}}, lo, hi)
+	}
 	return map[string]query.Node{
+		"fused-join": fused(5, 90),
+		"fused-aggregate": &query.Aggregate{
+			Child:   fused(0, 95),
+			GroupBy: []string{"d_name"},
+			Aggs:    []query.AggSpec{{Func: query.Count, As: "n"}, {Func: query.Sum, Col: "f_v", As: "sv"}},
+		},
 		"filter-project": &query.Project{Child: sel(factScan(), 10, 80), Cols: []string{"f_k", "f_v"}},
 		"join":           &query.Project{Child: sel(join(), 5, 90), Cols: []string{"f_k", "f_v", "d_name"}},
 		"aggregate": &query.Aggregate{
@@ -167,6 +178,15 @@ func TestDeltaApplyMatchesRemat(t *testing.T) {
 					t.Fatalf("round %d: incremental content diverges from remat (%d vs %d rows)",
 						round, len(content.Rows), len(remat.Table.Rows))
 				}
+				// The carried sizes — including those of nodes the kernel
+				// fuses away — equal a fresh priming over the new prefix.
+				fresh, _, err := e.PrimeRefresh(plan, snaps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rp.Sizes, fresh.Sizes) {
+					t.Fatalf("round %d: carried node sizes diverge from a fresh priming", round)
+				}
 			}
 		})
 	}
@@ -259,7 +279,7 @@ func TestDeltaApplyRematFallbacks(t *testing.T) {
 	}
 
 	// Orientation flip: prime with fact smaller than dim, then grow
-	// fact past dim so hashJoin would switch its build side.
+	// fact past dim so the join would switch its build side.
 	e2 := New(DefaultCostModel())
 	smallFact := relation.NewTable(e.BaseTable("fact").Schema)
 	for i := 0; i < 50; i++ {

@@ -248,10 +248,33 @@ func (e *Engine) BaseBytes() int64 {
 // and returns the write cost. The caller decides whether the cost is
 // charged to the workload (view creation is; test setup is not). A
 // failed write (injected storage fault) stores nothing.
+//
+// This is the storage boundary of the slab ownership rule: the store
+// keeps a copy of t in one allocation of its own, never t's rows.
+// Operator output is carved from slabs shared by up to SlabRows rows
+// and fragments are built by picking rows out of a captured table, so
+// storing the rows themselves would let a fragment holding 5% of a
+// query's output keep all of that query's slabs alive.
 func (e *Engine) WriteMaterialized(path string, t *relation.Table) (Cost, error) {
+	return e.writeMaterialized(path, t, true)
+}
+
+// RewriteMaterialized is WriteMaterialized for a table assembled from
+// rows the store already holds — a split, a merge, a re-partitioning, a
+// healed file. Those rows were copied when they first crossed the
+// boundary and pin no query's slabs, so the store shares them: a
+// fragment that overlaps its parent costs no second copy.
+func (e *Engine) RewriteMaterialized(path string, t *relation.Table) (Cost, error) {
+	return e.writeMaterialized(path, t, false)
+}
+
+func (e *Engine) writeMaterialized(path string, t *relation.Table, copyRows bool) (Cost, error) {
 	bytes := t.Bytes()
 	if err := e.fs.Write(path, bytes); err != nil {
 		return Cost{}, err
+	}
+	if copyRows {
+		t = t.Clone()
 	}
 	e.mu.Lock()
 	e.mat[path] = t
@@ -277,7 +300,8 @@ func (e *Engine) WriteMaterializedSize(path string, bytes int64) (Cost, error) {
 // rows, charging only the delta's write cost — the storage primitive of
 // incremental view refresh. The combined table is published as a fresh
 // value with its own backing array, so a concurrent reader holding the
-// old table keeps a consistent earlier version of the view.
+// old table keeps a consistent earlier version of the view. Like
+// WriteMaterialized it stores a copy of the delta rows.
 func (e *Engine) AppendMaterialized(path string, delta []relation.Row) (Cost, error) {
 	e.mu.RLock()
 	old := e.mat[path]
@@ -285,12 +309,13 @@ func (e *Engine) AppendMaterialized(path string, delta []relation.Row) (Cost, er
 	if old == nil {
 		return Cost{}, fmt.Errorf("engine: materialized file %s has no stored rows to append to", path)
 	}
-	nt := &relation.Table{Schema: old.Schema}
-	nt.Rows = append(old.Rows[:len(old.Rows):len(old.Rows)], delta...)
-	bytes := nt.Bytes()
+	bytes := int64(len(old.Rows)+len(delta)) * old.Schema.RowWidth()
 	if err := e.fs.Write(path, bytes); err != nil {
 		return Cost{}, err
 	}
+	delta = relation.CloneRows(delta)
+	nt := &relation.Table{Schema: old.Schema}
+	nt.Rows = append(old.Rows[:len(old.Rows):len(old.Rows)], delta...)
 	deltaTbl := &relation.Table{Schema: old.Schema, Rows: delta}
 	deltaBytes := deltaTbl.Bytes()
 	e.mu.Lock()

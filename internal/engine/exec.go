@@ -18,17 +18,50 @@ type Result struct {
 	Table *relation.Table
 	// Cost is the simulated cost of the run.
 	Cost Cost
-	// Captured maps requested plan nodes to their materialized outputs
-	// (nil tables in estimate-only mode; sizes are still estimated by
-	// the caller via EstimateSize).
+	// Captured maps the plan nodes requested at CaptureRows to their
+	// outputs. The tables are carved from the run's slabs: a caller that
+	// keeps one stores it through WriteMaterialized, which copies.
 	Captured map[query.Node]*relation.Table
+	// CapturedBytes maps every requested plan node that executed, at
+	// either level, to its output's modelled size.
+	CapturedBytes map[query.Node]int64
+}
+
+// Capture is how much of a plan node's output a caller of Run wants
+// back. The engine materializes an intermediate only when its rows are
+// wanted, so asking for less lets more of the plan run fused.
+type Capture uint8
+
+// Capture levels.
+const (
+	// CaptureSize records the node's output size only.
+	CaptureSize Capture = iota + 1
+	// CaptureRows records the size and returns the rows.
+	CaptureRows
+)
+
+func newResult() *Result {
+	return &Result{
+		Captured:      make(map[query.Node]*relation.Table),
+		CapturedBytes: make(map[query.Node]int64),
+	}
+}
+
+// absorb merges the captures of a sibling subplan's private result.
+func (res *Result) absorb(sub *Result) {
+	for k, v := range sub.Captured {
+		res.Captured[k] = v
+	}
+	for k, v := range sub.CapturedBytes {
+		res.CapturedBytes[k] = v
+	}
 }
 
 // Run evaluates the plan. In exec mode rows are really computed; in
 // estimate-only mode the cost model alone runs and Table is nil. capture
 // may list plan nodes whose intermediate outputs the caller wants (for
-// view materialization); it may be nil.
-func (e *Engine) Run(plan query.Node, capture map[query.Node]bool) (Result, error) {
+// view materialization) and at what level; it may be nil.
+func (e *Engine) Run(plan query.Node, capture map[query.Node]Capture) (Result, error) {
 	return e.RunContext(context.Background(), plan, capture)
 }
 
@@ -38,7 +71,7 @@ func (e *Engine) Run(plan query.Node, capture map[query.Node]bool) (Result, erro
 // goroutine the run spawned has joined, so runs never leak workers.
 // Injected worker faults and panics anywhere in the data path likewise
 // surface as errors rather than crashing the process.
-func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[query.Node]bool) (res Result, err error) {
+func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[query.Node]Capture) (res Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -52,7 +85,7 @@ func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[qu
 		}
 		return Result{Cost: c}, nil
 	}
-	res = Result{Captured: make(map[query.Node]*relation.Table)}
+	res = *newResult()
 	// One worker budget per Run: intra-operator chunk workers and
 	// inter-operator sibling tasks draw from the same Parallelism-sized
 	// token pool. The budget also carries the run's context and fault
@@ -121,7 +154,7 @@ func (e *Engine) settle(o *evalOut) {
 	o.pending = false
 }
 
-func (e *Engine) eval(n query.Node, capture map[query.Node]bool, res *Result, bud *budget) (evalOut, error) {
+func (e *Engine) eval(n query.Node, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
 	// Abort between nodes once the run has failed or been cancelled, so
 	// deep plans stop promptly instead of evaluating doomed subtrees.
 	if err := bud.abortErr(); err != nil {
@@ -131,8 +164,11 @@ func (e *Engine) eval(n query.Node, capture map[query.Node]bool, res *Result, bu
 	if err != nil {
 		return out, err
 	}
-	if capture != nil && capture[n] {
-		res.Captured[n] = out.tbl
+	if level := capture[n]; level != 0 {
+		res.CapturedBytes[n] = out.tbl.Bytes()
+		if level == CaptureRows {
+			res.Captured[n] = out.tbl
+		}
 	}
 	return out, nil
 }
@@ -143,7 +179,7 @@ func (e *Engine) eval(n query.Node, capture map[query.Node]bool, res *Result, bu
 // siblings finish, so capture writes never race; outputs come back in
 // sibling order and errors surface in sibling order — the results are
 // byte-identical to a left-to-right sequential evaluation.
-func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]bool, res *Result, bud *budget) ([]evalOut, error) {
+func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]Capture, res *Result, bud *budget) ([]evalOut, error) {
 	outs := make([]evalOut, len(nodes))
 	errs := make([]error, len(nodes))
 	subs := make([]*Result, len(nodes))
@@ -152,7 +188,7 @@ func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]bool, r
 		// The last sibling always runs inline so the calling goroutine
 		// contributes; earlier siblings spawn only while tokens are free.
 		if i < len(nodes)-1 && bud.tryAcquire() {
-			sub := &Result{Captured: make(map[query.Node]*relation.Table)}
+			sub := newResult()
 			subs[i] = sub
 			wg.Add(1)
 			go func(i int, n query.Node) {
@@ -166,11 +202,8 @@ func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]bool, r
 	}
 	wg.Wait()
 	for _, sub := range subs {
-		if sub == nil {
-			continue
-		}
-		for k, v := range sub.Captured {
-			res.Captured[k] = v
+		if sub != nil {
+			res.absorb(sub)
 		}
 	}
 	for _, err := range errs {
@@ -181,7 +214,13 @@ func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]bool, r
 	return outs, nil
 }
 
-func (e *Engine) evalNode(n query.Node, capture map[query.Node]bool, res *Result, bud *budget) (evalOut, error) {
+func (e *Engine) evalNode(n query.Node, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
+	// A join, alone or under a projection and a selection, is one probe
+	// pass — unless the caller wants the rows of a node inside the stack.
+	rowsWanted := func(m query.Node) bool { return capture[m] == CaptureRows }
+	if f, ok := fuseJoin(n, rowsWanted); ok {
+		return e.evalJoin(&f, capture, res, bud)
+	}
 	switch t := n.(type) {
 	case *query.Scan:
 		tbl := e.BaseTable(t.Table)
@@ -212,28 +251,6 @@ func (e *Engine) evalNode(n query.Node, capture map[query.Node]bool, res *Result
 		}
 		return child, nil
 
-	case *query.Join:
-		sides, err := e.evalSiblings([]query.Node{t.Left, t.Right}, capture, res, bud)
-		if err != nil {
-			return evalOut{}, err
-		}
-		l, r := sides[0], sides[1]
-		e.settle(&l)
-		e.settle(&r)
-		outTbl := hashJoin(l.tbl, r.tbl, t.LCol, t.RCol, t.Schema(), bud)
-		cost := l.cost
-		cost.Add(r.cost)
-		shuffle := l.tbl.Bytes() + r.tbl.Bytes()
-		cost.Add(Cost{
-			Seconds:      e.cm.JobStartup + float64(shuffle)/e.cm.ShuffleBW,
-			ShuffleBytes: shuffle,
-			Jobs:         1,
-		})
-		// The output write is deferred to settle so that fused map-side
-		// projections/selections shrink it first.
-		return evalOut{tbl: outTbl, cost: cost, pending: true, needsWrite: true,
-			srcBytes: outTbl.Bytes(), srcFiles: 1}, nil
-
 	case *query.Aggregate:
 		child, err := e.eval(t.Child, capture, res, bud)
 		if err != nil {
@@ -259,13 +276,45 @@ func (e *Engine) evalNode(n query.Node, capture map[query.Node]bool, res *Result
 	}
 }
 
+// evalJoin evaluates a fused join stack: both inputs as siblings, then
+// one probe pass. The nodes inside the stack never exist as tables; a
+// size-level capture of one is answered from the join's cardinality.
+func (e *Engine) evalJoin(f *fusedJoin, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
+	sides, err := e.evalSiblings([]query.Node{f.join.Left, f.join.Right}, capture, res, bud)
+	if err != nil {
+		return evalOut{}, err
+	}
+	l, r := sides[0], sides[1]
+	e.settle(&l)
+	e.settle(&r)
+	outTbl, joined := f.probe(l.tbl, r.tbl, buildsLeft(len(l.tbl.Rows), len(r.tbl.Rows)), bud)
+	for _, m := range f.below {
+		if capture[m] != 0 {
+			schema := m.Schema()
+			res.CapturedBytes[m] = int64(joined) * schema.RowWidth()
+		}
+	}
+	cost := l.cost
+	cost.Add(r.cost)
+	shuffle := l.tbl.Bytes() + r.tbl.Bytes()
+	cost.Add(Cost{
+		Seconds:      e.cm.JobStartup + float64(shuffle)/e.cm.ShuffleBW,
+		ShuffleBytes: shuffle,
+		Jobs:         1,
+	})
+	// The output write is deferred to settle. Map-side projections and
+	// selections, fused here or applied above, shrink it first.
+	return evalOut{tbl: outTbl, cost: cost, pending: true, needsWrite: true,
+		srcBytes: outTbl.Bytes(), srcFiles: 1}, nil
+}
+
 // evalViewScan reads a materialized view (whole or as a fragment cover),
 // applies compensation, and unions in the remainder subplans computing
 // uncovered gaps. The stored-fragment filters and the per-gap remainder
 // subplans are independent, so they all run as one task pool over the
 // shared budget; their outputs merge in the fixed order fragments-then-
 // remainders, identical to a sequential evaluation.
-func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]bool, res *Result, bud *budget) (evalOut, error) {
+func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
 	// A fragment cover pairs every fragment with its clip range; a
 	// mismatch means the matcher produced a malformed plan, which must
 	// surface as an error, not an index panic mid-execution.
@@ -316,29 +365,15 @@ func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]bool, re
 		if tbl == nil {
 			return nil, fmt.Errorf("engine: view %s has no stored rows (estimate-only data?)", v.ViewID)
 		}
-		attrIdx := -1
+		preds := bindPreds(&tbl.Schema, v.CompRanges, v.CompResiduals)
 		if clip != nil {
-			attrIdx = tbl.Schema.ColIndex(v.PartAttr)
+			attrIdx := tbl.Schema.ColIndex(v.PartAttr)
 			if attrIdx < 0 {
 				return nil, fmt.Errorf("engine: partition attribute %q missing from view %s", v.PartAttr, v.ViewID)
 			}
+			preds.addRange(attrIdx, *clip)
 		}
-		n := len(tbl.Rows)
-		parts := make([][]relation.Row, numChunks(n))
-		forEachChunk(bud, n, func(c, lo, hi int) {
-			var keep []relation.Row
-			for _, row := range tbl.Rows[lo:hi] {
-				if clip != nil && !clip.Contains(row[attrIdx].I) {
-					continue
-				}
-				if !rowPasses(&tbl.Schema, row, v.CompRanges, v.CompResiduals) {
-					continue
-				}
-				keep = append(keep, row)
-			}
-			parts[c] = keep
-		})
-		return concatChunks(parts), nil
+		return filterRows(tbl.Rows, &preds, bud), nil
 	}
 
 	// Remainder rows are aligned to the post-compensation schema before
@@ -361,7 +396,7 @@ func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]bool, re
 			return
 		}
 		i := ti - nf
-		sub := &Result{Captured: make(map[query.Node]*relation.Table)}
+		sub := newResult()
 		remSubs[i] = sub
 		out, err := e.eval(v.Remainders[i], capture, sub, bud)
 		if err != nil {
@@ -388,9 +423,7 @@ func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]bool, re
 		}
 	}
 	for _, sub := range remSubs {
-		for k, t := range sub.Captured {
-			res.Captured[k] = t
-		}
+		res.absorb(sub)
 	}
 
 	out := relation.NewTable(v.ViewSchema)
@@ -416,36 +449,28 @@ func filterTable(t *relation.Table, ranges []query.RangePred, residuals []query.
 	if len(ranges) == 0 && len(residuals) == 0 {
 		return t
 	}
-	n := len(t.Rows)
+	preds := bindPreds(&t.Schema, ranges, residuals)
+	out := relation.NewTable(t.Schema)
+	out.Rows = filterRows(t.Rows, &preds, bud)
+	return out
+}
+
+// filterRows keeps the rows passing preds, in order, evaluating
+// fixed-size chunks on the budget's workers. The kept rows are shared
+// with the input, not copied.
+func filterRows(rows []relation.Row, preds *boundPreds, bud *budget) []relation.Row {
+	n := len(rows)
 	parts := make([][]relation.Row, numChunks(n))
 	forEachChunk(bud, n, func(c, lo, hi int) {
 		var keep []relation.Row
-		for _, row := range t.Rows[lo:hi] {
-			if rowPasses(&t.Schema, row, ranges, residuals) {
+		for _, row := range rows[lo:hi] {
+			if preds.pass(row) {
 				keep = append(keep, row)
 			}
 		}
 		parts[c] = keep
 	})
-	out := relation.NewTable(t.Schema)
-	out.Rows = concatChunks(parts)
-	return out
-}
-
-func rowPasses(s *relation.Schema, row relation.Row, ranges []query.RangePred, residuals []query.CmpPred) bool {
-	for _, p := range ranges {
-		i := s.ColIndex(p.Col)
-		if i < 0 || !p.Iv.Contains(row[i].I) {
-			return false
-		}
-	}
-	for _, p := range residuals {
-		i := s.ColIndex(p.Col)
-		if i < 0 || !p.Eval(row[i]) {
-			return false
-		}
-	}
-	return true
+	return concatChunks(parts)
 }
 
 func projectTable(t *relation.Table, cols []string, bud *budget) *relation.Table {
@@ -460,9 +485,10 @@ func projectTable(t *relation.Table, cols []string, bud *budget) *relation.Table
 	n := len(t.Rows)
 	out.Rows = make([]relation.Row, n)
 	forEachChunk(bud, n, func(_, lo, hi int) {
+		slab := relation.NewSlab(len(idx), hi-lo)
 		for r := lo; r < hi; r++ {
 			row := t.Rows[r]
-			nr := make(relation.Row, len(idx))
+			nr := slab.Next()
 			for i, j := range idx {
 				nr[i] = row[j]
 			}
@@ -497,79 +523,6 @@ func alignColumns(t *relation.Table, target relation.Schema, bud *budget) (*rela
 		cols[i] = c.Name
 	}
 	return projectTable(t, cols, bud), nil
-}
-
-// joinBucket spreads join keys across nb single-writer hash maps. The
-// multiplier is the 64-bit golden-ratio hash; any fixed mixing works, it
-// only needs to depend on the key, never on the worker count.
-func joinBucket(k int64, nb int) int {
-	if nb <= 1 {
-		return 0
-	}
-	return int((uint64(k) * 0x9E3779B97F4A7C15) % uint64(nb))
-}
-
-// hashJoin computes the equi-join of l and r, building a hash table on
-// the smaller input. The build side is partitioned by key hash into one
-// bucket map per configured worker (each bucket written by exactly one
-// goroutine, per-key row order preserved); the probe side is scanned in
-// fixed chunks whose outputs concatenate in chunk order — so the output
-// equals the sequential probe-order join byte for byte, for any budget.
-func hashJoin(l, r *relation.Table, lCol, rCol string, outSchema relation.Schema, bud *budget) *relation.Table {
-	li := l.Schema.ColIndex(lCol)
-	ri := r.Schema.ColIndex(rCol)
-	if li < 0 || ri < 0 {
-		panic(fmt.Sprintf("engine: join columns %q/%q missing", lCol, rCol))
-	}
-	// Output rows are always left-columns ++ right-columns.
-	build, probe, bi, pi := l, r, li, ri
-	buildLeft := true
-	if len(l.Rows) > len(r.Rows) {
-		build, probe, bi, pi = r, l, ri, li
-		buildLeft = false
-	}
-
-	// The bucket count comes from the configured parallelism, not from
-	// token availability, so the partitioning is fixed by configuration.
-	nb := bud.par()
-	buckets := make([]map[int64][]relation.Row, nb)
-	forEachTask(bud, nb, func(b int) {
-		m := make(map[int64][]relation.Row, len(build.Rows)/nb+1)
-		for _, row := range build.Rows {
-			k := row[bi].I
-			if joinBucket(k, nb) == b {
-				m[k] = append(m[k], row)
-			}
-		}
-		buckets[b] = m
-	})
-
-	n := len(probe.Rows)
-	parts := make([][]relation.Row, numChunks(n))
-	forEachChunk(bud, n, func(c, lo, hi int) {
-		var rows []relation.Row
-		for _, pr := range probe.Rows[lo:hi] {
-			k := pr[pi].I
-			for _, br := range buckets[joinBucket(k, nb)][k] {
-				if buildLeft {
-					rows = append(rows, concatRows(br, pr))
-				} else {
-					rows = append(rows, concatRows(pr, br))
-				}
-			}
-		}
-		parts[c] = rows
-	})
-	out := relation.NewTable(outSchema)
-	out.Rows = concatChunks(parts)
-	return out
-}
-
-func concatRows(l, r relation.Row) relation.Row {
-	out := make(relation.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	out = append(out, r...)
-	return out
 }
 
 // aggState accumulates one aggregate function over one group. Sums and

@@ -195,14 +195,14 @@ func TestParallelMultiGapRemainderDeterminism(t *testing.T) {
 			vs.Reads = append(vs.Reads, iv)
 			vs.FragIvs = append(vs.FragIvs, iv)
 		}
-		capture := make(map[query.Node]bool)
+		capture := make(map[query.Node]Capture)
 		for _, gap := range gaps {
 			rem := &query.Select{
 				Child:  joinPlan(),
 				Ranges: []query.RangePred{{Col: "ss_item_sk", Iv: gap}},
 			}
 			vs.Remainders = append(vs.Remainders, rem)
-			capture[rem] = true
+			capture[rem] = CaptureRows
 		}
 		res, err := e.Run(vs, capture)
 		if err != nil {

@@ -75,6 +75,15 @@ type Rewriter struct {
 // statistics still accumulate the benefit it would have provided). The
 // original plan's estimated cost is returned alongside.
 func (r *Rewriter) ComputeRewritings(root query.Node) ([]Rewriting, engine.Cost, error) {
+	return r.ComputeRewritingsExcluding(root, nil)
+}
+
+// ComputeRewritingsExcluding is ComputeRewritings for a query that has
+// already failed to read some stored files: no rewriting it returns
+// reads a path in exclude, whatever the pool holds under that path by
+// now. A view left with nothing else to read gets its virtual rewriting,
+// as if the files were gone.
+func (r *Rewriter) ComputeRewritingsExcluding(root query.Node, exclude map[string]bool) ([]Rewriting, engine.Cost, error) {
 	origCost, err := r.Eng.EstimateCost(root)
 	if err != nil {
 		return nil, engine.Cost{}, err
@@ -96,7 +105,7 @@ func (r *Rewriter) ComputeRewritings(root query.Node) ([]Rewriting, engine.Cost,
 			if r.PhysicalOnly && (len(comp.Ranges) > 0 || len(comp.Residuals) > 0 || comp.Project != nil) {
 				continue // physical matching: the stored result must be the query verbatim
 			}
-			rws, err := r.buildRewritings(root, n, entry, comp)
+			rws, err := r.buildRewritings(root, n, entry, comp, exclude)
 			if err != nil {
 				return nil, engine.Cost{}, err
 			}
@@ -109,8 +118,8 @@ func (r *Rewriter) ComputeRewritings(root query.Node) ([]Rewriting, engine.Cost,
 // buildRewritings constructs the rewritings for one matched (view,
 // subtree) pair: one per partition of the view in the pool, one for the
 // unpartitioned file if stored, and a virtual one when nothing in the
-// pool can serve the match.
-func (r *Rewriter) buildRewritings(root, target query.Node, entry *Entry, comp signature.Compensation) ([]Rewriting, error) {
+// pool can serve the match — or nothing outside exclude can.
+func (r *Rewriter) buildRewritings(root, target query.Node, entry *Entry, comp signature.Compensation, exclude map[string]bool) ([]Rewriting, error) {
 	var out []Rewriting
 	pv := r.Pool.View(entry.ID)
 	if pv != nil && r.Stale != nil && r.Stale(entry.ID) {
@@ -123,7 +132,7 @@ func (r *Rewriter) buildRewritings(root, target query.Node, entry *Entry, comp s
 		}
 		sort.Strings(attrs)
 		for _, attr := range attrs {
-			rw, ok, err := r.buildPartitioned(root, target, entry, comp, attr)
+			rw, ok, err := r.buildPartitioned(root, target, entry, comp, attr, exclude)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +140,7 @@ func (r *Rewriter) buildRewritings(root, target query.Node, entry *Entry, comp s
 				out = append(out, rw)
 			}
 		}
-		if pv.Path != "" {
+		if pv.Path != "" && !exclude[pv.Path] {
 			rw, err := r.buildUnpartitioned(root, target, entry, comp, pv.Path, pv.Size, true)
 			if err != nil {
 				return nil, err
@@ -179,8 +188,9 @@ func (r *Rewriter) buildUnpartitioned(root, target query.Node, entry *Entry, com
 // the needed range, with remainder plans for any gaps. It returns
 // ok=false when the partition cannot serve the query (gaps exist but the
 // partition attribute is not in the target's output, so no remainder
-// selection can be placed on top of it).
-func (r *Rewriter) buildPartitioned(root, target query.Node, entry *Entry, comp signature.Compensation, attr string) (Rewriting, bool, error) {
+// selection can be placed on top of it), or when its cover reads an
+// excluded path.
+func (r *Rewriter) buildPartitioned(root, target query.Node, entry *Entry, comp signature.Compensation, attr string, exclude map[string]bool) (Rewriting, bool, error) {
 	pv := r.Pool.View(entry.ID)
 	part := pv.Parts[attr]
 	if part == nil || part.NumFragments() == 0 {
@@ -199,6 +209,11 @@ func (r *Rewriter) buildPartitioned(root, target query.Node, entry *Entry, comp 
 	frags, reads, gaps := part.Cover(needed)
 	if len(frags) == 0 && len(gaps) == 0 {
 		return Rewriting{}, false, nil
+	}
+	for _, f := range frags {
+		if exclude[f.Path] {
+			return Rewriting{}, false, nil
+		}
 	}
 	targetSchema := target.Schema()
 	if len(gaps) > 0 && !targetSchema.Has(attr) {

@@ -193,11 +193,79 @@ func (t *Table) Append(r Row) {
 // Clone returns a deep copy of the table (rows share Value structs by
 // value, so mutation of the clone cannot affect the original).
 func (t *Table) Clone() *Table {
-	out := &Table{Schema: t.Schema, Rows: make([]Row, len(t.Rows))}
-	for i, r := range t.Rows {
-		nr := make(Row, len(r))
-		copy(nr, r)
-		out.Rows[i] = nr
+	return &Table{Schema: t.Schema, Rows: CloneRows(t.Rows)}
+}
+
+// CloneRows copies rows into one dense allocation of their own. It is
+// how a table that outlives the query that computed it takes ownership
+// of its rows: operator output is carved from slabs shared by every row
+// of a chunk (see Slab), so keeping a few of those rows alive would
+// otherwise keep each slab they touch alive.
+func CloneRows(rows []Row) []Row {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	buf := make([]Value, total)
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		n := copy(buf, r)
+		out[i] = buf[:n:n]
+		buf = buf[n:]
 	}
 	return out
+}
+
+// SlabRows is the most rows one Slab allocation holds: large enough
+// that allocation cost per row is noise, small enough that a retained
+// row pins little besides itself.
+const SlabRows = 512
+
+// Slab hands out rows of a fixed width carved from shared []Value
+// allocations of up to SlabRows rows each, replacing one allocation per
+// row on the operators' output paths. Every row has cap == len, so an
+// append to it reallocates instead of running into its neighbour. Not
+// safe for concurrent use: each worker fills its own.
+type Slab struct {
+	width int
+	// hint is how many more rows the owner expects; it sizes the next
+	// allocation so small outputs do not pay for a full slab.
+	hint int
+	// buf is the current allocation; rows before off are handed out.
+	buf []Value
+	off int
+}
+
+// NewSlab returns a slab of rows width values wide. rows is the
+// expected row count — a sizing hint, not a limit.
+func NewSlab(width, rows int) Slab {
+	return Slab{width: width, hint: rows}
+}
+
+// Next returns a zeroed row of the slab's width.
+func (s *Slab) Next() Row {
+	if s.width == 0 {
+		return Row{}
+	}
+	if len(s.buf)-s.off < s.width {
+		n := min(max(s.hint, 1), SlabRows)
+		s.hint -= n
+		if s.hint <= 0 {
+			s.hint = SlabRows
+		}
+		s.buf, s.off = make([]Value, n*s.width), 0
+	}
+	r := s.buf[s.off : s.off+s.width : s.off+s.width]
+	s.off += s.width
+	return r
+}
+
+// Undo takes back the row the preceding Next returned, so a caller that
+// filled it and failed wastes no slot. The caller must drop the row.
+func (s *Slab) Undo() {
+	if s.width == 0 {
+		return
+	}
+	s.off -= s.width
+	clear(s.buf[s.off : s.off+s.width])
 }

@@ -90,6 +90,25 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+func TestSlabUndoReusesSlot(t *testing.T) {
+	s := NewSlab(2, 4)
+	a := s.Next()
+	a[0] = IntVal(1)
+	b := s.Next()
+	b[0], b[1] = IntVal(2), StringVal("junk")
+	s.Undo()
+	c := s.Next()
+	if &c[0] != &b[0] {
+		t.Error("Next after Undo did not hand the slot out again")
+	}
+	if c[0] != (Value{}) || c[1] != (Value{}) {
+		t.Errorf("reused row not zeroed: %v", c)
+	}
+	if a[0].I != 1 || cap(c) != 2 {
+		t.Errorf("neighbour disturbed or cap != len: a=%v cap=%d", a, cap(c))
+	}
+}
+
 func TestFingerprintOrderIndependent(t *testing.T) {
 	a := NewTable(testSchema())
 	a.Append(Row{IntVal(1), FloatVal(1), StringVal("a")})

@@ -428,13 +428,16 @@ func TestCrashRecoveryMidIngest(t *testing.T) {
 		}
 	}()
 
-	// Let some batches land, then kill -9 mid-stream.
+	// Let some batches land, then kill -9 mid-stream. The stream sends
+	// batch n+1 only after batch n's acknowledgement arrived, so a fourth
+	// applied batch proves three acknowledged ones; an applied batch alone
+	// proves nothing about its own acknowledgement.
 	for {
 		var hz struct {
 			IngestAppends uint64 `json:"ingest_appends"`
 		}
 		crashGet(t, addr1, "/healthz", &hz)
-		if hz.IngestAppends >= 3 {
+		if hz.IngestAppends >= 4 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

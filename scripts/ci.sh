@@ -30,7 +30,9 @@
 #       warm-restart fidelity, background-maintenance equivalence and
 #       task accounting, cross-shard merge identity and rebalance
 #       behavior, replica-failure invisibility, hedging and breaker
-#       bounds)
+#       bounds); then the engine's layer microbenchmarks once each —
+#       they must run, their numbers are advisory (the exact allocation
+#       gate is TestFusedProbeAllocations, part of stage 1)
 #   10. sharded-cluster smoke — the full scatter-gather suite plus the
 #       multi-process chaos tests under the race detector: a coordinator
 #       over three real shard subprocesses answers byte-identically to
@@ -135,6 +137,9 @@ $GO build -o "$BENCH_DIR/benchcheck" ./cmd/benchcheck
 echo "==> benchcheck"
 "$BENCH_DIR/benchcheck" -preflight
 "$BENCH_DIR/benchcheck" "$BENCH_DIR"/BENCH_*.json
+
+echo "==> engine microbench smoke"
+$GO test -run '^$' -bench . -benchtime 1x ./internal/engine
 
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
