@@ -20,9 +20,10 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Wall-clock speedup of the parallel data path (results stay identical).
+# The engine's layer microbenchmarks, once each (allocs/op is exact,
+# ns/op advisory; sustained performance is benchmark/run.sh).
 bench:
-	$(GO) test -bench BenchmarkParallelSpeedup -benchtime 1x -run '^$$' .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine
 
 verify: build test vet race
 

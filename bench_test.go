@@ -200,20 +200,6 @@ func BenchmarkAblation(b *testing.B) {
 	b.ReportMetric(worst/full, "worst_over_full")
 }
 
-// BenchmarkParallelSpeedup runs the same workload sequentially and with
-// the full worker pool, for the vanilla engine and DeepSea, and reports
-// the vanilla arm's wall-clock speedup. The experiment also asserts the
-// determinism guarantee: identical per-query results and final file
-// system at every parallelism level.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	res := runExperiment(b, "parspeed").(*bench.ParspeedResult)
-	if !res.Identical {
-		b.Fatal("parallel execution changed query results or pool contents")
-	}
-	b.ReportMetric(res.Speedup("H"), "H_speedup_x")
-	b.ReportMetric(res.Speedup("DS"), "DS_speedup_x")
-}
-
 // BenchmarkSensitivity reruns the Figure 6 comparison under perturbed
 // cost models and reports how many of them preserve DeepSea's win — the
 // robustness check for the simulated cost model.

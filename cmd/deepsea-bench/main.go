@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"deepsea/internal/bench"
@@ -28,39 +26,8 @@ func main() {
 	params := flag.String("params", "short", "\"short\" (CI scale) or \"full\" (paper scale)")
 	seed := flag.Int64("seed", 1, "random seed for data and workload generation")
 	parallelism := flag.Int("parallelism", 0, "engine data-path workers (0 = GOMAXPROCS, 1 = sequential); results are identical for every setting")
-	jsonOut := flag.Bool("json", false, "additionally write each experiment's report to BENCH_<id>.json (wall-clock, speedup, cache hit rate)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile of the whole run to this file")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *mutexProfile != "" {
-		runtime.SetMutexProfileFraction(5)
-		defer func() {
-			f, err := os.Create(*mutexProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			_ = pprof.Lookup("mutex").WriteTo(f, 0)
-		}()
-	}
 
 	bench.SetDefaultParallelism(*parallelism)
 
@@ -92,17 +59,7 @@ func main() {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		if *jsonOut {
-			path, res, err := bench.RunJSON("", id, p)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			e, _ := bench.Lookup(id)
-			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
-			res.Print(os.Stdout)
-			fmt.Printf("report written to %s\n\n", path)
-		} else if err := bench.RunAndPrint(os.Stdout, id, p); err != nil {
+		if err := bench.RunAndPrint(os.Stdout, id, p); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

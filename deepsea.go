@@ -204,15 +204,6 @@ func WithFaultRetries(n int) Option {
 	return func(c *core.Config) { c.FaultRetries = n }
 }
 
-// WithCacheAdmissionLimit sets the result cache's cost-aware admission
-// guard: a single result larger than frac of the cache's byte bound is
-// never cached, so one giant result cannot evict the whole working set.
-// 0 keeps the default (1/8); negative disables the guard; values above
-// 1 clamp to 1. Rejections are counted in Health.CacheAdmissionRejects.
-func WithCacheAdmissionLimit(frac float64) Option {
-	return func(c *core.Config) { c.CacheMaxEntryFraction = frac }
-}
-
 // Datastore is the persistence boundary a System journals through. Use
 // OpenJournal for the file-backed implementation or implement the
 // interface for custom backends; datastore.Null (and a nil store) keep
@@ -258,14 +249,6 @@ func WithBackgroundMaintenance(workers, queue int) Option {
 // WithConfig replaces the whole configuration (advanced use).
 func WithConfig(cfg Strategy) Option {
 	return func(c *core.Config) { *c = cfg }
-}
-
-// WithRematOnAppend disables incremental view refresh on Append: every
-// dependent view is dropped and re-earned by future queries
-// (invalidate-and-recompute). Baseline arm of the ingestspeed
-// experiment.
-func WithRematOnAppend() Option {
-	return func(c *core.Config) { c.RematOnAppend = true }
 }
 
 // System is a DeepSea instance: a simulated analytics engine plus the

@@ -75,8 +75,9 @@ func propFactRow(fact string, key int64, i int) []any {
 // propCheck applies the same appends to a warmed system (views
 // materialized, refreshed incrementally) and to a cold reference
 // (views never built — every answer recomputed from the appended base)
-// and demands identical bytes for the template's query.
-func propCheck(t *testing.T, tpl workload.Template, lo, hi int64, appends []workload.TraceAppend) {
+// and demands identical bytes for the template's query. It returns the
+// warmed system's ingest counters.
+func propCheck(t *testing.T, tpl workload.Template, lo, hi int64, appends []workload.TraceAppend) deepsea.IngestStats {
 	t.Helper()
 	q := workload.BuildQuery(tpl, lo, hi)
 
@@ -115,12 +116,14 @@ func propCheck(t *testing.T, tpl workload.Template, lo, hi int64, appends []work
 	if got, want := propCanon(t, warmRep), propCanon(t, coldRep); got != want {
 		t.Errorf("delta-refreshed result differs from scratch rematerialization\ngot:\n%s\nwant:\n%s", got, want)
 	}
+	return warm.IngestStats()
 }
 
 // TestDeltaRefreshEqualsRematAllTemplates is the headline property over
 // a spread delta: held-out rows across the whole domain, so every
 // template's filter/project/join/aggregate shape sees a non-trivial
-// delta.
+// delta — which every template must take incrementally, never by
+// dropping the view.
 func TestDeltaRefreshEqualsRematAllTemplates(t *testing.T) {
 	for _, tpl := range workload.AllTemplates {
 		t.Run(tpl.String(), func(t *testing.T) {
@@ -129,7 +132,10 @@ func TestDeltaRefreshEqualsRematAllTemplates(t *testing.T) {
 				{Table: fact, Rows: propData.AppendRows(fact, 60, 11, nil)},
 				{Table: fact, Rows: propData.AppendRows(fact, 40, 12, nil)},
 			}
-			propCheck(t, tpl, workload.ItemSkLo, workload.ItemSkHi, appends)
+			st := propCheck(t, tpl, workload.ItemSkLo, workload.ItemSkHi, appends)
+			if st.Refreshes == 0 || st.Drops != 0 {
+				t.Errorf("spread delta not applied incrementally: %d refreshes, %d drops", st.Refreshes, st.Drops)
+			}
 		})
 	}
 }
@@ -214,5 +220,51 @@ func TestDeltaRefreshNewJoinPartners(t *testing.T) {
 			}
 			propCheck(t, tpl, workload.ItemSkLo, workload.ItemSkHi, appends)
 		})
+	}
+}
+
+// TestSteadyStateRefreshSublinearInBase: once a view's refresh state is
+// primed, refreshing it for a small append costs simulated seconds that
+// do not scale with the base — the same five 50-row batches over a
+// store_sales ~4x larger cost at most 2x.
+func TestSteadyStateRefreshSublinearInBase(t *testing.T) {
+	steady := func(grow bool) float64 {
+		sys := deepsea.New(deepsea.WithPoolLimit(1 << 30))
+		if err := workload.Load(sys, propData); err != nil {
+			t.Fatal(err)
+		}
+		if grow {
+			base := propData.Tables["store_sales"].NumRows()
+			if _, err := sys.Append("store_sales", propData.AppendRows("store_sales", 3*base, 99, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for _, tpl := range []workload.Template{workload.Q1, workload.Q16, workload.Q30} {
+				if _, err := sys.Run(workload.BuildQuery(tpl, workload.ItemSkLo, workload.ItemSkHi)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// The priming append pays the one-time, linear refresh-state
+		// build; only the appends after it are steady state.
+		var before deepsea.IngestStats
+		for i := int64(0); i < 6; i++ {
+			if _, err := sys.Append("store_sales", propData.AppendRows("store_sales", 50, 100+i, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				before = sys.IngestStats()
+			}
+		}
+		after := sys.IngestStats()
+		if after.Primes != before.Primes {
+			t.Fatalf("measured appends primed refresh state (%d -> %d)", before.Primes, after.Primes)
+		}
+		return after.RefreshSeconds - before.RefreshSeconds
+	}
+	small, big := steady(false), steady(true)
+	if small <= 0 || big > 2*small {
+		t.Errorf("steady-state refresh: %.4fs on the 1x base, %.4fs on the ~4x base; want 0 < small and big <= 2*small", small, big)
 	}
 }

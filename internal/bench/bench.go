@@ -72,8 +72,7 @@ func (p Params) queries(paperN int) int {
 
 // defaultParallelism, when non-zero, is applied to every workload run
 // whose configuration leaves Parallelism unset. The deepsea-bench
-// command sets it from its -parallelism flag; experiments that compare
-// parallelism levels explicitly (parspeed) override per arm instead.
+// command sets it from its -parallelism flag.
 var defaultParallelism int
 
 // SetDefaultParallelism sets the engine worker count used by subsequent

@@ -227,28 +227,3 @@ func TestSensitivityShapesHold(t *testing.T) {
 		t.Errorf("DS wins only %d/%d models", wins, len(res.Rows))
 	}
 }
-
-func TestLockspeedIdenticalAndMutating(t *testing.T) {
-	res, err := RunLockspeed(Short())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Error("concurrent arm results differ from serial")
-	}
-	m := res.Metrics()
-	if m["identical"] != 1 {
-		t.Error("metrics: identical != 1")
-	}
-	if m["mutations"] < 1 {
-		t.Errorf("metrics: mutations = %v, want >= 1 (workload did not mutate the pool)", m["mutations"])
-	}
-	if m["max_concurrent_maint"] < 1 {
-		t.Errorf("metrics: max_concurrent_maint = %v, want >= 1", m["max_concurrent_maint"])
-	}
-	for _, key := range []string{"speedup", "wall_seconds_serial", "wall_seconds_concurrent"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("metrics: missing %q", key)
-		}
-	}
-}

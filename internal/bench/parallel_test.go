@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"deepsea/internal/core"
@@ -15,26 +15,34 @@ import (
 // differs — the byte-identical guarantee over realistic workloads.
 func parallelArms(t *testing.T, data *workload.Data, queries []query.Node, cfg core.Config) {
 	t.Helper()
-	type outcome struct {
-		prints []string
-		files  string
-	}
-	runArm := func(par int) outcome {
-		c := cfg
-		c.Parallelism = par
-		_, _, fp, fl, err := trackedRun(data, queries, c)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+	// runArm returns each query's result fingerprint and the final
+	// file-system listing.
+	runArm := func(par int) (prints []string, files string) {
+		cfg.Parallelism = par
+		d := core.New(cfg)
+		for _, tbl := range data.Tables {
+			d.AddBaseTable(tbl)
 		}
-		return outcome{prints: fp, files: fl}
+		for i, q := range queries {
+			rep, err := d.ProcessQuery(q)
+			if err != nil {
+				t.Fatalf("parallelism %d query %d: %v", par, i, err)
+			}
+			prints = append(prints, rep.Result.Fingerprint())
+		}
+		for _, f := range d.Eng.FS().List() {
+			files += fmt.Sprintf("%s:%d\n", f.Path, f.Size)
+		}
+		return prints, files
 	}
-	seq, par := runArm(1), runArm(8)
-	for i := range seq.prints {
-		if seq.prints[i] != par.prints[i] {
+	seqPrints, seqFiles := runArm(1)
+	parPrints, parFiles := runArm(8)
+	for i := range seqPrints {
+		if seqPrints[i] != parPrints[i] {
 			t.Errorf("query %d: parallelism changed the result", i)
 		}
 	}
-	if seq.files != par.files {
+	if seqFiles != parFiles {
 		t.Error("parallelism changed the final file system")
 	}
 }
@@ -60,47 +68,4 @@ func TestFig7WorkloadDeterministicAcrossParallelism(t *testing.T) {
 	ranges := workload.Ranges(20, workload.Small, workload.Heavy, workload.ItemSkDomain(), rng)
 	queries := templateQueries(data, workload.Q30, ranges)
 	parallelArms(t, data, queries, scaleCfg(DSCfg(), gb, 500))
-}
-
-// TestParspeedArmsRunConcurrently races two parspeed arms at different
-// parallelism levels against each other in separate goroutines. Each arm
-// builds its own dataset, RNG and system from the shared seed, so nothing
-// is shared; the outcomes must nevertheless be identical. This is the
-// regression test for the old parspeed harness, whose arms shared a
-// dataset and RNG and therefore could only run back-to-back.
-func TestParspeedArmsRunConcurrently(t *testing.T) {
-	p := Short()
-	type outcome struct {
-		prints []string
-		files  string
-		err    error
-	}
-	pars := []int{1, 6}
-	outs := make([]outcome, len(pars))
-	var wg sync.WaitGroup
-	for i, par := range pars {
-		wg.Add(1)
-		go func(i, par int) {
-			defer wg.Done()
-			_, _, fp, fl, err := parspeedRun(p, parspeedCfg(p, DSCfg, par))
-			outs[i] = outcome{prints: fp, files: fl, err: err}
-		}(i, par)
-	}
-	wg.Wait()
-	for i, o := range outs {
-		if o.err != nil {
-			t.Fatalf("arm par=%d: %v", pars[i], o.err)
-		}
-	}
-	if len(outs[0].prints) != len(outs[1].prints) {
-		t.Fatalf("arms answered %d vs %d queries", len(outs[0].prints), len(outs[1].prints))
-	}
-	for i := range outs[0].prints {
-		if outs[0].prints[i] != outs[1].prints[i] {
-			t.Errorf("query %d: concurrent arms disagree", i)
-		}
-	}
-	if outs[0].files != outs[1].files {
-		t.Error("concurrent arms produced different file systems")
-	}
 }

@@ -59,36 +59,6 @@ var Experiments = []Experiment{
 	{"sensitivity", "Cost-model sensitivity of the Figure 6 comparison", func(p Params) (Printable, error) {
 		return RunSensitivity(p)
 	}},
-	{"parspeed", "Wall-clock speedup of the parallel data path (results stay identical)", func(p Params) (Printable, error) {
-		return RunParspeed(p)
-	}},
-	{"cachespeed", "Wall-clock speedup of the result cache on a repetitive workload", func(p Params) (Printable, error) {
-		return RunCachespeed(p)
-	}},
-	{"lockspeed", "Per-view lock striping on disjoint-view families (results stay identical)", func(p Params) (Printable, error) {
-		return RunLockspeed(p)
-	}},
-	{"faultspeed", "Fault-injection plumbing overhead when no faults fire (results stay identical)", func(p Params) (Printable, error) {
-		return RunFaultspeed(p)
-	}},
-	{"servespeed", "HTTP serving layer: admission, load shedding, template-batched planning (results stay identical)", func(p Params) (Printable, error) {
-		return RunServespeed(p)
-	}},
-	{"persistspeed", "Write-ahead journal overhead and warm-restart fidelity (results stay identical)", func(p Params) (Printable, error) {
-		return RunPersistspeed(p)
-	}},
-	{"maintspeed", "Background maintenance dataflow: queries pay execution only (results stay identical, pool converges)", func(p Params) (Printable, error) {
-		return RunMaintspeed(p)
-	}},
-	{"shardspeed", "Range-sharded scatter-gather: merged results identical across shard counts, disjoint traces scale, rebalance tames skew", func(p Params) (Printable, error) {
-		return RunShardspeed(p)
-	}},
-	{"failspeed", "Replicated shard groups under failure: replica kill invisible to clients, hedging beats stragglers, breakers bound dead-replica cost", func(p Params) (Printable, error) {
-		return RunFailspeed(p)
-	}},
-	{"ingestspeed", "Batched append path: incremental refresh byte-identical to remat across templates and shard counts, refresh cost sublinear in base size, read p99 bounded under concurrent ingest", func(p Params) (Printable, error) {
-		return RunIngestspeed(p)
-	}},
 }
 
 // Lookup returns the experiment with the given id.
@@ -111,26 +81,15 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment and returns its descriptor and result —
-// the programmatic sibling of RunAndPrint, for callers that post-process
-// the result (JSON output).
-func Run(id string, p Params) (Experiment, Printable, error) {
+// RunAndPrint runs one experiment and prints its result with a header.
+func RunAndPrint(w io.Writer, id string, p Params) error {
 	e, ok := Lookup(id)
 	if !ok {
-		return Experiment{}, nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, IDs())
+		return fmt.Errorf("bench: unknown experiment %q (known: %v)", id, IDs())
 	}
 	res, err := e.Run(p)
 	if err != nil {
-		return Experiment{}, nil, fmt.Errorf("bench: %s: %w", id, err)
-	}
-	return e, res, nil
-}
-
-// RunAndPrint runs one experiment and prints its result with a header.
-func RunAndPrint(w io.Writer, id string, p Params) error {
-	e, res, err := Run(id, p)
-	if err != nil {
-		return err
+		return fmt.Errorf("bench: %s: %w", id, err)
 	}
 	fmt.Fprintf(w, "=== %s: %s ===\n", e.ID, e.Title)
 	res.Print(w)

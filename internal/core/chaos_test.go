@@ -200,6 +200,36 @@ func TestFragmentReadFaultQuarantinesAndDegrades(t *testing.T) {
 	assertPoolInvariants(t, d, "after degradation")
 }
 
+// TestQuarantineLogIsBounded: with every stored read failing and
+// maintenance re-materializing what was lost, a repeated query keeps
+// quarantining. Health must keep only the quarLogCap most recent paths
+// while QuarantinedTotal counts them all.
+func TestQuarantineLogIsBounded(t *testing.T) {
+	d := newTestSystem(t, func(c *Config) {
+		c.FaultRetries = 64
+		c.Faults = &faults.Config{Seed: 1, StorageRead: 1}
+	})
+	var all []string
+	for i := 0; len(all) <= quarLogCap+10; i++ {
+		if i == 4*quarLogCap {
+			t.Fatalf("only %d quarantines after %d queries", len(all), i)
+		}
+		all = append(all, run(t, d, q30(1000, 2999)).Quarantined...)
+	}
+	h := d.Health()
+	if h.QuarantinedTotal != uint64(len(all)) {
+		t.Errorf("QuarantinedTotal = %d, want %d", h.QuarantinedTotal, len(all))
+	}
+	if len(h.Quarantined) != quarLogCap {
+		t.Fatalf("Health lists %d quarantined paths, want the cap %d", len(h.Quarantined), quarLogCap)
+	}
+	for i, p := range all[len(all)-quarLogCap:] {
+		if h.Quarantined[i] != p {
+			t.Fatalf("Health.Quarantined[%d] = %s, want %s (the most recent paths, oldest first)", i, h.Quarantined[i], p)
+		}
+	}
+}
+
 // TestMaterializeFaultsNeverFailQueries: with every materialization
 // attempt failing (transiently), queries keep succeeding with correct
 // results, nothing lands in the pool, and after matMaxFailures failed

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"deepsea/internal/faults"
 )
 
 // TestConcurrentProcessQuery hammers one shared DeepSea instance from
@@ -83,7 +85,8 @@ func TestConcurrentProcessQuery(t *testing.T) {
 // TestSequentialWorkloadDeterministicAcrossParallelism runs the same
 // workload on fresh systems at parallelism 1 and 8 and demands exactly
 // equal result rows and pool contents — the byte-identical guarantee of
-// the chunked data path.
+// the chunked data path. A third run with a fault injector armed at
+// zero probability on every site must change nothing either.
 func TestSequentialWorkloadDeterministicAcrossParallelism(t *testing.T) {
 	type qr struct{ lo, hi int64 }
 	rng := rand.New(rand.NewSource(5))
@@ -98,10 +101,11 @@ func TestSequentialWorkloadDeterministicAcrossParallelism(t *testing.T) {
 		results []string
 		files   map[string]int64
 	}
-	runAll := func(par int) outcome {
+	runAll := func(par int, fc *faults.Config) outcome {
 		d := newTestSystem(t, func(c *Config) {
 			c.Smax = 3 << 30
 			c.Parallelism = par
+			c.Faults = fc
 		})
 		var o outcome
 		for _, q := range queries {
@@ -115,18 +119,27 @@ func TestSequentialWorkloadDeterministicAcrossParallelism(t *testing.T) {
 		return o
 	}
 
-	seq, par := runAll(1), runAll(8)
-	for i := range seq.results {
-		if seq.results[i] != par.results[i] {
-			t.Errorf("query %d: parallelism changed the result", i)
+	seq := runAll(1, nil)
+	for _, arm := range []struct {
+		name string
+		fc   *faults.Config
+	}{
+		{"parallelism 8", nil},
+		{"zero-rate injector", &faults.Config{Seed: 1}},
+	} {
+		got := runAll(8, arm.fc)
+		for i := range seq.results {
+			if seq.results[i] != got.results[i] {
+				t.Errorf("query %d: %s changed the result", i, arm.name)
+			}
 		}
-	}
-	if len(seq.files) != len(par.files) {
-		t.Fatalf("file count differs: %d sequential vs %d parallel", len(seq.files), len(par.files))
-	}
-	for path, size := range seq.files {
-		if par.files[path] != size {
-			t.Errorf("file %s: size %d sequential vs %d parallel", path, size, par.files[path])
+		if len(seq.files) != len(got.files) {
+			t.Fatalf("%s: file count %d, sequential run has %d", arm.name, len(got.files), len(seq.files))
+		}
+		for path, size := range seq.files {
+			if got.files[path] != size {
+				t.Errorf("%s: file %s has size %d, sequential run %d", arm.name, path, got.files[path], size)
+			}
 		}
 	}
 }

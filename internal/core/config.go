@@ -137,11 +137,6 @@ type Config struct {
 	// small fragments that are repeatedly co-accessed by the same
 	// queries are merged into one, reducing per-file read overheads.
 	MergeFragments bool
-	// RematOnAppend disables incremental view refresh on base-table
-	// appends: every dependent view is dropped instead and re-earned by
-	// future queries (invalidate-and-recompute). Baseline arm of the
-	// ingestspeed experiment.
-	RematOnAppend bool
 	// CostModel configures the simulated cluster; zero value selects
 	// engine.DefaultCostModel.
 	CostModel *engine.CostModel
@@ -156,21 +151,6 @@ type Config struct {
 	// cached rows); 0 disables caching. Only meaningful with
 	// ExecuteRows: in estimate-only mode there are no rows to cache.
 	CacheBytes int64
-	// CacheMaxEntryFraction is the cost-aware cache admission guard: a
-	// result larger than this fraction of CacheBytes is never cached, so
-	// one giant result cannot evict the whole working set. 0 selects the
-	// default (1/8); negative disables the guard (any result up to
-	// CacheBytes is admitted); values above 1 clamp to 1.
-	CacheMaxEntryFraction float64
-	// LockStripes is the stripe count of the per-view lock set that
-	// serializes pool maintenance per view; 0 selects the default (64).
-	// Views that hash onto the same stripe serialize their maintenance
-	// but stay correct — the knob trades memory for parallelism.
-	LockStripes int
-	// StatsShards is the shard count of the statistics registry; 0
-	// selects the default (16). Purely a contention knob: the registry
-	// behaves identically at every setting.
-	StatsShards int
 	// Faults configures deterministic fault injection into storage, the
 	// engine's workers and materialization (chaos testing); nil — the
 	// default — runs fault-free at the cost of one pointer comparison
@@ -247,24 +227,10 @@ func (c *Config) overlapping() bool {
 	return c.Partition == PartitionAdaptiveOverlap
 }
 
-// defaultCacheMaxEntryFraction is the cache admission guard when Config
-// leaves CacheMaxEntryFraction at zero: one entry may occupy at most an
-// eighth of the cache.
-const defaultCacheMaxEntryFraction = 1.0 / 8
-
-// cacheMaxEntryBytes resolves the per-entry cache admission limit.
-func (c *Config) cacheMaxEntryBytes() int64 {
-	frac := c.CacheMaxEntryFraction
-	switch {
-	case frac < 0:
-		return c.CacheBytes
-	case frac == 0:
-		frac = defaultCacheMaxEntryFraction
-	case frac > 1:
-		frac = 1
-	}
-	return int64(frac * float64(c.CacheBytes))
-}
+// cacheMaxEntryFraction is the cost-aware cache admission guard: a
+// result larger than this fraction of CacheBytes is never cached, so one
+// giant result cannot evict the whole working set.
+const cacheMaxEntryFraction = 1.0 / 8
 
 // defaultFaultRetries is the per-query retry bound when Config leaves
 // FaultRetries at zero.

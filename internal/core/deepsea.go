@@ -115,10 +115,12 @@ type DeepSea struct {
 	inflight atomic.Int64
 	queries  atomic.Uint64
 
-	// quarMu guards quarLog, the cumulative list of storage paths ever
-	// quarantined (leaf lock: never held while acquiring another).
-	quarMu  sync.Mutex
-	quarLog []string
+	// quarMu guards quarLog, the quarLogCap most recently quarantined
+	// storage paths, and quarTotal, the count of paths ever quarantined
+	// (leaf lock: never held while acquiring another).
+	quarMu    sync.Mutex
+	quarLog   []string
+	quarTotal uint64
 
 	// store is the persistence boundary (nil without a datastore): every
 	// pool/engine/stats mutation journals through it, and Snapshot
@@ -217,11 +219,11 @@ func build(cfg Config) *DeepSea {
 		eng.SetFaults(inj)
 	}
 	p := pool.New(cfg.Smax)
-	st := stats.NewShardedRegistry(stats.Decay{TMax: cfg.DecayTMax}, cfg.StatsShards)
+	st := stats.NewRegistry(stats.Decay{TMax: cfg.DecayTMax})
 	tree := matching.NewFilterTree()
 	var rc *cache.ResultCache
 	if cfg.CacheBytes > 0 {
-		rc = cache.NewWithEntryLimit(cfg.CacheBytes, cfg.cacheMaxEntryBytes())
+		rc = cache.NewWithEntryLimit(cfg.CacheBytes, int64(cacheMaxEntryFraction*float64(cfg.CacheBytes)))
 	}
 	d := &DeepSea{
 		Cache:   rc,
@@ -230,7 +232,7 @@ func build(cfg Config) *DeepSea {
 		Pool:    p,
 		Stats:   st,
 		Tree:    tree,
-		views:   newViewLocks(cfg.LockStripes),
+		views:   newViewLocks(),
 		pinned:  make(map[string]int),
 		faults:  inj,
 		backoff: newMatBackoff(),
@@ -777,6 +779,10 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 	return report, nil, nil
 }
 
+// quarLogCap bounds the quarantine log Health reports: a long-lived
+// server keeps the most recent paths, not every path it ever lost.
+const quarLogCap = 256
+
 // quarantineFromError quarantines the stored file named by an injected
 // storage-read fault in runErr: the file is removed from the engine and
 // the pool (bumping the owning view's generation, which invalidates
@@ -815,6 +821,10 @@ func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 	}
 	if d.quarantine(viewID, f.Key) {
 		d.quarMu.Lock()
+		d.quarTotal++
+		if len(d.quarLog) == quarLogCap {
+			d.quarLog = append(d.quarLog[:0], d.quarLog[1:]...)
+		}
 		d.quarLog = append(d.quarLog, f.Key)
 		d.quarMu.Unlock()
 		return []string{f.Key}

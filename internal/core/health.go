@@ -26,13 +26,16 @@ type Health struct {
 	PoolViewFiles int
 	PoolFragments int
 
-	// Degradation state: storage paths ever quarantined after a failed
-	// read (cumulative — quarantined files stay interesting after
-	// removal), views currently under materialization backoff, and views
-	// blacklisted after repeated materialization failures.
-	Quarantined []string
-	Backoff     []string
-	Blacklisted []string
+	// Degradation state: the most recent storage paths quarantined after
+	// a failed read (at most 256; quarantined files stay
+	// interesting after removal) with QuarantinedTotal counting every
+	// path ever quarantined, views currently under materialization
+	// backoff, and views blacklisted after repeated materialization
+	// failures.
+	Quarantined      []string
+	QuarantinedTotal uint64
+	Backoff          []string
+	Blacklisted      []string
 
 	// Result-cache traffic and occupancy; all zero when caching is off.
 	// CacheEnabled distinguishes a configured-off cache from an enabled
@@ -54,7 +57,7 @@ type Health struct {
 	// Statistics-registry sizes, read from one epoch-published snapshot
 	// (views, partitions and fragments are mutually consistent — they
 	// describe the same epoch). StatsEpoch is the snapshot's mutation
-	// count; StatsShards is the configured shard count.
+	// count; StatsShards is the registry's shard count.
 	StatsViews      int
 	StatsPartitions int
 	StatsFragments  int
@@ -168,6 +171,7 @@ func (d *DeepSea) Health() Health {
 
 	d.quarMu.Lock()
 	h.Quarantined = append([]string(nil), d.quarLog...)
+	h.QuarantinedTotal = d.quarTotal
 	d.quarMu.Unlock()
 	h.Backoff, h.Blacklisted = d.backoff.snapshot()
 

@@ -114,8 +114,7 @@ func newIngestState() *ingestState {
 	}
 }
 
-// IngestStats is the ingest surface of the health endpoints and the
-// ingestspeed experiment.
+// IngestStats is the ingest surface of the health endpoints.
 type IngestStats struct {
 	// Appends counts Append calls that landed rows; AppendedRows the
 	// rows they carried.
@@ -141,7 +140,7 @@ type IngestStats struct {
 	Drops          uint64 `json:"drops"`
 	// RefreshSeconds/ReadBytes/WriteBytes accumulate the simulated cost
 	// of all refresh work (priming included) — the numerator of the
-	// ingestspeed sublinearity check.
+	// sublinearity check (TestSteadyStateRefreshSublinearInBase).
 	RefreshSeconds    float64 `json:"refresh_seconds"`
 	RefreshReadBytes  int64   `json:"refresh_read_bytes"`
 	RefreshWriteBytes int64   `json:"refresh_write_bytes"`
@@ -390,7 +389,7 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 		if !stale {
 			return total, refreshNoop
 		}
-		if d.Cfg.RematOnAppend || m.plan == nil || m.marks == nil {
+		if m.plan == nil || m.marks == nil {
 			if d.dropStaleView(id) {
 				return total, refreshDropped
 			}

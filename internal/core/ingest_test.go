@@ -42,7 +42,7 @@ func freshWithAppends(t *testing.T, batches ...[]relation.Row) *DeepSea {
 // fingerprint (rewritten plans are row-set identical to the original
 // plan; row order follows the chosen fragment cover). View CONTENT
 // byte-identity of incremental refresh vs remat is asserted at the
-// engine layer (delta_test.go) and in the ingestspeed experiment.
+// engine layer (delta_test.go).
 func resultJSON(t *testing.T, rep QueryReport) string {
 	t.Helper()
 	if rep.Result == nil {
@@ -151,34 +151,6 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 	}
 	if fourth != third {
 		t.Error("re-hit returned different bytes")
-	}
-}
-
-// TestRematOnAppendDropsViews: the invalidate-and-recompute baseline
-// drops every dependent view instead of refreshing, and still answers
-// correctly.
-func TestRematOnAppendDropsViews(t *testing.T) {
-	d := newTestSystem(t, func(c *Config) { c.RematOnAppend = true })
-	persistWorkload(t, d)
-	b := appendRows(4, 300)
-	rep, err := d.Append("sales", b)
-	if err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if len(rep.StaleViews) == 0 {
-		t.Fatal("warmed pool had no sales-dependent views to invalidate")
-	}
-	is := d.IngestStats()
-	if is.Refreshes != 0 {
-		t.Errorf("RematOnAppend refreshed %d views, want 0", is.Refreshes)
-	}
-	if is.Drops == 0 {
-		t.Error("RematOnAppend dropped no views")
-	}
-	got := resultJSON(t, run(t, d, q30(0, 4999)))
-	want := resultJSON(t, run(t, freshWithAppends(t, b), q30(0, 4999)))
-	if got != want {
-		t.Errorf("post-drop result:\n got %s\nwant %s", got, want)
 	}
 }
 

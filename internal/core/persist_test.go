@@ -104,6 +104,14 @@ func TestRecoveryJournalOnly(t *testing.T) {
 	persistWorkload(t, d1)
 	want := durableManifest(t, d1)
 
+	// Journaling only records: the same workload without a store ends in
+	// the same state.
+	volatile := newTestSystem(t, nil)
+	persistWorkload(t, volatile)
+	if got := durableManifest(t, volatile); got != want {
+		t.Errorf("journaled run diverges from volatile run:\njournaled %s\n volatile %s", want, got)
+	}
+
 	s2 := openStore(t, dir)
 	defer s2.Close()
 	d2 := newTestSystem(t, func(c *Config) { c.Datastore = s2 })

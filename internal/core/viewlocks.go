@@ -8,9 +8,9 @@ import (
 	"deepsea/internal/lockcheck"
 )
 
-// defaultLockStripes is the view-lock stripe count when the config does
-// not override it. Stripes bound memory (no per-view lock object churn)
-// while keeping the collision probability of small lock sets low.
+// defaultLockStripes is the view-lock stripe count. Stripes bound memory
+// (no per-view lock object churn) while keeping the collision
+// probability of small lock sets low.
 const defaultLockStripes = 64
 
 // viewLocks is the per-view lock striping behind ProcessQuery's
@@ -30,13 +30,9 @@ type viewLocks struct {
 	stripes []sync.RWMutex
 }
 
-// newViewLocks returns a stripe set of size n (<= 0 selects the
-// default).
-func newViewLocks(n int) *viewLocks {
-	if n <= 0 {
-		n = defaultLockStripes
-	}
-	return &viewLocks{stripes: make([]sync.RWMutex, n)}
+// newViewLocks returns a stripe set of defaultLockStripes stripes.
+func newViewLocks() *viewLocks {
+	return &viewLocks{stripes: make([]sync.RWMutex, defaultLockStripes)}
 }
 
 // stripeOf maps a view id to its stripe index.

@@ -127,8 +127,8 @@ type ServingStats struct {
 // Server serves queries over one deepsea.System. Create with New,
 // expose Handler over any http.Server, stop with Shutdown.
 type Server struct {
-	cfg  Config
-	sys  *deepsea.System
+	cfg   Config
+	sys   *deepsea.System
 	lim   *limiter
 	bat   *batcher
 	coal  *ingest.Coalescer[deepsea.AppendReport]
@@ -236,11 +236,6 @@ func (s *Server) snapshotLoop(every time.Duration) {
 
 // Handler returns the HTTP handler (mount it on any http.Server).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// SetExecGate installs a hook that runs after admission and before
-// execution. Tests and benches use it to hold admission slots busy
-// deterministically. Must be set before the server starts serving.
-func (s *Server) SetExecGate(f func(ctx context.Context)) { s.testExecGate = f }
 
 // Shutdown drains the server: new queries are refused with 503,
 // in-flight ones finish, then the batcher's group runners exit. If ctx
@@ -660,14 +655,17 @@ func (s *Server) landAppend(sp *ingest.Spec) (deepsea.AppendReport, bool, error)
 // errors, a saturated maintenance queue, a stuck ingest retry backlog,
 // or a recovery that fell back to a cold start) or "draining".
 type healthzResponse struct {
-	Status      string   `json:"status"`
-	InFlight    int64    `json:"in_flight"`
-	Queries     uint64   `json:"queries"`
-	PoolBytes   int64    `json:"pool_bytes"`
-	PoolLimit   int64    `json:"pool_limit"`
-	Quarantined []string `json:"quarantined,omitempty"`
-	Backoff     []string `json:"backoff,omitempty"`
-	Blacklisted []string `json:"blacklisted,omitempty"`
+	Status    string `json:"status"`
+	InFlight  int64  `json:"in_flight"`
+	Queries   uint64 `json:"queries"`
+	PoolBytes int64  `json:"pool_bytes"`
+	PoolLimit int64  `json:"pool_limit"`
+	// Quarantined is the most recent quarantined paths (bounded);
+	// QuarantinedTotal counts every path ever quarantined.
+	Quarantined      []string `json:"quarantined,omitempty"`
+	QuarantinedTotal uint64   `json:"quarantined_total,omitempty"`
+	Backoff          []string `json:"backoff,omitempty"`
+	Blacklisted      []string `json:"blacklisted,omitempty"`
 	// Journal durability summary (all zero without a datastore):
 	// JournalAppendErrors > 0 or a non-empty RecoveryError degrades the
 	// status — the server still answers queries, but state written since
@@ -717,6 +715,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PoolBytes:           h.PoolBytes,
 		PoolLimit:           h.PoolLimit,
 		Quarantined:         h.Quarantined,
+		QuarantinedTotal:    h.QuarantinedTotal,
 		Backoff:             h.Backoff,
 		Blacklisted:         h.Blacklisted,
 		JournalEnabled:      h.JournalEnabled,

@@ -84,13 +84,6 @@ type TraceAppend struct {
 	Rows  [][]any
 }
 
-// TraceOp is one operation of a mixed read/write trace: exactly one of
-// Query and Append is set.
-type TraceOp struct {
-	Query  *TraceQuery
-	Append *TraceAppend
-}
-
 // AppendTrace generates a stream of append batches for one fact table:
 // batches held-out rows of rowsPer rows each. The ingest-only workload
 // for refresh-cost experiments and the deepsea-gen append stream.
@@ -98,33 +91,6 @@ func AppendTrace(d *Data, table string, batches, rowsPer int, seed int64) []Trac
 	out := make([]TraceAppend, batches)
 	for i := range out {
 		out[i] = TraceAppend{Table: table, Rows: d.AppendRows(table, rowsPer, seed+int64(i), nil)}
-	}
-	return out
-}
-
-// MixedReadWriteTrace interleaves reads and ingest: a UniformTrace
-// backbone of n queries with every writeEvery-th operation replaced by
-// an append batch of rowsPer held-out rows to the given fact table.
-// The read/write mix the ingestspeed experiment and the CI ingest smoke
-// replay — appends invalidate and refresh views while reads race them.
-func MixedReadWriteTrace(d *Data, n int, t Template, selectivity float64, table string, writeEvery, rowsPer int, seed int64) []TraceOp {
-	if writeEvery < 2 {
-		writeEvery = 2
-	}
-	queries := UniformTrace(n, t, selectivity, seed)
-	out := make([]TraceOp, n)
-	batch := 0
-	for i := range out {
-		if (i+1)%writeEvery == 0 {
-			out[i] = TraceOp{Append: &TraceAppend{
-				Table: table,
-				Rows:  d.AppendRows(table, rowsPer, seed+int64(1000+batch), nil),
-			}}
-			batch++
-			continue
-		}
-		q := queries[i]
-		out[i] = TraceOp{Query: &q}
 	}
 	return out
 }

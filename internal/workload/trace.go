@@ -52,22 +52,6 @@ func UniformTrace(n int, t Template, selectivity float64, seed int64) []TraceQue
 	return out
 }
 
-// HotspotTrace generates n heavily skewed queries centred on the given
-// domain position (a fraction in [0, 1]): the workload shape that
-// overloads whichever shard owns the hot spot until a rebalance narrows
-// its range.
-func HotspotTrace(n int, t Template, selectivity float64, center float64, seed int64) []TraceQuery {
-	rng := rand.New(rand.NewSource(seed))
-	dom := ItemSkDomain()
-	mid := dom.Lo + int64(center*float64(dom.Len()-1))
-	ivs := RangesAround(n, selectivity, Heavy, dom, mid, rng)
-	out := make([]TraceQuery, n)
-	for i, iv := range ivs {
-		out[i] = TraceQuery{Template: t, Lo: iv.Lo, Hi: iv.Hi}
-	}
-	return out
-}
-
 // SpanningTrace generates n queries that each cover (nearly) the whole
 // domain: every query scatters to every shard of any cluster. The
 // worst-case fan-out workload — exactly what failover and hedging

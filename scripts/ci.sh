@@ -19,20 +19,13 @@
 #    8. staticcheck at a pinned version, when installed (the workflow
 #       installs it; local runs skip it with a note — and a workflow
 #       warning annotation — rather than demanding the tool)
-#    9. bench smoke: cachespeed + lockspeed + faultspeed + servespeed +
-#       persistspeed + maintspeed + shardspeed + failspeed + ingestspeed
-#       at short scale with JSON reports (the maintspeed run also captures CPU
-#       and mutex profiles as artifacts), then a benchcheck preflight
-#       (every *speed experiment must have registered floors) and
-#       benchcheck gating the host-independent metrics (determinism,
-#       cache hit rate, pool mutations, fault-plumbing overhead,
-#       load-shed/coalescing behavior, journal overhead and
-#       warm-restart fidelity, background-maintenance equivalence and
-#       task accounting, cross-shard merge identity and rebalance
-#       behavior, replica-failure invisibility, hedging and breaker
-#       bounds); then the engine's layer microbenchmarks once each —
-#       they must run, their numbers are advisory (the exact allocation
-#       gate is TestFusedProbeAllocations, part of stage 1)
+#    9. experiment smoke — every registered (paper) experiment of
+#       deepsea-bench runs once at short scale; then the engine's layer
+#       microbenchmarks once each — they must run, their numbers are
+#       advisory (the exact allocation gate is
+#       TestFusedProbeAllocations, part of stage 1). Wall-clock
+#       performance is measured by benchmark/ (see benchmark/README.md),
+#       not here
 #   10. sharded-cluster smoke — the full scatter-gather suite plus the
 #       multi-process chaos tests under the race detector: a coordinator
 #       over three real shard subprocesses answers byte-identically to
@@ -44,23 +37,17 @@
 #       (with its goroutine-leak checks) re-runs fresh
 #   11. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite, the all-template
-#       delta-vs-remat property tests, the serving tier's /append suite
-#       (an append burst racing a query burst, bad-request and
-#       ownership rejections, a kill -9 mid-ingest whose warm restart
-#       replays the journal to byte-identical results), and the
-#       coordinator routing suite (keyed split, keyless broadcast,
-#       epoch refresh); ingestspeed runs in the bench smoke with its
-#       floors (incremental == remat across templates and shard counts,
-#       sublinear refresh cost, bounded read p99 under ingest)
-#
-# Reports land in BENCH_DIR (default ./bench-reports) as BENCH_<id>.json;
-# the workflow uploads them as artifacts.
+#       delta-vs-remat property tests with the sublinear-refresh check,
+#       the serving tier's /append suite (an append burst racing a query
+#       burst, bad-request and ownership rejections, a kill -9
+#       mid-ingest whose warm restart replays the journal to
+#       byte-identical results), and the coordinator routing suite
+#       (keyed split, keyless broadcast, epoch refresh)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GO=${GO:-go}
-BENCH_DIR=${BENCH_DIR:-bench-reports}
 # The pinned staticcheck version: the workflow installs exactly this,
 # and local runs with some other version get a loud note instead of a
 # silently different gate.
@@ -119,24 +106,8 @@ else
     skipped "staticcheck" "not installed; CI pins $STATICCHECK_VERSION"
 fi
 
-echo "==> bench smoke"
-mkdir -p "$BENCH_DIR"
-$GO build -o "$BENCH_DIR/deepsea-bench" ./cmd/deepsea-bench
-$GO build -o "$BENCH_DIR/benchcheck" ./cmd/benchcheck
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment cachespeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment lockspeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment faultspeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment servespeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment persistspeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment maintspeed -params short -json \
-    -cpuprofile maintspeed.cpu.pprof -mutexprofile maintspeed.mutex.pprof)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment shardspeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment failspeed -params short -json)
-(cd "$BENCH_DIR" && ./deepsea-bench -experiment ingestspeed -params short -json)
-
-echo "==> benchcheck"
-"$BENCH_DIR/benchcheck" -preflight
-"$BENCH_DIR/benchcheck" "$BENCH_DIR"/BENCH_*.json
+echo "==> experiment smoke"
+$GO run ./cmd/deepsea-bench -experiment all -params short
 
 echo "==> engine microbench smoke"
 $GO test -run '^$' -bench . -benchtime 1x ./internal/engine
@@ -147,8 +118,8 @@ $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' 
 $GO test -race -count=1 -run 'TestFailover|TestHedged|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409' ./internal/shard
 
 echo "==> ingest smoke (race)"
-$GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestRematOnAppend|TestBackgroundRefresh|TestEmptyAppend' ./internal/core
-$GO test -race -count=1 -run 'TestDeltaRefresh' .
+$GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend' ./internal/core
+$GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
 $GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
 
