@@ -1,7 +1,7 @@
 // Command deepsea-serve exposes a DeepSea instance over HTTP: it loads
 // the deterministic BigBench-derived dataset, then serves queries with
-// admission control, template-batched planning, and an operational
-// health surface until SIGINT/SIGTERM triggers a graceful drain.
+// admission control and an operational health surface until
+// SIGINT/SIGTERM triggers a graceful drain.
 //
 // Usage:
 //
@@ -41,8 +41,6 @@ func main() {
 	maxQueue := flag.Int("queue", 0, "admission queue length (0 = 4x max-inflight)")
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "max wait for an execution slot")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max graceful-shutdown wait")
-	batchMax := flag.Int("batch-max", 0, "max queries per planning batch (0 = unbounded)")
-	batchLinger := flag.Duration("batch-linger", 0, "wait for same-template requests to join a planning batch (0 = off)")
 	maintWorkers := flag.Int("maint-workers", 0, "background maintenance workers: materializations, splits and merges leave the query path (0 = inline maintenance)")
 	maintQueue := flag.Int("maint-queue", 0, "background maintenance queue capacity (0 = default 1024; only with -maint-workers)")
 	journal := flag.String("journal", "", "durable-state directory: journal pool mutations there and warm-restart from it (empty = in-memory only)")
@@ -102,8 +100,6 @@ func main() {
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		QueueTimeout: *queueTimeout,
-		BatchMax:     *batchMax,
-		BatchLinger:  *batchLinger,
 	}
 	if store != nil {
 		scfg.SnapshotEvery = *snapshotEvery

@@ -504,53 +504,11 @@ func (s *System) RunContext(ctx context.Context, q *Query) (Report, error) {
 	return Report{QueryReport: rep}, nil
 }
 
-// BatchItem is one query of a RunBatch call with its own context (nil
-// means context.Background()): items planned together keep independent
-// deadlines and cancellation.
-type BatchItem struct {
-	Ctx   context.Context
-	Query *Query
-}
-
-// RunBatch processes the items as one planning batch: all of them run
-// Algorithm 1's planning steps back-to-back under a single acquisition
-// of the planning lock, then execute and maintain concurrently exactly
-// as independent RunContext calls would. Results are byte-identical to
-// running the items separately, in any order; what batching changes is
-// only lock traffic — a burst of queries pays one planning-lock
-// acquisition instead of one each (see PlanAcquisitions). The returned
-// slices are index-aligned with items.
-func (s *System) RunBatch(items []BatchItem) ([]Report, []error) {
-	reports := make([]Report, len(items))
-	errs := make([]error, len(items))
-	coreItems := make([]core.BatchItem, 0, len(items))
-	idx := make([]int, 0, len(items))
-	for i, it := range items {
-		if it.Query == nil {
-			errs[i] = fmt.Errorf("deepsea: batch item %d has no query", i)
-			continue
-		}
-		plan, err := it.Query.build(s)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		coreItems = append(coreItems, core.BatchItem{Ctx: it.Ctx, Query: plan})
-		idx = append(idx, i)
-	}
-	coreReps, coreErrs := s.ds.ProcessBatchContext(coreItems)
-	for j, i := range idx {
-		reports[i] = Report{QueryReport: coreReps[j]}
-		errs[i] = coreErrs[j]
-	}
-	return reports, errs
-}
-
 // TemplateKey returns the query's plan-template fingerprint: queries
-// that differ only in their range-predicate bounds share a key. Serving
-// layers group concurrent requests by this key to batch their planning
-// (RunBatch); it is not the result-cache key, which distinguishes exact
-// bounds.
+// that differ only in their range-predicate bounds share a key. It is
+// not the result-cache key, which distinguishes exact bounds. Building
+// the key resolves every table and column the query names, so serving
+// layers also use it to reject a bad query before admitting it.
 func (s *System) TemplateKey(q *Query) (string, error) {
 	plan, err := q.build(s)
 	if err != nil {
@@ -572,11 +530,6 @@ type Health = core.Health
 // Health returns the operational snapshot. Safe to call concurrently
 // with query processing; it takes no manager lock.
 func (s *System) Health() Health { return s.ds.Health() }
-
-// PlanAcquisitions returns the cumulative planning-lock acquisition
-// count. Under template-batched serving it grows slower than the query
-// count — the plan-amortization ratio.
-func (s *System) PlanAcquisitions() uint64 { return s.ds.PlanAcquisitions() }
 
 // Snapshot persists a consistent checkpoint of the whole system state
 // (pool manifest, materialized files, statistics, cache generations)

@@ -108,9 +108,9 @@ type DeepSea struct {
 	mleCache     map[string]stats.NormalModel
 	mleCacheTime float64
 
-	// planAcq counts planMu acquisitions; inflight and queries count
-	// in-flight and started queries. Batch processing acquires planMu
-	// once for many queries, so planAcq < queries proves coalescing.
+	// planAcq counts planMu acquisitions by queries (one per planned
+	// attempt; a cache hit takes none); inflight and queries count
+	// in-flight and started queries.
 	planAcq  atomic.Uint64
 	inflight atomic.Int64
 	queries  atomic.Uint64
@@ -386,12 +386,10 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 		}
 	}
 
-	return d.processWithRetries(ctx, q, key, nil)
+	return d.processWithRetries(ctx, q, key)
 }
 
-// processWithRetries is the retry loop of ProcessQueryContext, shared
-// with batch processing (whose items fall back here after a recoverable
-// first-attempt failure, bringing the paths that attempt quarantined).
+// processWithRetries is the retry loop of ProcessQueryContext.
 //
 // Every attempt plans around the paths this query has quarantined so
 // far, not just around what is missing from the live pool: background
@@ -399,8 +397,9 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 // that re-planned onto it would fault on it again until its retries ran
 // out. With the exclusion each storage-read retry has strictly fewer
 // files to fault on.
-func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string, quarantined []string) (QueryReport, error) {
+func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string) (QueryReport, error) {
 	maxRetries := d.Cfg.faultRetries()
+	var quarantined []string
 	for attempt := 0; ; attempt++ {
 		var exclude map[string]bool
 		if len(quarantined) > 0 {
@@ -511,9 +510,8 @@ type plannedQuery struct {
 
 // planLocked runs Algorithm 1 steps 1–7 for one query and pins the
 // materialized paths its chosen plan reads. The caller holds planMu and
-// every view stripe shared; batch processing calls it once per query
-// under a single acquisition, which is why the lock handling lives in
-// the callers. exclude lists stored paths the plan must not read.
+// every view stripe shared. exclude lists stored paths the plan must not
+// read.
 func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) (*plannedQuery, error) {
 	// Step 1-2: compute rewritings and update statistics (Section 8.4).
 	rewritings, origCost, err := d.rewriter.ComputeRewritingsExcluding(q, exclude)

@@ -11,9 +11,10 @@ package core
 // snapshot. That is the usual contract for health surfaces.
 type Health struct {
 	// InFlight is the number of queries currently executing; Queries is
-	// the cumulative count started; PlanAcquisitions counts planning-lock
-	// acquisitions (batch processing plans many queries per acquisition,
-	// so PlanAcquisitions < Queries under template-coalesced load).
+	// the cumulative count started; PlanAcquisitions counts planned
+	// attempts — one planning-lock acquisition each. A result-cache hit
+	// plans nothing and a fault retry plans again, so on a fault-free run
+	// Queries − PlanAcquisitions is the number of cache hits.
 	InFlight         int64
 	Queries          uint64
 	PlanAcquisitions uint64
@@ -260,10 +261,6 @@ func (d *DeepSea) Health() Health {
 	h.RecoveryError = d.recovered.Err
 	return h
 }
-
-// PlanAcquisitions returns the cumulative planning-lock acquisition
-// count — the denominator of the batch-coalescing ratio.
-func (d *DeepSea) PlanAcquisitions() uint64 { return d.planAcq.Load() }
 
 // InFlight returns the number of queries currently executing.
 func (d *DeepSea) InFlight() int64 { return d.inflight.Load() }

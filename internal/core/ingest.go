@@ -829,10 +829,14 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 	}
 }
 
-// ingestFragGuard reports whether a captured-sourced fragment write for
-// the view is consistent: the view is untracked, or it is fresh and its
-// marks equal the proposing query's planning-time counts (so the
-// captured rows describe exactly the content the marks certify).
+// ingestFragGuard reports whether storing rows a query captured — a gap
+// fragment, or a view materialization that may extend an existing
+// partition — is consistent with what the view already stores: the view
+// is untracked, or it is fresh and its marks equal the proposing query's
+// planning-time counts (so the captured rows describe exactly the
+// content the marks certify). Without it a view whose stored fragments
+// lag an append would be re-registered fresh at the new counts, and the
+// lagging fragments served as if they held the appended rows.
 // File-sourced writes (refinement splits, merges) need no guard — they
 // rearrange content already at the marks.
 func (d *DeepSea) ingestFragGuard(id string, planCounts map[string]int64) bool {

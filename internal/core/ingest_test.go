@@ -438,3 +438,54 @@ func TestAppendUnknownTable(t *testing.T) {
 		t.Fatal("append to unknown table succeeded")
 	}
 }
+
+// TestMaterializeSkipsViewLaggingAppend: two queries can select the same
+// new view before either has materialized it. When the first stores it
+// and an append then leaves it stale, the second — planned after the
+// append, its captured rows exact at the new counts — must not
+// re-register the view: every fragment is already stored, so it would
+// write nothing and only declare the lagging content fresh at the new
+// counts, and the refresh that follows would find nothing to do.
+func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
+	d := newTestSystem(t, nil)
+	persistWorkload(t, d)
+	id, _ := appendMaintainedView(t, d)
+	pv := d.Pool.View(id)
+	attr := pv.PartAttrs()[0]
+	sv := selectedView{
+		vc:   viewCandidate{id: id, node: d.ingest.views[id].plan, schema: pv.Schema},
+		attr: attr,
+		dom:  pv.Parts[attr].Dom,
+	}
+
+	// The append up to the point its refresh would start.
+	b := appendRows(12, 600)
+	if _, err := d.Eng.AppendBase("sales", b); err != nil {
+		t.Fatal(err)
+	}
+	ids := d.markDependentsStale("sales", &relation.Table{Schema: d.Eng.BaseTable("sales").Schema, Rows: b})
+
+	// The second query's materialization, with rows captured after the
+	// append landed.
+	captured := relation.NewTable(pv.Schema)
+	_, created, err := d.materializeView(sv, captured, false, d.Eng.BaseCounts([]string{"item", "sales"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created || !d.staleView(id) {
+		t.Fatalf("view lagging an append re-registered fresh (created=%v, stale=%v)", created, d.staleView(id))
+	}
+
+	d.refreshInline(ids, &AppendReport{})
+	if is := d.IngestStats(); is.StaleViews != 0 {
+		t.Fatalf("%d views stale after the refresh", is.StaleViews)
+	}
+	base := freshWithAppends(t, b)
+	for _, q := range []struct{ lo, hi int64 }{{0, 4999}, {1000, 2999}, {0, 9999}} {
+		got := resultJSON(t, run(t, d, q30(q.lo, q.hi)))
+		want := resultJSON(t, run(t, base, q30(q.lo, q.hi)))
+		if got != want {
+			t.Errorf("q30(%d,%d) diverges from fresh baseline:\n got %s\nwant %s", q.lo, q.hi, got, want)
+		}
+	}
+}

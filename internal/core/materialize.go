@@ -44,6 +44,12 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 		}
 		fromFiles = true
 	}
+	if !fromFiles && !d.ingestFragGuard(vc.id, planCounts) {
+		// The view already stores content at another consistency point
+		// (stale, or refreshed past this query's planning): adding rows
+		// captured at planCounts would mix the two.
+		return engine.Cost{}, false, nil
+	}
 	viewBytes := vs.Size
 	if captured != nil {
 		viewBytes = captured.Bytes()

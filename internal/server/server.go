@@ -1,9 +1,8 @@
 // Package server is DeepSea's query-serving frontend: an HTTP/JSON API
 // over the public deepsea.System with admission control (a bounded
-// in-flight limit, a FIFO wait queue, and load shedding), template-
-// batched planning (concurrent same-template requests coalesce into one
-// planning-lock acquisition), an operational health surface, and a
-// graceful drain-on-shutdown lifecycle.
+// in-flight limit, a FIFO wait queue, and load shedding), an operational
+// health surface, and a graceful drain-on-shutdown lifecycle. An
+// admitted query runs System.RunContext on its handler goroutine.
 //
 // Endpoints:
 //
@@ -43,44 +42,28 @@ type Config struct {
 	// QueueTimeout sheds a request that has waited this long for a slot
 	// (default 1s; negative disables the timeout).
 	QueueTimeout time.Duration
-	// DefaultTimeout bounds a request's total processing when its spec
-	// sets no timeout_ms (default 30s).
-	DefaultTimeout time.Duration
-	// BatchMax caps how many requests one planning batch may coalesce
-	// (default 0 = unbounded).
-	BatchMax int
-	// BatchLinger, when positive, is how long a template group's runner
-	// waits before sealing a planning batch, so near-simultaneous
-	// requests coalesce even when the scheduler would otherwise run them
-	// back to back. Costs up to BatchLinger of latency per batch
-	// (default 0 = batch only what accumulates during the prior batch).
-	BatchLinger time.Duration
-	// RetryAfter is the floor of the Retry-After hint on shed responses
-	// in seconds (default 1). The actual hint is derived per response
-	// from the admission queue's depth and the recent completion rate —
-	// roughly how long until a new arrival would reach the front — and
-	// clamped to [RetryAfter, 60]; when the rate is unknown (no recent
-	// completions) the floor is used as-is.
-	RetryAfter int
 	// SnapshotEvery, when positive, checkpoints the system to its
 	// mounted datastore on this period (and once more on drain), keeping
 	// the journal tail — and therefore recovery time — short. Pointless
 	// without deepsea.WithDatastore (default 0 = off).
 	SnapshotEvery time.Duration
-	// AppendMaxRows seals an append group-commit batch at this many rows
-	// (default 4096); AppendLinger is how long the first contributor of a
-	// batch waits for stragglers before the batch lands (default 2ms).
-	// Concurrent POST /append calls for the same table coalesce into one
-	// journal write and one view-refresh round.
-	AppendMaxRows int
-	AppendLinger  time.Duration
-	// AppendDedupWindow is how many recently applied append tokens the
-	// server remembers for idempotent retries (ingest.Spec.Token); a
-	// repeated token within the window returns the original result
-	// instead of appending the rows again. Default 4096; negative
-	// disables dedup.
-	AppendDedupWindow int
 }
+
+const (
+	// defaultTimeout bounds a request's total processing when its spec
+	// sets no timeout_ms (an append always gets it).
+	defaultTimeout = 30 * time.Second
+	// retryAfterFloor is the floor, in seconds, of the Retry-After hint
+	// on shed responses (see retryAfter).
+	retryAfterFloor = 1
+	// appendDedupWindow is how many recently applied append tokens the
+	// server remembers for idempotent retries (ingest.Spec.Token).
+	appendDedupWindow = 4096
+)
+
+// ErrDraining reports that the server is shutting down and accepts no
+// new work.
+var ErrDraining = errors.New("server: draining")
 
 func (c *Config) fill() {
 	if c.MaxInFlight <= 0 {
@@ -93,15 +76,6 @@ func (c *Config) fill() {
 		c.QueueTimeout = time.Second
 	} else if c.QueueTimeout < 0 {
 		c.QueueTimeout = 0
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
-	if c.AppendDedupWindow == 0 {
-		c.AppendDedupWindow = 4096
 	}
 }
 
@@ -127,12 +101,10 @@ type ServingStats struct {
 // Server serves queries over one deepsea.System. Create with New,
 // expose Handler over any http.Server, stop with Shutdown.
 type Server struct {
-	cfg   Config
 	sys   *deepsea.System
 	lim   *limiter
-	bat   *batcher
 	coal  *ingest.Coalescer[deepsea.AppendReport]
-	dedup *appendDedup // nil when AppendDedupWindow < 0
+	dedup *appendDedup
 	mux   *http.ServeMux
 
 	// baseCtx parents every request's query context; cancel kills
@@ -185,20 +157,19 @@ func New(sys *deepsea.System, cfg Config) *Server {
 	cfg.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
 		sys:     sys,
 		lim:     newLimiter(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout),
-		bat:     newBatcher(sys, cfg.BatchMax, cfg.BatchLinger),
+		dedup:   newAppendDedup(appendDedupWindow),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	s.coal = ingest.NewCoalescer(cfg.AppendMaxRows, cfg.AppendLinger,
+	// Concurrent POST /append calls for one table coalesce into one
+	// journal write and one view-refresh round; batch size and linger are
+	// the coalescer's defaults.
+	s.coal = ingest.NewCoalescer(0, 0,
 		func(table string, rows [][]any) (deepsea.AppendReport, error) {
 			return sys.Append(table, rows)
 		})
-	if cfg.AppendDedupWindow > 0 {
-		s.dedup = newAppendDedup(cfg.AppendDedupWindow)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/append", s.handleAppend)
@@ -237,17 +208,16 @@ func (s *Server) snapshotLoop(every time.Duration) {
 // Handler returns the HTTP handler (mount it on any http.Server).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Shutdown drains the server: new queries are refused with 503,
-// in-flight ones finish, then the batcher's group runners exit. If ctx
-// expires first, straggling queries are cancelled (they unwind promptly
-// through RunContext) and the drain still completes before Shutdown
-// returns ctx.Err() — either way no goroutine is left behind.
+// Shutdown drains the server: new requests are refused with 503 and
+// in-flight ones finish. If ctx expires first, straggling queries are
+// cancelled (they unwind promptly through RunContext) and the drain
+// still completes before Shutdown returns ctx.Err() — either way no
+// goroutine is left behind.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})
 	go func() {
 		s.reqWG.Wait()
-		s.bat.close()
 		s.coal.Close()
 		close(done)
 	}()
@@ -342,16 +312,17 @@ func (r *completionRing) rate(now time.Time) float64 {
 // retryAfter derives the Retry-After hint for a shed response: with
 // depth requests already queued and the recent drain rate, a new
 // arrival reaches the front in about (depth+1)/rate seconds. Clamped
-// to [cfg.RetryAfter, 60]; an unknown rate falls back to the floor.
+// to [retryAfterFloor, 60]; an unknown rate (no recent completions)
+// falls back to the floor.
 func (s *Server) retryAfter() int {
 	_, _, depth := s.lim.snapshot()
 	rate := s.completions.rate(time.Now())
 	if rate <= 0 {
-		return s.cfg.RetryAfter
+		return retryAfterFloor
 	}
 	secs := int(math.Ceil(float64(depth+1) / rate))
-	if secs < s.cfg.RetryAfter {
-		secs = s.cfg.RetryAfter
+	if secs < retryAfterFloor {
+		secs = retryAfterFloor
 	}
 	if secs > 60 {
 		secs = 60
@@ -365,7 +336,13 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 	writeJSON(w, http.StatusTooManyRequests, errResponse{Error: ErrShed.Error()})
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// guarded is the guard chain POST /query and POST /append share. In
+// order: the method check; the drain handshake; the fence handshake;
+// prepare, which decodes and validates the body, writes its own 4xx and
+// returns false to stop, or returns the request's time budget; the
+// deadline context; admission. run executes holding one admission slot.
+func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
+	prepare func() (timeout time.Duration, ok bool), run func(ctx context.Context)) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
 		return
@@ -385,7 +362,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Count the request before checking the fence (mirroring the drain
 	// handshake above): a handoff that set the fence flag either refuses
-	// us here or sees our count and waits for it.
+	// us here or sees our count and waits for it. Appends count like
+	// queries: a range handoff drains in-flight ingest before the epoch
+	// advances.
 	s.activeQueries.Add(1)
 	defer s.activeQueries.Add(-1)
 	if s.fencing.Load() {
@@ -393,27 +372,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var spec QuerySpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
-		return
-	}
-	if resp, ok := s.checkOwnership(&spec); !ok {
-		writeJSON(w, http.StatusConflict, resp)
-		return
-	}
-	q, err := spec.build()
-	if err != nil {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
-		return
-	}
-	key, err := s.sys.TemplateKey(q)
-	if err != nil {
-		// The query names an unknown table or column: a client error.
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+	timeout, ok := prepare()
+	if !ok {
 		return
 	}
 
@@ -421,15 +381,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// admission wait included, so a queued request whose budget is gone
 	// sheds instead of executing. The server's base context parents it:
 	// a drain past its deadline cancels stragglers centrally.
-	timeout := s.cfg.DefaultTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
 	ctx, cancelReq := context.WithTimeout(r.Context(), timeout)
 	defer cancelReq()
 	stop := context.AfterFunc(s.baseCtx, cancelReq)
 	defer stop()
 
+	// Queries and appends share the limiter: under overload both shed, so
+	// an append burst cannot starve reads of slots (nor the reverse).
 	if err := s.lim.acquire(ctx); err != nil {
 		switch {
 		case errors.Is(err, ErrShed):
@@ -450,35 +408,68 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.completions.note(time.Now())
 	}()
 
-	if s.testExecGate != nil {
-		s.testExecGate(ctx)
-	}
+	run(ctx)
+}
 
-	rep, err := s.bat.run(ctx, key, q)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.timedOut.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded"})
-		case errors.Is(err, context.Canceled):
-			s.failed.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
-		default:
-			s.failed.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var q *deepsea.Query
+	s.guarded(w, r, func() (time.Duration, bool) {
+		var spec QuerySpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			s.badRequest.Add(1)
+			writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
+			return 0, false
 		}
-		return
-	}
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Columns:          rep.Columns(),
-		Rows:             rep.Rows(),
-		CacheHit:         rep.CacheHit,
-		Rewritten:        rep.Rewritten,
-		UsedView:         rep.UsedView,
-		FragmentsRead:    rep.FragmentsRead,
-		Retries:          rep.Retries,
-		SimulatedSeconds: rep.SimulatedSeconds(),
+		if resp, ok := s.checkOwnership(&spec); !ok {
+			writeJSON(w, http.StatusConflict, resp)
+			return 0, false
+		}
+		var err error
+		if q, err = spec.build(); err == nil {
+			// Resolving the template key resolves every table and column
+			// the query names: an unknown one is a client error, caught
+			// here instead of as a 500 after admission.
+			_, err = s.sys.TemplateKey(q)
+		}
+		if err != nil {
+			s.badRequest.Add(1)
+			writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			return 0, false
+		}
+		if spec.TimeoutMS > 0 {
+			return time.Duration(spec.TimeoutMS) * time.Millisecond, true
+		}
+		return defaultTimeout, true
+	}, func(ctx context.Context) {
+		if s.testExecGate != nil {
+			s.testExecGate(ctx)
+		}
+		rep, err := s.sys.RunContext(ctx, q)
+		if err != nil {
+			switch {
+			case errors.Is(err, context.DeadlineExceeded):
+				s.timedOut.Add(1)
+				writeJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded"})
+			case errors.Is(err, context.Canceled):
+				s.failed.Add(1)
+				writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+			default:
+				s.failed.Add(1)
+				writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+			}
+			return
+		}
+		s.served.Add(1)
+		writeJSON(w, http.StatusOK, QueryResponse{
+			Columns:          rep.Columns(),
+			Rows:             rep.Rows(),
+			CacheHit:         rep.CacheHit,
+			Rewritten:        rep.Rewritten,
+			UsedView:         rep.UsedView,
+			FragmentsRead:    rep.FragmentsRead,
+			Retries:          rep.Retries,
+			SimulatedSeconds: rep.SimulatedSeconds(),
+		})
 	})
 }
 
@@ -531,97 +522,51 @@ func (s *Server) checkAppendOwnership(sp *ingest.Spec) (rangeErrResponse, bool) 
 }
 
 // handleAppend is POST /append: the online ingest path. It runs behind
-// the same drain/fence/admission protections as /query, pre-validates
-// the batch against the table schema (so one caller's bad rows 400
-// instead of failing a shared group commit), and lands the rows through
-// the coalescer — journaled, dependent views refreshed incrementally.
+// the same drain/fence/admission guards as /query, pre-validates the
+// batch against the table schema (so one caller's bad rows 400 instead
+// of failing a shared group commit), and lands the rows through the
+// coalescer — journaled, dependent views refreshed incrementally.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
-		return
-	}
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
-		return
-	}
-	s.reqWG.Add(1)
-	defer s.reqWG.Done()
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
-		return
-	}
-
-	// Appends count toward the handoff fence like queries: a range
-	// handoff drains in-flight ingest before the epoch advances.
-	s.activeQueries.Add(1)
-	defer s.activeQueries.Add(-1)
-	if s.fencing.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: "range handoff in progress"})
-		return
-	}
-
-	sp, err := ingest.DecodeSpec(r.Body)
-	if err != nil {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
-		return
-	}
-	if resp, ok := s.checkAppendOwnership(sp); !ok {
-		writeJSON(w, http.StatusConflict, resp)
-		return
-	}
-	if err := s.sys.ValidateRows(sp.Table, sp.Rows); err != nil {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
-		return
-	}
-
-	ctx, cancelReq := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
-	defer cancelReq()
-	stop := context.AfterFunc(s.baseCtx, cancelReq)
-	defer stop()
-
-	// Ingest shares the admission limiter with queries: under overload
-	// both shed, so an append burst cannot starve reads of slots (nor
-	// the reverse).
-	if err := s.lim.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, ErrShed):
-			s.writeShed(w)
-		case errors.Is(err, context.DeadlineExceeded):
-			s.timedOut.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded in queue"})
-		default:
-			s.failed.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+	var sp *ingest.Spec
+	s.guarded(w, r, func() (time.Duration, bool) {
+		var err error
+		if sp, err = ingest.DecodeSpec(r.Body); err != nil {
+			s.badRequest.Add(1)
+			writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			return 0, false
 		}
-		return
-	}
-	defer func() {
-		s.lim.release()
-		s.completions.note(time.Now())
-	}()
-
-	rep, deduped, err := s.landAppend(sp)
-	if err != nil {
-		// Rows were pre-validated, so a flush failure is a server-side
-		// journal or refresh error, not this request's fault.
-		s.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
-		return
-	}
-	s.appends.Add(1)
-	if deduped {
-		s.appendDedups.Add(1)
-	}
-	writeJSON(w, http.StatusOK, AppendResponse{
-		Table:      rep.Table,
-		NewCount:   rep.NewCount,
-		StaleViews: rep.StaleViews,
-		Refreshed:  rep.Refreshed,
-		Dropped:    rep.Dropped,
-		Deferred:   rep.Deferred,
-		Deduped:    deduped,
+		if resp, ok := s.checkAppendOwnership(sp); !ok {
+			writeJSON(w, http.StatusConflict, resp)
+			return 0, false
+		}
+		if err := s.sys.ValidateRows(sp.Table, sp.Rows); err != nil {
+			s.badRequest.Add(1)
+			writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			return 0, false
+		}
+		return defaultTimeout, true
+	}, func(context.Context) {
+		rep, deduped, err := s.landAppend(sp)
+		if err != nil {
+			// Rows were pre-validated, so a flush failure is a server-side
+			// journal or refresh error, not this request's fault.
+			s.failed.Add(1)
+			writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+			return
+		}
+		s.appends.Add(1)
+		if deduped {
+			s.appendDedups.Add(1)
+		}
+		writeJSON(w, http.StatusOK, AppendResponse{
+			Table:      rep.Table,
+			NewCount:   rep.NewCount,
+			StaleViews: rep.StaleViews,
+			Refreshed:  rep.Refreshed,
+			Dropped:    rep.Dropped,
+			Deferred:   rep.Deferred,
+			Deduped:    deduped,
+		})
 	})
 }
 
@@ -632,7 +577,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 // released — the waiter carries the same rows, so it retries as a fresh
 // owner.
 func (s *Server) landAppend(sp *ingest.Spec) (deepsea.AppendReport, bool, error) {
-	if sp.Token == "" || s.dedup == nil {
+	if sp.Token == "" {
 		rep, err := s.coal.Add(sp.Table, sp.Rows)
 		return rep, false, err
 	}
@@ -758,9 +703,6 @@ type statzResponse struct {
 	// InFlightSlots/QueueDepth are the limiter's instantaneous occupancy.
 	InFlightSlots int `json:"in_flight_slots"`
 	QueueDepth    int `json:"queue_depth"`
-	// PlanAmortization is Queries / PlanAcquisitions — above 1 when
-	// template batching coalesces planning.
-	PlanAmortization float64 `json:"plan_amortization"`
 	// SnapshotTickErrors counts failed periodic checkpoints taken by the
 	// SnapshotEvery ticker (store-level counters live in Health).
 	SnapshotTickErrors uint64 `json:"snapshot_tick_errors,omitempty"`
@@ -793,9 +735,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		SnapshotTickErrors: s.snapErrs.Load(),
 		CompletionRate:     s.completions.rate(time.Now()),
 		RetryAfterHint:     s.retryAfter(),
-	}
-	if h.PlanAcquisitions > 0 {
-		resp.PlanAmortization = float64(h.Queries) / float64(h.PlanAcquisitions)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -20,15 +20,12 @@ import (
 	"deepsea/internal/server"
 )
 
-// Config tunes a Coordinator. Either Addrs (one address per range, no
-// replication) or Groups (each range served by a replica group —
-// Groups[i][0] is the primary, the rest followers) names the cluster;
-// the domain is the partition-key span the cluster covers (the
-// workload's item_sk domain).
+// Config tunes a Coordinator. Groups names the cluster: each range is
+// served by one replica group (Groups[i][0] is the primary, the rest
+// followers; a one-address group is an unreplicated shard). The domain
+// is the partition-key span the cluster covers (the workload's item_sk
+// domain).
 type Config struct {
-	// Addrs are single-replica groups: the PR-8 topology. Mutually
-	// exclusive with Groups.
-	Addrs []string
 	// Groups are replica address groups. Base tables are static and
 	// fully replicated, so any live replica can answer for its group's
 	// range; the exact partial-aggregation mode keeps merged bytes
@@ -37,21 +34,10 @@ type Config struct {
 	DomainLo, DomainHi int64
 	// RequestTimeout bounds each per-replica HTTP attempt (default 15s).
 	RequestTimeout time.Duration
-	// Client overrides the whole HTTP client (tests; default: a tuned
-	// transport — see newTransport).
-	Client *http.Client
-	// Transport overrides only the transport (chaos tests wrap the real
-	// one in a ChaosTransport). Ignored when Client is set.
+	// Transport overrides the HTTP transport (chaos tests wrap the real
+	// one in a ChaosTransport; default: a tuned transport — see
+	// newTransport).
 	Transport http.RoundTripper
-
-	// FailoverRetries bounds how many replicas one range subquery may
-	// try before the failure becomes client-visible (default: every
-	// replica in the group once; capped at the group size).
-	FailoverRetries int
-	// FailoverBackoff is the base of the jittered backoff between
-	// failover retries (default 5ms, doubling per retry, capped at
-	// 100ms, ±50% jitter).
-	FailoverBackoff time.Duration
 
 	// BreakerThreshold is how many consecutive failures trip a
 	// replica's circuit breaker (default 3).
@@ -72,9 +58,6 @@ type Config struct {
 	// Close.
 	ProbeInterval time.Duration
 
-	// Seed drives the failover jitter (default 1 — deterministic runs).
-	Seed int64
-
 	// KeyIndex maps each base table to the column index of its routing
 	// key, for POST /append scatter: a keyed table's batch splits by key
 	// range across the owning groups. Tables absent from the map are
@@ -82,8 +65,16 @@ type Config struct {
 	KeyIndex map[string]int
 }
 
-// failoverBackoffCap bounds the exponential failover backoff.
-const failoverBackoffCap = 100 * time.Millisecond
+// A range subquery tries each replica of its group at most once. The
+// jittered backoff between those failover retries starts at
+// failoverBackoffBase, doubles per retry and is capped at
+// failoverBackoffCap (±50% jitter, drawn from a fixed seed so runs are
+// deterministic).
+const (
+	failoverBackoffBase = 5 * time.Millisecond
+	failoverBackoffCap  = 100 * time.Millisecond
+	failoverJitterSeed  = 1
+)
 
 // newTransport builds the coordinator's default transport: explicit
 // dial and TLS timeouts so a wedged TCP connect cannot stall a subquery
@@ -99,15 +90,8 @@ func newTransport(replicas int) *http.Transport {
 		ExpectContinueTimeout: time.Second,
 		IdleConnTimeout:       90 * time.Second,
 		MaxIdleConnsPerHost:   perHost,
-		MaxIdleConns:          perHost * maxInt(replicas, 1),
+		MaxIdleConns:          perHost * max(replicas, 1),
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Coordinator fronts a range-sharded deepsea cluster: it owns the
@@ -173,19 +157,11 @@ type Coordinator struct {
 	proberDone chan struct{}
 }
 
-// New builds a Coordinator over the given replica groups (or flat
-// addresses). Call Init to push the initial even range split to the
-// shards before serving; call Close to stop the background prober when
-// ProbeInterval is set.
+// New builds a Coordinator over the given replica groups. Call Init to
+// push the initial even range split to the shards before serving; call
+// Close to stop the background prober when ProbeInterval is set.
 func New(cfg Config) (*Coordinator, error) {
 	groups := cfg.Groups
-	if len(groups) == 0 {
-		for _, a := range cfg.Addrs {
-			groups = append(groups, []string{a})
-		}
-	} else if len(cfg.Addrs) > 0 {
-		return nil, fmt.Errorf("shard: Addrs and Groups are mutually exclusive")
-	}
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least one shard address")
 	}
@@ -200,12 +176,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.FailoverBackoff <= 0 {
-		cfg.FailoverBackoff = 5 * time.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	replicas := make(map[string]*replicaState)
 	var nReplicas int
@@ -227,24 +197,20 @@ func New(cfg Config) (*Coordinator, error) {
 			nReplicas++
 		}
 	}
-	client := cfg.Client
-	if client == nil {
-		rt := cfg.Transport
-		if rt == nil {
-			rt = newTransport(nReplicas)
-		}
-		client = &http.Client{Transport: rt}
+	rt := cfg.Transport
+	if rt == nil {
+		rt = newTransport(nReplicas)
 	}
 	var nonce [8]byte
 	_, _ = crand.Read(nonce[:]) // best-effort; an all-zero nonce still dedups within one process
 	c := &Coordinator{
 		cfg:         cfg,
 		groups:      groups,
-		client:      client,
+		client:      &http.Client{Transport: rt},
 		replicas:    replicas,
 		preferred:   make([]atomic.Int32, len(groups)),
 		heat:        newHeatMap(cfg.DomainLo, cfg.DomainHi),
-		rng:         newLockedRand(cfg.Seed),
+		rng:         newLockedRand(failoverJitterSeed),
 		appendNonce: hex.EncodeToString(nonce[:]),
 	}
 	mux := http.NewServeMux()
@@ -394,21 +360,14 @@ func (c *Coordinator) pushGroup(ctx context.Context, gi int, lo, hi int64, epoch
 // a dead cluster for the full timeout.
 func (c *Coordinator) pushRange(ctx context.Context, addr string, lo, hi int64, epoch uint64, role string) error {
 	body, _ := json.Marshal(map[string]any{"lo": lo, "hi": hi, "epoch": epoch, "role": role})
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/admin/range", bytes.NewReader(body))
-	if err != nil {
+	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+"/admin/range", body)
+	switch {
+	case err != nil:
 		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
+	case conflict != nil:
+		return conflict
+	case status != http.StatusOK:
+		return statusError(status, b)
 	}
 	return nil
 }
@@ -750,10 +709,7 @@ func (c *Coordinator) queryRange(ctx context.Context, spec *server.QuerySpec, sl
 	if p := int(c.preferred[gi].Load()); p > 0 && p < len(addrs) {
 		addrs[0], addrs[p] = addrs[p], addrs[0]
 	}
-	maxAttempts := c.cfg.FailoverRetries
-	if maxAttempts <= 0 || maxAttempts > len(addrs) {
-		maxAttempts = len(addrs)
-	}
+	maxAttempts := len(addrs) // each replica once
 
 	attemptCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
@@ -906,7 +862,7 @@ func (c *Coordinator) queryRange(ctx context.Context, spec *server.QuerySpec, sl
 			}
 			// Jittered backoff before the retry so a burst of failing
 			// queries does not re-stampede the next replica in lockstep.
-			wait := failoverBackoff(c.rng, c.cfg.FailoverBackoff, failoverBackoffCap, attempts-1)
+			wait := failoverBackoff(c.rng, failoverBackoffBase, failoverBackoffCap, attempts-1)
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
@@ -958,21 +914,41 @@ func (c *Coordinator) settleLate(res attemptResult) {
 	}
 }
 
-// doAttempt runs one HTTP attempt against one replica. 409 bodies are
-// decoded into a conflict409; other bodies into wireResponse.
-func (c *Coordinator) doAttempt(ctx context.Context, addr string, body []byte) (*wireResponse, int, *conflict409, error) {
+// replicaBodyLimit bounds how much of one replica response the
+// coordinator buffers: far above any aggregate answer the templates
+// produce, and a ceiling on what a misbehaving replica can make it hold.
+const replicaBodyLimit = 64 << 20
+
+// call runs one HTTP request against one replica — every coordinator →
+// replica exchange goes through here. It applies the per-call
+// RequestTimeout (callers wanting less pass a shorter ctx), sends body
+// as JSON when non-nil, reads at most replicaBodyLimit bytes of the
+// response, and decodes a 409's claimed ownership into conflict. err is
+// a transport failure or an undecodable 409; every other status comes
+// back with its raw body for the caller to classify.
+func (c *Coordinator) call(ctx context.Context, method, url string, body []byte) (status int, respBody []byte, conflict *conflict409, err error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, nil, err
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, 0, nil, err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
+	// A read that fails part-way leaves a truncated body, which the
+	// caller's decode rejects — where a streaming decode would have met
+	// the same error.
+	respBody, _ = io.ReadAll(io.LimitReader(resp.Body, replicaBodyLimit))
 	if resp.StatusCode == http.StatusConflict {
 		var re struct {
 			Error      string `json:"error"`
@@ -980,33 +956,47 @@ func (c *Coordinator) doAttempt(ctx context.Context, addr string, body []byte) (
 			OwnedHi    int64  `json:"owned_hi"`
 			RangeEpoch uint64 `json:"range_epoch"`
 		}
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&re); derr != nil {
-			return nil, resp.StatusCode, nil, fmt.Errorf("decoding 409 body: %w", derr)
+		if derr := json.Unmarshal(respBody, &re); derr != nil {
+			return resp.StatusCode, nil, nil, fmt.Errorf("decoding 409 body: %w", derr)
 		}
-		return nil, resp.StatusCode, &conflict409{
+		return resp.StatusCode, nil, &conflict409{
 			OwnedLo: re.OwnedLo, OwnedHi: re.OwnedHi, Epoch: re.RangeEpoch, Msg: re.Error,
 		}, nil
 	}
-	dec := json.NewDecoder(resp.Body)
+	return resp.StatusCode, respBody, nil, nil
+}
+
+// statusError renders a replica's non-200 answer as an error: the status
+// line and the head of the body.
+func statusError(status int, body []byte) error {
+	head := bytes.TrimSpace(body[:min(len(body), 4096)])
+	return fmt.Errorf("%d %s: %s", status, http.StatusText(status), head)
+}
+
+// doAttempt runs one /query attempt against one replica, decoding the
+// body into wireResponse. A retryable status is an error; a
+// non-retryable one comes back as the bare status.
+func (c *Coordinator) doAttempt(ctx context.Context, addr string, body []byte) (*wireResponse, int, *conflict409, error) {
+	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+"/query", body)
+	if err != nil || conflict != nil {
+		return nil, status, conflict, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.UseNumber()
 	var wire wireResponse
-	if derr := dec.Decode(&wire); derr != nil {
-		if resp.StatusCode == http.StatusOK {
-			return nil, resp.StatusCode, nil, fmt.Errorf("decoding response: %w", derr)
-		}
-		wire.Error = resp.Status
+	if derr := dec.Decode(&wire); derr != nil && status == http.StatusOK {
+		return nil, status, nil, fmt.Errorf("decoding response: %w", derr)
 	}
-	if resp.StatusCode != http.StatusOK {
-		if retryableStatus(resp.StatusCode) {
-			msg := wire.Error
-			if msg == "" {
-				msg = resp.Status
+	if status != http.StatusOK {
+		if retryableStatus(status) {
+			if wire.Error != "" {
+				b = []byte(wire.Error)
 			}
-			return nil, resp.StatusCode, nil, fmt.Errorf("%s: %s", resp.Status, msg)
+			return nil, status, nil, statusError(status, b)
 		}
-		return nil, resp.StatusCode, nil, nil
+		return nil, status, nil, nil
 	}
-	return &wire, resp.StatusCode, nil, nil
+	return &wire, status, nil, nil
 }
 
 // refreshRouting rebuilds the routing table from the shards' own
@@ -1047,27 +1037,20 @@ func (c *Coordinator) refreshRouting(ctx context.Context) error {
 
 // fetchOwnership asks one replica what range and epoch it serves.
 func (c *Coordinator) fetchOwnership(ctx context.Context, addr string) (lo, hi int64, epoch uint64, err error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/admin/range", nil)
+	status, b, _, err := c.call(ctx, http.MethodGet, addr+"/admin/range", nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, 0, 0, err
+	if status != http.StatusOK {
+		return 0, 0, 0, statusError(status, b)
 	}
-	defer resp.Body.Close()
 	var rr struct {
 		Lo    int64  `json:"lo"`
 		Hi    int64  `json:"hi"`
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&rr); err != nil {
+	if err := json.Unmarshal(b, &rr); err != nil {
 		return 0, 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, 0, fmt.Errorf("%s", resp.Status)
 	}
 	return rr.Lo, rr.Hi, rr.Epoch, nil
 }
@@ -1140,26 +1123,20 @@ func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, e
 	rs := c.replicas[addr]
 	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(req)
+	status, _, _, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil)
 	now := time.Now()
 	if err != nil {
 		rs.br.Failure(now)
 		rs.noteProbe(false, 0, err.Error(), now)
 		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	if status < 200 || status > 299 {
 		// Reachable but unhealthy (draining, dependency down): for
 		// routing purposes that is a failure — closing the breaker and
 		// restoring preference here would flap against the query path
 		// re-tripping it on the next request.
 		rs.br.Failure(now)
-		rs.noteProbe(false, 0, "healthz: "+resp.Status, now)
+		rs.noteProbe(false, 0, fmt.Sprintf("healthz: %d %s", status, http.StatusText(status)), now)
 		return
 	}
 	rs.br.Success()
@@ -1231,23 +1208,16 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
 				defer cancel()
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-				if err != nil {
-					out[i].ReplicaHealth[j] = rh
-					return
+				if _, b, _, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil); err == nil {
+					// Any answer proves the replica reachable; a body without
+					// a status (not a deepsea server) leaves Health empty.
+					var hz struct {
+						Status string `json:"status"`
+					}
+					_ = json.Unmarshal(b, &hz)
+					rh.Reachable = true
+					rh.Health = hz.Status
 				}
-				resp, err := c.client.Do(req)
-				if err != nil {
-					out[i].ReplicaHealth[j] = rh
-					return
-				}
-				defer resp.Body.Close()
-				var hz struct {
-					Status string `json:"status"`
-				}
-				_ = json.NewDecoder(resp.Body).Decode(&hz)
-				rh.Reachable = true
-				rh.Health = hz.Status
 				out[i].ReplicaHealth[j] = rh
 			}(i, j, addr, j == 0)
 		}

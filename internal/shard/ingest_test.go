@@ -31,7 +31,7 @@ func newKeyedCluster(t *testing.T, k int) (*Coordinator, []*httptest.Server) {
 	t.Helper()
 	clusterDataOnce.Do(func() { clusterData = workload.Generate(1, 1, nil) })
 	var servers []*httptest.Server
-	var addrs []string
+	var groups [][]string
 	for i := 0; i < k; i++ {
 		sys := deepsea.New()
 		if err := workload.Load(sys, clusterData); err != nil {
@@ -41,10 +41,10 @@ func newKeyedCluster(t *testing.T, k int) (*Coordinator, []*httptest.Server) {
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		servers = append(servers, ts)
-		addrs = append(addrs, ts.URL)
+		groups = append(groups, []string{ts.URL})
 	}
 	c, err := New(Config{
-		Addrs:          addrs,
+		Groups:         groups,
 		DomainLo:       workload.ItemSkLo,
 		DomainHi:       workload.ItemSkHi,
 		RequestTimeout: 30 * time.Second,

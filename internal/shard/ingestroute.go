@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -275,40 +273,17 @@ func (c *Coordinator) appendGroup(ctx context.Context, gi int, table, token stri
 
 // doAppend runs one replica-level POST /append.
 func (c *Coordinator) doAppend(ctx context.Context, addr string, body []byte) (bool, *conflict409, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/append", bytes.NewReader(body))
-	if err != nil {
-		return false, nil, err
+	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+"/append", body)
+	if err != nil || conflict != nil {
+		return false, conflict, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		var re struct {
-			Error      string `json:"error"`
-			OwnedLo    int64  `json:"owned_lo"`
-			OwnedHi    int64  `json:"owned_hi"`
-			RangeEpoch uint64 `json:"range_epoch"`
-		}
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&re); derr != nil {
-			return false, nil, fmt.Errorf("decoding 409 body: %w", derr)
-		}
-		return false, &conflict409{
-			OwnedLo: re.OwnedLo, OwnedHi: re.OwnedHi, Epoch: re.RangeEpoch, Msg: re.Error,
-		}, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return false, nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
+	if status != http.StatusOK {
+		return false, nil, statusError(status, b)
 	}
 	var ar struct {
 		Deferred bool `json:"deferred"`
 	}
-	if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ar); derr != nil {
+	if derr := json.Unmarshal(b, &ar); derr != nil {
 		return false, nil, fmt.Errorf("decoding append response: %w", derr)
 	}
 	return ar.Deferred, nil, nil

@@ -142,7 +142,7 @@ func TestShardClusterSmoke(t *testing.T) {
 	})
 
 	coord, err := New(Config{
-		Addrs:          addrs,
+		Groups:         [][]string{{addrs[0]}, {addrs[1]}, {addrs[2]}},
 		DomainLo:       workload.ItemSkLo,
 		DomainHi:       workload.ItemSkHi,
 		RequestTimeout: 10 * time.Second,

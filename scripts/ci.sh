@@ -12,8 +12,9 @@
 #    5. chaos smoke — the seeded fault-injection and cancellation suite
 #       under the race detector: every surviving query byte-identical to
 #       the fault-free run, no leaked goroutines, no leaked pins
-#    6. serving smoke — the HTTP frontend's admission, batching and
-#       drain-lifecycle suite under the race detector, then shuffled
+#    6. serving smoke — the HTTP frontend's admission, drain and fence
+#       suite under the race detector in shuffled order (stage 2 already
+#       ran it in declaration order)
 #    7. crash-recovery chaos — the datastore suite, the core recovery
 #       suite, and the kill -9 warm-restart test under the race detector
 #    8. staticcheck at a pinned version, when installed (the workflow
@@ -85,8 +86,7 @@ echo "==> chaos smoke (race)"
 $GO test -race -run 'TestChaos|TestFragmentReadFault|TestMaterializeFaults|TestPermanentMaterialize|TestProcessQueryContext' ./internal/core
 $GO test -race -run 'TestRunContext|TestForEachTask|TestViewScanReadFault' ./internal/engine
 
-echo "==> serving smoke (race + shuffle)"
-$GO test -race ./internal/server
+echo "==> serving smoke (race, shuffled)"
 $GO test -race -shuffle=on ./internal/server
 
 echo "==> crash-recovery chaos (race)"
