@@ -558,8 +558,9 @@ func (s *System) DrainMaintenance(ctx context.Context) error {
 // queries still run but new maintenance candidates are dropped.
 func (s *System) CloseMaintenance() { s.ds.CloseMaintenance() }
 
-// MaintStats returns the background maintenance counters (all zero in
-// inline mode); see Health for the serving-oriented view.
+// MaintStats returns the maintenance pool's counters (in inline mode
+// only refresh retries pass through it); see Health for the
+// serving-oriented view.
 func (s *System) MaintStats() MaintStats { return s.ds.MaintStats() }
 
 // Now returns the simulated clock in seconds.

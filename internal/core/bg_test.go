@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,11 +33,13 @@ func poolShape(d *DeepSea) []string {
 	return out
 }
 
-// TestBackgroundMatchesInlineResultsAndPool is the background mode's
-// equivalence proof: over an evolving workload, every result is
-// byte-identical to inline maintenance, queries are charged execution
-// only, and — with a drain after each query — the pool converges to the
-// exact fragment set inline maintenance builds.
+// TestBackgroundMatchesInlineResultsAndPool is the two maintenance
+// drivers' equivalence proof: over an evolving workload of queries and
+// appends, every result is byte-identical between inline and background
+// maintenance, background queries are charged execution only, and — with
+// a drain after each step — both drivers charge the clock the same
+// seconds, build the exact same pool, and refresh or drop the same
+// views.
 func TestBackgroundMatchesInlineResultsAndPool(t *testing.T) {
 	leakcheck.Check(t)
 
@@ -53,16 +56,27 @@ func TestBackgroundMatchesInlineResultsAndPool(t *testing.T) {
 	}
 
 	inline := newTestSystem(t, nil)
-	var want []string
-	for _, q := range queries {
-		want = append(want, run(t, inline, q30(q.lo, q.hi)).Result.Fingerprint())
-	}
-
 	bg := newTestSystem(t, func(c *Config) { c.MaintWorkers = 2 })
 	defer bg.CloseMaintenance()
+	// settle drains the background pool and compares what both drivers
+	// have done so far: the one-Advance driver (execution + maintenance)
+	// and the two-Advance driver (execution, then the drain cycle) must
+	// have charged the same seconds — up to rounding, since t+(e+m) and
+	// (t+e)+m differ in the last bit (they do, after query 5).
+	settle := func(step string) {
+		t.Helper()
+		if err := bg.DrainMaintenance(context.Background()); err != nil {
+			t.Fatalf("drain after %s: %v", step, err)
+		}
+		assertPoolInvariants(t, bg, "after drain")
+		if in, b := inline.Now(), bg.Now(); math.Abs(in-b) > 1e-12*in {
+			t.Fatalf("after %s: inline clock %v, background clock %v", step, in, b)
+		}
+	}
 	for i, q := range queries {
+		want := run(t, inline, q30(q.lo, q.hi)).Result.Fingerprint()
 		rep := run(t, bg, q30(q.lo, q.hi))
-		if got := rep.Result.Fingerprint(); got != want[i] {
+		if got := rep.Result.Fingerprint(); got != want {
 			t.Fatalf("query %d (%d-%d): background result differs from inline", i, q.lo, q.hi)
 		}
 		if !rep.DeferredMaintenance {
@@ -74,10 +88,43 @@ func TestBackgroundMatchesInlineResultsAndPool(t *testing.T) {
 		}
 		// Drain between queries so each plans against the same pool state
 		// inline maintenance would have left — the convergence contract.
-		if err := bg.DrainMaintenance(context.Background()); err != nil {
-			t.Fatalf("drain after query %d: %v", i, err)
+		settle(fmt.Sprintf("query %d", i))
+
+		if i%4 != 3 {
+			continue
 		}
-		assertPoolInvariants(t, bg, "after drain")
+		// The append arm: the same batch through both drivers. What the
+		// inline report lists as refreshed or dropped is exactly what the
+		// drain cycle refreshed or dropped.
+		before := bg.IngestStats()
+		batch := appendRows(int64(20+i), 200)
+		irep, err := inline.Append("sales", batch)
+		if err != nil {
+			t.Fatalf("inline append: %v", err)
+		}
+		brep, err := bg.Append("sales", batch)
+		if err != nil {
+			t.Fatalf("background append: %v", err)
+		}
+		if !brep.Deferred || len(brep.Refreshed)+len(brep.Dropped) != 0 {
+			t.Fatalf("background append not deferred: %+v", brep)
+		}
+		settle(fmt.Sprintf("append after query %d", i))
+		is, bs := inline.IngestStats(), bg.IngestStats()
+		if is.Refreshes != bs.Refreshes || is.Drops != bs.Drops || is.StaleViews != 0 || bs.StaleViews != 0 {
+			t.Fatalf("append after query %d: inline %+v, background %+v", i, is, bs)
+		}
+		if got, want := len(irep.Refreshed), int(bs.Refreshes-before.Refreshes); got != want {
+			t.Errorf("append after query %d: inline refreshed %v, background refreshed %d", i, irep.Refreshed, want)
+		}
+		if got, want := len(irep.Dropped), int(bs.Drops-before.Drops); got != want {
+			t.Errorf("append after query %d: inline dropped %v, background dropped %d", i, irep.Dropped, want)
+		}
+		settled := append(append([]string(nil), irep.Refreshed...), irep.Dropped...)
+		sort.Strings(settled)
+		if fmt.Sprint(settled) != fmt.Sprint(brep.StaleViews) {
+			t.Errorf("append after query %d: inline settled %v, background marked stale %v", i, settled, brep.StaleViews)
+		}
 	}
 
 	wantShape, gotShape := poolShape(inline), poolShape(bg)
@@ -97,6 +144,10 @@ func TestBackgroundMatchesInlineResultsAndPool(t *testing.T) {
 	}
 	if ms.Enqueued != ms.Completed+ms.Failed+ms.Deduped+ms.Dropped {
 		t.Errorf("task accounting leak after drain: %+v", ms)
+	}
+	// Inline maintenance applies its own tasks; none pass through the pool.
+	if ims := inline.MaintStats(); ims.Workers != 0 || ims.Enqueued != 0 {
+		t.Errorf("inline run used the pool: %+v", ims)
 	}
 }
 

@@ -170,13 +170,14 @@ type Config struct {
 	// merges, eviction, speculative re-materialization) off the query
 	// path onto a background worker pool with this many workers: queries
 	// enqueue Φ-ranked maintenance candidates and return after execution,
-	// never paying materialization cost. 0 — the default — keeps the
-	// historical inline behaviour (step 9 runs on the query goroutine).
+	// never paying materialization cost. With 0 — the default — the
+	// query or append that proposed the same tasks applies them itself,
+	// through the same apply code (inline maintenance; see maintain.go).
 	MaintWorkers int
-	// MaintQueue bounds the background maintenance queue; when full, new
+	// MaintQueue bounds the maintenance queue; when full, new
 	// candidates are dropped (they will be re-proposed by later queries
-	// over the same ranges). 0 selects the default (1024). Only
-	// meaningful with MaintWorkers > 0.
+	// over the same ranges). 0 selects the default (1024). Inline mode
+	// queues only refresh retries.
 	MaintQueue int
 }
 

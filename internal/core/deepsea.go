@@ -129,8 +129,10 @@ type DeepSea struct {
 	store     datastore.Store
 	recovered RecoveryInfo
 
-	// maint is the background maintenance pool (nil in inline mode).
-	// maintCommitMu serializes drain-cycle commits: the journal group
+	// maint is the maintenance pool: Config.MaintWorkers workers in
+	// background mode; none in inline mode, where it only holds refresh
+	// retries for the next caller (see maintain.go). maintCommitMu
+	// serializes the workers' drain-cycle commits: the journal group
 	// buffer below is instance-global, so one committer runs at a time
 	// (untracked leaf lock, acquired before any view stripe).
 	maint         *maintain.Pool
@@ -247,9 +249,7 @@ func build(cfg Config) *DeepSea {
 		recoveredAppends: make(map[string]*relation.Table),
 	}
 	d.rewriter.Stale = d.staleView
-	if cfg.background() {
-		d.maint = maintain.NewPool(cfg.MaintWorkers, cfg.maintQueue(), maintBatchMax, d.applyMaintBatch)
-	}
+	d.maint = maintain.NewPool(cfg.MaintWorkers, cfg.maintQueue(), maintBatchMax, d.applyMaintBatch)
 	return d
 }
 
@@ -589,192 +589,110 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 }
 
 // finishPlanned runs Algorithm 1 steps 8+ for a planned query: execution
-// outside every manager lock, then maintenance under the query's view
-// stripes. It returns the paths it quarantined while handling an
-// execution failure.
+// outside every manager lock, then maintenance — the query's decisions
+// as a task list (maintenanceTasks), handed to the worker pool in
+// background mode or applied here under the query's view stripes in
+// inline mode (see maintain.go). It returns the paths it quarantined
+// while handling an execution failure.
 func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryReport, []string, error) {
-	qbest, bestRW := pq.qbest, pq.bestRW
-	vcands, selViews, selFrags, evict := pq.vcands, pq.selViews, pq.selFrags, pq.evict
-	lockIDs, pins, key := pq.lockIDs, pq.pins, pq.key
-	if d.maint == nil {
-		// Runs last, after the pins are dropped and the stripes released.
-		defer d.drainInlineRetries()
-	}
-
 	// Step 8: EXECUTEQUERY — outside every manager lock.
-	res, runErr := d.Eng.RunContext(ctx, qbest, pq.capture)
+	res, runErr := d.Eng.RunContext(ctx, pq.qbest, pq.capture)
 	if runErr != nil {
 		// Failed executions skip maintenance entirely: drop the pins,
 		// quarantine the unreadable file if the failure was an injected
 		// storage-read fault, and let the caller decide whether to
 		// re-plan. No view stripe is held on this path.
-		d.unpin(pins)
-		return QueryReport{}, d.quarantineFromError(qbest, runErr), runErr
-	}
-
-	// Background mode: the query is done — hand steps 9+ to the worker
-	// pool as Φ-ranked per-unit tasks and return without touching a
-	// single view stripe. The query pays execution cost only; the
-	// deferred mutations re-validate against the live pool when a drain
-	// cycle applies them.
-	if d.maint != nil {
-		d.unpin(pins)
-		report := QueryReport{
-			Result:              res.Table,
-			ExecCost:            res.Cost,
-			TotalSeconds:        res.Cost.Seconds,
-			DeferredMaintenance: true,
-		}
-		if bestRW != nil {
-			report.Rewritten = true
-			report.UsedView = bestRW.ViewID
-			report.FragmentsRead = len(bestRW.CoverFrags)
-			report.RemainderGaps = len(bestRW.Gaps)
-		}
-		report.MaintTasksEnqueued = d.enqueueMaintenance(pq, &res)
-		d.Eng.Advance(res.Cost.Seconds)
-		if key != "" && res.Table != nil {
-			d.Cache.Put(key, res.Table, d.viewDeps(qbest))
-		}
-		return report, nil, nil
-	}
-
-	// Maintenance section: steps 9+ (stats, pool maintenance, clock)
-	// under only this query's view stripes, exclusive. Queries whose
-	// lock sets cover disjoint stripes run their maintenance — including
-	// materialization, refinement and eviction — in parallel; the
-	// selection above was computed against a possibly older pool, so
-	// every mutation below re-validates against the live pool (pins,
-	// cover checks) exactly as a stale selection requires.
-	held := d.views.lockViews(lockIDs)
-	if d.OnMaintain != nil {
-		d.OnMaintain(lockIDs, true)
-	}
-	defer func() {
-		if d.OnMaintain != nil {
-			d.OnMaintain(lockIDs, false)
-		}
-		d.views.unlockViews(held)
-	}()
-	d.unpin(pins)
-
-	// Step 9: UPDATESTATS — precise sizes for captured candidates.
-	if d.Cfg.ExecuteRows {
-		for _, vc := range vcands {
-			if bytes, ok := res.CapturedBytes[vc.node]; ok {
-				vs := d.Stats.View(vc.id)
-				if !vs.Measured {
-					vs.Size = bytes
-					d.journalVStat(vs)
-				}
-			}
-		}
+		d.unpin(pq.pins)
+		quarantined := d.quarantineFromError(pq.qbest, runErr)
+		d.advancePending()
+		return QueryReport{}, quarantined, runErr
 	}
 
 	report := QueryReport{
 		Result:   res.Table,
 		ExecCost: res.Cost,
 	}
-	if bestRW != nil {
+	if pq.bestRW != nil {
 		report.Rewritten = true
-		report.UsedView = bestRW.ViewID
-		report.FragmentsRead = len(bestRW.CoverFrags)
-		report.RemainderGaps = len(bestRW.Gaps)
+		report.UsedView = pq.bestRW.ViewID
+		report.FragmentsRead = len(pq.bestRW.CoverFrags)
+		report.RemainderGaps = len(pq.bestRW.Gaps)
+	}
+	tasks := d.maintenanceTasks(pq, &res)
+
+	// Background mode: the query is done — steps 9+ go to the worker
+	// pool as Φ-ranked per-unit tasks and the query returns without
+	// touching a single view stripe. It pays execution cost only; the
+	// deferred mutations re-validate against the live pool when a drain
+	// cycle applies them.
+	if n, ok := d.enqueueTasks(tasks, pq.pins); ok {
+		report.TotalSeconds = res.Cost.Seconds
+		report.DeferredMaintenance = true
+		report.MaintTasksEnqueued = n
+		d.Eng.Advance(res.Cost.Seconds)
+		d.cacheResult(pq, res.Table)
+		return report, nil, nil
 	}
 
-	// Materialize selected views and fragments. Materialization is a
-	// best-effort side effect: an injected fault in an attempt charges
-	// whatever cost was already spent, records the failure against the
-	// view's backoff (bounded retries, then blacklist) and moves on —
-	// the query itself never fails because of it. Non-fault errors are
-	// logic bugs and still propagate.
-	var matCost engine.Cost
-	noteMatFault := func(viewID string, err error) bool {
-		f, ok := faults.AsFault(err)
-		if !ok {
-			return false
-		}
-		d.backoff.noteFailure(viewID, f.Permanent)
-		report.MatFailed = append(report.MatFailed, viewID)
-		return true
+	// Inline mode: steps 9+ under only this query's view stripes,
+	// exclusive. Queries whose lock sets cover disjoint stripes run
+	// their maintenance — including materialization, refinement and
+	// eviction — in parallel; the selection was computed against a
+	// possibly older pool, so every task re-validates against the live
+	// pool (pins, cover checks) exactly as a stale selection requires.
+	held := d.views.lockViews(pq.lockIDs)
+	if d.OnMaintain != nil {
+		d.OnMaintain(pq.lockIDs, true)
 	}
-	for _, sv := range selViews {
-		if !d.backoff.allowed(sv.vc.id) {
-			continue
-		}
-		usedByQuery := bestRW != nil && bestRW.ViewID == sv.vc.id
-		c, created, err := d.materializeView(sv, res.Captured[sv.vc.node], usedByQuery, pq.baseCounts)
-		matCost.Add(c)
-		if err != nil {
-			if noteMatFault(sv.vc.id, err) {
-				continue
-			}
-			return QueryReport{}, nil, err
-		}
-		if !created {
-			continue
-		}
-		d.backoff.noteSuccess(sv.vc.id)
-		report.MaterializedViews = append(report.MaterializedViews, sv.vc.id)
+	d.unpin(pq.pins)
+	var out maintOutcome
+	err := d.applyQueryTasks(pq, tasks, &out)
+	if err == nil {
+		report.MaterializedViews = out.matViews
+		report.MaterializedFrags = out.matFrags
+		report.MergedFrags = out.merged
+		report.Evicted = out.evicted
+		report.MatFailed = out.matFailed
+		report.MatCost = out.cost
+		report.TotalSeconds = res.Cost.Seconds + out.cost.Seconds
+		d.Eng.Advance(report.TotalSeconds)
+		// The read views' stripes are still held, so the generations the
+		// entry records cannot move before it is in — and this query's own
+		// refinements do not immediately invalidate it.
+		d.cacheResult(pq, res.Table)
 	}
-	for _, fc := range selFrags {
-		if !d.backoff.allowed(fc.viewID) {
-			continue
-		}
-		c, created, err := d.materializeFrag(fc, res.Captured, pq.baseCounts)
-		matCost.Add(c)
-		if err != nil {
-			if noteMatFault(fc.viewID, err) {
-				continue
-			}
-			return QueryReport{}, nil, err
-		}
-		if len(created) > 0 {
-			d.backoff.noteSuccess(fc.viewID)
-		}
-		for _, iv := range created {
-			report.MaterializedFrags = append(report.MaterializedFrags,
-				fmt.Sprintf("%s.%s%s", shortID(fc.viewID), fc.attr, iv))
-		}
+	if d.OnMaintain != nil {
+		d.OnMaintain(pq.lockIDs, false)
 	}
-
-	// Optional extension: merge co-accessed adjacent fragments. A merge
-	// is a materialization too: injected faults back off, never fail the
-	// query.
-	mergeCost, mergedFrags, err := d.maybeMergeFragments(bestRW)
-	matCost.Add(mergeCost)
+	d.views.unlockViews(held)
+	d.advancePending()
 	if err != nil {
-		if bestRW == nil || !noteMatFault(bestRW.ViewID, err) {
-			return QueryReport{}, nil, err
-		}
-	}
-	report.MergedFrags = mergedFrags
-
-	// Evict what the selection rejected. Items pinned by a concurrent
-	// execution are skipped; the selection will reject them again next
-	// query if they stay unattractive.
-	for _, item := range evict {
-		if d.evict(item) {
-			report.Evicted = append(report.Evicted, item.Key())
-		}
-	}
-	// GC only the views this query touched: emptying a view requires
-	// mutating it, and every mutation above stayed inside the lock set.
-	d.Pool.GCViews(lockIDs...)
-
-	report.MatCost = matCost
-	report.TotalSeconds = res.Cost.Seconds + matCost.Seconds
-	d.Eng.Advance(report.TotalSeconds)
-
-	// Publish the result, pinned to the post-maintenance generations of
-	// every view the plan read — so this query's own refinements do not
-	// immediately invalidate its entry, while any later mutation of
-	// those views does. The read views' stripes are still held, so the
-	// recorded generations cannot move before the entry is in.
-	if key != "" && res.Table != nil {
-		d.Cache.Put(key, res.Table, d.viewDeps(qbest))
+		return QueryReport{}, nil, err
 	}
 	return report, nil, nil
+}
+
+// cacheResult publishes a query's result in the result cache, pinned to
+// the current generations of every view the plan read: any later
+// mutation of those views invalidates the entry.
+func (d *DeepSea) cacheResult(pq *plannedQuery, tbl *relation.Table) {
+	if pq.key != "" && tbl != nil {
+		d.Cache.Put(pq.key, tbl, d.viewDeps(pq.qbest))
+	}
+}
+
+// advancePending is a leaving query's applyPending: its pins are
+// dropped and its stripes released, so a stale view whose drop those
+// pins blocked — or one this query registered stale because an append
+// raced its materialization — can settle now instead of sitting
+// unreadable until some later append happens by. The work is charged to
+// the clock on its own.
+func (d *DeepSea) advancePending() {
+	var out maintOutcome
+	d.applyPending(&out)
+	if out.cost.Seconds > 0 {
+		d.Eng.Advance(out.cost.Seconds)
+	}
 }
 
 // quarLogCap bounds the quarantine log Health reports: a long-lived
@@ -840,6 +758,10 @@ func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 // speculative re-materialization task is enqueued: the read fault was
 // transient (the simulated store still holds the rows), so the pool can
 // be healed without waiting for a future query to re-derive the range.
+// This is the one maintenance step only workers run — the task must
+// never apply here, under the stripe quarantine holds — so inline mode
+// captures no rows and enqueues nothing; a future query re-derives the
+// range.
 func (d *DeepSea) quarantine(viewID, path string) bool {
 	held := d.views.lockViews([]string{viewID})
 	defer d.views.unlockViews(held)
@@ -850,42 +772,39 @@ func (d *DeepSea) quarantine(viewID, path string) bool {
 	if pv == nil {
 		return false
 	}
+	var lost *rematTask // the file at path, described for its re-materialization
 	if pv.Path == path {
-		var rows *relation.Table
-		if d.maint != nil {
-			rows = d.Eng.Materialized(path)
-		}
-		size, schema := pv.Size, pv.Schema
-		d.Eng.DeleteMaterialized(path)
-		d.Pool.DropViewFile(viewID)
-		d.Pool.GCViews(viewID)
-		d.enqueueRemat(&rematTask{
-			viewID: viewID, path: path, schema: schema,
-			isView: true, rows: rows, size: size,
-		})
-		return true
+		lost = &rematTask{viewID: viewID, path: path, schema: pv.Schema, isView: true, size: pv.Size}
 	}
 	for attr, part := range pv.Parts {
 		for _, fr := range part.Fragments() {
 			if fr.Path == path {
-				var rows *relation.Table
-				if d.maint != nil {
-					rows = d.Eng.Materialized(path)
-				}
-				d.Eng.DeleteMaterialized(path)
-				d.Pool.RemoveFragment(viewID, attr, fr.Iv)
-				d.Pool.GCViews(viewID)
-				d.enqueueRemat(&rematTask{
+				lost = &rematTask{
 					viewID: viewID, path: path, schema: pv.Schema,
 					attr: attr, iv: fr.Iv, dom: part.Dom,
-					overlapping: part.Overlapping,
-					rows:        rows, size: fr.Size,
-				})
-				return true
+					overlapping: part.Overlapping, size: fr.Size,
+				}
 			}
 		}
 	}
-	return false
+	if lost == nil {
+		return false
+	}
+	heal := d.Cfg.background()
+	if heal {
+		lost.rows = d.Eng.Materialized(path)
+	}
+	d.Eng.DeleteMaterialized(path)
+	if lost.isView {
+		d.Pool.DropViewFile(viewID)
+	} else {
+		d.Pool.RemoveFragment(viewID, lost.attr, lost.iv)
+	}
+	d.Pool.GCViews(viewID)
+	if heal {
+		d.enqueueRemat(lost)
+	}
+	return true
 }
 
 // evict removes one pool item and its storage. It reports whether the

@@ -65,9 +65,12 @@ type Health struct {
 	StatsEpoch      uint64
 	StatsShards     int
 
-	// Background maintenance (all zero in inline mode). MaintSaturated
-	// is the degraded signal: the queue is at capacity and new
-	// candidates are being dropped. The counters obey
+	// The maintenance pool. MaintEnabled reports background mode
+	// (workers apply maintenance); in inline mode MaintWorkers is zero
+	// and only refresh retries pass through the queue, so the counters
+	// stay zero unless a refresh came out still-stale. MaintSaturated is
+	// the degraded signal: the queue is at capacity and new candidates
+	// are being dropped. The counters obey
 	// Enqueued == Completed + Failed + Deduped + Dropped + Depth + InFlight.
 	MaintEnabled    bool
 	MaintWorkers    int
@@ -88,7 +91,7 @@ type Health struct {
 	// dependent views. IngestStaleViews counts views currently
 	// unreadable while their refresh is pending (transient in background
 	// mode). IngestRetryBacklog is the degraded signal: views stuck
-	// still-stale in inline mode, with no retry pending until the next
+	// still-stale in inline mode, their retry queued until the next
 	// query finishes or append lands.
 	IngestAppends        uint64
 	IngestAppendedRows   uint64
@@ -196,27 +199,25 @@ func (d *DeepSea) Health() Health {
 	h.StatsEpoch = sc.Epoch
 	h.StatsShards = d.Stats.NumShards()
 
-	if d.maint != nil {
-		ms := d.maint.Stats()
-		h.MaintEnabled = true
-		h.MaintWorkers = ms.Workers
-		h.MaintQueueDepth = ms.Depth
-		h.MaintQueueCap = ms.Capacity
-		h.MaintInFlight = ms.InFlight
-		h.MaintEnqueued = ms.Enqueued
-		h.MaintCompleted = ms.Completed
-		h.MaintFailed = ms.Failed
-		h.MaintDeduped = ms.Deduped
-		h.MaintDropped = ms.Dropped
-		h.MaintSaturated = ms.Depth >= ms.Capacity
-		for _, ks := range ms.Kinds {
-			k := MaintKindHealth{Kind: ks.Kind, Completed: ks.Completed}
-			if ks.Completed > 0 {
-				k.AvgWaitSeconds = ks.WaitSeconds / float64(ks.Completed)
-				k.AvgRunSeconds = ks.RunSeconds / float64(ks.Completed)
-			}
-			h.MaintKinds = append(h.MaintKinds, k)
+	ms := d.maint.Stats()
+	h.MaintEnabled = d.Cfg.background()
+	h.MaintWorkers = ms.Workers
+	h.MaintQueueDepth = ms.Depth
+	h.MaintQueueCap = ms.Capacity
+	h.MaintInFlight = ms.InFlight
+	h.MaintEnqueued = ms.Enqueued
+	h.MaintCompleted = ms.Completed
+	h.MaintFailed = ms.Failed
+	h.MaintDeduped = ms.Deduped
+	h.MaintDropped = ms.Dropped
+	h.MaintSaturated = ms.Depth >= ms.Capacity
+	for _, ks := range ms.Kinds {
+		k := MaintKindHealth{Kind: ks.Kind, Completed: ks.Completed}
+		if ks.Completed > 0 {
+			k.AvgWaitSeconds = ks.WaitSeconds / float64(ks.Completed)
+			k.AvgRunSeconds = ks.RunSeconds / float64(ks.Completed)
 		}
+		h.MaintKinds = append(h.MaintKinds, k)
 	}
 
 	is := d.IngestStats()

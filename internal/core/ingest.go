@@ -16,7 +16,12 @@ import (
 // This file is the ingest path: batched base-table appends that mark
 // dependent materialized views stale and bring them fresh again by
 // incremental delta propagation (internal/engine's DeltaApply) instead
-// of rematerialization.
+// of rematerialization. A refresh is a maintenance task like any other
+// (refreshTask): Append builds one per dependent view and the dataflow
+// of maintain.go applies them — the Append itself in inline mode, the
+// workers in background mode — through applyRefreshLocked either way.
+// A refresh that cannot finish re-enqueues itself, whichever mode it
+// runs in.
 //
 // The invariants the path maintains:
 //
@@ -88,12 +93,6 @@ type ingestState struct {
 	// restart rebuild the grown tables from the host's re-added
 	// originals.
 	appLog map[string]*relation.Table
-	// retry is the inline-mode retry backlog: views a refresh left
-	// still-stale (pinned files blocked a drop, a write fault poisoned
-	// an apply) or a racing append made register stale. Inline mode has
-	// no maintenance pool to re-enqueue them, so every finishing query
-	// and every later Append — to any table — retries this set.
-	retry map[string]bool
 
 	appends        uint64
 	appendRows     uint64
@@ -110,7 +109,6 @@ func newIngestState() *ingestState {
 		byTable: make(map[string]map[string]bool),
 		dropped: make(map[string]bool),
 		appLog:  make(map[string]*relation.Table),
-		retry:   make(map[string]bool),
 	}
 }
 
@@ -125,9 +123,11 @@ type IngestStats struct {
 	TrackedViews int `json:"tracked_views"`
 	StaleViews   int `json:"stale_views"`
 	// RetryBacklog is the number of views stuck still-stale in inline
-	// mode (no maintenance pool to retry them); they stay unreadable
-	// until the next finishing query or append retries the backlog, so
-	// a persistently nonzero value is an operator signal.
+	// mode: their refresh retries wait in the worker-less maintenance
+	// queue, one per view, and they stay unreadable until the next
+	// finishing query or append applies them, so a persistently nonzero
+	// value is an operator signal. Zero in background mode, where
+	// workers retry at once.
 	RetryBacklog int `json:"retry_backlog"`
 	// Refreshes counts applied refreshes (incremental, including
 	// empty-delta fast paths, counted separately in EmptyRefreshes);
@@ -148,6 +148,11 @@ type IngestStats struct {
 
 // IngestStats returns a consistent snapshot of the ingest counters.
 func (d *DeepSea) IngestStats() IngestStats {
+	backlog := 0
+	if !d.Cfg.background() {
+		// Inline mode queues nothing but refresh retries, one per view.
+		backlog = d.maint.Stats().Depth
+	}
 	s := d.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,7 +160,7 @@ func (d *DeepSea) IngestStats() IngestStats {
 		Appends:           s.appends,
 		AppendedRows:      s.appendRows,
 		TrackedViews:      len(s.views),
-		RetryBacklog:      len(s.retry),
+		RetryBacklog:      backlog,
 		Refreshes:         s.refreshes,
 		EmptyRefreshes:    s.emptyRefreshes,
 		Primes:            s.primes,
@@ -199,7 +204,7 @@ type AppendReport struct {
 	StaleViews []string
 	// Refreshed and Dropped list the views brought fresh incrementally /
 	// dropped during the synchronous (inline-mode) refresh: this
-	// append's dependents, plus any retry-backlog views earlier inline
+	// append's dependents, plus any pending retries earlier inline
 	// rounds left still-stale. Both empty when Deferred.
 	Refreshed []string
 	Dropped   []string
@@ -246,52 +251,24 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 		d.Pool.Invalidate(id)
 	}
 	rep := AppendReport{Table: table, NewCount: newCount, StaleViews: ids}
-	if d.maint != nil {
-		for _, id := range ids {
-			d.enqueueRefresh(id)
-		}
+	tasks := make([]*maintain.Task, len(ids))
+	for i, id := range ids {
+		tasks[i] = refreshTaskFor(id)
+	}
+	if _, ok := d.enqueueTasks(tasks, nil); ok {
 		rep.Deferred = len(ids) > 0
 		return rep, nil
 	}
-	d.refreshInline(ids, &rep)
+	// Inline mode: the pending retries, then this append's dependents,
+	// each view under its own stripe; one clock advance for the work.
+	var out maintOutcome
+	d.applyPending(&out)
+	d.applyEach(tasks, &out)
+	rep.Refreshed, rep.Dropped, rep.RefreshCost = out.refreshed, out.dropped, out.cost
+	if out.cost.Seconds > 0 {
+		d.Eng.Advance(out.cost.Seconds)
+	}
 	return rep, nil
-}
-
-// refreshInline is inline mode's refresh driver: it brings ids (one
-// append's dependents) and the retry backlog fresh, each view under its
-// own stripe, records the outcomes in rep and advances the clock by the
-// work. Caller holds no stripe.
-func (d *DeepSea) refreshInline(ids []string, rep *AppendReport) {
-	for _, id := range d.inlineRefreshSet(ids) {
-		held := d.views.lockViews([]string{id})
-		cost, outcome := d.applyRefreshLocked(id)
-		d.views.unlockViews(held)
-		rep.RefreshCost.Add(cost)
-		switch outcome {
-		case refreshApplied:
-			rep.Refreshed = append(rep.Refreshed, id)
-		case refreshDropped:
-			rep.Dropped = append(rep.Dropped, id)
-		}
-	}
-	if rep.RefreshCost.Seconds > 0 {
-		d.Eng.Advance(rep.RefreshCost.Seconds)
-	}
-}
-
-// drainInlineRetries retries the inline retry backlog as a query leaves
-// (stripes released, pins dropped). Appends are not the only thing that
-// can unblock a still-stale view: a view whose drop was blocked by this
-// query's pins, or one this query registered stale because an append
-// raced its materialization, can settle now — without this the view
-// would sit unreadable until some later append happened by.
-func (d *DeepSea) drainInlineRetries() {
-	d.ingest.mu.Lock()
-	n := len(d.ingest.retry)
-	d.ingest.mu.Unlock()
-	if n > 0 {
-		d.refreshInline(nil, &AppendReport{})
-	}
 }
 
 // markDependentsStale records the append in the ingest log and flips the
@@ -327,19 +304,26 @@ func (d *DeepSea) markDependentsStale(table string, delta *relation.Table) []str
 // refreshTask is the maintenance payload of one view's refresh.
 type refreshTask struct{ viewID string }
 
-// enqueueRefresh queues a background refresh of one stale view,
-// deduplicated by view × pool generation (Invalidate bumped the
-// generation, so successive appends enqueue distinct keys and the
-// apply-side fast path makes the extras no-ops).
-func (d *DeepSea) enqueueRefresh(id string) {
-	if d.maint == nil {
-		return
-	}
-	d.maint.Push(&maintain.Task{
-		Key:     fmt.Sprintf("refresh:%s@%d", id, d.Pool.Generation(id)),
+// refreshTaskFor builds the refresh task of one stale view. The key is
+// the view id alone: applyRefreshLocked reads live state, so one pending
+// task covers every append that lands before it is popped, and a popped
+// task no longer blocks a new push — N appends ahead of one drain cycle
+// queue one task per dependent view, not N.
+func refreshTaskFor(id string) *maintain.Task {
+	return &maintain.Task{
+		Key:     "refresh:" + id,
 		Kind:    maintain.KindRefresh,
 		Payload: &refreshTask{viewID: id},
-	})
+	}
+}
+
+// enqueueRefresh queues a refresh of one stale view outside any
+// caller's own task list: a retry of a refresh that came out still
+// stale, or the first refresh of a view registered stale. Workers pick
+// it up in background mode; in inline mode it waits for the next
+// finishing query or Append (applyPending).
+func (d *DeepSea) enqueueRefresh(id string) {
+	d.maint.Push(refreshTaskFor(id))
 }
 
 // refreshOutcome classifies one applyRefreshLocked call.
@@ -355,9 +339,7 @@ const (
 	refreshDropped
 	// refreshStillStale: the view is still stale (pinned files blocked a
 	// drop, a write fault interrupted the apply, or appends kept racing
-	// past the retry bound). In background mode a retry is enqueued; in
-	// inline mode the view joins the retry backlog, retried by the next
-	// finishing query or Append to any table.
+	// past the retry bound) and a retry is enqueued.
 	refreshStillStale
 )
 
@@ -382,9 +364,6 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 		d.ingest.mu.Lock()
 		m := d.ingest.views[id]
 		stale := m != nil && m.stale
-		if !stale {
-			delete(d.ingest.retry, id)
-		}
 		d.ingest.mu.Unlock()
 		if !stale {
 			return total, refreshNoop
@@ -526,48 +505,11 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 	}
 }
 
-// refreshRetry re-enqueues a still-stale view in background mode; in
-// inline mode it joins the retry backlog the next finishing query or
-// Append retries.
+// refreshRetry re-enqueues a still-stale view. The caller holds the
+// view's stripe (see applyPending for why that matters).
 func (d *DeepSea) refreshRetry(id string) refreshOutcome {
-	if d.maint != nil {
-		d.enqueueRefresh(id)
-	} else {
-		s := d.ingest
-		s.mu.Lock()
-		s.retry[id] = true
-		s.mu.Unlock()
-	}
+	d.enqueueRefresh(id)
 	return refreshStillStale
-}
-
-// inlineRefreshSet merges one append's dependent views with the inline
-// retry backlog. The backlog is read, not emptied: an entry leaves only
-// when its view is seen fresh, dropped or gone (applyRefreshLocked,
-// finalizeRefresh, dropStaleView), so a query that releases the pins
-// blocking a drop while another caller is mid-attempt still finds the
-// entry and retries. Returns the union sorted by id.
-func (d *DeepSea) inlineRefreshSet(ids []string) []string {
-	s := d.ingest
-	s.mu.Lock()
-	if len(s.retry) == 0 {
-		s.mu.Unlock()
-		return ids
-	}
-	set := make(map[string]bool, len(ids)+len(s.retry))
-	for _, id := range ids {
-		set[id] = true
-	}
-	for id := range s.retry {
-		set[id] = true
-	}
-	s.mu.Unlock()
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // finalizeRefresh publishes a refresh's new consistency point: marks
@@ -587,7 +529,6 @@ func (d *DeepSea) finalizeRefresh(id string, m *ingestMeta, counts map[string]in
 	fresh := countsEqual(cur, counts, m.tables)
 	if fresh {
 		m.stale = false
-		delete(s.retry, id)
 		s.refreshes++
 		if empty {
 			s.emptyRefreshes++
@@ -753,7 +694,6 @@ func (d *DeepSea) dropStaleView(id string) bool {
 		delete(s.views, id)
 	}
 	s.dropped[id] = true
-	delete(s.retry, id)
 	s.drops++
 	s.mu.Unlock()
 	return true
@@ -818,14 +758,9 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 		s.byTable[t][id] = true
 	}
 	if m.stale {
-		if d.maint != nil {
-			d.enqueueRefresh(id)
-		} else {
-			// Inline mode: the backlog entry has the registering query
-			// run this view's first refresh (which will drop it — no
-			// valid marks) as it leaves.
-			s.retry[id] = true
-		}
+		// The view's first refresh will drop it (no valid marks). In
+		// inline mode the registering query runs it as it leaves.
+		d.enqueueRefresh(id)
 	}
 }
 

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"deepsea/internal/maintain"
 	"deepsea/internal/query"
 	"deepsea/internal/relation"
 )
@@ -157,10 +159,21 @@ func TestCacheInvalidationOnAppend(t *testing.T) {
 // TestBackgroundRefresh: with maintenance workers, Append defers the
 // refresh to the KindRefresh band; queries issued before the drain are
 // still correct (the stale view is skipped), and after the drain no
-// view is stale.
+// view is stale. Appends that outrun the workers queue one refresh per
+// dependent view, not one per append.
 func TestBackgroundRefresh(t *testing.T) {
 	d := newTestSystem(t, func(c *Config) { c.MaintWorkers = 2 })
 	defer d.CloseMaintenance()
+	// park, once armed, holds the next drain cycle inside its maintenance
+	// section (and with it the commit lock every other cycle needs).
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	d.OnMaintain = func(_ []string, enter bool) {
+		if enter && park.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}
 	persistWorkload(t, d)
 	if err := d.DrainMaintenance(context.Background()); err != nil {
 		t.Fatal(err)
@@ -191,6 +204,39 @@ func TestBackgroundRefresh(t *testing.T) {
 	want = resultJSON(t, run(t, base, q30(1000, 2999)))
 	if got != want {
 		t.Errorf("post-drain result:\n got %s\nwant %s", got, want)
+	}
+
+	// With the workers stuck, K more appends to the table leave at most
+	// one pending refresh per dependent view — the task reads live state
+	// when it runs, so one covers them all — and the queue drops nothing.
+	if len(rep.StaleViews) == 0 {
+		t.Fatal("the append had no dependent views; nothing to park on")
+	}
+	park.Store(true)
+	batches := [][]relation.Row{b}
+	for k := 0; k < 12; k++ {
+		batches = append(batches, appendRows(int64(30+k), 50))
+		if _, err := d.Append("sales", batches[len(batches)-1]); err != nil {
+			t.Fatalf("Append %d: %v", k, err)
+		}
+		if k == 0 {
+			<-parked
+		}
+	}
+	if ms := d.MaintStats(); ms.Depth > len(rep.StaleViews) || ms.Dropped != 0 {
+		t.Errorf("12 appends over %d dependent views left %d tasks pending, %d dropped", len(rep.StaleViews), ms.Depth, ms.Dropped)
+	}
+	close(release)
+	if err := d.DrainMaintenance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if is := d.IngestStats(); is.StaleViews != 0 {
+		t.Errorf("stale views after the burst drained: %+v", is)
+	}
+	got = resultJSON(t, run(t, d, q30(0, 4999)))
+	want = resultJSON(t, run(t, freshWithAppends(t, batches...), q30(0, 4999)))
+	if got != want {
+		t.Errorf("post-burst result:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -476,7 +522,11 @@ func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
 		t.Fatalf("view lagging an append re-registered fresh (created=%v, stale=%v)", created, d.staleView(id))
 	}
 
-	d.refreshInline(ids, &AppendReport{})
+	var tasks []*maintain.Task
+	for _, id := range ids {
+		tasks = append(tasks, refreshTaskFor(id))
+	}
+	d.applyEach(tasks, &maintOutcome{})
 	if is := d.IngestStats(); is.StaleViews != 0 {
 		t.Fatalf("%d views stale after the refresh", is.StaleViews)
 	}

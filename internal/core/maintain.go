@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"deepsea/internal/engine"
 	"deepsea/internal/faults"
@@ -12,26 +13,41 @@ import (
 	"deepsea/internal/matching"
 	"deepsea/internal/partition"
 	"deepsea/internal/pool"
-	"deepsea/internal/query"
 	"deepsea/internal/relation"
 )
 
-// This file is the background maintenance dataflow (Config.MaintWorkers
-// > 0): queries enqueue Φ-ranked per-unit maintenance tasks after
-// execution and return immediately — they never pay for
-// materialization, splits, merges or eviction. A bounded worker pool
-// (internal/maintain) drains the queue in batches; one drain cycle
-// commits all its pool mutations under a single acquisition of the
-// union of the batch's view stripes, and journals its records as one
-// group append.
+// This file is the maintenance dataflow: Algorithm 1's steps 9+ as one
+// task vocabulary with one apply function per task kind, reached by two
+// thin drivers.
 //
-// Correctness rests on the same property the batch planner already
-// leans on: every maintenance mutation re-validates against the live
-// pool (pins, cover checks, idempotent writes), so a task applied
-// against a pool newer than the one it was planned on either does the
-// same work or skips as stale. Results are unaffected either way —
-// rewrites are exact, so query output is byte-identical whether
-// maintenance ran inline, later, or not at all.
+// A finishing query turns its decisions into a task list
+// (maintenanceTasks); an Append turns its stale dependents into refresh
+// tasks (refreshTaskFor). Who applies the list is the only thing
+// Config.MaintWorkers changes:
+//
+//   - Worker driver (MaintWorkers > 0): the tasks are pushed to the
+//     pool (internal/maintain) and the caller returns at once — it never
+//     pays for materialization, splits, merges, eviction or refresh. A
+//     worker drains the queue in Φ-ranked batches; one drain cycle
+//     (applyMaintBatch) commits all its mutations under a single
+//     acquisition of the union of the batch's view stripes, and journals
+//     its records as one group append.
+//   - Synchronous driver (MaintWorkers == 0): the caller applies the
+//     list itself, in the order it was built. A query does so under its
+//     own lock set (applyQueryTasks) and is charged execution plus
+//     maintenance in one clock advance; an Append takes one stripe per
+//     refreshed view (applyEach), so planners never wait behind a whole
+//     batch. The pool still exists, with no workers, and holds what a
+//     synchronous apply could not finish — refreshes left still-stale —
+//     until the next finishing query or Append takes them (applyPending).
+//
+// Correctness rests on one property: every maintenance mutation
+// re-validates against the live pool (pins, cover checks, stale guards,
+// idempotent writes), so a task applied against a pool newer than the
+// one it was planned on either does the same work or skips as stale.
+// Results are unaffected either way — rewrites are exact, so query
+// output is byte-identical whether maintenance ran at once, later, or
+// not at all.
 
 // maintBatchMax bounds how many tasks one drain cycle commits under a
 // single stripe acquisition.
@@ -49,6 +65,11 @@ type matViewTask struct {
 	// counts — the ingest consistency point the captured rows register
 	// under (see registerIngestView).
 	baseCounts map[string]int64
+	// usedByQuery marks a view whose fragments the proposing query's
+	// plan just read, applied by that query itself: rebuilding the view
+	// from them costs no further reads. Only the synchronous driver sets
+	// it — a worker re-reads the fragments and is charged for them.
+	usedByQuery bool
 }
 
 // matFragTask materializes one selected fragment candidate: a gap
@@ -73,9 +94,10 @@ type measuredSize struct {
 	bytes int64
 }
 
-// sweepTask applies the low-priority bookkeeping of one query's
-// maintenance round: precise size measurements for captured candidates
-// and the eviction of selection-rejected pool items.
+// sweepTask applies the bookkeeping of one query's maintenance round:
+// precise size measurements for captured candidates, or the eviction of
+// selection-rejected pool items. A query proposes them as two tasks —
+// the measurements open its list, the evictions close it.
 type sweepTask struct {
 	measure []measuredSize
 	evict   []pool.Candidate
@@ -100,8 +122,23 @@ type rematTask struct {
 	size        int64
 }
 
-// maintTaskViews lists the views a task's apply may touch — the drain
-// cycle locks the union of these exclusively.
+// maintOutcome accumulates what applying a run of tasks did. Workers
+// use only the cost (charged to the clock per drain cycle); the
+// synchronous driver copies the rest into its caller's QueryReport or
+// AppendReport.
+type maintOutcome struct {
+	cost engine.Cost
+	// matViews, matFrags and merged name what was created; evicted the
+	// pool items removed; matFailed the views whose attempt hit an
+	// injected fault (now under backoff).
+	matViews, matFrags, merged, evicted, matFailed []string
+	// refreshed and dropped name the stale views a refresh brought fresh
+	// or dropped.
+	refreshed, dropped []string
+}
+
+// maintTaskViews lists the views a task's apply may touch — its driver
+// holds their stripes exclusively.
 func maintTaskViews(t *maintain.Task) []string {
 	switch p := t.Payload.(type) {
 	case *matViewTask:
@@ -127,26 +164,34 @@ func maintTaskViews(t *maintain.Task) []string {
 	return nil
 }
 
-// enqueueMaintenance converts one planned query's maintenance decisions
-// into per-unit background tasks, deduplicated by view id and pool
-// generation: the same candidate proposed twice against an unchanged
-// pool queues once; after the pool moved, it may queue again (and the
-// apply-side re-validation makes the second application a no-op).
-// Returns how many tasks were accepted.
-func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, res *engine.Result) int {
-	captured := res.Captured
-	n := 0
-	push := func(t *maintain.Task) {
-		if d.maint.Push(t) {
-			n++
+// maintenanceTasks converts one planned query's maintenance decisions
+// into per-unit tasks, in the order the synchronous driver applies them:
+// measured sizes, selected views, selected fragments, the merge, the
+// evictions. (The worker pool re-orders by band and Φ.) Keys dedupe by
+// view id and pool generation: the same candidate proposed twice against
+// an unchanged pool queues once; after the pool moved, it may queue again
+// (and the apply-side re-validation makes the second application a
+// no-op).
+func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*maintain.Task {
+	var tasks []*maintain.Task
+	if d.Cfg.ExecuteRows {
+		var measure []measuredSize
+		for _, vc := range pq.vcands {
+			if bytes, ok := res.CapturedBytes[vc.node]; ok {
+				measure = append(measure, measuredSize{id: vc.id, bytes: bytes})
+			}
+		}
+		if len(measure) > 0 {
+			tasks = append(tasks, &maintain.Task{Kind: maintain.KindSweep, Payload: &sweepTask{measure: measure}})
 		}
 	}
+	captured := res.Captured
 	gen := d.Pool.GenFn()
 	for _, sv := range pq.selViews {
 		if !d.backoff.allowed(sv.vc.id) {
 			continue
 		}
-		push(&maintain.Task{
+		tasks = append(tasks, &maintain.Task{
 			Key:      fmt.Sprintf("mat:%s:%s@%d", sv.vc.id, sv.attr, gen(sv.vc.id)),
 			Kind:     maintain.KindMaterialize,
 			Priority: sv.value,
@@ -166,7 +211,7 @@ func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, res *engine.Result) int {
 			kind, prefix = maintain.KindMaterialize, "frag"
 			rows = captured[fc.gapNode]
 		}
-		push(&maintain.Task{
+		tasks = append(tasks, &maintain.Task{
 			Key:      fmt.Sprintf("%s:%s:%s:%s@%d", prefix, fc.viewID, fc.attr, fc.iv, gen(fc.viewID)),
 			Kind:     kind,
 			Priority: fc.value,
@@ -174,34 +219,41 @@ func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, res *engine.Result) int {
 		})
 	}
 	if d.Cfg.MergeFragments && pq.bestRW != nil && pq.bestRW.PartAttr != "" {
-		push(&maintain.Task{
+		tasks = append(tasks, &maintain.Task{
 			Key:     fmt.Sprintf("merge:%s:%s@%d", pq.bestRW.ViewID, pq.bestRW.PartAttr, gen(pq.bestRW.ViewID)),
 			Kind:    maintain.KindMerge,
 			Payload: &mergeTask{rw: pq.bestRW},
 		})
 	}
-	var sweep sweepTask
-	if d.Cfg.ExecuteRows {
-		for _, vc := range pq.vcands {
-			if bytes, ok := res.CapturedBytes[vc.node]; ok {
-				sweep.measure = append(sweep.measure, measuredSize{id: vc.id, bytes: bytes})
-			}
+	if len(pq.evict) > 0 {
+		tasks = append(tasks, &maintain.Task{Kind: maintain.KindSweep, Payload: &sweepTask{evict: pq.evict}})
+	}
+	return tasks
+}
+
+// enqueueTasks is the driver choice. In background mode it drops the
+// caller's pins — first, so a worker that pops a task at once does not
+// find its proposer's pins in the way — pushes the tasks to the worker
+// pool and reports how many were accepted (a duplicate key or a full
+// queue rejects). In inline mode it does nothing and reports ok=false:
+// the caller applies the tasks itself, and drops its pins once it holds
+// its stripes.
+func (d *DeepSea) enqueueTasks(tasks []*maintain.Task, pins []string) (accepted int, ok bool) {
+	if !d.Cfg.background() {
+		return 0, false
+	}
+	d.unpin(pins)
+	for _, t := range tasks {
+		if d.maint.Push(t) {
+			accepted++
 		}
 	}
-	sweep.evict = pq.evict
-	if len(sweep.measure) > 0 || len(sweep.evict) > 0 {
-		push(&maintain.Task{Kind: maintain.KindSweep, Payload: &sweep})
-	}
-	return n
+	return accepted, true
 }
 
 // enqueueRemat queues a speculative re-materialization of a quarantined
-// file. No-op without a background pool (inline mode keeps the
-// historical behaviour: the range is re-derived by a future query).
+// file. Only quarantine in background mode builds one (see there).
 func (d *DeepSea) enqueueRemat(p *rematTask) {
-	if d.maint == nil {
-		return
-	}
 	d.maint.Push(&maintain.Task{
 		Key:     fmt.Sprintf("remat:%s@%d", p.path, d.Pool.Generation(p.viewID)),
 		Kind:    maintain.KindRematerialize,
@@ -209,12 +261,12 @@ func (d *DeepSea) enqueueRemat(p *rematTask) {
 	})
 }
 
-// applyMaintBatch is the worker pool's executor: it commits one drain
-// cycle. All pool mutations of the batch happen under a single
-// acquisition of the union of the batch's view stripes, and every
-// journal record the cycle emits is group-appended in one store call.
-// maintCommitMu serializes cycles — the journal group buffer is global,
-// so concurrent committers would interleave their records.
+// applyMaintBatch is the worker driver: it commits one drain cycle. All
+// pool mutations of the batch happen under a single acquisition of the
+// union of the batch's view stripes, and every journal record the cycle
+// emits is group-appended in one store call. maintCommitMu serializes
+// cycles — the journal group buffer is global, so concurrent committers
+// would interleave their records.
 func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 	d.maintCommitMu.Lock()
 	defer d.maintCommitMu.Unlock()
@@ -237,17 +289,14 @@ func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 		d.OnMaintain(ids, true)
 	}
 	d.beginJournalGroup()
-	var matCost engine.Cost
+	var out maintOutcome
 	for _, t := range batch {
-		c, err := d.applyMaintTask(t)
-		matCost.Add(c)
-		t.Err = err
+		t.Err = d.applyMaintTask(t, &out)
 	}
 	d.Pool.GCViews(ids...)
-	if matCost.Seconds > 0 {
-		// Charge the cycle's materialization work to the clock while the
-		// stripes are held, exactly where the inline path advances it.
-		d.Eng.Advance(matCost.Seconds)
+	if out.cost.Seconds > 0 {
+		// Charge the cycle's work to the clock while the stripes are held.
+		d.Eng.Advance(out.cost.Seconds)
 	}
 	// Flush the group while the stripes are still held: Snapshot
 	// quiesces under planMu + every stripe shared and then truncates the
@@ -260,25 +309,81 @@ func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 	d.views.unlockViews(held)
 }
 
-// applyMaintTask applies one task under the drain cycle's stripes. A
-// stale task — its view or partition left the pool since enqueue — is
-// skipped silently; injected faults feed the owning view's backoff and
-// mark the task failed without affecting any query.
-func (d *DeepSea) applyMaintTask(t *maintain.Task) (engine.Cost, error) {
+// applyQueryTasks is the synchronous driver for a finishing query: it
+// applies the query's own task list in order, under the query's lock set
+// (the caller holds every stripe of pq.lockIDs, which covers every
+// task's views). Materialization is a best-effort side effect: an
+// injected fault was charged, recorded against the view's backoff and
+// listed in out.matFailed by the apply — the query itself never fails
+// because of it. Non-fault errors are logic bugs and propagate.
+func (d *DeepSea) applyQueryTasks(pq *plannedQuery, tasks []*maintain.Task, out *maintOutcome) error {
+	for _, t := range tasks {
+		if mv, ok := t.Payload.(*matViewTask); ok {
+			mv.usedByQuery = pq.bestRW != nil && pq.bestRW.ViewID == mv.sv.vc.id
+		}
+		if err := d.applyMaintTask(t, out); err != nil {
+			if _, injected := faults.AsFault(err); !injected {
+				return err
+			}
+		}
+	}
+	// GC only the views this query touched: emptying a view requires
+	// mutating it, and every mutation above stayed inside the lock set.
+	d.Pool.GCViews(pq.lockIDs...)
+	return nil
+}
+
+// applyEach is the synchronous driver for tasks no query's lock set
+// covers (an Append's refreshes, the pending retries): each task runs
+// under its own views' stripes, one acquisition per task, so a planner
+// never waits behind the whole list. Caller holds no stripe.
+func (d *DeepSea) applyEach(tasks []*maintain.Task, out *maintOutcome) {
+	for _, t := range tasks {
+		held := d.views.lockViews(maintTaskViews(t))
+		t.Err = d.applyMaintTask(t, out)
+		d.views.unlockViews(held)
+	}
+}
+
+// applyPending is inline mode's retry step: the caller takes what the
+// worker-less pool holds right now — refreshes an earlier synchronous
+// apply left still-stale — and applies it. Tasks re-enqueued during the
+// apply (a drop still blocked by another query's pins) wait for the next
+// caller, so nothing spins. Every finishing query and every Append calls
+// it with its own pins dropped and no stripe held: a refresh pushes its
+// retry while it holds the view's stripe, and a query drops its pins
+// while it holds the stripes of every view it read, so the query whose
+// pins blocked a drop finds the retry here. (A failed execution drops
+// its pins with no stripe held; a retry it misses waits for the next
+// caller.) In background mode the workers own the queue and this takes
+// nothing.
+func (d *DeepSea) applyPending(out *maintOutcome) {
+	batch := d.maint.Take()
+	if len(batch) == 0 {
+		return
+	}
+	start := time.Now()
+	d.applyEach(batch, out)
+	d.maint.Done(batch, time.Since(start))
+}
+
+// applyMaintTask applies one task; the driver holds the stripes of
+// maintTaskViews(t). It is the one apply site of every task kind. A
+// stale task — its view or partition left the pool since it was built —
+// is skipped silently; injected faults feed the owning view's backoff
+// and come back as the task's error without affecting any query. What
+// the task did, and what it cost, accumulates in out.
+func (d *DeepSea) applyMaintTask(t *maintain.Task, out *maintOutcome) error {
 	switch p := t.Payload.(type) {
 	case *matViewTask:
-		return d.applyMatView(p)
+		return d.applyMatView(p, out)
 	case *matFragTask:
-		return d.applyMatFrag(p)
+		return d.applyMatFrag(p, out)
 	case *mergeTask:
-		cost, _, err := d.maybeMergeFragments(p.rw)
-		if err != nil {
-			if f, ok := faults.AsFault(err); ok {
-				d.backoff.noteFailure(p.rw.ViewID, f.Permanent)
-			}
-			return cost, err
-		}
-		return cost, nil
+		cost, merged, err := d.maybeMergeFragments(p.rw)
+		out.cost.Add(cost)
+		out.merged = append(out.merged, merged...)
+		return d.noteMatFault(p.rw.ViewID, err, out)
 	case *sweepTask:
 		for _, m := range p.measure {
 			vs := d.Stats.View(m.id)
@@ -287,67 +392,87 @@ func (d *DeepSea) applyMaintTask(t *maintain.Task) (engine.Cost, error) {
 				d.journalVStat(vs)
 			}
 		}
+		// Items pinned by a concurrent execution are skipped; the
+		// selection rejects them again next query if they stay
+		// unattractive.
 		for _, item := range p.evict {
-			d.evict(item)
+			if d.evict(item) {
+				out.evicted = append(out.evicted, item.Key())
+			}
 		}
-		return engine.Cost{}, nil
+		return nil
 	case *rematTask:
-		return d.applyRemat(p)
+		cost, err := d.applyRemat(p)
+		out.cost.Add(cost)
+		return err
 	case *refreshTask:
-		// The drain cycle already holds the view's stripe (maintTaskViews
-		// listed it); a still-stale outcome re-enqueued a retry inside
+		// A still-stale outcome re-enqueued a retry inside
 		// applyRefreshLocked.
-		cost, _ := d.applyRefreshLocked(p.viewID)
-		return cost, nil
+		cost, outcome := d.applyRefreshLocked(p.viewID)
+		out.cost.Add(cost)
+		switch outcome {
+		case refreshApplied:
+			out.refreshed = append(out.refreshed, p.viewID)
+		case refreshDropped:
+			out.dropped = append(out.dropped, p.viewID)
+		}
+		return nil
 	}
-	return engine.Cost{}, fmt.Errorf("core: unknown maintenance payload %T", t.Payload)
+	return fmt.Errorf("core: unknown maintenance payload %T", t.Payload)
 }
 
-func (d *DeepSea) applyMatView(p *matViewTask) (engine.Cost, error) {
+// noteMatFault records an injected fault in a materialization attempt
+// against the view's backoff (bounded retries, then blacklist) and in
+// out.matFailed. It returns err unchanged.
+func (d *DeepSea) noteMatFault(viewID string, err error, out *maintOutcome) error {
+	if f, ok := faults.AsFault(err); ok {
+		d.backoff.noteFailure(viewID, f.Permanent)
+		out.matFailed = append(out.matFailed, viewID)
+	}
+	return err
+}
+
+func (d *DeepSea) applyMatView(p *matViewTask, out *maintOutcome) error {
 	id := p.sv.vc.id
 	if !d.backoff.allowed(id) {
-		return engine.Cost{}, nil
+		return nil
 	}
-	cost, created, err := d.materializeView(p.sv, p.captured, false, p.baseCounts)
+	cost, created, err := d.materializeView(p.sv, p.captured, p.usedByQuery, p.baseCounts)
+	out.cost.Add(cost)
 	if err != nil {
-		if f, ok := faults.AsFault(err); ok {
-			d.backoff.noteFailure(id, f.Permanent)
-		}
-		return cost, err
+		return d.noteMatFault(id, err, out)
 	}
 	if created {
 		d.backoff.noteSuccess(id)
+		out.matViews = append(out.matViews, id)
 	}
-	return cost, nil
+	return nil
 }
 
-func (d *DeepSea) applyMatFrag(p *matFragTask) (engine.Cost, error) {
+func (d *DeepSea) applyMatFrag(p *matFragTask, out *maintOutcome) error {
 	fc := p.fc
 	if !d.backoff.allowed(fc.viewID) {
-		return engine.Cost{}, nil
+		return nil
 	}
-	// Stale guard: unlike the inline path (which materializes views
-	// before fragments within one locked section), a background fragment
-	// task can outlive its view or partition.
+	// Stale guard: the candidate was selected against the pool as it
+	// stood at planning; its view or partition may have left since (an
+	// eviction or a drop between enqueue and drain).
 	pv := d.Pool.View(fc.viewID)
 	if pv == nil || pv.Parts[fc.attr] == nil {
-		return engine.Cost{}, nil
+		return nil
 	}
-	var captured map[query.Node]*relation.Table
-	if fc.fromGap && p.captured != nil {
-		captured = map[query.Node]*relation.Table{fc.gapNode: p.captured}
-	}
-	cost, created, err := d.materializeFrag(fc, captured, p.baseCounts)
+	cost, created, err := d.materializeFrag(fc, p.captured, p.baseCounts)
+	out.cost.Add(cost)
 	if err != nil {
-		if f, ok := faults.AsFault(err); ok {
-			d.backoff.noteFailure(fc.viewID, f.Permanent)
-		}
-		return cost, err
+		return d.noteMatFault(fc.viewID, err, out)
 	}
 	if len(created) > 0 {
 		d.backoff.noteSuccess(fc.viewID)
 	}
-	return cost, nil
+	for _, iv := range created {
+		out.matFrags = append(out.matFrags, fmt.Sprintf("%s.%s%s", shortID(fc.viewID), fc.attr, iv))
+	}
+	return nil
 }
 
 // applyRemat re-materializes a quarantined file from the rows captured
@@ -448,34 +573,21 @@ func (d *DeepSea) endJournalGroup() {
 
 // DrainMaintenance blocks until every queued background maintenance
 // task (including tasks re-enqueued while draining) has been applied.
-// No-op in inline mode. Returns ctx.Err() if the context expires first.
+// Returns at once in inline mode, where callers apply their own
+// maintenance. Returns ctx.Err() if the context expires first.
 func (d *DeepSea) DrainMaintenance(ctx context.Context) error {
-	if d.maint == nil {
-		return nil
-	}
 	return d.maint.Drain(ctx)
 }
 
 // CloseMaintenance stops the background workers after the queue
-// empties. Idempotent; no-op in inline mode. Call before Snapshot on
-// shutdown so the checkpoint includes every applied task.
-func (d *DeepSea) CloseMaintenance() {
-	if d.maint != nil {
-		d.maint.Close()
-	}
-}
+// empties. Idempotent. Call before Snapshot on shutdown so the
+// checkpoint includes every applied task.
+func (d *DeepSea) CloseMaintenance() { d.maint.Close() }
 
-// MaintStats returns the background pool's counter snapshot (zero
-// value in inline mode).
-func (d *DeepSea) MaintStats() maintain.Stats {
-	if d.maint == nil {
-		return maintain.Stats{}
-	}
-	return d.maint.Stats()
-}
+// MaintStats returns the maintenance pool's counter snapshot. In inline
+// mode only refresh retries pass through the pool.
+func (d *DeepSea) MaintStats() maintain.Stats { return d.maint.Stats() }
 
-// MaintSaturated reports whether the background queue is at capacity —
-// the degraded signal for health surfaces. Always false in inline mode.
-func (d *DeepSea) MaintSaturated() bool {
-	return d.maint != nil && d.maint.Saturated()
-}
+// MaintSaturated reports whether the maintenance queue is at capacity —
+// the degraded signal for health surfaces.
+func (d *DeepSea) MaintSaturated() bool { return d.maint.Saturated() }

@@ -10,7 +10,6 @@ import (
 	"deepsea/internal/faults"
 	"deepsea/internal/interval"
 	"deepsea/internal/partition"
-	"deepsea/internal/query"
 	"deepsea/internal/relation"
 )
 
@@ -420,9 +419,11 @@ func coalesceMin(ivs []interval.Interval, sizeOf func(interval.Interval) int64, 
 
 // materializeFrag materializes one selected fragment candidate: either
 // from a captured remainder (gap recovery) or by a refinement plan over
-// the existing fragments (split or overlapping creation). It returns the
-// charged cost and the intervals actually written.
-func (d *DeepSea) materializeFrag(fc fragCandidate, captured map[query.Node]*relation.Table, planCounts map[string]int64) (engine.Cost, []interval.Interval, error) {
+// the existing fragments (split or overlapping creation). gapRows is the
+// captured remainder output of a gap recovery (nil otherwise, and in
+// estimate-only mode). It returns the charged cost and the intervals
+// actually written.
+func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, planCounts map[string]int64) (engine.Cost, []interval.Interval, error) {
 	// One Materialize-site decision per fragment-materialization attempt,
 	// keyed by the view so a view's backoff covers its fragments too.
 	if err := d.faults.Check(faults.Materialize, fc.viewID); err != nil {
@@ -449,12 +450,9 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, captured map[query.Node]*rel
 		}
 		// The remainder execution already computed the gap's rows;
 		// only the write is charged.
-		var tbl *relation.Table
-		if d.Cfg.ExecuteRows {
-			tbl = captured[fc.gapNode]
-			if tbl == nil {
-				return engine.Cost{}, nil, fmt.Errorf("core: remainder output for gap %s not captured", fc.iv)
-			}
+		tbl := gapRows
+		if d.Cfg.ExecuteRows && tbl == nil {
+			return engine.Cost{}, nil, fmt.Errorf("core: remainder output for gap %s not captured", fc.iv)
 		}
 		path := d.fragPath(fc.viewID, fc.attr, fc.iv)
 		var bytes int64

@@ -47,7 +47,7 @@ func ClippedCover(want Interval, candidates Set) (indices []int, reads []Interva
 	next := want.Lo
 	for _, idx := range indices {
 		iv := candidates[idx]
-		hi := min64(iv.Hi, want.Hi)
+		hi := min(iv.Hi, want.Hi)
 		reads = append(reads, Interval{Lo: next, Hi: hi})
 		next = hi + 1
 	}

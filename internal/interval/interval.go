@@ -57,8 +57,8 @@ func (i Interval) Overlaps(o Interval) bool {
 
 // Intersect returns the common subinterval and whether it is non-empty.
 func (i Interval) Intersect(o Interval) (Interval, bool) {
-	lo := max64(i.Lo, o.Lo)
-	hi := min64(i.Hi, o.Hi)
+	lo := max(i.Lo, o.Lo)
+	hi := min(i.Hi, o.Hi)
 	if lo > hi {
 		return Interval{}, false
 	}
@@ -185,7 +185,7 @@ func (s Set) Gaps(want Interval) []Interval {
 			continue
 		}
 		if iv.Lo > next {
-			hi := min64(iv.Lo-1, want.Hi)
+			hi := min(iv.Lo-1, want.Hi)
 			if next <= hi {
 				gaps = append(gaps, Interval{Lo: next, Hi: hi})
 			}
@@ -223,18 +223,4 @@ func EquiDepth(dom Interval, n int) Set {
 		lo += size
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

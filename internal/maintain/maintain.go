@@ -2,6 +2,9 @@
 // prioritized task queue drained by a bounded worker pool, so the query
 // path only enqueues maintenance candidates (materialize, split, merge,
 // speculative re-materialization) and returns without paying for them.
+// A pool built with zero workers is the same queue drained by its
+// callers instead (Take, then Done) — how inline maintenance keeps its
+// refresh retries.
 //
 // The shape follows claircore's matching architecture: concurrent
 // workers consume a shared stream and each commits one batched store
@@ -123,7 +126,8 @@ type Stats struct {
 	Capacity int `json:"capacity"`
 	// Depth is the number of tasks waiting in the queue.
 	Depth int `json:"depth"`
-	// InFlight is the number of popped tasks an executor is applying.
+	// InFlight is the number of popped tasks an executor (or a Take
+	// caller) is applying.
 	InFlight  int         `json:"in_flight"`
 	Enqueued  uint64      `json:"enqueued"`
 	Completed uint64      `json:"completed"`
@@ -145,13 +149,13 @@ type Pool struct {
 	batchMax int
 	workers  int
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled on push and on drain-relevant transitions
-	heap    taskHeap
-	pending map[string]bool // keys of queued tasks, for dedup
-	seq     uint64
-	busy    int // workers currently applying a batch
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond // signalled on push and on drain-relevant transitions
+	heap     taskHeap
+	pending  map[string]bool // keys of queued tasks, for dedup
+	seq      uint64
+	inflight int // tasks popped and not yet settled by Done
+	closed   bool
 
 	enqueued, completed, failed, deduped, dropped uint64
 	kinds                                         [numKinds]KindStats
@@ -160,11 +164,12 @@ type Pool struct {
 }
 
 // NewPool starts a maintenance pool with the given worker count, queue
-// capacity and per-drain-cycle batch bound (<=0 selects defaults: one
-// worker, 1024 tasks, 64 per batch). Workers run until Close.
+// capacity and per-drain-cycle batch bound (<=0 selects the defaults:
+// 1024 tasks, 64 per batch). Workers run until Close; with workers <= 0
+// none start, and the queue is drained by callers through Take and Done.
 func NewPool(workers, capacity, batchMax int, exec Executor) *Pool {
-	if workers <= 0 {
-		workers = 1
+	if workers < 0 {
+		workers = 0
 	}
 	if capacity <= 0 {
 		capacity = 1024
@@ -227,42 +232,63 @@ func (p *Pool) worker() {
 		for p.heap.Len() == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if p.closed && p.heap.Len() == 0 {
+		if p.heap.Len() == 0 {
 			p.mu.Unlock()
 			return
 		}
-		batch := p.popBatchLocked()
-		p.busy++
+		batch := p.popLocked(p.batchMax)
 		p.mu.Unlock()
 
 		start := time.Now()
 		p.exec(batch)
-		wall := time.Since(start).Seconds()
-		share := wall / float64(len(batch))
-
-		p.mu.Lock()
-		for _, t := range batch {
-			ks := &p.kinds[t.Kind]
-			ks.Completed++
-			ks.WaitSeconds += t.popped.Sub(t.enqueued).Seconds()
-			ks.RunSeconds += share
-			if t.Err != nil {
-				p.failed++
-			} else {
-				p.completed++
-			}
-		}
-		p.busy--
-		p.cond.Broadcast() // wake Drain waiters and idle workers
-		p.mu.Unlock()
+		p.Done(batch, time.Since(start))
 	}
 }
 
-// popBatchLocked removes up to batchMax tasks in priority order.
-func (p *Pool) popBatchLocked() []*Task {
-	n := p.heap.Len()
-	if n > p.batchMax {
-		n = p.batchMax
+// Take pops every task pending now, in priority order, for the caller to
+// apply on its own goroutine; the caller settles the batch with Done.
+// Tasks pushed after Take returns — including ones the caller's apply
+// re-enqueues — wait for the next Take. A pool with workers hands out
+// nothing: its workers own the queue.
+func (p *Pool) Take() []*Task {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.workers > 0 {
+		return nil
+	}
+	return p.popLocked(p.heap.Len())
+}
+
+// Done settles a popped batch: each task counts as completed, or failed
+// when its Err is set, with an equal share of the batch's wall time.
+func (p *Pool) Done(batch []*Task, wall time.Duration) {
+	if len(batch) == 0 {
+		return
+	}
+	share := wall.Seconds() / float64(len(batch))
+	p.mu.Lock()
+	for _, t := range batch {
+		ks := &p.kinds[t.Kind]
+		ks.Completed++
+		ks.WaitSeconds += t.popped.Sub(t.enqueued).Seconds()
+		ks.RunSeconds += share
+		if t.Err != nil {
+			p.failed++
+		} else {
+			p.completed++
+		}
+	}
+	p.inflight -= len(batch)
+	p.cond.Broadcast() // wake Drain waiters and idle workers
+	p.mu.Unlock()
+}
+
+// popLocked removes up to n tasks in priority order and marks them in
+// flight.
+func (p *Pool) popLocked(n int) []*Task {
+	n = min(n, p.heap.Len())
+	if n == 0 {
+		return nil
 	}
 	batch := make([]*Task, 0, n)
 	now := time.Now()
@@ -274,14 +300,20 @@ func (p *Pool) popBatchLocked() []*Task {
 		t.popped = now
 		batch = append(batch, t)
 	}
+	p.inflight += n
 	return batch
 }
 
 // Drain blocks until the queue is empty and every worker is idle — all
 // maintenance enqueued before the call is applied (tasks the executors
 // re-enqueue while draining, e.g. re-materialization retries, are
-// drained too). Returns ctx.Err() if the context expires first.
+// drained too). Returns ctx.Err() if the context expires first. A pool
+// without workers has nothing to wait for: what it holds waits for a
+// Take.
 func (p *Pool) Drain(ctx context.Context) error {
+	if p.workers == 0 {
+		return nil
+	}
 	done := make(chan struct{})
 	var stop sync.Once
 	if d := ctx.Done(); d != nil {
@@ -296,7 +328,7 @@ func (p *Pool) Drain(ctx context.Context) error {
 	defer stop.Do(func() { close(done) })
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.heap.Len() > 0 || p.busy > 0 {
+	for p.heap.Len() > 0 || p.inflight > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -328,7 +360,7 @@ func (p *Pool) Stats() Stats {
 		Workers:   p.workers,
 		Capacity:  p.capacity,
 		Depth:     p.heap.Len(),
-		InFlight:  p.busy,
+		InFlight:  p.inflight,
 		Enqueued:  p.enqueued,
 		Completed: p.completed,
 		Failed:    p.failed,
@@ -365,8 +397,8 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*Task)) }
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -13,19 +13,21 @@ import (
 func TestOrdering(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
+	// Stall the single worker so all pushes land before any pop.
+	gate := make(chan struct{})
 	p := NewPool(1, 0, 1, func(batch []*Task) {
 		mu.Lock()
 		for _, task := range batch {
 			got = append(got, task.Payload.(string))
 		}
 		mu.Unlock()
+		if batch[0].Payload == "gate" {
+			<-gate
+		}
 	})
-	// Stall the single worker so all pushes land before any pop.
-	gate := make(chan struct{})
 	p.Push(&Task{Kind: KindSweep, Payload: "gate"})
 	// Wait until the gate task is in flight, then load the queue.
-	waitFor(t, func() bool { return p.Stats().InFlight == 1 || p.Stats().Completed == 1 })
-	_ = gate
+	waitFor(t, func() bool { return p.Stats().InFlight == 1 })
 
 	p.Push(&Task{Kind: KindMerge, Priority: 5, Payload: "merge"})
 	p.Push(&Task{Kind: KindMaterialize, Priority: 1, Payload: "mat-lo"})
@@ -33,6 +35,7 @@ func TestOrdering(t *testing.T) {
 	p.Push(&Task{Kind: KindSplit, Priority: 3, Payload: "split-a"})
 	p.Push(&Task{Kind: KindSplit, Priority: 3, Payload: "split-b"})
 	p.Push(&Task{Kind: KindRematerialize, Payload: "remat"})
+	close(gate)
 
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -143,7 +146,7 @@ func TestFailedAccounting(t *testing.T) {
 func TestDrainContext(t *testing.T) {
 	block := make(chan struct{})
 	p := NewPool(1, 0, 64, func(batch []*Task) { <-block })
-	defer p.Close()        // LIFO: runs after the worker is unblocked
+	defer p.Close() // LIFO: runs after the worker is unblocked
 	defer close(block)
 	p.Push(&Task{Kind: KindSweep})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -172,6 +175,80 @@ func TestReenqueueDuringDrain(t *testing.T) {
 	}
 	if s := p.Stats(); s.Completed != 2 {
 		t.Fatalf("completed = %d, want 2 (retry drained)", s.Completed)
+	}
+}
+
+// TestTakeWithoutWorkers: a pool with no workers is drained by its
+// callers. Take hands out what is pending at the call, in pop order; the
+// accounting identity holds before, across and after it; a key popped
+// by Take no longer blocks a new push, and that push waits for the next
+// Take; Drain and Close return with tasks still queued.
+func TestTakeWithoutWorkers(t *testing.T) {
+	p := NewPool(0, 0, 0, nil)
+	identity := func(when string) Stats {
+		t.Helper()
+		s := p.Stats()
+		if s.Enqueued != s.Completed+s.Failed+s.Deduped+s.Dropped+uint64(s.Depth+s.InFlight) {
+			t.Fatalf("%s: accounting identity broken: %+v", when, s)
+		}
+		return s
+	}
+	p.Push(&Task{Key: "refresh:a", Kind: KindRefresh, Payload: "a"})
+	p.Push(&Task{Key: "refresh:a", Kind: KindRefresh, Payload: "a-dup"})
+	p.Push(&Task{Kind: KindSweep, Payload: "sweep"})
+	p.Push(&Task{Key: "refresh:b", Kind: KindRefresh, Payload: "b"})
+	if s := identity("queued"); s.Depth != 3 || s.Deduped != 1 || s.Workers != 0 {
+		t.Fatalf("queued: %+v", s)
+	}
+
+	batch := p.Take()
+	var got []string
+	for _, task := range batch {
+		got = append(got, task.Payload.(string))
+	}
+	if want := []string{"a", "b", "sweep"}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("Take = %v, want %v", got, want)
+	}
+	if s := identity("taken"); s.Depth != 0 || s.InFlight != 3 {
+		t.Fatalf("taken: %+v", s)
+	}
+	// What the apply re-enqueues is not part of this batch.
+	if !p.Push(&Task{Key: "refresh:a", Kind: KindRefresh, Payload: "a-retry"}) {
+		t.Fatal("key of a popped task still blocks a push")
+	}
+	batch[1].Err = errors.New("boom")
+	p.Done(batch, time.Millisecond)
+	if s := identity("settled"); s.Completed != 2 || s.Failed != 1 || s.Depth != 1 || s.InFlight != 0 {
+		t.Fatalf("settled: %+v", s)
+	}
+
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if next := p.Take(); len(next) != 1 || next[0].Payload != "a-retry" {
+		t.Fatalf("second Take = %v, want the retry", next)
+	} else {
+		p.Done(next, 0)
+	}
+	if len(p.Take()) != 0 {
+		t.Fatal("Take on an empty queue returned tasks")
+	}
+	p.Push(&Task{Kind: KindSweep, Payload: "left behind"})
+	p.Close()
+	if p.Push(&Task{Kind: KindSweep}) {
+		t.Fatal("push after Close accepted")
+	}
+	identity("closed")
+
+	// With workers the queue is theirs.
+	block := make(chan struct{})
+	w := NewPool(1, 0, 1, func([]*Task) { <-block })
+	defer w.Close()
+	defer close(block)
+	w.Push(&Task{Kind: KindSweep})
+	w.Push(&Task{Kind: KindSweep})
+	if len(w.Take()) != 0 {
+		t.Fatal("Take stole from a pool that has workers")
 	}
 }
 

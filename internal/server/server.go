@@ -263,7 +263,10 @@ type errResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given
+// status (HTML escaping off: error strings and view ids go out as
+// written). The coordinator tier answers with it too.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -333,7 +336,7 @@ func (s *Server) retryAfter() int {
 func (s *Server) writeShed(w http.ResponseWriter) {
 	s.shed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeJSON(w, http.StatusTooManyRequests, errResponse{Error: ErrShed.Error()})
+	WriteJSON(w, http.StatusTooManyRequests, errResponse{Error: ErrShed.Error()})
 }
 
 // guarded is the guard chain POST /query and POST /append share. In
@@ -344,11 +347,11 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 	prepare func() (timeout time.Duration, ok bool), run func(ctx context.Context)) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
 		return
 	}
 	s.reqWG.Add(1)
@@ -356,7 +359,7 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 	// Re-check under the WaitGroup: a drain that started before the Add
 	// observes either the flag refusing us or the Add it must wait for.
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
 		return
 	}
 
@@ -368,7 +371,7 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 	s.activeQueries.Add(1)
 	defer s.activeQueries.Add(-1)
 	if s.fencing.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: "range handoff in progress"})
+		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: "range handoff in progress"})
 		return
 	}
 
@@ -394,10 +397,10 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 			s.writeShed(w)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timedOut.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded in queue"})
+			WriteJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded in queue"})
 		default: // client went away
 			s.failed.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
 		}
 		return
 	}
@@ -417,11 +420,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var spec QuerySpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			s.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
+			WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
 			return 0, false
 		}
 		if resp, ok := s.checkOwnership(&spec); !ok {
-			writeJSON(w, http.StatusConflict, resp)
+			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
 		var err error
@@ -433,7 +436,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			s.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
 			return 0, false
 		}
 		if spec.TimeoutMS > 0 {
@@ -449,18 +452,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case errors.Is(err, context.DeadlineExceeded):
 				s.timedOut.Add(1)
-				writeJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded"})
+				WriteJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded"})
 			case errors.Is(err, context.Canceled):
 				s.failed.Add(1)
-				writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+				WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
 			default:
 				s.failed.Add(1)
-				writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+				WriteJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
 			}
 			return
 		}
 		s.served.Add(1)
-		writeJSON(w, http.StatusOK, QueryResponse{
+		WriteJSON(w, http.StatusOK, QueryResponse{
 			Columns:          rep.Columns(),
 			Rows:             rep.Rows(),
 			CacheHit:         rep.CacheHit,
@@ -532,16 +535,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		var err error
 		if sp, err = ingest.DecodeSpec(r.Body); err != nil {
 			s.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
 			return 0, false
 		}
 		if resp, ok := s.checkAppendOwnership(sp); !ok {
-			writeJSON(w, http.StatusConflict, resp)
+			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
 		if err := s.sys.ValidateRows(sp.Table, sp.Rows); err != nil {
 			s.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
 			return 0, false
 		}
 		return defaultTimeout, true
@@ -551,14 +554,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			// Rows were pre-validated, so a flush failure is a server-side
 			// journal or refresh error, not this request's fault.
 			s.failed.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
 			return
 		}
 		s.appends.Add(1)
 		if deduped {
 			s.appendDedups.Add(1)
 		}
-		writeJSON(w, http.StatusOK, AppendResponse{
+		WriteJSON(w, http.StatusOK, AppendResponse{
 			Table:      rep.Table,
 			NewCount:   rep.NewCount,
 			StaleViews: rep.StaleViews,
@@ -692,7 +695,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // statzResponse is GET /statz: the full operational snapshot.
@@ -736,7 +739,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		CompletionRate:     s.completions.rate(time.Now()),
 		RetryAfterHint:     s.retryAfter(),
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // poolzResponse is GET /poolz: the materialized pool's contents.
@@ -751,7 +754,7 @@ type poolzResponse struct {
 
 func (s *Server) handlePoolz(w http.ResponseWriter, r *http.Request) {
 	h := s.sys.Health()
-	writeJSON(w, http.StatusOK, poolzResponse{
+	WriteJSON(w, http.StatusOK, poolzResponse{
 		Bytes:     h.PoolBytes,
 		Limit:     h.PoolLimit,
 		Views:     h.PoolViews,
@@ -852,23 +855,23 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		or, owned := s.sys.OwnedRange()
 		if !owned {
-			writeJSON(w, http.StatusOK, rangeResponse{Lo: 0, Hi: -1})
+			WriteJSON(w, http.StatusOK, rangeResponse{Lo: 0, Hi: -1})
 			return
 		}
-		writeJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Epoch: or.Epoch, Role: s.Role()})
+		WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Epoch: or.Epoch, Role: s.Role()})
 		return
 	case http.MethodPost:
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "GET or POST only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "GET or POST only"})
 		return
 	}
 	var req rangeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
 	if req.Lo > req.Hi {
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: "empty range"})
+		WriteJSON(w, http.StatusBadRequest, errResponse{Error: "empty range"})
 		return
 	}
 	s.handoffMu.Lock()
@@ -877,7 +880,7 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 	// already moved past (e.g. a delayed retry), and applying it would
 	// fork ownership.
 	if or, owned := s.sys.OwnedRange(); owned && req.Epoch <= or.Epoch {
-		writeJSON(w, http.StatusConflict, rangeErrResponse{
+		WriteJSON(w, http.StatusConflict, rangeErrResponse{
 			Error: fmt.Sprintf("stale handoff epoch %d: shard already at epoch %d",
 				req.Epoch, or.Epoch),
 			OwnedLo: or.Lo, OwnedHi: or.Hi, RangeEpoch: or.Epoch,
@@ -899,7 +902,7 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 	drained := inFlight
 	for inFlight > 0 {
 		if time.Now().After(deadline) {
-			writeJSON(w, http.StatusServiceUnavailable, errResponse{
+			WriteJSON(w, http.StatusServiceUnavailable, errResponse{
 				Error: fmt.Sprintf("drain timed out with %d queries in flight", inFlight)})
 			return
 		}
@@ -916,5 +919,5 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 		s.role.Store(req.Role)
 	}
 	resp.Role = s.Role()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -453,23 +453,15 @@ type errResponse struct {
 	Token string `json:"token,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
 		return
 	}
 	c.queries.Add(1)
 	var spec server.QuerySpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
 	lo, hi, ok := spec.ItemRange()
@@ -477,12 +469,12 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Without a partition-key predicate the coordinator cannot slice
 		// the query: every shard holds the full base tables, so fanning
 		// out unclamped would multiply-count every row.
-		writeJSON(w, http.StatusBadRequest, errResponse{
+		server.WriteJSON(w, http.StatusBadRequest, errResponse{
 			Error: "coordinator queries need an item_sk range predicate (or the template form's lo/hi)"})
 		return
 	}
 	if lo > hi || hi < c.cfg.DomainLo || lo > c.cfg.DomainHi {
-		writeJSON(w, http.StatusBadRequest, errResponse{
+		server.WriteJSON(w, http.StatusBadRequest, errResponse{
 			Error: fmt.Sprintf("range [%d,%d] outside domain [%d,%d]",
 				lo, hi, c.cfg.DomainLo, c.cfg.DomainHi)})
 		return
@@ -512,7 +504,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if status != http.StatusOK {
 			c.failures.Add(1)
 		}
-		writeJSON(w, status, body)
+		server.WriteJSON(w, status, body)
 		return
 	}
 }
@@ -1232,7 +1224,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // statzResponse is the coordinator's GET /statz: scatter, failover,
@@ -1326,22 +1318,22 @@ func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, st)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRebalance is POST /admin/rebalance: recompute equi-heat
 // boundaries and move them if they changed.
 func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
 		return
 	}
 	moved, err := c.Rebalance(r.Context())
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+		server.WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Moved  bool        `json:"moved"`
 		Shards []ShardInfo `json:"shards"`
 	}{Moved: moved, Shards: c.Shards()})

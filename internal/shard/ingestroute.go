@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"deepsea/internal/ingest"
+	"deepsea/internal/server"
 )
 
 // AppendResponse is the coordinator's POST /append body: how the batch
@@ -51,12 +52,12 @@ type AppendResponse struct {
 // can retry safely once routing stabilizes.
 func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
 		return
 	}
 	sp, err := ingest.DecodeSpec(r.Body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
 		return
 	}
 	token := sp.Token
@@ -80,7 +81,7 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		} else {
 			c.failures.Add(1)
 		}
-		writeJSON(w, status, body)
+		server.WriteJSON(w, status, body)
 		return
 	}
 }

@@ -49,26 +49,12 @@ func evenSplit(lo, hi int64, n int) [][2]int64 {
 func route(shards []ShardInfo, lo, hi int64) []slice {
 	var out []slice
 	for i, sh := range shards {
-		a, b := max64(lo, sh.Lo), min64(hi, sh.Hi)
+		a, b := max(lo, sh.Lo), min(hi, sh.Hi)
 		if a <= b {
 			out = append(out, slice{shard: i, lo: a, hi: b})
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // heatBuckets is the resolution of the coordinator's workload

@@ -20,13 +20,13 @@
 #    8. staticcheck at a pinned version, when installed (the workflow
 #       installs it; local runs skip it with a note — and a workflow
 #       warning annotation — rather than demanding the tool)
-#    9. experiment smoke — every registered (paper) experiment of
-#       deepsea-bench runs once at short scale; then the engine's layer
-#       microbenchmarks once each — they must run, their numbers are
-#       advisory (the exact allocation gate is
-#       TestFusedProbeAllocations, part of stage 1). Wall-clock
-#       performance is measured by benchmark/ (see benchmark/README.md),
-#       not here
+#    9. engine microbench smoke — the engine's layer microbenchmarks
+#       once each: they must run, their numbers are advisory (the exact
+#       allocation gate is TestFusedProbeAllocations, part of stage 1).
+#       Every registered (paper) experiment already ran at short scale
+#       in stage 1, with its output checked byte for byte
+#       (internal/bench TestExperimentsGolden). Wall-clock performance
+#       is measured by benchmark/ (see benchmark/README.md), not here
 #   10. sharded-cluster smoke — the full scatter-gather suite plus the
 #       multi-process chaos tests under the race detector: a coordinator
 #       over three real shard subprocesses answers byte-identically to
@@ -37,7 +37,8 @@
 #       byte-identical results; and the failover/hedging/breaker suite
 #       (with its goroutine-leak checks) re-runs fresh
 #   11. ingest smoke — the batched append path under the race detector:
-#       the core delta-propagation suite, the all-template
+#       the core delta-propagation suite with the inline retry queue and
+#       the lagging-view guard, the all-template
 #       delta-vs-remat property tests with the sublinear-refresh check,
 #       the serving tier's /append suite (an append burst racing a query
 #       burst, bad-request and ownership rejections, a kill -9
@@ -106,9 +107,6 @@ else
     skipped "staticcheck" "not installed; CI pins $STATICCHECK_VERSION"
 fi
 
-echo "==> experiment smoke"
-$GO run ./cmd/deepsea-bench -experiment all -params short
-
 echo "==> engine microbench smoke"
 $GO test -run '^$' -bench . -benchtime 1x ./internal/engine
 
@@ -118,7 +116,7 @@ $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' 
 $GO test -race -count=1 -run 'TestFailover|TestHedged|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409' ./internal/shard
 
 echo "==> ingest smoke (race)"
-$GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend' ./internal/core
+$GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
 $GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
 $GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
