@@ -215,10 +215,16 @@ type Datastore = datastore.Store
 // plus periodic snapshots. Pass the result to WithDatastore; the caller
 // owns it and should Close it after the System is drained. A journal
 // left behind by a previous process — even one that was killed
-// mid-write — is recovered on the next New that mounts it.
+// mid-write — is recovered on the next New that mounts it. A journal
+// written in another build's record format is refused with
+// ErrJournalFormat and left untouched; it is not migrated.
 func OpenJournal(dir string) (Datastore, error) {
 	return datastore.Open(dir)
 }
+
+// ErrJournalFormat is the error OpenJournal wraps when a journal line
+// passes its checksum but does not decode (see datastore.ErrJournalFormat).
+var ErrJournalFormat = datastore.ErrJournalFormat
 
 // WithDatastore mounts a persistence store: every pool, statistics and
 // materialized-file mutation is journaled through it, and New first
@@ -622,11 +628,11 @@ func (r Report) Rows() [][]any {
 		for i, v := range row {
 			switch r.Result.Schema.Cols[i].Type {
 			case relation.Int:
-				vals[i] = v.I
+				vals[i] = v.Int()
 			case relation.Float:
-				vals[i] = v.F
+				vals[i] = v.Float()
 			default:
-				vals[i] = v.S
+				vals[i] = v.Str()
 			}
 		}
 		out = append(out, vals)

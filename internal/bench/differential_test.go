@@ -100,11 +100,11 @@ func sameRows(a, b *relation.Table) error {
 		for i, v := range r {
 			switch t.Schema.Cols[i].Type {
 			case relation.Float:
-				s += fmt.Sprintf("|%.6e", v.F) // tolerance via rounding
+				s += fmt.Sprintf("|%.6e", v.Float()) // tolerance via rounding
 			case relation.Int:
-				s += fmt.Sprintf("|%d", v.I)
+				s += fmt.Sprintf("|%d", v.Int())
 			default:
-				s += "|" + v.S
+				s += "|" + v.Str()
 			}
 		}
 		return s

@@ -580,7 +580,7 @@ func (d *DeepSea) applyViewAppend(id string, delta *relation.Table) (engine.Cost
 		for _, fr := range part.Fragments() {
 			var sub []relation.Row
 			for _, row := range delta.Rows {
-				if fr.Iv.Contains(row[ai].I) {
+				if fr.Iv.Contains(row[ai].Int()) {
 					sub = append(sub, row)
 				}
 			}
@@ -634,7 +634,7 @@ func (d *DeepSea) applyViewReplace(id string, content *relation.Table) (engine.C
 		for _, fr := range part.Fragments() {
 			sub := relation.NewTable(content.Schema)
 			for _, row := range content.Rows {
-				if fr.Iv.Contains(row[ai].I) {
+				if fr.Iv.Contains(row[ai].Int()) {
 					sub.Append(row)
 				}
 			}

@@ -176,7 +176,7 @@ func (d *DeepSea) reconstructView(id string, free bool) (*relation.Table, engine
 				break
 			}
 			for _, row := range tbl.Rows {
-				if reads[i].Contains(row[ai].I) {
+				if reads[i].Contains(row[ai].Int()) {
 					out.Append(row)
 				}
 			}
@@ -332,7 +332,7 @@ func sortedKeys(tbl *relation.Table, attr string) []int64 {
 	ai := tbl.Schema.ColIndex(attr)
 	vals := make([]int64, len(tbl.Rows))
 	for i, row := range tbl.Rows {
-		vals[i] = row[ai].I
+		vals[i] = row[ai].Int()
 	}
 	slices.Sort(vals)
 	return vals
@@ -354,7 +354,7 @@ func fragmentRows(captured *relation.Table, attr string, ivs []interval.Interval
 	}
 	ai := captured.Schema.ColIndex(attr)
 	for _, row := range captured.Rows {
-		v := row[ai].I
+		v := row[ai].Int()
 		// The only interval that can hold v is the last one starting at
 		// or below it.
 		k := sort.Search(len(byLo), func(j int) bool { return ivs[byLo[j]].Lo > v }) - 1
@@ -594,7 +594,7 @@ func extractRows(parents []*relation.Table, read []partition.Fragment, attr stri
 		}
 		ai := tbl.Schema.ColIndex(attr)
 		for _, row := range tbl.Rows {
-			if clips[k].Contains(row[ai].I) {
+			if clips[k].Contains(row[ai].Int()) {
 				out.Append(row)
 			}
 		}

@@ -2,13 +2,22 @@ package core
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"deepsea/internal/datastore"
+	"deepsea/internal/engine"
+	"deepsea/internal/query"
+	"deepsea/internal/relation"
 )
 
 // persistWorkload drives enough repeated range queries that views
-// materialize, fragments form and refine, and the clock advances.
+// materialize, fragments form and refine, and the clock advances; then
+// it stores one more view file by hand, through the calls a view's
+// content takes (put_file, append_file), whose rows hold every cell
+// kind the codec has to carry — Int, Float and String columns and an
+// exact partial sum — at the values a lossy codec would bend.
 func persistWorkload(t *testing.T, d *DeepSea) {
 	t.Helper()
 	for _, q := range []struct{ lo, hi int64 }{
@@ -17,6 +26,43 @@ func persistWorkload(t *testing.T, d *DeepSea) {
 	} {
 		run(t, d, q30(q.lo, q.hi))
 	}
+	mixed := relation.NewTable(relation.Schema{Name: "mixed", Cols: []relation.Column{
+		{Name: "k", Type: relation.Int},
+		{Name: "x", Type: relation.Float},
+		{Name: "s", Type: relation.String},
+		{Name: "total#" + query.PartialSum, Type: relation.String},
+	}})
+	mixed.Append(relation.Row{relation.IntVal(math.MinInt64), relation.FloatVal(math.Copysign(0, -1)),
+		relation.StringVal(""), relation.StringVal(engine.EncodePartialSum(0.1, 0.2, -1e300))})
+	mixed.Append(relation.Row{relation.IntVal(1<<53 + 1), relation.FloatVal(5e-324),
+		relation.StringVal("quo\"te\nnext é"), relation.StringVal(engine.EncodePartialSum())})
+	if _, err := d.Eng.WriteMaterialized(mixedPath, mixed); err != nil {
+		t.Fatalf("WriteMaterialized: %v", err)
+	}
+	if _, err := d.Eng.AppendMaterialized(mixedPath, []relation.Row{{relation.IntVal(math.MaxInt64),
+		relation.FloatVal(math.MaxFloat64), relation.StringVal("tail"), relation.StringVal(engine.EncodePartialSum(1))}}); err != nil {
+		t.Fatalf("AppendMaterialized: %v", err)
+	}
+}
+
+// mixedPath is where persistWorkload stores its hand-built view file.
+const mixedPath = "views/mixed/full"
+
+// storedFingerprints maps every stored file to the fingerprint of its
+// rows. The manifests compare the files' JSON; this compares the cells,
+// which is what catches a codec that writes and reads back the same
+// wrong thing.
+func storedFingerprints(t *testing.T, d *DeepSea) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, f := range d.Eng.FS().List() {
+		tab := d.Eng.Materialized(f.Path)
+		if tab == nil {
+			t.Fatalf("stored file %s has no rows", f.Path)
+		}
+		out[f.Path] = tab.Fingerprint()
+	}
+	return out
 }
 
 // durableManifest renders the state recovery must reproduce exactly in
@@ -63,6 +109,7 @@ func TestRecoveryFromSnapshot(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	want := fullManifest(t, d1)
+	wantCells := storedFingerprints(t, d1)
 	if err := s1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -76,6 +123,9 @@ func TestRecoveryFromSnapshot(t *testing.T) {
 	}
 	if got := fullManifest(t, d2); got != want {
 		t.Errorf("recovered state diverges from snapshot:\n got %s\nwant %s", got, want)
+	}
+	if got := storedFingerprints(t, d2); !reflect.DeepEqual(got, wantCells) || got[mixedPath] == "" {
+		t.Errorf("recovered rows diverge from the snapshotted rows:\n got %v\nwant %v", got, wantCells)
 	}
 	if err := d2.Pool.VerifySize(); err != nil {
 		t.Errorf("recovered pool consistency walk: %v", err)
@@ -103,6 +153,7 @@ func TestRecoveryJournalOnly(t *testing.T) {
 	d1 := newTestSystem(t, func(c *Config) { c.Datastore = s1 })
 	persistWorkload(t, d1)
 	want := durableManifest(t, d1)
+	wantCells := storedFingerprints(t, d1)
 
 	// Journaling only records: the same workload without a store ends in
 	// the same state.
@@ -127,6 +178,9 @@ func TestRecoveryJournalOnly(t *testing.T) {
 	}
 	if got := durableManifest(t, d2); got != want {
 		t.Errorf("replayed state diverges:\n got %s\nwant %s", got, want)
+	}
+	if got := storedFingerprints(t, d2); !reflect.DeepEqual(got, wantCells) || got[mixedPath] == "" {
+		t.Errorf("replayed rows diverge from the journalled rows:\n got %v\nwant %v", got, wantCells)
 	}
 	if err := d2.Pool.VerifySize(); err != nil {
 		t.Errorf("recovered pool consistency walk: %v", err)

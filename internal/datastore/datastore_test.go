@@ -2,8 +2,12 @@ package datastore
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deepsea/internal/faults"
@@ -174,6 +178,56 @@ func TestFileStoreCorruptLineStopsScan(t *testing.T) {
 	}
 	if got := s2.Stats().TornTailRepairs; got != 1 {
 		t.Errorf("TornTailRepairs = %d, want 1", got)
+	}
+}
+
+// TestFileStoreFormatMismatchIsNotATornTail: a line whose checksum
+// verifies but whose payload does not decode — here a put_file written
+// by a build that journalled cells as {"I":…,"F":…,"S":…} objects — was
+// written whole. Open must refuse the journal by name and leave it
+// byte-for-byte alone, not truncate it (and the good record behind it)
+// away as a torn tail.
+func TestFileStoreFormatMismatchIsNotATornTail(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	appendT(t, s, Record{Op: "a"})
+	s.Close()
+
+	jpath := filepath.Join(dir, "journal.log")
+	old := `{"seq":2,"op":"put_file","p":"/v/1","n":8,"iv":{"Lo":0,"Hi":0},"dom":{"Lo":0,"Hi":0},` +
+		`"rows":{"Schema":{"Name":"v","Cols":[{"Name":"k","Type":0,"Ordered":false,"Lo":0,"Hi":0,"Width":0}]},` +
+		`"Rows":[[{"I":7,"F":0,"S":""}]]}}`
+	good := `{"seq":3,"op":"c","iv":{"Lo":0,"Hi":0},"dom":{"Lo":0,"Hi":0}}`
+	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{old, good} {
+		fmt.Fprintf(f, "%08x %s\n", crc32.Checksum([]byte(payload), crcTable), payload)
+	}
+	f.Close()
+	before, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err == nil {
+		s2.Close()
+		t.Fatal("Open accepted a journal holding an old-format record")
+	}
+	if !errors.Is(err, ErrJournalFormat) {
+		t.Fatalf("Open error = %v, want ErrJournalFormat", err)
+	}
+	if !strings.Contains(err.Error(), "after seq 1") {
+		t.Errorf("error %q does not name the position", err)
+	}
+	after, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("journal changed: %d bytes before, %d after", len(before), len(after))
 	}
 }
 

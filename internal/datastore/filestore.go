@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -41,7 +42,9 @@ type snapshotFile struct {
 //
 // The checksum covers the JSON payload. A crash mid-append leaves a torn
 // final line, which Open repairs by truncating the journal back to its
-// last intact record.
+// last intact record. A line that passes its checksum and still does
+// not decode is not a torn tail: Open refuses the journal with
+// ErrJournalFormat.
 type FileStore struct {
 	dir    string
 	faults *faults.Injector
@@ -63,10 +66,19 @@ type FileStore struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// ErrJournalFormat reports a journal line whose checksum verifies but
+// whose payload does not decode as a Record. A torn append fails its
+// checksum; a line that passes it was written whole, by a build with
+// another record format (or a bug), and every record behind it is
+// intact. Open and Load return it, wrapped with the position, and leave
+// the file untouched — truncating there would silently discard history.
+var ErrJournalFormat = errors.New("datastore: journal record passes its checksum but does not decode")
+
 // Open opens (creating if needed) a file-backed store rooted at dir. It
 // repairs a torn journal tail left by a crash and positions the sequence
 // counter after the last durable record, so new appends continue the
-// existing history.
+// existing history. A journal in another record format is refused with
+// ErrJournalFormat and not modified.
 func Open(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("datastore: open %s: %w", dir, err)
@@ -361,7 +373,8 @@ func (s *FileStore) readSnapshotFile() (*snapshotFile, error) {
 // scanJournal reads the journal from the current offset, returning the
 // byte offset of the end of the intact prefix, the highest sequence seen
 // and the decoded records. It stops — without error — at the first torn
-// or corrupt line, which is the expected shape of a crashed journal.
+// or corrupt line, which is the expected shape of a crashed journal; a
+// line that is whole but undecodable is ErrJournalFormat.
 func scanJournal(f *os.File) (validEnd int64, lastSeq uint64, recs []Record, err error) {
 	if _, err := f.Seek(0, 0); err != nil {
 		return 0, 0, nil, fmt.Errorf("datastore: rewind journal: %w", err)
@@ -375,7 +388,11 @@ func scanJournal(f *os.File) (validEnd int64, lastSeq uint64, recs []Record, err
 			// append: stop at the last intact record.
 			return off, lastSeq, recs, nil
 		}
-		rec, ok := decodeLine(bytes.TrimSuffix(line, []byte("\n")))
+		rec, ok, derr := decodeLine(bytes.TrimSuffix(line, []byte("\n")))
+		if derr != nil {
+			return 0, 0, nil, fmt.Errorf("%w: line %d at byte %d, after seq %d: %v",
+				ErrJournalFormat, len(recs)+1, off, lastSeq, derr)
+		}
 		if !ok {
 			return off, lastSeq, recs, nil
 		}
@@ -388,24 +405,25 @@ func scanJournal(f *os.File) (validEnd int64, lastSeq uint64, recs []Record, err
 }
 
 // decodeLine checks one journal line's checksum and decodes its record.
-func decodeLine(line []byte) (Record, bool) {
+// ok is false for a line that is not intact (bad frame or checksum);
+// err is set for a line that is intact and does not decode.
+func decodeLine(line []byte) (rec Record, ok bool, err error) {
 	sp := bytes.IndexByte(line, ' ')
 	if sp != 8 {
-		return Record{}, false
+		return Record{}, false, nil
 	}
-	want, err := strconv.ParseUint(string(line[:sp]), 16, 32)
-	if err != nil {
-		return Record{}, false
+	want, perr := strconv.ParseUint(string(line[:sp]), 16, 32)
+	if perr != nil {
+		return Record{}, false, nil
 	}
 	payload := line[sp+1:]
 	if crc32.Checksum(payload, crcTable) != uint32(want) {
-		return Record{}, false
+		return Record{}, false, nil
 	}
-	var rec Record
-	if json.Unmarshal(payload, &rec) != nil {
-		return Record{}, false
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, false, err
 	}
-	return rec, true
+	return rec, true, nil
 }
 
 // writeFileSync writes data to path and fsyncs it before returning.

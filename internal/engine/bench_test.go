@@ -12,7 +12,8 @@ import (
 // Layer microbenchmarks for the row data path, at the sizes the
 // serve_adaptive workload runs them: a 24 000-row fact table probing a
 // 4 800-row dimension. allocs/op is exact and gated by
-// TestFusedProbeAllocations; ns/op is advisory.
+// TestFusedProbeAllocations and TestAggregateAllocations; ns/op is
+// advisory.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/engine
 
@@ -116,9 +117,11 @@ func BenchmarkProjectTable(b *testing.B) {
 	}
 }
 
-func BenchmarkAggregate(b *testing.B) {
+// aggregateFixture is the grouped count + sum the aggregate benchmark
+// and its allocation gate run: 13 groups over the fact table.
+func aggregateFixture() (*relation.Table, *query.Aggregate) {
 	fact, _, _ := probeFixture(benchFactRows, benchDimRows)
-	agg := &query.Aggregate{
+	return fact, &query.Aggregate{
 		Child:   query.NewScan("fact", fact.Schema),
 		GroupBy: []string{"f_store"},
 		Aggs: []query.AggSpec{
@@ -126,6 +129,10 @@ func BenchmarkAggregate(b *testing.B) {
 			{Func: query.Sum, Col: "f_price", As: "revenue"},
 		},
 	}
+}
+
+func BenchmarkAggregate(b *testing.B) {
+	fact, agg := aggregateFixture()
 	bud := newBudget(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -158,5 +165,28 @@ func TestFusedProbeAllocations(t *testing.T) {
 	})
 	if got > limit {
 		t.Errorf("fused select-probe allocates %.0f objects for %d output rows, limit %.0f", got, len(out.Rows), limit)
+	}
+}
+
+// TestAggregateAllocations is the aggregate's exact allocation gate: a
+// group-key lookup allocates nothing, so what is left per input row is
+// the two big.Float allocations of its one exactAcc.add; everything
+// else (key string, key row, states, accumulator, map and slice growth,
+// output row) is paid once per group and chunk.
+func TestAggregateAllocations(t *testing.T) {
+	fact, agg := aggregateFixture()
+	bud := newBudget(1)
+	out := aggregate(fact, agg, bud)
+	groups, chunks := len(out.Rows), numChunks(len(fact.Rows))
+	if groups != 13 || chunks < 2 {
+		t.Fatalf("%d groups over %d chunks; the fixture is not the 13-group, multi-chunk aggregate", groups, chunks)
+	}
+	limit := float64(2*len(fact.Rows) + 7*groups*chunks + 4*chunks + 16)
+	got := testing.AllocsPerRun(5, func() {
+		benchSink = aggregate(fact, agg, bud)
+	})
+	if got > limit {
+		t.Errorf("aggregate allocates %.0f objects for %d rows in %d groups and %d chunks, limit %.0f",
+			got, len(fact.Rows), groups, chunks, limit)
 	}
 }

@@ -449,7 +449,7 @@ func MergeAggStates(a *query.Aggregate, old, delta *relation.Table) (*relation.T
 	rowKey := func(r relation.Row) string {
 		keyBuf = keyBuf[:0]
 		for i := 0; i < ng; i++ {
-			keyBuf = appendValueKey(keyBuf, r[i])
+			keyBuf = relation.AppendKey(keyBuf, old.Schema.Cols[i].Type, r[i])
 		}
 		return string(keyBuf)
 	}
@@ -482,22 +482,22 @@ func mergeStateRow(a *query.Aggregate, schema relation.Schema, dst, src relation
 	for _, sp := range a.Aggs {
 		switch sp.Func {
 		case query.Count:
-			dst[ci].I += src[ci].I
+			dst[ci] = relation.IntVal(dst[ci].Int() + src[ci].Int())
 			ci++
 		case query.Sum:
-			enc, _, err := MergePartialSums(dst[ci].S, src[ci].S)
+			enc, _, err := MergePartialSums(dst[ci].Str(), src[ci].Str())
 			if err != nil {
 				return fmt.Errorf("engine: merge %s: %w", sp.As, err)
 			}
-			dst[ci].S = enc
+			dst[ci] = relation.StringVal(enc)
 			ci++
 		case query.Avg:
-			enc, _, err := MergePartialSums(dst[ci].S, src[ci].S)
+			enc, _, err := MergePartialSums(dst[ci].Str(), src[ci].Str())
 			if err != nil {
 				return fmt.Errorf("engine: merge %s: %w", sp.As, err)
 			}
-			dst[ci].S = enc
-			dst[ci+1].I += src[ci+1].I
+			dst[ci] = relation.StringVal(enc)
+			dst[ci+1] = relation.IntVal(dst[ci+1].Int() + src[ci+1].Int())
 			ci += 2
 		case query.Min:
 			if lessValue(schema.Cols[ci].Type, src[ci], dst[ci]) {
@@ -517,11 +517,11 @@ func mergeStateRow(a *query.Aggregate, schema relation.Schema, dst, src relation
 func lessValue(typ relation.Type, a, b relation.Value) bool {
 	switch typ {
 	case relation.Int:
-		return a.I < b.I
+		return a.Int() < b.Int()
 	case relation.Float:
-		return a.F < b.F
+		return a.Float() < b.Float()
 	default:
-		return a.S < b.S
+		return a.Str() < b.Str()
 	}
 }
 
@@ -544,18 +544,18 @@ func FinalizeAggStates(a *query.Aggregate, states *relation.Table) (*relation.Ta
 				row = append(row, sr[ci])
 				ci++
 			case query.Sum:
-				acc, err := decodeExactAcc(sr[ci].S)
+				acc, err := decodeExactAcc(sr[ci].Str())
 				if err != nil {
 					return nil, fmt.Errorf("engine: finalize %s: %w", sp.As, err)
 				}
 				row = append(row, relation.FloatVal(acc.float64()))
 				ci++
 			case query.Avg:
-				acc, err := decodeExactAcc(sr[ci].S)
+				acc, err := decodeExactAcc(sr[ci].Str())
 				if err != nil {
 					return nil, fmt.Errorf("engine: finalize %s: %w", sp.As, err)
 				}
-				n := sr[ci+1].I
+				n := sr[ci+1].Int()
 				v := 0.0
 				if n > 0 {
 					v = acc.float64() / float64(n)

@@ -105,7 +105,7 @@ func TestSelectExecution(t *testing.T) {
 		t.Errorf("filtered rows = %d, want 100", res.Table.NumRows())
 	}
 	for _, row := range res.Table.Rows {
-		if row[0].I < 10 || row[0].I > 19 {
+		if row[0].Int() < 10 || row[0].Int() > 19 {
 			t.Fatalf("row outside range: %v", row)
 		}
 	}
@@ -139,9 +139,9 @@ func TestJoinExecutionMatchesNestedLoop(t *testing.T) {
 	ki := sch.ColIndex("ss_item_sk")
 	cats := []string{"books", "music", "video", "games"}
 	for _, row := range res.Table.Rows {
-		want := cats[row[ki].I%4]
-		if row[ci].S != want {
-			t.Fatalf("join mismatch: item %d category %q, want %q", row[ki].I, row[ci].S, want)
+		want := cats[row[ki].Int()%4]
+		if row[ci].Str() != want {
+			t.Fatalf("join mismatch: item %d category %q, want %q", row[ki].Int(), row[ci].Str(), want)
 		}
 	}
 	if res.Cost.Jobs != 1 {
@@ -185,15 +185,15 @@ func TestAggregateExecution(t *testing.T) {
 	sch := res.Table.Schema
 	var totalN int64
 	for _, row := range res.Table.Rows {
-		totalN += row[sch.ColIndex("n")].I
-		if row[sch.ColIndex("total_qty")].F <= 0 {
+		totalN += row[sch.ColIndex("n")].Int()
+		if row[sch.ColIndex("total_qty")].Float() <= 0 {
 			t.Error("sum must be positive")
 		}
-		avg := row[sch.ColIndex("avg_price")].F
+		avg := row[sch.ColIndex("avg_price")].Float()
 		if avg < 0.5 || avg > 9.5 {
 			t.Errorf("avg_price = %g out of range", avg)
 		}
-		if row[sch.ColIndex("min_sk")].I > row[sch.ColIndex("max_sk")].I {
+		if row[sch.ColIndex("min_sk")].Int() > row[sch.ColIndex("max_sk")].Int() {
 			t.Error("min > max")
 		}
 	}
@@ -230,7 +230,7 @@ func materializeJoinView(t *testing.T, e *Engine, ivs []interval.Interval) *rela
 	for _, iv := range ivs {
 		frag := relation.NewTable(view.Schema)
 		for _, row := range view.Rows {
-			if iv.Contains(row[ai].I) {
+			if iv.Contains(row[ai].Int()) {
 				frag.Append(row)
 			}
 		}
@@ -592,8 +592,8 @@ func TestGlobalAggregateNoGroupBy(t *testing.T) {
 	if res.Table.NumRows() != 1 {
 		t.Fatalf("global aggregate rows = %d, want 1", res.Table.NumRows())
 	}
-	if res.Table.Rows[0][0].I != 1000 {
-		t.Errorf("count = %d, want 1000", res.Table.Rows[0][0].I)
+	if res.Table.Rows[0][0].Int() != 1000 {
+		t.Errorf("count = %d, want 1000", res.Table.Rows[0][0].Int())
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"deepsea/internal/faults"
@@ -592,11 +591,13 @@ func aggregate(t *relation.Table, a *query.Aggregate, bud *budget) *relation.Tab
 		for _, row := range t.Rows[lo:hi] {
 			keyBuf = keyBuf[:0]
 			for _, i := range gIdx {
-				keyBuf = appendValueKey(keyBuf, row[i])
+				keyBuf = relation.AppendKey(keyBuf, inSchema.Cols[i].Type, row[i])
 			}
-			k := string(keyBuf)
-			g, ok := groups[k]
+			// The conversion in the index expression does not allocate;
+			// the key string exists only once its group does.
+			g, ok := groups[string(keyBuf)]
 			if !ok {
+				k := string(keyBuf)
 				key := make(relation.Row, len(gIdx))
 				for i, j := range gIdx {
 					key[i] = row[j]
@@ -715,32 +716,32 @@ func accumulateRow(g *aggGroup, row relation.Row, a *query.Aggregate, aIdx []int
 				st.acc = &exactAcc{}
 			}
 			if typ == relation.Int {
-				st.acc.add(float64(v.I))
+				st.acc.add(float64(v.Int()))
 			} else {
-				st.acc.add(v.F)
+				st.acc.add(v.Float())
 			}
 		}
 		switch typ {
 		case relation.Int:
-			if !st.seen || v.I < st.minI {
-				st.minI = v.I
+			if !st.seen || v.Int() < st.minI {
+				st.minI = v.Int()
 			}
-			if !st.seen || v.I > st.maxI {
-				st.maxI = v.I
+			if !st.seen || v.Int() > st.maxI {
+				st.maxI = v.Int()
 			}
 		case relation.Float:
-			if !st.seen || v.F < st.minF {
-				st.minF = v.F
+			if !st.seen || v.Float() < st.minF {
+				st.minF = v.Float()
 			}
-			if !st.seen || v.F > st.maxF {
-				st.maxF = v.F
+			if !st.seen || v.Float() > st.maxF {
+				st.maxF = v.Float()
 			}
 		default:
-			if !st.seen || v.S < st.minS {
-				st.minS = v.S
+			if !st.seen || v.Str() < st.minS {
+				st.minS = v.Str()
 			}
-			if !st.seen || v.S > st.maxS {
-				st.maxS = v.S
+			if !st.seen || v.Str() > st.maxS {
+				st.maxS = v.Str()
 			}
 		}
 		st.seen = true
@@ -800,24 +801,4 @@ func pickValue(typ relation.Type, i int64, f float64, s string) relation.Value {
 	default:
 		return relation.StringVal(s)
 	}
-}
-
-// appendValueKey appends a self-delimiting encoding of v to a group key:
-// fixed-width int and float parts, then the string length-prefixed. The
-// length prefix makes adjacent column encodings unambiguous — a raw
-// separator byte would let a string value containing that byte shift
-// bytes between columns and merge distinct group keys.
-func appendValueKey(buf []byte, v relation.Value) []byte {
-	for k := 0; k < 8; k++ {
-		buf = append(buf, byte(v.I>>(8*k)))
-	}
-	f := math.Float64bits(v.F)
-	for k := 0; k < 8; k++ {
-		buf = append(buf, byte(f>>(8*k)))
-	}
-	n := uint64(len(v.S))
-	for k := 0; k < 8; k++ {
-		buf = append(buf, byte(n>>(8*k)))
-	}
-	return append(buf, v.S...)
 }

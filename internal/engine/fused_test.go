@@ -1,8 +1,8 @@
 package engine_test
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"deepsea/internal/engine"
@@ -120,7 +120,7 @@ func refSelect(in *relation.Table, s *query.Select) *relation.Table {
 rows:
 	for _, row := range in.Rows {
 		for _, p := range s.Ranges {
-			if i := in.Schema.ColIndex(p.Col); i < 0 || !p.Iv.Contains(row[i].I) {
+			if i := in.Schema.ColIndex(p.Col); i < 0 || !p.Iv.Contains(row[i].Int()) {
 				continue rows
 			}
 		}
@@ -158,11 +158,11 @@ func refJoin(l, r *relation.Table, j *query.Join) *relation.Table {
 	}
 	index := make(map[int64][]relation.Row)
 	for _, row := range build.Rows {
-		index[row[bi].I] = append(index[row[bi].I], row)
+		index[row[bi].Int()] = append(index[row[bi].Int()], row)
 	}
 	out := relation.NewTable(j.Schema())
 	for _, pr := range probe.Rows {
-		for _, br := range index[pr[pi].I] {
+		for _, br := range index[pr[pi].Int()] {
 			lr, rr := br, pr
 			if !buildLeft {
 				lr, rr = pr, br
@@ -196,7 +196,8 @@ func sameTable(got, want *relation.Table) error {
 			return fmt.Errorf("row %d: width %d, want %d", i, len(g), len(w))
 		}
 		for j := range w {
-			if g[j].I != w[j].I || math.Float64bits(g[j].F) != math.Float64bits(w[j].F) || g[j].S != w[j].S {
+			typ := want.Schema.Cols[j].Type
+			if !bytes.Equal(relation.AppendKey(nil, typ, g[j]), relation.AppendKey(nil, typ, w[j])) {
 				return fmt.Errorf("row %d col %d: %+v, want %+v", i, j, g[j], w[j])
 			}
 		}

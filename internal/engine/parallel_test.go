@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -47,12 +48,18 @@ func sameRows(a, b *relation.Table) bool {
 			return false
 		}
 		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
+			if !sameCell(a.Schema.Cols[j].Type, a.Rows[i][j], b.Rows[i][j]) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// sameCell reports whether two cells of one column type hold the same
+// bits (Int, Float) or text (String): Value has no ==.
+func sameCell(typ relation.Type, a, b relation.Value) bool {
+	return bytes.Equal(relation.AppendKey(nil, typ, a), relation.AppendKey(nil, typ, b))
 }
 
 // TestParallelDeterminism runs every parallelized operator over a

@@ -77,20 +77,20 @@ func TestPartialAggregateMergesToFull(t *testing.T) {
 		part := mustRun(t, e, partialAggPlan(true)).Table
 		sch := part.Schema
 		for _, row := range part.Rows {
-			cat := row[sch.ColIndex("i_category")].S
+			cat := row[sch.ColIndex("i_category")].Str()
 			st := merged[cat]
 			if st == nil {
 				st = &state{min: 1 << 60, max: -(1 << 60)}
 				merged[cat] = st
 			}
-			st.count += row[sch.ColIndex("n#count")].I
-			st.sums = append(st.sums, row[sch.ColIndex("total_qty#sum")].S)
-			st.avgSums = append(st.avgSums, row[sch.ColIndex("avg_price#avg.sum")].S)
-			st.avgN += row[sch.ColIndex("avg_price#avg.n")].I
-			if v := row[sch.ColIndex("min_sk#min")].I; v < st.min {
+			st.count += row[sch.ColIndex("n#count")].Int()
+			st.sums = append(st.sums, row[sch.ColIndex("total_qty#sum")].Str())
+			st.avgSums = append(st.avgSums, row[sch.ColIndex("avg_price#avg.sum")].Str())
+			st.avgN += row[sch.ColIndex("avg_price#avg.n")].Int()
+			if v := row[sch.ColIndex("min_sk#min")].Int(); v < st.min {
 				st.min = v
 			}
-			if v := row[sch.ColIndex("max_sk#max")].I; v > st.max {
+			if v := row[sch.ColIndex("max_sk#max")].Int(); v > st.max {
 				st.max = v
 			}
 		}
@@ -101,31 +101,31 @@ func TestPartialAggregateMergesToFull(t *testing.T) {
 		t.Fatalf("merged groups = %d, full groups = %d", len(merged), full.NumRows())
 	}
 	for _, row := range full.Rows {
-		cat := row[fsch.ColIndex("i_category")].S
+		cat := row[fsch.ColIndex("i_category")].Str()
 		st := merged[cat]
 		if st == nil {
 			t.Fatalf("group %q missing from merged result", cat)
 		}
-		if st.count != row[fsch.ColIndex("n")].I {
-			t.Errorf("%s: count %d != %d", cat, st.count, row[fsch.ColIndex("n")].I)
+		if st.count != row[fsch.ColIndex("n")].Int() {
+			t.Errorf("%s: count %d != %d", cat, st.count, row[fsch.ColIndex("n")].Int())
 		}
 		_, sum, err := MergePartialSums(st.sums...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := row[fsch.ColIndex("total_qty")].F; sum != want {
+		if want := row[fsch.ColIndex("total_qty")].Float(); sum != want {
 			t.Errorf("%s: sum %v != %v", cat, sum, want)
 		}
 		_, avgSum, err := MergePartialSums(st.avgSums...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := row[fsch.ColIndex("avg_price")].F; avgSum/float64(st.avgN) != want {
+		if want := row[fsch.ColIndex("avg_price")].Float(); avgSum/float64(st.avgN) != want {
 			t.Errorf("%s: avg %v != %v", cat, avgSum/float64(st.avgN), want)
 		}
-		if st.min != row[fsch.ColIndex("min_sk")].I || st.max != row[fsch.ColIndex("max_sk")].I {
+		if st.min != row[fsch.ColIndex("min_sk")].Int() || st.max != row[fsch.ColIndex("max_sk")].Int() {
 			t.Errorf("%s: min/max %d/%d != %d/%d", cat, st.min, st.max,
-				row[fsch.ColIndex("min_sk")].I, row[fsch.ColIndex("max_sk")].I)
+				row[fsch.ColIndex("min_sk")].Int(), row[fsch.ColIndex("max_sk")].Int())
 		}
 	}
 }

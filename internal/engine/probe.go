@@ -69,7 +69,7 @@ func (b *boundPreds) pass(row relation.Row) bool {
 		return false
 	}
 	for i := range b.ranges {
-		if p := &b.ranges[i]; !p.iv.Contains(row[p.idx].I) {
+		if p := &b.ranges[i]; !p.iv.Contains(row[p.idx].Int()) {
 			return false
 		}
 	}
@@ -223,7 +223,7 @@ func buildJoinTable(rows []relation.Row, key int, bud *budget) *joinTable {
 	nb := bud.par()
 	forEachTask(bud, nb, func(b int) {
 		for i := len(rows) - 1; i >= 0; i-- {
-			s := t.slot(rows[i][key].I)
+			s := t.slot(rows[i][key].Int())
 			if s*nb>>bits != b {
 				continue
 			}
@@ -273,10 +273,10 @@ func (f *fusedJoin) probe(l, r *relation.Table, buildLeft bool, bud *budget) (*r
 		cnt := 0
 		for _, pr := range probe.Rows[lo:hi] {
 			pOK := pPreds.pass(pr)
-			k := pr[pi].I
+			k := pr[pi].Int()
 			for i := table.heads[table.slot(k)]; i != 0; i = table.next[i-1] {
 				br := build.Rows[i-1]
-				if br[bi].I != k {
+				if br[bi].Int() != k {
 					continue
 				}
 				cnt++

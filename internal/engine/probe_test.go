@@ -28,9 +28,9 @@ func TestOutputRowsOwnTheirCapacity(t *testing.T) {
 				t.Fatalf("%s: row %d has cap %d, len %d", name, i, cap(row), len(row))
 			}
 		}
-		neighbour := out.Rows[1][0]
+		neighbour := out.Rows[1][0].Int()
 		_ = append(out.Rows[0], relation.IntVal(-1))
-		if out.Rows[1][0] != neighbour {
+		if out.Rows[1][0].Int() != neighbour {
 			t.Errorf("%s: appending to row 0 overwrote row 1", name)
 		}
 	}
@@ -66,7 +66,7 @@ func TestStoredFragmentReleasesCapturedSlabs(t *testing.T) {
 	captured := res.Captured[proj]
 	frag := relation.NewTable(captured.Schema)
 	for _, row := range captured.Rows {
-		if keep.Contains(row[0].I) {
+		if keep.Contains(row[0].Int()) {
 			frag.Rows = append(frag.Rows, row)
 		}
 	}

@@ -120,7 +120,7 @@ func (h *harness) materializeFragments(t *testing.T, entry *Entry, ivs []interva
 	for _, iv := range ivs {
 		frag := relation.NewTable(view.Schema)
 		for _, row := range view.Rows {
-			if iv.Contains(row[ai].I) {
+			if iv.Contains(row[ai].Int()) {
 				frag.Append(row)
 			}
 		}
@@ -480,7 +480,7 @@ func TestMultipleViewsCompete(t *testing.T) {
 		vs := h.rw.Stats.View(entry.ID)
 		tbl := relation.NewTable(full.Schema)
 		for _, row := range full.Rows {
-			if iv.Contains(row[ai].I) {
+			if iv.Contains(row[ai].Int()) {
 				tbl.Append(row)
 			}
 		}
@@ -629,7 +629,7 @@ func (h *harness) materializeFragmentsB(b *testing.B, entry *Entry, ivs []interv
 	for _, iv := range ivs {
 		frag := relation.NewTable(view.Schema)
 		for _, row := range view.Rows {
-			if iv.Contains(row[ai].I) {
+			if iv.Contains(row[ai].Int()) {
 				frag.Append(row)
 			}
 		}

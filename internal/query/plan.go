@@ -106,11 +106,11 @@ type CmpPred struct {
 func (p CmpPred) String() string {
 	switch p.Typ {
 	case relation.Int:
-		return fmt.Sprintf("%s%s%d", p.Col, p.Op, p.Val.I)
+		return fmt.Sprintf("%s%s%d", p.Col, p.Op, p.Val.Int())
 	case relation.Float:
-		return fmt.Sprintf("%s%s%g", p.Col, p.Op, p.Val.F)
+		return fmt.Sprintf("%s%s%g", p.Col, p.Op, p.Val.Float())
 	default:
-		return fmt.Sprintf("%s%s'%s'", p.Col, p.Op, p.Val.S)
+		return fmt.Sprintf("%s%s'%s'", p.Col, p.Op, p.Val.Str())
 	}
 }
 
@@ -120,20 +120,20 @@ func (p CmpPred) Eval(v relation.Value) bool {
 	switch p.Typ {
 	case relation.Int:
 		switch {
-		case v.I < p.Val.I:
+		case v.Int() < p.Val.Int():
 			c = -1
-		case v.I > p.Val.I:
+		case v.Int() > p.Val.Int():
 			c = 1
 		}
 	case relation.Float:
 		switch {
-		case v.F < p.Val.F:
+		case v.Float() < p.Val.Float():
 			c = -1
-		case v.F > p.Val.F:
+		case v.Float() > p.Val.Float():
 			c = 1
 		}
 	default:
-		c = strings.Compare(v.S, p.Val.S)
+		c = strings.Compare(v.Str(), p.Val.Str())
 	}
 	switch p.Op {
 	case Eq:

@@ -2,9 +2,7 @@ package relation
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -15,8 +13,13 @@ import (
 // the original plan.
 func (t *Table) Fingerprint() string {
 	keys := make([]string, len(t.Rows))
+	var buf []byte
 	for i, r := range t.Rows {
-		keys[i] = rowKey(r)
+		buf = buf[:0]
+		for j, v := range r {
+			buf = AppendKey(buf, t.Schema.Cols[j].Type, v)
+		}
+		keys[i] = string(buf)
 	}
 	sort.Strings(keys)
 	h := sha256.New()
@@ -25,18 +28,4 @@ func (t *Table) Fingerprint() string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-func rowKey(r Row) string {
-	buf := make([]byte, 0, len(r)*10)
-	for _, v := range r {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.I))
-		buf = append(buf, b[:]...)
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F))
-		buf = append(buf, b[:]...)
-		buf = append(buf, v.S...)
-		buf = append(buf, 0x1f)
-	}
-	return string(buf)
 }

@@ -4,7 +4,9 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -32,24 +34,70 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a single column value. Exactly one field is meaningful,
-// selected by the column's Type. Null values are not modelled; generators
-// always produce complete rows (the paper's workloads are selections,
-// joins and aggregates over generated data).
+// Value is a single column value: a 16-byte union whose meaning is
+// selected by the column's Type, never by the cell. The word holds an
+// Int cell's int64 or the IEEE bits of a Float cell's float64; the
+// reference holds a String cell's text, nil meaning "". The zero Value
+// therefore reads as 0, 0.0 and "". Null values are not modelled;
+// generators always produce complete rows (the paper's workloads are
+// selections, joins and aggregates over generated data).
+//
+// A Value is deliberately not comparable: with a pointer inside, ==
+// would compare string identity, so every comparison goes through the
+// accessor the column's Type names. The zero-width func array costs no
+// bytes in leading position.
 type Value struct {
-	I int64
-	F float64
-	S string
+	_    [0]func()
+	bits uint64
+	str  *string
 }
 
 // IntVal wraps an int64 as a Value.
-func IntVal(v int64) Value { return Value{I: v} }
+func IntVal(v int64) Value { return Value{bits: uint64(v)} }
 
-// FloatVal wraps a float64 as a Value.
-func FloatVal(v float64) Value { return Value{F: v} }
+// FloatVal wraps a float64 as a Value, sign of zero and NaN payload
+// included.
+func FloatVal(v float64) Value { return Value{bits: math.Float64bits(v)} }
 
-// StringVal wraps a string as a Value.
-func StringVal(v string) Value { return Value{S: v} }
+// StringVal wraps a string as a Value. The empty string allocates
+// nothing: every fact row carries one as padding.
+func StringVal(v string) Value {
+	if v == "" {
+		return Value{}
+	}
+	s := v // declared here so only non-empty strings pay the heap cell
+	return Value{str: &s}
+}
+
+// Int reads an Int cell.
+func (v Value) Int() int64 { return int64(v.bits) }
+
+// Float reads a Float cell.
+func (v Value) Float() float64 { return math.Float64frombits(v.bits) }
+
+// Str reads a String cell.
+func (v Value) Str() string {
+	if v.str == nil {
+		return ""
+	}
+	return *v.str
+}
+
+// AppendKey appends a self-delimiting encoding of a cell of type t to a
+// key: the 8-byte word of an Int or Float cell, a String cell's bytes
+// behind their 8-byte length. The length prefix makes adjacent column
+// encodings unambiguous — a raw separator byte would let a string
+// containing that byte shift bytes between columns and merge distinct
+// keys. Two cells of one type encode equally exactly when they hold the
+// same bits (Int, Float) or the same text (String).
+func AppendKey(buf []byte, t Type, v Value) []byte {
+	if t == String {
+		s := v.Str()
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+		return append(buf, s...)
+	}
+	return binary.LittleEndian.AppendUint64(buf, v.bits)
+}
 
 // Row is a tuple; the i-th Value corresponds to the i-th schema column.
 type Row []Value

@@ -85,7 +85,7 @@ func TestCloneIsDeep(t *testing.T) {
 	tab.Append(Row{IntVal(1), FloatVal(1), StringVal("a")})
 	c := tab.Clone()
 	c.Rows[0][0] = IntVal(99)
-	if tab.Rows[0][0].I != 1 {
+	if tab.Rows[0][0].Int() != 1 {
 		t.Error("mutating clone changed original")
 	}
 }
@@ -101,10 +101,10 @@ func TestSlabUndoReusesSlot(t *testing.T) {
 	if &c[0] != &b[0] {
 		t.Error("Next after Undo did not hand the slot out again")
 	}
-	if c[0] != (Value{}) || c[1] != (Value{}) {
+	if c[0].Int() != 0 || c[1].Str() != "" {
 		t.Errorf("reused row not zeroed: %v", c)
 	}
-	if a[0].I != 1 || cap(c) != 2 {
+	if a[0].Int() != 1 || cap(c) != 2 {
 		t.Errorf("neighbour disturbed or cap != len: a=%v cap=%d", a, cap(c))
 	}
 }

@@ -45,16 +45,17 @@ func Load(sys *deepsea.System, d *Data) error {
 		if err := sys.CreateTable(def); err != nil {
 			return err
 		}
+		// Insert copies out of vals and keeps nothing: one buffer per table.
+		vals := make([]any, len(t.Schema.Cols))
 		for _, row := range t.Rows {
-			vals := make([]any, len(row))
 			for i, v := range row {
 				switch t.Schema.Cols[i].Type {
 				case relation.Int:
-					vals[i] = v.I
+					vals[i] = v.Int()
 				case relation.Float:
-					vals[i] = v.F
+					vals[i] = v.Float()
 				default:
-					vals[i] = v.S
+					vals[i] = v.Str()
 				}
 			}
 			if err := sys.Insert(name, vals); err != nil {

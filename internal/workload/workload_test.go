@@ -39,12 +39,12 @@ func TestFactKeysJoinWithItem(t *testing.T) {
 	d := Generate(10, 1, nil)
 	itemKeys := make(map[int64]bool)
 	for _, row := range d.Tables["item"].Rows {
-		itemKeys[row[0].I] = true
+		itemKeys[row[0].Int()] = true
 	}
 	for _, fact := range []string{"store_sales", "web_clickstream", "product_reviews"} {
 		for _, row := range d.Tables[fact].Rows {
-			if !itemKeys[row[0].I] {
-				t.Fatalf("%s contains item_sk %d absent from item", fact, row[0].I)
+			if !itemKeys[row[0].Int()] {
+				t.Fatalf("%s contains item_sk %d absent from item", fact, row[0].Int())
 			}
 		}
 	}

@@ -22,7 +22,8 @@
 #       warning annotation — rather than demanding the tool)
 #    9. engine microbench smoke — the engine's layer microbenchmarks
 #       once each: they must run, their numbers are advisory (the exact
-#       allocation gate is TestFusedProbeAllocations, part of stage 1).
+#       allocation gates are TestFusedProbeAllocations and
+#       TestAggregateAllocations, part of stage 1).
 #       Every registered (paper) experiment already ran at short scale
 #       in stage 1, with its output checked byte for byte
 #       (internal/bench TestExperimentsGolden). Wall-clock performance
@@ -45,6 +46,13 @@
 #       mid-ingest whose warm restart replays the journal to
 #       byte-identical results), and the coordinator routing suite
 #       (keyed split, keyless broadcast, epoch refresh)
+#   12. fuzz smoke — five seconds of stdlib fuzzing (no network, no
+#       corpus download) of the one cell codec, relation.Table's JSON
+#       form that journal records and snapshots go through: no panic on
+#       arbitrary bytes, and decode → encode → decode is a fixed point.
+#       Its seed corpus already ran as ordinary tests in stage 1; a
+#       failure leaves its input under internal/relation/testdata/fuzz
+#       to be checked in as a regression seed
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -120,5 +128,8 @@ $GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackg
 $GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
 $GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
+
+echo "==> fuzz smoke"
+$GO test -run '^$' -fuzz FuzzTableJSON -fuzztime 5s ./internal/relation
 
 echo "==> ci passed"
