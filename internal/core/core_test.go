@@ -9,6 +9,7 @@ import (
 	"deepsea/internal/interval"
 	"deepsea/internal/query"
 	"deepsea/internal/relation"
+	"deepsea/internal/signature"
 )
 
 const (
@@ -553,5 +554,60 @@ func TestNoDuplicateCoverageWrites(t *testing.T) {
 					shortID(pv.ID), attr, stored, covered)
 			}
 		}
+	}
+}
+
+// TestFullAndPartialAggregatesShareASystem: a full-mode and a
+// partial-mode instance of one aggregate template run on one system.
+// The full-mode root aggregate is stored first; the partial-mode plan
+// over the same range must not be answered from it (it used to match —
+// the signature did not carry the mode — and planning panicked looking
+// for "n#count" in the full-mode schema), and neither mode's stored
+// aggregate ever matches the other's query.
+func TestFullAndPartialAggregatesShareASystem(t *testing.T) {
+	partialQ30 := func(lo, hi int64) query.Node {
+		a := q30(lo, hi).(*query.Aggregate)
+		a.Partial = true
+		return a
+	}
+	reference := newTestSystem(t, func(c *Config) { c.Materialize = false })
+	wantPartial := resultJSON(t, run(t, reference, partialQ30(0, 4999)))
+	wantFull := resultJSON(t, run(t, reference, q30(5000, 9999)))
+
+	d := newTestSystem(t, nil)
+	run(t, d, q30(0, 4999))
+	run(t, d, q30(0, 4999))
+	fullID := signature.Of(q30(0, 4999)).Key()
+	if pv := d.Pool.View(fullID); pv == nil || pv.Path == "" {
+		t.Fatal("the full-mode root aggregate was not stored; the fixture proves nothing")
+	}
+	rep := run(t, d, partialQ30(0, 4999))
+	if got := resultJSON(t, rep); got != wantPartial {
+		t.Errorf("partial-mode answer differs from the unmaterialized reference")
+	}
+	if rep.UsedView == fullID {
+		t.Error("a partial-mode query was answered from the full-mode aggregate view")
+	}
+
+	// The other way round: a stored partial-mode aggregate and a
+	// full-mode query over its range.
+	d = newTestSystem(t, nil)
+	run(t, d, partialQ30(5000, 9999))
+	partialID := signature.Of(partialQ30(5000, 9999)).Key()
+	if pv := d.Pool.View(partialID); pv == nil || pv.Path == "" {
+		t.Fatal("the partial-mode root aggregate was not stored; the fixture proves nothing")
+	}
+	rep = run(t, d, q30(5000, 9999))
+	if got := resultJSON(t, rep); got != wantFull {
+		t.Errorf("full-mode answer differs from the unmaterialized reference")
+	}
+	if rep.UsedView == partialID {
+		t.Error("a full-mode query was answered from the partial-mode aggregate view")
+	}
+	if _, ok := signature.Match(signature.Of(q30(0, 4999)), signature.Of(partialQ30(0, 4999))); ok {
+		t.Error("a full-mode view signature matches the partial-mode query")
+	}
+	if _, ok := signature.Match(signature.Of(partialQ30(0, 4999)), signature.Of(q30(0, 4999))); ok {
+		t.Error("a partial-mode view signature matches the full-mode query")
 	}
 }

@@ -73,6 +73,11 @@ type DeepSea struct {
 
 	rewriter *matching.Rewriter
 
+	// wholeCaptures makes every row capture ask for the whole node, as
+	// if no view were ever admitted partially. It is the reference the
+	// differential test holds ranged captures to; nothing else sets it.
+	wholeCaptures bool
+
 	// faults is the configured injector (nil when fault-free); the same
 	// instance is attached to the engine and its file system.
 	faults *faults.Injector
@@ -284,14 +289,14 @@ func (d *DeepSea) cacheKey(q query.Node) string {
 }
 
 // viewDeps lists the materialized views a plan reads, each pinned to
-// its pool generation from one epoch-published snapshot. On the inline
-// path the caller holds the stripes of every view the plan reads (they
-// are part of the maintenance lock set), so the generations are exactly
-// the post-maintenance state; on the deferred path the snapshot may lag
-// a concurrent background commit, which at worst invalidates the entry
-// immediately — never serves a stale one.
+// its current pool generation. On the inline path the caller holds the
+// stripes of every view the plan reads (they are part of the maintenance
+// lock set), so the generations are exactly the post-maintenance state;
+// on the deferred path a read may lag a concurrent background commit,
+// which at worst invalidates the entry immediately — never serves a
+// stale one.
 func (d *DeepSea) viewDeps(plan query.Node) []cache.Dep {
-	gen := d.Pool.GenFn()
+	gen := d.Pool.Generation
 	seen := make(map[string]bool)
 	var deps []cache.Dep
 	query.Walk(plan, func(n query.Node) {
@@ -375,13 +380,14 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 	defer d.inflight.Add(-1)
 
 	// Result-cache lookup — before planning and off every manager lock.
-	// Generation checks read one epoch-published snapshot of the pool's
-	// generation map (no lock at all), so a hit is consistent: no entry
-	// over an evicted or split view survives.
+	// Generation checks read the pool's per-view counters (no lock at
+	// all; see Pool.Generation for why one counter at a time is enough),
+	// so a hit is consistent: no entry over an evicted or split view
+	// survives.
 	var key string
 	if d.Cache != nil && d.Cfg.ExecuteRows {
 		key = d.cacheKey(q)
-		if tbl, ok := d.Cache.Get(key, d.Pool.GenFn()); ok {
+		if tbl, ok := d.Cache.Get(key, d.Pool.Generation); ok {
 			return QueryReport{Result: tbl, CacheHit: true}, nil
 		}
 	}
@@ -542,19 +548,26 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 	selViews, selFrags, evict := d.selectConfiguration(vcands, fcands)
 
 	// Step 7: INSTRUMENTQUERY — capture candidate intermediates. Only
-	// what this query will materialize needs its rows; every other
+	// what this query will materialize needs its rows, and of a partially
+	// admitted view only the rows inside the admitted pieces; every other
 	// candidate needs its measured size (step 9), which leaves the engine
 	// free to never build it.
 	capture := make(map[query.Node]engine.Capture)
 	for _, vc := range vcands {
-		capture[vc.node] = engine.CaptureSize
+		capture[vc.node] = engine.Capture{Level: engine.CaptureSize}
 	}
 	for _, sv := range selViews {
-		capture[sv.vc.node] = engine.CaptureRows
+		c := engine.Capture{Level: engine.CaptureRows}
+		// One node selected on two attributes in one round is captured
+		// whole: a request carries one range.
+		if capture[sv.vc.node].Level != engine.CaptureRows {
+			c.Col, c.Ivs = d.captureRange(sv)
+		}
+		capture[sv.vc.node] = c
 	}
 	for _, fc := range selFrags {
 		if fc.fromGap {
-			capture[fc.gapNode] = engine.CaptureRows
+			capture[fc.gapNode] = engine.Capture{Level: engine.CaptureRows}
 		}
 	}
 
@@ -586,6 +599,16 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 		pins:       pins,
 		baseCounts: d.Eng.BaseCounts(tables),
 	}, nil
+}
+
+// captureRange returns the range of sv's row capture: the admitted
+// pieces of a partially admitted view, or none — every row — otherwise.
+func (d *DeepSea) captureRange(sv selectedView) (col string, ivs []interval.Interval) {
+	within, partial := sv.admitted(&d.Cfg)
+	if !partial || d.wholeCaptures {
+		return "", nil
+	}
+	return sv.attr, within
 }
 
 // finishPlanned runs Algorithm 1 steps 8+ for a planned query: execution

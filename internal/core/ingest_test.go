@@ -514,7 +514,10 @@ func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
 	// The second query's materialization, with rows captured after the
 	// append landed.
 	captured := relation.NewTable(pv.Schema)
-	_, created, err := d.materializeView(sv, captured, false, d.Eng.BaseCounts([]string{"item", "sales"}))
+	_, created, err := d.materializeView(&matViewTask{
+		sv: sv, captured: captured, capturedBytes: captured.Bytes(),
+		baseCounts: d.Eng.BaseCounts([]string{"item", "sales"}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

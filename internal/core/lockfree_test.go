@@ -13,8 +13,8 @@ import (
 // TestCacheHitQueryAcquiresNoTrackedLocks pins the lock-free read path:
 // a repeated query answered from the result cache must not touch the
 // planning lock, any view stripe, or the pin registry — its reads go
-// through the epoch-published snapshots (filter tree, generation map,
-// cache) alone. Only meaningful under -tags lockcheck, where every
+// through the cache and the pool's lock-free generation counters
+// alone. Only meaningful under -tags lockcheck, where every
 // tracked acquisition reports to lockcheck.Acquire.
 func TestCacheHitQueryAcquiresNoTrackedLocks(t *testing.T) {
 	d := newTestSystem(t, func(c *Config) { c.CacheBytes = 64 << 20 })

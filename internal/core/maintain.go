@@ -55,12 +55,15 @@ const maintBatchMax = 64
 
 // matViewTask materializes a selected view (whole or its admitted
 // initial fragments). captured carries the rows computed as a
-// by-product of the proposing query's execution (nil in estimate-only
-// mode, or when the rows must be reconstructed from an existing
-// partition at apply time).
+// by-product of the proposing query's execution — of a partially
+// admitted view, the rows inside the admitted pieces only — and is nil
+// in estimate-only mode, or when the rows must be reconstructed from an
+// existing partition at apply time. capturedBytes is the measured size
+// of the whole view, whatever part of it captured holds.
 type matViewTask struct {
-	sv       selectedView
-	captured *relation.Table
+	sv            selectedView
+	captured      *relation.Table
+	capturedBytes int64
 	// baseCounts is the proposing query's planning-time base-table row
 	// counts — the ingest consistency point the captured rows register
 	// under (see registerIngestView).
@@ -186,7 +189,7 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 		}
 	}
 	captured := res.Captured
-	gen := d.Pool.GenFn()
+	gen := d.Pool.Generation
 	for _, sv := range pq.selViews {
 		if !d.backoff.allowed(sv.vc.id) {
 			continue
@@ -195,7 +198,10 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 			Key:      fmt.Sprintf("mat:%s:%s@%d", sv.vc.id, sv.attr, gen(sv.vc.id)),
 			Kind:     maintain.KindMaterialize,
 			Priority: sv.value,
-			Payload:  &matViewTask{sv: sv, captured: captured[sv.vc.node], baseCounts: pq.baseCounts},
+			Payload: &matViewTask{
+				sv: sv, captured: captured[sv.vc.node], capturedBytes: res.CapturedBytes[sv.vc.node],
+				baseCounts: pq.baseCounts,
+			},
 		})
 	}
 	for _, fc := range pq.selFrags {
@@ -437,7 +443,7 @@ func (d *DeepSea) applyMatView(p *matViewTask, out *maintOutcome) error {
 	if !d.backoff.allowed(id) {
 		return nil
 	}
-	cost, created, err := d.materializeView(p.sv, p.captured, p.usedByQuery, p.baseCounts)
+	cost, created, err := d.materializeView(p)
 	out.cost.Add(cost)
 	if err != nil {
 		return d.noteMatFault(id, err, out)

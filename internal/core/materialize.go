@@ -14,10 +14,12 @@ import (
 )
 
 // materializeView stores a captured candidate view according to the
-// configured partitioning mode and returns the charged cost. captured is
-// nil in estimate-only mode; sizes then come from statistics. When the
+// configured partitioning mode and returns the charged cost. p.captured
+// is nil in estimate-only mode; sizes then come from statistics. When the
 // selection admitted only some initial fragments (sv.pieces), only those
-// are written — partial materialization under a tight pool.
+// are written — partial materialization under a tight pool — and
+// p.captured may hold only the rows inside them (captureRange), while
+// p.capturedBytes is the size of the whole view either way.
 //
 // When the defining node did not execute (the query was rewritten) but a
 // complete partition of the view already exists, the rows are
@@ -25,7 +27,8 @@ import (
 // partition on a second attribute: re-partitioning the fragments the
 // rewriting just read (usedByQuery charges the reads only when the
 // executed plan did not already pay for them).
-func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, usedByQuery bool, planCounts map[string]int64) (engine.Cost, bool, error) {
+func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
+	sv, captured, planCounts := p.sv, p.captured, p.baseCounts
 	vc := sv.vc
 	// One Materialize-site injection decision per view materialization
 	// attempt; a fault here fails the attempt before anything is written.
@@ -37,7 +40,7 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 	fromFiles := false
 	if captured == nil && d.Cfg.ExecuteRows {
 		var ok bool
-		captured, reconstructCost, ok = d.reconstructView(vc.id, usedByQuery)
+		captured, reconstructCost, ok = d.reconstructView(vc.id, p.usedByQuery)
 		if !ok {
 			return engine.Cost{}, false, nil // no row source this round
 		}
@@ -50,8 +53,11 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 		return engine.Cost{}, false, nil
 	}
 	viewBytes := vs.Size
-	if captured != nil {
+	switch {
+	case fromFiles:
 		viewBytes = captured.Bytes()
+	case captured != nil:
+		viewBytes = p.capturedBytes
 	}
 	// Captured rows are a query's; reconstructed ones the store's own.
 	write := d.Eng.WriteMaterialized
@@ -83,7 +89,7 @@ func (d *DeepSea) materializeView(sv selectedView, captured *relation.Table, use
 		d.Pool.SetViewFile(vc.id, path, viewBytes)
 
 	default:
-		ivs, err := d.initialPartitioning(vc, attr, dom, viewBytes, captured, sv.pieces)
+		ivs, err := d.initialPartitioning(sv, viewBytes, captured)
 		if err != nil {
 			return engine.Cost{}, false, err
 		}
@@ -229,9 +235,16 @@ func (d *DeepSea) partitionKey(vc viewCandidate) (string, interval.Interval, boo
 // materialized: equi-depth boundaries for the E-k baseline, or the
 // workload-derived candidate partitioning (PSTAT) for the adaptive
 // modes, bounded per Section 9 (split fragments above φ·S(V), never
-// below the block size). A non-nil pieces list restricts the adaptive
+// below the block size). A non-nil sv.pieces restricts the adaptive
 // partitioning to the selection-admitted fragments.
-func (d *DeepSea) initialPartitioning(vc viewCandidate, attr string, dom interval.Interval, viewBytes int64, captured *relation.Table, pieces []interval.Interval) ([]interval.Interval, error) {
+//
+// Every interval whose size the adaptive path asks for lies inside the
+// union of sv.pieces: guardSplit and partition.Bound subdivide a piece,
+// coalesceMin merges adjacent ones. That is what lets captured hold the
+// rows inside the admitted pieces only; the sizer checks it, and a probe
+// outside is an error, not a zero.
+func (d *DeepSea) initialPartitioning(sv selectedView, viewBytes int64, captured *relation.Table) ([]interval.Interval, error) {
+	vc, attr, dom, pieces := sv.vc, sv.attr, sv.dom, sv.pieces
 	if d.Cfg.Partition == PartitionEquiDepth {
 		k := d.Cfg.EquiDepthK
 		if k < 1 {
@@ -271,13 +284,18 @@ func (d *DeepSea) initialPartitioning(vc viewCandidate, attr string, dom interva
 		ivs = guardSplit(ivs, isHot, 2)
 	}
 
-	sizeOf := d.fragmentSizer(captured, attr, viewBytes, dom)
+	within, _ := sv.admitted(&d.Cfg)
+	sizer := newFragSizer(captured, attr, viewBytes, dom, within)
 	// Lower bound: coalesce runs of too-small fragments (block size).
-	ivs = coalesceMin(ivs, sizeOf, d.Cfg.minFragBytes())
+	ivs = coalesceMin(ivs, sizer.sizeOf, d.Cfg.minFragBytes())
 	// Upper bound: split fragments above φ·S(V).
 	if d.Cfg.MaxFragFraction > 0 {
 		maxBytes := int64(d.Cfg.MaxFragFraction * float64(viewBytes))
-		ivs = partition.Bound(ivs, sizeOf, maxBytes, d.Cfg.minFragBytes())
+		ivs = partition.Bound(ivs, sizer.sizeOf, maxBytes, d.Cfg.minFragBytes())
+	}
+	if sizer.outside != nil {
+		return nil, fmt.Errorf("core: partitioning view %s on %s sized %s, outside the admitted pieces %v its captured rows are complete for",
+			shortID(vc.id), attr, *sizer.outside, within)
 	}
 	return ivs, nil
 }
@@ -310,21 +328,44 @@ func uniformShare(viewBytes int64, iv, dom interval.Interval) int64 {
 	return int64(float64(viewBytes) * float64(iv.Len()) / float64(dom.Len()))
 }
 
-// fragmentSizer returns a fast interval-size estimator: in exec mode it
-// sorts the captured partition-key column once and answers each interval
-// by binary search; in estimate-only mode it falls back to the uniform
-// share. (Bounding and coalescing probe many intervals.)
-func (d *DeepSea) fragmentSizer(captured *relation.Table, attr string, viewBytes int64, dom interval.Interval) func(interval.Interval) int64 {
-	if captured == nil {
-		return func(iv interval.Interval) int64 { return uniformShare(viewBytes, iv, dom) }
+// fragSizer is a fast interval-size estimator: in exec mode it sorts the
+// captured partition-key column once and answers each interval by binary
+// search; in estimate-only mode it falls back to the uniform share.
+// (Bounding and coalescing probe many intervals.)
+type fragSizer struct {
+	vals      []int64 // the captured keys, ascending; nil in estimate-only mode
+	width     int64
+	viewBytes int64
+	dom       interval.Interval
+	// within lists the key ranges the captured rows are complete for
+	// (sorted, disjoint, non-adjacent); nil means everywhere. outside is
+	// the first interval asked about that no member of within contains.
+	within  interval.Set
+	outside *interval.Interval
+}
+
+func newFragSizer(captured *relation.Table, attr string, viewBytes int64, dom interval.Interval, within interval.Set) *fragSizer {
+	s := &fragSizer{viewBytes: viewBytes, dom: dom}
+	if captured != nil {
+		s.vals = sortedKeys(captured, attr)
+		s.width = captured.Schema.RowWidth()
+		s.within = within
 	}
-	vals := sortedKeys(captured, attr)
-	width := captured.Schema.RowWidth()
-	return func(iv interval.Interval) int64 {
-		lo := sort.Search(len(vals), func(i int) bool { return vals[i] >= iv.Lo })
-		hi := sort.Search(len(vals), func(i int) bool { return vals[i] > iv.Hi })
-		return int64(hi-lo) * width
+	return s
+}
+
+func (s *fragSizer) sizeOf(iv interval.Interval) int64 {
+	if s.vals == nil {
+		return uniformShare(s.viewBytes, iv, s.dom)
 	}
+	if s.within != nil && s.outside == nil &&
+		!slices.ContainsFunc(s.within, func(w interval.Interval) bool { return w.ContainsInterval(iv) }) {
+		bad := iv
+		s.outside = &bad
+	}
+	lo := sort.Search(len(s.vals), func(i int) bool { return s.vals[i] >= iv.Lo })
+	hi := sort.Search(len(s.vals), func(i int) bool { return s.vals[i] > iv.Hi })
+	return int64(hi-lo) * s.width
 }
 
 // sortedKeys returns the table's attr column, ascending.

@@ -25,6 +25,22 @@ type selectedView struct {
 	value float64
 }
 
+// admitted returns the key ranges the selection admitted of the view, as
+// sorted, disjoint, non-adjacent intervals, and whether that is less than
+// the whole view: false when every piece was admitted (pieces == nil),
+// when the view is stored unpartitioned or equi-depth (both need every
+// row), or when the admitted pieces cover the attribute's domain.
+func (sv *selectedView) admitted(cfg *Config) (interval.Set, bool) {
+	if sv.pieces == nil || sv.attr == "" || !cfg.adaptive() {
+		return nil, false
+	}
+	ivs := interval.Set(sv.pieces).Union()
+	if len(ivs) == 1 && ivs[0].ContainsInterval(sv.dom) {
+		return nil, false
+	}
+	return ivs, true
+}
+
 // selectConfiguration implements Sections 7.2 and 7.3: filter view and
 // fragment candidates by cost <= benefit, assemble ALLCAND (filtered
 // candidates plus every fragment and unpartitioned view in the pool),

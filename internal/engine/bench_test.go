@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"deepsea/internal/interval"
@@ -72,36 +73,51 @@ func probeFixture(factRows, dimRows int) (fact, dim *relation.Table, sel *query.
 	return fact, dim, sel
 }
 
-// mustFuse returns the kernel's stack rooted at n.
-func mustFuse(tb testing.TB, n query.Node) *fusedJoin {
+// mustFuse returns the kernel's stack rooted at n under the given
+// captures.
+func mustFuse(tb testing.TB, n query.Node, capture map[query.Node]Capture) *fusedJoin {
 	tb.Helper()
-	f, ok := fuseJoin(n, noRowsWanted)
+	f, ok := fuseJoin(n, capture)
 	if !ok {
 		tb.Fatalf("%T does not fuse", n)
 	}
 	return &f
 }
 
-var benchSink *relation.Table
+// capture10pct is the capture a partially admitted view gets: the
+// projection under sel, restricted to the selection's range plus a guard
+// of half its width on either side — three adjacent intervals, 10% of
+// the key domain, as guardSplit cuts them.
+func capture10pct(sel *query.Select) map[query.Node]Capture {
+	hot := sel.Ranges[0].Iv
+	g := hot.Len() / 2
+	return map[query.Node]Capture{sel.Child: {Level: CaptureRows, Col: sel.Ranges[0].Col, Ivs: []interval.Interval{
+		interval.New(hot.Lo-g, hot.Lo-1), hot, interval.New(hot.Hi+1, hot.Hi+g),
+	}}}
+}
+
+var benchSink, benchCaptured *relation.Table
 
 func BenchmarkProbe(b *testing.B) {
 	fact, dim, sel := probeFixture(benchFactRows, benchDimRows)
 	proj := sel.Child.(*query.Project)
 	for _, bc := range []struct {
-		name string
-		top  query.Node
+		name    string
+		top     query.Node
+		capture map[query.Node]Capture
 	}{
-		{"join", proj.Child},
-		{"join+project", proj},
-		{"join+project+select5pct", sel},
+		{"join", proj.Child, nil},
+		{"join+project", proj, nil},
+		{"join+project+select5pct", sel, nil},
+		{"join+project+select5pct+capture10pct", sel, capture10pct(sel)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			f := mustFuse(b, bc.top)
+			f := mustFuse(b, bc.top, bc.capture)
 			bud := newBudget(1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink, _ = f.probe(fact, dim, false, bud)
+				benchSink, benchCaptured, _ = f.probe(fact, dim, false, bud)
 			}
 		})
 	}
@@ -150,21 +166,44 @@ func BenchmarkExactAccAdd(b *testing.B) {
 }
 
 // TestFusedProbeAllocations is the kernel's exact allocation gate: the
-// fused select-probe allocates per slab and per chunk, never per row.
+// fused select-probe allocates per block and per chunk, never per row —
+// with one output or, serving a ranged capture, with two. An output
+// thinned by predicates starts each chunk at firstBlockRows and doubles
+// its blocks up to relation.SlabRows, so a chunk pays the block list and
+// at most log2(SlabRows/firstBlockRows)+1 growing blocks per output
+// before every further block holds SlabRows rows.
 func TestFusedProbeAllocations(t *testing.T) {
 	fact, dim, sel := probeFixture(benchFactRows, benchDimRows)
-	f := mustFuse(t, sel)
 	bud := newBudget(1)
-	out, _ := f.probe(fact, dim, false, bud)
-	if len(out.Rows) == 0 || len(out.Rows) >= len(fact.Rows)/10 {
-		t.Fatalf("selection kept %d of %d rows; the fixture is not a 5%% selection", len(out.Rows), len(fact.Rows))
-	}
-	limit := float64(len(out.Rows)/relation.SlabRows + 4*numChunks(len(fact.Rows)) + 16)
-	got := testing.AllocsPerRun(10, func() {
-		benchSink, _ = f.probe(fact, dim, false, bud)
-	})
-	if got > limit {
-		t.Errorf("fused select-probe allocates %.0f objects for %d output rows, limit %.0f", got, len(out.Rows), limit)
+	chunks := numChunks(len(fact.Rows))
+	perChunk := 1 + bits.Len(relation.SlabRows/firstBlockRows)
+	for _, tc := range []struct {
+		name    string
+		capture map[query.Node]Capture
+		outputs int
+	}{
+		{"select", nil, 1},
+		{"select+capture", capture10pct(sel), 2},
+	} {
+		f := mustFuse(t, sel, tc.capture)
+		out, captured, _ := f.probe(fact, dim, false, bud)
+		if len(out.Rows) == 0 || len(out.Rows) >= len(fact.Rows)/10 {
+			t.Fatalf("%s: selection kept %d of %d rows; the fixture is not a 5%% selection", tc.name, len(out.Rows), len(fact.Rows))
+		}
+		rows := len(out.Rows)
+		if tc.outputs == 2 {
+			if len(captured.Rows) <= len(out.Rows) || len(captured.Rows) >= len(fact.Rows)/5 {
+				t.Fatalf("%s: captured %d of %d rows; the fixture is not a 10%% capture", tc.name, len(captured.Rows), len(fact.Rows))
+			}
+			rows += len(captured.Rows)
+		}
+		limit := float64(rows/relation.SlabRows + tc.outputs*perChunk*chunks + 32)
+		got := testing.AllocsPerRun(10, func() {
+			benchSink, benchCaptured, _ = f.probe(fact, dim, false, bud)
+		})
+		if got > limit {
+			t.Errorf("%s: fused probe allocates %.0f objects for %d rows written, limit %.0f", tc.name, got, rows, limit)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func (e *Engine) PrimeRefresh(plan query.Node, old map[string]*relation.Table) (
 // append-linear in a subtree position, so they surface as rematError.
 func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) {
 	var out *relation.Table
-	if f, ok := fuseJoin(n, noRowsWanted); ok {
+	if f, ok := fuseJoin(n, nil); ok {
 		l, err := c.snapEval(f.join.Left, record)
 		if err != nil {
 			return nil, err
@@ -191,7 +191,7 @@ func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) 
 			return nil, err
 		}
 		var joined int
-		out, joined = f.probe(l, r, buildsLeft(len(l.Rows), len(r.Rows)), c.bud)
+		out, _, joined = f.probe(l, r, buildsLeft(len(l.Rows), len(r.Rows)), c.bud)
 		if record {
 			for _, m := range f.below {
 				c.newSizes[m] = joined
@@ -232,10 +232,6 @@ func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) 
 	}
 	return out, nil
 }
-
-// noRowsWanted is fuseJoin's rowsWanted for the refresh paths, which
-// read only the plan root's rows.
-func noRowsWanted(query.Node) bool { return false }
 
 // DeltaApply pushes the appended base rows through a primed view plan
 // and returns what the refresh must do to the stored content. snaps are
@@ -324,7 +320,7 @@ func (c *deltaCtx) deltaNode(n query.Node) (*relation.Table, error) {
 	if !primed {
 		return nil, rematError{"plan node missing from primed sizes"}
 	}
-	if f, ok := fuseJoin(n, noRowsWanted); ok {
+	if f, ok := fuseJoin(n, nil); ok {
 		out, err := c.deltaJoin(&f)
 		if err != nil {
 			return nil, err
@@ -428,7 +424,7 @@ func (c *deltaCtx) deltaJoin(f *fusedJoin) (*relation.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, joined := f.probe(l, r, buildLeft, c.bud)
+	out, _, joined := f.probe(l, r, buildLeft, c.bud)
 	grow(joined)
 	return out, nil
 }

@@ -384,7 +384,7 @@ func TestCaptureIntermediateResult(t *testing.T) {
 		GroupBy: []string{"i_category"},
 		Aggs:    []query.AggSpec{{Func: query.Count, As: "n"}},
 	}
-	res, err := e.Run(plan, map[query.Node]Capture{j: CaptureRows})
+	res, err := e.Run(plan, map[query.Node]Capture{j: {Level: CaptureRows}})
 	if err != nil {
 		t.Fatal(err)
 	}

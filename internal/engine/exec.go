@@ -18,26 +18,63 @@ type Result struct {
 	// Cost is the simulated cost of the run.
 	Cost Cost
 	// Captured maps the plan nodes requested at CaptureRows to their
-	// outputs. The tables are carved from the run's slabs: a caller that
-	// keeps one stores it through WriteMaterialized, which copies.
+	// outputs — for a ranged request, exactly the output's rows inside the
+	// range, in output order. The tables are carved from the run's slabs:
+	// a caller that keeps one stores it through WriteMaterialized, which
+	// copies.
 	Captured map[query.Node]*relation.Table
 	// CapturedBytes maps every requested plan node that executed, at
-	// either level, to its output's modelled size.
+	// either level, ranged or not, to the modelled size of its whole
+	// output: what a caller sizes a view by is the view, not the part of
+	// it the caller asked to see.
 	CapturedBytes map[query.Node]int64
 }
 
-// Capture is how much of a plan node's output a caller of Run wants
-// back. The engine materializes an intermediate only when its rows are
-// wanted, so asking for less lets more of the plan run fused.
-type Capture uint8
+// Capture is a request for a plan node's output: how much of it a caller
+// of Run wants back. The engine materializes an intermediate only when
+// all its rows are wanted, so asking for less lets more of the plan run
+// fused.
+type Capture struct {
+	Level CaptureLevel
+	// Col, when set on a CaptureRows request, restricts the rows returned
+	// to those whose Col value lies in one of Ivs, which must be sorted
+	// and disjoint (no interval: no row). Col must be a column of the
+	// node's output.
+	Col string
+	Ivs []interval.Interval
+}
+
+// CaptureLevel is the level of a Capture request.
+type CaptureLevel uint8
 
 // Capture levels.
 const (
 	// CaptureSize records the node's output size only.
-	CaptureSize Capture = iota + 1
+	CaptureSize CaptureLevel = iota + 1
 	// CaptureRows records the size and returns the rows.
 	CaptureRows
 )
+
+// ranged reports whether c asks for the rows inside a range only.
+func (c Capture) ranged() bool { return c.Level == CaptureRows && c.Col != "" }
+
+// checkCaptures rejects a ranged request the data path cannot serve.
+func checkCaptures(capture map[query.Node]Capture) error {
+	for n, c := range capture {
+		if !c.ranged() {
+			continue
+		}
+		if s := n.Schema(); s.ColIndex(c.Col) < 0 {
+			return fmt.Errorf("engine: capture range column %q missing from %s", c.Col, s.String())
+		}
+		for i := 1; i < len(c.Ivs); i++ {
+			if c.Ivs[i].Lo <= c.Ivs[i-1].Hi {
+				return fmt.Errorf("engine: capture range on %q is not sorted and disjoint: %s, %s", c.Col, c.Ivs[i-1], c.Ivs[i])
+			}
+		}
+	}
+	return nil
+}
 
 func newResult() *Result {
 	return &Result{
@@ -59,7 +96,8 @@ func (res *Result) absorb(sub *Result) {
 // Run evaluates the plan. In exec mode rows are really computed; in
 // estimate-only mode the cost model alone runs and Table is nil. capture
 // may list plan nodes whose intermediate outputs the caller wants (for
-// view materialization) and at what level; it may be nil.
+// view materialization), at what level and, for rows, inside what range;
+// it may be nil.
 func (e *Engine) Run(plan query.Node, capture map[query.Node]Capture) (Result, error) {
 	return e.RunContext(context.Background(), plan, capture)
 }
@@ -83,6 +121,9 @@ func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[qu
 			return Result{}, err
 		}
 		return Result{Cost: c}, nil
+	}
+	if err := checkCaptures(capture); err != nil {
+		return Result{}, err
 	}
 	res = *newResult()
 	// One worker budget per Run: intra-operator chunk workers and
@@ -163,13 +204,27 @@ func (e *Engine) eval(n query.Node, capture map[query.Node]Capture, res *Result,
 	if err != nil {
 		return out, err
 	}
-	if level := capture[n]; level != 0 {
+	if c := capture[n]; c.Level != 0 {
 		res.CapturedBytes[n] = out.tbl.Bytes()
-		if level == CaptureRows {
-			res.Captured[n] = out.tbl
+		if c.Level == CaptureRows {
+			res.Captured[n] = capturedRows(out.tbl, c, bud)
 		}
 	}
 	return out, nil
+}
+
+// capturedRows cuts a captured node's output down to the request's range.
+// This is the capture point of every node the probe kernel does not
+// serve from inside a stack: a stack's top, a view scan, an aggregate.
+func capturedRows(t *relation.Table, c Capture, bud *budget) *relation.Table {
+	if !c.ranged() {
+		return t
+	}
+	var preds boundPreds
+	preds.addIn(t.Schema.ColIndex(c.Col), c.Ivs)
+	out := relation.NewTable(t.Schema)
+	out.Rows = filterRows(t.Rows, &preds, bud)
+	return out
 }
 
 // evalSiblings evaluates independent sibling subplans, concurrently when
@@ -215,9 +270,9 @@ func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]Capture
 
 func (e *Engine) evalNode(n query.Node, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
 	// A join, alone or under a projection and a selection, is one probe
-	// pass — unless the caller wants the rows of a node inside the stack.
-	rowsWanted := func(m query.Node) bool { return capture[m] == CaptureRows }
-	if f, ok := fuseJoin(n, rowsWanted); ok {
+	// pass — unless the caller wants all the rows of a node inside the
+	// stack.
+	if f, ok := fuseJoin(n, capture); ok {
 		return e.evalJoin(&f, capture, res, bud)
 	}
 	switch t := n.(type) {
@@ -276,8 +331,10 @@ func (e *Engine) evalNode(n query.Node, capture map[query.Node]Capture, res *Res
 }
 
 // evalJoin evaluates a fused join stack: both inputs as siblings, then
-// one probe pass. The nodes inside the stack never exist as tables; a
-// size-level capture of one is answered from the join's cardinality.
+// one probe pass. The nodes inside the stack never exist as tables: the
+// size of one, at either capture level, is answered from the join's
+// cardinality, and the rows of a ranged capture are the pass's second
+// output.
 func (e *Engine) evalJoin(f *fusedJoin, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
 	sides, err := e.evalSiblings([]query.Node{f.join.Left, f.join.Right}, capture, res, bud)
 	if err != nil {
@@ -286,12 +343,15 @@ func (e *Engine) evalJoin(f *fusedJoin, capture map[query.Node]Capture, res *Res
 	l, r := sides[0], sides[1]
 	e.settle(&l)
 	e.settle(&r)
-	outTbl, joined := f.probe(l.tbl, r.tbl, buildsLeft(len(l.tbl.Rows), len(r.tbl.Rows)), bud)
+	outTbl, captured, joined := f.probe(l.tbl, r.tbl, buildsLeft(len(l.tbl.Rows), len(r.tbl.Rows)), bud)
 	for _, m := range f.below {
-		if capture[m] != 0 {
+		if capture[m].Level != 0 {
 			schema := m.Schema()
 			res.CapturedBytes[m] = int64(joined) * schema.RowWidth()
 		}
+	}
+	if f.ranged != nil {
+		res.Captured[f.ranged] = captured
 	}
 	cost := l.cost
 	cost.Add(r.cost)

@@ -205,44 +205,91 @@ func sameTable(got, want *relation.Table) error {
 	return nil
 }
 
+// refRanged is the ranged capture's contract: the rows of the node's
+// whole output whose col lies in one of ivs, in output order.
+func refRanged(in *relation.Table, col string, ivs []interval.Interval) *relation.Table {
+	out := relation.NewTable(in.Schema)
+	ci := in.Schema.ColIndex(col)
+	for _, row := range in.Rows {
+		for _, iv := range ivs {
+			if iv.Contains(row[ci].Int()) {
+				out.Rows = append(out.Rows, row)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// captureRanges returns the three shapes of range a capture is tested
+// with over an Int column of tbl: one interval, three (two of them
+// adjacent, as guardSplit cuts them), and none.
+func captureRanges(tbl *relation.Table, col string) map[string][]interval.Interval {
+	ci := tbl.Schema.ColIndex(col)
+	lo, hi := tbl.Rows[0][ci].Int(), tbl.Rows[0][ci].Int()
+	for _, row := range tbl.Rows {
+		lo, hi = min(lo, row[ci].Int()), max(hi, row[ci].Int())
+	}
+	w := max(1, (hi-lo+1)/10)
+	return map[string][]interval.Interval{
+		"one":   {interval.New(lo+3*w, lo+4*w-1)},
+		"three": {interval.New(lo+w, lo+2*w-1), interval.New(lo+2*w, lo+3*w-1), interval.New(lo+5*w, lo+6*w-1)},
+		"zero":  {},
+	}
+}
+
+// withSmallFacts returns the dataset with every fact table cut to fewer
+// rows than the item dimension, so the joins against it build their hash
+// table on the fact side: the orientation the full dataset never takes.
+func withSmallFacts(data *workload.Data) *workload.Data {
+	small := *data
+	small.Tables = make(map[string]*relation.Table, len(data.Tables))
+	for name, tbl := range data.Tables {
+		small.Tables[name] = tbl
+		if n := len(data.Tables["item"].Rows) / 2; len(tbl.Rows) > 2*n {
+			small.Tables[name] = &relation.Table{Schema: tbl.Schema, Rows: tbl.Rows[:n]}
+		}
+	}
+	return &small
+}
+
 // TestFusedTemplatesMatchReference: for every query template, at every
-// capture level and worker count, the engine's answer, captured tables,
-// captured sizes and cost equal the reference chain's — whether the
-// plan ran as one fused pass (no capture, size-only capture) or
+// capture level and worker count and in both build orientations, the
+// engine's answer, captured tables, captured sizes and cost equal the
+// reference chain's — whether the plan ran as one fused pass (no
+// capture, size-only capture, a ranged capture inside a stack) or
 // operator by operator (row capture of every candidate stops fusion).
+// A ranged capture returns exactly the reference rows inside its range
+// and the whole node's size, wherever in the plan the node sits, and
+// leaves the query's own answer and cost alone.
 func TestFusedTemplatesMatchReference(t *testing.T) {
 	data := workload.Generate(100, 7, nil) // 12 000 fact rows: three probe chunks
 	dom := workload.ItemSkDomain()
 	iv := interval.New(dom.Lo+dom.Len()/3, dom.Lo+dom.Len()/3+dom.Len()/20-1)
 	levels := []struct {
 		name  string
-		level engine.Capture
+		level engine.CaptureLevel
 	}{{"none", 0}, {"size", engine.CaptureSize}, {"rows", engine.CaptureRows}}
 
-	for _, tpl := range workload.AllTemplates {
-		plan := data.Query(tpl, iv)
-		ref := &refEval{t: t, cm: engine.DefaultCostModel(), tables: data.Tables, out: make(map[query.Node]*relation.Table)}
-		want := ref.eval(plan)
-		ref.settle(&want)
-		if len(want.tbl.Rows) == 0 {
-			t.Fatalf("%s: reference answer is empty; the fixture proves nothing", tpl)
-		}
-		cands := query.CandidateNodes(plan)
-
-		for _, lv := range levels {
-			for _, par := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/capture=%s/par=%d", tpl, lv.name, par)
+	partial := 0 // ranged captures that returned some but not all of a node
+	for _, ds := range []struct {
+		name string
+		data *workload.Data
+	}{{"build=dim", data}, {"build=fact", withSmallFacts(data)}} {
+		for _, tpl := range workload.AllTemplates {
+			plan := ds.data.Query(tpl, iv)
+			ref := &refEval{t: t, cm: engine.DefaultCostModel(), tables: ds.data.Tables, out: make(map[query.Node]*relation.Table)}
+			want := ref.eval(plan)
+			ref.settle(&want)
+			if len(want.tbl.Rows) == 0 {
+				t.Fatalf("%s/%s: reference answer is empty; the fixture proves nothing", ds.name, tpl)
+			}
+			cands := query.CandidateNodes(plan)
+			run := func(name string, par int, capture map[query.Node]engine.Capture) engine.Result {
 				e := engine.New(ref.cm)
 				e.Parallelism = par
-				for _, tbl := range data.Tables {
+				for _, tbl := range ds.data.Tables {
 					e.AddBaseTable(tbl)
-				}
-				var capture map[query.Node]engine.Capture
-				if lv.level != 0 {
-					capture = make(map[query.Node]engine.Capture)
-					for _, n := range cands {
-						capture[n] = lv.level
-					}
 				}
 				res, err := e.Run(plan, capture)
 				if err != nil {
@@ -254,28 +301,122 @@ func TestFusedTemplatesMatchReference(t *testing.T) {
 				if res.Cost != want.cost {
 					t.Errorf("%s: cost %v, want %v", name, res.Cost, want.cost)
 				}
-				wantBytes, wantTables := 0, 0
-				if lv.level != 0 {
-					wantBytes = len(cands)
-				}
-				if lv.level == engine.CaptureRows {
-					wantTables = len(cands)
-				}
-				if len(res.CapturedBytes) != wantBytes || len(res.Captured) != wantTables {
-					t.Errorf("%s: %d sizes and %d tables captured, want %d and %d",
-						name, len(res.CapturedBytes), len(res.Captured), wantBytes, wantTables)
-				}
 				for n, bytes := range res.CapturedBytes {
 					if w := ref.out[n].Bytes(); bytes != w {
 						t.Errorf("%s: captured size of %T = %d, want %d", name, n, bytes, w)
 					}
 				}
-				for n, tbl := range res.Captured {
-					if err := sameTable(tbl, ref.out[n]); err != nil {
-						t.Errorf("%s: captured %T: %v", name, n, err)
+				return res
+			}
+
+			for _, lv := range levels {
+				for _, par := range []int{1, 2, 8} {
+					name := fmt.Sprintf("%s/%s/capture=%s/par=%d", ds.name, tpl, lv.name, par)
+					var capture map[query.Node]engine.Capture
+					if lv.level != 0 {
+						capture = make(map[query.Node]engine.Capture)
+						for _, n := range cands {
+							capture[n] = engine.Capture{Level: lv.level}
+						}
+					}
+					res := run(name, par, capture)
+					wantBytes, wantTables := 0, 0
+					if lv.level != 0 {
+						wantBytes = len(cands)
+					}
+					if lv.level == engine.CaptureRows {
+						wantTables = len(cands)
+					}
+					if len(res.CapturedBytes) != wantBytes || len(res.Captured) != wantTables {
+						t.Errorf("%s: %d sizes and %d tables captured, want %d and %d",
+							name, len(res.CapturedBytes), len(res.Captured), wantBytes, wantTables)
+					}
+					for n, tbl := range res.Captured {
+						if err := sameTable(tbl, ref.out[n]); err != nil {
+							t.Errorf("%s: captured %T: %v", name, n, err)
+						}
 					}
 				}
 			}
+
+			// Ranged captures. Every join, projection and aggregate is
+			// captured on every Int column of its output — which takes in
+			// columns of the probe side and of the build side — alone, the
+			// way the manager asks (the other candidates at size level), and
+			// together with the join under it, which one pass cannot serve.
+			var capturable []query.Node
+			query.Walk(plan, func(n query.Node) {
+				switch n.(type) {
+				case *query.Join, *query.Project, *query.Aggregate:
+					capturable = append(capturable, n)
+				}
+			})
+			for _, n := range capturable {
+				whole := ref.out[n]
+				for _, c := range whole.Schema.Cols {
+					if c.Type != relation.Int {
+						continue
+					}
+					for shape, ivs := range captureRanges(whole, c.Name) {
+						wantRows := refRanged(whole, c.Name, ivs)
+						if len(wantRows.Rows) > 0 && len(wantRows.Rows) < len(whole.Rows) {
+							partial++
+						}
+						capture := make(map[query.Node]engine.Capture)
+						for _, m := range cands {
+							capture[m] = engine.Capture{Level: engine.CaptureSize}
+						}
+						capture[n] = engine.Capture{Level: engine.CaptureRows, Col: c.Name, Ivs: ivs}
+						below, twoRanged := n.Children()[0].(*query.Join)
+						for _, par := range []int{1, 2, 8} {
+							name := fmt.Sprintf("%s/%s/capture=%T.%s[%s]/par=%d", ds.name, tpl, n, c.Name, shape, par)
+							res := run(name, par, capture)
+							if len(res.Captured) != 1 {
+								t.Errorf("%s: %d tables captured, want 1", name, len(res.Captured))
+							}
+							if err := sameTable(res.Captured[n], wantRows); err != nil {
+								t.Errorf("%s: %v", name, err)
+							}
+						}
+						if !twoRanged {
+							continue
+						}
+						capture[below] = engine.Capture{Level: engine.CaptureRows, Col: c.Name, Ivs: ivs}
+						name := fmt.Sprintf("%s/%s/capture=%T.%s[%s]+join/par=2", ds.name, tpl, n, c.Name, shape)
+						res := run(name, 2, capture)
+						if err := sameTable(res.Captured[n], wantRows); err != nil {
+							t.Errorf("%s: %v", name, err)
+						}
+						if err := sameTable(res.Captured[below], refRanged(ref.out[below], c.Name, ivs)); err != nil {
+							t.Errorf("%s: join: %v", name, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	if partial == 0 {
+		t.Error("no ranged capture returned a proper part of its node; the fixture proves nothing")
+	}
+}
+
+// TestRangedCaptureRejectsMalformedRequest: a range over a column the
+// node lacks, or intervals out of order, fail the run before it starts.
+func TestRangedCaptureRejectsMalformedRequest(t *testing.T) {
+	data := workload.Generate(100, 7, nil)
+	plan := data.Query(workload.Q30, workload.ItemSkDomain())
+	proj := plan.(*query.Aggregate).Child.(*query.Select).Child
+	e := engine.New(engine.DefaultCostModel())
+	for _, tbl := range data.Tables {
+		e.AddBaseTable(tbl)
+	}
+	for name, c := range map[string]engine.Capture{
+		"missing column": {Level: engine.CaptureRows, Col: "i_price", Ivs: []interval.Interval{interval.New(0, 1)}},
+		"unsorted":       {Level: engine.CaptureRows, Col: "ss_item_sk", Ivs: []interval.Interval{interval.New(5, 9), interval.New(0, 1)}},
+		"overlapping":    {Level: engine.CaptureRows, Col: "ss_item_sk", Ivs: []interval.Interval{interval.New(0, 5), interval.New(5, 9)}},
+	} {
+		if _, err := e.Run(plan, map[query.Node]engine.Capture{proj: c}); err == nil {
+			t.Errorf("%s: run succeeded", name)
 		}
 	}
 }

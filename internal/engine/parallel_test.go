@@ -209,7 +209,7 @@ func TestParallelMultiGapRemainderDeterminism(t *testing.T) {
 				Ranges: []query.RangePred{{Col: "ss_item_sk", Iv: gap}},
 			}
 			vs.Remainders = append(vs.Remainders, rem)
-			capture[rem] = CaptureRows
+			capture[rem] = Capture{Level: CaptureRows}
 		}
 		res, err := e.Run(vs, capture)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 func TestOutputRowsOwnTheirCapacity(t *testing.T) {
 	fact, dim, sel := probeFixture(2000, 400)
 	proj := sel.Child.(*query.Project)
-	joined, _ := mustFuse(t, proj).probe(fact, dim, false, newBudget(2))
+	joined, _, _ := mustFuse(t, proj, nil).probe(fact, dim, false, newBudget(2))
 	for name, out := range map[string]*relation.Table{
 		"probe":        joined,
 		"projectTable": projectTable(fact, []string{"f_k", "f_qty", "f_price"}, newBudget(2)),
@@ -59,7 +59,7 @@ func TestStoredFragmentReleasesCapturedSlabs(t *testing.T) {
 	keep := sel.Ranges[0].Iv
 
 	before := heapInUse()
-	res, err := e.Run(proj, map[query.Node]Capture{proj: CaptureRows})
+	res, err := e.Run(proj, map[query.Node]Capture{proj: {Level: CaptureRows}})
 	if err != nil {
 		t.Fatal(err)
 	}

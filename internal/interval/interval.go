@@ -224,3 +224,19 @@ func EquiDepth(dom Interval, n int) Set {
 	}
 	return out
 }
+
+// Union returns the set's point set as sorted, disjoint, non-adjacent
+// intervals: overlapping and adjacent members are merged.
+func (s Set) Union() Set {
+	c := s.Clone()
+	c.Sort()
+	out := c[:0]
+	for _, iv := range c {
+		if n := len(out); n > 0 && iv.Lo <= out[n-1].Hi+1 {
+			out[n-1].Hi = max(out[n-1].Hi, iv.Hi)
+			continue
+		}
+		out = append(out, iv)
+	}
+	return out
+}

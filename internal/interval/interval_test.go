@@ -2,6 +2,7 @@ package interval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +263,30 @@ func TestEquiDepthPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestUnion(t *testing.T) {
+	tests := []struct {
+		name string
+		set  Set
+		want Set
+	}{
+		{"empty", Set{}, Set{}},
+		{"adjacent merge", Set{New(0, 5), New(6, 10)}, Set{New(0, 10)}},
+		{"overlap and containment", Set{New(0, 60), New(10, 20), New(40, 100)}, Set{New(0, 100)}},
+		{"hole stays", Set{New(8, 9), New(0, 5), New(6, 6)}, Set{New(0, 6), New(8, 9)}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			in := tt.set.Clone()
+			got := tt.set.Union()
+			if !slices.Equal(got, tt.want) {
+				t.Errorf("Union = %v, want %v", got, tt.want)
+			}
+			if !slices.Equal(tt.set, in) {
+				t.Errorf("Union reordered its receiver: %v, was %v", tt.set, in)
+			}
+		})
 	}
 }

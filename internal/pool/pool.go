@@ -74,19 +74,15 @@ type Pool struct {
 	// is O(1) instead of a full walk per greedy-selection probe.
 	size int64
 	// gens counts content mutations per view id (materialize, evict,
-	// fragment add/remove/split/merge, removal). The result cache records
-	// the generation of every view a cached plan read, so a mutation
-	// invalidates exactly the entries over the touched views. Entries
-	// survive Remove/GC: a re-created view must not resurrect stale
-	// cached results by restarting at zero.
-	gens map[string]uint64
-	// genSnap is the epoch-published immutable copy of gens: every
-	// mutation republishes it (copy-on-write under p.mu), so the hot
-	// read path — cache-hit generation validation, which runs on every
-	// query before planning — is a single atomic load instead of an
-	// RLock per dependency. Mutations are rare (maintenance only) and
-	// the map is small, so the per-mutation copy is cheap.
-	genSnap atomic.Pointer[map[string]uint64]
+	// fragment add/remove/split/merge, removal): view id -> *atomic.Uint64.
+	// The result cache records the generation of every view a cached plan
+	// read, so a mutation invalidates exactly the entries over the touched
+	// views. A counter is created on its view's first mutation and is
+	// never removed — a re-created view must not resurrect stale cached
+	// results by restarting at zero — so the map only grows; a bump and a
+	// read are each one lock-free lookup and one atomic operation, whatever
+	// the number of ids the pool has ever seen.
+	gens sync.Map
 	// journal, when non-nil, receives one record per pool mutation while
 	// p.mu is held, so the journal's order for pool ops is the mutation
 	// order. Creation-only paths (Ensure, EnsurePartition) journal only
@@ -96,28 +92,22 @@ type Pool struct {
 
 // New returns an empty pool with the given size limit.
 func New(smax int64) *Pool {
-	p := &Pool{Smax: smax, views: make(map[string]*View), gens: make(map[string]uint64)}
-	empty := map[string]uint64{}
-	p.genSnap.Store(&empty)
-	return p
+	return &Pool{Smax: smax, views: make(map[string]*View)}
 }
 
-// bumpGen advances a view's generation and republishes the immutable
-// snapshot. Caller holds p.mu.
-func (p *Pool) bumpGen(id string) {
-	p.gens[id]++
-	p.publishGens()
-}
-
-// publishGens copies gens into a fresh immutable map and publishes it.
-// Caller holds p.mu.
-func (p *Pool) publishGens() {
-	snap := make(map[string]uint64, len(p.gens))
-	for id, g := range p.gens {
-		snap[id] = g
+// genCounter returns the view's generation counter, creating it at zero
+// on first use.
+func (p *Pool) genCounter(id string) *atomic.Uint64 {
+	c, ok := p.gens.Load(id)
+	if !ok {
+		c, _ = p.gens.LoadOrStore(id, new(atomic.Uint64))
 	}
-	p.genSnap.Store(&snap)
+	return c.(*atomic.Uint64)
 }
+
+// bumpGen advances a view's generation. Caller holds p.mu, so bumps of
+// one view are ordered with the mutations they announce.
+func (p *Pool) bumpGen(id string) { p.genCounter(id).Add(1) }
 
 // SetJournal attaches a mutation journal; nil detaches it. Every
 // mutation method emits a record describing itself while holding the
@@ -142,11 +132,11 @@ func (p *Pool) emit(rec datastore.Record) {
 // for snapshots: the cache keys validity to these, so a warm restart
 // must resume them rather than restart at zero.
 func (p *Pool) Generations() map[string]uint64 {
-	snap := *p.genSnap.Load()
-	out := make(map[string]uint64, len(snap))
-	for id, g := range snap {
-		out[id] = g
-	}
+	out := make(map[string]uint64)
+	p.gens.Range(func(id, c any) bool {
+		out[id.(string)] = c.(*atomic.Uint64).Load()
+		return true
+	})
 	return out
 }
 
@@ -159,28 +149,28 @@ func (p *Pool) RestoreGenerations(gens map[string]uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for id, g := range gens {
-		if g > p.gens[id] {
-			p.gens[id] = g
+		if c := p.genCounter(id); g > c.Load() {
+			c.Store(g)
 		}
 	}
-	p.publishGens()
 }
 
 // Generation returns the view's content-mutation counter. It is zero for
 // never-touched views and keeps counting across removal and re-creation.
-// Lock-free: one atomic load of the published snapshot.
+// Lock-free: one map lookup and one atomic load.
+//
+// A validation that reads several views' generations (the result cache
+// checking every view a cached plan read) does not see one instant of
+// the pool, and does not need to: counters only grow, so a counter that
+// equals its recorded value when read has equalled it ever since it was
+// recorded. If every dependency matches when its turn comes, all of
+// them matched at the moment the first was read — the entry was valid
+// at a point inside the lookup, which is all a cache hit promises.
 func (p *Pool) Generation(id string) uint64 {
-	return (*p.genSnap.Load())[id]
-}
-
-// GenFn returns a generation lookup bound to one published epoch: every
-// call answers from the same immutable snapshot, so a multi-dependency
-// validation (the result cache checking every view a plan read) sees a
-// single consistent pool state even while the maintenance committer
-// publishes new epochs concurrently.
-func (p *Pool) GenFn() func(id string) uint64 {
-	snap := *p.genSnap.Load()
-	return func(id string) uint64 { return snap[id] }
+	if c, ok := p.gens.Load(id); ok {
+		return c.(*atomic.Uint64).Load()
+	}
+	return 0
 }
 
 // View returns the pool entry for id, or nil.
@@ -508,19 +498,36 @@ func (c Candidate) Key() string {
 // the pool (avoiding pointless churn), then lower keys for determinism.
 // The returned slices partition cands into kept and rejected.
 func SelectGreedy(cands []Candidate, smax int64) (keep, reject []Candidate) {
-	ranked := append([]Candidate(nil), cands...)
+	// Ties are the common case — cold fragments share Φ = 0 — and Key
+	// formats a string, so each candidate's key is made at most once, the
+	// first time a tie needs it.
+	type rankedCand struct {
+		Candidate
+		key string
+	}
+	ranked := make([]rankedCand, len(cands))
+	for i, c := range cands {
+		ranked[i].Candidate = c
+	}
+	key := func(r *rankedCand) string {
+		if r.key == "" {
+			r.key = r.Key()
+		}
+		return r.key
+	}
 	sort.Slice(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
+		a, b := &ranked[i], &ranked[j]
 		if a.Value != b.Value {
 			return a.Value > b.Value
 		}
 		if a.InPool != b.InPool {
 			return a.InPool
 		}
-		return a.Key() < b.Key()
+		return key(a) < key(b)
 	})
 	var used int64
-	for _, c := range ranked {
+	for _, r := range ranked {
+		c := r.Candidate
 		if smax > 0 && used+c.Size > smax {
 			reject = append(reject, c)
 			continue

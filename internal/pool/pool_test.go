@@ -1,6 +1,10 @@
 package pool
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"deepsea/internal/interval"
@@ -220,5 +224,78 @@ func TestPartAttrsSorted(t *testing.T) {
 	got := v.PartAttrs()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Errorf("PartAttrs = %v", got)
+	}
+}
+
+// TestGenerationBumpCostIndependentOfIDs: 10 000 generation bumps spread
+// over 1 000 view ids allocate a constant few bytes each — not a copy of
+// every id the pool has seen — and readers see every bump.
+func TestGenerationBumpCostIndependentOfIDs(t *testing.T) {
+	const ids, bumps = 1000, 10000
+	p := New(0)
+	names := make([]string, ids)
+	for i := range names {
+		names[i] = fmt.Sprintf("view-%04d", i)
+		p.Ensure(names[i], testSchema())
+		p.Invalidate(names[i]) // creates the counter
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < bumps; i++ {
+		p.Invalidate(names[i%ids])
+	}
+	runtime.ReadMemStats(&after)
+	if perBump := (after.TotalAlloc - before.TotalAlloc) / bumps; perBump > 64 {
+		t.Errorf("a generation bump allocates %d bytes with %d ids in the pool, want a constant few", perBump, ids)
+	}
+	for _, id := range names {
+		if got := p.Generation(id); got != 1+bumps/ids {
+			t.Fatalf("Generation(%s) = %d, want %d", id, got, 1+bumps/ids)
+		}
+	}
+	if got := p.Generations(); len(got) != ids || got[names[0]] != 1+bumps/ids {
+		t.Errorf("Generations() holds %d ids and %d for the first, want %d and %d", len(got), got[names[0]], ids, 1+bumps/ids)
+	}
+	p.Remove(names[0])
+	p.RestoreGenerations(map[string]uint64{names[0]: 5, names[1]: 500, "never-seen": 7})
+	if a, b, c := p.Generation(names[0]), p.Generation(names[1]), p.Generation("never-seen"); a != 2+bumps/ids || b != 500 || c != 7 {
+		t.Errorf("after Remove and RestoreGenerations: %d, %d, %d; a counter survives removal and only moves forward", a, b, c)
+	}
+}
+
+// TestSelectGreedyOrderMatchesKeyComparator: caching candidate keys does
+// not change the ranked order — it equals a sort whose comparator calls
+// Key on every tie, over many candidates that tie on value.
+func TestSelectGreedyOrderMatchesKeyComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var cands []Candidate
+	for i := 0; i < 400; i++ {
+		c := Candidate{Kind: Frag, ViewID: fmt.Sprintf("v%d", rng.Intn(7)), Attr: "a",
+			Iv: interval.New(int64(i*10), int64(i*10+9)), Size: int64(1 + rng.Intn(50)),
+			Value: float64(rng.Intn(3)), InPool: rng.Intn(2) == 0}
+		if rng.Intn(10) == 0 {
+			c = Candidate{Kind: WholeView, ViewID: fmt.Sprintf("w%d", i), Size: 30, Value: float64(rng.Intn(3))}
+		}
+		cands = append(cands, c)
+	}
+	want := append([]Candidate(nil), cands...)
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.Value != b.Value {
+			return a.Value > b.Value
+		}
+		if a.InPool != b.InPool {
+			return a.InPool
+		}
+		return a.Key() < b.Key()
+	})
+	keep, reject := SelectGreedy(cands, 0)
+	if len(reject) != 0 || len(keep) != len(want) {
+		t.Fatalf("unlimited pool kept %d and rejected %d of %d", len(keep), len(reject), len(want))
+	}
+	for i := range want {
+		if keep[i] != want[i] {
+			t.Fatalf("rank %d: %+v, want %+v", i, keep[i], want[i])
+		}
 	}
 }

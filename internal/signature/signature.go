@@ -38,8 +38,9 @@ type Signature struct {
 	// GroupBy is the sorted group-by column list; nil when the subtree
 	// contains no aggregation.
 	GroupBy []string
-	// Aggs is the sorted list of canonical aggregate strings; nil when
-	// the subtree contains no aggregation.
+	// Aggs is the sorted list of canonical aggregate strings, each
+	// prefixed "partial " when the aggregation emits partial states; nil
+	// when the subtree contains no aggregation.
 	Aggs []string
 	// HasAgg distinguishes an aggregation with empty group-by from no
 	// aggregation.
@@ -128,11 +129,19 @@ func of(n query.Node) *Signature {
 		s.GroupBy = append([]string(nil), t.GroupBy...)
 		s.Aggs = nil
 		for _, sp := range t.Aggs {
-			s.Aggs = append(s.Aggs, sp.String())
+			// A partial-mode aggregate emits accumulator states, not final
+			// values: it is a different function of the same input, so the
+			// mode is part of each aggregate's identity. Full-mode strings
+			// are the bare spec, as they always were.
+			if t.Partial {
+				s.Aggs = append(s.Aggs, "partial "+sp.String())
+			} else {
+				s.Aggs = append(s.Aggs, sp.String())
+			}
 		}
-		s.Output = append([]string(nil), t.GroupBy...)
-		for _, sp := range t.Aggs {
-			s.Output = append(s.Output, sp.As)
+		s.Output = nil
+		for _, c := range t.Schema().Cols {
+			s.Output = append(s.Output, c.Name)
 		}
 		return s
 	default:

@@ -308,3 +308,33 @@ func TestMatchSelfIsIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateModeIsPartOfIdentity: a partial-mode aggregate emits
+// accumulator states under other column names, so it shares neither a
+// key, a family nor a match with its full-mode twin — while the
+// full-mode key stays the string it was before signatures carried the
+// mode, so stored pools and journals keep their view ids.
+func TestAggregateModeIsPartOfIdentity(t *testing.T) {
+	full, partial := aggPlan(interval.New(0, 1000)), aggPlan(interval.New(0, 1000))
+	partial.Partial = true
+	f, p := Of(full), Of(partial)
+	const fullKey = "R{item,store_sales}J{i_item_sk=ss_item_sk}S{ss_item_sk:[0,1000]}P{}O{i_category,total}G{i_category}A{sum(ss_price) as total}"
+	if f.Key() != fullKey {
+		t.Errorf("full-mode key moved:\n got %s\nwant %s", f.Key(), fullKey)
+	}
+	if f.Key() == p.Key() || f.FamilyKey() == p.FamilyKey() {
+		t.Error("the two modes share a key or a family")
+	}
+	if _, ok := Match(f, p); ok {
+		t.Error("full-mode view matched the partial-mode query")
+	}
+	if _, ok := Match(p, f); ok {
+		t.Error("partial-mode view matched the full-mode query")
+	}
+	if _, ok := Match(p, Of(partial)); !ok {
+		t.Error("identical partial-mode aggregates did not match")
+	}
+	if got := p.Output; len(got) != 2 || got[1] != "total#"+query.PartialSum {
+		t.Errorf("partial-mode output columns = %v, want the state columns of its schema", got)
+	}
+}

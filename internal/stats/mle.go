@@ -39,6 +39,26 @@ func (m NormalModel) AdjustedHits(iv interval.Interval) float64 {
 	return m.Htotal * (m.CDF(float64(iv.Hi)) - m.CDF(float64(iv.Lo)))
 }
 
+// fitPart is one boundary-aligned atom of FitNormal's quantized domain
+// and the hits spread onto it.
+type fitPart struct {
+	iv   interval.Interval
+	hits float64
+}
+
+// spreadHits adds a fragment's h hits to the parts it overlaps,
+// proportionally to the overlap. The parts are sorted and disjoint, so
+// the overlapped ones are consecutive: from the first that ends at or
+// after the fragment's start to the last that starts at or before its
+// end.
+func spreadHits(parts []fitPart, frag interval.Interval, h float64) {
+	fragLen := float64(frag.Len())
+	first := sort.Search(len(parts), func(i int) bool { return parts[i].iv.Hi >= frag.Lo })
+	for i := first; i < len(parts) && parts[i].iv.Lo <= frag.Hi; i++ {
+		parts[i].hits += h * float64(parts[i].iv.OverlapLen(frag)) / fragLen
+	}
+}
+
 // FitNormal computes the maximum-likelihood normal distribution for the
 // partition's observed hits, following Section 7.1:
 //
@@ -77,13 +97,9 @@ func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
 
-	type part struct {
-		iv   interval.Interval
-		hits float64
-	}
-	parts := make([]part, 0, len(cuts)-1)
+	parts := make([]fitPart, 0, len(cuts)-1)
 	for i := 0; i+1 < len(cuts); i++ {
-		parts = append(parts, part{iv: interval.New(cuts[i], cuts[i+1]-1)})
+		parts = append(parts, fitPart{iv: interval.New(cuts[i], cuts[i+1]-1)})
 	}
 
 	// Spread each fragment's decayed hits over the parts it contains,
@@ -95,13 +111,7 @@ func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
 		if h == 0 {
 			continue
 		}
-		fragLen := float64(f.Iv.Len())
-		for i := range parts {
-			ov := parts[i].iv.OverlapLen(f.Iv)
-			if ov > 0 {
-				parts[i].hits += h * float64(ov) / fragLen
-			}
-		}
+		spreadHits(parts, f.Iv, h)
 	}
 	if htotal <= 0 {
 		return NormalModel{}

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -406,6 +407,40 @@ func TestShardedRegistryShardCounts(t *testing.T) {
 		}
 		if v, ok := r.LookupView("v7"); !ok || v.Size != 7 {
 			t.Errorf("shards=%d: LookupView(v7) lost the record", n)
+		}
+	}
+}
+
+// TestSpreadHitsMatchesAllPartsLoop: finding a fragment's parts by
+// binary search performs the same additions in the same order as testing
+// every part for overlap, so the hits agree bit for bit — for fragments
+// inside the domain, across its edges, outside it and overlapping one
+// another.
+func TestSpreadHitsMatchesAllPartsLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		var got, want []fitPart
+		for lo := int64(0); lo < 1000; {
+			hi := lo + int64(rng.Intn(60))
+			got = append(got, fitPart{iv: interval.New(lo, hi)})
+			lo = hi + 1
+		}
+		want = append(want, got...)
+		for k := 0; k < 30; k++ {
+			lo := int64(rng.Intn(1300)) - 150
+			frag := interval.New(lo, lo+int64(rng.Intn(400)))
+			h := rng.Float64() * 10
+			spreadHits(got, frag, h)
+			for i := range want {
+				if ov := want[i].iv.OverlapLen(frag); ov > 0 {
+					want[i].hits += h * float64(ov) / float64(frag.Len())
+				}
+			}
+		}
+		for i := range want {
+			if math.Float64bits(got[i].hits) != math.Float64bits(want[i].hits) {
+				t.Fatalf("round %d part %s: %v hits, the all-parts loop gives %v", round, got[i].iv, got[i].hits, want[i].hits)
+			}
 		}
 	}
 }

@@ -21,9 +21,11 @@
 #       installs it; local runs skip it with a note — and a workflow
 #       warning annotation — rather than demanding the tool)
 #    9. engine microbench smoke — the engine's layer microbenchmarks
-#       once each: they must run, their numbers are advisory (the exact
-#       allocation gates are TestFusedProbeAllocations and
-#       TestAggregateAllocations, part of stage 1).
+#       once each, among them the probe kernel's two-output pass
+#       (BenchmarkProbe/join+project+select5pct+capture10pct): they must
+#       run, their numbers are advisory (the exact allocation gates are
+#       TestFusedProbeAllocations — one output and, serving a ranged
+#       capture, two — and TestAggregateAllocations, part of stage 1).
 #       Every registered (paper) experiment already ran at short scale
 #       in stage 1, with its output checked byte for byte
 #       (internal/bench TestExperimentsGolden). Wall-clock performance
