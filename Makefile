@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench verify lockcheck ci
+.PHONY: all build test vet race bench verify ci
 
 all: verify
 
@@ -20,18 +20,13 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The engine's layer microbenchmarks, once each (allocs/op is exact,
+# The layer microbenchmarks, once each (the engine's allocs/op is exact,
 # ns/op advisory; sustained performance is benchmark/run.sh).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkPlanSection -benchtime 1x ./internal/core
 
 verify: build test vet race
-
-# Lock-order assertions: the lockcheck build tag compiles runtime
-# checking into the manager's lock hierarchy, so ordering violations
-# panic in tests instead of deadlocking in production.
-lockcheck:
-	$(GO) test -tags lockcheck ./internal/lockcheck ./internal/core
 
 # The CI pipeline. The GitHub Actions workflow runs the same script, so
 # the local and hosted gates cannot drift apart.

@@ -149,6 +149,13 @@ func WithParallelism(n int) Option {
 // from the cache in O(1); entries are invalidated precisely when a pool
 // mutation touches a view the cached plan read. Only meaningful with
 // row execution (the default mode).
+//
+// The bound counts modelled bytes, the unit of WithPoolLimit: an answer
+// is accounted at rows × the schema's modelled row width, not at what
+// it occupies in memory — a ten-row answer over the generated 200 GB
+// instance is about 5 MB, so 64 MB holds about a dozen — and an answer
+// larger than an eighth of the bound is never admitted. Size it as the
+// number of distinct answers to keep × their modelled size.
 func WithResultCache(bytes int64) Option {
 	return func(c *core.Config) { c.CacheBytes = bytes }
 }

@@ -13,10 +13,10 @@ import (
 const matMaxFailures = 3
 
 // matBackoff tracks per-view materialization failures. It is a leaf
-// lock: its mutex is never held while acquiring any other manager lock,
-// so it needs no lockcheck rank. Callers hold the owning view's stripe
-// exclusively when consulting it during maintenance, but distinct views
-// share this one map, hence the internal mutex.
+// lock: its mutex is never held while acquiring any other lock. Appliers
+// consult it under the manager lock, but a finishing query builds its
+// task list (maintenanceTasks) with no manager lock held, hence the
+// internal mutex.
 type matBackoff struct {
 	mu       sync.Mutex
 	failures map[string]int

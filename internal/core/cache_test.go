@@ -179,7 +179,7 @@ func TestCachePreciseInvalidation(t *testing.T) {
 // answer — cached or computed — must equal the vanilla reference; a
 // cache hit over an evicted view would return a stale or wrong table
 // and fail the comparison. Run under -race this also proves the lock
-// split (planMu/view stripes/pinMu + cache) is sound.
+// split (mu/pinMu + cache) is sound.
 func TestCacheRaceWithEvictions(t *testing.T) {
 	const (
 		goroutines = 4

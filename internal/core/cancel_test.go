@@ -44,7 +44,7 @@ func TestProcessQueryContextExpiredDeadline(t *testing.T) {
 // TestProcessQueryContextMidExecutionCancel cancels deterministically
 // between planning and execution via the OnPlanned hook: the paths are
 // pinned at that point, so the abort path must drain the pins, hold no
-// stripes, keep the pool consistent, and leave the manager fully
+// manager lock, keep the pool consistent, and leave the manager fully
 // usable — the same query then succeeds with the exact vanilla answer.
 func TestProcessQueryContextMidExecutionCancel(t *testing.T) {
 	leakcheck.Check(t)
@@ -70,8 +70,8 @@ func TestProcessQueryContextMidExecutionCancel(t *testing.T) {
 	}
 	assertPoolInvariants(t, d, "after cancel")
 
-	// The stripes and planMu were released: the same query runs to
-	// completion and the answer is still exact.
+	// The manager lock was released: the same query runs to completion
+	// and the answer is still exact.
 	rep := run(t, d, q30(1000, 2999))
 	if rep.Result.Fingerprint() != want {
 		t.Error("post-cancel query returned a wrong result")

@@ -163,11 +163,9 @@ func TestCaptureRange(t *testing.T) {
 func TestPlanCapturesAdmittedPieces(t *testing.T) {
 	d := newTestSystem(t, func(c *Config) { c.Smax = 4500 << 20 })
 	q := q30(2000, 2499)
-	d.planMu.Lock()
-	d.views.rlockAll()
+	d.mu.Lock()
 	pq, err := d.planLocked(q, "", nil)
-	d.views.runlockAll()
-	d.planMu.Unlock()
+	d.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

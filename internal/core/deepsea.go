@@ -15,7 +15,6 @@ import (
 	"deepsea/internal/engine"
 	"deepsea/internal/faults"
 	"deepsea/internal/interval"
-	"deepsea/internal/lockcheck"
 	"deepsea/internal/maintain"
 	"deepsea/internal/matching"
 	"deepsea/internal/pool"
@@ -29,18 +28,12 @@ import (
 //
 // ProcessQuery may be called from multiple goroutines. Queries answered
 // from the result cache take no manager lock at all. The manager steps
-// of Algorithm 1 split across two layers: planMu, a short-lived planning
-// lock that serializes the read-mostly bookkeeping of steps 1–7
-// (matching statistics, candidate generation, the signature tree), and a
-// per-view striped lock set under which maintenance (steps 9+:
-// materialize, evict, split, merge, refinement) runs holding only the
-// stripes of the views the query reads or mutates — so mutating queries
-// over disjoint views proceed in parallel. Planning holds every stripe
-// shared, which both stabilizes the pool it plans against and licenses
-// its statistics writes. Step 8 — the row execution itself, where the
-// time goes — runs outside all manager locks, so concurrent queries
-// overlap on the data path. Lock order: planMu before view stripes
-// (ascending index) before pinMu. See DESIGN.md, "Concurrency model".
+// of Algorithm 1 — planning (steps 1–7) and maintenance (steps 9+:
+// materialize, evict, split, merge, refresh) — run one at a time under
+// mu, the one manager lock. Step 8 — the row execution itself, where the
+// time goes — runs outside it, so concurrent queries overlap on the data
+// path. Lock order: mu before pinMu before the leaf locks. See
+// DESIGN.md, "Concurrency model".
 type DeepSea struct {
 	Cfg   Config
 	Eng   *engine.Engine
@@ -53,22 +46,20 @@ type DeepSea struct {
 	Cache *cache.ResultCache
 
 	// OnPlanned, when set, observes the end of the planning section: it
-	// is called with the query's sorted view lock set right after the
-	// planning locks are released, before execution. The caller holds no
-	// manager lock at that point, so the hook may block without stalling
-	// other queries' planning. Test and benchmark observability only —
-	// set it before any concurrent use and never call back into the
-	// manager from it.
+	// is called with the query's sorted maintenance views right after mu
+	// is released, before execution. The caller holds no manager lock at
+	// that point, so the hook may block without stalling other queries'
+	// planning. Test and benchmark observability only — set it before
+	// any concurrent use and never call back into the manager from it.
 	OnPlanned func(viewIDs []string)
 
-	// OnMaintain, when set, observes the maintenance section: it is
-	// called with the query's sorted view lock set right after the view
-	// stripes are acquired (enter=true) and right before they are
-	// released (enter=false). The hook runs holding the query's write
-	// stripes — planning (which reads every stripe) stalls for as long
-	// as it blocks. Test and benchmark observability only — set it
-	// before any concurrent use and never call back into the manager
-	// from it.
+	// OnMaintain, when set, observes the maintenance section of a
+	// finishing inline query or a worker's drain cycle: it is called with
+	// the section's sorted views right after mu is acquired (enter=true)
+	// and right before it is released (enter=false). The hook runs
+	// holding mu — planning and every other section stall for as long as
+	// it blocks. Test and benchmark observability only — set it before
+	// any concurrent use and never call back into the manager from it.
 	OnMaintain func(viewIDs []string, enter bool)
 
 	rewriter *matching.Rewriter
@@ -87,35 +78,31 @@ type DeepSea struct {
 	// blacklist instead.
 	backoff *matBackoff
 
-	// planMu is the planning lock: it serializes Algorithm 1's steps
-	// 1–7 — statistics and filter-tree mutation, candidate generation,
-	// the mleCache — across queries. It is held only for planning,
-	// never across execution or maintenance, so it stays short-lived.
-	planMu sync.Mutex
-
-	// views is the per-view striped lock set. Planning (under planMu)
-	// holds every stripe shared; maintenance holds the stripes of the
-	// query's own views exclusive. Pool *content* (fragment lists, view
-	// files) and per-view statistics records change only under the
-	// owning view's exclusive stripe, or under planMu with every stripe
-	// held shared.
-	views *viewLocks
+	// mu is the manager lock. Pool content (fragment lists, view files),
+	// statistics records, the filter tree, the ingest metas and mleCache
+	// change only under it. Its sections exclude one another: a query's
+	// planning, Snapshot, a finishing inline query's task list, each task
+	// of applyEach, a worker's drain cycle, quarantine, and each drop of
+	// the recovery reconcile. It is never held across execution and is
+	// not reentrant — no section calls into another.
+	mu sync.Mutex
 
 	// pinned counts, per storage path, the in-flight executions whose
 	// plan reads the path. Eviction, merging and horizontal-split drops
 	// skip pinned paths so a concurrent query never loses a file it was
-	// planned against. Guarded by pinMu (innermost manager lock).
+	// planned against. Guarded by pinMu, which nests inside mu but is
+	// also taken alone: pins are dropped with no manager lock held.
 	pinMu  sync.Mutex
 	pinned map[string]int
 
 	// mleCache memoizes MLE fits within one selection pass. Guarded by
-	// planMu.
+	// mu.
 	mleCache     map[string]stats.NormalModel
 	mleCacheTime float64
 
-	// planAcq counts planMu acquisitions by queries (one per planned
-	// attempt; a cache hit takes none); inflight and queries count
-	// in-flight and started queries.
+	// planAcq counts planning sections entered by queries (one per
+	// planned attempt; a cache hit takes none); inflight and queries
+	// count in-flight and started queries.
 	planAcq  atomic.Uint64
 	inflight atomic.Int64
 	queries  atomic.Uint64
@@ -136,16 +123,13 @@ type DeepSea struct {
 
 	// maint is the maintenance pool: Config.MaintWorkers workers in
 	// background mode; none in inline mode, where it only holds refresh
-	// retries for the next caller (see maintain.go). maintCommitMu
-	// serializes the workers' drain-cycle commits: the journal group
-	// buffer below is instance-global, so one committer runs at a time
-	// (untracked leaf lock, acquired before any view stripe).
-	maint         *maintain.Pool
-	maintCommitMu sync.Mutex
+	// retries for the next caller (see maintain.go).
+	maint *maintain.Pool
 
 	// groupMu guards the journal group buffer: while a drain cycle has a
 	// group open (grouping), appendRecord buffers records into groupBuf
-	// instead of appending them individually (leaf lock).
+	// instead of appending them individually (leaf lock). Drain cycles
+	// hold mu, so at most one group is open at a time.
 	groupMu  sync.Mutex
 	grouping bool
 	groupBuf []*datastore.Record
@@ -239,7 +223,6 @@ func build(cfg Config) *DeepSea {
 		Pool:    p,
 		Stats:   st,
 		Tree:    tree,
-		views:   newViewLocks(),
 		pinned:  make(map[string]int),
 		faults:  inj,
 		backoff: newMatBackoff(),
@@ -289,12 +272,10 @@ func (d *DeepSea) cacheKey(q query.Node) string {
 }
 
 // viewDeps lists the materialized views a plan reads, each pinned to
-// its current pool generation. On the inline path the caller holds the
-// stripes of every view the plan reads (they are part of the maintenance
-// lock set), so the generations are exactly the post-maintenance state;
-// on the deferred path a read may lag a concurrent background commit,
-// which at worst invalidates the entry immediately — never serves a
-// stale one.
+// its current pool generation. On the inline path the caller holds mu,
+// so the generations are exactly the post-maintenance state; on the
+// deferred path a read may lag a concurrent background commit, which at
+// worst invalidates the entry immediately — never serves a stale one.
 func (d *DeepSea) viewDeps(plan query.Node) []cache.Dep {
 	gen := d.Pool.Generation
 	seen := make(map[string]bool)
@@ -310,12 +291,13 @@ func (d *DeepSea) viewDeps(plan query.Node) []cache.Dep {
 	return deps
 }
 
-// maintenanceViews computes the query's view lock set: every view its
-// plan may read or mutate — ViewScans of the executed plan (cache-entry
-// generations and merge sources), view candidates (step 9 measures their
-// sizes; selected ones materialize), fragment candidates (refinement
-// targets), eviction victims, and the merge target. Returned sorted by
-// id (the canonical order) and deduplicated.
+// maintenanceViews computes the scope of the query's maintenance: every
+// view its plan may read or mutate — ViewScans of the executed plan
+// (cache-entry generations and merge sources), view candidates (step 9
+// measures their sizes; selected ones materialize), fragment candidates
+// (refinement targets), eviction victims, and the merge target. Returned
+// sorted by id and deduplicated; it is what the query's Pool.GCViews
+// walks and what OnPlanned / OnMaintain report.
 func maintenanceViews(qbest query.Node, vcands []viewCandidate, selFrags []fragCandidate, evict []pool.Candidate, bestRW *matching.Rewriting) []string {
 	seen := make(map[string]bool)
 	var ids []string
@@ -359,7 +341,7 @@ func (d *DeepSea) ProcessQuery(q query.Node) (QueryReport, error) {
 
 // ProcessQueryContext is ProcessQuery with cancellation and graceful
 // degradation. A cancelled or expired ctx makes the call return
-// promptly with ctx.Err(), with every view stripe released, all pins
+// promptly with ctx.Err(), with no manager lock held, all pins
 // dropped and the pool consistent. Recoverable faults degrade instead
 // of failing the query: a failed fragment or view-file read quarantines
 // that file (pool removal, which also bumps the view's generation and
@@ -466,26 +448,21 @@ func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string, exc
 		}, nil, nil
 	}
 
-	// Planning section: Algorithm 1 steps 1-7. planMu serializes the
-	// statistics and candidate bookkeeping; every view stripe is held
-	// shared, so no maintenance runs anywhere while this query plans —
-	// the pool it matches against is stable, and its statistics writes
-	// (use records, candidate refinement) cannot race a maintainer.
-	// Pinning before release guarantees no concurrent query evicts a
-	// path between planning and execution.
-	lockcheck.Acquire(lockcheck.RankPlan, 0, "planMu")
+	// Planning section: Algorithm 1 steps 1-7 under mu, so no other
+	// planner and no maintenance runs while this query plans — the pool
+	// it matches against is stable, and its statistics writes (use
+	// records, candidate refinement) cannot race a maintainer. Pinning
+	// before release guarantees no concurrent query evicts a path
+	// between planning and execution.
 	d.planAcq.Add(1)
-	d.planMu.Lock()
-	d.views.rlockAll()
+	d.mu.Lock()
 	pq, err := d.planLocked(q, key, exclude)
-	d.views.runlockAll()
-	d.planMu.Unlock()
-	lockcheck.Release(lockcheck.RankPlan, 0, "planMu")
+	d.mu.Unlock()
 	if err != nil {
 		return QueryReport{}, nil, err
 	}
 	if d.OnPlanned != nil {
-		d.OnPlanned(pq.lockIDs)
+		d.OnPlanned(pq.maintViews)
 	}
 	return d.finishPlanned(ctx, pq)
 }
@@ -503,8 +480,10 @@ type plannedQuery struct {
 	selFrags []fragCandidate
 	evict    []pool.Candidate
 	capture  map[query.Node]engine.Capture
-	lockIDs  []string
-	pins     []string
+	// maintViews is maintenanceViews of the plan: the views this query's
+	// maintenance may touch, sorted.
+	maintViews []string
+	pins       []string
 	// baseCounts is the per-table row count of every base table the
 	// query reads, captured at planning time. Materialization uses it as
 	// the proposed view's ingest consistency point: if the counts still
@@ -515,9 +494,8 @@ type plannedQuery struct {
 }
 
 // planLocked runs Algorithm 1 steps 1–7 for one query and pins the
-// materialized paths its chosen plan reads. The caller holds planMu and
-// every view stripe shared. exclude lists stored paths the plan must not
-// read.
+// materialized paths its chosen plan reads. The caller holds mu. exclude
+// lists stored paths the plan must not read.
 func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) (*plannedQuery, error) {
 	// Step 1-2: compute rewritings and update statistics (Section 8.4).
 	rewritings, origCost, err := d.rewriter.ComputeRewritingsExcluding(q, exclude)
@@ -571,16 +549,16 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 		}
 	}
 
-	// The maintenance lock set is fixed while the pool is still stable:
-	// every view the plan reads or the maintenance below may touch.
+	// The maintenance scope: every view the plan reads or the maintenance
+	// below may touch.
 	mergeRW := bestRW
 	if !d.Cfg.MergeFragments {
 		mergeRW = nil
 	}
-	lockIDs := maintenanceViews(qbest, vcands, selFrags, evict, mergeRW)
+	maintViews := maintenanceViews(qbest, vcands, selFrags, evict, mergeRW)
 
-	// Pin every materialized path the plan reads, then release the
-	// planning locks for the long step: concurrent queries may plan and
+	// Pin every materialized path the plan reads; the caller then
+	// releases mu for the long step: concurrent queries may plan and
 	// execute while this one runs, but cannot evict what it reads.
 	pins := planPins(qbest)
 	d.pin(pins)
@@ -595,7 +573,7 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 		selFrags:   selFrags,
 		evict:      evict,
 		capture:    capture,
-		lockIDs:    lockIDs,
+		maintViews: maintViews,
 		pins:       pins,
 		baseCounts: d.Eng.BaseCounts(tables),
 	}, nil
@@ -614,8 +592,8 @@ func (d *DeepSea) captureRange(sv selectedView) (col string, ivs []interval.Inte
 // finishPlanned runs Algorithm 1 steps 8+ for a planned query: execution
 // outside every manager lock, then maintenance — the query's decisions
 // as a task list (maintenanceTasks), handed to the worker pool in
-// background mode or applied here under the query's view stripes in
-// inline mode (see maintain.go). It returns the paths it quarantined
+// background mode or applied here under mu in inline mode (see
+// maintain.go). It returns the paths it quarantined
 // while handling an execution failure.
 func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryReport, []string, error) {
 	// Step 8: EXECUTEQUERY — outside every manager lock.
@@ -624,7 +602,7 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 		// Failed executions skip maintenance entirely: drop the pins,
 		// quarantine the unreadable file if the failure was an injected
 		// storage-read fault, and let the caller decide whether to
-		// re-plan. No view stripe is held on this path.
+		// re-plan. mu is not held on this path.
 		d.unpin(pq.pins)
 		quarantined := d.quarantineFromError(pq.qbest, runErr)
 		d.advancePending()
@@ -645,9 +623,9 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 
 	// Background mode: the query is done — steps 9+ go to the worker
 	// pool as Φ-ranked per-unit tasks and the query returns without
-	// touching a single view stripe. It pays execution cost only; the
-	// deferred mutations re-validate against the live pool when a drain
-	// cycle applies them.
+	// taking mu again. It pays execution cost only; the deferred
+	// mutations re-validate against the live pool when a drain cycle
+	// applies them.
 	if n, ok := d.enqueueTasks(tasks, pq.pins); ok {
 		report.TotalSeconds = res.Cost.Seconds
 		report.DeferredMaintenance = true
@@ -657,15 +635,12 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 		return report, nil, nil
 	}
 
-	// Inline mode: steps 9+ under only this query's view stripes,
-	// exclusive. Queries whose lock sets cover disjoint stripes run
-	// their maintenance — including materialization, refinement and
-	// eviction — in parallel; the selection was computed against a
-	// possibly older pool, so every task re-validates against the live
+	// Inline mode: steps 9+ under mu. The selection was computed against
+	// a possibly older pool, so every task re-validates against the live
 	// pool (pins, cover checks) exactly as a stale selection requires.
-	held := d.views.lockViews(pq.lockIDs)
+	d.mu.Lock()
 	if d.OnMaintain != nil {
-		d.OnMaintain(pq.lockIDs, true)
+		d.OnMaintain(pq.maintViews, true)
 	}
 	d.unpin(pq.pins)
 	var out maintOutcome
@@ -679,15 +654,15 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 		report.MatCost = out.cost
 		report.TotalSeconds = res.Cost.Seconds + out.cost.Seconds
 		d.Eng.Advance(report.TotalSeconds)
-		// The read views' stripes are still held, so the generations the
-		// entry records cannot move before it is in — and this query's own
-		// refinements do not immediately invalidate it.
+		// mu is still held, so the generations the entry records cannot
+		// move before it is in — and this query's own refinements do not
+		// immediately invalidate it.
 		d.cacheResult(pq, res.Table)
 	}
 	if d.OnMaintain != nil {
-		d.OnMaintain(pq.lockIDs, false)
+		d.OnMaintain(pq.maintViews, false)
 	}
-	d.views.unlockViews(held)
+	d.mu.Unlock()
 	d.advancePending()
 	if err != nil {
 		return QueryReport{}, nil, err
@@ -705,11 +680,11 @@ func (d *DeepSea) cacheResult(pq *plannedQuery, tbl *relation.Table) {
 }
 
 // advancePending is a leaving query's applyPending: its pins are
-// dropped and its stripes released, so a stale view whose drop those
-// pins blocked — or one this query registered stale because an append
-// raced its materialization — can settle now instead of sitting
-// unreadable until some later append happens by. The work is charged to
-// the clock on its own.
+// dropped and mu released, so a stale view whose drop those pins blocked
+// — or one this query registered stale because an append raced its
+// materialization — can settle now instead of sitting unreadable until
+// some later append happens by. The work is charged to the clock on its
+// own.
 func (d *DeepSea) advancePending() {
 	var out maintOutcome
 	d.applyPending(&out)
@@ -772,22 +747,22 @@ func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 }
 
 // quarantine removes one stored file of a view from the engine and the
-// pool, under the view's exclusive stripe. Files still pinned by a
-// concurrent execution are left alone: that query planned against them,
-// and dropping them now would turn its read into a missing-file logic
-// error. Reports whether the file was removed.
+// pool, under mu. Files still pinned by a concurrent execution are left
+// alone: that query planned against them, and dropping them now would
+// turn its read into a missing-file logic error. Reports whether the
+// file was removed.
 //
 // In background mode the rows are captured before the delete and a
 // speculative re-materialization task is enqueued: the read fault was
 // transient (the simulated store still holds the rows), so the pool can
 // be healed without waiting for a future query to re-derive the range.
 // This is the one maintenance step only workers run — the task must
-// never apply here, under the stripe quarantine holds — so inline mode
+// never apply here, under the mu quarantine holds — so inline mode
 // captures no rows and enqueues nothing; a future query re-derives the
 // range.
 func (d *DeepSea) quarantine(viewID, path string) bool {
-	held := d.views.lockViews([]string{viewID})
-	defer d.views.unlockViews(held)
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.isPinned(path) {
 		return false
 	}
@@ -832,8 +807,7 @@ func (d *DeepSea) quarantine(viewID, path string) bool {
 
 // evict removes one pool item and its storage. It reports whether the
 // item was actually removed: items missing from the pool or pinned by a
-// concurrent execution are left alone. The caller holds the item's view
-// stripe exclusively.
+// concurrent execution are left alone. The caller holds mu.
 func (d *DeepSea) evict(item pool.Candidate) bool {
 	pv := d.Pool.View(item.ViewID)
 	if pv == nil {
@@ -884,20 +858,17 @@ func planPins(plan query.Node) []string {
 }
 
 // pin increments the in-flight read count of each path. Called only
-// from the planning section (planMu + all stripes shared).
+// from the planning section (under mu).
 func (d *DeepSea) pin(paths []string) {
-	lockcheck.Acquire(lockcheck.RankPin, 0, "pinMu")
 	d.pinMu.Lock()
 	for _, p := range paths {
 		d.pinned[p]++
 	}
 	d.pinMu.Unlock()
-	lockcheck.Release(lockcheck.RankPin, 0, "pinMu")
 }
 
 // unpin reverses pin.
 func (d *DeepSea) unpin(paths []string) {
-	lockcheck.Acquire(lockcheck.RankPin, 0, "pinMu")
 	d.pinMu.Lock()
 	for _, p := range paths {
 		if d.pinned[p] <= 1 {
@@ -907,21 +878,17 @@ func (d *DeepSea) unpin(paths []string) {
 		}
 	}
 	d.pinMu.Unlock()
-	lockcheck.Release(lockcheck.RankPin, 0, "pinMu")
 }
 
 // isPinned reports whether a concurrent execution still reads path.
-// Mutators call it before dropping a file; they hold the owning view's
-// stripe exclusively, so a pin observed as zero cannot reappear for a
-// path the mutator is about to drop: new pins are taken only during
-// planning, which holds every stripe shared and is therefore excluded
-// while the mutator runs.
+// Mutators call it before dropping a file; they hold mu, so a pin
+// observed as zero cannot reappear for a path the mutator is about to
+// drop: new pins are taken only during planning, which mu excludes while
+// the mutator runs.
 func (d *DeepSea) isPinned(path string) bool {
-	lockcheck.Acquire(lockcheck.RankPin, 0, "pinMu")
 	d.pinMu.Lock()
 	p := d.pinned[path] > 0
 	d.pinMu.Unlock()
-	lockcheck.Release(lockcheck.RankPin, 0, "pinMu")
 	return p
 }
 

@@ -58,12 +58,11 @@ type Health struct {
 	// Statistics-registry sizes, read from one epoch-published snapshot
 	// (views, partitions and fragments are mutually consistent — they
 	// describe the same epoch). StatsEpoch is the snapshot's mutation
-	// count; StatsShards is the registry's shard count.
+	// count.
 	StatsViews      int
 	StatsPartitions int
 	StatsFragments  int
 	StatsEpoch      uint64
-	StatsShards     int
 
 	// The maintenance pool. MaintEnabled reports background mode
 	// (workers apply maintenance); in inline mode MaintWorkers is zero
@@ -197,7 +196,6 @@ func (d *DeepSea) Health() Health {
 	h.StatsPartitions = sc.Partitions
 	h.StatsFragments = sc.Fragments
 	h.StatsEpoch = sc.Epoch
-	h.StatsShards = d.Stats.NumShards()
 
 	ms := d.maint.Stats()
 	h.MaintEnabled = d.Cfg.background()

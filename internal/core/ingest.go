@@ -41,12 +41,12 @@ import (
 //     exactly the views whose stored content matches the recovered base
 //     counts.
 //
-// Lock discipline: ingestMu (d.ingest.mu) is an untracked leaf lock like
-// groupMu — it guards only the registry maps and the stale flags, and
-// nothing acquires a ranked lock while holding it. Everything else about
-// a meta (plan, marks, refresh plan, retained states) mutates only under
-// the owning view's exclusive stripe, which serializes refresh,
-// registration and drop for one view.
+// Lock discipline: ingestMu (d.ingest.mu) is a leaf lock like groupMu —
+// it guards only the registry maps and the stale flags, and nothing
+// acquires the manager lock or pinMu while holding it. Everything else
+// about a meta (plan, marks, refresh plan, retained states) mutates only
+// under the manager lock, which serializes refresh, registration and
+// drop.
 
 // ingestMeta is one registered view's refresh state.
 type ingestMeta struct {
@@ -64,7 +64,7 @@ type ingestMeta struct {
 	// states); nil until the first refresh primes it lazily.
 	rp *engine.RefreshPlan
 	// stale marks content lagging its base tables. Guarded by ingestMu;
-	// every other field is guarded by the view's stripe.
+	// every other field is guarded by the manager lock.
 	stale bool
 }
 
@@ -260,7 +260,8 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 		return rep, nil
 	}
 	// Inline mode: the pending retries, then this append's dependents,
-	// each view under its own stripe; one clock advance for the work.
+	// one manager-lock acquisition per view; one clock advance for the
+	// work.
 	var out maintOutcome
 	d.applyPending(&out)
 	d.applyEach(tasks, &out)
@@ -273,8 +274,7 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 
 // markDependentsStale records the append in the ingest log and flips the
 // stale flag of every dependent view, journaling each transition.
-// Returns the dependents sorted by id. Must not be called with any
-// ranked lock held (it takes only the ingest leaf lock).
+// Returns the dependents sorted by id. Takes only the ingest leaf lock.
 func (d *DeepSea) markDependentsStale(table string, delta *relation.Table) []string {
 	s := d.ingest
 	s.mu.Lock()
@@ -348,7 +348,7 @@ const (
 const maxRefreshRounds = 8
 
 // applyRefreshLocked brings one stale view fresh. Caller holds the
-// view's exclusive stripe. The returned cost covers delta computation,
+// manager lock. The returned cost covers delta computation,
 // priming and the writes that applied the result; the caller advances
 // the clock.
 func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
@@ -506,7 +506,7 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 }
 
 // refreshRetry re-enqueues a still-stale view. The caller holds the
-// view's stripe (see applyPending for why that matters).
+// manager lock (see applyPending for why that matters).
 func (d *DeepSea) refreshRetry(id string) refreshOutcome {
 	d.enqueueRefresh(id)
 	return refreshStillStale
@@ -550,7 +550,7 @@ func countsEqual(a, b map[string]int64, tables []string) bool {
 
 // applyViewAppend extends the view's stored files with the delta output
 // rows: the whole-view file gains all of them, each fragment gains the
-// rows falling in its interval. Caller holds the view's stripe.
+// rows falling in its interval. Caller holds the manager lock.
 func (d *DeepSea) applyViewAppend(id string, delta *relation.Table) (engine.Cost, error) {
 	var cost engine.Cost
 	pv := d.Pool.View(id)
@@ -605,7 +605,7 @@ func (d *DeepSea) applyViewAppend(id string, delta *relation.Table) (engine.Cost
 
 // applyViewReplace rewrites the view's stored files with the merged
 // content (aggregate roots: group states changed in place, so the files
-// cannot be extended). Caller holds the view's stripe.
+// cannot be extended). Caller holds the manager lock.
 func (d *DeepSea) applyViewReplace(id string, content *relation.Table) (engine.Cost, error) {
 	var cost engine.Cost
 	pv := d.Pool.View(id)
@@ -658,7 +658,7 @@ func (d *DeepSea) applyViewReplace(id string, content *relation.Table) (engine.C
 // heal cannot resurrect the pre-append content. Files pinned by an
 // in-flight execution block the drop (that query planned against them);
 // the view then stays stale — unreadable by new queries — until a retry
-// finds the pins released. Caller holds the view's stripe. Reports
+// finds the pins released. Caller holds the manager lock. Reports
 // whether the drop completed.
 func (d *DeepSea) dropStaleView(id string) bool {
 	pv := d.Pool.View(id)
@@ -709,7 +709,7 @@ func (d *DeepSea) dropStaleView(id string) bool {
 // with invalid marks, and its first refresh drops it. fromFiles marks
 // content rebuilt from the view's own stored files (re-partitioning),
 // whose consistency point is whatever the existing metadata says.
-// Caller holds the view's stripe.
+// Caller holds the manager lock.
 func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[string]int64, fromFiles bool) {
 	if !d.Cfg.ExecuteRows || plan == nil {
 		return
@@ -932,7 +932,7 @@ func (d *DeepSea) ApplyRecoveredAppends() (RecoveredIngest, error) {
 	d.recoveredAppendOrder = nil
 
 	// Reconcile: collect the verdicts under the ingest lock, then drop
-	// under the view stripes.
+	// each view under the manager lock.
 	s := d.ingest
 	s.mu.Lock()
 	var drop []string
@@ -958,11 +958,11 @@ func (d *DeepSea) ApplyRecoveredAppends() (RecoveredIngest, error) {
 	}
 	sort.Strings(drop)
 	for _, id := range drop {
-		held := d.views.lockViews([]string{id})
+		d.mu.Lock()
 		if d.dropStaleView(id) {
 			info.Dropped = append(info.Dropped, id)
 		}
-		d.views.unlockViews(held)
+		d.mu.Unlock()
 	}
 	return info, nil
 }

@@ -30,16 +30,17 @@ import (
 //     pays for materialization, splits, merges, eviction or refresh. A
 //     worker drains the queue in Φ-ranked batches; one drain cycle
 //     (applyMaintBatch) commits all its mutations under a single
-//     acquisition of the union of the batch's view stripes, and journals
-//     its records as one group append.
+//     acquisition of the manager lock, and journals its records as one
+//     group append.
 //   - Synchronous driver (MaintWorkers == 0): the caller applies the
-//     list itself, in the order it was built. A query does so under its
-//     own lock set (applyQueryTasks) and is charged execution plus
-//     maintenance in one clock advance; an Append takes one stripe per
-//     refreshed view (applyEach), so planners never wait behind a whole
-//     batch. The pool still exists, with no workers, and holds what a
-//     synchronous apply could not finish — refreshes left still-stale —
-//     until the next finishing query or Append takes them (applyPending).
+//     list itself, in the order it was built. A query does so under one
+//     acquisition of the manager lock (applyQueryTasks) and is charged
+//     execution plus maintenance in one clock advance; an Append takes
+//     the lock once per refreshed view (applyEach), so planners never
+//     wait behind a whole batch. The pool still exists, with no workers,
+//     and holds what a synchronous apply could not finish — refreshes
+//     left still-stale — until the next finishing query or Append takes
+//     them (applyPending).
 //
 // Correctness rests on one property: every maintenance mutation
 // re-validates against the live pool (pins, cover checks, stale guards,
@@ -50,7 +51,7 @@ import (
 // not at all.
 
 // maintBatchMax bounds how many tasks one drain cycle commits under a
-// single stripe acquisition.
+// single acquisition of the manager lock.
 const maintBatchMax = 64
 
 // matViewTask materializes a selected view (whole or its admitted
@@ -91,7 +92,7 @@ type mergeTask struct {
 }
 
 // measuredSize carries a step-9 size measurement: the candidate's
-// captured output size, applied to its ViewStat under the view stripe.
+// captured output size, applied to its ViewStat under the manager lock.
 type measuredSize struct {
 	id    string
 	bytes int64
@@ -140,8 +141,8 @@ type maintOutcome struct {
 	refreshed, dropped []string
 }
 
-// maintTaskViews lists the views a task's apply may touch — its driver
-// holds their stripes exclusively.
+// maintTaskViews lists the views a task's apply may touch — the scope
+// of the drain cycle's Pool.GCViews.
 func maintTaskViews(t *maintain.Task) []string {
 	switch p := t.Payload.(type) {
 	case *matViewTask:
@@ -243,7 +244,7 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 // pool and reports how many were accepted (a duplicate key or a full
 // queue rejects). In inline mode it does nothing and reports ok=false:
 // the caller applies the tasks itself, and drops its pins once it holds
-// its stripes.
+// the manager lock.
 func (d *DeepSea) enqueueTasks(tasks []*maintain.Task, pins []string) (accepted int, ok bool) {
 	if !d.Cfg.background() {
 		return 0, false
@@ -268,15 +269,11 @@ func (d *DeepSea) enqueueRemat(p *rematTask) {
 }
 
 // applyMaintBatch is the worker driver: it commits one drain cycle. All
-// pool mutations of the batch happen under a single acquisition of the
-// union of the batch's view stripes, and every journal record the cycle
-// emits is group-appended in one store call. maintCommitMu serializes
-// cycles — the journal group buffer is global, so concurrent committers
-// would interleave their records.
+// pool mutations of the batch happen under a single acquisition of mu,
+// and every journal record the cycle emits is group-appended in one
+// store call (mu also keeps cycles from interleaving their records in
+// the one group buffer).
 func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
-	d.maintCommitMu.Lock()
-	defer d.maintCommitMu.Unlock()
-
 	seen := make(map[string]bool)
 	var ids []string
 	for _, t := range batch {
@@ -290,7 +287,7 @@ func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 	}
 	sort.Strings(ids)
 
-	held := d.views.lockViews(ids)
+	d.mu.Lock()
 	if d.OnMaintain != nil {
 		d.OnMaintain(ids, true)
 	}
@@ -301,24 +298,23 @@ func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 	}
 	d.Pool.GCViews(ids...)
 	if out.cost.Seconds > 0 {
-		// Charge the cycle's work to the clock while the stripes are held.
+		// Charge the cycle's work to the clock while mu is held.
 		d.Eng.Advance(out.cost.Seconds)
 	}
-	// Flush the group while the stripes are still held: Snapshot
-	// quiesces under planMu + every stripe shared and then truncates the
-	// journal, so a record flushed after the release could land after a
-	// snapshot that already covers its state and replay twice.
+	// Flush the group while mu is still held: Snapshot quiesces under mu
+	// and then truncates the journal, so a record flushed after the
+	// release could land after a snapshot that already covers its state
+	// and replay twice.
 	d.endJournalGroup()
 	if d.OnMaintain != nil {
 		d.OnMaintain(ids, false)
 	}
-	d.views.unlockViews(held)
+	d.mu.Unlock()
 }
 
 // applyQueryTasks is the synchronous driver for a finishing query: it
-// applies the query's own task list in order, under the query's lock set
-// (the caller holds every stripe of pq.lockIDs, which covers every
-// task's views). Materialization is a best-effort side effect: an
+// applies the query's own task list in order (the caller holds mu).
+// Materialization is a best-effort side effect: an
 // injected fault was charged, recorded against the view's backoff and
 // listed in out.matFailed by the apply — the query itself never fails
 // because of it. Non-fault errors are logic bugs and propagate.
@@ -334,20 +330,20 @@ func (d *DeepSea) applyQueryTasks(pq *plannedQuery, tasks []*maintain.Task, out 
 		}
 	}
 	// GC only the views this query touched: emptying a view requires
-	// mutating it, and every mutation above stayed inside the lock set.
-	d.Pool.GCViews(pq.lockIDs...)
+	// mutating it, and every mutation above stayed inside maintViews.
+	d.Pool.GCViews(pq.maintViews...)
 	return nil
 }
 
-// applyEach is the synchronous driver for tasks no query's lock set
-// covers (an Append's refreshes, the pending retries): each task runs
-// under its own views' stripes, one acquisition per task, so a planner
-// never waits behind the whole list. Caller holds no stripe.
+// applyEach is the synchronous driver for tasks no finishing query
+// owns (an Append's refreshes, the pending retries): one acquisition of
+// mu per task, so a planner never waits behind the whole list. Caller
+// does not hold mu.
 func (d *DeepSea) applyEach(tasks []*maintain.Task, out *maintOutcome) {
 	for _, t := range tasks {
-		held := d.views.lockViews(maintTaskViews(t))
+		d.mu.Lock()
 		t.Err = d.applyMaintTask(t, out)
-		d.views.unlockViews(held)
+		d.mu.Unlock()
 	}
 }
 
@@ -356,13 +352,12 @@ func (d *DeepSea) applyEach(tasks []*maintain.Task, out *maintOutcome) {
 // apply left still-stale — and applies it. Tasks re-enqueued during the
 // apply (a drop still blocked by another query's pins) wait for the next
 // caller, so nothing spins. Every finishing query and every Append calls
-// it with its own pins dropped and no stripe held: a refresh pushes its
-// retry while it holds the view's stripe, and a query drops its pins
-// while it holds the stripes of every view it read, so the query whose
-// pins blocked a drop finds the retry here. (A failed execution drops
-// its pins with no stripe held; a retry it misses waits for the next
-// caller.) In background mode the workers own the queue and this takes
-// nothing.
+// it with its own pins dropped and mu released: a refresh pushes its
+// retry while it holds mu, and a query drops its pins while it holds
+// mu, so the query whose pins blocked a drop finds the retry here. (A
+// failed execution drops its pins without mu; a retry it misses waits
+// for the next caller.) In background mode the workers own the queue
+// and this takes nothing.
 func (d *DeepSea) applyPending(out *maintOutcome) {
 	batch := d.maint.Take()
 	if len(batch) == 0 {
@@ -373,12 +368,12 @@ func (d *DeepSea) applyPending(out *maintOutcome) {
 	d.maint.Done(batch, time.Since(start))
 }
 
-// applyMaintTask applies one task; the driver holds the stripes of
-// maintTaskViews(t). It is the one apply site of every task kind. A
-// stale task — its view or partition left the pool since it was built —
-// is skipped silently; injected faults feed the owning view's backoff
-// and come back as the task's error without affecting any query. What
-// the task did, and what it cost, accumulates in out.
+// applyMaintTask applies one task; the driver holds mu. It is the one
+// apply site of every task kind. A stale task — its view or partition
+// left the pool since it was built — is skipped silently; injected
+// faults feed the owning view's backoff and come back as the task's
+// error without affecting any query. What the task did, and what it
+// cost, accumulates in out.
 func (d *DeepSea) applyMaintTask(t *maintain.Task, out *maintOutcome) error {
 	switch p := t.Payload.(type) {
 	case *matViewTask:
@@ -552,8 +547,7 @@ func (d *DeepSea) applyRemat(p *rematTask) (engine.Cost, error) {
 // AppendGroup call. Concurrent appends from finishing queries (clock
 // advances) buffer into the open group too — their durability is
 // delayed to the group flush, which is safe: the flush completes before
-// the cycle's stripes release, and Snapshot cannot run while they are
-// held.
+// the cycle releases mu, and Snapshot cannot run while it is held.
 func (d *DeepSea) beginJournalGroup() {
 	if d.store == nil {
 		return

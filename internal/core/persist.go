@@ -6,7 +6,6 @@ import (
 
 	"deepsea/internal/datastore"
 	"deepsea/internal/interval"
-	"deepsea/internal/lockcheck"
 	"deepsea/internal/matching"
 	"deepsea/internal/partition"
 	"deepsea/internal/relation"
@@ -135,24 +134,17 @@ func (d *DeepSea) Datastore() datastore.Store { return d.store }
 func (d *DeepSea) Recovery() RecoveryInfo { return d.recovered }
 
 // Snapshot persists the full durable state to the attached datastore and
-// truncates the journal. It quiesces the instance exactly like a
-// planning pass (planning lock + every view stripe shared), so no
-// mutation — pool, statistics, engine files, clock — is in flight while
-// the state is captured, and no journal record can slip between the
-// capture and the snapshot's covering sequence number. A nil datastore
-// makes it a no-op.
+// truncates the journal. It holds the manager lock, so no mutation —
+// pool, statistics, engine files, clock — is in flight while the state
+// is captured, and no journal record can slip between the capture and
+// the snapshot's covering sequence number. A nil datastore makes it a
+// no-op.
 func (d *DeepSea) Snapshot() error {
 	if d.store == nil {
 		return nil
 	}
-	lockcheck.Acquire(lockcheck.RankPlan, 0, "planMu")
-	d.planMu.Lock()
-	d.views.rlockAll()
-	defer func() {
-		d.views.runlockAll()
-		d.planMu.Unlock()
-		lockcheck.Release(lockcheck.RankPlan, 0, "planMu")
-	}()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	data, err := json.Marshal(d.buildSnapshot())
 	if err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
@@ -160,8 +152,8 @@ func (d *DeepSea) Snapshot() error {
 	return d.store.WriteSnapshot(data)
 }
 
-// buildSnapshot captures the durable state. Caller holds the planning
-// lock and every view stripe (shared), so the walk is consistent.
+// buildSnapshot captures the durable state. Caller holds the manager
+// lock, so the walk is consistent.
 func (d *DeepSea) buildSnapshot() *coreSnapshot {
 	snap := &coreSnapshot{
 		Clock:   d.Eng.Now(),

@@ -9,8 +9,8 @@
 // The shape follows claircore's matching architecture: concurrent
 // workers consume a shared stream and each commits one batched store
 // request. Here a worker pops a batch of tasks, the executor applies
-// them under a single view-stripe acquisition, and the journal records
-// of the whole batch are group-appended in one store call.
+// them under a single acquisition of the manager lock, and the journal
+// records of the whole batch are group-appended in one store call.
 //
 // Ordering: tasks pop highest band first (re-materialization before
 // materialization before splits before merges before sweeps — the same

@@ -45,37 +45,34 @@ type RegistrySnap struct {
 }
 
 // Snapshot captures every tracked view and partition statistic. The
-// caller must hold whatever lock serializes statistics writers (core
-// takes the planning lock plus every view stripe); the registry's shard
-// locks only protect the maps, not the records.
+// caller must hold whatever lock serializes statistics writers (core's
+// manager lock); the registry's own lock only protects the maps, not
+// the records.
 func (r *Registry) Snapshot() *RegistrySnap {
 	snap := &RegistrySnap{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, v := range s.views {
-			snap.Views = append(snap.Views, ViewSnap{
-				ID: v.ID, Size: v.Size, Cost: v.Cost, Measured: v.Measured,
-				Uses: append([]Use(nil), v.Uses...),
-			})
-		}
-		for _, m := range s.parts {
-			for _, p := range m {
-				ps := PartSnap{
-					View: p.View, Attr: p.Attr, Dom: p.Dom,
-					Cand: append(interval.Set(nil), p.Cand...),
-				}
-				for _, f := range p.Fragments() {
-					ps.Frags = append(ps.Frags, FragSnap{
-						Iv: f.Iv, Size: f.Size, Measured: f.Measured,
-						Hits: append([]float64(nil), f.Hits...),
-					})
-				}
-				snap.Parts = append(snap.Parts, ps)
-			}
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	for _, v := range r.views {
+		snap.Views = append(snap.Views, ViewSnap{
+			ID: v.ID, Size: v.Size, Cost: v.Cost, Measured: v.Measured,
+			Uses: append([]Use(nil), v.Uses...),
+		})
 	}
+	for _, m := range r.parts {
+		for _, p := range m {
+			ps := PartSnap{
+				View: p.View, Attr: p.Attr, Dom: p.Dom,
+				Cand: append(interval.Set(nil), p.Cand...),
+			}
+			for _, f := range p.Fragments() {
+				ps.Frags = append(ps.Frags, FragSnap{
+					Iv: f.Iv, Size: f.Size, Measured: f.Measured,
+					Hits: append([]float64(nil), f.Hits...),
+				})
+			}
+			snap.Parts = append(snap.Parts, ps)
+		}
+	}
+	r.mu.RUnlock()
 	sort.Slice(snap.Views, func(i, j int) bool { return snap.Views[i].ID < snap.Views[j].ID })
 	sort.Slice(snap.Parts, func(i, j int) bool {
 		a, b := snap.Parts[i], snap.Parts[j]

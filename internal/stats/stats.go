@@ -7,7 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,8 +35,7 @@ func (j *journalRef) emit(rec datastore.Record) {
 // Counters is one epoch-published snapshot of the registry's object
 // counts. Epoch increments on every change, so two reads with equal
 // epochs saw the identical state. Health surfaces read one snapshot
-// atomically instead of summing per-shard counts that can shift
-// mid-walk.
+// atomically, without the registry lock.
 type Counters struct {
 	// Views, Partitions and Fragments count tracked statistics records
 	// (candidates and pool members alike).
@@ -420,56 +418,36 @@ func (p *PartitionStat) TotalHits(tnow float64, d Decay) float64 {
 	return h
 }
 
-// defaultStatsShards is the registry shard count when the caller does
-// not override it.
-const defaultStatsShards = 16
-
-// regShard holds one shard of the registry: the view records and
-// partition records of every view id that hashes onto it. Views and
-// their partitions are colocated, so per-view work touches one shard.
-type regShard struct {
-	mu    sync.RWMutex
-	views map[string]*ViewStat
-	parts map[string]map[string]*PartitionStat // view -> attr -> stat
-}
-
 // Registry is the paper's STAT: all view and partition statistics, for
 // pool members and candidates alike.
 //
-// The registry is sharded by view id: each shard's lock guards only its
-// own maps, so concurrent planners and maintainers touching different
-// views never contend on the registry itself. The returned
-// ViewStat/PartitionStat records are not internally locked: a record is
-// mutated only by the view manager while it holds the owning view's
-// exclusive stripe, or during planning (which holds every stripe
-// shared and is itself serialized by the planning lock) — either way
-// writers to one record are serialized and its timestamps stay
-// non-decreasing. See core's DeepSea for the lock order.
+// mu guards only the two maps: observers outside the view manager (a
+// matcher probing the pool, NumViews) look records up while the manager
+// inserts. The returned ViewStat/PartitionStat records are not
+// internally locked: a record is mutated only by the view manager under
+// its manager lock, so writers to one record are serialized and its
+// timestamps stay non-decreasing. See core's DeepSea for the lock
+// order.
 type Registry struct {
 	Decay Decay
 
-	shards   []regShard
+	mu    sync.RWMutex
+	views map[string]*ViewStat
+	parts map[string]map[string]*PartitionStat // view -> attr -> stat
+
 	journal  *journalRef
 	counters *countersRef
 }
 
-// NewRegistry returns an empty statistics registry with the default
-// shard count.
-func NewRegistry(d Decay) *Registry { return NewShardedRegistry(d, 0) }
-
-// NewShardedRegistry returns an empty statistics registry with n shards
-// (<= 0 selects the default). The shard count is purely a contention
-// knob: behaviour is identical at every setting.
-func NewShardedRegistry(d Decay, n int) *Registry {
-	if n <= 0 {
-		n = defaultStatsShards
+// NewRegistry returns an empty statistics registry.
+func NewRegistry(d Decay) *Registry {
+	return &Registry{
+		Decay:    d,
+		views:    make(map[string]*ViewStat),
+		parts:    make(map[string]map[string]*PartitionStat),
+		journal:  &journalRef{},
+		counters: newCountersRef(),
 	}
-	r := &Registry{Decay: d, shards: make([]regShard, n), journal: &journalRef{}, counters: newCountersRef()}
-	for i := range r.shards {
-		r.shards[i].views = make(map[string]*ViewStat)
-		r.shards[i].parts = make(map[string]map[string]*PartitionStat)
-	}
-	return r
 }
 
 // SetJournal attaches a mutation journal to the registry; nil detaches
@@ -478,23 +456,15 @@ func NewShardedRegistry(d Decay, n int) *Registry {
 // while no statistics are being written (initialisation or recovery).
 func (r *Registry) SetJournal(fn func(datastore.Record)) { r.journal.fn = fn }
 
-// shard maps a view id to its shard.
-func (r *Registry) shard(view string) *regShard {
-	h := fnv.New32a()
-	h.Write([]byte(view))
-	return &r.shards[h.Sum32()%uint32(len(r.shards))]
-}
-
 // View returns the statistics record for a view id, creating it on first
 // use.
 func (r *Registry) View(id string) *ViewStat {
-	s := r.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.views[id]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.views[id]
 	if !ok {
 		v = &ViewStat{ID: id, journal: r.journal}
-		s.views[id] = v
+		r.views[id] = v
 		r.counters.add(1, 0, 0)
 	}
 	return v
@@ -502,59 +472,45 @@ func (r *Registry) View(id string) *ViewStat {
 
 // LookupView returns a view's statistics if tracked.
 func (r *Registry) LookupView(id string) (*ViewStat, bool) {
-	s := r.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.views[id]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	v, ok := r.views[id]
 	return v, ok
 }
 
 // Views returns all tracked views sorted by id.
 func (r *Registry) Views() []*ViewStat {
-	var out []*ViewStat
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, v := range s.views {
-			out = append(out, v)
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]*ViewStat, 0, len(r.views))
+	for _, v := range r.views {
+		out = append(out, v)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// NumViews returns the number of tracked views across all shards.
+// NumViews returns the number of tracked views.
 func (r *Registry) NumViews() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.views)
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.views)
 }
-
-// NumShards returns the registry's shard count (observability).
-func (r *Registry) NumShards() int { return len(r.shards) }
 
 // Counters returns the current epoch-published count snapshot: one
 // lock-free load, internally consistent — views, partitions and
-// fragments all describe the same epoch, unlike a NumViews-style walk
-// that sums shards while writers move between them.
+// fragments all describe the same epoch.
 func (r *Registry) Counters() Counters { return *r.counters.snap.Load() }
 
 // Partition returns the partition statistics for (view, attr), creating
 // an empty record over dom on first use.
 func (r *Registry) Partition(view, attr string, dom interval.Interval) *PartitionStat {
-	s := r.shard(view)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.parts[view]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := r.parts[view]
 	if !ok {
 		m = make(map[string]*PartitionStat)
-		s.parts[view] = m
+		r.parts[view] = m
 	}
 	p, ok := m[attr]
 	if !ok {
@@ -578,10 +534,9 @@ func (r *Registry) Partition(view, attr string, dom interval.Interval) *Partitio
 
 // LookupPartition returns the partition statistics if tracked.
 func (r *Registry) LookupPartition(view, attr string) (*PartitionStat, bool) {
-	s := r.shard(view)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, ok := s.parts[view]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	m, ok := r.parts[view]
 	if !ok {
 		return nil, false
 	}
@@ -592,14 +547,13 @@ func (r *Registry) LookupPartition(view, attr string) (*PartitionStat, bool) {
 // Partitions returns all partition statistics of a view sorted by
 // attribute.
 func (r *Registry) Partitions(view string) []*PartitionStat {
-	s := r.shard(view)
-	s.mu.RLock()
-	m := s.parts[view]
+	r.mu.RLock()
+	m := r.parts[view]
 	out := make([]*PartitionStat, 0, len(m))
 	for _, p := range m {
 		out = append(out, p)
 	}
-	s.mu.RUnlock()
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Attr < out[j].Attr })
 	return out
 }

@@ -125,6 +125,15 @@ func TestRegistryViewAndPartition(t *testing.T) {
 	if got := r.Views(); len(got) != 1 || got[0].ID != "a" {
 		t.Errorf("Views = %v", got)
 	}
+	for i := 0; i < 20; i++ {
+		r.View(fmt.Sprintf("v%d", i)).Size = int64(i)
+	}
+	if got := r.NumViews(); got != 21 {
+		t.Errorf("NumViews = %d, want 21", got)
+	}
+	if v, ok := r.LookupView("v7"); !ok || v.Size != 7 {
+		t.Error("LookupView(v7) lost the record")
+	}
 }
 
 func TestRegistryPartitionDomainMismatchPanics(t *testing.T) {
@@ -348,12 +357,12 @@ func TestPruneExpiredNoTimeoutIsNoop(t *testing.T) {
 	}
 }
 
-func TestShardedRegistryConcurrent(t *testing.T) {
-	// Hammer the sharded registry from many goroutines over many view
-	// ids: record identity must be stable (the same id always returns
-	// the same *ViewStat/*PartitionStat) and enumeration must stay
-	// sorted. Run under -race this checks the shard locking.
-	r := NewShardedRegistry(Decay{TMax: 100}, 8)
+func TestRegistryConcurrent(t *testing.T) {
+	// Hammer the registry from many goroutines over many view ids:
+	// record identity must be stable (the same id always returns the
+	// same *ViewStat/*PartitionStat) and enumeration must stay sorted.
+	// Run under -race this checks the map locking.
+	r := NewRegistry(Decay{TMax: 100})
 	const goroutines, viewsN = 8, 50
 	dom := interval.New(0, 999)
 	var wg sync.WaitGroup
@@ -389,24 +398,6 @@ func TestShardedRegistryConcurrent(t *testing.T) {
 	for i := 1; i < len(all); i++ {
 		if !(all[i-1].ID < all[i].ID) {
 			t.Fatalf("Views() not sorted: %q before %q", all[i-1].ID, all[i].ID)
-		}
-	}
-}
-
-func TestShardedRegistryShardCounts(t *testing.T) {
-	// The shard count is a pure contention knob: 1 shard, many shards
-	// and the default must expose identical behaviour.
-	for _, n := range []int{0, 1, 3, 64} {
-		r := NewShardedRegistry(Decay{}, n)
-		for i := 0; i < 20; i++ {
-			id := fmt.Sprintf("v%d", i)
-			r.View(id).Size = int64(i)
-		}
-		if got := len(r.Views()); got != 20 {
-			t.Errorf("shards=%d: Views() = %d, want 20", n, got)
-		}
-		if v, ok := r.LookupView("v7"); !ok || v.Size != 7 {
-			t.Errorf("shards=%d: LookupView(v7) lost the record", n)
 		}
 	}
 }

@@ -7,22 +7,21 @@
 #    1. go vet + build + full test suite
 #    2. full race-detector run (the concurrency suite's anchor)
 #    3. shuffled double run — flushes ordering-dependent tests
-#    4. lock-order assertions (-tags lockcheck builds the checking
-#       implementation of internal/lockcheck into the manager's locks)
-#    5. chaos smoke — the seeded fault-injection and cancellation suite
+#    4. chaos smoke — the seeded fault-injection and cancellation suite
 #       under the race detector: every surviving query byte-identical to
 #       the fault-free run, no leaked goroutines, no leaked pins
-#    6. serving smoke — the HTTP frontend's admission, drain and fence
+#    5. serving smoke — the HTTP frontend's admission, drain and fence
 #       suite under the race detector in shuffled order (stage 2 already
 #       ran it in declaration order)
-#    7. crash-recovery chaos — the datastore suite, the core recovery
+#    6. crash-recovery chaos — the datastore suite, the core recovery
 #       suite, and the kill -9 warm-restart test under the race detector
-#    8. staticcheck at a pinned version, when installed (the workflow
+#    7. staticcheck at a pinned version, when installed (the workflow
 #       installs it; local runs skip it with a note — and a workflow
 #       warning annotation — rather than demanding the tool)
-#    9. engine microbench smoke — the engine's layer microbenchmarks
-#       once each, among them the probe kernel's two-output pass
-#       (BenchmarkProbe/join+project+select5pct+capture10pct): they must
+#    8. microbench smoke — the engine's layer microbenchmarks once
+#       each, among them the probe kernel's two-output pass
+#       (BenchmarkProbe/join+project+select5pct+capture10pct), and the
+#       manager's planning section (core BenchmarkPlanSection): they must
 #       run, their numbers are advisory (the exact allocation gates are
 #       TestFusedProbeAllocations — one output and, serving a ranged
 #       capture, two — and TestAggregateAllocations, part of stage 1).
@@ -30,7 +29,7 @@
 #       in stage 1, with its output checked byte for byte
 #       (internal/bench TestExperimentsGolden). Wall-clock performance
 #       is measured by benchmark/ (see benchmark/README.md), not here
-#   10. sharded-cluster smoke — the full scatter-gather suite plus the
+#    9. sharded-cluster smoke — the full scatter-gather suite plus the
 #       multi-process chaos tests under the race detector: a coordinator
 #       over three real shard subprocesses answers byte-identically to
 #       one shard, survives a kill -9 of one shard, and fails queries
@@ -39,7 +38,7 @@
 #       a primary mid-burst with zero client-visible failures and
 #       byte-identical results; and the failover/hedging/breaker suite
 #       (with its goroutine-leak checks) re-runs fresh
-#   11. ingest smoke — the batched append path under the race detector:
+#   10. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite with the inline retry queue and
 #       the lagging-view guard, the all-template
 #       delta-vs-remat property tests with the sublinear-refresh check,
@@ -48,13 +47,19 @@
 #       mid-ingest whose warm restart replays the journal to
 #       byte-identical results), and the coordinator routing suite
 #       (keyed split, keyless broadcast, epoch refresh)
-#   12. fuzz smoke — five seconds of stdlib fuzzing (no network, no
+#   11. fuzz smoke — five seconds of stdlib fuzzing (no network, no
 #       corpus download) of the one cell codec, relation.Table's JSON
 #       form that journal records and snapshots go through: no panic on
 #       arbitrary bytes, and decode → encode → decode is a fixed point.
 #       Its seed corpus already ran as ordinary tests in stage 1; a
 #       failure leaves its input under internal/relation/testdata/fuzz
 #       to be checked in as a regression seed
+#
+# Every internal/core invocation carries -timeout 120s (the package takes
+# under 40 s with the race detector on two cores): the view manager has
+# one non-reentrant lock, so the failure mode to guard is a
+# self-deadlock, and it must fail the stage in seconds instead of hanging
+# for go test's default ten minutes.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,6 +69,7 @@ GO=${GO:-go}
 # and local runs with some other version get a loud note instead of a
 # silently different gate.
 STATICCHECK_VERSION=${STATICCHECK_VERSION:-2024.1.1}
+CORE_TIMEOUT="-timeout 120s"
 
 # skipped STAGE REASON — the loud-skip helper: local runs get a note,
 # hosted runs also get a GitHub Actions warning annotation so a skipped
@@ -81,20 +87,23 @@ $GO vet ./...
 echo "==> build"
 $GO build ./...
 
+# Stages 1-3 run every package; internal/core separately, for its timeout.
+OTHERS=$($GO list ./... | grep -v '/internal/core$')
+
 echo "==> test"
-$GO test ./...
+$GO test $OTHERS
+$GO test $CORE_TIMEOUT ./internal/core
 
 echo "==> race"
-$GO test -race ./...
+$GO test -race $OTHERS
+$GO test -race $CORE_TIMEOUT ./internal/core
 
 echo "==> shuffle (x2)"
-$GO test -shuffle=on -count=2 ./...
-
-echo "==> lockcheck"
-$GO test -tags lockcheck ./internal/lockcheck ./internal/core
+$GO test -shuffle=on -count=2 $OTHERS
+$GO test -shuffle=on -count=2 $CORE_TIMEOUT ./internal/core
 
 echo "==> chaos smoke (race)"
-$GO test -race -run 'TestChaos|TestFragmentReadFault|TestMaterializeFaults|TestPermanentMaterialize|TestProcessQueryContext' ./internal/core
+$GO test -race $CORE_TIMEOUT -run 'TestChaos|TestFragmentReadFault|TestMaterializeFaults|TestPermanentMaterialize|TestProcessQueryContext' ./internal/core
 $GO test -race -run 'TestRunContext|TestForEachTask|TestViewScanReadFault' ./internal/engine
 
 echo "==> serving smoke (race, shuffled)"
@@ -102,7 +111,7 @@ $GO test -race -shuffle=on ./internal/server
 
 echo "==> crash-recovery chaos (race)"
 $GO test -race ./internal/datastore
-$GO test -race -run 'TestRecovery|TestSnapshotNoop' ./internal/core
+$GO test -race $CORE_TIMEOUT -run 'TestRecovery|TestSnapshotNoop' ./internal/core
 $GO test -race -run 'TestCrashRecoveryWarmRestart|TestLimiterAbandonHandoverRace' ./internal/server
 
 if command -v staticcheck >/dev/null 2>&1; then
@@ -117,8 +126,9 @@ else
     skipped "staticcheck" "not installed; CI pins $STATICCHECK_VERSION"
 fi
 
-echo "==> engine microbench smoke"
+echo "==> microbench smoke"
 $GO test -run '^$' -bench . -benchtime 1x ./internal/engine
+$GO test $CORE_TIMEOUT -run '^$' -bench BenchmarkPlanSection -benchtime 1x ./internal/core
 
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
@@ -126,7 +136,7 @@ $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' 
 $GO test -race -count=1 -run 'TestFailover|TestHedged|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409' ./internal/shard
 
 echo "==> ingest smoke (race)"
-$GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
+$GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
 $GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
 $GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
