@@ -420,19 +420,11 @@ type RecoveredIngest = core.RecoveredIngest
 // ingest path: safe under concurrent queries, durable when a datastore
 // is attached, and never serves a query stale view content.
 func (s *System) Append(table string, rows [][]any) (AppendReport, error) {
-	schema, ok := s.schemas[table]
-	if !ok {
-		return AppendReport{}, fmt.Errorf("deepsea: unknown table %q", table)
+	converted, err := s.ConvertRows(table, rows)
+	if err != nil {
+		return AppendReport{}, err
 	}
-	converted := make([]relation.Row, len(rows))
-	slab := relation.NewSlab(len(schema.Cols), len(rows))
-	for i, values := range rows {
-		converted[i] = slab.Next()
-		if err := convertRow(schema, values, converted[i]); err != nil {
-			return AppendReport{}, err
-		}
-	}
-	return s.ds.Append(table, converted)
+	return s.AppendRows(table, converted)
 }
 
 // AppendRows is Append for callers that already hold relation.Rows
@@ -441,22 +433,24 @@ func (s *System) AppendRows(table string, rows []relation.Row) (AppendReport, er
 	return s.ds.Append(table, rows)
 }
 
-// ValidateRows type-checks an append batch against the table's schema
-// without applying it, so a serving tier can reject one caller's bad
-// batch with a 400 before it joins a coalesced group commit (where the
-// whole batch would share the failure).
-func (s *System) ValidateRows(table string, rows [][]any) error {
+// ConvertRows type-checks an append batch against the table's schema and
+// converts it to relation.Rows, so a serving tier can answer one caller's
+// bad batch with a 400 before admission and land the converted rows with
+// AppendRows.
+func (s *System) ConvertRows(table string, rows [][]any) ([]relation.Row, error) {
 	schema, ok := s.schemas[table]
 	if !ok {
-		return fmt.Errorf("deepsea: unknown table %q", table)
+		return nil, fmt.Errorf("deepsea: unknown table %q", table)
 	}
-	scratch := make(relation.Row, len(schema.Cols))
-	for _, values := range rows {
-		if err := convertRow(schema, values, scratch); err != nil {
-			return err
+	converted := make([]relation.Row, len(rows))
+	slab := relation.NewSlab(len(schema.Cols), len(rows))
+	for i, values := range rows {
+		converted[i] = slab.Next()
+		if err := convertRow(schema, values, converted[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return converted, nil
 }
 
 // RoutingKeyIndex returns the column index of the table's shard-routing

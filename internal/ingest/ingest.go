@@ -1,24 +1,19 @@
 // Package ingest is the wire layer of the batched append path: the
 // JSON spec of POST /append on the serving and shard tiers, the value
 // normalization that turns decoded JSON rows into the typed values the
-// engine accepts, a group-commit coalescer that merges concurrent small
-// appends into one journal write, and the JSONL append-stream format
-// the generator emits and the benchmarks replay.
+// engine accepts, and the JSONL append-stream format deepsea-gen emits
+// (one spec per line, each line one POST /append body).
 //
 // The package is deliberately engine-agnostic — it knows nothing about
-// views, journals or refresh. The serving tier supplies the flush
-// function; everything here is batching and encoding.
+// views, journals or refresh; everything here is encoding.
 package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
-	"sync"
-	"time"
+	"math"
 )
 
 // Spec is the JSON body of POST /append: a batch of new rows for one
@@ -68,6 +63,11 @@ func (sp *Spec) Validate() error {
 // integral and float64 otherwise, float64 stays, and integral float64
 // (a plain json.Unmarshal without UseNumber) converts to int64 so int
 // columns round-trip. Strings pass through; anything else errors.
+//
+// Integral means a whole number in int64's range however it is written
+// ("3", "3.0", "3e0", "-0.0"), because Go encodes such a float64 as a
+// bare integer: the coordinator re-encodes a decoded spec for its
+// replicas, and they must decode the values it decoded.
 func Normalize(rows [][]any) error {
 	for i, row := range rows {
 		for j, v := range row {
@@ -81,11 +81,9 @@ func Normalize(rows [][]any) error {
 				if err != nil {
 					return fmt.Errorf("ingest: row %d col %d: bad number %q", i, j, x.String())
 				}
-				rows[i][j] = f
+				rows[i][j] = integral(f)
 			case float64:
-				if x == float64(int64(x)) {
-					rows[i][j] = int64(x)
-				}
+				rows[i][j] = integral(x)
 			case int64, int, string:
 				// already typed
 			default:
@@ -94,6 +92,15 @@ func Normalize(rows [][]any) error {
 		}
 	}
 	return nil
+}
+
+// integral returns f as an int64 when it is a whole number in int64's
+// range, and f otherwise.
+func integral(f float64) any {
+	if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+		return int64(f)
+	}
+	return f
 }
 
 // DecodeSpec decodes one append spec, preserving number fidelity
@@ -139,32 +146,6 @@ func (sp *Spec) ItemRange(ki int) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// ReadStream decodes a JSONL append stream: one Spec per line, numbers
-// preserved, rows normalized. The format deepsea-gen emits with
-// -what appendstream.
-func ReadStream(r io.Reader) ([]*Spec, error) {
-	var out []*Spec
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		sp, err := DecodeSpec(bytes.NewReader([]byte(text)))
-		if err != nil {
-			return nil, fmt.Errorf("ingest: stream line %d: %w", line, err)
-		}
-		out = append(out, sp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ingest: read stream: %w", err)
-	}
-	return out, nil
-}
-
 // WriteStream encodes specs as JSONL, one per line.
 func WriteStream(w io.Writer, specs []*Spec) error {
 	bw := bufio.NewWriter(w)
@@ -175,124 +156,4 @@ func WriteStream(w io.Writer, specs []*Spec) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Flush lands one coalesced batch for a table and returns the result
-// every contributor observes.
-type Flush[R any] func(table string, rows [][]any) (R, error)
-
-// Coalescer implements group commit for the append path: concurrent
-// Add calls for the same table merge into one batch, which flushes when
-// it reaches MaxRows or when the oldest contribution has waited
-// MaxDelay. Every contributor blocks until its batch lands and receives
-// the batch's shared result — so N concurrent small appends cost one
-// journal write and one view-refresh round instead of N.
-type Coalescer[R any] struct {
-	flush    Flush[R]
-	maxRows  int
-	maxDelay time.Duration
-
-	mu      sync.Mutex
-	pending map[string]*batch[R]
-	closed  bool
-
-	// Batches and Appends feed the ingest counters: Appends counts Add
-	// calls, Batches counts flushes — Appends/Batches is the group-commit
-	// amortization factor.
-	appends uint64
-	batches uint64
-}
-
-type batch[R any] struct {
-	rows  [][]any
-	done  chan struct{}
-	rep   R
-	err   error
-	timer *time.Timer
-}
-
-// NewCoalescer builds a coalescer over the given flush function.
-// maxRows <= 0 defaults to 4096; maxDelay <= 0 defaults to 2ms.
-func NewCoalescer[R any](maxRows int, maxDelay time.Duration, flush Flush[R]) *Coalescer[R] {
-	if maxRows <= 0 {
-		maxRows = 4096
-	}
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Millisecond
-	}
-	return &Coalescer[R]{
-		flush:    flush,
-		maxRows:  maxRows,
-		maxDelay: maxDelay,
-		pending:  make(map[string]*batch[R]),
-	}
-}
-
-// Add contributes rows to the table's open batch and blocks until that
-// batch lands, returning the batch's shared result.
-func (c *Coalescer[R]) Add(table string, rows [][]any) (R, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		var zero R
-		return zero, fmt.Errorf("ingest: coalescer closed")
-	}
-	c.appends++
-	b := c.pending[table]
-	if b == nil {
-		b = &batch[R]{done: make(chan struct{})}
-		c.pending[table] = b
-		bb := b
-		b.timer = time.AfterFunc(c.maxDelay, func() { c.flushBatch(table, bb) })
-	}
-	b.rows = append(b.rows, rows...)
-	full := len(b.rows) >= c.maxRows
-	c.mu.Unlock()
-	if full {
-		c.flushBatch(table, b)
-	}
-	<-b.done
-	return b.rep, b.err
-}
-
-// flushBatch detaches the batch (if still pending) and lands it. Safe
-// to race: the first caller detaches, later callers find the batch
-// already replaced and return.
-func (c *Coalescer[R]) flushBatch(table string, b *batch[R]) {
-	c.mu.Lock()
-	if c.pending[table] != b {
-		c.mu.Unlock()
-		return // someone else flushed it
-	}
-	delete(c.pending, table)
-	b.timer.Stop()
-	c.batches++
-	c.mu.Unlock()
-	b.rep, b.err = c.flush(table, b.rows)
-	close(b.done)
-}
-
-// Close flushes every open batch and rejects further Adds.
-func (c *Coalescer[R]) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	open := make(map[string]*batch[R], len(c.pending))
-	for t, b := range c.pending {
-		open[t] = b
-	}
-	c.mu.Unlock()
-	for t, b := range open {
-		c.flushBatch(t, b)
-	}
-}
-
-// Stats returns (adds, flushed batches) — the group-commit ratio.
-func (c *Coalescer[R]) Stats() (appends, batches uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.appends, c.batches
 }

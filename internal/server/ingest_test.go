@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,6 +206,69 @@ func TestAppendIdempotencyToken(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppendsReportTheirOwnBatch: eight appends of 10 … 17
+// rows released at once each report their own batch. Sorted by NewCount
+// the responses form a chain — every count is the previous one plus the
+// request's own rows — ending at the pre-burst count plus 108, so no two
+// requests share a report and none reports a count its rows did not make.
+func TestConcurrentAppendsReportTheirOwnBatch(t *testing.T) {
+	leakcheck.Check(t)
+	data := workload.Generate(1, 1, nil)
+	sys := newTestSystem(t)
+	_, ts := newTestServer(t, sys, Config{MaxInFlight: 8})
+	before := int64(len(data.Tables["store_sales"].Rows))
+
+	type result struct {
+		rows int64
+		resp AppendResponse
+	}
+	results := make([]result, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		n := 10 + i
+		body, err := json.Marshal(ingest.Spec{Table: "store_sales", Rows: appendBatch(data, int64(900+i), n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/append", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("append of %d rows: status %d", n, resp.StatusCode)
+				return
+			}
+			results[i].rows = int64(n)
+			if err := json.NewDecoder(resp.Body).Decode(&results[i].resp); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	sort.Slice(results, func(a, b int) bool { return results[a].resp.NewCount < results[b].resp.NewCount })
+	prev := before
+	for _, r := range results {
+		if r.resp.NewCount-r.rows != prev {
+			t.Errorf("append of %d rows reports new_count %d; the previous report is %d", r.rows, r.resp.NewCount, prev)
+		}
+		prev = r.resp.NewCount
+	}
+	if prev != before+108 {
+		t.Errorf("last new_count %d, want %d", prev, before+108)
+	}
+}
+
 // TestAppendBadRequests: malformed specs 400, wrong method 405 — and
 // nothing lands.
 func TestAppendBadRequests(t *testing.T) {
@@ -290,9 +354,8 @@ func TestAppendOwnership(t *testing.T) {
 }
 
 // TestAppendQueryConcurrentSmoke is the ingest smoke: an append burst
-// concurrent with a query burst, no errors, group commit coalescing
-// some of the batches, and the settled state identical to a reference
-// system that appended the same row multiset.
+// concurrent with a query burst, no errors, and the settled state
+// identical to a reference system that appended the same row multiset.
 func TestAppendQueryConcurrentSmoke(t *testing.T) {
 	leakcheck.Check(t)
 	data := workload.Generate(1, 1, nil)

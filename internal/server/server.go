@@ -2,7 +2,8 @@
 // over the public deepsea.System with admission control (a bounded
 // in-flight limit, a FIFO wait queue, and load shedding), an operational
 // health surface, and a graceful drain-on-shutdown lifecycle. An
-// admitted query runs System.RunContext on its handler goroutine.
+// admitted query runs System.RunContext, and an admitted append
+// System.AppendRows, on its handler goroutine.
 //
 // Endpoints:
 //
@@ -28,6 +29,7 @@ import (
 
 	"deepsea"
 	"deepsea/internal/ingest"
+	"deepsea/internal/relation"
 )
 
 // Config tunes the serving layer. The zero value is usable: defaults
@@ -88,8 +90,10 @@ type ServingStats struct {
 	TimedOut   uint64 `json:"timed_out"`
 	BadRequest uint64 `json:"bad_request"`
 	// Appends counts successful POST /append requests; AppendBatches the
-	// coalesced group commits that landed them (Appends/AppendBatches is
-	// the group-commit amortization under concurrent ingest).
+	// batches handed to the system, one per append not answered from the
+	// idempotency window. Every append lands alone, so on a fault-free run
+	// Appends = AppendBatches + AppendDedups by construction; the field
+	// stays because benchmark/ reads it.
 	Appends       uint64 `json:"appends"`
 	AppendBatches uint64 `json:"append_batches"`
 	// AppendDedups counts append requests answered from the idempotency
@@ -103,7 +107,6 @@ type ServingStats struct {
 type Server struct {
 	sys   *deepsea.System
 	lim   *limiter
-	coal  *ingest.Coalescer[deepsea.AppendReport]
 	dedup *appendDedup
 	mux   *http.ServeMux
 
@@ -135,13 +138,14 @@ type Server struct {
 	snapDone chan struct{}
 	snapErrs atomic.Uint64
 
-	served       atomic.Uint64
-	failed       atomic.Uint64
-	shed         atomic.Uint64
-	timedOut     atomic.Uint64
-	badRequest   atomic.Uint64
-	appends      atomic.Uint64
-	appendDedups atomic.Uint64
+	served        atomic.Uint64
+	failed        atomic.Uint64
+	shed          atomic.Uint64
+	timedOut      atomic.Uint64
+	badRequest    atomic.Uint64
+	appends       atomic.Uint64
+	appendBatches atomic.Uint64
+	appendDedups  atomic.Uint64
 
 	// completions feeds the drain-rate estimate behind Retry-After.
 	completions completionRing
@@ -163,13 +167,6 @@ func New(sys *deepsea.System, cfg Config) *Server {
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	// Concurrent POST /append calls for one table coalesce into one
-	// journal write and one view-refresh round; batch size and linger are
-	// the coalescer's defaults.
-	s.coal = ingest.NewCoalescer(0, 0,
-		func(table string, rows [][]any) (deepsea.AppendReport, error) {
-			return sys.Append(table, rows)
-		})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/append", s.handleAppend)
@@ -218,7 +215,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.reqWG.Wait()
-		s.coal.Close()
 		close(done)
 	}()
 	var err error
@@ -477,7 +473,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // AppendResponse is the JSON body of a successful POST /append: the
-// shared report of the group-commit batch the request's rows landed in.
+// report of the request's own batch — NewCount is the table's row count
+// right after its rows landed, and the view lists are what its append
+// marked stale, refreshed, dropped or deferred. A deduplicated request
+// replays the report of the request that landed the rows.
 type AppendResponse struct {
 	Table      string   `json:"table"`
 	NewCount   int64    `json:"new_count"`
@@ -525,12 +524,14 @@ func (s *Server) checkAppendOwnership(sp *ingest.Spec) (rangeErrResponse, bool) 
 }
 
 // handleAppend is POST /append: the online ingest path. It runs behind
-// the same drain/fence/admission guards as /query, pre-validates the
-// batch against the table schema (so one caller's bad rows 400 instead
-// of failing a shared group commit), and lands the rows through the
-// coalescer — journaled, dependent views refreshed incrementally.
+// the same drain/fence/admission guards as /query, converts the batch
+// against the table schema before admission (so bad rows 400 without
+// taking a slot), and lands the converted rows on its own goroutine
+// inside its admission slot — journaled, dependent views refreshed
+// incrementally.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var sp *ingest.Spec
+	var rows []relation.Row
 	s.guarded(w, r, func() (time.Duration, bool) {
 		var err error
 		if sp, err = ingest.DecodeSpec(r.Body); err != nil {
@@ -542,17 +543,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
-		if err := s.sys.ValidateRows(sp.Table, sp.Rows); err != nil {
+		if rows, err = s.sys.ConvertRows(sp.Table, sp.Rows); err != nil {
 			s.badRequest.Add(1)
 			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
 			return 0, false
 		}
 		return defaultTimeout, true
 	}, func(context.Context) {
-		rep, deduped, err := s.landAppend(sp)
+		rep, deduped, err := s.landAppend(sp, rows)
 		if err != nil {
-			// Rows were pre-validated, so a flush failure is a server-side
-			// journal or refresh error, not this request's fault.
+			// Rows were converted before admission, so a failure here is a
+			// server-side journal or refresh error, not the request's fault.
 			s.failed.Add(1)
 			WriteJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
 			return
@@ -573,21 +574,25 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// landAppend applies one batch through the coalescer, deduplicating by
-// the spec's idempotency token: a token already applied within the
-// window returns the remembered result (deduped true) instead of
-// appending the rows again. A token whose owning attempt failed is
-// released — the waiter carries the same rows, so it retries as a fresh
-// owner.
-func (s *Server) landAppend(sp *ingest.Spec) (deepsea.AppendReport, bool, error) {
+// landAppend applies one batch with System.AppendRows on the calling
+// handler's goroutine, deduplicating by the spec's idempotency token: a
+// token already applied within the window returns the remembered result
+// (deduped true) instead of appending the rows again. A token whose
+// owning attempt failed is released — the waiter carries the same rows,
+// so it retries as a fresh owner.
+func (s *Server) landAppend(sp *ingest.Spec, rows []relation.Row) (deepsea.AppendReport, bool, error) {
+	apply := func() (deepsea.AppendReport, error) {
+		s.appendBatches.Add(1)
+		return s.sys.AppendRows(sp.Table, rows)
+	}
 	if sp.Token == "" {
-		rep, err := s.coal.Add(sp.Table, sp.Rows)
+		rep, err := apply()
 		return rep, false, err
 	}
 	for {
 		e, owner := s.dedup.claim(sp.Token)
 		if owner {
-			rep, err := s.coal.Add(sp.Table, sp.Rows)
+			rep, err := apply()
 			s.dedup.finish(sp.Token, e, rep, err == nil)
 			return rep, false, err
 		}
@@ -719,7 +724,6 @@ type statzResponse struct {
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	h := s.sys.Health()
 	adm, inflight, depth := s.lim.snapshot()
-	_, appendBatches := s.coal.Stats()
 	resp := statzResponse{
 		Health:    h,
 		Admission: adm,
@@ -730,7 +734,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			TimedOut:      s.timedOut.Load(),
 			BadRequest:    s.badRequest.Load(),
 			Appends:       s.appends.Load(),
-			AppendBatches: appendBatches,
+			AppendBatches: s.appendBatches.Load(),
 			AppendDedups:  s.appendDedups.Load(),
 		},
 		InFlightSlots:      inflight,

@@ -43,17 +43,23 @@
 #       the lagging-view guard, the all-template
 #       delta-vs-remat property tests with the sublinear-refresh check,
 #       the serving tier's /append suite (an append burst racing a query
-#       burst, bad-request and ownership rejections, a kill -9
-#       mid-ingest whose warm restart replays the journal to
-#       byte-identical results), and the coordinator routing suite
-#       (keyed split, keyless broadcast, epoch refresh)
-#   11. fuzz smoke — five seconds of stdlib fuzzing (no network, no
+#       burst, concurrent appends each reporting their own batch,
+#       idempotency-token retries landing rows once, bad-request and
+#       ownership rejections, a kill -9 mid-ingest whose warm restart
+#       replays the journal to byte-identical results), and the
+#       coordinator routing suite (keyed split, keyless broadcast, epoch
+#       refresh)
+#   11. fuzz smoke — five seconds each of stdlib fuzzing (no network, no
 #       corpus download) of the one cell codec, relation.Table's JSON
-#       form that journal records and snapshots go through: no panic on
-#       arbitrary bytes, and decode → encode → decode is a fixed point.
-#       Its seed corpus already ran as ordinary tests in stage 1; a
-#       failure leaves its input under internal/relation/testdata/fuzz
-#       to be checked in as a regression seed
+#       form that journal records and snapshots go through (no panic on
+#       arbitrary bytes, decode → encode → decode is a fixed point), and
+#       of the POST /append body decoder, ingest.DecodeSpec (no panic; an
+#       accepted spec is rectangular with typed cells; encode → decode →
+#       encode reproduces the bytes, which the coordinator relies on when
+#       it re-encodes slices for replicas). Their seed corpora already
+#       ran as ordinary tests in stage 1; a failure leaves its input
+#       under the package's testdata/fuzz to be checked in as a
+#       regression seed
 #
 # Every internal/core invocation carries -timeout 120s (the package takes
 # under 40 s with the race detector on two cores): the view manager has
@@ -138,10 +144,11 @@ $GO test -race -count=1 -run 'TestFailover|TestHedged|TestBreaker|TestProber|Tes
 echo "==> ingest smoke (race)"
 $GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
 $GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
-$GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
+$GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendIdempotencyToken|TestConcurrentAppendsReportTheirOwnBatch|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
 
 echo "==> fuzz smoke"
 $GO test -run '^$' -fuzz FuzzTableJSON -fuzztime 5s ./internal/relation
+$GO test -run '^$' -fuzz FuzzDecodeSpec -fuzztime 5s ./internal/ingest
 
 echo "==> ci passed"
