@@ -18,12 +18,11 @@
 // the first replica of a group is its primary), routes single-range
 // queries to the owning group, scatters spanning queries in
 // partial-aggregate mode and merges the results deterministically.
-// Replicated groups route around failure: bounded failover with
-// jittered backoff, per-replica circuit breakers, hedged subqueries
-// after -hedge-delay (0 derives the delay from the observed p95;
-// negative disables hedging), and a background health prober
-// (-probe-every) that re-pushes ownership to replicas that missed a
-// handoff. With -rebalance-every it periodically moves hot range
+// Replicated groups route around failure: each range subquery is one
+// attempt at a time, failing over to the next replica with jittered
+// backoff, per-replica circuit breakers skip dead replicas, and a
+// background health prober (-probe-every) re-pushes ownership to
+// replicas that missed a handoff. With -rebalance-every it periodically moves hot range
 // boundaries to equalize observed heat.
 //
 // Endpoints:
@@ -33,7 +32,7 @@
 //	                        split per owning range group (every replica
 //	                        must accept), keyless tables broadcast
 //	GET  /healthz         — routing table + per-replica reachability and breaker state
-//	GET  /statz           — scatter/failover/hedge/breaker counters + per-shard heat share
+//	GET  /statz           — scatter/failover/breaker counters + per-shard heat share
 //	POST /admin/rebalance — recompute and apply equi-heat boundaries
 package main
 
@@ -64,7 +63,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "dataset seed for in-process shards")
 	rebalanceEvery := flag.Duration("rebalance-every", 0, "periodic equi-heat rebalance interval (0 = manual via /admin/rebalance)")
 	reqTimeout := flag.Duration("shard-timeout", 15*time.Second, "per-shard request timeout")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedged-subquery delay (0 = derive from observed p95, negative = disable hedging)")
 	probeEvery := flag.Duration("probe-every", 2*time.Second, "background replica health-probe interval (0 = off)")
 	flag.Parse()
 
@@ -131,7 +129,6 @@ func main() {
 		DomainLo:       *lo,
 		DomainHi:       *hi,
 		RequestTimeout: *reqTimeout,
-		HedgeDelay:     *hedgeDelay,
 		ProbeInterval:  *probeEvery,
 		KeyIndex:       keyIdx,
 	})

@@ -45,9 +45,8 @@ func (s breakerState) String() string {
 //	half-open --(probe abandoned, or outcome lost for a cooldown)--> re-probe
 //
 // The last transition is the liveness guarantee: a probe whose outcome
-// never arrives (the attempt carrying it was discarded — a hedge winner
-// cancelled it, the caller's context died) must not exclude the replica
-// forever, so Abandon releases it explicitly and Allow treats a probe
+// never arrives (the caller's context died before or during the attempt
+// carrying it) must not exclude the replica forever, so Abandon releases it explicitly and Allow treats a probe
 // older than the cooldown as lost and admits a fresh one.
 type breaker struct {
 	mu         sync.Mutex
@@ -111,8 +110,8 @@ func (b *breaker) startProbe(now time.Time) {
 }
 
 // Abandon releases a half-open probe without judging the replica: the
-// attempt carrying it was cancelled before producing evidence (e.g. a
-// sibling hedge already won the range). The breaker stays half-open
+// attempt carrying it was cancelled before producing evidence (the
+// client went away mid-query). The breaker stays half-open
 // and the next Allow re-probes immediately instead of waiting out the
 // lost-probe cooldown.
 func (b *breaker) Abandon() {

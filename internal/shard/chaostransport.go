@@ -43,7 +43,7 @@ type ChaosTransport struct {
 	Err5xxProb float64
 	// LatencyProb delays the request by Latency before sending it — a
 	// straggling peer. The delay honors request-context cancellation, so
-	// a hedged winner cancels a delayed loser promptly.
+	// a cancelled query or an expired attempt timeout ends it promptly.
 	LatencyProb float64
 	Latency     time.Duration
 	// Hosts, when non-nil, limits injection to these URL hosts.

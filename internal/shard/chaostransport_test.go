@@ -122,8 +122,9 @@ func TestChaosTransportInjectsFaults(t *testing.T) {
 }
 
 // TestChaosLatencyHonorsCancellation verifies an injected delay unwinds
-// promptly when the request context is cancelled — the property hedging
-// relies on to reap losers.
+// promptly when the request context is cancelled — the property a
+// cancelled query or an expired attempt timeout relies on to end a
+// straggling attempt.
 func TestChaosLatencyHonorsCancellation(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))

@@ -39,18 +39,9 @@ type Config struct {
 	// newTransport).
 	Transport http.RoundTripper
 
-	// BreakerThreshold is how many consecutive failures trip a
-	// replica's circuit breaker (default 3).
-	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker refuses requests
 	// before admitting a half-open probe (default 2s).
 	BreakerCooldown time.Duration
-
-	// HedgeDelay controls hedged subqueries: after this long without a
-	// first response, the same range subquery is fired at a second live
-	// replica and the first success wins. 0 (the default) derives the
-	// delay from the observed subquery p95; negative disables hedging.
-	HedgeDelay time.Duration
 
 	// ProbeInterval, when positive, starts a background health prober
 	// that checks every replica, feeds the breakers, and re-pushes
@@ -65,15 +56,17 @@ type Config struct {
 	KeyIndex map[string]int
 }
 
-// A range subquery tries each replica of its group at most once. The
-// jittered backoff between those failover retries starts at
-// failoverBackoffBase, doubles per retry and is capped at
+// A range subquery tries each replica of its group at most once, one
+// after another. The jittered backoff between those failover retries
+// starts at failoverBackoffBase, doubles per retry and is capped at
 // failoverBackoffCap (±50% jitter, drawn from a fixed seed so runs are
-// deterministic).
+// deterministic). breakerThreshold consecutive failures trip a
+// replica's circuit breaker.
 const (
 	failoverBackoffBase = 5 * time.Millisecond
 	failoverBackoffCap  = 100 * time.Millisecond
 	failoverJitterSeed  = 1
+	breakerThreshold    = 3
 )
 
 // newTransport builds the coordinator's default transport: explicit
@@ -102,9 +95,8 @@ func newTransport(replicas int) *http.Transport {
 //
 // Robustness: every range is served by a replica group. A subquery
 // prefers the group's healthy primary, fails over (bounded retries,
-// jittered backoff) on connection errors, timeouts and 5xx, hedges a
-// second replica after a p95-derived delay, and skips replicas whose
-// circuit breaker is open — so a dead replica costs one detection, not
+// jittered backoff) on connection errors, timeouts and 5xx, and skips
+// replicas whose circuit breaker is open — so a dead replica costs one detection, not
 // one timeout per query, and replica death mid-burst is invisible to
 // clients as long as one replica per group survives.
 //
@@ -131,7 +123,6 @@ type Coordinator struct {
 	heatMu sync.Mutex
 	heat   *heatMap
 
-	lat latencyRing
 	rng *lockedRand
 
 	queries    atomic.Uint64
@@ -140,8 +131,6 @@ type Coordinator struct {
 	failures   atomic.Uint64 // client-visible failures
 	rebalances atomic.Uint64
 	failovers  atomic.Uint64 // retries on a different replica
-	hedges     atomic.Uint64 // hedge subqueries fired
-	hedgeWins  atomic.Uint64 // hedges that beat the first attempt
 	refreshes  atomic.Uint64 // 409-driven routing-table refreshes
 
 	appendsRouted atomic.Uint64 // POST /append batches routed
@@ -171,9 +160,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 15 * time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
@@ -192,7 +178,7 @@ func New(cfg Config) (*Coordinator, error) {
 			}
 			replicas[a] = &replicaState{
 				addr: a,
-				br:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+				br:   newBreaker(breakerThreshold, cfg.BreakerCooldown),
 			}
 			nReplicas++
 		}
@@ -432,10 +418,9 @@ type Response struct {
 	// scatter phase runs them in parallel).
 	ShardsContacted  int     `json:"shards_contacted"`
 	SimulatedSeconds float64 `json:"simulated_seconds"`
-	// Failovers and Hedged report how much routing-around-failure this
-	// query needed (0/0 on the happy path).
+	// Failovers reports how much routing-around-failure this query
+	// needed (0 on the happy path).
 	Failovers int `json:"failovers,omitempty"`
-	Hedged    int `json:"hedged,omitempty"`
 }
 
 // errResponse is the coordinator's error body. FailedLo/FailedHi name
@@ -484,33 +469,41 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	c.heat.record(lo, hi)
 	c.heatMu.Unlock()
 
-	// Scatter, and when a shard answers 409 with a NEWER epoch than the
-	// routing table (the cluster moved on without us — e.g. a coordinator
-	// restart raced a handoff), adopt the true ownership by refreshing
-	// the table from the shards and retry once. The client never sees
-	// the stale-table window. When the refresh fails or the retry draws
-	// another stale 409, the 503 body scatterOnce built rides through —
-	// the client gets a real error response, never an aborted connection.
-	for attempt := 0; ; attempt++ {
-		status, body, refresh := c.scatterOnce(r.Context(), &spec, lo, hi)
-		if refresh && attempt == 0 {
-			if err := c.refreshRouting(r.Context()); err == nil {
-				continue
-			} else if er, ok := body.(errResponse); ok {
-				er.Error += "; routing refresh failed: " + err.Error()
-				body = er
-			}
-		}
-		if status != http.StatusOK {
-			c.failures.Add(1)
-		}
-		server.WriteJSON(w, status, body)
-		return
+	status, body := c.withRefresh(r.Context(), func() (int, any, bool) {
+		return c.scatterOnce(r.Context(), &spec, lo, hi)
+	})
+	if status != http.StatusOK {
+		c.failures.Add(1)
 	}
+	server.WriteJSON(w, status, body)
+}
+
+// withRefresh runs one routing attempt, and when a shard answered 409
+// with a NEWER epoch than the routing table (the cluster moved on
+// without us — e.g. a coordinator restart raced a handoff), adopts the
+// true ownership by refreshing the table from the shards and runs the
+// attempt once more. The client never sees the stale-table window.
+// When the refresh fails or the retry draws another stale 409, the 503
+// body the attempt built rides through — the client gets a real error
+// response, never an aborted connection.
+func (c *Coordinator) withRefresh(ctx context.Context, once func() (status int, body any, refresh bool)) (int, any) {
+	status, body, refresh := once()
+	if !refresh {
+		return status, body
+	}
+	if err := c.refreshRouting(ctx); err != nil {
+		if er, ok := body.(errResponse); ok {
+			er.Error += "; routing refresh failed: " + err.Error()
+			body = er
+		}
+		return status, body
+	}
+	status, body, _ = once()
+	return status, body
 }
 
 // scatterOnce routes [lo, hi] through the current table and runs the
-// per-slice subqueries in parallel, each with failover and hedging.
+// per-slice subqueries in parallel, each with failover.
 // refresh is true when some replica reported a newer epoch than the
 // routing table — the caller should refresh and retry, and the
 // returned status/body are a ready-to-write 503 naming the conflict in
@@ -531,7 +524,6 @@ func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, l
 		conflict  *conflict409
 		err       error
 		failovers int
-		hedged    int
 	}
 	results := make([]sliceResult, len(slices))
 	var wg sync.WaitGroup
@@ -541,14 +533,14 @@ func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, l
 			defer wg.Done()
 			c.scattered.Add(1)
 			r := &results[i]
-			r.resp, r.conflict, r.failovers, r.hedged, r.err =
+			r.resp, r.conflict, r.failovers, r.err =
 				c.queryRange(ctx, spec, sl, c.shards[sl.shard], sl.shard, partial)
 		}(i, sl)
 	}
 	wg.Wait()
 
 	var simMax float64
-	var totalFailovers, totalHedged int
+	var totalFailovers int
 	rowSets := make([][][]any, len(slices))
 	var cols []string
 	refresh := false
@@ -556,7 +548,6 @@ func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, l
 	var staleConflict *conflict409
 	for i, res := range results {
 		totalFailovers += res.failovers
-		totalHedged += res.hedged
 		if res.conflict != nil && res.conflict.Epoch > c.shards[slices[i].shard].Epoch {
 			refresh = true
 			staleAt, staleConflict = i, res.conflict
@@ -615,7 +606,6 @@ func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, l
 		ShardsContacted:  len(slices),
 		SimulatedSeconds: simMax,
 		Failovers:        totalFailovers,
-		Hedged:           totalHedged,
 	}, false
 }
 
@@ -626,39 +616,6 @@ func specAggregates(spec *server.QuerySpec) bool {
 	return spec.Template != "" || len(spec.Aggs) > 0
 }
 
-// hedgeDelay resolves the current hedge delay: the configured fixed
-// value, or the observed subquery p95 (floored at 1ms). Before enough
-// samples accumulate the delay falls back to RequestTimeout/4 — wide
-// enough that a cold coordinator does not double its own warmup load.
-func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
-	if c.cfg.HedgeDelay < 0 {
-		return 0, false
-	}
-	if c.cfg.HedgeDelay > 0 {
-		return c.cfg.HedgeDelay, true
-	}
-	p, n := c.lat.p95()
-	if n < 8 {
-		return c.cfg.RequestTimeout / 4, true
-	}
-	if p < time.Millisecond {
-		p = time.Millisecond
-	}
-	return p, true
-}
-
-// attemptResult is one replica attempt's outcome.
-type attemptResult struct {
-	resp     *wireResponse
-	status   int
-	conflict *conflict409
-	err      error
-	addr     string
-	hedge    bool
-	probe    bool
-	took     time.Duration
-}
-
 // retryableStatus reports whether an HTTP status should fail over to
 // another replica: 5xx (replica broken or overloaded behind a proxy)
 // and 429 (replica shedding — a sibling may have capacity).
@@ -667,13 +624,13 @@ func retryableStatus(status int) bool {
 }
 
 // queryRange answers one range slice using the owning replica group:
-// preferred replica first, bounded failover across the rest on
-// connection errors/timeouts/5xx (jittered backoff between retries),
-// one hedged attempt after the hedge delay, circuit breakers
-// short-circuiting known-dead replicas. Returns the response, or the
-// 409 conflict carrying the replicas' claimed ownership, or the last
-// error once the retry budget or the replica set is exhausted.
-func (c *Coordinator) queryRange(ctx context.Context, spec *server.QuerySpec, sl slice, group ShardInfo, gi int, partial bool) (*wireResponse, *conflict409, int, int, error) {
+// one attempt at a time, preferred replica first, then the rest of the
+// group in order on connection errors/timeouts/5xx (jittered backoff
+// between retries), circuit breakers short-circuiting known-dead
+// replicas. Returns the response, or the 409 conflict carrying the
+// replicas' claimed ownership, or the last error once the replica set
+// is exhausted.
+func (c *Coordinator) queryRange(ctx context.Context, spec *server.QuerySpec, sl slice, group ShardInfo, gi int, partial bool) (*wireResponse, *conflict409, int, error) {
 	sub := *spec
 	sub.Partial = partial
 	sub.Epoch = group.Epoch
@@ -692,179 +649,96 @@ func (c *Coordinator) queryRange(ctx context.Context, spec *server.QuerySpec, sl
 	}
 	body, err := json.Marshal(&sub)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, err
 	}
 
 	// Candidate replicas in preference order: the group's current
-	// preferred replica first, then the rest in declared order.
+	// preferred replica first, then the rest in declared order. Each is
+	// tried at most once, and only when its breaker admits a request.
 	addrs := append([]string(nil), group.Replicas...)
 	if p := int(c.preferred[gi].Load()); p > 0 && p < len(addrs) {
 		addrs[0], addrs[p] = addrs[p], addrs[0]
 	}
-	maxAttempts := len(addrs) // each replica once
-
-	attemptCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	results := make(chan attemptResult, len(addrs)+1)
-	tried := make(map[string]bool, len(addrs))
-
-	// pick returns the next untried replica whose breaker admits a
-	// request (marking it tried), or ok=false when none is available.
-	pick := func() (addr string, probe, ok bool) {
-		now := time.Now()
-		for _, a := range addrs {
-			if tried[a] {
-				continue
+	next := 0
+	pick := func() (addr string, br *breaker, probe, ok bool) {
+		for next < len(addrs) {
+			addr, next = addrs[next], next+1
+			br = c.replicas[addr].br
+			if allow, prb := br.Allow(time.Now()); allow {
+				return addr, br, prb, true
 			}
-			allow, prb := c.replicas[a].br.Allow(now)
-			if !allow {
-				continue
-			}
-			tried[a] = true
-			return a, prb, true
 		}
-		return "", false, false
-	}
-
-	launch := func(addr string, hedge, probe bool) {
-		c.attempts.Add(1)
-		go func() {
-			start := time.Now()
-			resp, status, conflict, err := c.doAttempt(attemptCtx, addr, body)
-			results <- attemptResult{
-				resp: resp, status: status, conflict: conflict, err: err,
-				addr: addr, hedge: hedge, probe: probe, took: time.Since(start),
-			}
-		}()
-	}
-
-	firstAddr, firstProbe, ok := pick()
-	if !ok {
-		return nil, nil, 0, 0, fmt.Errorf("no live replica for range [%d,%d]: all %d breakers open",
-			sl.lo, sl.hi, len(addrs))
-	}
-	launch(firstAddr, false, firstProbe)
-	inflight := 1
-	attempts := 1
-	failovers, hedged := 0, 0
-
-	// Whatever path returns, results still in flight (hedge losers,
-	// attempts outrun by a conflict return or the caller's context) are
-	// drained in the background and settled against their breakers —
-	// otherwise a half-open probe riding a discarded attempt would pin
-	// the breaker's probing flag until the lost-probe cooldown.
-	defer func() {
-		if inflight > 0 {
-			remaining := inflight
-			go func() {
-				for i := 0; i < remaining; i++ {
-					c.settleLate(<-results)
-				}
-			}()
-		}
-	}()
-
-	var hedgeC <-chan time.Time
-	if delay, hedgeOn := c.hedgeDelay(); hedgeOn && len(addrs) > 1 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeC = t.C
+		return "", nil, false, false
 	}
 
 	var lastErr error
-	var lastConflict *conflict409
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, nil, failovers, hedged, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if addr, probe, ok := pick(); ok {
-				c.hedges.Add(1)
-				hedged++
-				launch(addr, true, probe)
-				inflight++
+	for attempt := 0; ; attempt++ {
+		addr, br, probe, ok := pick()
+		switch {
+		case !ok && attempt == 0:
+			return nil, nil, 0, fmt.Errorf("no live replica for range [%d,%d]: all %d breakers open",
+				sl.lo, sl.hi, len(addrs))
+		case !ok:
+			if cf, stale := lastErr.(*conflict409); stale {
+				return nil, cf, attempt - 1, nil
 			}
-		case res := <-results:
-			inflight--
-			switch {
-			case res.err == nil && res.status == http.StatusOK:
-				c.replicas[res.addr].br.Success()
-				c.lat.record(res.took)
-				c.notePreferred(gi, group.Replicas, res.addr)
-				if res.hedge {
-					c.hedgeWins.Add(1)
-				}
-				cancelAll()
-				return res.resp, nil, failovers, hedged, nil
-			case res.conflict != nil:
-				// Ownership disagreement, not ill health: no breaker
-				// penalty — but a half-open probe must still resolve, and
-				// a 409 proves the replica alive and serving, so a probe
-				// closes the breaker. A replica AHEAD of our table means
-				// the table is stale — surface it so the caller refreshes.
-				// A replica BEHIND missed a handoff — route around it (the
-				// prober will re-push) by falling through to failover.
-				if res.probe {
-					c.replicas[res.addr].br.Success()
-				}
-				lastConflict = res.conflict
-				lastErr = res.conflict
-				if res.conflict.Epoch > group.Epoch {
-					cancelAll()
-					return nil, res.conflict, failovers, hedged, nil
-				}
-			case res.err == nil && !retryableStatus(res.status):
-				// A non-retryable client error (400, 405...): every replica
-				// would refuse it identically, so fail now. The replica
-				// answered, so a half-open probe resolves as success.
-				if res.probe {
-					c.replicas[res.addr].br.Success()
-				}
-				cancelAll()
-				return nil, nil, failovers, hedged,
-					fmt.Errorf("%s: HTTP %d", res.addr, res.status)
-			default:
-				// Connection error, timeout, 5xx or shed: the replica is
-				// unhealthy — feed its breaker and fail over.
-				c.replicas[res.addr].br.Failure(time.Now())
-				if res.err != nil {
-					lastErr = fmt.Errorf("%s: %w", res.addr, res.err)
-				} else {
-					lastErr = fmt.Errorf("%s: HTTP %d", res.addr, res.status)
-				}
-			}
-			if inflight > 0 {
-				// A hedge (or the first attempt) is still running and may
-				// yet win; wait for it before burning a retry.
-				continue
-			}
-			if attempts >= maxAttempts {
-				if lastConflict != nil && lastErr == lastConflict {
-					return nil, lastConflict, failovers, hedged, nil
-				}
-				return nil, nil, failovers, hedged,
-					fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w",
-						sl.lo, sl.hi, attempts, lastErr)
-			}
-			addr, probe, ok := pick()
-			if !ok {
-				return nil, nil, failovers, hedged,
-					fmt.Errorf("range [%d,%d]: no further live replica, last: %w", sl.lo, sl.hi, lastErr)
-			}
+			return nil, nil, attempt - 1,
+				fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w", sl.lo, sl.hi, attempt, lastErr)
+		}
+		if attempt > 0 {
 			// Jittered backoff before the retry so a burst of failing
 			// queries does not re-stampede the next replica in lockstep.
-			wait := failoverBackoff(c.rng, failoverBackoffBase, failoverBackoffCap, attempts-1)
 			select {
-			case <-time.After(wait):
+			case <-time.After(failoverBackoff(c.rng, failoverBackoffBase, failoverBackoffCap, attempt-1)):
 			case <-ctx.Done():
-				return nil, nil, failovers, hedged, ctx.Err()
+				if probe {
+					br.Abandon()
+				}
+				return nil, nil, attempt - 1, ctx.Err()
 			}
 			c.failovers.Add(1)
-			failovers++
-			attempts++
-			launch(addr, false, probe)
-			inflight++
+		}
+		c.attempts.Add(1)
+		resp, status, conflict, err := c.doAttempt(ctx, addr, body)
+		switch {
+		case err == nil && status == http.StatusOK:
+			br.Success()
+			c.notePreferred(gi, group.Replicas, addr)
+			return resp, nil, attempt, nil
+		case conflict != nil:
+			// Ownership disagreement, not ill health: no breaker penalty —
+			// but a half-open probe must still resolve, and a 409 proves
+			// the replica alive and serving, so a probe closes the breaker.
+			// A replica AHEAD of our table means the table is stale —
+			// surface it so the caller refreshes. A replica BEHIND missed a
+			// handoff — route around it (the prober will re-push).
+			if probe {
+				br.Success()
+			}
+			if conflict.Epoch > group.Epoch {
+				return nil, conflict, attempt, nil
+			}
+			lastErr = conflict
+		case err == nil && !retryableStatus(status):
+			// A non-retryable client error (400, 405...): every replica
+			// would refuse it identically, so fail now. The replica
+			// answered, so a half-open probe resolves as success.
+			if probe {
+				br.Success()
+			}
+			return nil, nil, attempt, fmt.Errorf("%s: HTTP %d", addr, status)
+		case errors.Is(err, context.Canceled):
+			// The caller went away mid-attempt: no evidence about the
+			// replica, so only release a half-open probe for re-probing.
+			if probe {
+				br.Abandon()
+			}
+			return nil, nil, attempt, err
+		default:
+			// Connection error, timeout, 5xx or shed: the replica is
+			// unhealthy — feed its breaker and fail over.
+			br.Failure(time.Now())
+			lastErr = fmt.Errorf("%s: %w", addr, err)
 		}
 	}
 }
@@ -879,30 +753,6 @@ func (c *Coordinator) notePreferred(gi int, replicas []string, addr string) {
 			c.preferred[gi].Store(int32(i))
 			return
 		}
-	}
-}
-
-// settleLate reports a discarded attempt's outcome to its breaker after
-// queryRange has already returned. Genuine outcomes feed Success and
-// Failure as usual; attempts the coordinator cancelled itself (hedge
-// losers, post-return stragglers) prove nothing about the replica, so
-// they only release a half-open probe for immediate re-probing.
-func (c *Coordinator) settleLate(res attemptResult) {
-	rs := c.replicas[res.addr]
-	switch {
-	case res.err == nil && res.status == http.StatusOK:
-		rs.br.Success()
-	case res.conflict != nil || (res.err == nil && !retryableStatus(res.status)):
-		// The replica answered — alive, just conflicted or refusing.
-		if res.probe {
-			rs.br.Success()
-		}
-	case errors.Is(res.err, context.Canceled):
-		if res.probe {
-			rs.br.Abandon()
-		}
-	default:
-		rs.br.Failure(time.Now())
 	}
 }
 
@@ -1119,7 +969,7 @@ func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, e
 	now := time.Now()
 	if err != nil {
 		rs.br.Failure(now)
-		rs.noteProbe(false, 0, err.Error(), now)
+		rs.noteProbe(false, 0, err.Error())
 		return
 	}
 	if status < 200 || status > 299 {
@@ -1128,17 +978,17 @@ func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, e
 		// restoring preference here would flap against the query path
 		// re-tripping it on the next request.
 		rs.br.Failure(now)
-		rs.noteProbe(false, 0, fmt.Sprintf("healthz: %d %s", status, http.StatusText(status)), now)
+		rs.noteProbe(false, 0, fmt.Sprintf("healthz: %d %s", status, http.StatusText(status)))
 		return
 	}
 	rs.br.Success()
 
 	ownLo, ownHi, ownEpoch, err := c.fetchOwnership(ctx, addr)
 	if err != nil {
-		rs.noteProbe(true, 0, "", now)
+		rs.noteProbe(true, 0, "")
 		return
 	}
-	rs.noteProbe(true, ownEpoch, "", now)
+	rs.noteProbe(true, ownEpoch, "")
 	if ownEpoch < epoch || ownLo != lo || ownHi != hi {
 		// The replica missed a handoff while it was down: re-push the
 		// current ownership so it stops 409ing its share of the traffic.
@@ -1227,8 +1077,8 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
-// statzResponse is the coordinator's GET /statz: scatter, failover,
-// hedging and breaker counters, the routing table, and each group's
+// statzResponse is the coordinator's GET /statz: scatter, failover
+// and breaker counters, the routing table, and each group's
 // share of the observed heat.
 type statzResponse struct {
 	Queries    uint64 `json:"queries"`
@@ -1237,25 +1087,18 @@ type statzResponse struct {
 	Failures   uint64 `json:"failures"`
 	Rebalances uint64 `json:"rebalances"`
 	// Failovers counts retries that moved to a different replica;
-	// Hedges/HedgeWins count hedged subqueries fired and hedges that
-	// beat the first attempt; Refreshes counts 409-driven routing-table
-	// rebuilds.
+	// Refreshes counts 409-driven routing-table rebuilds.
 	Failovers uint64 `json:"failovers"`
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
 	Refreshes uint64 `json:"refreshes"`
 	// AppendsRouted/AppendRows count POST /append batches scattered by
 	// routing key and the rows they carried.
 	AppendsRouted uint64 `json:"appends_routed"`
 	AppendRows    uint64 `json:"append_rows"`
 	// Breaker aggregates across every replica.
-	BreakerOpens         uint64 `json:"breaker_opens"`
-	BreakerShortCircuits uint64 `json:"breaker_short_circuits"`
-	BreakerProbes        uint64 `json:"breaker_probes"`
-	// HedgeDelayMillis is the delay a hedge fired right now would use
-	// (0 when hedging is disabled).
-	HedgeDelayMillis float64      `json:"hedge_delay_millis"`
-	Shards           []shardStatz `json:"shards"`
+	BreakerOpens         uint64       `json:"breaker_opens"`
+	BreakerShortCircuits uint64       `json:"breaker_short_circuits"`
+	BreakerProbes        uint64       `json:"breaker_probes"`
+	Shards               []shardStatz `json:"shards"`
 }
 
 type shardStatz struct {
@@ -1277,8 +1120,6 @@ func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Failures:      c.failures.Load(),
 		Rebalances:    c.rebalances.Load(),
 		Failovers:     c.failovers.Load(),
-		Hedges:        c.hedges.Load(),
-		HedgeWins:     c.hedgeWins.Load(),
 		Refreshes:     c.refreshes.Load(),
 		AppendsRouted: c.appendsRouted.Load(),
 		AppendRows:    c.appendRows.Load(),
@@ -1288,9 +1129,6 @@ func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
 		resp.BreakerOpens += opens
 		resp.BreakerShortCircuits += shorts
 		resp.BreakerProbes += probes
-	}
-	if d, on := c.hedgeDelay(); on {
-		resp.HedgeDelayMillis = float64(d) / float64(time.Millisecond)
 	}
 	c.heatMu.Lock()
 	var total uint64

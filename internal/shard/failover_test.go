@@ -115,9 +115,7 @@ func TestFailoverToFollower(t *testing.T) {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 2, func(cfg *Config) {
-		cfg.HedgeDelay = -1 // isolate failover from hedging
-	})
+	c, groups := newReplicatedCluster(t, 2, 2, nil)
 
 	resp, healthy, eresp := coordQuery(t, c, spanningSpec())
 	if resp.StatusCode != http.StatusOK {
@@ -159,9 +157,7 @@ func TestAllReplicasDeadFailsNamingRange(t *testing.T) {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 2, func(cfg *Config) {
-		cfg.HedgeDelay = -1
-	})
+	c, groups := newReplicatedCluster(t, 2, 2, nil)
 	dead := c.Shards()[1]
 	groups[1][0].Close()
 	groups[1][1].Close()
@@ -180,11 +176,11 @@ func TestAllReplicasDeadFailsNamingRange(t *testing.T) {
 	}
 }
 
-// TestHedgedRequestWinsOverStraggler injects a long straggler latency on
-// the primary only and checks the hedge fires, the follower's answer
-// wins well before the straggler would have finished, and the losing
-// attempt is cancelled (leakcheck).
-func TestHedgedRequestWinsOverStraggler(t *testing.T) {
+// TestStragglerIsWaitedOutNotRaced pins one attempt per subquery: a
+// primary that answers slowly but within RequestTimeout is waited out,
+// not raced against its follower. The answer is the undelayed one, and
+// /statz counts exactly one replica attempt per range subquery.
+func TestStragglerIsWaitedOutNotRaced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
 	}
@@ -198,34 +194,46 @@ func TestHedgedRequestWinsOverStraggler(t *testing.T) {
 		ct = &ChaosTransport{
 			Seed:        3,
 			LatencyProb: 1,
-			Latency:     20 * time.Second,
+			Latency:     time.Second,
 			Hosts:       map[string]bool{u.Host: true},
 		}
 		ct.SetArmed(false) // keep Init's handoff pushes clean
-		cfg.HedgeDelay = 50 * time.Millisecond
+		cfg.RequestTimeout = 2 * time.Second
 		cfg.Transport = ct
 	})
-	ct.SetArmed(true)
 
-	start := time.Now()
-	resp, out, eresp := coordQuery(t, c, spanningSpec())
-	took := time.Since(start)
+	resp, fast, eresp := coordQuery(t, c, spanningSpec())
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, eresp.Error)
+		t.Fatalf("undelayed query: status %d: %s", resp.StatusCode, eresp.Error)
 	}
-	if out.Hedged < 1 {
-		t.Fatalf("response reports %d hedges, want ≥1", out.Hedged)
+	want := fingerprint(t, fast.Columns, fast.Rows)
+
+	ct.SetArmed(true)
+	resp, out, eresp := coordQuery(t, c, spanningSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delayed query: status %d: %s", resp.StatusCode, eresp.Error)
 	}
-	if took > 10*time.Second {
-		t.Fatalf("hedged query took %v; the straggler latency leaked into the critical path", took)
+	if got := fingerprint(t, out.Columns, out.Rows); got != want {
+		t.Fatalf("delayed result diverges from undelayed run:\n got %s\nwant %s", got, want)
 	}
-	if c.hedgeWins.Load() == 0 {
-		t.Fatal("hedge win counter did not move")
+	if _, _, slows := ct.Counters(); slows == 0 {
+		t.Fatal("chaos transport delayed nothing; the primary was not the replica asked")
 	}
-	// Init's pushes also traverse the chaos transport, but the handoff
-	// POSTs are admin traffic; only the query path should have hedged.
-	if c.hedges.Load() != uint64(out.Hedged) {
-		t.Fatalf("coordinator hedges %d != response hedges %d", c.hedges.Load(), out.Hedged)
+
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	sresp, err := http.Get(ts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var sz statzResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&sz); err != nil {
+		t.Fatal(err)
+	}
+	if sz.Attempts != sz.Scattered {
+		t.Fatalf("statz attempts %d != scattered %d: a subquery was sent to more than one replica",
+			sz.Attempts, sz.Scattered)
 	}
 }
 
@@ -239,8 +247,6 @@ func TestBreakerBoundsDeadReplicaCost(t *testing.T) {
 	}
 	leakcheck.Check(t)
 	c, groups := newReplicatedCluster(t, 1, 2, func(cfg *Config) {
-		cfg.HedgeDelay = -1
-		cfg.BreakerThreshold = 3
 		cfg.BreakerCooldown = time.Hour // no half-open probe mid-test
 	})
 	groups[0][0].Close()
@@ -265,7 +271,7 @@ func TestBreakerBoundsDeadReplicaCost(t *testing.T) {
 		}
 	}
 	if st := c.replicas[primary].br.State(); st != breakerOpen {
-		t.Fatalf("breaker state %v after %d consecutive failures, want open", st, 3)
+		t.Fatalf("breaker state %v after %d consecutive failures, want open", st, breakerThreshold)
 	}
 	// With the breaker open, the dead primary is skipped without a
 	// network attempt: no failover retries, no connection errors.
@@ -331,9 +337,7 @@ func TestCoordinatorAdoptsTrueOwnershipOn409(t *testing.T) {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 1, func(cfg *Config) {
-		cfg.HedgeDelay = -1
-	})
+	c, groups := newReplicatedCluster(t, 2, 1, nil)
 	old := c.Shards()
 	if len(old) != 2 {
 		t.Fatalf("%d groups, want 2", len(old))
@@ -401,9 +405,7 @@ func TestStaleRoutingRefreshFailureIs503(t *testing.T) {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 1, func(cfg *Config) {
-		cfg.HedgeDelay = -1
-	})
+	c, groups := newReplicatedCluster(t, 2, 1, nil)
 	old := c.Shards()
 
 	// Shrink group 0's claim at a far-future epoch without moving group
@@ -483,9 +485,7 @@ func TestHealthzReportsBreakerState(t *testing.T) {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 2, func(cfg *Config) {
-		cfg.HedgeDelay = -1
-	})
+	c, groups := newReplicatedCluster(t, 2, 2, nil)
 	groups[0][0].Close()
 	// A couple of queries to trip detection.
 	for i := 0; i < 3; i++ {

@@ -39,8 +39,8 @@ type AppendResponse struct {
 // independent copies, and any of them may answer the group's range).
 // Tables without a configured routing key are replicated dimensions:
 // the whole batch broadcasts to every group. A 409 from a shard that is
-// ahead of the routing table triggers one routing refresh and retry,
-// mirroring the query path.
+// ahead of the routing table triggers one routing refresh and retry
+// (withRefresh, shared with the query path).
 //
 // Retries never duplicate rows: every replica-level send carries an
 // idempotency token derived from the batch token and the slice's range,
@@ -65,25 +65,16 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		token = fmt.Sprintf("%s-%d", c.appendNonce, c.appendSeq.Add(1))
 	}
 	landed := make(map[string]bool)
-	for attempt := 0; ; attempt++ {
-		status, body, refresh := c.appendOnce(r.Context(), sp, token, landed)
-		if refresh && attempt == 0 {
-			if rerr := c.refreshRouting(r.Context()); rerr == nil {
-				continue
-			} else if er, ok := body.(errResponse); ok {
-				er.Error += "; routing refresh failed: " + rerr.Error()
-				body = er
-			}
-		}
-		if status == http.StatusOK {
-			c.appendsRouted.Add(1)
-			c.appendRows.Add(uint64(len(sp.Rows)))
-		} else {
-			c.failures.Add(1)
-		}
-		server.WriteJSON(w, status, body)
-		return
+	status, body := c.withRefresh(r.Context(), func() (int, any, bool) {
+		return c.appendOnce(r.Context(), sp, token, landed)
+	})
+	if status == http.StatusOK {
+		c.appendsRouted.Add(1)
+		c.appendRows.Add(uint64(len(sp.Rows)))
+	} else {
+		c.failures.Add(1)
 	}
+	server.WriteJSON(w, status, body)
 }
 
 // appendRangeKey identifies a group's range for landed-slice tracking

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -17,20 +16,18 @@ type replicaState struct {
 	br   *breaker
 
 	mu          sync.Mutex
-	probed      bool      // a probe has run at least once
-	probeOK     bool      // last probe outcome
-	probeAt     time.Time // when
-	probeEpoch  uint64    // epoch the replica reported owning (0 = none)
-	repushes    uint64    // stale-epoch re-pushes the prober performed
-	probeErrStr string    // last probe failure, for healthz
+	probed      bool   // a probe has run at least once
+	probeOK     bool   // last probe outcome
+	probeEpoch  uint64 // epoch the replica reported owning (0 = none)
+	repushes    uint64 // stale-epoch re-pushes the prober performed
+	probeErrStr string // last probe failure, for healthz
 }
 
-func (r *replicaState) noteProbe(ok bool, epoch uint64, errStr string, now time.Time) {
+func (r *replicaState) noteProbe(ok bool, epoch uint64, errStr string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.probed = true
 	r.probeOK = ok
-	r.probeAt = now
 	r.probeEpoch = epoch
 	r.probeErrStr = errStr
 }
@@ -39,45 +36,6 @@ func (r *replicaState) probeSnapshot() (probed, ok bool, epoch uint64, errStr st
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.probed, r.probeOK, r.probeEpoch, r.probeErrStr, r.repushes
-}
-
-// latencyRing keeps the most recent successful subquery latencies so
-// the hedge delay can track the cluster's p95. Bounded and cheap: 128
-// samples, sorted on demand (the hedge decision is per range subquery,
-// not per row).
-const latencySamples = 128
-
-type latencyRing struct {
-	mu      sync.Mutex
-	samples [latencySamples]time.Duration
-	n       int // total recorded (ring position = n % latencySamples)
-}
-
-func (l *latencyRing) record(d time.Duration) {
-	l.mu.Lock()
-	l.samples[l.n%latencySamples] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// p95 returns the 95th-percentile recorded latency and how many samples
-// back it. With fewer than minSamples the caller should fall back to a
-// configured default — early traffic is too thin to derive a delay from.
-func (l *latencyRing) p95() (time.Duration, int) {
-	l.mu.Lock()
-	n := l.n
-	if n > latencySamples {
-		n = latencySamples
-	}
-	s := make([]time.Duration, n)
-	copy(s, l.samples[:n])
-	total := l.n
-	l.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(n*95)/100], total
 }
 
 // backoff returns the jittered failover backoff for the given retry

@@ -54,8 +54,8 @@ func UniformTrace(n int, t Template, selectivity float64, seed int64) []TraceQue
 
 // SpanningTrace generates n queries that each cover (nearly) the whole
 // domain: every query scatters to every shard of any cluster. The
-// worst-case fan-out workload — exactly what failover and hedging
-// experiments need, since every query touches the failing replica
+// worst-case fan-out workload — exactly what failover experiments
+// need, since every query touches the failing replica
 // group. Selectivity trims a random sliver off each end so queries are
 // not all literally identical (they still span all even boundaries for
 // any k up to ~1/selectivity).

@@ -36,8 +36,10 @@
 #       for the dead range with a 503 naming it; a replicated cluster
 #       (two groups x two replicas as subprocesses) absorbs a kill -9 of
 #       a primary mid-burst with zero client-visible failures and
-#       byte-identical results; and the failover/hedging/breaker suite
-#       (with its goroutine-leak checks) re-runs fresh
+#       byte-identical results; and the failover/breaker/prober suite
+#       (with its goroutine-leak checks) re-runs fresh, among it the
+#       one-attempt-per-subquery check (a slow primary is waited out,
+#       never raced against its follower)
 #   10. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite with the inline retry queue and
 #       the lagging-view guard, the all-template
@@ -139,7 +141,7 @@ $GO test $CORE_TIMEOUT -run '^$' -bench BenchmarkPlanSection -benchtime 1x ./int
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
 $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' ./internal/shard
-$GO test -race -count=1 -run 'TestFailover|TestHedged|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409' ./internal/shard
+$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409' ./internal/shard
 
 echo "==> ingest smoke (race)"
 $GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
