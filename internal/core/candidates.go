@@ -298,9 +298,6 @@ func (d *DeepSea) fragCandidates(q query.Node, bestRW *matching.Rewriting) []fra
 			if ci < 0 || !childSchema.Cols[ci].Ordered {
 				continue
 			}
-			if d.Cfg.PartitionAttrs != nil && !d.Cfg.PartitionAttrs[rp.Col] {
-				continue
-			}
 			col := childSchema.Cols[ci]
 			dom := interval.New(col.Lo, col.Hi)
 			r, overlap := rp.Iv.Intersect(dom)

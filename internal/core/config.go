@@ -117,10 +117,6 @@ type Config struct {
 	// MinFragBytes is the lower bound for fragment sizes; 0 selects the
 	// file-system block size, as in the paper.
 	MinFragBytes int64
-	// PartitionAttrs restricts which ordered attributes are considered
-	// as partition keys; nil considers every ordered attribute that
-	// appears in a selection.
-	PartitionAttrs map[string]bool
 	// PhysicalMatch restricts view matching to exact signature equality
 	// (no compensating selections or projections) — ReStore-style
 	// physical matching, the weaker alternative the paper contrasts its

@@ -334,7 +334,7 @@ func TestAppendOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var re rangeErrResponse
+	var re RangeErrResponse
 	if err := json.NewDecoder(resp.Body).Decode(&re); err != nil {
 		t.Fatal(err)
 	}

@@ -419,7 +419,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
 			return 0, false
 		}
-		if resp, ok := s.checkOwnership(&spec); !ok {
+		lo, hi, keyed := spec.ItemRange()
+		if resp, ok := s.checkOwnership(spec.Epoch, lo, hi, keyed); !ok {
 			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
@@ -492,37 +493,6 @@ type AppendResponse struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-// checkAppendOwnership is checkOwnership for the ingest path: a sharded
-// server rejects stale-epoch appends and batches whose routing keys fall
-// outside the owned range, both as 409s carrying the true ownership.
-// Tables without a routing key (replicated dimensions) pass the range
-// check on any shard.
-func (s *Server) checkAppendOwnership(sp *ingest.Spec) (rangeErrResponse, bool) {
-	or, owned := s.sys.OwnedRange()
-	if !owned {
-		return rangeErrResponse{}, true
-	}
-	mk := func(format string, args ...any) rangeErrResponse {
-		return rangeErrResponse{
-			Error:      fmt.Sprintf(format, args...),
-			OwnedLo:    or.Lo,
-			OwnedHi:    or.Hi,
-			RangeEpoch: or.Epoch,
-		}
-	}
-	if sp.Epoch != 0 && sp.Epoch != or.Epoch {
-		return mk("stale routing epoch %d: shard owns [%d,%d] at epoch %d",
-			sp.Epoch, or.Lo, or.Hi, or.Epoch), false
-	}
-	if ki := s.sys.RoutingKeyIndex(sp.Table); ki >= 0 {
-		if lo, hi, ok := sp.ItemRange(ki); ok && (lo < or.Lo || hi > or.Hi) {
-			return mk("append keys [%d,%d] not owned: shard owns [%d,%d] at epoch %d",
-				lo, hi, or.Lo, or.Hi, or.Epoch), false
-		}
-	}
-	return rangeErrResponse{}, true
-}
-
 // handleAppend is POST /append: the online ingest path. It runs behind
 // the same drain/fence/admission guards as /query, converts the batch
 // against the table schema before admission (so bad rows 400 without
@@ -539,7 +509,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
 			return 0, false
 		}
-		if resp, ok := s.checkAppendOwnership(sp); !ok {
+		lo, hi, keyed := sp.ItemRange(s.sys.RoutingKeyIndex(sp.Table))
+		if resp, ok := s.checkOwnership(sp.Epoch, lo, hi, keyed); !ok {
 			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
@@ -785,44 +756,36 @@ func (s *Server) Role() string {
 	return ""
 }
 
-// rangeErrResponse is the 409 body for ownership and epoch violations.
+// RangeErrResponse is the 409 body for ownership and epoch violations.
 // It names the shard's actual ownership so the coordinator can repair
 // its routing table from the response alone.
-type rangeErrResponse struct {
+type RangeErrResponse struct {
 	Error      string `json:"error"`
 	OwnedLo    int64  `json:"owned_lo"`
 	OwnedHi    int64  `json:"owned_hi"`
 	RangeEpoch uint64 `json:"range_epoch"`
 }
 
-// checkOwnership enforces the shard's published range against the
-// request. Standalone servers (no owned range) accept everything; a
-// sharded server rejects stale-epoch requests and requests whose
-// item_sk range falls outside the owned range — both 409s carrying the
-// true ownership, since they mean the caller's routing table is wrong,
-// not that the query is malformed.
-func (s *Server) checkOwnership(spec *QuerySpec) (rangeErrResponse, bool) {
+// checkOwnership enforces the shard's published range against a query
+// or an append: its routing epoch (0 = unstamped), and its partition-key
+// range [lo, hi] when keyed (a replicated-dimension append is not).
+// Standalone servers (no owned range) accept everything; a sharded
+// server rejects a stale epoch and keys outside the owned range — both
+// 409s carrying the true ownership, since they mean the caller's
+// routing table is wrong, not that the request is malformed.
+func (s *Server) checkOwnership(epoch uint64, lo, hi int64, keyed bool) (RangeErrResponse, bool) {
 	or, owned := s.sys.OwnedRange()
-	if !owned {
-		return rangeErrResponse{}, true
+	var what string
+	switch {
+	case owned && epoch != 0 && epoch != or.Epoch:
+		what = fmt.Sprintf("stale routing epoch %d", epoch)
+	case owned && keyed && (lo < or.Lo || hi > or.Hi):
+		what = fmt.Sprintf("keys [%d,%d] not owned", lo, hi)
+	default:
+		return RangeErrResponse{}, true
 	}
-	mk := func(format string, args ...any) rangeErrResponse {
-		return rangeErrResponse{
-			Error:      fmt.Sprintf(format, args...),
-			OwnedLo:    or.Lo,
-			OwnedHi:    or.Hi,
-			RangeEpoch: or.Epoch,
-		}
-	}
-	if spec.Epoch != 0 && spec.Epoch != or.Epoch {
-		return mk("stale routing epoch %d: shard owns [%d,%d] at epoch %d",
-			spec.Epoch, or.Lo, or.Hi, or.Epoch), false
-	}
-	if lo, hi, ok := spec.ItemRange(); ok && (lo < or.Lo || hi > or.Hi) {
-		return mk("range [%d,%d] not owned: shard owns [%d,%d] at epoch %d",
-			lo, hi, or.Lo, or.Hi, or.Epoch), false
-	}
-	return rangeErrResponse{}, true
+	return RangeErrResponse{Error: fmt.Sprintf("%s: shard owns [%d,%d] at epoch %d", what, or.Lo, or.Hi, or.Epoch),
+		OwnedLo: or.Lo, OwnedHi: or.Hi, RangeEpoch: or.Epoch}, false
 }
 
 // rangeRequest is the JSON body of POST /admin/range: the new ownership
@@ -884,7 +847,7 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 	// already moved past (e.g. a delayed retry), and applying it would
 	// fork ownership.
 	if or, owned := s.sys.OwnedRange(); owned && req.Epoch <= or.Epoch {
-		WriteJSON(w, http.StatusConflict, rangeErrResponse{
+		WriteJSON(w, http.StatusConflict, RangeErrResponse{
 			Error: fmt.Sprintf("stale handoff epoch %d: shard already at epoch %d",
 				req.Epoch, or.Epoch),
 			OwnedLo: or.Lo, OwnedHi: or.Hi, RangeEpoch: or.Epoch,

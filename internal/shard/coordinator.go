@@ -6,7 +6,6 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -176,10 +175,7 @@ func New(cfg Config) (*Coordinator, error) {
 			if _, dup := replicas[a]; dup {
 				return nil, fmt.Errorf("shard: replica %s appears twice", a)
 			}
-			replicas[a] = &replicaState{
-				addr: a,
-				br:   newBreaker(breakerThreshold, cfg.BreakerCooldown),
-			}
+			replicas[a] = &replicaState{br: newBreaker(breakerThreshold, cfg.BreakerCooldown)}
 			nReplicas++
 		}
 	}
@@ -390,7 +386,6 @@ type wireResponse struct {
 	Columns          []string `json:"columns"`
 	Rows             [][]any  `json:"rows"`
 	SimulatedSeconds float64  `json:"simulated_seconds"`
-	Error            string   `json:"error"`
 }
 
 // conflict409 carries the true ownership a shard reported in a 409: the
@@ -502,90 +497,61 @@ func (c *Coordinator) withRefresh(ctx context.Context, once func() (status int, 
 	return status, body
 }
 
-// scatterOnce routes [lo, hi] through the current table and runs the
-// per-slice subqueries in parallel, each with failover.
-// refresh is true when some replica reported a newer epoch than the
-// routing table — the caller should refresh and retry, and the
-// returned status/body are a ready-to-write 503 naming the conflict in
-// case the caller's refresh-retry budget is spent.
+// scatterOnce routes [lo, hi] through the current table — one part per
+// owning group, its sub-spec clamped to the group's slice of the range
+// and stamped with the group's epoch — fans the parts out under the
+// read policy (queryRange), settles the replies, and merges the partial
+// answers.
 func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, lo, hi int64) (int, any, bool) {
 	// Scatter under the routing read-lock: a concurrent handoff waits
 	// for us, so the table we route by stays valid for the whole fan-out.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	slices := route(c.shards, lo, hi)
-	if len(slices) == 0 {
+	parts := route(c.shards, lo, hi)
+	if len(parts) == 0 {
 		return http.StatusServiceUnavailable, errResponse{Error: "no shard owns the range (cluster not initialized?)"}, false
 	}
-
 	partial := specAggregates(spec)
-	type sliceResult struct {
-		resp      *wireResponse
-		conflict  *conflict409
-		err       error
-		failovers int
+	for i := range parts {
+		p := &parts[i]
+		sub := *spec
+		sub.Partial = partial
+		sub.Epoch = c.shards[p.shard].Epoch
+		if sub.Template != "" {
+			sub.Lo, sub.Hi = p.lo, p.hi
+		} else {
+			// Clamp the first item_sk range predicate (the one ItemRange
+			// found, or handleQuery would have 400'd already).
+			sub.Where = append([]server.WhereSpec(nil), spec.Where...)
+			for j := range sub.Where {
+				if strings.HasSuffix(sub.Where[j].Col, "item_sk") {
+					sub.Where[j].Lo, sub.Where[j].Hi = p.lo, p.hi
+					break
+				}
+			}
+		}
+		var err error
+		if p.body, err = json.Marshal(&sub); err != nil {
+			return http.StatusInternalServerError, errResponse{Error: err.Error()}, false
+		}
 	}
-	results := make([]sliceResult, len(slices))
-	var wg sync.WaitGroup
-	for i, sl := range slices {
-		wg.Add(1)
-		go func(i int, sl slice) {
-			defer wg.Done()
-			c.scattered.Add(1)
-			r := &results[i]
-			r.resp, r.conflict, r.failovers, r.err =
-				c.queryRange(ctx, spec, sl, c.shards[sl.shard], sl.shard, partial)
-		}(i, sl)
+	c.scattered.Add(uint64(len(parts)))
+	replies := fanOut(ctx, parts, c.queryRange)
+	if status, body, refresh := c.settle(parts, replies, http.StatusServiceUnavailable, ""); status != http.StatusOK {
+		return status, body, refresh
 	}
-	wg.Wait()
 
 	var simMax float64
-	var totalFailovers int
-	rowSets := make([][][]any, len(slices))
+	var failovers int
+	rowSets := make([][][]any, len(replies))
 	var cols []string
-	refresh := false
-	var staleAt int // slice whose replica reported the newer epoch
-	var staleConflict *conflict409
-	for i, res := range results {
-		totalFailovers += res.failovers
-		if res.conflict != nil && res.conflict.Epoch > c.shards[slices[i].shard].Epoch {
-			refresh = true
-			staleAt, staleConflict = i, res.conflict
-			continue
+	for i, r := range replies {
+		failovers += r.failovers
+		rowSets[i] = r.wire.Rows
+		simMax = max(simMax, r.wire.SimulatedSeconds)
+		if cols == nil && len(r.wire.Columns) > 0 {
+			cols = r.wire.Columns
 		}
-		if res.err != nil || res.conflict != nil {
-			sh := c.shards[slices[i].shard]
-			flo, fhi := slices[i].lo, slices[i].hi
-			cause := res.err
-			if cause == nil {
-				cause = res.conflict
-			}
-			return http.StatusServiceUnavailable, errResponse{
-				Error: fmt.Sprintf("replica group %s serving range [%d,%d] failed: %v",
-					sh.Addr, flo, fhi, cause),
-				Shard:    sh.Addr,
-				FailedLo: &flo,
-				FailedHi: &fhi,
-			}, false
-		}
-		rowSets[i] = res.resp.Rows
-		if res.resp.SimulatedSeconds > simMax {
-			simMax = res.resp.SimulatedSeconds
-		}
-		if cols == nil && len(res.resp.Columns) > 0 {
-			cols = res.resp.Columns
-		}
-	}
-	if refresh {
-		sh := c.shards[slices[staleAt].shard]
-		flo, fhi := slices[staleAt].lo, slices[staleAt].hi
-		return http.StatusServiceUnavailable, errResponse{
-			Error: fmt.Sprintf("routing table stale for range [%d,%d]: replica group %s reports epoch %d > table epoch %d (%s)",
-				flo, fhi, sh.Addr, staleConflict.Epoch, sh.Epoch, staleConflict.Msg),
-			Shard:    sh.Addr,
-			FailedLo: &flo,
-			FailedHi: &fhi,
-		}, true
 	}
 
 	var outCols []string
@@ -603,9 +569,9 @@ func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, l
 	return http.StatusOK, Response{
 		Columns:          outCols,
 		Rows:             outRows,
-		ShardsContacted:  len(slices),
+		ShardsContacted:  len(parts),
 		SimulatedSeconds: simMax,
-		Failovers:        totalFailovers,
+		Failovers:        failovers,
 	}, false
 }
 
@@ -614,146 +580,6 @@ func (c *Coordinator) scatterOnce(ctx context.Context, spec *server.QuerySpec, l
 // aggs explicitly). Aggregating specs scatter in partial mode.
 func specAggregates(spec *server.QuerySpec) bool {
 	return spec.Template != "" || len(spec.Aggs) > 0
-}
-
-// retryableStatus reports whether an HTTP status should fail over to
-// another replica: 5xx (replica broken or overloaded behind a proxy)
-// and 429 (replica shedding — a sibling may have capacity).
-func retryableStatus(status int) bool {
-	return status >= 500 || status == http.StatusTooManyRequests
-}
-
-// queryRange answers one range slice using the owning replica group:
-// one attempt at a time, preferred replica first, then the rest of the
-// group in order on connection errors/timeouts/5xx (jittered backoff
-// between retries), circuit breakers short-circuiting known-dead
-// replicas. Returns the response, or the 409 conflict carrying the
-// replicas' claimed ownership, or the last error once the replica set
-// is exhausted.
-func (c *Coordinator) queryRange(ctx context.Context, spec *server.QuerySpec, sl slice, group ShardInfo, gi int, partial bool) (*wireResponse, *conflict409, int, error) {
-	sub := *spec
-	sub.Partial = partial
-	sub.Epoch = group.Epoch
-	if sub.Template != "" {
-		sub.Lo, sub.Hi = sl.lo, sl.hi
-	} else {
-		// Clamp the first item_sk range predicate (the one ItemRange
-		// found, or we would have 400'd already).
-		sub.Where = append([]server.WhereSpec(nil), spec.Where...)
-		for i := range sub.Where {
-			if strings.HasSuffix(sub.Where[i].Col, "item_sk") {
-				sub.Where[i].Lo, sub.Where[i].Hi = sl.lo, sl.hi
-				break
-			}
-		}
-	}
-	body, err := json.Marshal(&sub)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-
-	// Candidate replicas in preference order: the group's current
-	// preferred replica first, then the rest in declared order. Each is
-	// tried at most once, and only when its breaker admits a request.
-	addrs := append([]string(nil), group.Replicas...)
-	if p := int(c.preferred[gi].Load()); p > 0 && p < len(addrs) {
-		addrs[0], addrs[p] = addrs[p], addrs[0]
-	}
-	next := 0
-	pick := func() (addr string, br *breaker, probe, ok bool) {
-		for next < len(addrs) {
-			addr, next = addrs[next], next+1
-			br = c.replicas[addr].br
-			if allow, prb := br.Allow(time.Now()); allow {
-				return addr, br, prb, true
-			}
-		}
-		return "", nil, false, false
-	}
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		addr, br, probe, ok := pick()
-		switch {
-		case !ok && attempt == 0:
-			return nil, nil, 0, fmt.Errorf("no live replica for range [%d,%d]: all %d breakers open",
-				sl.lo, sl.hi, len(addrs))
-		case !ok:
-			if cf, stale := lastErr.(*conflict409); stale {
-				return nil, cf, attempt - 1, nil
-			}
-			return nil, nil, attempt - 1,
-				fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w", sl.lo, sl.hi, attempt, lastErr)
-		}
-		if attempt > 0 {
-			// Jittered backoff before the retry so a burst of failing
-			// queries does not re-stampede the next replica in lockstep.
-			select {
-			case <-time.After(failoverBackoff(c.rng, failoverBackoffBase, failoverBackoffCap, attempt-1)):
-			case <-ctx.Done():
-				if probe {
-					br.Abandon()
-				}
-				return nil, nil, attempt - 1, ctx.Err()
-			}
-			c.failovers.Add(1)
-		}
-		c.attempts.Add(1)
-		resp, status, conflict, err := c.doAttempt(ctx, addr, body)
-		switch {
-		case err == nil && status == http.StatusOK:
-			br.Success()
-			c.notePreferred(gi, group.Replicas, addr)
-			return resp, nil, attempt, nil
-		case conflict != nil:
-			// Ownership disagreement, not ill health: no breaker penalty —
-			// but a half-open probe must still resolve, and a 409 proves
-			// the replica alive and serving, so a probe closes the breaker.
-			// A replica AHEAD of our table means the table is stale —
-			// surface it so the caller refreshes. A replica BEHIND missed a
-			// handoff — route around it (the prober will re-push).
-			if probe {
-				br.Success()
-			}
-			if conflict.Epoch > group.Epoch {
-				return nil, conflict, attempt, nil
-			}
-			lastErr = conflict
-		case err == nil && !retryableStatus(status):
-			// A non-retryable client error (400, 405...): every replica
-			// would refuse it identically, so fail now. The replica
-			// answered, so a half-open probe resolves as success.
-			if probe {
-				br.Success()
-			}
-			return nil, nil, attempt, fmt.Errorf("%s: HTTP %d", addr, status)
-		case errors.Is(err, context.Canceled):
-			// The caller went away mid-attempt: no evidence about the
-			// replica, so only release a half-open probe for re-probing.
-			if probe {
-				br.Abandon()
-			}
-			return nil, nil, attempt, err
-		default:
-			// Connection error, timeout, 5xx or shed: the replica is
-			// unhealthy — feed its breaker and fail over.
-			br.Failure(time.Now())
-			lastErr = fmt.Errorf("%s: %w", addr, err)
-		}
-	}
-}
-
-// notePreferred records the replica that answered, so subsequent
-// queries for the group go straight to a known-healthy replica instead
-// of re-discovering the dead primary through its (cheap but nonzero)
-// breaker check.
-func (c *Coordinator) notePreferred(gi int, replicas []string, addr string) {
-	for i, a := range replicas {
-		if a == addr {
-			c.preferred[gi].Store(int32(i))
-			return
-		}
-	}
 }
 
 // replicaBodyLimit bounds how much of one replica response the
@@ -792,12 +618,7 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte)
 	// the same error.
 	respBody, _ = io.ReadAll(io.LimitReader(resp.Body, replicaBodyLimit))
 	if resp.StatusCode == http.StatusConflict {
-		var re struct {
-			Error      string `json:"error"`
-			OwnedLo    int64  `json:"owned_lo"`
-			OwnedHi    int64  `json:"owned_hi"`
-			RangeEpoch uint64 `json:"range_epoch"`
-		}
+		var re server.RangeErrResponse
 		if derr := json.Unmarshal(respBody, &re); derr != nil {
 			return resp.StatusCode, nil, nil, fmt.Errorf("decoding 409 body: %w", derr)
 		}
@@ -813,32 +634,6 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte)
 func statusError(status int, body []byte) error {
 	head := bytes.TrimSpace(body[:min(len(body), 4096)])
 	return fmt.Errorf("%d %s: %s", status, http.StatusText(status), head)
-}
-
-// doAttempt runs one /query attempt against one replica, decoding the
-// body into wireResponse. A retryable status is an error; a
-// non-retryable one comes back as the bare status.
-func (c *Coordinator) doAttempt(ctx context.Context, addr string, body []byte) (*wireResponse, int, *conflict409, error) {
-	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+"/query", body)
-	if err != nil || conflict != nil {
-		return nil, status, conflict, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.UseNumber()
-	var wire wireResponse
-	if derr := dec.Decode(&wire); derr != nil && status == http.StatusOK {
-		return nil, status, nil, fmt.Errorf("decoding response: %w", derr)
-	}
-	if status != http.StatusOK {
-		if retryableStatus(status) {
-			if wire.Error != "" {
-				b = []byte(wire.Error)
-			}
-			return nil, status, nil, statusError(status, b)
-		}
-		return nil, status, nil, nil
-	}
-	return &wire, status, nil, nil
 }
 
 // refreshRouting rebuilds the routing table from the shards' own
@@ -966,29 +761,22 @@ func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, e
 	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
 	defer cancel()
 	status, _, _, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil)
-	now := time.Now()
-	if err != nil {
-		rs.br.Failure(now)
-		rs.noteProbe(false, 0, err.Error())
-		return
-	}
-	if status < 200 || status > 299 {
-		// Reachable but unhealthy (draining, dependency down): for
-		// routing purposes that is a failure — closing the breaker and
-		// restoring preference here would flap against the query path
-		// re-tripping it on the next request.
-		rs.br.Failure(now)
-		rs.noteProbe(false, 0, fmt.Sprintf("healthz: %d %s", status, http.StatusText(status)))
+	if err != nil || status < 200 || status > 299 {
+		// Unreachable, or reachable but unhealthy (draining, dependency
+		// down): for routing purposes both are failures — closing the
+		// breaker and restoring preference on an unhealthy answer would
+		// flap against the query path re-tripping it on the next request.
+		rs.br.Failure(time.Now())
+		rs.noteProbe(0)
 		return
 	}
 	rs.br.Success()
 
 	ownLo, ownHi, ownEpoch, err := c.fetchOwnership(ctx, addr)
+	rs.noteProbe(ownEpoch) // 0 when the ownership fetch failed
 	if err != nil {
-		rs.noteProbe(true, 0, "")
 		return
 	}
-	rs.noteProbe(true, ownEpoch, "")
 	if ownEpoch < epoch || ownLo != lo || ownHi != hi {
 		// The replica missed a handoff while it was down: re-push the
 		// current ownership so it stops 409ing its share of the traffic.
@@ -1046,7 +834,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				}
 				if rs := c.replicas[addr]; rs != nil {
 					rh.Breaker = rs.br.State().String()
-					_, _, rh.ProbeEpoch, _, rh.Repushes = rs.probeSnapshot()
+					rh.ProbeEpoch, rh.Repushes = rs.probeSnapshot()
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
 				defer cancel()

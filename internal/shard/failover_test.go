@@ -318,11 +318,34 @@ func TestProberRevivesReplica(t *testing.T) {
 	if st := c.replicas[follower].br.State(); st != breakerClosed {
 		t.Fatalf("prober did not close the healthy replica's breaker (state %v)", st)
 	}
-	// And the probe observation reached the replica's bookkeeping.
-	probed, ok, epoch, _, _ := c.replicas[follower].probeSnapshot()
-	if !probed || !ok || epoch != c.Shards()[0].Epoch {
-		t.Fatalf("probe snapshot = (probed %v, ok %v, epoch %d), want (true, true, %d)",
-			probed, ok, epoch, c.Shards()[0].Epoch)
+	// And the probe observation reaches /healthz: the follower reports
+	// the group's current epoch once its ownership fetch has run.
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	want := c.Shards()[0].Epoch
+	var epoch uint64
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hz healthzResponse
+		err = json.NewDecoder(resp.Body).Decode(&hz)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rh := range hz.Shards[0].ReplicaHealth {
+			if rh.Addr == follower {
+				epoch = rh.ProbeEpoch
+			}
+		}
+		if epoch == want {
+			break
+		}
+	}
+	if epoch != want {
+		t.Fatalf("healthz probe_epoch = %d for the follower, want %d", epoch, want)
 	}
 }
 
@@ -469,11 +492,6 @@ func TestProberTreatsUnhealthyHealthzAsFailure(t *testing.T) {
 	}
 	if p := c.preferred[0].Load(); p != 1 {
 		t.Fatalf("unhealthy primary restored as preferred (preferred=%d)", p)
-	}
-	probed, ok, _, errStr, _ := rs.probeSnapshot()
-	if !probed || ok || !strings.Contains(errStr, "healthz") {
-		t.Fatalf("probe snapshot = (probed %v, ok %v, err %q), want failed probe with healthz error",
-			probed, ok, errStr)
 	}
 }
 

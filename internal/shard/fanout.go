@@ -1,0 +1,266 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync"
+	"time"
+
+	"deepsea/internal/server"
+)
+
+// Every coordinator request, read or write, takes one path: it is cut
+// into parts, one per owning group; fanOut sends the parts concurrently,
+// each under its group's policy; settle turns the replies into the
+// client's answer. A read's policy walks the group's replicas until one
+// answers (queryRange); a write's lands on every replica in order
+// (appendGroup). Both make their per-replica POST through exchange.
+
+// part is one group's share of a coordinator request: the group's index
+// in the routing table, the [lo, hi] slice of the key domain the part
+// covers, and the body the group's replicas receive, stamped with the
+// group's epoch.
+type part struct {
+	shard  int
+	lo, hi int64
+	body   []byte
+}
+
+// reply is one part's outcome under its group's policy. conflict is the
+// ownership a replica claimed in a 409; err is any other failure.
+type reply struct {
+	wire      *wireResponse // read: the answering replica's response
+	failovers int           // read: retries on another replica
+	landed    int           // write: replicas that accepted the part
+	deferred  bool          // write: some replica deferred its view refreshes
+	conflict  *conflict409
+	err       error
+}
+
+// fanOut runs send for every part concurrently and returns the replies
+// in part order.
+func fanOut(ctx context.Context, parts []part, send func(context.Context, part) reply) []reply {
+	replies := make([]reply, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i] = send(ctx, p)
+		}()
+	}
+	wg.Wait()
+	return replies
+}
+
+// settle is the one outcome rule. A failed part — an error, or a 409
+// whose epoch is not newer than the routing table's — fails the request
+// with failStatus, naming the first such part's group and range. Only
+// when every part that did not succeed drew a 409 from a replica ahead
+// of the table is refresh true: the caller refreshes its routing and
+// retries, and the returned 503 is what the client gets if that cannot
+// help. Every part succeeding is http.StatusOK with a nil body. Caller
+// holds mu.RLock. token, when set, rides on the error body.
+func (c *Coordinator) settle(parts []part, replies []reply, failStatus int, token string) (int, any, bool) {
+	stale := -1
+	for i, r := range replies {
+		p, sh := parts[i], c.shards[parts[i].shard]
+		switch {
+		case r.err == nil && r.conflict == nil:
+		case r.err == nil && r.conflict.Epoch > sh.Epoch:
+			if stale < 0 {
+				stale = i
+			}
+		default:
+			cause := r.err
+			if cause == nil {
+				cause = r.conflict
+			}
+			return failStatus, partError(p, sh, token,
+				fmt.Sprintf("replica group %s serving range [%d,%d] failed: %v", sh.Addr, p.lo, p.hi, cause)), false
+		}
+	}
+	if stale < 0 {
+		return http.StatusOK, nil, false
+	}
+	p, sh, cf := parts[stale], c.shards[parts[stale].shard], replies[stale].conflict
+	return http.StatusServiceUnavailable, partError(p, sh, token,
+		fmt.Sprintf("routing table stale for range [%d,%d]: replica group %s reports epoch %d > table epoch %d (%s)",
+			p.lo, p.hi, sh.Addr, cf.Epoch, sh.Epoch, cf.Msg)), true
+}
+
+// partError is the error body naming a part's group and range.
+func partError(p part, sh ShardInfo, token, msg string) errResponse {
+	return errResponse{Error: msg, Shard: sh.Addr, FailedLo: &p.lo, FailedHi: &p.hi, Token: token}
+}
+
+// errRefused marks a replica's refusal of the request itself — a 4xx
+// other than 409 and 429 — which every sibling would repeat. Every
+// other failed exchange is the replica's own fault: worth failing over.
+var errRefused = errors.New("request refused")
+
+// exchange POSTs a part's body to one replica's path (/query or
+// /append) and classifies the answer: the 200 body; the ownership the
+// replica claimed in a 409; or an error naming the replica, wrapping
+// errRefused when no sibling would answer differently.
+func (c *Coordinator) exchange(ctx context.Context, addr, path string, body []byte) ([]byte, *conflict409, error) {
+	c.attempts.Add(1)
+	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+path, body)
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("%s: %w", addr, err)
+	case conflict != nil:
+		return nil, conflict, nil
+	case status == http.StatusOK:
+		return b, nil, nil
+	case status >= 500 || status == http.StatusTooManyRequests:
+		// Broken, overloaded or shedding: a sibling may have capacity.
+		return nil, nil, fmt.Errorf("%s: %w", addr, statusError(status, b))
+	}
+	return nil, nil, fmt.Errorf("%s: %w: %w", addr, errRefused, statusError(status, b))
+}
+
+// queryRange is a read part's policy: the owning group's replicas, one
+// attempt at a time, preferred replica first, then the rest of the
+// group in order on connection errors, timeouts, 5xx and undecodable
+// answers (jittered backoff between retries), circuit breakers
+// short-circuiting known-dead replicas. A 409 from a replica ahead of
+// the routing table ends the walk; one behind it (it missed a handoff)
+// is routed around. Caller holds mu.RLock.
+func (c *Coordinator) queryRange(ctx context.Context, p part) reply {
+	group := c.shards[p.shard]
+	// Candidate replicas in preference order: the group's current
+	// preferred replica first, then the rest in declared order. Each is
+	// tried at most once, and only when its breaker admits a request.
+	addrs := append([]string(nil), group.Replicas...)
+	if pi := int(c.preferred[p.shard].Load()); pi > 0 && pi < len(addrs) {
+		addrs[0], addrs[pi] = addrs[pi], addrs[0]
+	}
+	next := 0
+	pick := func() (addr string, br *breaker, probe, ok bool) {
+		for next < len(addrs) {
+			addr, next = addrs[next], next+1
+			br = c.replicas[addr].br
+			if allow, prb := br.Allow(time.Now()); allow {
+				return addr, br, prb, true
+			}
+		}
+		return "", nil, false, false
+	}
+
+	var lastErr error
+	for attempt := 0; ; attempt++ {
+		addr, br, probe, ok := pick()
+		switch {
+		case !ok && attempt == 0:
+			return reply{err: fmt.Errorf("no live replica for range [%d,%d]: all %d breakers open",
+				p.lo, p.hi, len(addrs))}
+		case !ok:
+			if cf, stale := lastErr.(*conflict409); stale {
+				return reply{conflict: cf, failovers: attempt - 1}
+			}
+			return reply{failovers: attempt - 1,
+				err: fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w", p.lo, p.hi, attempt, lastErr)}
+		}
+		if attempt > 0 {
+			// Jittered backoff before the retry so a burst of failing
+			// queries does not re-stampede the next replica in lockstep.
+			select {
+			case <-time.After(failoverBackoff(c.rng, failoverBackoffBase, failoverBackoffCap, attempt-1)):
+			case <-ctx.Done():
+				if probe {
+					br.Abandon()
+				}
+				return reply{failovers: attempt - 1, err: ctx.Err()}
+			}
+			c.failovers.Add(1)
+		}
+		b, conflict, err := c.exchange(ctx, addr, "/query", p.body)
+		var wire wireResponse
+		if err == nil && conflict == nil {
+			dec := json.NewDecoder(bytes.NewReader(b))
+			dec.UseNumber()
+			if derr := dec.Decode(&wire); derr != nil {
+				err = fmt.Errorf("%s: decoding response: %w", addr, derr)
+			}
+		}
+		switch {
+		case conflict != nil:
+			// Ownership disagreement, not ill health: no breaker penalty —
+			// but a half-open probe must still resolve, and a 409 proves
+			// the replica alive and serving, so a probe closes the breaker.
+			if probe {
+				br.Success()
+			}
+			if conflict.Epoch > group.Epoch {
+				return reply{conflict: conflict, failovers: attempt}
+			}
+			lastErr = conflict
+		case err == nil:
+			br.Success()
+			c.notePreferred(p.shard, group.Replicas, addr)
+			return reply{wire: &wire, failovers: attempt}
+		case errors.Is(err, errRefused):
+			// The replica answered, so a half-open probe resolves as
+			// success; every sibling would refuse alike, so fail now.
+			if probe {
+				br.Success()
+			}
+			return reply{failovers: attempt, err: err}
+		case errors.Is(err, context.Canceled):
+			// The caller went away mid-attempt: no evidence about the
+			// replica, so only release a half-open probe for re-probing.
+			if probe {
+				br.Abandon()
+			}
+			return reply{failovers: attempt, err: err}
+		default:
+			// The replica is unhealthy: feed its breaker and fail over.
+			br.Failure(time.Now())
+			lastErr = err
+		}
+	}
+}
+
+// notePreferred records the replica that answered, so subsequent
+// queries for the group go straight to a known-healthy replica instead
+// of re-discovering the dead primary through its (cheap but nonzero)
+// breaker check.
+func (c *Coordinator) notePreferred(gi int, replicas []string, addr string) {
+	for i, a := range replicas {
+		if a == addr {
+			c.preferred[gi].Store(int32(i))
+			return
+		}
+	}
+}
+
+// appendGroup is a write part's policy: the part lands on every replica
+// of its group, one after another. Appends are writes, not reads: a
+// replica that misses the batch would serve stale rows if failover or a
+// preferred-replica switch later routed the range to it, so there is no
+// routing around a failed replica. Sends stay sequential: sending to a
+// group's replicas at once measured no faster (DESIGN.md §13). Caller
+// holds mu.RLock.
+func (c *Coordinator) appendGroup(ctx context.Context, p part) reply {
+	var r reply
+	for _, addr := range c.shards[p.shard].Replicas {
+		b, conflict, err := c.exchange(ctx, addr, "/append", p.body)
+		if conflict != nil || err != nil {
+			r.conflict, r.err = conflict, err
+			return r
+		}
+		r.landed++
+		var ar server.AppendResponse
+		if err := json.Unmarshal(b, &ar); err != nil {
+			r.err = fmt.Errorf("%s: decoding append response: %w", addr, err)
+			return r
+		}
+		r.deferred = r.deferred || ar.Deferred
+	}
+	return r
+}

@@ -273,6 +273,81 @@ func TestCoordinatorAppendDeadGroupFails(t *testing.T) {
 	}
 }
 
+// TestCoordinatorAppendDeadGroupBeatsStaleEpoch pins the one outcome
+// rule on the write path: a spanning append that draws a newer-epoch 409
+// from group 0 and a dead group 1 fails with the 502 naming group 1's
+// range, without spending a routing refresh on an append that would
+// fail anyway.
+func TestCoordinatorAppendDeadGroupBeatsStaleEpoch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-system cluster test")
+	}
+	c, servers := newKeyedCluster(t, 2)
+	stale, dead := c.Shards()[0], c.Shards()[1]
+
+	body := fmt.Sprintf(`{"lo":%d,"hi":%d,"epoch":%d}`, stale.Lo, stale.Hi, stale.Epoch+10)
+	resp, err := http.Post(servers[0].URL+"/admin/range", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct handoff: status %d", resp.StatusCode)
+	}
+	servers[1].Close()
+
+	status, _, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: salesBatch(31, 60)})
+	if status != http.StatusBadGateway {
+		t.Fatalf("spanning append: status %d, want 502 (%s)", status, eresp.Error)
+	}
+	if eresp.FailedLo == nil || eresp.FailedHi == nil ||
+		*eresp.FailedLo != dead.Lo || *eresp.FailedHi != dead.Hi {
+		t.Fatalf("502 does not name the dead range [%d,%d]: %+v", dead.Lo, dead.Hi, eresp)
+	}
+	if eresp.Token == "" {
+		t.Fatalf("502 carries no token: %+v", eresp)
+	}
+	if got := c.refreshes.Load(); got != 0 {
+		t.Fatalf("refreshes = %d, want 0: a dead group must beat a stale epoch", got)
+	}
+}
+
+// TestCoordinatorAppendLandsOnEveryReplica checks the write policy on a
+// replicated cluster: a spanning batch lands on both replicas of both
+// groups, so with each group's primary closed a spanning query fails
+// over to the followers and returns the bytes it returned before.
+func TestCoordinatorAppendLandsOnEveryReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-system cluster test")
+	}
+	c, groups := newReplicatedCluster(t, 2, 2, func(cfg *Config) { cfg.KeyIndex = testKeyIndex })
+
+	status, out, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: salesBatch(55, 64)})
+	if status != http.StatusOK {
+		t.Fatalf("spanning append: status %d: %s", status, eresp.Error)
+	}
+	if out.GroupsContacted != 2 || out.ReplicasAppended != 4 {
+		t.Fatalf("spanning append contacted %d groups / %d replicas, want 2/4", out.GroupsContacted, out.ReplicasAppended)
+	}
+
+	resp, before, qerr := coordQuery(t, c, spanningSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query before close: status %d: %s", resp.StatusCode, qerr.Error)
+	}
+	groups[0][0].Close()
+	groups[1][0].Close()
+	resp, after, qerr := coordQuery(t, c, spanningSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query with both primaries closed: status %d: %s", resp.StatusCode, qerr.Error)
+	}
+	if after.Failovers < 2 {
+		t.Fatalf("query reports %d failovers, want ≥2 (one per group)", after.Failovers)
+	}
+	if fingerprint(t, after.Columns, after.Rows) != fingerprint(t, before.Columns, before.Rows) {
+		t.Fatal("followers answer differently from primaries: the append missed a replica")
+	}
+}
+
 // TestCoordinatorAppendRetryDoesNotDuplicate is the partial-failure
 // retry acceptance: in a 2-group cluster where one group's epoch was
 // bumped behind the coordinator's back, a spanning append lands its

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"deepsea/internal/ingest"
 	"deepsea/internal/server"
@@ -81,12 +80,14 @@ func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 // and per-slice idempotency tokens.
 func appendRangeKey(lo, hi int64) string { return fmt.Sprintf("%d:%d", lo, hi) }
 
-// appendOnce routes one append batch through the current table. refresh
-// is true when a shard reported a newer epoch than the routing table —
-// the caller should refresh and retry once. landed accumulates, across
-// attempts, the range keys of groups where at least one replica
-// accepted its slice; a retry consults it to decide whether re-sending
-// is provably safe.
+// appendOnce routes one append batch through the current table: one
+// part per group that owns rows of the batch, covering the group's
+// whole range, fanned out under the write policy (appendGroup) and
+// settled by the rule reads share — a failed group is a 502. refresh is
+// true when the caller should refresh and retry once. landed
+// accumulates, across attempts, the range keys of groups where at least
+// one replica accepted its slice; a retry consults it to decide whether
+// re-sending is provably safe.
 func (c *Coordinator) appendOnce(ctx context.Context, sp *ingest.Spec, token string, landed map[string]bool) (int, any, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -159,124 +160,40 @@ func (c *Coordinator) appendOnce(ctx context.Context, sp *ingest.Spec, token str
 		}
 	}
 
-	type groupResult struct {
-		replicas int
-		deferred bool
-		conflict *conflict409
-		err      error
-	}
-	results := make([]groupResult, len(c.shards))
-	var wg sync.WaitGroup
-	for gi := range c.shards {
+	// A part's idempotency token scopes the batch token to its group's
+	// range: identical ranges slice the batch identically, so a retried
+	// send carries the same token and rows, and replicas that already
+	// applied it answer from their dedup window instead of appending twice.
+	var parts []part
+	for gi, sh := range c.shards {
 		if len(slices[gi]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			r := &results[gi]
-			r.replicas, r.deferred, r.conflict, r.err =
-				c.appendGroup(ctx, gi, sp.Table, token, slices[gi])
-		}(gi)
+		body, err := json.Marshal(&ingest.Spec{Table: sp.Table, Rows: slices[gi], Epoch: sh.Epoch,
+			Token: token + "@" + appendRangeKey(sh.Lo, sh.Hi)})
+		if err != nil {
+			return http.StatusInternalServerError, errResponse{Error: err.Error(), Token: token}, false
+		}
+		parts = append(parts, part{shard: gi, lo: sh.Lo, hi: sh.Hi, body: body})
 	}
-	wg.Wait()
+	replies := fanOut(ctx, parts, c.appendGroup)
 
 	// Record every group that accepted rows — including groups that then
 	// hit a conflict or a failed replica — before deciding the outcome,
 	// so a retry (coordinator-internal or a client re-POST with the same
 	// token) knows which ranges hold partial state.
-	for gi, res := range results {
-		if res.replicas > 0 {
-			landed[appendRangeKey(c.shards[gi].Lo, c.shards[gi].Hi)] = true
+	for i, r := range replies {
+		if r.landed > 0 {
+			landed[appendRangeKey(parts[i].lo, parts[i].hi)] = true
 		}
 	}
-
-	resp := AppendResponse{Table: sp.Table, Rows: len(sp.Rows), Token: token}
-	for gi, res := range results {
-		if res.conflict != nil && res.conflict.Epoch > c.shards[gi].Epoch {
-			return http.StatusServiceUnavailable, errResponse{
-				Error: fmt.Sprintf("routing table stale for group %s: replica reports epoch %d > table epoch %d (%s)",
-					c.shards[gi].Addr, res.conflict.Epoch, c.shards[gi].Epoch, res.conflict.Msg),
-				Shard: c.shards[gi].Addr,
-				Token: token,
-			}, true
-		}
-		if res.err != nil || res.conflict != nil {
-			cause := res.err
-			if cause == nil {
-				cause = res.conflict
-			}
-			flo, fhi := c.shards[gi].Lo, c.shards[gi].Hi
-			return http.StatusBadGateway, errResponse{
-				Error: fmt.Sprintf("append to group %s (range [%d,%d]) failed: %v",
-					c.shards[gi].Addr, flo, fhi, cause),
-				Shard:    c.shards[gi].Addr,
-				FailedLo: &flo,
-				FailedHi: &fhi,
-				Token:    token,
-			}, false
-		}
-		if res.replicas > 0 {
-			resp.GroupsContacted++
-			resp.ReplicasAppended += res.replicas
-			resp.Deferred = resp.Deferred || res.deferred
-		}
+	if status, body, refresh := c.settle(parts, replies, http.StatusBadGateway, token); status != http.StatusOK {
+		return status, body, refresh
+	}
+	resp := AppendResponse{Table: sp.Table, Rows: len(sp.Rows), Token: token, GroupsContacted: len(parts)}
+	for _, r := range replies {
+		resp.ReplicasAppended += r.landed
+		resp.Deferred = resp.Deferred || r.deferred
 	}
 	return http.StatusOK, resp, false
-}
-
-// appendGroup lands one slice on every replica of one group. Appends
-// are writes, not reads: a replica that misses the batch would serve
-// stale rows if failover or a preferred-replica switch later routed the
-// range to it, so all replicas must accept — there is no routing-around
-// for ingest. A replica's 409 propagates for the epoch-refresh path.
-//
-// The slice's idempotency token scopes the batch token to this group's
-// range: identical ranges slice the batch identically, so a retried
-// send carries the same token and rows, and replicas that already
-// applied it answer from their dedup window instead of appending twice.
-func (c *Coordinator) appendGroup(ctx context.Context, gi int, table, token string, rows [][]any) (int, bool, *conflict409, error) {
-	sub := ingest.Spec{
-		Table: table,
-		Rows:  rows,
-		Epoch: c.shards[gi].Epoch,
-		Token: token + "@" + appendRangeKey(c.shards[gi].Lo, c.shards[gi].Hi),
-	}
-	body, err := json.Marshal(&sub)
-	if err != nil {
-		return 0, false, nil, err
-	}
-	landed := 0
-	deferred := false
-	for _, addr := range c.shards[gi].Replicas {
-		c.attempts.Add(1)
-		def, conflict, err := c.doAppend(ctx, addr, body)
-		if conflict != nil {
-			return landed, deferred, conflict, nil
-		}
-		if err != nil {
-			return landed, deferred, nil, fmt.Errorf("%s: %w", addr, err)
-		}
-		landed++
-		deferred = deferred || def
-	}
-	return landed, deferred, nil, nil
-}
-
-// doAppend runs one replica-level POST /append.
-func (c *Coordinator) doAppend(ctx context.Context, addr string, body []byte) (bool, *conflict409, error) {
-	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+"/append", body)
-	if err != nil || conflict != nil {
-		return false, conflict, err
-	}
-	if status != http.StatusOK {
-		return false, nil, statusError(status, b)
-	}
-	var ar struct {
-		Deferred bool `json:"deferred"`
-	}
-	if derr := json.Unmarshal(b, &ar); derr != nil {
-		return false, nil, fmt.Errorf("decoding append response: %w", derr)
-	}
-	return ar.Deferred, nil, nil
 }

@@ -23,13 +23,6 @@ type ShardInfo struct {
 	Epoch    uint64   `json:"epoch"`
 }
 
-// slice is one shard's portion of a routed query: the owning shard's
-// index and the query range clamped to its ownership.
-type slice struct {
-	shard  int
-	lo, hi int64
-}
-
 // evenSplit cuts [lo, hi] into n contiguous ranges of near-equal width
 // (the boot-time assignment, before any heat is observed).
 func evenSplit(lo, hi int64, n int) [][2]int64 {
@@ -43,15 +36,15 @@ func evenSplit(lo, hi int64, n int) [][2]int64 {
 	return out
 }
 
-// route returns the slices of [lo, hi] by shard ownership, in shard
-// order. Shards are kept sorted by Lo, so the slices tile the query
-// range left to right.
-func route(shards []ShardInfo, lo, hi int64) []slice {
-	var out []slice
+// route cuts [lo, hi] into parts by shard ownership, in shard order,
+// each clamped to its shard's range and without a body yet. Shards are
+// kept sorted by Lo, so the parts tile the query range left to right.
+func route(shards []ShardInfo, lo, hi int64) []part {
+	var out []part
 	for i, sh := range shards {
 		a, b := max(lo, sh.Lo), min(hi, sh.Hi)
 		if a <= b {
-			out = append(out, slice{shard: i, lo: a, hi: b})
+			out = append(out, part{shard: i, lo: a, hi: b})
 		}
 	}
 	return out

@@ -7,38 +7,32 @@ import (
 )
 
 // replicaState is the coordinator's per-replica bookkeeping: the
-// circuit breaker plus the last probe observation. Replica membership
-// is static for the life of a coordinator (ranges move between groups;
-// replicas do not move between groups), so the map of replicaStates is
-// built once at New and read without locking.
+// circuit breaker plus what the prober last saw, both reported on
+// /healthz. Replica membership is static for the life of a coordinator
+// (ranges move between groups; replicas do not move between groups), so
+// the map of replicaStates is built once at New and read without
+// locking.
 type replicaState struct {
-	addr string
-	br   *breaker
+	br *breaker
 
-	mu          sync.Mutex
-	probed      bool   // a probe has run at least once
-	probeOK     bool   // last probe outcome
-	probeEpoch  uint64 // epoch the replica reported owning (0 = none)
-	repushes    uint64 // stale-epoch re-pushes the prober performed
-	probeErrStr string // last probe failure, for healthz
+	mu         sync.Mutex
+	probeEpoch uint64 // epoch the replica last reported owning (0 = none)
+	repushes   uint64 // stale-epoch re-pushes the prober performed
 }
 
-func (r *replicaState) noteProbe(ok bool, epoch uint64, errStr string) {
+func (r *replicaState) noteProbe(epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.probed = true
-	r.probeOK = ok
 	r.probeEpoch = epoch
-	r.probeErrStr = errStr
 }
 
-func (r *replicaState) probeSnapshot() (probed, ok bool, epoch uint64, errStr string, repushes uint64) {
+func (r *replicaState) probeSnapshot() (epoch, repushes uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.probed, r.probeOK, r.probeEpoch, r.probeErrStr, r.repushes
+	return r.probeEpoch, r.repushes
 }
 
-// backoff returns the jittered failover backoff for the given retry
+// failoverBackoff returns the jittered failover backoff for the given retry
 // attempt (0-based): base·2^attempt, capped, with ±50% jitter — enough
 // spread that a burst of queries failing over together does not
 // re-stampede the next replica in lockstep.

@@ -39,7 +39,10 @@
 #       byte-identical results; and the failover/breaker/prober suite
 #       (with its goroutine-leak checks) re-runs fresh, among it the
 #       one-attempt-per-subquery check (a slow primary is waited out,
-#       never raced against its follower)
+#       never raced against its follower) and the read-side tests that
+#       pin the one outcome rule every coordinator request settles by (a
+#       dead group is a 503 naming its range; a stale epoch whose
+#       routing refresh fails is a 503 naming the conflict)
 #   10. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite with the inline retry queue and
 #       the lagging-view guard, the all-template
@@ -50,7 +53,8 @@
 #       ownership rejections, a kill -9 mid-ingest whose warm restart
 #       replays the journal to byte-identical results), and the
 #       coordinator routing suite (keyed split, keyless broadcast, epoch
-#       refresh)
+#       refresh, a dead group beating a stale epoch, a batch landing on
+#       every replica of a replicated group)
 #   11. fuzz smoke — five seconds each of stdlib fuzzing (no network, no
 #       corpus download) of the one cell codec, relation.Table's JSON
 #       form that journal records and snapshots go through (no panic on
@@ -141,7 +145,7 @@ $GO test $CORE_TIMEOUT -run '^$' -bench BenchmarkPlanSection -benchtime 1x ./int
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
 $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' ./internal/shard
-$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409' ./internal/shard
+$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409|TestAllReplicasDeadFailsNamingRange|TestStaleRoutingRefreshFailureIs503' ./internal/shard
 
 echo "==> ingest smoke (race)"
 $GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
