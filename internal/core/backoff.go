@@ -56,12 +56,6 @@ func (b *matBackoff) noteSuccess(id string) {
 	b.mu.Unlock()
 }
 
-// blacklisted reports whether the view has exhausted its attempts
-// (observability for reports and tests).
-func (b *matBackoff) blacklisted(id string) bool {
-	return !b.allowed(id)
-}
-
 // snapshot returns the views currently in backoff (failed at least once
 // but still allowed to retry) and the blacklisted ones, each sorted —
 // the health surface's view of materialization trouble.

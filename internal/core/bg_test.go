@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"deepsea/internal/faults"
 	"deepsea/internal/leakcheck"
 )
 
@@ -148,73 +147,6 @@ func TestBackgroundMatchesInlineResultsAndPool(t *testing.T) {
 	// Inline maintenance applies its own tasks; none pass through the pool.
 	if ims := inline.MaintStats(); ims.Workers != 0 || ims.Enqueued != 0 {
 		t.Errorf("inline run used the pool: %+v", ims)
-	}
-}
-
-// TestBackgroundRematerializesQuarantined: with every stored read
-// failing, a rewriting query quarantines the files it touches and still
-// answers from base tables; the quarantine enqueues speculative
-// re-materialization tasks that restore the lost files from the
-// captured rows once the queue drains.
-func TestBackgroundRematerializesQuarantined(t *testing.T) {
-	leakcheck.Check(t)
-	vanilla := newTestSystem(t, func(c *Config) { c.Materialize = false })
-	want := run(t, vanilla, q30(1000, 2999)).Result.Fingerprint()
-
-	d := newTestSystem(t, func(c *Config) {
-		c.MaintWorkers = 2
-		c.FaultRetries = 64
-		c.Faults = &faults.Config{Seed: 1, StorageRead: 1}
-	})
-	defer d.CloseMaintenance()
-
-	// Query 1: empty pool, no stored reads. Drain so its materializations
-	// land before query 2 tries to use them.
-	rep1 := run(t, d, q30(1000, 2999))
-	if rep1.Result.Fingerprint() != want {
-		t.Fatal("query 1 wrong")
-	}
-	if err := d.DrainMaintenance(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if d.Pool.TotalSize() == 0 {
-		t.Fatal("drain left the pool empty; test setup broken")
-	}
-
-	// Query 2: every stored read faults; the manager quarantines its way
-	// back to a base plan but keeps the captured rows for restoration.
-	rep2, err := d.ProcessQueryContext(context.Background(), q30(1000, 2999))
-	if err != nil {
-		t.Fatalf("query 2 did not degrade: %v", err)
-	}
-	if rep2.Result.Fingerprint() != want {
-		t.Fatal("degraded answer differs from the base-table answer")
-	}
-	if len(rep2.Quarantined) == 0 {
-		t.Fatal("no quarantines; test setup broken")
-	}
-
-	if err := d.DrainMaintenance(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	assertPoolInvariants(t, d, "after rematerialization drain")
-	restored := 0
-	for _, p := range rep2.Quarantined {
-		if d.Eng.FS().Exists(p) && poolReferences(d, p) {
-			restored++
-		}
-	}
-	if restored == 0 {
-		t.Fatalf("none of %d quarantined paths rematerialized", len(rep2.Quarantined))
-	}
-	var rematDone uint64
-	for _, ks := range d.MaintStats().Kinds {
-		if ks.Kind == "rematerialize" {
-			rematDone = ks.Completed
-		}
-	}
-	if rematDone == 0 {
-		t.Error("no rematerialize task completed")
 	}
 }
 

@@ -200,6 +200,59 @@ func TestFragmentReadFaultQuarantinesAndDegrades(t *testing.T) {
 	assertPoolInvariants(t, d, "after degradation")
 }
 
+// TestChaosBackgroundQuarantineLeavesRangeToQueries is the worker-driver
+// form of the test above, without the blacklist: with every stored read
+// failing, a rewriting query quarantines the fragments it touches and
+// still answers from base tables, and draining the workers restores
+// nothing — quarantine is a removal like any eviction, and a lost range
+// comes back only when a later query's own maintenance materializes it
+// again. Query 2 reads a sub-range of query 1's, so its own maintenance
+// stores different intervals and cannot re-create a quarantined path.
+func TestChaosBackgroundQuarantineLeavesRangeToQueries(t *testing.T) {
+	leakcheck.Check(t)
+	vanilla := newTestSystem(t, func(c *Config) { c.Materialize = false })
+	want1 := run(t, vanilla, q30(1000, 2999)).Result.Fingerprint()
+	want2 := run(t, vanilla, q30(1200, 2199)).Result.Fingerprint()
+
+	d := newTestSystem(t, func(c *Config) {
+		c.MaintWorkers = 2
+		c.FaultRetries = 64
+		c.Faults = &faults.Config{Seed: 1, StorageRead: 1}
+	})
+	defer d.CloseMaintenance()
+
+	// Query 1: empty pool, no stored reads. Drain so its materializations
+	// land before query 2 tries to use them.
+	if run(t, d, q30(1000, 2999)).Result.Fingerprint() != want1 {
+		t.Fatal("query 1 wrong")
+	}
+	if err := d.DrainMaintenance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if d.Pool.TotalSize() == 0 {
+		t.Fatal("drain left the pool empty; test setup broken")
+	}
+
+	// Query 2: every stored read faults; the manager quarantines its way
+	// back to a base plan.
+	rep2, err := d.ProcessQueryContext(context.Background(), q30(1200, 2199))
+	if err != nil {
+		t.Fatalf("query 2 did not degrade: %v", err)
+	}
+	if rep2.Result.Fingerprint() != want2 {
+		t.Fatal("degraded answer differs from the base-table answer")
+	}
+	if len(rep2.Quarantined) == 0 {
+		t.Fatal("no quarantines; test setup broken")
+	}
+
+	if err := d.DrainMaintenance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertQuarantineGone(t, d, rep2.Quarantined)
+	assertPoolInvariants(t, d, "after drain")
+}
+
 // TestQuarantineLogIsBounded: with every stored read failing and
 // maintenance re-materializing what was lost, a repeated query keeps
 // quarantining. Health must keep only the quarLogCap most recent paths
@@ -250,7 +303,7 @@ func TestMaterializeFaultsNeverFailQueries(t *testing.T) {
 			t.Fatalf("query %d wrong under materialization faults", i)
 		}
 		for _, id := range rep.MatFailed {
-			if d.backoff.blacklisted(id) {
+			if !d.backoff.allowed(id) {
 				blacklisted = id
 			}
 		}
@@ -279,7 +332,7 @@ func TestPermanentMaterializeFaultBlacklistsImmediately(t *testing.T) {
 		t.Fatal("no materialization attempt failed; test setup broken")
 	}
 	for _, id := range rep.MatFailed {
-		if !d.backoff.blacklisted(id) {
+		if d.backoff.allowed(id) {
 			t.Errorf("view %s not blacklisted after a permanent fault", shortID(id))
 		}
 	}

@@ -163,8 +163,8 @@ type Config struct {
 	// the store's lifecycle (Close after the instance drains).
 	Datastore datastore.Store
 	// MaintWorkers moves pool maintenance (materialization, splits,
-	// merges, eviction, speculative re-materialization) off the query
-	// path onto a background worker pool with this many workers: queries
+	// merges, eviction, refresh) off the query and append path onto a
+	// background worker pool with this many workers: queries
 	// enqueue Φ-ranked maintenance candidates and return after execution,
 	// never paying materialization cost. With 0 — the default — the
 	// query or append that proposed the same tasks applies them itself,

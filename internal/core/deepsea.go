@@ -126,14 +126,6 @@ type DeepSea struct {
 	// retries for the next caller (see maintain.go).
 	maint *maintain.Pool
 
-	// groupMu guards the journal group buffer: while a drain cycle has a
-	// group open (grouping), appendRecord buffers records into groupBuf
-	// instead of appending them individually (leaf lock). Drain cycles
-	// hold mu, so at most one group is open at a time.
-	groupMu  sync.Mutex
-	grouping bool
-	groupBuf []*datastore.Record
-
 	// ownedRange is the partition-key range this instance owns when it
 	// serves as one shard of a scatter-gather cluster (nil when
 	// standalone). Published atomically so Health and the serving layer
@@ -380,11 +372,12 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 // processWithRetries is the retry loop of ProcessQueryContext.
 //
 // Every attempt plans around the paths this query has quarantined so
-// far, not just around what is missing from the live pool: background
-// healing may restore a quarantined file between attempts, and a query
-// that re-planned onto it would fault on it again until its retries ran
-// out. With the exclusion each storage-read retry has strictly fewer
-// files to fault on.
+// far, not just around what is missing from the live pool: fragment
+// paths are a pure function of (view, attribute, interval), so a
+// concurrent query's maintenance may re-create a quarantined path
+// between attempts, and a query that re-planned onto it would fault on
+// it again until its retries ran out. With the exclusion each
+// storage-read retry has strictly fewer files to fault on.
 func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string) (QueryReport, error) {
 	maxRetries := d.Cfg.faultRetries()
 	var quarantined []string
@@ -747,62 +740,41 @@ func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 }
 
 // quarantine removes one stored file of a view from the engine and the
-// pool, under mu. Files still pinned by a concurrent execution are left
-// alone: that query planned against them, and dropping them now would
-// turn its read into a missing-file logic error. Reports whether the
-// file was removed.
-//
-// In background mode the rows are captured before the delete and a
-// speculative re-materialization task is enqueued: the read fault was
-// transient (the simulated store still holds the rows), so the pool can
-// be healed without waiting for a future query to re-derive the range.
-// This is the one maintenance step only workers run — the task must
-// never apply here, under the mu quarantine holds — so inline mode
-// captures no rows and enqueues nothing; a future query re-derives the
-// range.
+// pool, under mu, through evict: files still pinned by a concurrent
+// execution are left alone, since that query planned against them and
+// dropping them now would turn its read into a missing-file logic error.
+// Reports whether the file was removed. Nothing restores it: a later
+// query that needs the range again re-derives it, like any other
+// materialization.
 func (d *DeepSea) quarantine(viewID, path string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.isPinned(path) {
+	item, ok := d.poolItemAt(viewID, path)
+	if !ok || !d.evict(item) {
 		return false
 	}
+	d.Pool.GCViews(viewID)
+	return true
+}
+
+// poolItemAt finds the pool item of a view stored at path: the whole
+// view file, or one fragment. The caller holds mu.
+func (d *DeepSea) poolItemAt(viewID, path string) (pool.Candidate, bool) {
 	pv := d.Pool.View(viewID)
 	if pv == nil {
-		return false
+		return pool.Candidate{}, false
 	}
-	var lost *rematTask // the file at path, described for its re-materialization
 	if pv.Path == path {
-		lost = &rematTask{viewID: viewID, path: path, schema: pv.Schema, isView: true, size: pv.Size}
+		return pool.Candidate{Kind: pool.WholeView, ViewID: viewID}, true
 	}
 	for attr, part := range pv.Parts {
 		for _, fr := range part.Fragments() {
 			if fr.Path == path {
-				lost = &rematTask{
-					viewID: viewID, path: path, schema: pv.Schema,
-					attr: attr, iv: fr.Iv, dom: part.Dom,
-					overlapping: part.Overlapping, size: fr.Size,
-				}
+				return pool.Candidate{Kind: pool.Frag, ViewID: viewID, Attr: attr, Iv: fr.Iv}, true
 			}
 		}
 	}
-	if lost == nil {
-		return false
-	}
-	heal := d.Cfg.background()
-	if heal {
-		lost.rows = d.Eng.Materialized(path)
-	}
-	d.Eng.DeleteMaterialized(path)
-	if lost.isView {
-		d.Pool.DropViewFile(viewID)
-	} else {
-		d.Pool.RemoveFragment(viewID, lost.attr, lost.iv)
-	}
-	d.Pool.GCViews(viewID)
-	if heal {
-		d.enqueueRemat(lost)
-	}
-	return true
+	return pool.Candidate{}, false
 }
 
 // evict removes one pool item and its storage. It reports whether the

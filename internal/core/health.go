@@ -142,8 +142,8 @@ type Health struct {
 // MaintKindHealth is one task type's completion and latency summary,
 // self-contained for consumers outside internal/.
 type MaintKindHealth struct {
-	// Kind is the task type ("materialize", "split", "merge", "sweep",
-	// "rematerialize").
+	// Kind is the task type ("refresh", "materialize", "split", "merge",
+	// "sweep").
 	Kind string
 	// Completed counts applied tasks of this kind (failed ones
 	// included).

@@ -41,9 +41,9 @@ import (
 //     exactly the views whose stored content matches the recovered base
 //     counts.
 //
-// Lock discipline: ingestMu (d.ingest.mu) is a leaf lock like groupMu —
-// it guards only the registry maps and the stale flags, and nothing
-// acquires the manager lock or pinMu while holding it. Everything else
+// Lock discipline: ingestMu (d.ingest.mu) is a leaf lock — it guards
+// only the registry maps and the stale flags, and nothing acquires the
+// manager lock or pinMu while holding it. Everything else
 // about a meta (plan, marks, refresh plan, retained states) mutates only
 // under the manager lock, which serializes refresh, registration and
 // drop.
@@ -84,10 +84,6 @@ type ingestState struct {
 	mu      sync.Mutex
 	views   map[string]*ingestMeta
 	byTable map[string]map[string]bool
-	// dropped tombstones views the ingest path dropped, so a concurrent
-	// speculative re-materialization cannot resurrect their pre-append
-	// content.
-	dropped map[string]bool
 	// appLog accumulates the rows appended to each base table since the
 	// original catalog load — the snapshot payload that lets a warm
 	// restart rebuild the grown tables from the host's re-added
@@ -107,7 +103,6 @@ func newIngestState() *ingestState {
 	return &ingestState{
 		views:   make(map[string]*ingestMeta),
 		byTable: make(map[string]map[string]bool),
-		dropped: make(map[string]bool),
 		appLog:  make(map[string]*relation.Table),
 	}
 }
@@ -184,15 +179,6 @@ func (d *DeepSea) staleView(id string) bool {
 	defer d.ingest.mu.Unlock()
 	m := d.ingest.views[id]
 	return m != nil && m.stale
-}
-
-// ingestDropped reports whether the ingest path dropped the view (its
-// stored content predates an append); speculative re-materialization
-// checks it before healing a quarantined file.
-func (d *DeepSea) ingestDropped(id string) bool {
-	d.ingest.mu.Lock()
-	defer d.ingest.mu.Unlock()
-	return d.ingest.dropped[id]
 }
 
 // AppendReport summarises how one batched append was processed.
@@ -653,13 +639,12 @@ func (d *DeepSea) applyViewReplace(id string, content *relation.Table) (engine.C
 	return cost, nil
 }
 
-// dropStaleView removes a view the refresh cannot maintain: files,
-// pool entries and ingest metadata, with a tombstone so a concurrent
-// heal cannot resurrect the pre-append content. Files pinned by an
-// in-flight execution block the drop (that query planned against them);
-// the view then stays stale — unreadable by new queries — until a retry
-// finds the pins released. Caller holds the manager lock. Reports
-// whether the drop completed.
+// dropStaleView removes a view the refresh cannot maintain: files, pool
+// entries and ingest metadata. Files pinned by an in-flight execution
+// block the drop (that query planned against them); the view then stays
+// stale — unreadable by new queries — until a retry finds the pins
+// released. Caller holds the manager lock. Reports whether the drop
+// completed.
 func (d *DeepSea) dropStaleView(id string) bool {
 	pv := d.Pool.View(id)
 	if pv != nil {
@@ -693,7 +678,6 @@ func (d *DeepSea) dropStaleView(id string) bool {
 		}
 		delete(s.views, id)
 	}
-	s.dropped[id] = true
 	s.drops++
 	s.mu.Unlock()
 	return true
@@ -722,7 +706,6 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 	s := d.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.dropped, id)
 	if m := s.views[id]; m != nil && fromFiles {
 		// Content rebuilt from this view's own files: same rows, same
 		// consistency point; the plan (absent after recovery) is now

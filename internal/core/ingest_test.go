@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"deepsea/internal/datastore"
+	"deepsea/internal/leakcheck"
 	"deepsea/internal/maintain"
 	"deepsea/internal/query"
 	"deepsea/internal/relation"
@@ -294,6 +296,74 @@ func TestAppendRecoveryWarmRestart(t *testing.T) {
 	}
 	if got := resultJSON(t, run(t, d3, q30(0, 4999))); got != want {
 		t.Errorf("snapshot-recovered result diverges:\n got %s\nwant %s", got, want)
+	}
+}
+
+// countingStore counts the append_rows records that reach Append.
+type countingStore struct {
+	datastore.Store
+	appendRows atomic.Int64
+}
+
+func (s *countingStore) Append(rec *datastore.Record) error {
+	err := s.Store.Append(rec)
+	if rec.Op == "append_rows" {
+		s.appendRows.Add(1)
+	}
+	return err
+}
+
+// TestAppendJournaledBeforeReturnWithWorkers: a record reaches the store
+// before the call that wrote it returns, also while a worker's drain
+// cycle is applying maintenance. One goroutine keeps the worker busy
+// with queries; every Append's append_rows record must be in the store
+// by the time Append returns, or an acknowledged batch is lost to a
+// kill -9.
+func TestAppendJournaledBeforeReturnWithWorkers(t *testing.T) {
+	leakcheck.Check(t)
+	store := &countingStore{Store: openStore(t, t.TempDir())}
+	defer store.Close()
+	d := newTestSystem(t, func(c *Config) {
+		c.MaintWorkers = 1
+		c.Datastore = store
+	})
+	defer d.CloseMaintenance()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(29))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lo := rng.Int63n(testDomHi - 1000)
+			if _, err := d.ProcessQuery(q30(lo, lo+rng.Int63n(1000))); err != nil {
+				t.Errorf("query: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	const appends = 300
+	late := 0
+	for i := 0; i < appends; i++ {
+		before := store.appendRows.Load()
+		if _, err := d.Append("sales", appendRows(int64(100+i), 20)); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+		if store.appendRows.Load() == before {
+			late++
+		}
+	}
+	if late > 0 {
+		t.Errorf("%d of %d appends returned before their append_rows record reached the store", late, appends)
 	}
 }
 

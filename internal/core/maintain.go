@@ -8,10 +8,8 @@ import (
 
 	"deepsea/internal/engine"
 	"deepsea/internal/faults"
-	"deepsea/internal/interval"
 	"deepsea/internal/maintain"
 	"deepsea/internal/matching"
-	"deepsea/internal/partition"
 	"deepsea/internal/pool"
 	"deepsea/internal/relation"
 )
@@ -30,8 +28,9 @@ import (
 //     pays for materialization, splits, merges, eviction or refresh. A
 //     worker drains the queue in Φ-ranked batches; one drain cycle
 //     (applyMaintBatch) commits all its mutations under a single
-//     acquisition of the manager lock, and journals its records as one
-//     group append.
+//     acquisition of the manager lock. It applies exactly the tasks a
+//     caller would have applied and journals them the same way, record
+//     by record.
 //   - Synchronous driver (MaintWorkers == 0): the caller applies the
 //     list itself, in the order it was built. A query does so under one
 //     acquisition of the manager lock (applyQueryTasks) and is charged
@@ -107,25 +106,6 @@ type sweepTask struct {
 	evict   []pool.Candidate
 }
 
-// rematTask speculatively re-materializes a quarantined file: the rows
-// were intact in the simulated store when the read fault quarantined
-// the path, so the pool can be healed in the background instead of
-// waiting for a future query to re-derive the range.
-type rematTask struct {
-	viewID string
-	path   string
-	schema relation.Schema
-	// isView marks a whole-view file; otherwise attr/iv/dom/overlapping
-	// describe the lost fragment.
-	isView      bool
-	attr        string
-	iv          interval.Interval
-	dom         interval.Interval
-	overlapping bool
-	rows        *relation.Table // nil in estimate-only mode
-	size        int64
-}
-
 // maintOutcome accumulates what applying a run of tasks did. Workers
 // use only the cost (charged to the clock per drain cycle); the
 // synchronous driver copies the rest into its caller's QueryReport or
@@ -160,8 +140,6 @@ func maintTaskViews(t *maintain.Task) []string {
 			ids = append(ids, c.ViewID)
 		}
 		return ids
-	case *rematTask:
-		return []string{p.viewID}
 	case *refreshTask:
 		return []string{p.viewID}
 	}
@@ -258,21 +236,9 @@ func (d *DeepSea) enqueueTasks(tasks []*maintain.Task, pins []string) (accepted 
 	return accepted, true
 }
 
-// enqueueRemat queues a speculative re-materialization of a quarantined
-// file. Only quarantine in background mode builds one (see there).
-func (d *DeepSea) enqueueRemat(p *rematTask) {
-	d.maint.Push(&maintain.Task{
-		Key:     fmt.Sprintf("remat:%s@%d", p.path, d.Pool.Generation(p.viewID)),
-		Kind:    maintain.KindRematerialize,
-		Payload: p,
-	})
-}
-
 // applyMaintBatch is the worker driver: it commits one drain cycle. All
 // pool mutations of the batch happen under a single acquisition of mu,
-// and every journal record the cycle emits is group-appended in one
-// store call (mu also keeps cycles from interleaving their records in
-// the one group buffer).
+// followed by one GC of the batch's views and one clock advance.
 func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 	seen := make(map[string]bool)
 	var ids []string
@@ -291,7 +257,6 @@ func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 	if d.OnMaintain != nil {
 		d.OnMaintain(ids, true)
 	}
-	d.beginJournalGroup()
 	var out maintOutcome
 	for _, t := range batch {
 		t.Err = d.applyMaintTask(t, &out)
@@ -301,11 +266,6 @@ func (d *DeepSea) applyMaintBatch(batch []*maintain.Task) {
 		// Charge the cycle's work to the clock while mu is held.
 		d.Eng.Advance(out.cost.Seconds)
 	}
-	// Flush the group while mu is still held: Snapshot quiesces under mu
-	// and then truncates the journal, so a record flushed after the
-	// release could land after a snapshot that already covers its state
-	// and replay twice.
-	d.endJournalGroup()
 	if d.OnMaintain != nil {
 		d.OnMaintain(ids, false)
 	}
@@ -402,10 +362,6 @@ func (d *DeepSea) applyMaintTask(t *maintain.Task, out *maintOutcome) error {
 			}
 		}
 		return nil
-	case *rematTask:
-		cost, err := d.applyRemat(p)
-		out.cost.Add(cost)
-		return err
 	case *refreshTask:
 		// A still-stale outcome re-enqueued a retry inside
 		// applyRefreshLocked.
@@ -474,101 +430,6 @@ func (d *DeepSea) applyMatFrag(p *matFragTask, out *maintOutcome) error {
 		out.matFrags = append(out.matFrags, fmt.Sprintf("%s.%s%s", shortID(fc.viewID), fc.attr, iv))
 	}
 	return nil
-}
-
-// applyRemat re-materializes a quarantined file from the rows captured
-// at quarantine time. Transient failures re-enqueue while the view's
-// backoff allows; a blacklisted view drops the task.
-func (d *DeepSea) applyRemat(p *rematTask) (engine.Cost, error) {
-	id := p.viewID
-	if !d.backoff.allowed(id) {
-		return engine.Cost{}, nil
-	}
-	// Ingest guard: the quarantined rows predate any append that dropped
-	// the view; healing them back would resurrect pre-append content
-	// with no refresh metadata. Stale views skip too — the pending
-	// refresh (or drop) supersedes the heal.
-	if d.ingestDropped(id) || d.staleView(id) {
-		return engine.Cost{}, nil
-	}
-	// Stale guard: skip if the lost range was re-covered meanwhile (a
-	// later query re-materialized it, or a retry already applied).
-	if pv := d.Pool.View(id); pv != nil {
-		if p.isView && pv.Path != "" {
-			return engine.Cost{}, nil
-		}
-		if !p.isView {
-			if part := pv.Parts[p.attr]; part != nil {
-				if _, _, gaps := part.Cover(p.iv); len(gaps) == 0 {
-					return engine.Cost{}, nil
-				}
-			}
-		}
-	}
-	fail := func(err error) (engine.Cost, error) {
-		f, ok := faults.AsFault(err)
-		if ok {
-			d.backoff.noteFailure(id, f.Permanent)
-			if d.backoff.allowed(id) {
-				d.enqueueRemat(p)
-			}
-		}
-		return engine.Cost{}, fmt.Errorf("core: rematerialize %s: %w", shortID(id), err)
-	}
-	// One Materialize-site injection decision, like any materialization.
-	if err := d.faults.Check(faults.Materialize, id); err != nil {
-		return fail(err)
-	}
-	var cost engine.Cost
-	var err error
-	bytes := p.size
-	if p.rows != nil {
-		cost, err = d.Eng.RewriteMaterialized(p.path, p.rows)
-		bytes = p.rows.Bytes()
-	} else {
-		cost, err = d.Eng.WriteMaterializedSize(p.path, p.size)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	d.Pool.Ensure(id, p.schema)
-	if p.isView {
-		d.Pool.SetViewFile(id, p.path, bytes)
-	} else {
-		d.Pool.EnsurePartition(id, p.attr, p.dom, p.overlapping)
-		d.Pool.AddFragment(id, p.attr, partition.Fragment{Iv: p.iv, Path: p.path, Size: bytes})
-	}
-	d.backoff.noteSuccess(id)
-	return cost, nil
-}
-
-// beginJournalGroup starts buffering journal records instead of
-// appending them one by one; endJournalGroup flushes the buffer as one
-// AppendGroup call. Concurrent appends from finishing queries (clock
-// advances) buffer into the open group too — their durability is
-// delayed to the group flush, which is safe: the flush completes before
-// the cycle releases mu, and Snapshot cannot run while it is held.
-func (d *DeepSea) beginJournalGroup() {
-	if d.store == nil {
-		return
-	}
-	d.groupMu.Lock()
-	d.grouping = true
-	d.groupMu.Unlock()
-}
-
-func (d *DeepSea) endJournalGroup() {
-	if d.store == nil {
-		return
-	}
-	d.groupMu.Lock()
-	buf := d.groupBuf
-	d.groupBuf = nil
-	d.grouping = false
-	d.groupMu.Unlock()
-	if len(buf) > 0 {
-		_ = d.store.AppendGroup(buf)
-	}
 }
 
 // DrainMaintenance blocks until every queued background maintenance

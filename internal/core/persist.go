@@ -87,24 +87,14 @@ type RecoveryInfo struct {
 	Err string
 }
 
-// appendRecord forwards one mutation record to the datastore. Append
-// errors degrade durability, never correctness: the store counts them
-// and they surface via Health. While a background drain cycle has a
-// journal group open, records buffer into it and reach the store as
-// one AppendGroup call when the cycle commits (see applyMaintBatch).
+// appendRecord journals one mutation record at once, so a record reaches
+// the store before the call that wrote it returns — a query, an Append
+// or a worker's drain cycle alike. Append errors degrade durability,
+// never correctness: the store counts them and they surface via Health.
 func (d *DeepSea) appendRecord(rec datastore.Record) {
-	if d.store == nil {
-		return
+	if d.store != nil {
+		_ = d.store.Append(&rec)
 	}
-	d.groupMu.Lock()
-	if d.grouping {
-		r := rec
-		d.groupBuf = append(d.groupBuf, &r)
-		d.groupMu.Unlock()
-		return
-	}
-	d.groupMu.Unlock()
-	_ = d.store.Append(&rec)
 }
 
 // journalVStat journals a view statistic's measured size/cost fields —

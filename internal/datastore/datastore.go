@@ -112,11 +112,12 @@ type Store interface {
 	Append(rec *Record) error
 	// AppendGroup journals a batch of records as one store call:
 	// sequence numbers are assigned contiguously in slice order and the
-	// batch reaches the kernel with a single flush, amortizing the
-	// per-record flush cost across a maintenance drain cycle. Appends
-	// are best-effort record by record, like Append: a failed record is
+	// batch reaches the kernel with a single flush. Appends are
+	// best-effort record by record, like Append: a failed record is
 	// counted and skipped, the rest of the group still lands, and the
-	// first error is returned.
+	// first error is returned. Nothing in the system calls it — every
+	// record goes through Append — and it remains only because the
+	// benchmark's tracing store wraps it.
 	AppendGroup(recs []*Record) error
 	// WriteSnapshot atomically replaces the stored snapshot with data
 	// (opaque to the store) covering every record appended so far, then

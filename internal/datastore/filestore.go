@@ -155,10 +155,9 @@ func (s *FileStore) Append(rec *Record) error {
 }
 
 // AppendGroup journals a batch under one lock acquisition with a single
-// trailing flush, so a maintenance drain cycle pays the syscall once for
-// the whole batch instead of once per record. Failed records are counted
-// and skipped like in Append; the first error is returned after the rest
-// of the group has been attempted.
+// trailing flush. Failed records are counted and skipped like in Append;
+// the first error is returned after the rest of the group has been
+// attempted. Only the benchmark's tracing store reaches it (see Store).
 func (s *FileStore) AppendGroup(recs []*Record) error {
 	if len(recs) == 0 {
 		return nil

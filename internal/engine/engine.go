@@ -260,10 +260,10 @@ func (e *Engine) WriteMaterialized(path string, t *relation.Table) (Cost, error)
 }
 
 // RewriteMaterialized is WriteMaterialized for a table assembled from
-// rows the store already holds — a split, a merge, a re-partitioning, a
-// healed file. Those rows were copied when they first crossed the
-// boundary and pin no query's slabs, so the store shares them: a
-// fragment that overlaps its parent costs no second copy.
+// rows the store already holds — a split, a merge, a re-partitioning.
+// Those rows were copied when they first crossed the boundary and pin
+// no query's slabs, so the store shares them: a fragment that overlaps
+// its parent costs no second copy.
 func (e *Engine) RewriteMaterialized(path string, t *relation.Table) (Cost, error) {
 	return e.writeMaterialized(path, t, false)
 }

@@ -1,18 +1,16 @@
 // Package maintain implements the background maintenance dataflow: a
 // prioritized task queue drained by a bounded worker pool, so the query
-// path only enqueues maintenance candidates (materialize, split, merge,
-// speculative re-materialization) and returns without paying for them.
-// A pool built with zero workers is the same queue drained by its
-// callers instead (Take, then Done) — how inline maintenance keeps its
-// refresh retries.
+// and append paths only enqueue maintenance tasks (refresh, materialize,
+// split, merge, sweep) and return without paying for them. A pool built
+// with zero workers is the same queue drained by its callers instead
+// (Take, then Done) — how inline maintenance keeps its refresh retries.
 //
 // The shape follows claircore's matching architecture: concurrent
-// workers consume a shared stream and each commits one batched store
-// request. Here a worker pops a batch of tasks, the executor applies
-// them under a single acquisition of the manager lock, and the journal
-// records of the whole batch are group-appended in one store call.
+// workers consume a shared stream. Here a worker pops a batch of tasks
+// and the executor applies them under a single acquisition of the
+// manager lock.
 //
-// Ordering: tasks pop highest band first (re-materialization before
+// Ordering: tasks pop highest band first (refreshes before
 // materialization before splits before merges before sweeps — the same
 // relative order the inline maintenance section used), within a band by
 // descending Φ value, and FIFO among equals. Tasks carry a dedup key
@@ -49,9 +47,6 @@ const (
 	// KindMaterialize materializes a selected view (whole or as its
 	// initial fragments).
 	KindMaterialize
-	// KindRematerialize speculatively re-materializes a quarantined
-	// fragment from its still-resident rows.
-	KindRematerialize
 	// KindRefresh brings a stale view fresh after a base-table append
 	// (incremental delta propagation, or a drop when the delta cannot
 	// be applied incrementally). Highest band: a stale view is skipped
@@ -73,8 +68,6 @@ func (k Kind) String() string {
 		return "split"
 	case KindMaterialize:
 		return "materialize"
-	case KindRematerialize:
-		return "rematerialize"
 	case KindRefresh:
 		return "refresh"
 	}
@@ -306,8 +299,7 @@ func (p *Pool) popLocked(n int) []*Task {
 
 // Drain blocks until the queue is empty and every worker is idle — all
 // maintenance enqueued before the call is applied (tasks the executors
-// re-enqueue while draining, e.g. re-materialization retries, are
-// drained too). Returns ctx.Err() if the context expires first. A pool
+// re-enqueue while draining, refresh retries, are drained too). Returns ctx.Err() if the context expires first. A pool
 // without workers has nothing to wait for: what it holds waits for a
 // Take.
 func (p *Pool) Drain(ctx context.Context) error {

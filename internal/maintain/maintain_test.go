@@ -34,7 +34,7 @@ func TestOrdering(t *testing.T) {
 	p.Push(&Task{Kind: KindMaterialize, Priority: 9, Payload: "mat-hi"})
 	p.Push(&Task{Kind: KindSplit, Priority: 3, Payload: "split-a"})
 	p.Push(&Task{Kind: KindSplit, Priority: 3, Payload: "split-b"})
-	p.Push(&Task{Kind: KindRematerialize, Payload: "remat"})
+	p.Push(&Task{Kind: KindRefresh, Payload: "refresh"})
 	close(gate)
 
 	if err := p.Drain(context.Background()); err != nil {
@@ -42,7 +42,7 @@ func TestOrdering(t *testing.T) {
 	}
 	p.Close()
 
-	want := []string{"gate", "remat", "mat-hi", "mat-lo", "split-a", "split-b", "merge"}
+	want := []string{"gate", "refresh", "mat-hi", "mat-lo", "split-a", "split-b", "merge"}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != len(want) {
@@ -157,19 +157,19 @@ func TestDrainContext(t *testing.T) {
 }
 
 // TestReenqueueDuringDrain checks that tasks pushed by the executor
-// (re-materialization retries) are drained too.
+// (refresh retries) are drained too.
 func TestReenqueueDuringDrain(t *testing.T) {
 	var p *Pool
 	var retried atomic.Bool
 	p = NewPool(1, 0, 64, func(batch []*Task) {
 		for _, task := range batch {
 			if task.Payload == "retry-once" && retried.CompareAndSwap(false, true) {
-				p.Push(&Task{Kind: KindRematerialize, Payload: "retried"})
+				p.Push(&Task{Kind: KindRefresh, Payload: "retried"})
 			}
 		}
 	})
 	defer p.Close()
-	p.Push(&Task{Kind: KindRematerialize, Payload: "retry-once"})
+	p.Push(&Task{Kind: KindRefresh, Payload: "retry-once"})
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

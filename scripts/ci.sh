@@ -9,12 +9,18 @@
 #    3. shuffled double run — flushes ordering-dependent tests
 #    4. chaos smoke — the seeded fault-injection and cancellation suite
 #       under the race detector: every surviving query byte-identical to
-#       the fault-free run, no leaked goroutines, no leaked pins
+#       the fault-free run, no leaked goroutines, no leaked pins, and
+#       quarantine restores nothing with workers on either — a lost
+#       range comes back only through a later query
+#       (TestChaosBackgroundQuarantineLeavesRangeToQueries)
 #    5. serving smoke — the HTTP frontend's admission, drain and fence
 #       suite under the race detector in shuffled order (stage 2 already
 #       ran it in declaration order)
 #    6. crash-recovery chaos — the datastore suite, the core recovery
-#       suite, and the kill -9 warm-restart test under the race detector
+#       suite, the kill -9 warm-restart test under the race detector, and
+#       the journal-before-return rule with a worker draining
+#       (TestAppendJournaledBeforeReturnWithWorkers: every append_rows
+#       record is in the store when Append returns)
 #    7. staticcheck at a pinned version, when installed (the workflow
 #       installs it; local runs skip it with a note — and a workflow
 #       warning annotation — rather than demanding the tool)
@@ -44,8 +50,9 @@
 #       dead group is a 503 naming its range; a stale epoch whose
 #       routing refresh fails is a 503 naming the conflict)
 #   10. ingest smoke — the batched append path under the race detector:
-#       the core delta-propagation suite with the inline retry queue and
-#       the lagging-view guard, the all-template
+#       the core delta-propagation suite with the inline retry queue, the
+#       lagging-view guard and the journal-before-return rule
+#       (TestAppendJournaledBeforeReturnWithWorkers), the all-template
 #       delta-vs-remat property tests with the sublinear-refresh check,
 #       the serving tier's /append suite (an append burst racing a query
 #       burst, concurrent appends each reporting their own batch,
@@ -123,7 +130,7 @@ $GO test -race -shuffle=on ./internal/server
 
 echo "==> crash-recovery chaos (race)"
 $GO test -race ./internal/datastore
-$GO test -race $CORE_TIMEOUT -run 'TestRecovery|TestSnapshotNoop' ./internal/core
+$GO test -race $CORE_TIMEOUT -run 'TestRecovery|TestSnapshotNoop|TestAppendJournaledBeforeReturnWithWorkers' ./internal/core
 $GO test -race -run 'TestCrashRecoveryWarmRestart|TestLimiterAbandonHandoverRace' ./internal/server
 
 if command -v staticcheck >/dev/null 2>&1; then
