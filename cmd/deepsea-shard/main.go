@@ -19,11 +19,12 @@
 // queries to the owning group, scatters spanning queries in
 // partial-aggregate mode and merges the results deterministically.
 // Replicated groups route around failure: each range subquery is one
-// attempt at a time, failing over to the next replica with jittered
-// backoff, per-replica circuit breakers skip dead replicas, and a
-// background health prober (-probe-every) re-pushes ownership to
-// replicas that missed a handoff. With -rebalance-every it periodically moves hot range
-// boundaries to equalize observed heat.
+// attempt at a time, failing over to the next replica, and the replica
+// that answers becomes the group's preferred one; a background health
+// prober (-probe-every) re-pushes ownership to replicas that missed a
+// handoff and hands preference back to a healthy primary. With
+// -rebalance-every it periodically moves hot range boundaries to
+// equalize observed heat.
 //
 // Endpoints:
 //
@@ -31,8 +32,8 @@
 //	POST /append          — append rows to a base table: keyed tables
 //	                        split per owning range group (every replica
 //	                        must accept), keyless tables broadcast
-//	GET  /healthz         — routing table + per-replica reachability and breaker state
-//	GET  /statz           — scatter/failover/breaker counters + per-shard heat share
+//	GET  /healthz         — routing table + per-replica reachability and probe state
+//	GET  /statz           — scatter/failover counters + per-shard heat share
 //	POST /admin/rebalance — recompute and apply equi-heat boundaries
 package main
 

@@ -38,14 +38,10 @@ type Config struct {
 	// newTransport).
 	Transport http.RoundTripper
 
-	// BreakerCooldown is how long an open breaker refuses requests
-	// before admitting a half-open probe (default 2s).
-	BreakerCooldown time.Duration
-
 	// ProbeInterval, when positive, starts a background health prober
-	// that checks every replica, feeds the breakers, and re-pushes
-	// range ownership to replicas that missed a handoff. Stop it with
-	// Close.
+	// that checks every replica, re-pushes range ownership to replicas
+	// that missed a handoff, and restores preference to a healthy
+	// primary. Stop it with Close.
 	ProbeInterval time.Duration
 
 	// KeyIndex maps each base table to the column index of its routing
@@ -54,19 +50,6 @@ type Config struct {
 	// replicated dimensions — their appends broadcast to every group.
 	KeyIndex map[string]int
 }
-
-// A range subquery tries each replica of its group at most once, one
-// after another. The jittered backoff between those failover retries
-// starts at failoverBackoffBase, doubles per retry and is capped at
-// failoverBackoffCap (±50% jitter, drawn from a fixed seed so runs are
-// deterministic). breakerThreshold consecutive failures trip a
-// replica's circuit breaker.
-const (
-	failoverBackoffBase = 5 * time.Millisecond
-	failoverBackoffCap  = 100 * time.Millisecond
-	failoverJitterSeed  = 1
-	breakerThreshold    = 3
-)
 
 // newTransport builds the coordinator's default transport: explicit
 // dial and TLS timeouts so a wedged TCP connect cannot stall a subquery
@@ -93,11 +76,12 @@ func newTransport(replicas int) *http.Transport {
 // heat skews.
 //
 // Robustness: every range is served by a replica group. A subquery
-// prefers the group's healthy primary, fails over (bounded retries,
-// jittered backoff) on connection errors, timeouts and 5xx, and skips
-// replicas whose circuit breaker is open — so a dead replica costs one detection, not
-// one timeout per query, and replica death mid-burst is invisible to
-// clients as long as one replica per group survives.
+// tries the group's preferred replica first and fails over to the next
+// on connection errors, timeouts and 5xx, each replica at most once;
+// the replica that answers becomes the group's preferred one. So a dead
+// replica costs one failed attempt per query already in flight, then
+// nothing, and replica death mid-burst is invisible to clients as long
+// as one replica per group survives.
 //
 // Locking: mu is the routing-table lock. Queries scatter under RLock; a
 // handoff takes the write lock, which both blocks new queries and waits
@@ -113,16 +97,14 @@ type Coordinator struct {
 	shards []ShardInfo // sorted by Lo; tiles [DomainLo, DomainHi]
 	epoch  uint64      // last issued handoff epoch
 
-	// replicas maps every replica address to its breaker and probe
-	// state; preferred[gi] is the group's current first-choice replica
+	// replicas maps every replica address to what the prober last saw
+	// of it; preferred[gi] is the group's current first-choice replica
 	// index (primary unless failover moved it).
 	replicas  map[string]*replicaState
 	preferred []atomic.Int32
 
 	heatMu sync.Mutex
 	heat   *heatMap
-
-	rng *lockedRand
 
 	queries    atomic.Uint64
 	scattered  atomic.Uint64 // per-range subqueries issued
@@ -159,9 +141,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 15 * time.Second
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
 	replicas := make(map[string]*replicaState)
 	var nReplicas int
 	for gi, g := range groups {
@@ -175,7 +154,7 @@ func New(cfg Config) (*Coordinator, error) {
 			if _, dup := replicas[a]; dup {
 				return nil, fmt.Errorf("shard: replica %s appears twice", a)
 			}
-			replicas[a] = &replicaState{br: newBreaker(breakerThreshold, cfg.BreakerCooldown)}
+			replicas[a] = &replicaState{}
 			nReplicas++
 		}
 	}
@@ -192,7 +171,6 @@ func New(cfg Config) (*Coordinator, error) {
 		replicas:    replicas,
 		preferred:   make([]atomic.Int32, len(groups)),
 		heat:        newHeatMap(cfg.DomainLo, cfg.DomainHi),
-		rng:         newLockedRand(failoverJitterSeed),
 		appendNonce: hex.EncodeToString(nonce[:]),
 	}
 	mux := http.NewServeMux()
@@ -693,10 +671,9 @@ func (c *Coordinator) fetchOwnership(ctx context.Context, addr string) (lo, hi i
 }
 
 // probeLoop is the background health prober: every interval it checks
-// each replica's /healthz, feeding the circuit breakers (so a dead
-// replica is discovered before a query pays its timeout, and a revived
-// one is readmitted), and re-pushes current ownership to replicas whose
-// epoch fell behind (they were down during a handoff).
+// each replica's /healthz, re-pushes current ownership to replicas whose
+// epoch fell behind (they were down during a handoff), and hands a
+// group's preference back to its primary once the primary is healthy.
 func (c *Coordinator) probeLoop(interval time.Duration) {
 	defer close(c.proberDone)
 	t := time.NewTicker(interval)
@@ -753,9 +730,9 @@ func (c *Coordinator) probeTimeout() time.Duration {
 	return 2 * time.Second
 }
 
-// probeOne checks one replica: /healthz for liveness (feeding its
-// breaker both ways), then /admin/range for epoch lag (re-pushing the
-// current ownership when the replica missed a handoff).
+// probeOne checks one replica: /healthz for liveness, then /admin/range
+// for epoch lag (re-pushing the current ownership when the replica
+// missed a handoff).
 func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, epoch uint64) {
 	rs := c.replicas[addr]
 	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
@@ -763,14 +740,10 @@ func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, e
 	status, _, _, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil || status < 200 || status > 299 {
 		// Unreachable, or reachable but unhealthy (draining, dependency
-		// down): for routing purposes both are failures — closing the
-		// breaker and restoring preference on an unhealthy answer would
-		// flap against the query path re-tripping it on the next request.
-		rs.br.Failure(time.Now())
+		// down): either way not a replica to hand preference back to.
 		rs.noteProbe(0)
 		return
 	}
-	rs.br.Success()
 
 	ownLo, ownHi, ownEpoch, err := c.fetchOwnership(ctx, addr)
 	rs.noteProbe(ownEpoch) // 0 when the ownership fetch failed
@@ -787,14 +760,14 @@ func (c *Coordinator) probeOne(addr string, gi int, role string, lo, hi int64, e
 		}
 	}
 	// If the group's declared primary is healthy again, prefer it.
-	if role == server.RolePrimary && rs.br.State() == breakerClosed {
+	if role == server.RolePrimary {
 		c.preferred[gi].Store(0)
 	}
 }
 
 // healthzResponse is the coordinator's GET /healthz: the routing table
-// with per-replica reachability and breaker state. Status is "ok" or
-// "degraded" (some replica unreachable, unhealthy, or breaker-open).
+// with per-replica reachability. Status is "ok" or "degraded" (some
+// replica unreachable or unhealthy).
 type healthzResponse struct {
 	Status string        `json:"status"`
 	Shards []shardHealth `json:"shards"`
@@ -808,7 +781,6 @@ type shardHealth struct {
 type replicaHealth struct {
 	Addr      string `json:"addr"`
 	Role      string `json:"role"`
-	Breaker   string `json:"breaker"`
 	Reachable bool   `json:"reachable"`
 	Health    string `json:"health,omitempty"`
 	// ProbeEpoch is the ownership epoch the replica last reported to the
@@ -833,7 +805,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 					rh.Role = server.RolePrimary
 				}
 				if rs := c.replicas[addr]; rs != nil {
-					rh.Breaker = rs.br.State().String()
 					rh.ProbeEpoch, rh.Repushes = rs.probeSnapshot()
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
@@ -856,8 +827,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{Status: "ok", Shards: out}
 	for _, sh := range out {
 		for _, rh := range sh.ReplicaHealth {
-			if !rh.Reachable || rh.Breaker == breakerOpen.String() ||
-				(rh.Health != "" && rh.Health != "ok") {
+			if !rh.Reachable || (rh.Health != "" && rh.Health != "ok") {
 				resp.Status = "degraded"
 			}
 		}
@@ -865,9 +835,9 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
-// statzResponse is the coordinator's GET /statz: scatter, failover
-// and breaker counters, the routing table, and each group's
-// share of the observed heat.
+// statzResponse is the coordinator's GET /statz: scatter and failover
+// counters, the routing table, and each group's share of the observed
+// heat.
 type statzResponse struct {
 	Queries    uint64 `json:"queries"`
 	Scattered  uint64 `json:"scattered"`
@@ -880,13 +850,9 @@ type statzResponse struct {
 	Refreshes uint64 `json:"refreshes"`
 	// AppendsRouted/AppendRows count POST /append batches scattered by
 	// routing key and the rows they carried.
-	AppendsRouted uint64 `json:"appends_routed"`
-	AppendRows    uint64 `json:"append_rows"`
-	// Breaker aggregates across every replica.
-	BreakerOpens         uint64       `json:"breaker_opens"`
-	BreakerShortCircuits uint64       `json:"breaker_short_circuits"`
-	BreakerProbes        uint64       `json:"breaker_probes"`
-	Shards               []shardStatz `json:"shards"`
+	AppendsRouted uint64       `json:"appends_routed"`
+	AppendRows    uint64       `json:"append_rows"`
+	Shards        []shardStatz `json:"shards"`
 }
 
 type shardStatz struct {
@@ -895,8 +861,6 @@ type shardStatz struct {
 	// range — the skew signal Rebalance acts on (1/n everywhere when
 	// the workload is uniform).
 	HeatShare float64 `json:"heat_share"`
-	// Breakers maps each replica to its current breaker state.
-	Breakers map[string]string `json:"breakers,omitempty"`
 }
 
 func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
@@ -911,12 +875,6 @@ func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Refreshes:     c.refreshes.Load(),
 		AppendsRouted: c.appendsRouted.Load(),
 		AppendRows:    c.appendRows.Load(),
-	}
-	for _, rs := range c.replicas {
-		opens, shorts, probes := rs.br.Counters()
-		resp.BreakerOpens += opens
-		resp.BreakerShortCircuits += shorts
-		resp.BreakerProbes += probes
 	}
 	c.heatMu.Lock()
 	var total uint64
@@ -933,14 +891,9 @@ func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}
 	c.heatMu.Unlock()
 	for i, sh := range shards {
-		st := shardStatz{ShardInfo: sh, Breakers: make(map[string]string, len(sh.Replicas))}
+		st := shardStatz{ShardInfo: sh}
 		if total > 0 {
 			st.HeatShare = float64(perShard[i]) / float64(total)
-		}
-		for _, addr := range sh.Replicas {
-			if rs := c.replicas[addr]; rs != nil {
-				st.Breakers[addr] = rs.br.State().String()
-			}
 		}
 		resp.Shards = append(resp.Shards, st)
 	}

@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"deepsea"
+	"deepsea/internal/ingest"
 	"deepsea/internal/leakcheck"
 	"deepsea/internal/server"
 	"deepsea/internal/workload"
@@ -107,9 +109,11 @@ func TestReplicatedInitPushesRoles(t *testing.T) {
 }
 
 // TestFailoverToFollower is the tentpole availability claim in process:
-// with the primary of one group dead, a spanning query still succeeds —
-// answered by the follower — and the merged bytes are identical to the
-// healthy run's.
+// with the primary of one group dead, a burst of spanning queries all
+// succeed — answered by the follower — with merged bytes identical to
+// the healthy run's. The dead primary costs at most one failed attempt
+// per query already in flight: once the follower has answered,
+// preference sends every later query straight to it.
 func TestFailoverToFollower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
@@ -125,28 +129,134 @@ func TestFailoverToFollower(t *testing.T) {
 
 	groups[0][0].Close() // kill group 0's primary
 
-	resp, out, eresp := coordQuery(t, c, spanningSpec())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query with dead primary: status %d: %s", resp.StatusCode, eresp.Error)
+	const burst = 8
+	type result struct {
+		status int
+		out    Response
+		err    error
 	}
-	if out.Failovers < 1 {
-		t.Fatalf("response reports %d failovers, want ≥1", out.Failovers)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	results := make([]result, burst)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := &results[i]
+			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(spanningSpec()))
+			if err != nil {
+				r.err = err
+				return
+			}
+			defer resp.Body.Close()
+			r.status = resp.StatusCode
+			dec := json.NewDecoder(resp.Body)
+			dec.UseNumber()
+			r.err = dec.Decode(&r.out)
+		}()
 	}
-	if got := fingerprint(t, out.Columns, out.Rows); got != want {
-		t.Fatalf("failover result diverges from healthy run:\n got %s\nwant %s", got, want)
+	wg.Wait()
+	var failovers int
+	for i, r := range results {
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("burst query %d with dead primary: status %d, err %v", i, r.status, r.err)
+		}
+		if got := fingerprint(t, r.out.Columns, r.out.Rows); got != want {
+			t.Fatalf("burst query %d diverges from healthy run:\n got %s\nwant %s", i, got, want)
+		}
+		failovers += r.out.Failovers
 	}
-	if c.failovers.Load() == 0 {
-		t.Fatal("coordinator failover counter did not move")
+	if failovers < 1 || c.failovers.Load() == 0 {
+		t.Fatalf("burst reports %d failovers (counter %d), want ≥1", failovers, c.failovers.Load())
 	}
 
-	// Preference learning: the follower answered, so the next query goes
+	// Preference learning: the follower answered, so later queries go
 	// straight to it — no failover, no error-path cost.
-	resp, out, eresp = coordQuery(t, c, spanningSpec())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second query: status %d: %s", resp.StatusCode, eresp.Error)
+	for i := 0; i < 10; i++ {
+		resp, out, eresp := coordQuery(t, c, spanningSpec())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sequential query %d: status %d: %s", i, resp.StatusCode, eresp.Error)
+		}
+		if out.Failovers != 0 {
+			t.Fatalf("sequential query %d still paid %d failovers; preferred replica not updated", i, out.Failovers)
+		}
 	}
-	if out.Failovers != 0 {
-		t.Fatalf("second query still paid %d failovers; preferred replica not updated", out.Failovers)
+	st := coordStatz(t, c)
+	if extra := st["attempts"].(float64) - st["scattered"].(float64); extra > burst {
+		t.Fatalf("statz attempts − scattered = %v, want ≤ %d (one failed attempt per in-flight query)", extra, burst)
+	}
+}
+
+// coordHealthz reads the coordinator's /healthz.
+func coordHealthz(t *testing.T, c *Coordinator) healthzResponse {
+	t.Helper()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz healthzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	return hz
+}
+
+// replicaHealthOf finds one replica's entry on /healthz.
+func replicaHealthOf(hz healthzResponse, addr string) (replicaHealth, bool) {
+	for _, sh := range hz.Shards {
+		for _, rh := range sh.ReplicaHealth {
+			if rh.Addr == addr {
+				return rh, true
+			}
+		}
+	}
+	return replicaHealth{}, false
+}
+
+// TestTransientErrorsDoNotCloseTheGroup: a burst of transient 503s from
+// every replica of a group fails the queries it hits, and nothing more.
+// The first query after the replicas recover is answered, with the same
+// bytes as before the burst.
+func TestTransientErrorsDoNotCloseTheGroup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-system cluster test")
+	}
+	leakcheck.Check(t)
+	var ct *ChaosTransport
+	c, _ := newReplicatedCluster(t, 1, 2, func(cfg *Config) {
+		ct = &ChaosTransport{Seed: 5, Err5xxProb: 1}
+		ct.SetArmed(false) // keep Init's handoff pushes clean
+		cfg.Transport = ct
+	})
+
+	resp, clean, eresp := coordQuery(t, c, spanningSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("undisturbed query: status %d: %s", resp.StatusCode, eresp.Error)
+	}
+	want := fingerprint(t, clean.Columns, clean.Rows)
+
+	ct.SetArmed(true)
+	for i := 0; i < 3; i++ {
+		resp, _, eresp := coordQuery(t, c, spanningSpec())
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("armed query %d: status %d, want 503 (%s)", i, resp.StatusCode, eresp.Error)
+		}
+	}
+	if _, fives, _ := ct.Counters(); fives < 6 {
+		t.Fatalf("chaos transport injected %d 503s, want ≥6 (both replicas, 3 queries)", fives)
+	}
+
+	ct.SetArmed(false)
+	resp, out, eresp := coordQuery(t, c, spanningSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first query after the 503s stopped: status %d: %s", resp.StatusCode, eresp.Error)
+	}
+	if got := fingerprint(t, out.Columns, out.Rows); got != want {
+		t.Fatalf("post-recovery result diverges from undisturbed run:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -220,75 +330,15 @@ func TestStragglerIsWaitedOutNotRaced(t *testing.T) {
 		t.Fatal("chaos transport delayed nothing; the primary was not the replica asked")
 	}
 
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-	sresp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var sz statzResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&sz); err != nil {
-		t.Fatal(err)
-	}
-	if sz.Attempts != sz.Scattered {
-		t.Fatalf("statz attempts %d != scattered %d: a subquery was sent to more than one replica",
-			sz.Attempts, sz.Scattered)
+	if st := coordStatz(t, c); st["attempts"] != st["scattered"] {
+		t.Fatalf("statz attempts %v != scattered %v: a subquery was sent to more than one replica",
+			st["attempts"], st["scattered"])
 	}
 }
 
-// TestBreakerBoundsDeadReplicaCost pins the breaker's purpose: after it
-// opens on a dead primary, queries forced back onto that group stop
-// paying per-query detection — the dead replica is skipped outright
-// (short-circuits move, failovers stop).
-func TestBreakerBoundsDeadReplicaCost(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-system cluster test")
-	}
-	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 1, 2, func(cfg *Config) {
-		cfg.BreakerCooldown = time.Hour // no half-open probe mid-test
-	})
-	groups[0][0].Close()
-	primary := c.Shards()[0].Replicas[0]
-
-	runOne := func() Response {
-		t.Helper()
-		// Pin preference back onto the dead primary so every query pays —
-		// or is saved from — the detection cost, isolating the breaker
-		// from preference learning.
-		c.preferred[0].Store(0)
-		resp, out, eresp := coordQuery(t, c, spanningSpec())
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, eresp.Error)
-		}
-		return out
-	}
-
-	for i := 0; i < 3; i++ {
-		if out := runOne(); out.Failovers < 1 {
-			t.Fatalf("pre-trip query %d reported %d failovers, want ≥1", i, out.Failovers)
-		}
-	}
-	if st := c.replicas[primary].br.State(); st != breakerOpen {
-		t.Fatalf("breaker state %v after %d consecutive failures, want open", st, breakerThreshold)
-	}
-	// With the breaker open, the dead primary is skipped without a
-	// network attempt: no failover retries, no connection errors.
-	for i := 0; i < 3; i++ {
-		if out := runOne(); out.Failovers != 0 {
-			t.Fatalf("post-trip query %d still paid %d failovers", i, out.Failovers)
-		}
-	}
-	opens, shorts, _ := c.replicas[primary].br.Counters()
-	if opens < 1 || shorts < 3 {
-		t.Fatalf("breaker counters opens=%d shortCircuits=%d, want ≥1, ≥3", opens, shorts)
-	}
-}
-
-// TestProberRevivesReplica checks the background prober readmits a
-// healthy replica: successful probes close its breaker even when the
-// query path never touches it (breaker cooldown set far past the test).
+// TestProberRevivesReplica checks the background prober hands a
+// group's preference back to its healthy primary even when no query
+// touches the group, and that its observation reaches /healthz.
 func TestProberRevivesReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
@@ -296,56 +346,111 @@ func TestProberRevivesReplica(t *testing.T) {
 	leakcheck.Check(t)
 	c, _ := newReplicatedCluster(t, 1, 2, func(cfg *Config) {
 		cfg.ProbeInterval = 25 * time.Millisecond
-		cfg.BreakerCooldown = time.Hour // only the prober may close it
 	})
 	follower := c.Shards()[0].Replicas[1]
 
-	// Trip the live follower's breaker by hand (as if it had flapped),
-	// then verify the prober's successful /healthz probes close it.
-	for i := 0; i < 10; i++ {
-		c.replicas[follower].br.Failure(time.Now())
-	}
-	if st := c.replicas[follower].br.State(); st != breakerOpen {
-		t.Fatalf("setup: breaker %v, want open", st)
-	}
+	c.preferred[0].Store(1) // as if failover had moved preference to the follower
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.replicas[follower].br.State() == breakerClosed {
-			break
-		}
+	for time.Now().Before(deadline) && c.preferred[0].Load() != 0 {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := c.replicas[follower].br.State(); st != breakerClosed {
-		t.Fatalf("prober did not close the healthy replica's breaker (state %v)", st)
+	if p := c.preferred[0].Load(); p != 0 {
+		t.Fatalf("prober did not restore the healthy primary as preferred (preferred=%d)", p)
 	}
 	// And the probe observation reaches /healthz: the follower reports
 	// the group's current epoch once its ownership fetch has run.
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
 	want := c.Shards()[0].Epoch
 	var epoch uint64
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hz healthzResponse
-		err = json.NewDecoder(resp.Body).Decode(&hz)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rh := range hz.Shards[0].ReplicaHealth {
-			if rh.Addr == follower {
-				epoch = rh.ProbeEpoch
-			}
-		}
-		if epoch == want {
+		rh, _ := replicaHealthOf(coordHealthz(t, c), follower)
+		if epoch = rh.ProbeEpoch; epoch == want {
 			break
 		}
 	}
 	if epoch != want {
 		t.Fatalf("healthz probe_epoch = %d for the follower, want %d", epoch, want)
+	}
+}
+
+// TestProberRepushesMissedHandoff: a follower that misses a rebalance
+// handoff is brought up to the new ownership by the prober once it is
+// reachable again, and appends to its group — which must land on every
+// replica — succeed again.
+func TestProberRepushesMissedHandoff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-system cluster test")
+	}
+	leakcheck.Check(t)
+	var ct *ChaosTransport
+	c, groups := newReplicatedCluster(t, 2, 2, func(cfg *Config) {
+		u, err := url.Parse(cfg.Groups[0][1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct = &ChaosTransport{Seed: 7, DropProb: 1, Hosts: map[string]bool{u.Host: true}}
+		ct.SetArmed(false) // keep Init's handoff pushes clean
+		cfg.Transport = ct
+		cfg.ProbeInterval = 25 * time.Millisecond
+		cfg.KeyIndex = testKeyIndex
+	})
+	follower := groups[0][1].URL
+
+	// Hotspot on the first 5% of the domain: the rebalance shrinks group 0.
+	hotHi := int64(workload.ItemSkLo + (workload.ItemSkHi-workload.ItemSkLo)/20)
+	c.heatMu.Lock()
+	for i := 0; i < 200; i++ {
+		c.heat.record(workload.ItemSkLo, hotHi)
+	}
+	c.heatMu.Unlock()
+
+	ct.SetArmed(true) // group 0's follower is unreachable from the coordinator
+	moved, err := c.Rebalance(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !moved {
+		t.Fatal("rebalance did not move boundaries despite skew")
+	}
+	if drops, _, _ := ct.Counters(); drops == 0 {
+		t.Fatal("chaos transport dropped nothing; the follower did not miss the handoff")
+	}
+	ct.SetArmed(false)
+
+	sh := c.Shards()[0]
+	var got struct {
+		Lo    int64  `json:"lo"`
+		Hi    int64  `json:"hi"`
+		Epoch uint64 `json:"epoch"`
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(follower + "/admin/range")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Lo == sh.Lo && got.Hi == sh.Hi && got.Epoch == sh.Epoch {
+			break
+		}
+	}
+	if got.Lo != sh.Lo || got.Hi != sh.Hi || got.Epoch != sh.Epoch {
+		t.Fatalf("follower owns [%d,%d]@%d, want the table's [%d,%d]@%d",
+			got.Lo, got.Hi, got.Epoch, sh.Lo, sh.Hi, sh.Epoch)
+	}
+	if rh, _ := replicaHealthOf(coordHealthz(t, c), follower); rh.Repushes < 1 {
+		t.Fatalf("healthz repushes = %d for the follower, want ≥1", rh.Repushes)
+	}
+
+	rows := [][]any{{sh.Lo, int64(1), int64(1), int64(1), 1.0, int64(1), ""}}
+	status, out, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: rows})
+	if status != http.StatusOK {
+		t.Fatalf("append to the repaired group: status %d: %s", status, eresp.Error)
+	}
+	if out.ReplicasAppended != 2 {
+		t.Fatalf("append landed on %d replicas, want 2", out.ReplicasAppended)
 	}
 }
 
@@ -460,11 +565,9 @@ func TestStaleRoutingRefreshFailureIs503(t *testing.T) {
 	}
 }
 
-// TestProberTreatsUnhealthyHealthzAsFailure: a replica that is
+// TestProberTreatsUnhealthyHealthzAsFailure: a primary that is
 // reachable but reports itself unhealthy (non-2xx /healthz, e.g.
-// draining) must not have its breaker closed or its primary preference
-// restored by the prober — that would flap against the query path
-// re-tripping it.
+// draining) must not get its group's preference back from the prober.
 func TestProberTreatsUnhealthyHealthzAsFailure(t *testing.T) {
 	leakcheck.Check(t)
 	unhealthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -479,77 +582,37 @@ func TestProberTreatsUnhealthyHealthzAsFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rs := c.replicas[unhealthy.URL]
-	for i := 0; i < 3; i++ {
-		rs.br.Failure(time.Now()) // breaker open (default threshold 3)
-	}
 	c.preferred[0].Store(1) // failover moved preference to the follower
 
 	c.probeOne(unhealthy.URL, 0, server.RolePrimary, 0, 10, 1)
 
-	if st := rs.br.State(); st == breakerClosed {
-		t.Fatal("unhealthy /healthz closed the breaker")
-	}
 	if p := c.preferred[0].Load(); p != 1 {
 		t.Fatalf("unhealthy primary restored as preferred (preferred=%d)", p)
 	}
 }
 
-// TestHealthzReportsBreakerState checks the operational surface: a dead
-// replica shows up on /healthz as unreachable with its breaker state,
-// and the coordinator degrades instead of lying.
-func TestHealthzReportsBreakerState(t *testing.T) {
+// TestHealthzReportsDeadReplica checks the operational surface: a dead
+// replica shows up on /healthz as unreachable, the coordinator degrades
+// instead of lying, and /statz counts the failover around it.
+func TestHealthzReportsDeadReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
 	c, groups := newReplicatedCluster(t, 2, 2, nil)
 	groups[0][0].Close()
-	// A couple of queries to trip detection.
-	for i := 0; i < 3; i++ {
-		c.preferred[0].Store(0)
-		coordQuery(t, c, spanningSpec())
+	if resp, _, eresp := coordQuery(t, c, spanningSpec()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query with dead primary: status %d: %s", resp.StatusCode, eresp.Error)
 	}
 
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hz healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
+	hz := coordHealthz(t, c)
 	if hz.Status != "degraded" {
 		t.Fatalf("healthz status %q with a dead replica, want degraded", hz.Status)
 	}
-	var sawDead bool
-	for _, sh := range hz.Shards {
-		for _, rh := range sh.ReplicaHealth {
-			if !rh.Reachable {
-				sawDead = true
-			}
-		}
+	if rh, ok := replicaHealthOf(hz, groups[0][0].URL); !ok || rh.Reachable {
+		t.Fatalf("healthz does not mark the dead replica unreachable: %+v", rh)
 	}
-	if !sawDead {
-		t.Fatal("healthz does not mark the dead replica unreachable")
-	}
-
-	sresp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var sz statzResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&sz); err != nil {
-		t.Fatal(err)
-	}
-	if sz.Failovers == 0 {
+	if st := coordStatz(t, c); st["failovers"].(float64) == 0 {
 		t.Fatal("statz failovers counter is zero after routing around a dead replica")
-	}
-	if sz.BreakerOpens == 0 {
-		t.Fatal("statz breaker_opens is zero after a replica died")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"deepsea/internal/server"
 )
@@ -124,112 +123,57 @@ func (c *Coordinator) exchange(ctx context.Context, addr, path string, body []by
 	return nil, nil, fmt.Errorf("%s: %w: %w", addr, errRefused, statusError(status, b))
 }
 
-// queryRange is a read part's policy: the owning group's replicas, one
-// attempt at a time, preferred replica first, then the rest of the
-// group in order on connection errors, timeouts, 5xx and undecodable
-// answers (jittered backoff between retries), circuit breakers
-// short-circuiting known-dead replicas. A 409 from a replica ahead of
-// the routing table ends the walk; one behind it (it missed a handoff)
-// is routed around. Caller holds mu.RLock.
+// queryRange is a read part's policy: the owning group's replicas in
+// preference order — the preferred replica first, then the rest in
+// declared order — each tried once. A connection error, timeout, 5xx,
+// 429 or undecodable answer moves on to the next replica; so does a 409
+// from a replica behind the routing table (it missed a handoff). A 409
+// from a replica ahead of the table, a refusal every sibling would
+// repeat, or a cancelled caller ends the walk. Caller holds mu.RLock.
 func (c *Coordinator) queryRange(ctx context.Context, p part) reply {
 	group := c.shards[p.shard]
-	// Candidate replicas in preference order: the group's current
-	// preferred replica first, then the rest in declared order. Each is
-	// tried at most once, and only when its breaker admits a request.
 	addrs := append([]string(nil), group.Replicas...)
 	if pi := int(c.preferred[p.shard].Load()); pi > 0 && pi < len(addrs) {
 		addrs[0], addrs[pi] = addrs[pi], addrs[0]
 	}
-	next := 0
-	pick := func() (addr string, br *breaker, probe, ok bool) {
-		for next < len(addrs) {
-			addr, next = addrs[next], next+1
-			br = c.replicas[addr].br
-			if allow, prb := br.Allow(time.Now()); allow {
-				return addr, br, prb, true
-			}
-		}
-		return "", nil, false, false
-	}
-
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		addr, br, probe, ok := pick()
-		switch {
-		case !ok && attempt == 0:
-			return reply{err: fmt.Errorf("no live replica for range [%d,%d]: all %d breakers open",
-				p.lo, p.hi, len(addrs))}
-		case !ok:
-			if cf, stale := lastErr.(*conflict409); stale {
-				return reply{conflict: cf, failovers: attempt - 1}
-			}
-			return reply{failovers: attempt - 1,
-				err: fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w", p.lo, p.hi, attempt, lastErr)}
-		}
+	for attempt, addr := range addrs {
 		if attempt > 0 {
-			// Jittered backoff before the retry so a burst of failing
-			// queries does not re-stampede the next replica in lockstep.
-			select {
-			case <-time.After(failoverBackoff(c.rng, failoverBackoffBase, failoverBackoffCap, attempt-1)):
-			case <-ctx.Done():
-				if probe {
-					br.Abandon()
-				}
-				return reply{failovers: attempt - 1, err: ctx.Err()}
-			}
 			c.failovers.Add(1)
 		}
 		b, conflict, err := c.exchange(ctx, addr, "/query", p.body)
-		var wire wireResponse
 		if err == nil && conflict == nil {
+			var wire wireResponse
 			dec := json.NewDecoder(bytes.NewReader(b))
 			dec.UseNumber()
-			if derr := dec.Decode(&wire); derr != nil {
-				err = fmt.Errorf("%s: decoding response: %w", addr, derr)
+			if err = dec.Decode(&wire); err == nil {
+				c.notePreferred(p.shard, group.Replicas, addr)
+				return reply{wire: &wire, failovers: attempt}
 			}
+			err = fmt.Errorf("%s: decoding response: %w", addr, err)
 		}
 		switch {
+		case conflict != nil && conflict.Epoch > group.Epoch:
+			return reply{conflict: conflict, failovers: attempt}
 		case conflict != nil:
-			// Ownership disagreement, not ill health: no breaker penalty —
-			// but a half-open probe must still resolve, and a 409 proves
-			// the replica alive and serving, so a probe closes the breaker.
-			if probe {
-				br.Success()
-			}
-			if conflict.Epoch > group.Epoch {
-				return reply{conflict: conflict, failovers: attempt}
-			}
 			lastErr = conflict
-		case err == nil:
-			br.Success()
-			c.notePreferred(p.shard, group.Replicas, addr)
-			return reply{wire: &wire, failovers: attempt}
-		case errors.Is(err, errRefused):
-			// The replica answered, so a half-open probe resolves as
-			// success; every sibling would refuse alike, so fail now.
-			if probe {
-				br.Success()
-			}
-			return reply{failovers: attempt, err: err}
-		case errors.Is(err, context.Canceled):
-			// The caller went away mid-attempt: no evidence about the
-			// replica, so only release a half-open probe for re-probing.
-			if probe {
-				br.Abandon()
-			}
+		case errors.Is(err, errRefused), errors.Is(err, context.Canceled):
 			return reply{failovers: attempt, err: err}
 		default:
-			// The replica is unhealthy: feed its breaker and fail over.
-			br.Failure(time.Now())
 			lastErr = err
 		}
 	}
+	failovers := len(addrs) - 1
+	if cf, stale := lastErr.(*conflict409); stale {
+		return reply{conflict: cf, failovers: failovers}
+	}
+	return reply{failovers: failovers,
+		err: fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w", p.lo, p.hi, len(addrs), lastErr)}
 }
 
 // notePreferred records the replica that answered, so subsequent
 // queries for the group go straight to a known-healthy replica instead
-// of re-discovering the dead primary through its (cheap but nonzero)
-// breaker check.
+// of re-discovering a dead primary with a failed attempt each.
 func (c *Coordinator) notePreferred(gi int, replicas []string, addr string) {
 	for i, a := range replicas {
 		if a == addr {

@@ -42,10 +42,12 @@
 #       for the dead range with a 503 naming it; a replicated cluster
 #       (two groups x two replicas as subprocesses) absorbs a kill -9 of
 #       a primary mid-burst with zero client-visible failures and
-#       byte-identical results; and the failover/breaker/prober suite
-#       (with its goroutine-leak checks) re-runs fresh, among it the
+#       byte-identical results; and the failover/prober suite (with its
+#       goroutine-leak checks) re-runs fresh, among it the
 #       one-attempt-per-subquery check (a slow primary is waited out,
-#       never raced against its follower) and the read-side tests that
+#       never raced against its follower), transient 503s that fail
+#       only the queries they hit, the prober's re-push to a replica
+#       that missed a handoff, and the read-side tests that
 #       pin the one outcome rule every coordinator request settles by (a
 #       dead group is a 503 naming its range; a stale epoch whose
 #       routing refresh fails is a 503 naming the conflict)
@@ -152,7 +154,7 @@ $GO test $CORE_TIMEOUT -run '^$' -bench BenchmarkPlanSection -benchtime 1x ./int
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
 $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' ./internal/shard
-$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestBreaker|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409|TestAllReplicasDeadFailsNamingRange|TestStaleRoutingRefreshFailureIs503' ./internal/shard
+$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestTransientErrorsDoNotCloseTheGroup|TestProberRepushesMissedHandoff|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409|TestAllReplicasDeadFailsNamingRange|TestStaleRoutingRefreshFailureIs503' ./internal/shard
 
 echo "==> ingest smoke (race)"
 $GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
