@@ -14,27 +14,26 @@
 //	deepsea-shard -shard-addrs 'http://h1:8081|http://h1b:9081,http://h2:8082|http://h2b:9082' -addr :8080
 //
 // The coordinator splits the item_sk domain [-lo, -hi] evenly at boot,
-// pushes each replica group its range (a fenced /admin/range handoff —
-// the first replica of a group is its primary), routes single-range
-// queries to the owning group, scatters spanning queries in
-// partial-aggregate mode and merges the results deterministically.
-// Replicated groups route around failure: each range subquery is one
-// attempt at a time, failing over to the next replica, and the replica
-// that answers becomes the group's preferred one; a background health
-// prober (-probe-every) re-pushes ownership to replicas that missed a
-// handoff and hands preference back to a healthy primary. With
-// -rebalance-every it periodically moves hot range boundaries to
-// equalize observed heat.
+// one range per replica group, and never moves a range afterwards. It
+// pushes each replica its group's range (POST /admin/range — the first
+// replica of a group is its primary; a replica owns one range for its
+// life), routes single-range queries to the owning group, scatters
+// spanning queries in partial-aggregate mode and merges the results
+// deterministically. Replicated groups route around failure: each range
+// subquery is one attempt at a time, failing over to the next replica,
+// and the replica that answers becomes the group's preferred one; a
+// background health prober (-probe-every) pushes the range to a replica
+// that owns none yet (unreachable at boot, or restarted) and hands
+// preference back to a healthy primary.
 //
 // Endpoints:
 //
-//	POST /query           — run one query (same body as deepsea-serve)
-//	POST /append          — append rows to a base table: keyed tables
-//	                        split per owning range group (every replica
-//	                        must accept), keyless tables broadcast
-//	GET  /healthz         — routing table + per-replica reachability and probe state
-//	GET  /statz           — scatter/failover counters + per-shard heat share
-//	POST /admin/rebalance — recompute and apply equi-heat boundaries
+//	POST /query   — run one query (same body as deepsea-serve)
+//	POST /append  — append rows to a base table: keyed tables split per
+//	                owning range group (every replica must accept),
+//	                keyless tables broadcast
+//	GET  /healthz — routing table + per-replica reachability and probe state
+//	GET  /statz   — scatter/failover counters + the routing table
 package main
 
 import (
@@ -62,7 +61,6 @@ func main() {
 	hi := flag.Int64("hi", workload.ItemSkHi, "partition-key domain high bound")
 	gb := flag.Int64("gb", 1, "modelled instance size per in-process shard")
 	seed := flag.Int64("seed", 1, "dataset seed for in-process shards")
-	rebalanceEvery := flag.Duration("rebalance-every", 0, "periodic equi-heat rebalance interval (0 = manual via /admin/rebalance)")
 	reqTimeout := flag.Duration("shard-timeout", 15*time.Second, "per-shard request timeout")
 	probeEvery := flag.Duration("probe-every", 2*time.Second, "background replica health-probe interval (0 = off)")
 	flag.Parse()
@@ -158,32 +156,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "initial range assignment failed: %v\n", initErr)
 		os.Exit(1)
 	}
-	for _, sh := range coord.Shards() {
-		fmt.Printf("group %s owns [%d,%d] (epoch %d, replicas %s)\n",
-			sh.Addr, sh.Lo, sh.Hi, sh.Epoch, strings.Join(sh.Replicas, " "))
-	}
-
-	stopRebalance := make(chan struct{})
-	if *rebalanceEvery > 0 {
-		go func() {
-			t := time.NewTicker(*rebalanceEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if moved, err := coord.Rebalance(ctx); err != nil {
-						fmt.Fprintf(os.Stderr, "rebalance: %v\n", err)
-					} else if moved {
-						for _, sh := range coord.Shards() {
-							fmt.Printf("rebalanced: %s owns [%d,%d] (epoch %d)\n",
-								sh.Addr, sh.Lo, sh.Hi, sh.Epoch)
-						}
-					}
-				case <-stopRebalance:
-					return
-				}
-			}
-		}()
+	for gi, sh := range coord.Shards() {
+		fmt.Printf("group %d owns [%d,%d] (replicas %s)\n",
+			gi, sh.Lo, sh.Hi, strings.Join(sh.Replicas, " "))
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: coord.Handler()}
@@ -198,7 +173,6 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	close(stopRebalance)
 	coord.Close()
 	dctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

@@ -578,14 +578,16 @@ func (s *System) Now() float64 { return s.ds.Now() }
 type OwnedRange = core.OwnedRange
 
 // SetOwnedRange declares this System one shard of a scatter-gather
-// cluster, owning the contiguous partition-key range [lo, hi] as of the
-// given handoff epoch. Standalone systems never call this. The range is
+// cluster, owning the contiguous partition-key range [lo, hi].
+// Standalone systems never call this. Ownership is set once: a System
+// that already owns a range keeps it. SetOwnedRange returns the range
+// owned after the call, and whether it is [lo, hi]. The range is
 // advisory to the engine (the shard still holds the full base tables —
 // ownership controls which rows a coordinator routes here, and the view
 // pool specializes to the ranges actually queried); the serving layer
-// enforces it by rejecting out-of-range or stale-epoch requests.
-func (s *System) SetOwnedRange(lo, hi int64, epoch uint64) {
-	s.ds.SetOwnedRange(lo, hi, epoch)
+// enforces it by rejecting out-of-range requests.
+func (s *System) SetOwnedRange(lo, hi int64) (OwnedRange, bool) {
+	return s.ds.SetOwnedRange(lo, hi)
 }
 
 // OwnedRange returns the declared shard range; ok is false for a

@@ -128,9 +128,8 @@ type DeepSea struct {
 
 	// ownedRange is the partition-key range this instance owns when it
 	// serves as one shard of a scatter-gather cluster (nil when
-	// standalone). Published atomically so Health and the serving layer
-	// read it without a lock; the epoch fences stale coordinator routing
-	// across handoffs.
+	// standalone). Set at most once; published atomically so Health and
+	// the serving layer read it without a lock.
 	ownedRange atomic.Pointer[OwnedRange]
 
 	// ingest is the append-path registry: which views depend on which
@@ -147,10 +146,9 @@ type DeepSea struct {
 }
 
 // OwnedRange is the contiguous partition-key range a sharded instance
-// is responsible for, plus the handoff epoch it was assigned under.
+// is responsible for.
 type OwnedRange struct {
 	Lo, Hi int64
-	Epoch  uint64
 }
 
 // New assembles a DeepSea instance (or a baseline, depending on cfg).

@@ -122,12 +122,10 @@ type Health struct {
 
 	// Range ownership, for instances serving as one shard of a
 	// scatter-gather cluster. RangeOwned false means standalone (the
-	// other three fields are zero). The epoch is the fencing token of
-	// the latest ownership handoff applied to this instance.
+	// other two fields are zero).
 	RangeOwned bool
 	OwnedLo    int64
 	OwnedHi    int64
-	RangeEpoch uint64
 
 	// Recovery outcome of this instance's construction (see
 	// core.RecoveryInfo). RecoveryError non-empty means the stored state
@@ -250,7 +248,6 @@ func (d *DeepSea) Health() Health {
 		h.RangeOwned = true
 		h.OwnedLo = or.Lo
 		h.OwnedHi = or.Hi
-		h.RangeEpoch = or.Epoch
 	}
 
 	h.Recovered = d.recovered.Ran
@@ -264,13 +261,16 @@ func (d *DeepSea) Health() Health {
 // InFlight returns the number of queries currently executing.
 func (d *DeepSea) InFlight() int64 { return d.inflight.Load() }
 
-// SetOwnedRange publishes the partition-key range this instance owns as
-// a shard, with its handoff epoch. The serving layer rejects queries
-// outside the owned range (or carrying a stale epoch) so a coordinator
-// with an outdated routing table fails fast instead of reading rows the
-// shard no longer answers for.
-func (d *DeepSea) SetOwnedRange(lo, hi int64, epoch uint64) {
-	d.ownedRange.Store(&OwnedRange{Lo: lo, Hi: hi, Epoch: epoch})
+// SetOwnedRange publishes [lo, hi] as the partition-key range this
+// instance owns as a shard, unless it already owns a range: ownership
+// is set once. It returns the range owned after the call, and whether
+// that range is [lo, hi]. The serving layer rejects requests outside the
+// owned range.
+func (d *DeepSea) SetOwnedRange(lo, hi int64) (OwnedRange, bool) {
+	want := OwnedRange{Lo: lo, Hi: hi}
+	d.ownedRange.CompareAndSwap(nil, &want)
+	got := *d.ownedRange.Load()
+	return got, got == want
 }
 
 // OwnedRange returns the published shard range, or ok=false when the

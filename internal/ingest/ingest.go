@@ -21,23 +21,18 @@ import (
 //
 //	{"table": "store_sales", "rows": [[17, 3, 12.5, "pad"], ...]}
 //
-// Row values align with the table's columns in order. Epoch, when
-// nonzero, is the coordinator's routing-epoch fencing token, checked
-// like a query's: a shard whose ownership epoch differs rejects with
-// 409 so stale routing fails fast instead of appending rows to a shard
-// that no longer owns their range.
+// Row values align with the table's columns in order.
 //
 // Token, when nonempty, is the batch's idempotency key: a serving tier
 // remembers recently applied tokens and answers a repeated token with
 // the remembered result instead of appending the rows again, so a
-// retry after a partial failure (a coordinator's 409-refresh retry, a
-// client retrying a 502 whose batch landed on some replicas) cannot
-// duplicate rows. The window is bounded and in-memory — idempotence
-// holds within a serving process's lifetime, not across its restarts.
+// retry after a partial failure (a client retrying a 502 whose batch
+// landed on some replicas) cannot duplicate rows. The window is bounded
+// and in-memory — idempotence holds within a serving process's
+// lifetime, not across its restarts.
 type Spec struct {
 	Table string  `json:"table"`
 	Rows  [][]any `json:"rows"`
-	Epoch uint64  `json:"epoch,omitempty"`
 	Token string  `json:"token,omitempty"`
 }
 

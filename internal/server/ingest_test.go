@@ -309,27 +309,26 @@ func TestAppendBadRequests(t *testing.T) {
 	}
 }
 
-// TestAppendOwnership: a sharded server 409s appends carrying a stale
-// epoch or routing keys outside its owned range, names its true
-// ownership in the response, and accepts replicated-dimension appends
-// (no routing key) regardless of range.
+// TestAppendOwnership: a sharded server 409s appends carrying routing
+// keys outside its owned range, names the range in the response, and
+// accepts replicated-dimension appends (no routing key) regardless of
+// range.
 func TestAppendOwnership(t *testing.T) {
 	leakcheck.Check(t)
 	data := workload.Generate(1, 1, nil)
 	sys := newTestSystem(t)
-	sys.SetOwnedRange(0, 200000, 3)
+	if _, ok := sys.SetOwnedRange(0, 200000); !ok {
+		t.Fatal("fresh system refused its first range")
+	}
 	_, ts := newTestServer(t, sys, Config{})
 
 	inRange := [][]any{{int64(150), int64(0), int64(0), int64(1), 9.5, int64(0), ""}}
 	outRange := [][]any{{int64(350000), int64(0), int64(0), int64(1), 9.5, int64(0), ""}}
 
-	if code, _, msg := postAppend(t, ts.URL, ingest.Spec{Table: "store_sales", Rows: inRange, Epoch: 3}); code != http.StatusOK {
+	if code, _, msg := postAppend(t, ts.URL, ingest.Spec{Table: "store_sales", Rows: inRange}); code != http.StatusOK {
 		t.Fatalf("in-range append status %d: %s", code, msg)
 	}
-	if code, _, _ := postAppend(t, ts.URL, ingest.Spec{Table: "store_sales", Rows: inRange, Epoch: 2}); code != http.StatusConflict {
-		t.Errorf("stale-epoch append status %d, want 409", code)
-	}
-	body, _ := json.Marshal(ingest.Spec{Table: "store_sales", Rows: outRange, Epoch: 3})
+	body, _ := json.Marshal(ingest.Spec{Table: "store_sales", Rows: outRange})
 	resp, err := http.Post(ts.URL+"/append", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -342,13 +341,13 @@ func TestAppendOwnership(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("out-of-range append status %d, want 409", resp.StatusCode)
 	}
-	if re.OwnedLo != 0 || re.OwnedHi != 200000 || re.RangeEpoch != 3 {
-		t.Errorf("409 body does not name true ownership: %+v", re)
+	if re.OwnedLo != 0 || re.OwnedHi != 200000 {
+		t.Errorf("409 body does not name the owned range: %+v", re)
 	}
 	// customer has no routing key: any shard accepts it.
 	nCust := int64(len(data.Tables["customer"].Rows))
 	custRow := [][]any{{nCust, int64(40), 50000.0, ""}}
-	if code, _, msg := postAppend(t, ts.URL, ingest.Spec{Table: "customer", Rows: custRow, Epoch: 3}); code != http.StatusOK {
+	if code, _, msg := postAppend(t, ts.URL, ingest.Spec{Table: "customer", Rows: custRow}); code != http.StatusOK {
 		t.Errorf("dimension append status %d: %s", code, msg)
 	}
 }

@@ -118,15 +118,7 @@ type Server struct {
 	draining atomic.Bool
 	reqWG    sync.WaitGroup
 
-	// fencing marks a range handoff in progress: new queries are refused
-	// with 503 until the new ownership is applied. activeQueries counts
-	// requests past the fence check, so the handoff can drain them;
-	// handoffMu serializes /admin/range calls.
-	fencing       atomic.Bool
-	activeQueries atomic.Int64
-	handoffMu     sync.Mutex
-
-	// role is the replica role the last range handoff assigned
+	// role is the replica role the last range assignment carried
 	// ("primary" or "follower"; empty when standalone). Informational:
 	// any replica answers queries for its range — the role only tells
 	// operators which replica the coordinator prefers.
@@ -336,10 +328,10 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 }
 
 // guarded is the guard chain POST /query and POST /append share. In
-// order: the method check; the drain handshake; the fence handshake;
-// prepare, which decodes and validates the body, writes its own 4xx and
-// returns false to stop, or returns the request's time budget; the
-// deadline context; admission. run executes holding one admission slot.
+// order: the method check; the drain handshake; prepare, which decodes
+// and validates the body, writes its own 4xx and returns false to stop,
+// or returns the request's time budget; the deadline context;
+// admission. run executes holding one admission slot.
 func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 	prepare func() (timeout time.Duration, ok bool), run func(ctx context.Context)) {
 	if r.Method != http.MethodPost {
@@ -356,18 +348,6 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 	// observes either the flag refusing us or the Add it must wait for.
 	if s.draining.Load() {
 		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
-		return
-	}
-
-	// Count the request before checking the fence (mirroring the drain
-	// handshake above): a handoff that set the fence flag either refuses
-	// us here or sees our count and waits for it. Appends count like
-	// queries: a range handoff drains in-flight ingest before the epoch
-	// advances.
-	s.activeQueries.Add(1)
-	defer s.activeQueries.Add(-1)
-	if s.fencing.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: "range handoff in progress"})
 		return
 	}
 
@@ -420,7 +400,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return 0, false
 		}
 		lo, hi, keyed := spec.ItemRange()
-		if resp, ok := s.checkOwnership(spec.Epoch, lo, hi, keyed); !ok {
+		if resp, ok := s.checkOwnership(lo, hi, keyed); !ok {
 			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
@@ -494,7 +474,7 @@ type AppendResponse struct {
 }
 
 // handleAppend is POST /append: the online ingest path. It runs behind
-// the same drain/fence/admission guards as /query, converts the batch
+// the same drain/admission guards as /query, converts the batch
 // against the table schema before admission (so bad rows 400 without
 // taking a slot), and lands the converted rows on its own goroutine
 // inside its admission slot — journaled, dependent views refreshed
@@ -510,7 +490,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return 0, false
 		}
 		lo, hi, keyed := sp.ItemRange(s.sys.RoutingKeyIndex(sp.Table))
-		if resp, ok := s.checkOwnership(sp.Epoch, lo, hi, keyed); !ok {
+		if resp, ok := s.checkOwnership(lo, hi, keyed); !ok {
 			WriteJSON(w, http.StatusConflict, resp)
 			return 0, false
 		}
@@ -605,15 +585,12 @@ type healthzResponse struct {
 	MaintQueueDepth int  `json:"maint_queue_depth,omitempty"`
 	MaintSaturated  bool `json:"maint_saturated,omitempty"`
 	// Range ownership, present when the server runs as one shard of a
-	// scatter-gather cluster: the owned partition-key range and its
-	// handoff epoch (a coordinator polls these to rebuild its routing
-	// table after restart or failover).
-	RangeOwned bool   `json:"range_owned,omitempty"`
-	OwnedLo    int64  `json:"owned_lo,omitempty"`
-	OwnedHi    int64  `json:"owned_hi,omitempty"`
-	RangeEpoch uint64 `json:"range_epoch,omitempty"`
-	// RangeRole is the replica role the last handoff assigned ("primary"
-	// or "follower"; absent when standalone).
+	// scatter-gather cluster: the owned partition-key range.
+	RangeOwned bool  `json:"range_owned,omitempty"`
+	OwnedLo    int64 `json:"owned_lo,omitempty"`
+	OwnedHi    int64 `json:"owned_hi,omitempty"`
+	// RangeRole is the replica role the last range assignment carried
+	// ("primary" or "follower"; absent when standalone).
 	RangeRole string `json:"range_role,omitempty"`
 	// Ingest summary: appended batches and rows landed, incremental view
 	// refreshes applied, and views currently stale awaiting a background
@@ -652,7 +629,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		RangeOwned:          h.RangeOwned,
 		OwnedLo:             h.OwnedLo,
 		OwnedHi:             h.OwnedHi,
-		RangeEpoch:          h.RangeEpoch,
 		RangeRole:           s.Role(),
 		IngestAppends:       h.IngestAppends,
 		IngestRows:          h.IngestAppendedRows,
@@ -739,16 +715,16 @@ func (s *Server) handlePoolz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Replica roles a range handoff can assign. Base tables are static and
-// fully replicated, so the roles do not gate reads — the primary is
+// Replica roles a range assignment can carry. Base tables are static
+// and fully replicated, so the roles do not gate reads — the primary is
 // simply the coordinator's first-choice replica for the range.
 const (
 	RolePrimary  = "primary"
 	RoleFollower = "follower"
 )
 
-// Role returns the replica role the last handoff assigned ("" when the
-// server is standalone or no handoff carried a role).
+// Role returns the replica role the last range assignment carried (""
+// when the server is standalone or no assignment carried a role).
 func (s *Server) Role() string {
 	if v, ok := s.role.Load().(string); ok {
 		return v
@@ -756,65 +732,53 @@ func (s *Server) Role() string {
 	return ""
 }
 
-// RangeErrResponse is the 409 body for ownership and epoch violations.
-// It names the shard's actual ownership so the coordinator can repair
-// its routing table from the response alone.
+// RangeErrResponse is the 409 body for ownership violations. It names
+// the range the shard owns.
 type RangeErrResponse struct {
-	Error      string `json:"error"`
-	OwnedLo    int64  `json:"owned_lo"`
-	OwnedHi    int64  `json:"owned_hi"`
-	RangeEpoch uint64 `json:"range_epoch"`
+	Error   string `json:"error"`
+	OwnedLo int64  `json:"owned_lo"`
+	OwnedHi int64  `json:"owned_hi"`
 }
 
-// checkOwnership enforces the shard's published range against a query
-// or an append: its routing epoch (0 = unstamped), and its partition-key
-// range [lo, hi] when keyed (a replicated-dimension append is not).
-// Standalone servers (no owned range) accept everything; a sharded
-// server rejects a stale epoch and keys outside the owned range — both
-// 409s carrying the true ownership, since they mean the caller's
-// routing table is wrong, not that the request is malformed.
-func (s *Server) checkOwnership(epoch uint64, lo, hi int64, keyed bool) (RangeErrResponse, bool) {
+// rangeConflict is a 409 body: what the request asked for, and the
+// range the shard owns instead.
+func rangeConflict(what string, or deepsea.OwnedRange) RangeErrResponse {
+	return RangeErrResponse{Error: fmt.Sprintf("%s: shard owns [%d,%d]", what, or.Lo, or.Hi),
+		OwnedLo: or.Lo, OwnedHi: or.Hi}
+}
+
+// checkOwnership enforces the shard's owned range against a query or an
+// append whose partition keys span [lo, hi] when keyed (a
+// replicated-dimension append is not). Standalone servers (no owned
+// range) accept everything; a sharded server rejects keys outside its
+// range with a 409 naming the range, since the caller routed the
+// request to the wrong shard rather than sending a malformed one.
+func (s *Server) checkOwnership(lo, hi int64, keyed bool) (RangeErrResponse, bool) {
 	or, owned := s.sys.OwnedRange()
-	var what string
-	switch {
-	case owned && epoch != 0 && epoch != or.Epoch:
-		what = fmt.Sprintf("stale routing epoch %d", epoch)
-	case owned && keyed && (lo < or.Lo || hi > or.Hi):
-		what = fmt.Sprintf("keys [%d,%d] not owned", lo, hi)
-	default:
-		return RangeErrResponse{}, true
+	if owned && keyed && (lo < or.Lo || hi > or.Hi) {
+		return rangeConflict(fmt.Sprintf("keys [%d,%d] not owned", lo, hi), or), false
 	}
-	return RangeErrResponse{Error: fmt.Sprintf("%s: shard owns [%d,%d] at epoch %d", what, or.Lo, or.Hi, or.Epoch),
-		OwnedLo: or.Lo, OwnedHi: or.Hi, RangeEpoch: or.Epoch}, false
+	return RangeErrResponse{}, true
 }
 
-// rangeRequest is the JSON body of POST /admin/range: the new ownership
-// to apply. The handler runs the full fenced-handoff sequence — refuse
-// new queries, drain in-flight ones, checkpoint to the datastore (best
-// effort), apply the new range and epoch, re-admit — and only then
-// returns, so when the coordinator sees 200 the shard is serving the
-// new range. DrainTimeoutMS bounds the drain wait (default 10s).
+// rangeRequest is the JSON body of POST /admin/range: the range to own.
+// Ownership is set once and lives in memory only: the first push sets
+// it, a push of the same range is a 200 that may update the role, and a
+// push of any other range is a 409 naming the owned range.
 type rangeRequest struct {
-	Lo    int64  `json:"lo"`
-	Hi    int64  `json:"hi"`
-	Epoch uint64 `json:"epoch"`
-	// Role is the replica role this handoff assigns ("primary" or
+	Lo int64 `json:"lo"`
+	Hi int64 `json:"hi"`
+	// Role is the replica role this assignment carries ("primary" or
 	// "follower"; empty keeps the current role). Informational — see
 	// RolePrimary.
-	Role           string `json:"role,omitempty"`
-	DrainTimeoutMS int64  `json:"drain_timeout_ms,omitempty"`
+	Role string `json:"role,omitempty"`
 }
 
-// rangeResponse reports the applied ownership. SnapshotError is the
-// best-effort checkpoint's failure, informational only: the handoff
-// still completed (durability falls back to the journal tail).
+// rangeResponse reports the owned range and role.
 type rangeResponse struct {
-	Lo            int64  `json:"lo"`
-	Hi            int64  `json:"hi"`
-	Epoch         uint64 `json:"epoch"`
-	Role          string `json:"role,omitempty"`
-	Drained       int64  `json:"drained"`
-	SnapshotError string `json:"snapshot_error,omitempty"`
+	Lo   int64  `json:"lo"`
+	Hi   int64  `json:"hi"`
+	Role string `json:"role,omitempty"`
 }
 
 func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
@@ -825,7 +789,7 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusOK, rangeResponse{Lo: 0, Hi: -1})
 			return
 		}
-		WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Epoch: or.Epoch, Role: s.Role()})
+		WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Role: s.Role()})
 		return
 	case http.MethodPost:
 	default:
@@ -841,50 +805,13 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, errResponse{Error: "empty range"})
 		return
 	}
-	s.handoffMu.Lock()
-	defer s.handoffMu.Unlock()
-	// Epochs must advance: an older epoch is a handoff the cluster has
-	// already moved past (e.g. a delayed retry), and applying it would
-	// fork ownership.
-	if or, owned := s.sys.OwnedRange(); owned && req.Epoch <= or.Epoch {
-		WriteJSON(w, http.StatusConflict, RangeErrResponse{
-			Error: fmt.Sprintf("stale handoff epoch %d: shard already at epoch %d",
-				req.Epoch, or.Epoch),
-			OwnedLo: or.Lo, OwnedHi: or.Hi, RangeEpoch: or.Epoch,
-		})
+	or, ok := s.sys.SetOwnedRange(req.Lo, req.Hi)
+	if !ok {
+		WriteJSON(w, http.StatusConflict, rangeConflict(fmt.Sprintf("range [%d,%d] refused", req.Lo, req.Hi), or))
 		return
 	}
-
-	// Fence, then drain: requests count themselves before checking the
-	// fence, so once the count reaches zero no uncounted query is
-	// executing.
-	s.fencing.Store(true)
-	defer s.fencing.Store(false)
-	drainTimeout := 10 * time.Second
-	if req.DrainTimeoutMS > 0 {
-		drainTimeout = time.Duration(req.DrainTimeoutMS) * time.Millisecond
-	}
-	deadline := time.Now().Add(drainTimeout)
-	inFlight := s.activeQueries.Load()
-	drained := inFlight
-	for inFlight > 0 {
-		if time.Now().After(deadline) {
-			WriteJSON(w, http.StatusServiceUnavailable, errResponse{
-				Error: fmt.Sprintf("drain timed out with %d queries in flight", inFlight)})
-			return
-		}
-		time.Sleep(time.Millisecond)
-		inFlight = s.activeQueries.Load()
-	}
-
-	resp := rangeResponse{Lo: req.Lo, Hi: req.Hi, Epoch: req.Epoch, Drained: drained}
-	if err := s.sys.Snapshot(); err != nil {
-		resp.SnapshotError = err.Error()
-	}
-	s.sys.SetOwnedRange(req.Lo, req.Hi, req.Epoch)
 	if req.Role != "" {
 		s.role.Store(req.Role)
 	}
-	resp.Role = s.Role()
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Role: s.Role()})
 }

@@ -503,3 +503,63 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatalf("follow-up status %d, want 200", status)
 	}
 }
+
+// postRange POSTs body to /admin/range and returns the status and the
+// decoded answer (a rangeResponse or a RangeErrResponse, by status).
+func postRange(t *testing.T, url, body string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(url+"/admin/range", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, m
+}
+
+// TestOwnedRangeIsAssignedOnce pins set-once ownership: the first push
+// sets the range; a push of the same range is a 200 that may change the
+// role; a push of any other range — whatever else its body carries — is
+// a 409 naming the owned range, which stays.
+func TestOwnedRangeIsAssignedOnce(t *testing.T) {
+	leakcheck.Check(t)
+	_, ts := newTestServer(t, newTestSystem(t), Config{})
+
+	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":199999,"role":"primary"}`); code != http.StatusOK {
+		t.Fatalf("first push: status %d: %v", code, m)
+	}
+	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":199999,"role":"follower"}`); code != http.StatusOK {
+		t.Fatalf("same range again: status %d: %v", code, m)
+	}
+	resp, err := http.Get(ts.URL + "/admin/range")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Lo   int64  `json:"lo"`
+		Hi   int64  `json:"hi"`
+		Role string `json:"role"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Lo != 0 || got.Hi != 199999 || got.Role != RoleFollower {
+		t.Fatalf("GET /admin/range = %+v, want [0,199999] as follower", got)
+	}
+
+	code, m := postRange(t, ts.URL, `{"lo":0,"hi":99999,"epoch":99}`)
+	if code != http.StatusConflict {
+		t.Fatalf("different range: status %d, want 409: %v", code, m)
+	}
+	if m["owned_lo"] != 0.0 || m["owned_hi"] != 199999.0 {
+		t.Fatalf("409 does not name the owned range [0,199999]: %v", m)
+	}
+	if code, _, _ := postQuery(t, ts.URL, QuerySpec{Template: "Q1", Lo: 150000, Hi: 150100}); code != http.StatusOK {
+		t.Fatalf("query inside the owned range after the refused push: status %d", code)
+	}
+}

@@ -49,11 +49,6 @@ type QuerySpec struct {
 	// (mergeable-state) mode — set by a scatter-gather coordinator, which
 	// merges the per-shard states itself. Requires an aggregation.
 	Partial bool `json:"partial,omitempty"`
-	// Epoch, when nonzero, is the coordinator's routing-epoch fencing
-	// token: a shard whose ownership epoch differs rejects the request
-	// with 409, so a coordinator holding a stale routing table fails fast
-	// instead of silently reading rows the shard no longer answers for.
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // ItemRange returns the partition-key (item_sk) range the spec

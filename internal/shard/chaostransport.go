@@ -50,7 +50,7 @@ type ChaosTransport struct {
 	Hosts map[string]bool
 
 	// disarmed suspends all injection (SetArmed(false)); the zero value
-	// is armed. Tests disarm during cluster setup so handoff pushes stay
+	// is armed. Tests disarm during cluster setup so range pushes stay
 	// clean, then arm for the measured phase.
 	disarmed atomic.Bool
 

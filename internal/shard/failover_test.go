@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -66,8 +65,8 @@ func spanningSpec() string {
 	return fmt.Sprintf(`{"template":"Q1","lo":%d,"hi":%d}`, workload.ItemSkLo, workload.ItemSkHi)
 }
 
-// TestReplicatedInitPushesRoles verifies a handoff reaches every
-// replica of a group, assigning primary/follower roles.
+// TestReplicatedInitPushesRoles verifies Init assigns every replica of
+// a group the group's range, with primary/follower roles.
 func TestReplicatedInitPushesRoles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
@@ -84,18 +83,17 @@ func TestReplicatedInitPushesRoles(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rr struct {
-				Lo    int64  `json:"lo"`
-				Hi    int64  `json:"hi"`
-				Epoch uint64 `json:"epoch"`
-				Role  string `json:"role"`
+				Lo   int64  `json:"lo"`
+				Hi   int64  `json:"hi"`
+				Role string `json:"role"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if rr.Lo != sh.Lo || rr.Hi != sh.Hi || rr.Epoch != sh.Epoch {
-				t.Fatalf("group %d replica %d owns [%d,%d]@%d, want [%d,%d]@%d",
-					gi, ri, rr.Lo, rr.Hi, rr.Epoch, sh.Lo, sh.Hi, sh.Epoch)
+			if rr.Lo != sh.Lo || rr.Hi != sh.Hi {
+				t.Fatalf("group %d replica %d owns [%d,%d], want [%d,%d]",
+					gi, ri, rr.Lo, rr.Hi, sh.Lo, sh.Hi)
 			}
 			want := server.RoleFollower
 			if ri == 0 {
@@ -229,7 +227,7 @@ func TestTransientErrorsDoNotCloseTheGroup(t *testing.T) {
 	var ct *ChaosTransport
 	c, _ := newReplicatedCluster(t, 1, 2, func(cfg *Config) {
 		ct = &ChaosTransport{Seed: 5, Err5xxProb: 1}
-		ct.SetArmed(false) // keep Init's handoff pushes clean
+		ct.SetArmed(false) // keep Init's range pushes clean
 		cfg.Transport = ct
 	})
 
@@ -307,7 +305,7 @@ func TestStragglerIsWaitedOutNotRaced(t *testing.T) {
 			Latency:     time.Second,
 			Hosts:       map[string]bool{u.Host: true},
 		}
-		ct.SetArmed(false) // keep Init's handoff pushes clean
+		ct.SetArmed(false) // keep Init's range pushes clean
 		cfg.RequestTimeout = 2 * time.Second
 		cfg.Transport = ct
 	})
@@ -358,25 +356,25 @@ func TestProberRevivesReplica(t *testing.T) {
 		t.Fatalf("prober did not restore the healthy primary as preferred (preferred=%d)", p)
 	}
 	// And the probe observation reaches /healthz: the follower reports
-	// the group's current epoch once its ownership fetch has run.
-	want := c.Shards()[0].Epoch
-	var epoch uint64
+	// owning its group's range once its ownership fetch has run.
+	var owns bool
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		rh, _ := replicaHealthOf(coordHealthz(t, c), follower)
-		if epoch = rh.ProbeEpoch; epoch == want {
+		if owns = rh.OwnsRange; owns {
 			break
 		}
 	}
-	if epoch != want {
-		t.Fatalf("healthz probe_epoch = %d for the follower, want %d", epoch, want)
+	if !owns {
+		t.Fatal("healthz owns_range is false for the follower")
 	}
 }
 
-// TestProberRepushesMissedHandoff: a follower that misses a rebalance
-// handoff is brought up to the new ownership by the prober once it is
-// reachable again, and appends to its group — which must land on every
+// TestProberAssignsRangeToLateReplica: a follower unreachable during
+// Init misses its range push; Init still succeeds because the group's
+// primary accepts. Once the follower is reachable the prober assigns it
+// the range, and appends to its group — which must land on every
 // replica — succeed again.
-func TestProberRepushesMissedHandoff(t *testing.T) {
+func TestProberAssignsRangeToLateReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
 	}
@@ -387,40 +385,23 @@ func TestProberRepushesMissedHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Armed from the start: group 0's follower is unreachable from the
+		// coordinator during Init.
 		ct = &ChaosTransport{Seed: 7, DropProb: 1, Hosts: map[string]bool{u.Host: true}}
-		ct.SetArmed(false) // keep Init's handoff pushes clean
 		cfg.Transport = ct
 		cfg.ProbeInterval = 25 * time.Millisecond
 		cfg.KeyIndex = testKeyIndex
 	})
 	follower := groups[0][1].URL
-
-	// Hotspot on the first 5% of the domain: the rebalance shrinks group 0.
-	hotHi := int64(workload.ItemSkLo + (workload.ItemSkHi-workload.ItemSkLo)/20)
-	c.heatMu.Lock()
-	for i := 0; i < 200; i++ {
-		c.heat.record(workload.ItemSkLo, hotHi)
-	}
-	c.heatMu.Unlock()
-
-	ct.SetArmed(true) // group 0's follower is unreachable from the coordinator
-	moved, err := c.Rebalance(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !moved {
-		t.Fatal("rebalance did not move boundaries despite skew")
-	}
 	if drops, _, _ := ct.Counters(); drops == 0 {
-		t.Fatal("chaos transport dropped nothing; the follower did not miss the handoff")
+		t.Fatal("chaos transport dropped nothing; the follower did not miss its range push")
 	}
 	ct.SetArmed(false)
 
 	sh := c.Shards()[0]
 	var got struct {
-		Lo    int64  `json:"lo"`
-		Hi    int64  `json:"hi"`
-		Epoch uint64 `json:"epoch"`
+		Lo int64 `json:"lo"`
+		Hi int64 `json:"hi"`
 	}
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		resp, err := http.Get(follower + "/admin/range")
@@ -432,136 +413,30 @@ func TestProberRepushesMissedHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Lo == sh.Lo && got.Hi == sh.Hi && got.Epoch == sh.Epoch {
+		if got.Lo == sh.Lo && got.Hi == sh.Hi {
 			break
 		}
 	}
-	if got.Lo != sh.Lo || got.Hi != sh.Hi || got.Epoch != sh.Epoch {
-		t.Fatalf("follower owns [%d,%d]@%d, want the table's [%d,%d]@%d",
-			got.Lo, got.Hi, got.Epoch, sh.Lo, sh.Hi, sh.Epoch)
+	if got.Lo != sh.Lo || got.Hi != sh.Hi {
+		t.Fatalf("follower owns [%d,%d], want its group's [%d,%d]", got.Lo, got.Hi, sh.Lo, sh.Hi)
 	}
-	if rh, _ := replicaHealthOf(coordHealthz(t, c), follower); rh.Repushes < 1 {
-		t.Fatalf("healthz repushes = %d for the follower, want ≥1", rh.Repushes)
+	var rh replicaHealth
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if rh, _ = replicaHealthOf(coordHealthz(t, c), follower); rh.Repushes >= 1 && rh.OwnsRange {
+			break
+		}
+	}
+	if rh.Repushes < 1 || !rh.OwnsRange {
+		t.Fatalf("healthz for the follower: repushes = %d, owns_range = %v; want ≥1 and true", rh.Repushes, rh.OwnsRange)
 	}
 
 	rows := [][]any{{sh.Lo, int64(1), int64(1), int64(1), 1.0, int64(1), ""}}
 	status, out, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: rows})
 	if status != http.StatusOK {
-		t.Fatalf("append to the repaired group: status %d: %s", status, eresp.Error)
+		t.Fatalf("append to the late replica's group: status %d: %s", status, eresp.Error)
 	}
 	if out.ReplicasAppended != 2 {
 		t.Fatalf("append landed on %d replicas, want 2", out.ReplicasAppended)
-	}
-}
-
-// TestCoordinatorAdoptsTrueOwnershipOn409 is the stale-epoch recovery
-// path (satellite): the cluster moves on without the coordinator (a
-// handoff it never saw), a scattered subquery draws a 409 carrying the
-// true ownership, and the coordinator refreshes its routing table from
-// the shards and retries — the client sees one clean 200, never the
-// stale window.
-func TestCoordinatorAdoptsTrueOwnershipOn409(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-system cluster test")
-	}
-	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 1, nil)
-	old := c.Shards()
-	if len(old) != 2 {
-		t.Fatalf("%d groups, want 2", len(old))
-	}
-
-	// Move the boundary behind the coordinator's back: push both shards
-	// new ranges at epochs far beyond the routing table's.
-	mid := old[0].Hi - (old[0].Hi-old[0].Lo)/3
-	push := func(url string, lo, hi int64, epoch uint64) {
-		t.Helper()
-		body, _ := json.Marshal(map[string]any{"lo": lo, "hi": hi, "epoch": epoch})
-		resp, err := http.Post(url+"/admin/range", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("direct push to %s: HTTP %d", url, resp.StatusCode)
-		}
-	}
-	push(groups[0][0].URL, old[0].Lo, mid, old[0].Epoch+10)
-	push(groups[1][0].URL, mid+1, old[1].Hi, old[1].Epoch+10)
-
-	// The very next spanning query must succeed without a client-visible
-	// error: 409 → refresh → retry happens inside the coordinator.
-	resp, out, eresp := coordQuery(t, c, spanningSpec())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query across stale table: status %d: %s", resp.StatusCode, eresp.Error)
-	}
-	if len(out.Rows) == 0 {
-		t.Fatal("query across stale table returned no rows")
-	}
-	if c.refreshes.Load() == 0 {
-		t.Fatal("routing refresh counter did not move")
-	}
-
-	// The adopted table reflects the true ownership.
-	fresh := c.Shards()
-	if fresh[0].Hi != mid || fresh[1].Lo != mid+1 {
-		t.Fatalf("routing table not adopted: group0 [%d,%d], group1 [%d,%d]; want split at %d",
-			fresh[0].Lo, fresh[0].Hi, fresh[1].Lo, fresh[1].Hi, mid)
-	}
-	if fresh[0].Epoch != old[0].Epoch+10 || fresh[1].Epoch != old[1].Epoch+10 {
-		t.Fatalf("epochs not adopted: %d, %d", fresh[0].Epoch, fresh[1].Epoch)
-	}
-
-	// And the result matches a clean run over the adopted table.
-	resp2, out2, _ := coordQuery(t, c, spanningSpec())
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-adoption query: status %d", resp2.StatusCode)
-	}
-	if fingerprint(t, out.Columns, out.Rows) != fingerprint(t, out2.Columns, out2.Rows) {
-		t.Fatal("result answered during adoption differs from post-adoption result")
-	}
-}
-
-// TestStaleRoutingRefreshFailureIs503 pins the unhappy half of the
-// stale-epoch recovery: a replica claims a newer epoch, but the
-// shards' claimed ownership no longer tiles the domain, so the routing
-// refresh is rejected and keeps the old table. The client must get a
-// real 503 naming the conflict — not an aborted connection (the
-// pre-fix behavior wrote WriteHeader(0), which panics).
-func TestStaleRoutingRefreshFailureIs503(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-system cluster test")
-	}
-	leakcheck.Check(t)
-	c, groups := newReplicatedCluster(t, 2, 1, nil)
-	old := c.Shards()
-
-	// Shrink group 0's claim at a far-future epoch without moving group
-	// 1, leaving a gap the refreshed table cannot tile.
-	mid := old[0].Lo + (old[0].Hi-old[0].Lo)/2
-	body, _ := json.Marshal(map[string]any{"lo": old[0].Lo, "hi": mid, "epoch": old[0].Epoch + 10})
-	presp, err := http.Post(groups[0][0].URL+"/admin/range", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK {
-		t.Fatalf("direct push: HTTP %d", presp.StatusCode)
-	}
-
-	resp, _, eresp := coordQuery(t, c, spanningSpec())
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if !strings.Contains(eresp.Error, "stale") || !strings.Contains(eresp.Error, "refresh failed") {
-		t.Fatalf("503 body does not name the stale conflict and failed refresh: %q", eresp.Error)
-	}
-	if eresp.FailedLo == nil || eresp.FailedHi == nil {
-		t.Fatalf("503 body does not name the conflicted range: %+v", eresp)
-	}
-	// The invalid refresh was rejected: the old table is intact.
-	if got := c.Shards(); got[0].Hi != old[0].Hi || got[0].Epoch != old[0].Epoch {
-		t.Fatalf("rejected refresh mutated the table: group0 [%d,%d]@%d", got[0].Lo, got[0].Hi, got[0].Epoch)
 	}
 }
 
@@ -584,7 +459,7 @@ func TestProberTreatsUnhealthyHealthzAsFailure(t *testing.T) {
 	defer c.Close()
 	c.preferred[0].Store(1) // failover moved preference to the follower
 
-	c.probeOne(unhealthy.URL, 0, server.RolePrimary, 0, 10, 1)
+	c.probeOne(0, 0)
 
 	if p := c.preferred[0].Load(); p != 1 {
 		t.Fatalf("unhealthy primary restored as preferred (preferred=%d)", p)

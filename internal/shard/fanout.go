@@ -21,22 +21,19 @@ import (
 
 // part is one group's share of a coordinator request: the group's index
 // in the routing table, the [lo, hi] slice of the key domain the part
-// covers, and the body the group's replicas receive, stamped with the
-// group's epoch.
+// covers, and the body the group's replicas receive.
 type part struct {
 	shard  int
 	lo, hi int64
 	body   []byte
 }
 
-// reply is one part's outcome under its group's policy. conflict is the
-// ownership a replica claimed in a 409; err is any other failure.
+// reply is one part's outcome under its group's policy.
 type reply struct {
 	wire      *wireResponse // read: the answering replica's response
 	failovers int           // read: retries on another replica
 	landed    int           // write: replicas that accepted the part
 	deferred  bool          // write: some replica deferred its view refreshes
-	conflict  *conflict409
 	err       error
 }
 
@@ -56,45 +53,23 @@ func fanOut(ctx context.Context, parts []part, send func(context.Context, part) 
 	return replies
 }
 
-// settle is the one outcome rule. A failed part — an error, or a 409
-// whose epoch is not newer than the routing table's — fails the request
-// with failStatus, naming the first such part's group and range. Only
-// when every part that did not succeed drew a 409 from a replica ahead
-// of the table is refresh true: the caller refreshes its routing and
-// retries, and the returned 503 is what the client gets if that cannot
-// help. Every part succeeding is http.StatusOK with a nil body. Caller
-// holds mu.RLock. token, when set, rides on the error body.
-func (c *Coordinator) settle(parts []part, replies []reply, failStatus int, token string) (int, any, bool) {
-	stale := -1
+// settle is the one outcome rule. A failed part fails the request with
+// failStatus, naming the first such part's group and range; every part
+// succeeding is http.StatusOK with a nil body. token, when set, rides on
+// the error body.
+func (c *Coordinator) settle(parts []part, replies []reply, failStatus int, token string) (int, any) {
 	for i, r := range replies {
-		p, sh := parts[i], c.shards[parts[i].shard]
-		switch {
-		case r.err == nil && r.conflict == nil:
-		case r.err == nil && r.conflict.Epoch > sh.Epoch:
-			if stale < 0 {
-				stale = i
-			}
-		default:
-			cause := r.err
-			if cause == nil {
-				cause = r.conflict
-			}
-			return failStatus, partError(p, sh, token,
-				fmt.Sprintf("replica group %s serving range [%d,%d] failed: %v", sh.Addr, p.lo, p.hi, cause)), false
+		if r.err == nil {
+			continue
+		}
+		p := parts[i]
+		primary := c.shards[p.shard].Replicas[0]
+		return failStatus, errResponse{
+			Error: fmt.Sprintf("replica group %s serving range [%d,%d] failed: %v", primary, p.lo, p.hi, r.err),
+			Shard: primary, FailedLo: &p.lo, FailedHi: &p.hi, Token: token,
 		}
 	}
-	if stale < 0 {
-		return http.StatusOK, nil, false
-	}
-	p, sh, cf := parts[stale], c.shards[parts[stale].shard], replies[stale].conflict
-	return http.StatusServiceUnavailable, partError(p, sh, token,
-		fmt.Sprintf("routing table stale for range [%d,%d]: replica group %s reports epoch %d > table epoch %d (%s)",
-			p.lo, p.hi, sh.Addr, cf.Epoch, sh.Epoch, cf.Msg)), true
-}
-
-// partError is the error body naming a part's group and range.
-func partError(p part, sh ShardInfo, token, msg string) errResponse {
-	return errResponse{Error: msg, Shard: sh.Addr, FailedLo: &p.lo, FailedHi: &p.hi, Token: token}
+	return http.StatusOK, nil
 }
 
 // errRefused marks a replica's refusal of the request itself — a 4xx
@@ -103,36 +78,35 @@ func partError(p part, sh ShardInfo, token, msg string) errResponse {
 var errRefused = errors.New("request refused")
 
 // exchange POSTs a part's body to one replica's path (/query or
-// /append) and classifies the answer: the 200 body; the ownership the
-// replica claimed in a 409; or an error naming the replica, wrapping
-// errRefused when no sibling would answer differently.
-func (c *Coordinator) exchange(ctx context.Context, addr, path string, body []byte) ([]byte, *conflict409, error) {
+// /append) and classifies the answer: the 200 body, or an error naming
+// the replica, wrapping errRefused when no sibling would answer
+// differently. A 409 means the replica owns some other range than its
+// group's (someone else assigned it one), so it counts as the replica's
+// own fault, like a 5xx.
+func (c *Coordinator) exchange(ctx context.Context, addr, path string, body []byte) ([]byte, error) {
 	c.attempts.Add(1)
-	status, b, conflict, err := c.call(ctx, http.MethodPost, addr+path, body)
+	status, b, err := c.call(ctx, http.MethodPost, addr+path, body)
 	switch {
 	case err != nil:
-		return nil, nil, fmt.Errorf("%s: %w", addr, err)
-	case conflict != nil:
-		return nil, conflict, nil
+		return nil, fmt.Errorf("%s: %w", addr, err)
 	case status == http.StatusOK:
-		return b, nil, nil
-	case status >= 500 || status == http.StatusTooManyRequests:
-		// Broken, overloaded or shedding: a sibling may have capacity.
-		return nil, nil, fmt.Errorf("%s: %w", addr, statusError(status, b))
+		return b, nil
+	case status >= 500 || status == http.StatusTooManyRequests || status == http.StatusConflict:
+		// Broken, overloaded, shedding or misassigned: a sibling may answer.
+		return nil, fmt.Errorf("%s: %w", addr, statusError(status, b))
 	}
-	return nil, nil, fmt.Errorf("%s: %w: %w", addr, errRefused, statusError(status, b))
+	return nil, fmt.Errorf("%s: %w: %w", addr, errRefused, statusError(status, b))
 }
 
 // queryRange is a read part's policy: the owning group's replicas in
 // preference order — the preferred replica first, then the rest in
 // declared order — each tried once. A connection error, timeout, 5xx,
-// 429 or undecodable answer moves on to the next replica; so does a 409
-// from a replica behind the routing table (it missed a handoff). A 409
-// from a replica ahead of the table, a refusal every sibling would
-// repeat, or a cancelled caller ends the walk. Caller holds mu.RLock.
+// 409, 429 or undecodable answer moves on to the next replica; a
+// refusal every sibling would repeat, or a cancelled caller, ends the
+// walk.
 func (c *Coordinator) queryRange(ctx context.Context, p part) reply {
-	group := c.shards[p.shard]
-	addrs := append([]string(nil), group.Replicas...)
+	replicas := c.shards[p.shard].Replicas
+	addrs := append([]string(nil), replicas...)
 	if pi := int(c.preferred[p.shard].Load()); pi > 0 && pi < len(addrs) {
 		addrs[0], addrs[pi] = addrs[pi], addrs[0]
 	}
@@ -141,33 +115,23 @@ func (c *Coordinator) queryRange(ctx context.Context, p part) reply {
 		if attempt > 0 {
 			c.failovers.Add(1)
 		}
-		b, conflict, err := c.exchange(ctx, addr, "/query", p.body)
-		if err == nil && conflict == nil {
+		b, err := c.exchange(ctx, addr, "/query", p.body)
+		if err == nil {
 			var wire wireResponse
 			dec := json.NewDecoder(bytes.NewReader(b))
 			dec.UseNumber()
 			if err = dec.Decode(&wire); err == nil {
-				c.notePreferred(p.shard, group.Replicas, addr)
+				c.notePreferred(p.shard, replicas, addr)
 				return reply{wire: &wire, failovers: attempt}
 			}
 			err = fmt.Errorf("%s: decoding response: %w", addr, err)
 		}
-		switch {
-		case conflict != nil && conflict.Epoch > group.Epoch:
-			return reply{conflict: conflict, failovers: attempt}
-		case conflict != nil:
-			lastErr = conflict
-		case errors.Is(err, errRefused), errors.Is(err, context.Canceled):
+		if errors.Is(err, errRefused) || errors.Is(err, context.Canceled) {
 			return reply{failovers: attempt, err: err}
-		default:
-			lastErr = err
 		}
+		lastErr = err
 	}
-	failovers := len(addrs) - 1
-	if cf, stale := lastErr.(*conflict409); stale {
-		return reply{conflict: cf, failovers: failovers}
-	}
-	return reply{failovers: failovers,
+	return reply{failovers: len(addrs) - 1,
 		err: fmt.Errorf("range [%d,%d]: %d replica attempts failed, last: %w", p.lo, p.hi, len(addrs), lastErr)}
 }
 
@@ -188,14 +152,13 @@ func (c *Coordinator) notePreferred(gi int, replicas []string, addr string) {
 // replica that misses the batch would serve stale rows if failover or a
 // preferred-replica switch later routed the range to it, so there is no
 // routing around a failed replica. Sends stay sequential: sending to a
-// group's replicas at once measured no faster (DESIGN.md §13). Caller
-// holds mu.RLock.
+// group's replicas at once measured no faster (DESIGN.md §13).
 func (c *Coordinator) appendGroup(ctx context.Context, p part) reply {
 	var r reply
 	for _, addr := range c.shards[p.shard].Replicas {
-		b, conflict, err := c.exchange(ctx, addr, "/append", p.body)
-		if conflict != nil || err != nil {
-			r.conflict, r.err = conflict, err
+		b, err := c.exchange(ctx, addr, "/append", p.body)
+		if err != nil {
+			r.err = err
 			return r
 		}
 		r.landed++

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -273,45 +272,6 @@ func TestCoordinatorAppendDeadGroupFails(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAppendDeadGroupBeatsStaleEpoch pins the one outcome
-// rule on the write path: a spanning append that draws a newer-epoch 409
-// from group 0 and a dead group 1 fails with the 502 naming group 1's
-// range, without spending a routing refresh on an append that would
-// fail anyway.
-func TestCoordinatorAppendDeadGroupBeatsStaleEpoch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-system cluster test")
-	}
-	c, servers := newKeyedCluster(t, 2)
-	stale, dead := c.Shards()[0], c.Shards()[1]
-
-	body := fmt.Sprintf(`{"lo":%d,"hi":%d,"epoch":%d}`, stale.Lo, stale.Hi, stale.Epoch+10)
-	resp, err := http.Post(servers[0].URL+"/admin/range", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("direct handoff: status %d", resp.StatusCode)
-	}
-	servers[1].Close()
-
-	status, _, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: salesBatch(31, 60)})
-	if status != http.StatusBadGateway {
-		t.Fatalf("spanning append: status %d, want 502 (%s)", status, eresp.Error)
-	}
-	if eresp.FailedLo == nil || eresp.FailedHi == nil ||
-		*eresp.FailedLo != dead.Lo || *eresp.FailedHi != dead.Hi {
-		t.Fatalf("502 does not name the dead range [%d,%d]: %+v", dead.Lo, dead.Hi, eresp)
-	}
-	if eresp.Token == "" {
-		t.Fatalf("502 carries no token: %+v", eresp)
-	}
-	if got := c.refreshes.Load(); got != 0 {
-		t.Fatalf("refreshes = %d, want 0: a dead group must beat a stale epoch", got)
-	}
-}
-
 // TestCoordinatorAppendLandsOnEveryReplica checks the write policy on a
 // replicated cluster: a spanning batch lands on both replicas of both
 // groups, so with each group's primary closed a spanning query fails
@@ -348,50 +308,35 @@ func TestCoordinatorAppendLandsOnEveryReplica(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAppendRetryDoesNotDuplicate is the partial-failure
-// retry acceptance: in a 2-group cluster where one group's epoch was
-// bumped behind the coordinator's back, a spanning append lands its
-// slice on the current-epoch group, draws a 409 from the other, and the
-// post-refresh retry re-sends both slices — the already-landed group
-// must answer from its dedup window, so the cluster holds each row
-// exactly once.
+// TestCoordinatorAppendRetryDoesNotDuplicate: a client that retries a
+// spanning append with the same token lands every row once. The ranges
+// never change, so the retry slices the batch as the first attempt did,
+// each slice carries the same per-range token, and each group answers it
+// from its dedup window.
 func TestCoordinatorAppendRetryDoesNotDuplicate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
 	}
 	c, servers := newKeyedCluster(t, 2)
-	sh := c.Shards()[1]
-
-	// Fenced handoff directly against group 1: same range, newer epoch.
-	body := fmt.Sprintf(`{"lo":%d,"hi":%d,"epoch":%d}`, sh.Lo, sh.Hi, sh.Epoch+5)
-	resp, err := http.Post(servers[1].URL+"/admin/range", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("direct handoff: status %d", resp.StatusCode)
-	}
 
 	const n = 60
-	status, out, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: salesBatch(21, n), Token: "batch-21"})
-	if status != http.StatusOK {
-		t.Fatalf("spanning append after epoch bump: status %d: %s", status, eresp.Error)
-	}
-	if out.Rows != n || out.GroupsContacted != 2 || out.ReplicasAppended != 2 {
-		t.Fatalf("append routing after retry: %+v", out)
-	}
-	if out.Token != "batch-21" {
-		t.Fatalf("response token = %q, want the client's batch-21", out.Token)
-	}
-	if c.refreshes.Load() == 0 {
-		t.Fatal("no routing refresh recorded: the retry path never ran")
+	sp := ingest.Spec{Table: "store_sales", Rows: salesBatch(21, n), Token: "batch-21"}
+	for attempt := 0; attempt < 2; attempt++ {
+		status, out, eresp := coordAppend(t, c, sp)
+		if status != http.StatusOK {
+			t.Fatalf("attempt %d: status %d: %s", attempt, status, eresp.Error)
+		}
+		if out.Rows != n || out.GroupsContacted != 2 || out.ReplicasAppended != 2 {
+			t.Fatalf("attempt %d routing: %+v", attempt, out)
+		}
+		if out.Token != "batch-21" {
+			t.Fatalf("attempt %d: response token = %q, want the client's batch-21", attempt, out.Token)
+		}
 	}
 
 	// Every row exactly once: the per-server ingest counters sum to the
-	// batch size (a duplicated slice on group 0 would overshoot), and the
-	// group that saw both attempts answered the second from its dedup
-	// window.
+	// batch size (a duplicated slice would overshoot), and each group
+	// answered the retry from its dedup window.
 	var total uint64
 	var dedups uint64
 	for _, ts := range servers {
@@ -423,46 +368,56 @@ func TestCoordinatorAppendRetryDoesNotDuplicate(t *testing.T) {
 		dedups += sz.Serving.AppendDedups
 	}
 	if total != n {
-		t.Fatalf("cluster holds %d appended rows, want exactly %d (retry duplicated a slice)", total, n)
+		t.Fatalf("cluster holds %d appended rows, want exactly %d (the retry duplicated a slice)", total, n)
 	}
-	if dedups != 1 {
-		t.Fatalf("append_dedups across servers = %d, want 1 (the re-sent landed slice)", dedups)
+	if dedups != 2 {
+		t.Fatalf("append_dedups across servers = %d, want 2 (one per group)", dedups)
 	}
 }
 
-// TestCoordinatorAppendStaleEpochRefreshes advances a shard's epoch
-// behind the coordinator's back; the first append attempt draws a 409,
-// the coordinator refreshes its routing table from the shard's claimed
-// ownership, and the retry lands.
-func TestCoordinatorAppendStaleEpochRefreshes(t *testing.T) {
+// TestRestartedCoordinatorServesTheSameCluster: a second coordinator
+// over the same groups and config — a restarted one — computes the same
+// routing table, passes Init on its first call, and serves the rows the
+// first one appended.
+func TestRestartedCoordinatorServesTheSameCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
 	}
-	c, servers := newKeyedCluster(t, 1)
-	sh := c.Shards()[0]
+	c, servers := newKeyedCluster(t, 2)
+	status, _, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: salesBatch(42, 150)})
+	if status != http.StatusOK {
+		t.Fatalf("append: status %d: %s", status, eresp.Error)
+	}
+	resp, before, qerr := coordQuery(t, c, spanningSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d: %s", resp.StatusCode, qerr.Error)
+	}
 
-	// Fenced handoff directly against the shard: same range, newer epoch.
-	body := fmt.Sprintf(`{"lo":%d,"hi":%d,"epoch":%d}`, sh.Lo, sh.Hi, sh.Epoch+5)
-	resp, err := http.Post(servers[0].URL+"/admin/range", "application/json", strings.NewReader(body))
+	var groups [][]string
+	for _, ts := range servers {
+		groups = append(groups, []string{ts.URL})
+	}
+	c2, err := New(Config{
+		Groups:         groups,
+		DomainLo:       workload.ItemSkLo,
+		DomainHi:       workload.ItemSkHi,
+		RequestTimeout: 30 * time.Second,
+		KeyIndex:       testKeyIndex,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	if err := c2.Init(context.Background()); err != nil {
+		t.Fatalf("restarted coordinator's first Init: %v", err)
+	}
+	resp, after, qerr := coordQuery(t, c2, spanningSpec())
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("direct handoff: status %d", resp.StatusCode)
+		t.Fatalf("query through the restarted coordinator: status %d: %s", resp.StatusCode, qerr.Error)
 	}
-
-	status, out, eresp := coordAppend(t, c, ingest.Spec{Table: "store_sales", Rows: salesBatch(5, 20)})
-	if status != http.StatusOK {
-		t.Fatalf("append after shard-side epoch bump: status %d: %s", status, eresp.Error)
+	if fingerprint(t, after.Columns, after.Rows) != fingerprint(t, before.Columns, before.Rows) {
+		t.Fatal("restarted coordinator answers differently")
 	}
-	if out.Rows != 20 {
-		t.Fatalf("append response: %+v", out)
-	}
-	if got := c.Shards()[0].Epoch; got != sh.Epoch+5 {
-		t.Fatalf("routing table epoch = %d, want %d (refresh did not adopt)", got, sh.Epoch+5)
-	}
-	if c.refreshes.Load() == 0 {
-		t.Fatal("no routing refresh recorded")
+	if status, _, eresp := coordAppend(t, c2, ingest.Spec{Table: "store_sales", Rows: salesBatch(43, 20)}); status != http.StatusOK {
+		t.Fatalf("append through the restarted coordinator: status %d: %s", status, eresp.Error)
 	}
 }

@@ -192,12 +192,7 @@ func TestShardClusterSmoke(t *testing.T) {
 	}
 
 	// kill -9 the middle shard: no drain, no goodbye.
-	var dead ShardInfo
-	for _, sh := range coord.Shards() {
-		if sh.Addr == addrs[1] {
-			dead = sh
-		}
-	}
+	dead := coord.Shards()[1] // group i is the shard at addrs[i]
 	if err := cmds[1].Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL shard 1: %v", err)
 	}
@@ -223,17 +218,17 @@ func TestShardClusterSmoke(t *testing.T) {
 	}
 
 	// The surviving shards keep answering their own ranges.
-	for _, sh := range coord.Shards() {
-		if sh.Addr == dead.Addr {
+	for gi, sh := range coord.Shards() {
+		if gi == 1 {
 			continue
 		}
 		status, got, _ := smokePost(t, front.URL,
 			fmt.Sprintf(`{"template":"Q1","lo":%d,"hi":%d}`, sh.Lo, sh.Hi))
 		if status != http.StatusOK {
-			t.Fatalf("surviving shard %s query: HTTP %d, want 200", sh.Addr, status)
+			t.Fatalf("surviving shard %s query: HTTP %d, want 200", addrs[gi], status)
 		}
 		if got == "" {
-			t.Errorf("surviving shard %s returned an empty result", sh.Addr)
+			t.Errorf("surviving shard %s returned an empty result", addrs[gi])
 		}
 	}
 }

@@ -46,11 +46,10 @@
 #       goroutine-leak checks) re-runs fresh, among it the
 #       one-attempt-per-subquery check (a slow primary is waited out,
 #       never raced against its follower), transient 503s that fail
-#       only the queries they hit, the prober's re-push to a replica
-#       that missed a handoff, and the read-side tests that
-#       pin the one outcome rule every coordinator request settles by (a
-#       dead group is a 503 naming its range; a stale epoch whose
-#       routing refresh fails is a 503 naming the conflict)
+#       only the queries they hit, the prober assigning its range to a
+#       replica that was unreachable at Init, a dead group failing reads
+#       with a 503 naming its range, a restarted coordinator serving the
+#       same cluster, and set-once range ownership on the serving tier
 #   10. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite with the inline retry queue, the
 #       lagging-view guard and the journal-before-return rule
@@ -61,9 +60,9 @@
 #       idempotency-token retries landing rows once, bad-request and
 #       ownership rejections, a kill -9 mid-ingest whose warm restart
 #       replays the journal to byte-identical results), and the
-#       coordinator routing suite (keyed split, keyless broadcast, epoch
-#       refresh, a dead group beating a stale epoch, a batch landing on
-#       every replica of a replicated group)
+#       coordinator routing suite (keyed split, keyless broadcast, a dead
+#       group failing the batch with a 502, a retried token landing once,
+#       a batch landing on every replica of a replicated group)
 #   11. fuzz smoke — five seconds each of stdlib fuzzing (no network, no
 #       corpus download) of the one cell codec, relation.Table's JSON
 #       form that journal records and snapshots go through (no panic on
@@ -154,7 +153,8 @@ $GO test $CORE_TIMEOUT -run '^$' -bench BenchmarkPlanSection -benchtime 1x ./int
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
 $GO test -race -count=1 -run 'TestShardClusterSmoke|TestReplicatedClusterSmoke' ./internal/shard
-$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestTransientErrorsDoNotCloseTheGroup|TestProberRepushesMissedHandoff|TestProber|TestCoordinatorAdoptsTrueOwnershipOn409|TestAllReplicasDeadFailsNamingRange|TestStaleRoutingRefreshFailureIs503' ./internal/shard
+$GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|TestTransientErrorsDoNotCloseTheGroup|TestProber|TestProberAssignsRangeToLateReplica|TestAllReplicasDeadFailsNamingRange|TestRestartedCoordinatorServesTheSameCluster' ./internal/shard
+$GO test -race -count=1 -run 'TestOwnedRangeIsAssignedOnce' ./internal/server
 
 echo "==> ingest smoke (race)"
 $GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
