@@ -182,23 +182,23 @@ func (e *Engine) PrimeRefresh(plan query.Node, old map[string]*relation.Table) (
 func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) {
 	var out *relation.Table
 	if f, ok := fuseJoin(n, nil); ok {
-		l, err := c.snapEval(f.join.Left, record)
+		lv := &f.levels[0]
+		l, err := c.snapEval(lv.join.Left, record)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.snapEval(f.join.Right, record)
+		r, err := c.snapEval(lv.join.Right, record)
 		if err != nil {
 			return nil, err
 		}
-		var joined int
-		out, _, joined = f.probe(l, r, buildsLeft(len(l.Rows), len(r.Rows)), c.bud)
+		s := f.probe(l, r, buildsLeft(len(l.Rows), len(r.Rows)), nil, c.bud)[0]
 		if record {
-			for _, m := range f.below {
-				c.newSizes[m] = joined
+			for _, m := range lv.nodes[1:] {
+				c.newSizes[m] = s.counts[0].joined
 			}
-			c.newSizes[n] = len(out.Rows)
+			c.newSizes[n] = len(s.out.Rows)
 		}
-		return out, nil
+		return s.out, nil
 	}
 	switch t := n.(type) {
 	case *query.Scan:
@@ -370,14 +370,15 @@ func (c *deltaCtx) deltaNode(n query.Node) (*relation.Table, error) {
 // same pass — only under the conditions documented on DeltaApply; any
 // other shape is a rematError.
 func (c *deltaCtx) deltaJoin(f *fusedJoin) (*relation.Table, error) {
-	t := f.join
-	for _, m := range f.below {
+	t := f.levels[0].join
+	below := f.levels[0].nodes[1:]
+	for _, m := range below {
 		if _, primed := c.oldSizes[m]; !primed {
 			return nil, rematError{"plan node missing from primed sizes"}
 		}
 	}
 	grow := func(joined int) {
-		for _, m := range f.below {
+		for _, m := range below {
 			c.newSizes[m] = c.oldSizes[m] + joined
 		}
 	}
@@ -391,7 +392,7 @@ func (c *deltaCtx) deltaJoin(f *fusedJoin) (*relation.Table, error) {
 	}
 	if len(ld.Rows) == 0 && len(rd.Rows) == 0 {
 		grow(0)
-		return relation.NewTable(f.top.Schema()), nil
+		return relation.NewTable(f.top().Schema()), nil
 	}
 	if len(ld.Rows) > 0 && len(rd.Rows) > 0 {
 		return nil, rematError{"both join inputs changed"}
@@ -424,9 +425,9 @@ func (c *deltaCtx) deltaJoin(f *fusedJoin) (*relation.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, _, joined := f.probe(l, r, buildLeft, c.bud)
-	grow(joined)
-	return out, nil
+	s := f.probe(l, r, buildLeft, nil, c.bud)[0]
+	grow(s.counts[0].joined)
+	return s.out, nil
 }
 
 // MergeAggStates merges a delta's partial-aggregation states into a

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"strconv"
@@ -97,7 +98,21 @@ func (a *exactAcc) encode() string {
 	return s
 }
 
-// decodeExactAcc parses an encode() rendering.
+// The domain of an exact sum of float64 values (see exactAccPrec):
+// below 2^exactAccMaxExp in magnitude, a whole multiple of
+// 2^exactAccMinExp.
+const (
+	exactAccMaxExp = 1088
+	exactAccMinExp = -1074
+)
+
+// decodeExactAcc parses an encode() rendering, and only what encode can
+// emit: a finite main part that parses exactly at exactAccPrec and lies
+// in the domain of exact float64 sums, and a non-finite side-sum (only
+// non-finite addends reach it). Anything else is an error, never a
+// value: an infinite main part would panic the merge, an inexact one
+// would silently round, and one outside the domain would make merges
+// round — and so depend on their order.
 func decodeExactAcc(s string) (*exactAcc, error) {
 	a := &exactAcc{}
 	main := s
@@ -107,12 +122,24 @@ func decodeExactAcc(s string) (*exactAcc, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !math.IsNaN(sp) && !math.IsInf(sp, 0) {
+			return nil, fmt.Errorf("engine: partial sum %q: finite side-sum", s)
+		}
 		a.specials = sp
 		a.hasSpec = true
 	}
 	f, _, err := big.ParseFloat(main, 0, exactAccPrec, big.ToNearestEven)
 	if err != nil {
 		return nil, err
+	}
+	if f.IsInf() || f.Acc() != big.Exact {
+		return nil, fmt.Errorf("engine: partial sum %q: not an exact finite value", s)
+	}
+	if f.Sign() != 0 {
+		var units big.Float
+		if f.MantExp(nil) > exactAccMaxExp || !units.SetMantExp(f, -exactAccMinExp).IsInt() {
+			return nil, fmt.Errorf("engine: partial sum %q: outside the exact sum domain", s)
+		}
 	}
 	a.acc.Copy(f)
 	a.init = true

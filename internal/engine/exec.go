@@ -215,7 +215,7 @@ func (e *Engine) eval(n query.Node, capture map[query.Node]Capture, res *Result,
 
 // capturedRows cuts a captured node's output down to the request's range.
 // This is the capture point of every node the probe kernel does not
-// serve from inside a stack: a stack's top, a view scan, an aggregate.
+// serve from inside a chain: a chain's top, a view scan, an aggregate.
 func capturedRows(t *relation.Table, c Capture, bud *budget) *relation.Table {
 	if !c.ranged() {
 		return t
@@ -270,9 +270,11 @@ func (e *Engine) evalSiblings(nodes []query.Node, capture map[query.Node]Capture
 
 func (e *Engine) evalNode(n query.Node, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
 	// A join, alone or under a projection and a selection, is one probe
-	// pass — unless the caller wants all the rows of a node inside the
-	// stack.
+	// pass — and so is a chain of such stacks, each probing with the
+	// output of the one under it — unless the caller wants all the rows
+	// of a node inside.
 	if f, ok := fuseJoin(n, capture); ok {
+		f.extend(capture)
 		return e.evalJoin(&f, capture, res, bud)
 	}
 	switch t := n.(type) {
@@ -330,41 +332,77 @@ func (e *Engine) evalNode(n query.Node, capture map[query.Node]Capture, res *Res
 	}
 }
 
-// evalJoin evaluates a fused join stack: both inputs as siblings, then
-// one probe pass. The nodes inside the stack never exist as tables: the
-// size of one, at either capture level, is answered from the join's
-// cardinality, and the rows of a ranged capture are the pass's second
-// output.
+// evalJoin evaluates a fused join chain: all its inputs as siblings,
+// then its probe passes. The nodes inside the chain never exist as
+// tables: the size of one, at either capture level, is answered from
+// its level's counts, and the rows of a ranged capture are a pass's
+// second output. The cost is the one of the operators run one after the
+// other — every join a job whose output is written and read back by the
+// next — computed from the same counts.
 func (e *Engine) evalJoin(f *fusedJoin, capture map[query.Node]Capture, res *Result, bud *budget) (evalOut, error) {
-	sides, err := e.evalSiblings([]query.Node{f.join.Left, f.join.Right}, capture, res, bud)
+	ins, err := e.evalSiblings(f.inputs(), capture, res, bud)
 	if err != nil {
 		return evalOut{}, err
 	}
-	l, r := sides[0], sides[1]
-	e.settle(&l)
-	e.settle(&r)
-	outTbl, captured, joined := f.probe(l.tbl, r.tbl, buildsLeft(len(l.tbl.Rows), len(r.tbl.Rows)), bud)
-	for _, m := range f.below {
-		if capture[m].Level != 0 {
-			schema := m.Schema()
-			res.CapturedBytes[m] = int64(joined) * schema.RowWidth()
+	uppers := make([]*relation.Table, len(ins)-2)
+	for i := range ins {
+		e.settle(&ins[i])
+		if i >= 2 {
+			uppers[i-2] = ins[i].tbl
 		}
 	}
-	if f.ranged != nil {
-		res.Captured[f.ranged] = captured
+	l, r := ins[0], ins[1]
+	var out evalOut
+	for _, s := range f.probe(l.tbl, r.tbl, buildsLeft(len(l.tbl.Rows), len(r.tbl.Rows)), uppers, bud) {
+		if s.lo > 0 {
+			// A cut: the pass under this one wrote its output.
+			e.settle(&out)
+			l, r = out, ins[s.lo+1]
+		}
+		out = e.joinJob(l, r, l.tbl.Bytes(), r.tbl.Bytes())
+		for k := s.lo + 1; k < s.hi; k++ {
+			below := f.levels[k-1].top().Schema()
+			chain := int64(s.counts[k-1-s.lo].passed) * below.RowWidth()
+			out.srcBytes = chain
+			e.settle(&out)
+			out = e.joinJob(out, ins[k+1], chain, ins[k+1].tbl.Bytes())
+		}
+		out.tbl = s.out
+		out.srcBytes = s.out.Bytes()
+		for k := s.lo; k < s.hi; k++ {
+			lv, c := &f.levels[k], s.counts[k-s.lo]
+			for _, m := range lv.nodes {
+				if capture[m].Level == 0 || m == f.top() {
+					continue
+				}
+				rows := c.joined
+				if m == lv.top() {
+					rows = c.passed
+				}
+				schema := m.Schema()
+				res.CapturedBytes[m] = int64(rows) * schema.RowWidth()
+			}
+		}
+		if s.captured != nil {
+			res.Captured[f.ranged] = s.captured
+		}
 	}
+	return out, nil
+}
+
+// joinJob is one join job over settled inputs that shuffle lBytes and
+// rBytes. Its output write is deferred to settle: map-side projections
+// and selections, fused or applied above, shrink it first.
+func (e *Engine) joinJob(l, r evalOut, lBytes, rBytes int64) evalOut {
 	cost := l.cost
 	cost.Add(r.cost)
-	shuffle := l.tbl.Bytes() + r.tbl.Bytes()
+	shuffle := lBytes + rBytes
 	cost.Add(Cost{
 		Seconds:      e.cm.JobStartup + float64(shuffle)/e.cm.ShuffleBW,
 		ShuffleBytes: shuffle,
 		Jobs:         1,
 	})
-	// The output write is deferred to settle. Map-side projections and
-	// selections, fused here or applied above, shrink it first.
-	return evalOut{tbl: outTbl, cost: cost, pending: true, needsWrite: true,
-		srcBytes: outTbl.Bytes(), srcFiles: 1}, nil
+	return evalOut{cost: cost, pending: true, needsWrite: true, srcFiles: 1}
 }
 
 // evalViewScan reads a materialized view (whole or as a fragment cover),

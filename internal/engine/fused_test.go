@@ -238,15 +238,14 @@ func captureRanges(tbl *relation.Table, col string) map[string][]interval.Interv
 	}
 }
 
-// withSmallFacts returns the dataset with every fact table cut to fewer
-// rows than the item dimension, so the joins against it build their hash
-// table on the fact side: the orientation the full dataset never takes.
-func withSmallFacts(data *workload.Data) *workload.Data {
+// withFacts returns the dataset with every fact table — every table
+// larger than the item dimension — cut to its first n rows.
+func withFacts(data *workload.Data, n int) *workload.Data {
 	small := *data
 	small.Tables = make(map[string]*relation.Table, len(data.Tables))
 	for name, tbl := range data.Tables {
 		small.Tables[name] = tbl
-		if n := len(data.Tables["item"].Rows) / 2; len(tbl.Rows) > 2*n {
+		if len(tbl.Rows) > len(data.Tables["item"].Rows) {
 			small.Tables[name] = &relation.Table{Schema: tbl.Schema, Rows: tbl.Rows[:n]}
 		}
 	}
@@ -257,11 +256,13 @@ func withSmallFacts(data *workload.Data) *workload.Data {
 // capture level and worker count and in both build orientations, the
 // engine's answer, captured tables, captured sizes and cost equal the
 // reference chain's — whether the plan ran as one fused pass (no
-// capture, size-only capture, a ranged capture inside a stack) or
-// operator by operator (row capture of every candidate stops fusion).
+// capture, size-only capture, a ranged capture inside a stack or a
+// chain), as a chain cut where its upper join builds on the chain side,
+// or operator by operator (row capture of every candidate stops fusion).
 // A ranged capture returns exactly the reference rows inside its range
 // and the whole node's size, wherever in the plan the node sits, and
-// leaves the query's own answer and cost alone.
+// leaves the query's own answer and cost alone; so do two of them, one
+// on each level of a chain.
 func TestFusedTemplatesMatchReference(t *testing.T) {
 	data := workload.Generate(100, 7, nil) // 12 000 fact rows: three probe chunks
 	dom := workload.ItemSkDomain()
@@ -275,7 +276,16 @@ func TestFusedTemplatesMatchReference(t *testing.T) {
 	for _, ds := range []struct {
 		name string
 		data *workload.Data
-	}{{"build=dim", data}, {"build=fact", withSmallFacts(data)}} {
+	}{
+		{"build=dim", data},
+		// Joins against item build on the fact side: the orientation the
+		// full dataset never takes.
+		{"build=fact", withFacts(data, len(data.Tables["item"].Rows)/2)},
+		// Every chain's inner join has no more rows than the dimension its
+		// upper join adds, which is where that join builds: the chain is
+		// cut at its upper level.
+		{"cut", withFacts(data, len(data.Tables["store"].Rows))},
+	} {
 		for _, tpl := range workload.AllTemplates {
 			plan := ds.data.Query(tpl, iv)
 			ref := &refEval{t: t, cm: engine.DefaultCostModel(), tables: ds.data.Tables, out: make(map[query.Node]*relation.Table)}
@@ -389,6 +399,39 @@ func TestFusedTemplatesMatchReference(t *testing.T) {
 						}
 						if err := sameTable(res.Captured[below], refRanged(ref.out[below], c.Name, ivs)); err != nil {
 							t.Errorf("%s: join: %v", name, err)
+						}
+					}
+				}
+			}
+
+			// A chain carrying two ranged captures, one per level: the
+			// projections of the inner and of the upper join, on the
+			// selection column both carry.
+			var projs []*query.Project
+			query.Walk(plan, func(n query.Node) {
+				if p, ok := n.(*query.Project); ok {
+					projs = append(projs, p)
+				}
+			})
+			if len(projs) == 2 {
+				col := tpl.SelectionAttr()
+				capture := make(map[query.Node]engine.Capture)
+				for _, m := range cands {
+					capture[m] = engine.Capture{Level: engine.CaptureSize}
+				}
+				ivs := captureRanges(ref.out[projs[0]], col)["three"]
+				for _, p := range projs {
+					capture[p] = engine.Capture{Level: engine.CaptureRows, Col: col, Ivs: ivs}
+				}
+				for _, par := range []int{1, 2, 8} {
+					name := fmt.Sprintf("%s/%s/capture=both-projections.%s/par=%d", ds.name, tpl, col, par)
+					res := run(name, par, capture)
+					if len(res.Captured) != 2 {
+						t.Errorf("%s: %d tables captured, want 2", name, len(res.Captured))
+					}
+					for _, p := range projs {
+						if err := sameTable(res.Captured[p], refRanged(ref.out[p], col, ivs)); err != nil {
+							t.Errorf("%s: %s: %v", name, p, err)
 						}
 					}
 				}

@@ -15,7 +15,7 @@ import (
 func TestOutputRowsOwnTheirCapacity(t *testing.T) {
 	fact, dim, sel := probeFixture(2000, 400)
 	proj := sel.Child.(*query.Project)
-	joined, _, _ := mustFuse(t, proj, nil).probe(fact, dim, false, newBudget(2))
+	joined, _ := probeOnce(mustFuse(t, proj, nil), fact, dim, nil, newBudget(2))
 	for name, out := range map[string]*relation.Table{
 		"probe":        joined,
 		"projectTable": projectTable(fact, []string{"f_k", "f_qty", "f_price"}, newBudget(2)),

@@ -206,6 +206,23 @@ func TestMergeSingleGroup(t *testing.T) {
 	}
 }
 
+// TestMergePartialsRejectsMalformedSums: a replica partial whose sum
+// state encode could not have emitted fails the merge with an error —
+// the handler answers 500 — instead of panicking the handler goroutine
+// (opposite infinities) or rounding into the answer (a mantissa longer
+// than the exact accumulator holds).
+func TestMergePartialsRejectsMalformedSums(t *testing.T) {
+	cols := []string{"k", "total#sum"}
+	for name, rows := range map[string][][][]any{
+		"opposite infinities": {{{"a", "Inf"}}, {{"a", "-Inf"}}},
+		"inexact mantissa":    {{{"a", "1023." + strings.Repeat("9", 759)}}, {{"a", "0"}}},
+	} {
+		if _, _, err := MergePartials(cols, rows); err == nil {
+			t.Errorf("%s: merge succeeded", name)
+		}
+	}
+}
+
 // --- range unit tests --------------------------------------------------
 
 func TestEvenSplitAndRoute(t *testing.T) {

@@ -26,11 +26,15 @@
 #       warning annotation — rather than demanding the tool)
 #    8. microbench smoke — the engine's layer microbenchmarks once
 #       each, among them the probe kernel's two-output pass
-#       (BenchmarkProbe/join+project+select5pct+capture10pct), and the
+#       (BenchmarkProbe/join+project+select5pct+capture10pct) and its
+#       one-pass join chains (BenchmarkProbe/chain+select5pct and
+#       chain+select5pct+capture10pct: fact ⋈ dim ⋈ small dim), and the
 #       manager's planning section (core BenchmarkPlanSection): they must
 #       run, their numbers are advisory (the exact allocation gates are
 #       TestFusedProbeAllocations — one output and, serving a ranged
-#       capture, two — and TestAggregateAllocations, part of stage 1).
+#       capture, two — TestFusedChainAllocations — the same for a chain,
+#       with nothing that grows with the inner join it never writes — and
+#       TestAggregateAllocations, part of stage 1).
 #       Every registered (paper) experiment already ran at short scale
 #       in stage 1, with its output checked byte for byte
 #       (internal/bench TestExperimentsGolden). Wall-clock performance
@@ -66,11 +70,15 @@
 #   11. fuzz smoke — five seconds each of stdlib fuzzing (no network, no
 #       corpus download) of the one cell codec, relation.Table's JSON
 #       form that journal records and snapshots go through (no panic on
-#       arbitrary bytes, decode → encode → decode is a fixed point), and
-#       of the POST /append body decoder, ingest.DecodeSpec (no panic; an
+#       arbitrary bytes, decode → encode → decode is a fixed point), of
+#       the POST /append body decoder, ingest.DecodeSpec (no panic; an
 #       accepted spec is rectangular with typed cells; encode → decode →
 #       encode reproduces the bytes, which the coordinator relies on when
-#       it re-encodes slices for replicas). Their seed corpora already
+#       it re-encodes slices for replicas), and of the hex partial-sum
+#       parser the coordinator's merge and the refresh path decode with,
+#       FuzzMergePartialSums (no panic; accepted encodings merge to the
+#       same float64 and the same encoding in any order; decode → encode
+#       → decode is a fixed point). Their seed corpora already
 #       ran as ordinary tests in stage 1; a failure leaves its input
 #       under the package's testdata/fuzz to be checked in as a
 #       regression seed
@@ -165,5 +173,6 @@ $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
 echo "==> fuzz smoke"
 $GO test -run '^$' -fuzz FuzzTableJSON -fuzztime 5s ./internal/relation
 $GO test -run '^$' -fuzz FuzzDecodeSpec -fuzztime 5s ./internal/ingest
+$GO test -run '^$' -fuzz FuzzMergePartialSums -fuzztime 5s ./internal/engine
 
 echo "==> ci passed"
