@@ -32,6 +32,7 @@ package deepsea
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"deepsea/internal/core"
@@ -127,13 +128,6 @@ func WithNectarSelection() Option {
 // WithCostModel overrides the simulated cluster's cost constants.
 func WithCostModel(cm engine.CostModel) Option {
 	return func(c *core.Config) { c.CostModel = &cm }
-}
-
-// WithEstimateOnly runs the engine in estimate-only mode: no rows are
-// produced, only simulated costs (the paper's simulator mode for large
-// sweeps).
-func WithEstimateOnly() Option {
-	return func(c *core.Config) { c.ExecuteRows = false }
 }
 
 // WithParallelism sets the engine's data-path worker count (0 keeps the
@@ -514,8 +508,10 @@ func (s *System) RunContext(ctx context.Context, q *Query) (Report, error) {
 // TemplateKey returns the query's plan-template fingerprint: queries
 // that differ only in their range-predicate bounds share a key. It is
 // not the result-cache key, which distinguishes exact bounds. Building
-// the key resolves every table and column the query names, so serving
-// layers also use it to reject a bad query before admitting it.
+// the key resolves every table the query scans and every column it
+// names against its operator's input, with the types the operator
+// reads, so serving layers also use it to reject a bad query before
+// admitting it.
 func (s *System) TemplateKey(q *Query) (string, error) {
 	plan, err := q.build(s)
 	if err != nil {
@@ -620,7 +616,7 @@ type Report struct {
 	core.QueryReport
 }
 
-// Rows returns the result as [][]any (nil in estimate-only mode).
+// Rows returns the result as [][]any (nil for the zero Report).
 func (r Report) Rows() [][]any {
 	if r.Result == nil {
 		return nil
@@ -661,7 +657,11 @@ func (r Report) SimulatedSeconds() float64 { return r.TotalSeconds }
 
 // internal plan building -----------------------------------------------
 
-// Query is a fluent relational query builder over base tables.
+// Query is a fluent relational query builder over base tables. A query
+// is built when it is run (or its TemplateKey taken); building resolves
+// every name against the input of the operator that names it, so an
+// unknown table or column, or a column of a type the operator cannot
+// read, is a "deepsea: …" error before any planning starts.
 type Query struct {
 	build func(*System) (query.Node, error)
 }
@@ -688,6 +688,17 @@ func (q *Query) Join(other *Query, leftCol, rightCol string) *Query {
 		if err != nil {
 			return nil, err
 		}
+		lt, err := resolve(l, "join key", leftCol)
+		if err != nil {
+			return nil, err
+		}
+		rt, err := resolve(r, "join key", rightCol)
+		if err != nil {
+			return nil, err
+		}
+		if lt != rt {
+			return nil, fmt.Errorf("deepsea: join keys %q (%s) and %q (%s) differ in type", leftCol, lt, rightCol, rt)
+		}
 		return &query.Join{Left: l, Right: r, LCol: leftCol, RCol: rightCol}, nil
 	}}
 }
@@ -698,6 +709,11 @@ func (q *Query) Select(cols ...string) *Query {
 		c, err := q.build(s)
 		if err != nil {
 			return nil, err
+		}
+		for _, col := range cols {
+			if _, err := resolve(c, "select", col); err != nil {
+				return nil, err
+			}
 		}
 		return &query.Project{Child: c, Cols: cols}, nil
 	}}
@@ -714,6 +730,9 @@ func (q *Query) Where(col string, lo, hi int64) *Query {
 		if lo > hi {
 			return nil, fmt.Errorf("deepsea: empty range [%d,%d] on %s", lo, hi, col)
 		}
+		if _, err := resolve(c, "where", col, relation.Int); err != nil {
+			return nil, err
+		}
 		return &query.Select{Child: c,
 			Ranges: []query.RangePred{{Col: col, Iv: interval.New(lo, hi)}}}, nil
 	}}
@@ -724,6 +743,9 @@ func (q *Query) WhereEq(col, value string) *Query {
 	return &Query{build: func(s *System) (query.Node, error) {
 		c, err := q.build(s)
 		if err != nil {
+			return nil, err
+		}
+		if _, err := resolve(c, "where_eq", col, relation.String); err != nil {
 			return nil, err
 		}
 		return &query.Select{Child: c, Residuals: []query.CmpPred{{
@@ -803,10 +825,46 @@ func (g *Grouped) Agg(aggs ...AggSpec) *Query {
 		if err != nil {
 			return nil, err
 		}
+		for _, col := range g.cols {
+			if _, err := resolve(c, "group_by", col); err != nil {
+				return nil, err
+			}
+		}
 		specs := make([]query.AggSpec, len(aggs))
 		for i, a := range aggs {
 			specs[i] = a.spec
+			var err error
+			switch a.spec.Func {
+			case query.Sum, query.Avg:
+				_, err = resolve(c, a.spec.Func.String(), a.spec.Col, relation.Int, relation.Float)
+			case query.Min, query.Max:
+				_, err = resolve(c, a.spec.Func.String(), a.spec.Col)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
 		return &query.Aggregate{Child: c, GroupBy: g.cols, Aggs: specs}, nil
 	}}
+}
+
+// resolve looks a column a builder names up in its input's output and
+// returns its type, checking, when types are given, that it is one of
+// them. Every builder resolves its names before it builds its node, so
+// a built plan names only columns its inputs have, of the types its
+// operators read: planning and execution never meet a missing one.
+func resolve(in query.Node, role, name string, types ...relation.Type) (relation.Type, error) {
+	typ, ok := query.ColumnType(in, name)
+	if !ok {
+		schema := in.Schema()
+		return typ, fmt.Errorf("deepsea: %s column %q is not in %s", role, name, schema.String())
+	}
+	if len(types) > 0 && !slices.Contains(types, typ) {
+		want := make([]string, len(types))
+		for j, t := range types {
+			want[j] = t.String()
+		}
+		return typ, fmt.Errorf("deepsea: %s column %q is %s, want %s", role, name, typ, strings.Join(want, " or "))
+	}
+	return typ, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -127,20 +128,6 @@ func TestResultsMatchBaselineAcrossStrategies(t *testing.T) {
 	}
 }
 
-func TestEstimateOnlyMode(t *testing.T) {
-	s := newSystem(t, WithEstimateOnly())
-	rep, err := s.Run(salesByCategory(0, 499))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Rows() != nil {
-		t.Error("estimate-only mode returned rows")
-	}
-	if rep.SimulatedSeconds() <= 0 {
-		t.Error("estimate-only mode charged no time")
-	}
-}
-
 func TestPoolInspection(t *testing.T) {
 	s := newSystem(t)
 	if s.PoolBytes() != 0 {
@@ -204,6 +191,43 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := s.Run(Scan("sales").Where("item", 10, 5)); err == nil {
 		t.Error("inverted range accepted")
+	}
+}
+
+// TestMalformedQueryIsRejected: every builder resolves the names it is
+// given against its input, so a query naming a column its input lacks,
+// or one of the wrong type, fails to build — before planning takes the
+// manager lock — instead of panicking under it or answering wrongly.
+// The system answers a valid query after each rejection.
+func TestMalformedQueryIsRejected(t *testing.T) {
+	s := newSystem(t)
+	for name, q := range map[string]*Query{
+		"select missing":           Scan("product").Select("nope"),
+		"group by missing":         Scan("product").GroupBy("nope").Agg(Count("n")),
+		"where missing":            Scan("product").Where("nope", 0, 10),
+		"where on dropped column":  Scan("product").Select("p_category").Where("p_item", 0, 10),
+		"where on string":          Scan("product").Where("p_category", 0, 10),
+		"where_eq missing":         Scan("product").WhereEq("nope", "a"),
+		"where_eq on int":          Scan("product").WhereEq("p_item", "a"),
+		"sum over string":          Scan("product").GroupBy().Agg(Sum("p_category", "s")),
+		"sum missing":              Scan("product").GroupBy().Agg(Sum("nope", "s")),
+		"avg over string":          Scan("product").GroupBy("p_item").Agg(Avg("p_category", "a")),
+		"min missing":              Scan("product").GroupBy().Agg(Min("nope", "m")),
+		"max missing":              Scan("product").GroupBy().Agg(Max("nope", "m")),
+		"join left key missing":    Scan("sales").Join(Scan("product"), "nope", "p_item"),
+		"join right key missing":   Scan("sales").Join(Scan("product"), "item", "nope"),
+		"join keys differ in type": Scan("sales").Join(Scan("product"), "item", "p_category"),
+		"partial over bad agg":     Scan("sales").GroupBy("item").Agg(Sum("pad", "s")).Partial(),
+	} {
+		if _, err := s.TemplateKey(q); err == nil || !strings.HasPrefix(err.Error(), "deepsea: ") {
+			t.Errorf("%s: TemplateKey error %v, want a deepsea: error", name, err)
+		}
+		if _, err := s.Run(q); err == nil || !strings.HasPrefix(err.Error(), "deepsea: ") {
+			t.Errorf("%s: Run error %v, want a deepsea: error", name, err)
+		}
+		if rep, err := s.Run(salesByCategory(0, 499)); err != nil || len(rep.Rows()) == 0 {
+			t.Fatalf("after %s: valid query answered %d rows, error %v", name, len(rep.Rows()), err)
+		}
 	}
 }
 

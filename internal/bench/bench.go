@@ -80,8 +80,8 @@ var defaultParallelism int
 // for every setting; only wall-clock time changes.
 func SetDefaultParallelism(n int) { defaultParallelism = n }
 
-// baseConfig returns the shared configuration: exec mode, default cost
-// model, unlimited pool.
+// baseConfig returns the shared configuration: default cost model,
+// unlimited pool.
 func baseConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cm := engine.DefaultCostModel()

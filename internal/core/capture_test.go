@@ -234,9 +234,8 @@ func TestFragSizerRejectsProbeOutsideCapturedPieces(t *testing.T) {
 	for _, k := range []int64{1000, 1500, 1999, 6000} {
 		captured.Append(relation.Row{relation.IntVal(k)})
 	}
-	dom := interval.New(testDomLo, testDomHi)
 	within := interval.Set{interval.New(1000, 1999), interval.New(6000, 6999)}
-	s := newFragSizer(captured, "k", 1<<20, dom, within)
+	s := newFragSizer(captured, "k", within)
 	if got := s.sizeOf(interval.New(1000, 1499)); got != 8 || s.outside != nil {
 		t.Fatalf("inside probe: size %d, outside %v; want 8 and none", got, s.outside)
 	}

@@ -136,16 +136,12 @@ type Config struct {
 	// CostModel configures the simulated cluster; zero value selects
 	// engine.DefaultCostModel.
 	CostModel *engine.CostModel
-	// ExecuteRows selects real row execution (true) or the estimate-only
-	// simulator mode.
-	ExecuteRows bool
 	// Parallelism is the engine's data-path worker count; 0 keeps the
 	// engine default (runtime.GOMAXPROCS), 1 forces sequential
 	// execution. Results are byte-identical for every setting.
 	Parallelism int
 	// CacheBytes bounds the fingerprint-keyed result cache (bytes of
-	// cached rows); 0 disables caching. Only meaningful with
-	// ExecuteRows: in estimate-only mode there are no rows to cache.
+	// cached rows); 0 disables caching.
 	CacheBytes int64
 	// Faults configures deterministic fault injection into storage, the
 	// engine's workers and materialization (chaos testing); nil — the
@@ -188,7 +184,6 @@ func DefaultConfig() Config {
 		// (the paper's tmax; Section 7.1).
 		DecayTMax:       3000,
 		MaxFragFraction: 0.1,
-		ExecuteRows:     true,
 	}
 }
 
@@ -257,7 +252,7 @@ func (c *Config) background() bool { return c.MaintWorkers > 0 }
 
 // QueryReport summarises how one query was processed.
 type QueryReport struct {
-	// Result holds the query output (nil in estimate-only mode).
+	// Result holds the query output.
 	Result *relation.Table
 	// ExecCost is the simulated cost of running the (possibly rewritten)
 	// query.

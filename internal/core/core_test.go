@@ -362,50 +362,6 @@ func TestAllStrategiesProduceCorrectResults(t *testing.T) {
 	}
 }
 
-func TestEstimateOnlyModeRuns(t *testing.T) {
-	d := newTestSystem(t, func(c *Config) { c.ExecuteRows = false })
-	for i := 0; i < 5; i++ {
-		rep := run(t, d, q30(int64(i*500), int64(i*500+999)))
-		if rep.Result != nil {
-			t.Fatal("estimate-only mode returned rows")
-		}
-		if rep.TotalSeconds <= 0 {
-			t.Fatal("estimate-only mode accounted no time")
-		}
-	}
-	if d.Pool.TotalSize() == 0 {
-		t.Error("estimate-only mode materialized nothing")
-	}
-}
-
-func TestEstimateModeMatchesExecModeShape(t *testing.T) {
-	// The two modes must agree on the broad outcome: total workload time
-	// within a factor, and the same views materialized.
-	mkWorkload := func() []query.Node {
-		var qs []query.Node
-		rng := rand.New(rand.NewSource(17))
-		for i := 0; i < 8; i++ {
-			lo := rng.Int63n(8000)
-			qs = append(qs, q30(lo, lo+999))
-		}
-		return qs
-	}
-	exec := newTestSystem(t, nil)
-	est := newTestSystem(t, func(c *Config) { c.ExecuteRows = false })
-	var execTotal, estTotal float64
-	for _, q := range mkWorkload() {
-		execTotal += run(t, exec, q).TotalSeconds
-	}
-	for _, q := range mkWorkload() {
-		estTotal += run(t, est, q).TotalSeconds
-	}
-	ratio := estTotal / execTotal
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("estimate-mode total %.0fs vs exec-mode %.0fs (ratio %.2f)",
-			estTotal, execTotal, ratio)
-	}
-}
-
 func TestDeepSeaBeatsHiveOnRepeatedWorkload(t *testing.T) {
 	hive := newTestSystem(t, func(c *Config) { c.Materialize = false })
 	ds := newTestSystem(t, nil)
@@ -459,31 +415,6 @@ func TestHiveBaselineUsesPushdown(t *testing.T) {
 	if h.ExecCost.ShuffleBytes >= d.ExecCost.ShuffleBytes {
 		t.Errorf("pushdown did not shrink shuffle: %d vs %d",
 			h.ExecCost.ShuffleBytes, d.ExecCost.ShuffleBytes)
-	}
-}
-
-// TestEstimateOnlyAcrossStrategies: the simulator mode must run every
-// strategy without row data.
-func TestEstimateOnlyAcrossStrategies(t *testing.T) {
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.ExecuteRows = false },
-		func(c *Config) { c.ExecuteRows = false; c.Partition = PartitionNone },
-		func(c *Config) {
-			c.ExecuteRows = false
-			c.Partition = PartitionEquiDepth
-			c.EquiDepthK = 5
-			c.MaxFragFraction = 0
-		},
-		func(c *Config) { c.ExecuteRows = false; c.Selection = SelectNectar },
-		func(c *Config) { c.ExecuteRows = false; c.Smax = 2 << 30 },
-	} {
-		d := newTestSystem(t, mutate)
-		for i := 0; i < 6; i++ {
-			rep := run(t, d, q30(int64(1000+i*50), int64(1999+i*50)))
-			if rep.TotalSeconds <= 0 {
-				t.Fatal("no cost accounted in estimate mode")
-			}
-		}
 	}
 }
 

@@ -190,7 +190,6 @@ func build(cfg Config) *DeepSea {
 		cm = *cfg.CostModel
 	}
 	eng := engine.New(cm)
-	eng.ExecuteRows = cfg.ExecuteRows
 	if cfg.Parallelism > 0 {
 		eng.Parallelism = cfg.Parallelism
 	}
@@ -357,7 +356,7 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 	// so a hit is consistent: no entry over an evicted or split view
 	// survives.
 	var key string
-	if d.Cache != nil && d.Cfg.ExecuteRows {
+	if d.Cache != nil {
 		key = d.cacheKey(q)
 		if tbl, ok := d.Cache.Get(key, d.Pool.Generation); ok {
 			return QueryReport{Result: tbl, CacheHit: true}, nil

@@ -205,13 +205,8 @@ type AppendReport struct {
 // Append journals a batch of new rows for a base table, marks every
 // dependent materialized view stale, invalidates their cached results,
 // and brings them fresh — synchronously in inline mode, via the
-// maintenance pool's refresh band in background mode. Requires row
-// execution (Config.ExecuteRows); estimate-only instances have no rows
-// to propagate.
+// maintenance pool's refresh band in background mode.
 func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error) {
-	if !d.Cfg.ExecuteRows {
-		return AppendReport{}, fmt.Errorf("core: ingest requires row execution (Config.ExecuteRows)")
-	}
 	if len(rows) == 0 {
 		counts := d.Eng.BaseCounts([]string{table})
 		return AppendReport{Table: table, NewCount: counts[table]}, nil
@@ -695,7 +690,7 @@ func (d *DeepSea) dropStaleView(id string) bool {
 // whose consistency point is whatever the existing metadata says.
 // Caller holds the manager lock.
 func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[string]int64, fromFiles bool) {
-	if !d.Cfg.ExecuteRows || plan == nil {
+	if plan == nil {
 		return
 	}
 	tables := append([]string(nil), query.BaseTables(plan)...)

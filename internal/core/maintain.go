@@ -57,9 +57,9 @@ const maintBatchMax = 64
 // initial fragments). captured carries the rows computed as a
 // by-product of the proposing query's execution — of a partially
 // admitted view, the rows inside the admitted pieces only — and is nil
-// in estimate-only mode, or when the rows must be reconstructed from an
-// existing partition at apply time. capturedBytes is the measured size
-// of the whole view, whatever part of it captured holds.
+// when the rows must be reconstructed from an existing partition at
+// apply time. capturedBytes is the measured size of the whole view,
+// whatever part of it captured holds.
 type matViewTask struct {
 	sv            selectedView
 	captured      *relation.Table
@@ -156,16 +156,14 @@ func maintTaskViews(t *maintain.Task) []string {
 // no-op).
 func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*maintain.Task {
 	var tasks []*maintain.Task
-	if d.Cfg.ExecuteRows {
-		var measure []measuredSize
-		for _, vc := range pq.vcands {
-			if bytes, ok := res.CapturedBytes[vc.node]; ok {
-				measure = append(measure, measuredSize{id: vc.id, bytes: bytes})
-			}
+	var measure []measuredSize
+	for _, vc := range pq.vcands {
+		if bytes, ok := res.CapturedBytes[vc.node]; ok {
+			measure = append(measure, measuredSize{id: vc.id, bytes: bytes})
 		}
-		if len(measure) > 0 {
-			tasks = append(tasks, &maintain.Task{Kind: maintain.KindSweep, Payload: &sweepTask{measure: measure}})
-		}
+	}
+	if len(measure) > 0 {
+		tasks = append(tasks, &maintain.Task{Kind: maintain.KindSweep, Payload: &sweepTask{measure: measure}})
 	}
 	captured := res.Captured
 	gen := d.Pool.Generation

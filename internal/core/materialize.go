@@ -14,8 +14,7 @@ import (
 )
 
 // materializeView stores a captured candidate view according to the
-// configured partitioning mode and returns the charged cost. p.captured
-// is nil in estimate-only mode; sizes then come from statistics. When the
+// configured partitioning mode and returns the charged cost. When the
 // selection admitted only some initial fragments (sv.pieces), only those
 // are written — partial materialization under a tight pool — and
 // p.captured may hold only the rows inside them (captureRange), while
@@ -38,7 +37,7 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 	vs := d.Stats.View(vc.id)
 	var reconstructCost engine.Cost
 	fromFiles := false
-	if captured == nil && d.Cfg.ExecuteRows {
+	if captured == nil {
 		var ok bool
 		captured, reconstructCost, ok = d.reconstructView(vc.id, p.usedByQuery)
 		if !ok {
@@ -52,16 +51,11 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 		// captured at planCounts would mix the two.
 		return engine.Cost{}, false, nil
 	}
-	viewBytes := vs.Size
-	switch {
-	case fromFiles:
-		viewBytes = captured.Bytes()
-	case captured != nil:
-		viewBytes = p.capturedBytes
-	}
 	// Captured rows are a query's; reconstructed ones the store's own.
+	viewBytes := p.capturedBytes
 	write := d.Eng.WriteMaterialized
 	if fromFiles {
+		viewBytes = captured.Bytes()
 		write = d.Eng.RewriteMaterialized
 	}
 
@@ -78,11 +72,7 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 	case PartitionNone:
 		path := d.viewPath(vc.id)
 		var err error
-		if captured != nil {
-			cost, err = write(path, captured)
-		} else {
-			cost, err = d.Eng.WriteMaterializedSize(path, viewBytes)
-		}
+		cost, err = write(path, captured)
 		if err != nil {
 			return cost, false, fmt.Errorf("core: materialize view %s: %w", shortID(vc.id), err)
 		}
@@ -109,21 +99,11 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 			writes = append(writes, gaps...)
 			covered = append(covered, gaps...)
 		}
-		var frags []*relation.Table
-		if captured != nil {
-			frags = fragmentRows(captured, attr, writes)
-		}
+		frags := fragmentRows(captured, attr, writes)
 		for i, iv := range writes {
 			path := d.fragPath(vc.id, attr, iv)
-			fragBytes := uniformShare(viewBytes, iv, dom)
-			var wc engine.Cost
-			var err error
-			if frags != nil {
-				fragBytes = frags[i].Bytes()
-				wc, err = write(path, frags[i])
-			} else {
-				wc, err = d.Eng.WriteMaterializedSize(path, fragBytes)
-			}
+			fragBytes := frags[i].Bytes()
+			wc, err := write(path, frags[i])
 			if err != nil {
 				// Fragments from earlier iterations are already registered
 				// in the pool and stay: a partial partition is valid (gaps
@@ -135,7 +115,7 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 			d.Pool.AddFragment(vc.id, attr, partition.Fragment{Iv: iv, Path: path, Size: fragBytes})
 			fs := d.Stats.Partition(vc.id, attr, dom).Frag(iv)
 			fs.Size = fragBytes
-			fs.Measured = frags != nil
+			fs.Measured = true
 			d.journalFStat(vc.id, attr, fs)
 		}
 	}
@@ -144,7 +124,7 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 	vs.Size = viewBytes
 	// vs.Cost keeps the recompute estimate (Section 7.1's COST(V));
 	// the charged materialization overhead is returned to the caller.
-	vs.Measured = captured != nil
+	vs.Measured = true
 	d.journalVStat(vs)
 	// Register the view's ingest consistency point: captured content is
 	// exact at the proposing query's planning-time base counts (or
@@ -250,10 +230,7 @@ func (d *DeepSea) initialPartitioning(sv selectedView, viewBytes int64, captured
 		if k < 1 {
 			return nil, fmt.Errorf("core: equi-depth partitioning requires EquiDepthK >= 1")
 		}
-		if captured != nil {
-			return equiDepthFromData(captured, attr, k, dom), nil
-		}
-		return interval.EquiDepth(dom, k), nil
+		return equiDepthFromData(captured, attr, k, dom), nil
 	}
 
 	pstat := d.Stats.Partition(vc.id, attr, dom)
@@ -285,7 +262,7 @@ func (d *DeepSea) initialPartitioning(sv selectedView, viewBytes int64, captured
 	}
 
 	within, _ := sv.admitted(&d.Cfg)
-	sizer := newFragSizer(captured, attr, viewBytes, dom, within)
+	sizer := newFragSizer(captured, attr, within)
 	// Lower bound: coalesce runs of too-small fragments (block size).
 	ivs = coalesceMin(ivs, sizer.sizeOf, d.Cfg.minFragBytes())
 	// Upper bound: split fragments above φ·S(V).
@@ -322,21 +299,12 @@ func guardSplit(ivs []interval.Interval, isHot func(interval.Interval) bool, gua
 	return out
 }
 
-// uniformShare is a fragment's size when no rows are at hand
-// (estimate-only mode): its share of the view's bytes by key range.
-func uniformShare(viewBytes int64, iv, dom interval.Interval) int64 {
-	return int64(float64(viewBytes) * float64(iv.Len()) / float64(dom.Len()))
-}
-
-// fragSizer is a fast interval-size estimator: in exec mode it sorts the
-// captured partition-key column once and answers each interval by binary
-// search; in estimate-only mode it falls back to the uniform share.
+// fragSizer is a fast interval-size estimator: it sorts the captured
+// partition-key column once and answers each interval by binary search.
 // (Bounding and coalescing probe many intervals.)
 type fragSizer struct {
-	vals      []int64 // the captured keys, ascending; nil in estimate-only mode
-	width     int64
-	viewBytes int64
-	dom       interval.Interval
+	vals  []int64 // the captured keys, ascending
+	width int64
 	// within lists the key ranges the captured rows are complete for
 	// (sorted, disjoint, non-adjacent); nil means everywhere. outside is
 	// the first interval asked about that no member of within contains.
@@ -344,20 +312,15 @@ type fragSizer struct {
 	outside *interval.Interval
 }
 
-func newFragSizer(captured *relation.Table, attr string, viewBytes int64, dom interval.Interval, within interval.Set) *fragSizer {
-	s := &fragSizer{viewBytes: viewBytes, dom: dom}
-	if captured != nil {
-		s.vals = sortedKeys(captured, attr)
-		s.width = captured.Schema.RowWidth()
-		s.within = within
+func newFragSizer(captured *relation.Table, attr string, within interval.Set) *fragSizer {
+	return &fragSizer{
+		vals:   sortedKeys(captured, attr),
+		width:  captured.Schema.RowWidth(),
+		within: within,
 	}
-	return s
 }
 
 func (s *fragSizer) sizeOf(iv interval.Interval) int64 {
-	if s.vals == nil {
-		return uniformShare(s.viewBytes, iv, s.dom)
-	}
 	if s.within != nil && s.outside == nil &&
 		!slices.ContainsFunc(s.within, func(w interval.Interval) bool { return w.ContainsInterval(iv) }) {
 		bad := iv
@@ -461,9 +424,8 @@ func coalesceMin(ivs []interval.Interval, sizeOf func(interval.Interval) int64, 
 // materializeFrag materializes one selected fragment candidate: either
 // from a captured remainder (gap recovery) or by a refinement plan over
 // the existing fragments (split or overlapping creation). gapRows is the
-// captured remainder output of a gap recovery (nil otherwise, and in
-// estimate-only mode). It returns the charged cost and the intervals
-// actually written.
+// captured remainder output of a gap recovery (nil otherwise). It
+// returns the charged cost and the intervals actually written.
 func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, planCounts map[string]int64) (engine.Cost, []interval.Interval, error) {
 	// One Materialize-site decision per fragment-materialization attempt,
 	// keyed by the view so a view's backoff covers its fragments too.
@@ -491,21 +453,12 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, pla
 		}
 		// The remainder execution already computed the gap's rows;
 		// only the write is charged.
-		tbl := gapRows
-		if d.Cfg.ExecuteRows && tbl == nil {
+		if gapRows == nil {
 			return engine.Cost{}, nil, fmt.Errorf("core: remainder output for gap %s not captured", fc.iv)
 		}
 		path := d.fragPath(fc.viewID, fc.attr, fc.iv)
-		var bytes int64
-		var wc engine.Cost
-		var err error
-		if tbl != nil {
-			wc, err = d.Eng.WriteMaterialized(path, tbl)
-			bytes = tbl.Bytes()
-		} else {
-			wc, err = d.Eng.WriteMaterializedSize(path, fc.estSize)
-			bytes = fc.estSize
-		}
+		bytes := gapRows.Bytes()
+		wc, err := d.Eng.WriteMaterialized(path, gapRows)
 		if err != nil {
 			return cost, nil, fmt.Errorf("core: materialize fragment %s.%s%s: %w", shortID(fc.viewID), fc.attr, fc.iv, err)
 		}
@@ -513,7 +466,7 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, pla
 		d.Pool.AddFragment(fc.viewID, fc.attr, partition.Fragment{Iv: fc.iv, Path: path, Size: bytes})
 		fs := pstat.Frag(fc.iv)
 		fs.Size = bytes
-		fs.Measured = tbl != nil
+		fs.Measured = true
 		d.journalFStat(fc.viewID, fc.attr, fs)
 		return cost, []interval.Interval{fc.iv}, nil
 	}
@@ -576,21 +529,13 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, pla
 	}
 	for _, iv := range ref.Write {
 		path := d.fragPath(fc.viewID, fc.attr, iv)
-		var bytes int64
-		var wc engine.Cost
-		var werr error
-		if d.Cfg.ExecuteRows {
-			tbl, err := extractRows(parents, ref.Read, fc.attr, iv, pv.Schema)
-			if err != nil {
-				undoPending(pending)
-				return engine.Cost{}, nil, err
-			}
-			wc, werr = d.Eng.RewriteMaterialized(path, tbl)
-			bytes = tbl.Bytes()
-		} else {
-			bytes = part.EstimateCandidateSize(iv)
-			wc, werr = d.Eng.WriteMaterializedSize(path, bytes)
+		tbl, err := extractRows(parents, ref.Read, fc.attr, iv, pv.Schema)
+		if err != nil {
+			undoPending(pending)
+			return engine.Cost{}, nil, err
 		}
+		bytes := tbl.Bytes()
+		wc, werr := d.Eng.RewriteMaterialized(path, tbl)
 		if werr != nil {
 			undoPending(pending)
 			return cost, nil, fmt.Errorf("core: refinement of %s.%s%s: %w", shortID(fc.viewID), fc.attr, fc.iv, werr)
@@ -598,7 +543,7 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, pla
 		cost.Add(wc)
 		fs := pstat.Frag(iv)
 		fs.Size = bytes
-		fs.Measured = d.Cfg.ExecuteRows
+		fs.Measured = true
 		d.journalFStat(fc.viewID, fc.attr, fs)
 		written = append(written, iv)
 		pending = append(pending, partition.Fragment{Iv: iv, Path: path, Size: bytes})
@@ -631,7 +576,7 @@ func extractRows(parents []*relation.Table, read []partition.Fragment, attr stri
 	for k, pi := range idx {
 		tbl := parents[pi]
 		if tbl == nil {
-			return nil, fmt.Errorf("core: parent fragment %s has no rows in exec mode", read[pi].Iv)
+			return nil, fmt.Errorf("core: parent fragment %s has no stored rows", read[pi].Iv)
 		}
 		ai := tbl.Schema.ColIndex(attr)
 		for _, row := range tbl.Rows {

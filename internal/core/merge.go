@@ -86,32 +86,20 @@ func (d *DeepSea) maybeMergeFragments(bestRW *matching.Rewriting) (engine.Cost, 
 func (d *DeepSea) mergePair(viewID string, part *partition.Partition, pstat *stats.PartitionStat, fa, fb partition.Fragment) (engine.Cost, error) {
 	mergedIv := interval.Interval{Lo: fa.Iv.Lo, Hi: fb.Iv.Hi}
 	path := d.fragPath(viewID, part.Attr, mergedIv)
-	var cost engine.Cost
-	var bytes int64
-	if d.Cfg.ExecuteRows {
-		ta := d.Eng.Materialized(fa.Path)
-		tb := d.Eng.Materialized(fb.Path)
-		if ta == nil || tb == nil {
-			return cost, fmt.Errorf("core: merge of %s/%s lost row data", fa.Iv, fb.Iv)
-		}
-		tbl := relation.NewTable(ta.Schema)
-		tbl.Rows = append(append(tbl.Rows, ta.Rows...), tb.Rows...)
-		wc, err := d.Eng.RewriteMaterialized(path, tbl)
-		if err != nil {
-			// Nothing was dropped yet, so a failed merge write leaves the
-			// pair untouched — the merge simply did not happen.
-			return cost, fmt.Errorf("core: merge of %s/%s: %w", fa.Iv, fb.Iv, err)
-		}
-		cost.Add(wc)
-		bytes = tbl.Bytes()
-	} else {
-		bytes = fa.Size + fb.Size
-		wc, err := d.Eng.WriteMaterializedSize(path, bytes)
-		if err != nil {
-			return cost, fmt.Errorf("core: merge of %s/%s: %w", fa.Iv, fb.Iv, err)
-		}
-		cost.Add(wc)
+	ta := d.Eng.Materialized(fa.Path)
+	tb := d.Eng.Materialized(fb.Path)
+	if ta == nil || tb == nil {
+		return engine.Cost{}, fmt.Errorf("core: merge of %s/%s lost row data", fa.Iv, fb.Iv)
 	}
+	tbl := relation.NewTable(ta.Schema)
+	tbl.Rows = append(append(tbl.Rows, ta.Rows...), tb.Rows...)
+	cost, err := d.Eng.RewriteMaterialized(path, tbl)
+	if err != nil {
+		// Nothing was dropped yet, so a failed merge write leaves the
+		// pair untouched — the merge simply did not happen.
+		return cost, fmt.Errorf("core: merge of %s/%s: %w", fa.Iv, fb.Iv, err)
+	}
+	bytes := tbl.Bytes()
 	d.Eng.DeleteMaterialized(fa.Path)
 	d.Eng.DeleteMaterialized(fb.Path)
 	d.Pool.RemoveFragment(viewID, part.Attr, fa.Iv)
@@ -120,7 +108,7 @@ func (d *DeepSea) mergePair(viewID string, part *partition.Partition, pstat *sta
 
 	fs := pstat.Frag(mergedIv)
 	fs.Size = bytes
-	fs.Measured = d.Cfg.ExecuteRows
+	fs.Measured = true
 	d.journalFStat(viewID, part.Attr, fs)
 	fs.RecordHit(d.Eng.Now())
 	return cost, nil

@@ -28,7 +28,7 @@ type coreSnapshot struct {
 	// monotone across the restart.
 	Clock float64 `json:"clock"`
 	// Files is the simulated file system's contents — every materialized
-	// view file and fragment, with rows when running in exec mode.
+	// view file and fragment, with its rows.
 	Files []fileSnap `json:"files,omitempty"`
 	// Views is the pool manifest; Gens the cache-generation counters
 	// (kept for all ids, including views evicted before the snapshot —

@@ -29,7 +29,7 @@ import (
 //
 //	pool:    ensure_view, remove_view, set_view_file, drop_view_file,
 //	         ensure_part, add_frag, remove_frag, inval_view
-//	engine:  put_file (Rows nil in estimate-only mode), del_file,
+//	engine:  put_file (Rows carries the stored file), del_file,
 //	         append_file (Rows carries the appended suffix; Size is the
 //	         new total), clock
 //	stats:   part, use, hit, refine, frag_drop, vstat, fstat
@@ -54,7 +54,7 @@ type Record struct {
 	Overlapping bool `json:"ov,omitempty"`
 
 	// Schema carries ensure_view's output schema; Rows carries put_file's
-	// materialized table in exec mode, so a warm restart can serve rows.
+	// materialized table, so a warm restart can serve rows.
 	Schema *relation.Schema `json:"sch,omitempty"`
 	Rows   *relation.Table  `json:"rows,omitempty"`
 

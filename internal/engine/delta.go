@@ -144,9 +144,6 @@ func (c *deltaCtx) chargeRead(bytes int64) {
 // aggregate below the root) return an error; the caller falls back to
 // rematerialization.
 func (e *Engine) PrimeRefresh(plan query.Node, old map[string]*relation.Table) (rp *RefreshPlan, cost Cost, err error) {
-	if !e.ExecuteRows {
-		return nil, Cost{}, fmt.Errorf("engine: incremental refresh requires row execution")
-	}
 	c := &deltaCtx{e: e, bud: newBudget(e.par()), snaps: old, newSizes: make(map[query.Node]int)}
 	c.bud.ctx = context.Background()
 	defer func() {
@@ -240,9 +237,6 @@ func (c *deltaCtx) snapEval(n query.Node, record bool) (*relation.Table, error) 
 // not an error: it reports that this delta cannot be applied
 // incrementally and carries the reason.
 func (e *Engine) DeltaApply(rp *RefreshPlan, snaps, deltas map[string]*relation.Table) (res DeltaResult, err error) {
-	if !e.ExecuteRows {
-		return DeltaResult{}, fmt.Errorf("engine: incremental refresh requires row execution")
-	}
 	c := &deltaCtx{
 		e:        e,
 		bud:      newBudget(e.par()),

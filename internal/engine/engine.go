@@ -15,15 +15,14 @@ import (
 // base-table catalog, the materialized view/fragment store, the simulated
 // file system and the simulated clock.
 //
-// With ExecuteRows enabled (the default) every plan is evaluated over
-// real rows, so rewriting correctness is observable; with it disabled the
-// engine runs in estimate-only mode, in which only the cost model runs —
-// the mode the paper's own simulator uses for large parameter sweeps.
+// Every plan is evaluated over real rows, so rewriting correctness is
+// observable, and the cost model charges simulated seconds for what the
+// rows really cost: that accounting is the paper's simulator (§9).
 //
 // Run may be called from multiple goroutines: the catalog maps and the
 // clock are guarded by mu, and the data path works on tables that are
-// immutable once stored. ExecuteRows and Parallelism are configuration —
-// set them before the first concurrent use.
+// immutable once stored. Parallelism is configuration — set it before
+// the first concurrent use.
 type Engine struct {
 	cm CostModel
 	fs *storage.FS
@@ -33,9 +32,6 @@ type Engine struct {
 	mu   sync.RWMutex
 	base map[string]*relation.Table
 	mat  map[string]*relation.Table
-
-	// ExecuteRows selects real execution (true) or estimate-only mode.
-	ExecuteRows bool
 
 	// Parallelism is the worker count for the row data path (filter,
 	// project, join, aggregate). New sets it to runtime.GOMAXPROCS(0);
@@ -71,7 +67,6 @@ func New(cm CostModel) *Engine {
 		fs:          storage.NewFS(cm.BlockSize),
 		base:        make(map[string]*relation.Table),
 		mat:         make(map[string]*relation.Table),
-		ExecuteRows: true,
 		Parallelism: runtime.GOMAXPROCS(0),
 		clock:       1,
 	}
@@ -244,8 +239,8 @@ func (e *Engine) BaseBytes() int64 {
 	return total
 }
 
-// WriteMaterialized stores a materialized result under path (exec mode)
-// and returns the write cost. The caller decides whether the cost is
+// WriteMaterialized stores a materialized result under path and
+// returns the write cost. The caller decides whether the cost is
 // charged to the workload (view creation is; test setup is not). A
 // failed write (injected storage fault) stores nothing.
 //
@@ -283,19 +278,6 @@ func (e *Engine) writeMaterialized(path string, t *relation.Table, copyRows bool
 	return Cost{Seconds: e.cm.WriteCost(bytes, 1), WriteBytes: bytes}, nil
 }
 
-// WriteMaterializedSize records a materialized file of the given size
-// without row data (estimate-only mode) and returns the write cost.
-func (e *Engine) WriteMaterializedSize(path string, bytes int64) (Cost, error) {
-	if err := e.fs.Write(path, bytes); err != nil {
-		return Cost{}, err
-	}
-	e.mu.Lock()
-	delete(e.mat, path)
-	e.emit(datastore.Record{Op: "put_file", Path: path, Size: bytes})
-	e.mu.Unlock()
-	return Cost{Seconds: e.cm.WriteCost(bytes, 1), WriteBytes: bytes}, nil
-}
-
 // AppendMaterialized extends a stored materialized file with delta
 // rows, charging only the delta's write cost — the storage primitive of
 // incremental view refresh. The combined table is published as a fresh
@@ -325,8 +307,8 @@ func (e *Engine) AppendMaterialized(path string, delta []relation.Row) (Cost, er
 	return Cost{Seconds: e.cm.WriteCost(deltaBytes, 1), WriteBytes: deltaBytes}, nil
 }
 
-// ReadMaterialized returns the stored rows for path (nil in estimate-only
-// mode) and the cost of a full scan of the file. A failed read (missing
+// ReadMaterialized returns the stored rows for path (nil for a file
+// restored without rows) and the cost of a full scan of the file. A failed read (missing
 // file, injected storage fault) is the caller's to handle: the file may
 // still exist, only this read of it failed.
 func (e *Engine) ReadMaterialized(path string) (*relation.Table, Cost, error) {
@@ -364,7 +346,8 @@ func (e *Engine) DeleteMaterialized(path string) {
 
 // RestoreFile recreates a materialized file during recovery — no write
 // cost, no I/O accounting, no fault check, no journal echo. rows may be
-// nil (estimate-only mode or a snapshot that dropped payloads).
+// nil when the journal or snapshot being replayed carries no payload for
+// the file; a later read of it then fails rather than answering.
 func (e *Engine) RestoreFile(path string, size int64, rows *relation.Table) {
 	e.fs.Restore(path, size)
 	e.mu.Lock()

@@ -419,18 +419,6 @@ func TestEstimateMatchesExecForUniformData(t *testing.T) {
 	}
 }
 
-func TestEstimateOnlyMode(t *testing.T) {
-	e := testEngine()
-	e.ExecuteRows = false
-	res := mustRun(t, e, joinPlan())
-	if res.Table != nil {
-		t.Error("estimate-only mode returned rows")
-	}
-	if res.Cost.Seconds <= 0 {
-		t.Error("estimate-only mode returned no cost")
-	}
-}
-
 func TestEstimateSize(t *testing.T) {
 	e := testEngine()
 	rows, bytes, err := e.EstimateSize(joinPlan())
@@ -499,7 +487,6 @@ func TestCostModelTasks(t *testing.T) {
 
 func TestEstimateModeViewScanUsesOverrides(t *testing.T) {
 	e := testEngine()
-	e.ExecuteRows = false
 	vs := &query.ViewScan{
 		ViewID:     "virt",
 		ViewPath:   "virtual://virt",

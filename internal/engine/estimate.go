@@ -34,8 +34,8 @@ func (o *estOut) bytes() int64 { return int64(o.rows * float64(o.rowWidth)) }
 // EstimateCost predicts the simulated cost of a plan without executing
 // it, using base-table cardinalities, stored view/fragment sizes and
 // uniform-distribution assumptions. The estimator mirrors the executor's
-// cost accounting exactly, so exec-mode and estimate-only experiments
-// produce the same cost shapes.
+// cost accounting, so the rewriter and candidate generation price plans
+// the way Run will charge them (TestEstimateCostTracksRun).
 func (e *Engine) EstimateCost(plan query.Node) (Cost, error) {
 	out, err := e.estimate(plan)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // Result is the outcome of running a plan.
 type Result struct {
-	// Table holds the output rows; nil in estimate-only mode.
+	// Table holds the output rows.
 	Table *relation.Table
 	// Cost is the simulated cost of the run.
 	Cost Cost
@@ -93,8 +93,7 @@ func (res *Result) absorb(sub *Result) {
 	}
 }
 
-// Run evaluates the plan. In exec mode rows are really computed; in
-// estimate-only mode the cost model alone runs and Table is nil. capture
+// Run evaluates the plan over real rows and charges their cost. capture
 // may list plan nodes whose intermediate outputs the caller wants (for
 // view materialization), at what level and, for rows, inside what range;
 // it may be nil.
@@ -114,13 +113,6 @@ func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[qu
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
-	}
-	if !e.ExecuteRows {
-		c, err := e.EstimateCost(plan)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Cost: c}, nil
 	}
 	if err := checkCaptures(capture); err != nil {
 		return Result{}, err
@@ -460,7 +452,7 @@ func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]Capture,
 	// compensating predicates, preserving row order.
 	filterStored := func(tbl *relation.Table, clip *interval.Interval) ([]relation.Row, error) {
 		if tbl == nil {
-			return nil, fmt.Errorf("engine: view %s has no stored rows (estimate-only data?)", v.ViewID)
+			return nil, fmt.Errorf("engine: view %s has no stored rows (restored without a payload?)", v.ViewID)
 		}
 		preds := bindPreds(&tbl.Schema, v.CompRanges, v.CompResiduals)
 		if clip != nil {

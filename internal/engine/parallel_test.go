@@ -281,12 +281,11 @@ func TestMalformedViewScanErrors(t *testing.T) {
 		FragIDs:    []string{"views/j/ss_item_sk/[0,10]", "views/j/ss_item_sk/[11,20]"},
 		Reads:      []interval.Interval{interval.New(0, 10)},
 	}
-	for _, exec := range []bool{true, false} {
-		e := testEngine()
-		e.ExecuteRows = exec
-		_, err := e.Run(vs, nil)
-		if err == nil || !strings.Contains(err.Error(), "malformed") {
-			t.Errorf("ExecuteRows=%v: want malformed-ViewScan error, got %v", exec, err)
-		}
+	e := testEngine()
+	if _, err := e.Run(vs, nil); err == nil || !strings.Contains(err.Error(), "malformed") {
+		t.Errorf("Run: want malformed-ViewScan error, got %v", err)
+	}
+	if _, err := e.EstimateCost(vs); err == nil || !strings.Contains(err.Error(), "malformed") {
+		t.Errorf("EstimateCost: want malformed-ViewScan error, got %v", err)
 	}
 }

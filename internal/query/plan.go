@@ -11,6 +11,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"deepsea/internal/interval"
@@ -193,6 +194,39 @@ func (p *Project) Schema() relation.Schema {
 
 // Children implements Node.
 func (p *Project) Children() []Node { return []Node{p.Child} }
+
+// ColumnType returns the type of the named column of n's output, and
+// whether n has one, as n.Schema() would answer it but without building
+// the schema: it follows the name down through selections, projections
+// and joins to the scan that produces it, so resolving a name allocates
+// nothing however deep the plan is.
+func ColumnType(n Node, name string) (relation.Type, bool) {
+	switch n := n.(type) {
+	case *Scan:
+		if i := n.schema.ColIndex(name); i >= 0 {
+			return n.schema.Cols[i].Type, true
+		}
+		return 0, false
+	case *Select:
+		return ColumnType(n.Child, name)
+	case *Project:
+		if !slices.Contains(n.Cols, name) {
+			return 0, false
+		}
+		return ColumnType(n.Child, name)
+	case *Join:
+		if t, ok := ColumnType(n.Left, name); ok {
+			return t, true
+		}
+		return ColumnType(n.Right, name)
+	default:
+		s := n.Schema()
+		if i := s.ColIndex(name); i >= 0 {
+			return s.Cols[i].Type, true
+		}
+		return 0, false
+	}
+}
 
 // String implements Node.
 func (p *Project) String() string {

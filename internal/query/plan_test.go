@@ -62,6 +62,30 @@ func TestSchemaDerivation(t *testing.T) {
 	}
 }
 
+// TestColumnTypeMatchesSchema: at every node of a plan, ColumnType
+// finds exactly the columns Schema() lists, with Schema()'s types, and
+// nothing else — a column a projection dropped is gone above it.
+func TestColumnTypeMatchesSchema(t *testing.T) {
+	plan := testPlan()
+	partial := *plan.(*Aggregate)
+	partial.Partial = true
+	for _, root := range []Node{plan, &partial} {
+		Walk(root, func(n Node) {
+			schema := n.Schema()
+			for _, want := range schema.Cols {
+				if got, ok := ColumnType(n, want.Name); !ok || got != want.Type {
+					t.Errorf("%s: ColumnType(%q) = %v, %v; want %v", n, want.Name, got, ok, want.Type)
+				}
+			}
+			for _, name := range []string{"f_date", "nope"} {
+				if _, ok := ColumnType(n, name); ok != schema.Has(name) {
+					t.Errorf("%s: ColumnType(%q) found = %v, schema has it = %v", n, name, ok, schema.Has(name))
+				}
+			}
+		})
+	}
+}
+
 func TestAggOutputTypes(t *testing.T) {
 	base := NewScan("fact", factSchema())
 	agg := &Aggregate{Child: base, GroupBy: nil, Aggs: []AggSpec{

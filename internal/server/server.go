@@ -406,9 +406,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		var err error
 		if q, err = spec.build(); err == nil {
-			// Resolving the template key resolves every table and column
-			// the query names: an unknown one is a client error, caught
-			// here instead of as a 500 after admission.
+			// Building the template key resolves every table the query
+			// scans and every column it names, with the type its
+			// operator reads: a malformed query is a client error,
+			// caught here before admission and before planning.
 			_, err = s.sys.TemplateKey(q)
 		}
 		if err != nil {

@@ -78,7 +78,11 @@
 #       parser the coordinator's merge and the refresh path decode with,
 #       FuzzMergePartialSums (no panic; accepted encodings merge to the
 #       same float64 and the same encoding in any order; decode → encode
-#       → decode is a fixed point). Their seed corpora already
+#       → decode is a fixed point), and of the POST /query body,
+#       FuzzQuerySpec (decode, build and template key; a spec that
+#       passes all three runs without panicking, and a valid query still
+#       answers after it, so no input leaves the manager lock held).
+#       Their seed corpora already
 #       ran as ordinary tests in stage 1; a failure leaves its input
 #       under the package's testdata/fuzz to be checked in as a
 #       regression seed
@@ -174,5 +178,6 @@ echo "==> fuzz smoke"
 $GO test -run '^$' -fuzz FuzzTableJSON -fuzztime 5s ./internal/relation
 $GO test -run '^$' -fuzz FuzzDecodeSpec -fuzztime 5s ./internal/ingest
 $GO test -run '^$' -fuzz FuzzMergePartialSums -fuzztime 5s ./internal/engine
+$GO test -run '^$' -fuzz FuzzQuerySpec -fuzztime 5s ./internal/server
 
 echo "==> ci passed"
