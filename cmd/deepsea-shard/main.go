@@ -96,6 +96,8 @@ func main() {
 		for i := 0; i < *shards; i++ {
 			var group []string
 			for j := 0; j < *replicas; j++ {
+				// Load hands data's rows over by reference: every
+				// replica of every group shares one copy of the base rows.
 				sys := deepsea.New()
 				if err := workload.Load(sys, data); err != nil {
 					fmt.Fprintln(os.Stderr, err)

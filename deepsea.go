@@ -32,6 +32,7 @@ package deepsea
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -60,7 +61,7 @@ type ColumnDef struct {
 	Name string
 	Kind Kind
 	// Ordered marks an integer column usable as a partition key; Lo and
-	// Hi bound its domain.
+	// Hi bound its domain, with Lo <= Hi < math.MaxInt64.
 	Ordered bool
 	Lo, Hi  int64
 	// Width optionally overrides the modelled byte width of the column
@@ -312,6 +313,12 @@ func (s *System) CreateTable(def TableDef) error {
 		if col.Ordered && col.Type != relation.Int {
 			return fmt.Errorf("deepsea: ordered column %q must be Int", c.Name)
 		}
+		// Fragments and query ranges are closed intervals, and the
+		// interval algebra steps past one with Hi+1.
+		if col.Ordered && (col.Lo > col.Hi || col.Hi == math.MaxInt64) {
+			return fmt.Errorf("deepsea: ordered column %q domain [%d, %d] must have Lo <= Hi < MaxInt64",
+				c.Name, col.Lo, col.Hi)
+		}
 		schema.Cols = append(schema.Cols, col)
 	}
 	s.schemas[def.Name] = schema
@@ -346,6 +353,29 @@ func (s *System) Insert(table string, values []any) error {
 		return err
 	}
 	s.ds.Eng.BaseTable(table).Append(row)
+	return nil
+}
+
+// InsertRows appends rows to a base table at load time: the
+// relation.Row twin of Insert, as AppendRows is of Append. It checks the
+// table and every row's width before it changes anything. The rows are
+// kept, not copied: the table's own row slice takes their headers and
+// reads their cells in place, so the caller must not change them
+// afterwards. Like Insert it bypasses the view manager and must not run
+// concurrently with queries.
+func (s *System) InsertRows(table string, rows []relation.Row) error {
+	schema, ok := s.schemas[table]
+	if !ok {
+		return fmt.Errorf("deepsea: unknown table %q", table)
+	}
+	for i, r := range rows {
+		if len(r) != len(schema.Cols) {
+			return fmt.Errorf("deepsea: table %q wants %d values, got %d in row %d",
+				table, len(schema.Cols), len(r), i)
+		}
+	}
+	t := s.ds.Eng.BaseTable(table)
+	t.Rows = append(t.Rows, rows...)
 	return nil
 }
 

@@ -5,7 +5,11 @@
 // restricts key domains to int64, which makes every split in the paper
 // exact: the half-open interval [l', l) over an integer domain is the
 // closed interval [l', l-1]. All intervals in this package are closed on
-// both ends and non-empty (Lo <= Hi).
+// both ends and non-empty, and end below math.MaxInt64: Lo <= Hi <
+// MaxInt64. The algebra steps past an interval to Hi+1, which would wrap
+// at MaxInt64, so a key domain must end before it (deepsea.CreateTable
+// rejects one that does), and query ranges are clipped to their key's
+// domain before they reach the algebra.
 package interval
 
 import (

@@ -9,10 +9,12 @@ import (
 )
 
 // Load registers the dataset's tables with a public-API System and
-// copies their rows in, so serving frontends and benchmarks can drive
-// the fluent query surface over the same deterministic BigBench-derived
-// data the core benchmarks use. Tables load in sorted name order, so
-// the resulting engine state is reproducible.
+// hands their rows over by reference (System.InsertRows), so serving
+// frontends and benchmarks can drive the fluent query surface over the
+// same deterministic BigBench-derived data the core benchmarks use,
+// and every System loaded from one Data shares one copy of its rows.
+// d's rows must not change afterwards. Tables load in sorted name
+// order, so the resulting engine state is reproducible.
 func Load(sys *deepsea.System, d *Data) error {
 	names := make([]string, 0, len(d.Tables))
 	for name := range d.Tables {
@@ -21,46 +23,15 @@ func Load(sys *deepsea.System, d *Data) error {
 	sort.Strings(names)
 	for _, name := range names {
 		t := d.Tables[name]
-		def := deepsea.TableDef{Name: name}
-		for _, c := range t.Schema.Cols {
-			cd := deepsea.ColumnDef{
-				Name:    c.Name,
-				Ordered: c.Ordered,
-				Lo:      c.Lo,
-				Hi:      c.Hi,
-				Width:   c.Width,
-			}
-			switch c.Type {
-			case relation.Int:
-				cd.Kind = deepsea.Int
-			case relation.Float:
-				cd.Kind = deepsea.Float
-			case relation.String:
-				cd.Kind = deepsea.String
-			default:
-				return fmt.Errorf("workload: table %s column %s has unknown type", name, c.Name)
-			}
-			def.Columns = append(def.Columns, cd)
+		def, err := tableDef(name, t.Schema)
+		if err != nil {
+			return err
 		}
 		if err := sys.CreateTable(def); err != nil {
 			return err
 		}
-		// Insert copies out of vals and keeps nothing: one buffer per table.
-		vals := make([]any, len(t.Schema.Cols))
-		for _, row := range t.Rows {
-			for i, v := range row {
-				switch t.Schema.Cols[i].Type {
-				case relation.Int:
-					vals[i] = v.Int()
-				case relation.Float:
-					vals[i] = v.Float()
-				default:
-					vals[i] = v.Str()
-				}
-			}
-			if err := sys.Insert(name, vals); err != nil {
-				return err
-			}
+		if err := sys.InsertRows(name, t.Rows); err != nil {
+			return err
 		}
 	}
 	// The catalog is re-created: replay any base-table appends the
@@ -70,6 +41,33 @@ func Load(sys *deepsea.System, d *Data) error {
 		return fmt.Errorf("workload: replay recovered appends: %w", err)
 	}
 	return nil
+}
+
+// tableDef renders a generated table's schema as the public-API
+// definition of table name.
+func tableDef(name string, schema relation.Schema) (deepsea.TableDef, error) {
+	def := deepsea.TableDef{Name: name}
+	for _, c := range schema.Cols {
+		cd := deepsea.ColumnDef{
+			Name:    c.Name,
+			Ordered: c.Ordered,
+			Lo:      c.Lo,
+			Hi:      c.Hi,
+			Width:   c.Width,
+		}
+		switch c.Type {
+		case relation.Int:
+			cd.Kind = deepsea.Int
+		case relation.Float:
+			cd.Kind = deepsea.Float
+		case relation.String:
+			cd.Kind = deepsea.String
+		default:
+			return def, fmt.Errorf("workload: table %s column %s has unknown type", name, c.Name)
+		}
+		def.Columns = append(def.Columns, cd)
+	}
+	return def, nil
 }
 
 // BuildQuery instantiates a template as a public-API fluent query with

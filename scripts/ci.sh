@@ -81,7 +81,15 @@
 #       → decode is a fixed point), and of the POST /query body,
 #       FuzzQuerySpec (decode, build and template key; a spec that
 #       passes all three runs without panicking, and a valid query still
-#       answers after it, so no input leaves the manager lock held).
+#       answers after it, so no input leaves the manager lock held),
+#       of the interval algebra, FuzzAlgebra (Covers, Gaps, Union,
+#       Disjoint, SplitAt and ClippedCover agree with a brute-force
+#       point set in windows at both ends of int64 and around zero;
+#       ClippedCover is full exactly when Gaps is empty), and of the
+#       journal scan, FuzzScanJournal (no panic; a refused journal is
+#       ErrJournalFormat and left byte-for-byte alone; an accepted one
+#       is truncated to its intact prefix, Load returns that prefix's
+#       records, and an append after reopening lands behind them).
 #       Their seed corpora already
 #       ran as ordinary tests in stage 1; a failure leaves its input
 #       under the package's testdata/fuzz to be checked in as a
@@ -179,5 +187,7 @@ $GO test -run '^$' -fuzz FuzzTableJSON -fuzztime 5s ./internal/relation
 $GO test -run '^$' -fuzz FuzzDecodeSpec -fuzztime 5s ./internal/ingest
 $GO test -run '^$' -fuzz FuzzMergePartialSums -fuzztime 5s ./internal/engine
 $GO test -run '^$' -fuzz FuzzQuerySpec -fuzztime 5s ./internal/server
+$GO test -run '^$' -fuzz FuzzAlgebra -fuzztime 5s ./internal/interval
+$GO test -run '^$' -fuzz FuzzScanJournal -fuzztime 5s ./internal/datastore
 
 echo "==> ci passed"
