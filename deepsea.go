@@ -35,6 +35,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"deepsea/internal/core"
 	"deepsea/internal/datastore"
@@ -141,9 +142,10 @@ func WithParallelism(n int) Option {
 
 // WithResultCache enables the fingerprint-keyed result cache, bounded
 // to the given number of bytes. Identical repeated queries are answered
-// from the cache in O(1); entries are invalidated precisely when a pool
-// mutation touches a view the cached plan read. Only meaningful with
-// row execution (the default mode).
+// from the cache in O(1). An entry is keyed by the query and the row
+// count of every base table it reads, so an append makes it
+// unreachable; nothing else does, because a rewriting over views
+// answers exactly what the base plan answers.
 //
 // The bound counts modelled bytes, the unit of WithPoolLimit: an answer
 // is accounted at rows × the schema's modelled row width, not at what
@@ -267,6 +269,9 @@ type System struct {
 	// slabs holds each table's load-time row allocator: Insert carves
 	// rows out of shared allocations instead of making one per row.
 	slabs map[string]*relation.Slab
+	// started is set by the first query, Append or ApplyRecoveredAppends;
+	// from then on Insert and InsertRows are refused (see errStarted).
+	started atomic.Bool
 }
 
 // New creates a System. Without options it runs full DeepSea with an
@@ -335,9 +340,24 @@ func (s *System) MustCreateTable(def TableDef) {
 	}
 }
 
+// errStarted refuses a load-time insert into a running System: an
+// Insert changes base rows behind the views and cached results built
+// from them, which Append alone keeps fresh.
+func (s *System) errStarted(table string) error {
+	if s.started.Load() {
+		return fmt.Errorf("deepsea: cannot insert into %q after the System ran a query or an append; use Append", table)
+	}
+	return nil
+}
+
 // Insert appends one row; values must match the table's columns in
-// order (int64, float64 or string per column kind).
+// order (int64, float64 or string per column kind). It is a load-time
+// primitive that bypasses the view manager: it is refused once the
+// System has run a query, Append or ApplyRecoveredAppends.
 func (s *System) Insert(table string, values []any) error {
+	if err := s.errStarted(table); err != nil {
+		return err
+	}
 	schema, ok := s.schemas[table]
 	if !ok {
 		return fmt.Errorf("deepsea: unknown table %q", table)
@@ -361,9 +381,12 @@ func (s *System) Insert(table string, values []any) error {
 // table and every row's width before it changes anything. The rows are
 // kept, not copied: the table's own row slice takes their headers and
 // reads their cells in place, so the caller must not change them
-// afterwards. Like Insert it bypasses the view manager and must not run
-// concurrently with queries.
+// afterwards. Like Insert it bypasses the view manager and is refused
+// once the System has started.
 func (s *System) InsertRows(table string, rows []relation.Row) error {
+	if err := s.errStarted(table); err != nil {
+		return err
+	}
 	schema, ok := s.schemas[table]
 	if !ok {
 		return fmt.Errorf("deepsea: unknown table %q", table)
@@ -454,6 +477,7 @@ func (s *System) Append(table string, rows [][]any) (AppendReport, error) {
 // AppendRows is Append for callers that already hold relation.Rows
 // (serving tier, benchmarks).
 func (s *System) AppendRows(table string, rows []relation.Row) (AppendReport, error) {
+	s.started.Store(true)
 	return s.ds.Append(table, rows)
 }
 
@@ -502,6 +526,7 @@ func (s *System) IngestStats() IngestStats { return s.ds.IngestStats() }
 // pool against the result. Call after CreateTable/Insert re-load the
 // original tables and before serving traffic.
 func (s *System) ApplyRecoveredAppends() (RecoveredIngest, error) {
+	s.started.Store(true)
 	return s.ds.ApplyRecoveredAppends()
 }
 
@@ -528,6 +553,7 @@ func (s *System) RunContext(ctx context.Context, q *Query) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	s.started.Store(true)
 	rep, err := s.ds.ProcessQueryContext(ctx, plan)
 	if err != nil {
 		return Report{}, err
@@ -565,7 +591,7 @@ type Health = core.Health
 func (s *System) Health() Health { return s.ds.Health() }
 
 // Snapshot persists a consistent checkpoint of the whole system state
-// (pool manifest, materialized files, statistics, cache generations)
+// (pool manifest, materialized files, statistics, ingest state)
 // to the mounted datastore and truncates the journal behind it. It
 // briefly quiesces planning, so call it between queries or on a timer,
 // not per query. A no-op without WithDatastore. Recovery after a crash

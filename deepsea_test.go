@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"deepsea/internal/relation"
 )
 
 // newSystem builds a small retail system through the public API.
@@ -181,6 +183,75 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if err := s.Insert("t", []any{7, 1.0, "s"}); err != nil {
 		t.Errorf("plain int not coerced: %v", err)
+	}
+}
+
+// TestInsertAfterStartIsRefused: Insert and InsertRows load a System
+// before it serves. Once it has run a query, an Append or
+// ApplyRecoveredAppends they are refused with an error naming Append —
+// an insert then would change base rows under the views and cached
+// results built from them, and only Append keeps those fresh.
+func TestInsertAfterStartIsRefused(t *testing.T) {
+	row := func(item int64) relation.Row {
+		return relation.Row{relation.IntVal(item), relation.FloatVal(2.5), relation.StringVal("")}
+	}
+	insertBoth := func(s *System, item int64) (error, error) {
+		return s.Insert("sales", []any{item, 1.5, ""}), s.InsertRows("sales", []relation.Row{row(item + 1)})
+	}
+	answer := func(s *System, lo, hi int64) string {
+		t.Helper()
+		rep, err := s.Run(salesByCategory(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Result.Fingerprint()
+	}
+	for _, trigger := range []struct {
+		name  string
+		start func(*System) error
+	}{
+		{"query", func(s *System) error {
+			_, err := s.Run(salesByCategory(0, 499))
+			return err
+		}},
+		{"Append", func(s *System) error {
+			_, err := s.Append("sales", [][]any{{int64(270), 3.5, ""}})
+			return err
+		}},
+		{"AppendRows", func(s *System) error {
+			_, err := s.AppendRows("sales", []relation.Row{row(280)})
+			return err
+		}},
+		{"ApplyRecoveredAppends", func(s *System) error {
+			_, err := s.ApplyRecoveredAppends()
+			return err
+		}},
+	} {
+		s := newSystem(t, WithResultCache(64<<20))
+		vanilla := newSystem(t, WithoutMaterialization())
+		for _, sys := range []*System{s, vanilla} {
+			if errI, errR := insertBoth(sys, 250); errI != nil || errR != nil {
+				t.Fatalf("%s: insert before start refused: %v, %v", trigger.name, errI, errR)
+			}
+			if err := trigger.start(sys); err != nil {
+				t.Fatalf("%s: %v", trigger.name, err)
+			}
+		}
+		if got, want := answer(s, 100, 400), answer(vanilla, 100, 400); got != want {
+			t.Fatalf("%s: answer %s before any refused insert, want %s", trigger.name, got, want)
+		}
+		errI, errR := insertBoth(s, 300)
+		for _, err := range []error{errI, errR} {
+			if err == nil {
+				t.Fatalf("%s: insert after start accepted", trigger.name)
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, "deepsea: ") || !strings.Contains(msg, "Append") {
+				t.Errorf("%s: refusal %q is not a deepsea error naming Append", trigger.name, msg)
+			}
+		}
+		if got, want := answer(s, 100, 400), answer(vanilla, 100, 400); got != want {
+			t.Errorf("%s: answer %s after refused inserts, want %s", trigger.name, got, want)
+		}
 	}
 }
 

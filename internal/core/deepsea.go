@@ -203,7 +203,7 @@ func build(cfg Config) *DeepSea {
 	tree := matching.NewFilterTree()
 	var rc *cache.ResultCache
 	if cfg.CacheBytes > 0 {
-		rc = cache.NewWithEntryLimit(cfg.CacheBytes, int64(cacheMaxEntryFraction*float64(cfg.CacheBytes)))
+		rc = cache.New(cfg.CacheBytes, int64(cacheMaxEntryFraction*float64(cfg.CacheBytes)))
 	}
 	d := &DeepSea{
 		Cache:   rc,
@@ -260,33 +260,13 @@ func (d *DeepSea) cacheKey(q query.Node) string {
 	return b.String()
 }
 
-// viewDeps lists the materialized views a plan reads, each pinned to
-// its current pool generation. On the inline path the caller holds mu,
-// so the generations are exactly the post-maintenance state; on the
-// deferred path a read may lag a concurrent background commit, which at
-// worst invalidates the entry immediately — never serves a stale one.
-func (d *DeepSea) viewDeps(plan query.Node) []cache.Dep {
-	gen := d.Pool.Generation
-	seen := make(map[string]bool)
-	var deps []cache.Dep
-	query.Walk(plan, func(n query.Node) {
-		vs, ok := n.(*query.ViewScan)
-		if !ok || seen[vs.ViewID] {
-			return
-		}
-		seen[vs.ViewID] = true
-		deps = append(deps, cache.Dep{ViewID: vs.ViewID, Gen: gen(vs.ViewID)})
-	})
-	return deps
-}
-
 // maintenanceViews computes the scope of the query's maintenance: every
 // view its plan may read or mutate — ViewScans of the executed plan
-// (cache-entry generations and merge sources), view candidates (step 9
-// measures their sizes; selected ones materialize), fragment candidates
-// (refinement targets), eviction victims, and the merge target. Returned
-// sorted by id and deduplicated; it is what the query's Pool.GCViews
-// walks and what OnPlanned / OnMaintain report.
+// (merge sources), view candidates (step 9 measures their sizes;
+// selected ones materialize), fragment candidates (refinement targets),
+// eviction victims, and the merge target. Returned sorted by id and
+// deduplicated; it is what the query's Pool.GCViews walks and what
+// OnPlanned / OnMaintain report.
 func maintenanceViews(qbest query.Node, vcands []viewCandidate, selFrags []fragCandidate, evict []pool.Candidate, bestRW *matching.Rewriting) []string {
 	seen := make(map[string]bool)
 	var ids []string
@@ -333,11 +313,10 @@ func (d *DeepSea) ProcessQuery(q query.Node) (QueryReport, error) {
 // promptly with ctx.Err(), with no manager lock held, all pins
 // dropped and the pool consistent. Recoverable faults degrade instead
 // of failing the query: a failed fragment or view-file read quarantines
-// that file (pool removal, which also bumps the view's generation and
-// so invalidates cached results over it) and the query is re-planned
-// against the shrunken pool — falling back to base tables when nothing
-// usable remains; a transient worker fault re-executes the query. Both
-// are bounded by Config.FaultRetries. Failed materializations never
+// that file (pool removal) and the query is re-planned against the
+// shrunken pool — falling back to base tables when nothing usable
+// remains; a transient worker fault re-executes the query. Both are
+// bounded by Config.FaultRetries. Failed materializations never
 // fail the query (see processOnce).
 func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryReport, error) {
 	if ctx == nil {
@@ -351,14 +330,13 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 	defer d.inflight.Add(-1)
 
 	// Result-cache lookup — before planning and off every manager lock.
-	// Generation checks read the pool's per-view counters (no lock at
-	// all; see Pool.Generation for why one counter at a time is enough),
-	// so a hit is consistent: no entry over an evicted or split view
-	// survives.
+	// The key is the whole validity check (see cacheKey): a rewriting
+	// answers exactly what the base plan answers, so a hit is right
+	// whatever the pool has done since the entry was stored.
 	var key string
 	if d.Cache != nil {
 		key = d.cacheKey(q)
-		if tbl, ok := d.Cache.Get(key, d.Pool.Generation); ok {
+		if tbl, ok := d.Cache.Get(key); ok {
 			return QueryReport{Result: tbl, CacheHit: true}, nil
 		}
 	}
@@ -428,9 +406,7 @@ func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string, exc
 			return QueryReport{}, nil, err
 		}
 		d.Eng.Advance(res.Cost.Seconds)
-		if key != "" && res.Table != nil {
-			d.Cache.Put(key, res.Table, nil)
-		}
+		d.Cache.Put(key, res.Table)
 		return QueryReport{
 			Result:       res.Table,
 			ExecCost:     res.Cost,
@@ -621,7 +597,7 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 		report.DeferredMaintenance = true
 		report.MaintTasksEnqueued = n
 		d.Eng.Advance(res.Cost.Seconds)
-		d.cacheResult(pq, res.Table)
+		d.Cache.Put(pq.key, res.Table)
 		return report, nil, nil
 	}
 
@@ -644,10 +620,7 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 		report.MatCost = out.cost
 		report.TotalSeconds = res.Cost.Seconds + out.cost.Seconds
 		d.Eng.Advance(report.TotalSeconds)
-		// mu is still held, so the generations the entry records cannot
-		// move before it is in — and this query's own refinements do not
-		// immediately invalidate it.
-		d.cacheResult(pq, res.Table)
+		d.Cache.Put(pq.key, res.Table)
 	}
 	if d.OnMaintain != nil {
 		d.OnMaintain(pq.maintViews, false)
@@ -658,15 +631,6 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 		return QueryReport{}, nil, err
 	}
 	return report, nil, nil
-}
-
-// cacheResult publishes a query's result in the result cache, pinned to
-// the current generations of every view the plan read: any later
-// mutation of those views invalidates the entry.
-func (d *DeepSea) cacheResult(pq *plannedQuery, tbl *relation.Table) {
-	if pq.key != "" && tbl != nil {
-		d.Cache.Put(pq.key, tbl, d.viewDeps(pq.qbest))
-	}
 }
 
 // advancePending is a leaving query's applyPending: its pins are
@@ -689,12 +653,10 @@ const quarLogCap = 256
 
 // quarantineFromError quarantines the stored file named by an injected
 // storage-read fault in runErr: the file is removed from the engine and
-// the pool (bumping the owning view's generation, which invalidates
-// every cached result over it), so the retry's planning cannot choose
-// it again. Returns the quarantined paths (nil when runErr is not a
-// read fault, the path is not in the executed plan, or the file is
-// pinned by a concurrent query — which keeps it alive until that query
-// drains).
+// the pool, so the retry's planning cannot choose it again. Returns the
+// quarantined paths (nil when runErr is not a read fault, the path is
+// not in the executed plan, or the file is pinned by a concurrent query
+// — which keeps it alive until that query drains).
 func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 	f, ok := faults.AsFault(runErr)
 	if !ok || f.Site != faults.StorageRead || f.Key == "" {

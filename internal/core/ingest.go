@@ -203,9 +203,9 @@ type AppendReport struct {
 }
 
 // Append journals a batch of new rows for a base table, marks every
-// dependent materialized view stale, invalidates their cached results,
-// and brings them fresh — synchronously in inline mode, via the
-// maintenance pool's refresh band in background mode.
+// dependent materialized view stale and brings them fresh —
+// synchronously in inline mode, via the maintenance pool's refresh band
+// in background mode.
 func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error) {
 	if len(rows) == 0 {
 		counts := d.Eng.BaseCounts([]string{table})
@@ -226,11 +226,6 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 
 	ids := d.markDependentsStale(table, deltaTbl)
 	d.ingest.appendMu.Unlock()
-	for _, id := range ids {
-		// Generation bump: unreaches every cached result whose plan read
-		// the view (defense in depth next to the count-qualified keys).
-		d.Pool.Invalidate(id)
-	}
 	rep := AppendReport{Table: table, NewCount: newCount, StaleViews: ids}
 	tasks := make([]*maintain.Task, len(ids))
 	for i, id := range ids {

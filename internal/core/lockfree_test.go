@@ -7,8 +7,8 @@ import (
 
 // TestCacheHitTakesNoManagerLock pins the lock-free read path: with the
 // manager lock and the pin lock both held by the test, a repeated query
-// must still come back from the result cache — its reads go through the
-// cache and the pool's lock-free generation counters alone. The control
+// must still come back from the result cache — its key reads the
+// engine's base row counts and its lookup the cache alone. The control
 // proves the test would notice a hit that took the lock: a fresh range
 // issued the same way stays blocked until the locks are released.
 func TestCacheHitTakesNoManagerLock(t *testing.T) {

@@ -149,11 +149,10 @@ func maintTaskViews(t *maintain.Task) []string {
 // maintenanceTasks converts one planned query's maintenance decisions
 // into per-unit tasks, in the order the synchronous driver applies them:
 // measured sizes, selected views, selected fragments, the merge, the
-// evictions. (The worker pool re-orders by band and Φ.) Keys dedupe by
-// view id and pool generation: the same candidate proposed twice against
-// an unchanged pool queues once; after the pool moved, it may queue again
-// (and the apply-side re-validation makes the second application a
-// no-op).
+// evictions. (The worker pool re-orders by band and Φ.) The tasks carry
+// no dedup key: a candidate two queries both propose queues twice, and
+// the apply-side re-validation against the live pool makes the second
+// application a no-op.
 func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*maintain.Task {
 	var tasks []*maintain.Task
 	var measure []measuredSize
@@ -166,13 +165,11 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 		tasks = append(tasks, &maintain.Task{Kind: maintain.KindSweep, Payload: &sweepTask{measure: measure}})
 	}
 	captured := res.Captured
-	gen := d.Pool.Generation
 	for _, sv := range pq.selViews {
 		if !d.backoff.allowed(sv.vc.id) {
 			continue
 		}
 		tasks = append(tasks, &maintain.Task{
-			Key:      fmt.Sprintf("mat:%s:%s@%d", sv.vc.id, sv.attr, gen(sv.vc.id)),
 			Kind:     maintain.KindMaterialize,
 			Priority: sv.value,
 			Payload: &matViewTask{
@@ -185,17 +182,16 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 		if !d.backoff.allowed(fc.viewID) {
 			continue
 		}
-		kind, prefix := maintain.KindSplit, "split"
+		kind := maintain.KindSplit
 		var rows *relation.Table
 		if fc.fromGap {
 			// Gap recoveries are materializations of fresh ranges, not
 			// rewrites of existing fragments: they carry their captured
 			// rows and rank in the materialize band.
-			kind, prefix = maintain.KindMaterialize, "frag"
+			kind = maintain.KindMaterialize
 			rows = captured[fc.gapNode]
 		}
 		tasks = append(tasks, &maintain.Task{
-			Key:      fmt.Sprintf("%s:%s:%s:%s@%d", prefix, fc.viewID, fc.attr, fc.iv, gen(fc.viewID)),
 			Kind:     kind,
 			Priority: fc.value,
 			Payload:  &matFragTask{fc: fc, captured: rows, baseCounts: pq.baseCounts},
@@ -203,7 +199,6 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 	}
 	if d.Cfg.MergeFragments && pq.bestRW != nil && pq.bestRW.PartAttr != "" {
 		tasks = append(tasks, &maintain.Task{
-			Key:     fmt.Sprintf("merge:%s:%s@%d", pq.bestRW.ViewID, pq.bestRW.PartAttr, gen(pq.bestRW.ViewID)),
 			Kind:    maintain.KindMerge,
 			Payload: &mergeTask{rw: pq.bestRW},
 		})

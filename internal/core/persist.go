@@ -30,11 +30,9 @@ type coreSnapshot struct {
 	// Files is the simulated file system's contents — every materialized
 	// view file and fragment, with its rows.
 	Files []fileSnap `json:"files,omitempty"`
-	// Views is the pool manifest; Gens the cache-generation counters
-	// (kept for all ids, including views evicted before the snapshot —
-	// a re-created view must not resurrect stale cached results).
-	Views []poolViewSnap    `json:"views,omitempty"`
-	Gens  map[string]uint64 `json:"gens,omitempty"`
+	// Views is the pool manifest. (Snapshots of older builds also carry
+	// a map of retired per-view cache counters; decoding ignores it.)
+	Views []poolViewSnap `json:"views,omitempty"`
 	// Stats is the full statistics registry (Φ bookkeeping).
 	Stats *stats.RegistrySnap `json:"stats,omitempty"`
 	// Entries is the signature index — without it a recovered pool holds
@@ -147,7 +145,6 @@ func (d *DeepSea) Snapshot() error {
 func (d *DeepSea) buildSnapshot() *coreSnapshot {
 	snap := &coreSnapshot{
 		Clock:   d.Eng.Now(),
-		Gens:    d.Pool.Generations(),
 		Stats:   d.Stats.Snapshot(),
 		Entries: d.Tree.Entries(),
 	}
@@ -215,9 +212,7 @@ func (d *DeepSea) recoverFromStore() error {
 // order: files first (fragment adds do not check storage, but keeping
 // storage ahead of the manifest preserves the live system's invariant
 // that the pool never names a missing file), then the pool manifest
-// through its mutation API, then the generation counters (the rebuild's
-// own bumps are always covered by the snapshot's recorded values), then
-// statistics.
+// through its mutation API, then statistics.
 func (d *DeepSea) applySnapshot(snap *coreSnapshot) {
 	for _, f := range snap.Files {
 		d.Eng.RestoreFile(f.Path, f.Size, f.Rows)
@@ -235,7 +230,6 @@ func (d *DeepSea) applySnapshot(snap *coreSnapshot) {
 			}
 		}
 	}
-	d.Pool.RestoreGenerations(snap.Gens)
 	d.Stats.Restore(snap.Stats)
 	for _, e := range snap.Entries {
 		if e == nil || e.Sig == nil {
@@ -300,7 +294,8 @@ func (d *DeepSea) applyRecord(rec *datastore.Record) (err error) {
 		}
 		d.Eng.RestoreFile(rec.Path, rec.Size, combined)
 	case "inval_view":
-		d.Pool.Invalidate(rec.View)
+		// Retired: older builds journaled a per-view cache generation
+		// bump here. It changed no pool content, so it replays as nothing.
 	case "append_rows":
 		// Base-table appends replay after the host re-adds the originals:
 		// buffer until ApplyRecoveredAppends.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deepsea/internal/datastore"
@@ -79,10 +80,10 @@ func storedFingerprints(t *testing.T, d *DeepSea) map[string]string {
 }
 
 // durableManifest renders the state recovery must reproduce exactly in
-// every mode: the simulated file system, the pool manifest, the cache
-// generations and the clock. (Statistics estimates that planning
-// recomputes each pass are deliberately not journaled, so they are
-// only byte-stable across a snapshot — fullManifest covers that.)
+// every mode: the simulated file system, the pool manifest and the
+// clock. (Statistics estimates that planning recomputes each pass are
+// deliberately not journaled, so they are only byte-stable across a
+// snapshot — fullManifest covers that.)
 func durableManifest(t *testing.T, d *DeepSea) string {
 	t.Helper()
 	s := d.buildSnapshot()
@@ -236,6 +237,103 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 	}
 	if err := d2.Pool.VerifySize(); err != nil {
 		t.Errorf("recovered pool consistency walk: %v", err)
+	}
+}
+
+// retiredGenStore writes what builds with per-view cache generations
+// wrote: every snapshot carries a "gens" map, and every ingest_stale
+// record is followed by an inval_view record for the same view.
+type retiredGenStore struct {
+	datastore.Store
+	views []string
+}
+
+func (s *retiredGenStore) Append(rec *datastore.Record) error {
+	if err := s.Store.Append(rec); err != nil || rec.Op != "ingest_stale" {
+		return err
+	}
+	return s.Store.Append(&datastore.Record{Op: "inval_view", View: rec.View})
+}
+
+func (s *retiredGenStore) WriteSnapshot(data []byte) error {
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return err
+	}
+	gens := map[string]uint64{"evicted-before-the-snapshot": 4}
+	for i, id := range s.views {
+		gens[id] = uint64(3 + i)
+	}
+	raw, err := json.Marshal(gens)
+	if err != nil {
+		return err
+	}
+	snap["gens"] = raw
+	if data, err = json.Marshal(snap); err != nil {
+		return err
+	}
+	return s.Store.WriteSnapshot(data)
+}
+
+// TestRecoveryReadsRetiredGenerationState: a store holding the retired
+// cache-generation state — a snapshot with a "gens" map, a tail with
+// inval_view records — recovers with nothing skipped, to the pool and
+// the answers of the instance that wrote it, which never applied any
+// of that state.
+func TestRecoveryReadsRetiredGenerationState(t *testing.T) {
+	dir := t.TempDir()
+	s1 := &retiredGenStore{Store: openStore(t, dir)}
+	d1 := newTestSystem(t, func(c *Config) { c.Datastore = s1 })
+	persistWorkload(t, d1)
+	for _, v := range d1.Pool.Views() {
+		s1.views = append(s1.views, v.ID)
+	}
+	if err := d1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d1.Append("sales", appendRows(8, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.StaleViews) == 0 {
+		t.Fatal("the append staled no view; the tail holds no inval_view record")
+	}
+	run(t, d1, q30(1000, 2999))
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, tail, err := openStore(t, dir).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inval := 0
+	for _, rec := range tail {
+		if rec.Op == "inval_view" {
+			inval++
+		}
+	}
+	if !json.Valid(snap) || !strings.Contains(string(snap), `"gens":{`) || inval != len(rep.StaleViews) {
+		t.Fatalf("store holds no retired state: gens in snapshot=%v, %d inval_view records",
+			strings.Contains(string(snap), `"gens":{`), inval)
+	}
+
+	s2 := openStore(t, dir)
+	defer s2.Close()
+	d2 := newTestSystem(t, func(c *Config) { c.Datastore = s2 })
+	rec := d2.Recovery()
+	if !rec.Ran || !rec.FromSnapshot || rec.Err != "" || rec.Skipped != 0 {
+		t.Fatalf("recovery = %+v, want snapshot+tail recovery with nothing skipped", rec)
+	}
+	if _, err := d2.ApplyRecoveredAppends(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := durableManifest(t, d2), durableManifest(t, d1); got != want {
+		t.Errorf("recovered state diverges:\n got %s\nwant %s", got, want)
+	}
+	for _, q := range []query.Node{q30(0, 4999), q30(1000, 2999), q30(2000, 2499)} {
+		if got, want := resultJSON(t, run(t, d2, q)), resultJSON(t, run(t, d1, q)); got != want {
+			t.Errorf("recovered answer diverges:\n got %s\nwant %s", got, want)
+		}
 	}
 }
 

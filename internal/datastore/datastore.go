@@ -28,7 +28,7 @@ import (
 // mutation APIs they are emitted from:
 //
 //	pool:    ensure_view, remove_view, set_view_file, drop_view_file,
-//	         ensure_part, add_frag, remove_frag, inval_view
+//	         ensure_part, add_frag, remove_frag
 //	engine:  put_file (Rows carries the stored file), del_file,
 //	         append_file (Rows carries the appended suffix; Size is the
 //	         new total), clock
@@ -39,6 +39,8 @@ import (
 //	         ingest_marks (View's content is consistent with Tables at
 //	         the row counts in Marks), ingest_stale (View's content
 //	         lags its base tables)
+//	retired: inval_view (a per-view cache generation bump older builds
+//	         wrote; replay reads it and ignores it)
 type Record struct {
 	Seq uint64 `json:"seq"`
 	Op  string `json:"op"`

@@ -13,10 +13,12 @@
 // Ordering: tasks pop highest band first (refreshes before
 // materialization before splits before merges before sweeps — the same
 // relative order the inline maintenance section used), within a band by
-// descending Φ value, and FIFO among equals. Tasks carry a dedup key
-// (view id + pool generation); enqueueing a key already pending is
-// counted and dropped — two queries planning the same mutation against
-// the same pool state produce byte-identical work, so one suffices.
+// descending Φ value, and FIFO among equals. A task may carry a dedup
+// key; enqueueing a key already pending is counted and dropped. Only
+// refreshes carry one (the view id): a refresh reads live state when it
+// applies, so one pending refresh covers every append before it. Tasks
+// a query proposes carry none — the executor re-validates each against
+// the live pool, so a second copy of one applies as a no-op.
 // The queue is bounded: when full, new tasks are dropped and counted
 // rather than blocking the query path. Dropped maintenance is never
 // lost for good — the workload regenerates any still-profitable
@@ -77,10 +79,9 @@ func (k Kind) String() string {
 // Task is one unit of deferred maintenance. The payload is opaque to
 // this package; the executor knows how to apply it.
 type Task struct {
-	// Key dedupes pending tasks ("" = never deduped). Build it from the
-	// view id and the pool generation the task was planned against: a
-	// pool mutation changes the generation, so stale and fresh plans
-	// never collide.
+	// Key dedupes pending tasks ("" = never deduped): a push whose key
+	// is already pending is dropped. Give a key only to a task whose
+	// pending copy does all the work a second copy would.
 	Key string
 	// Kind selects the ordering band and the latency bucket.
 	Kind Kind

@@ -67,14 +67,14 @@ func TestDedup(t *testing.T) {
 	p.Push(&Task{Kind: KindSweep, Payload: "hold"}) // occupies the worker
 	waitFor(t, func() bool { return p.Stats().InFlight == 1 })
 
-	if !p.Push(&Task{Key: "v1@3", Kind: KindMaterialize}) {
+	if !p.Push(&Task{Key: "refresh:v1", Kind: KindRefresh}) {
 		t.Fatal("first keyed push rejected")
 	}
-	if p.Push(&Task{Key: "v1@3", Kind: KindMaterialize}) {
+	if p.Push(&Task{Key: "refresh:v1", Kind: KindRefresh}) {
 		t.Fatal("duplicate pending key accepted")
 	}
-	if !p.Push(&Task{Key: "v1@4", Kind: KindMaterialize}) {
-		t.Fatal("distinct generation rejected")
+	if !p.Push(&Task{Key: "refresh:v2", Kind: KindRefresh}) {
+		t.Fatal("distinct key rejected")
 	}
 	s := p.Stats()
 	if s.Deduped != 1 {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"deepsea/internal/datastore"
 	"deepsea/internal/interval"
@@ -73,16 +72,6 @@ type Pool struct {
 	// size is S(C), maintained incrementally by every mutation so Fits
 	// is O(1) instead of a full walk per greedy-selection probe.
 	size int64
-	// gens counts content mutations per view id (materialize, evict,
-	// fragment add/remove/split/merge, removal): view id -> *atomic.Uint64.
-	// The result cache records the generation of every view a cached plan
-	// read, so a mutation invalidates exactly the entries over the touched
-	// views. A counter is created on its view's first mutation and is
-	// never removed — a re-created view must not resurrect stale cached
-	// results by restarting at zero — so the map only grows; a bump and a
-	// read are each one lock-free lookup and one atomic operation, whatever
-	// the number of ids the pool has ever seen.
-	gens sync.Map
 	// journal, when non-nil, receives one record per pool mutation while
 	// p.mu is held, so the journal's order for pool ops is the mutation
 	// order. Creation-only paths (Ensure, EnsurePartition) journal only
@@ -95,26 +84,12 @@ func New(smax int64) *Pool {
 	return &Pool{Smax: smax, views: make(map[string]*View)}
 }
 
-// genCounter returns the view's generation counter, creating it at zero
-// on first use.
-func (p *Pool) genCounter(id string) *atomic.Uint64 {
-	c, ok := p.gens.Load(id)
-	if !ok {
-		c, _ = p.gens.LoadOrStore(id, new(atomic.Uint64))
-	}
-	return c.(*atomic.Uint64)
-}
-
-// bumpGen advances a view's generation. Caller holds p.mu, so bumps of
-// one view are ordered with the mutations they announce.
-func (p *Pool) bumpGen(id string) { p.genCounter(id).Add(1) }
-
 // SetJournal attaches a mutation journal; nil detaches it. Every
 // mutation method emits a record describing itself while holding the
 // pool mutex. Replaying those records through the same mutation API
-// reproduces the pool — contents, size counter and generation counters
-// alike. Set before concurrent use (and detach during replay, or the
-// recovery would journal its own echoes).
+// reproduces the pool — contents and size counter alike. Set before
+// concurrent use (and detach during replay, or the recovery would
+// journal its own echoes).
 func (p *Pool) SetJournal(fn func(datastore.Record)) {
 	p.mu.Lock()
 	p.journal = fn
@@ -126,51 +101,6 @@ func (p *Pool) emit(rec datastore.Record) {
 	if p.journal != nil {
 		p.journal(rec)
 	}
-}
-
-// Generations returns a copy of every view's content-mutation counter,
-// for snapshots: the cache keys validity to these, so a warm restart
-// must resume them rather than restart at zero.
-func (p *Pool) Generations() map[string]uint64 {
-	out := make(map[string]uint64)
-	p.gens.Range(func(id, c any) bool {
-		out[id.(string)] = c.(*atomic.Uint64).Load()
-		return true
-	})
-	return out
-}
-
-// RestoreGenerations overwrites the generation counters from a snapshot.
-// Recovery calls it after replaying the mutation tail, which bumped
-// generations exactly as the original mutations did — so this only
-// matters for counters the snapshot carries beyond the replayed state
-// (views evicted before the snapshot, for example).
-func (p *Pool) RestoreGenerations(gens map[string]uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id, g := range gens {
-		if c := p.genCounter(id); g > c.Load() {
-			c.Store(g)
-		}
-	}
-}
-
-// Generation returns the view's content-mutation counter. It is zero for
-// never-touched views and keeps counting across removal and re-creation.
-// Lock-free: one map lookup and one atomic load.
-//
-// A validation that reads several views' generations (the result cache
-// checking every view a cached plan read) does not see one instant of
-// the pool, and does not need to: counters only grow, so a counter that
-// equals its recorded value when read has equalled it ever since it was
-// recorded. If every dependency matches when its turn comes, all of
-// them matched at the moment the first was read — the entry was valid
-// at a point inside the lookup, which is all a cache hit promises.
-func (p *Pool) Generation(id string) uint64 {
-	if c, ok := p.gens.Load(id); ok {
-		return c.(*atomic.Uint64).Load()
-	}
-	return 0
 }
 
 // View returns the pool entry for id, or nil.
@@ -210,7 +140,6 @@ func (p *Pool) Remove(id string) {
 	if v, ok := p.views[id]; ok {
 		p.size -= v.TotalSize()
 		delete(p.views, id)
-		p.bumpGen(id)
 		p.emit(datastore.Record{Op: "remove_view", View: id})
 	}
 }
@@ -228,7 +157,6 @@ func (p *Pool) SetViewFile(id, path string, size int64) {
 	p.size += size - v.Size
 	v.Path = path
 	v.Size = size
-	p.bumpGen(id)
 	p.emit(datastore.Record{Op: "set_view_file", View: id, Path: path, Size: size})
 }
 
@@ -244,24 +172,7 @@ func (p *Pool) DropViewFile(id string) {
 	p.size -= v.Size
 	v.Path = ""
 	v.Size = 0
-	p.bumpGen(id)
 	p.emit(datastore.Record{Op: "drop_view_file", View: id})
-}
-
-// Invalidate bumps a view's generation without touching its contents —
-// the staleness signal of the ingest path. A base-table append leaves
-// the view's files in place (they still answer exactly for the
-// pre-append prefix) but must unreach every cached result that read
-// them, which the generation bump does through the result cache's
-// dependency validation.
-func (p *Pool) Invalidate(id string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.views[id]; !ok {
-		return
-	}
-	p.bumpGen(id)
-	p.emit(datastore.Record{Op: "inval_view", View: id})
 }
 
 // EnsurePartition returns the view's partition on attr, creating an
@@ -301,7 +212,6 @@ func (p *Pool) AddFragment(id, attr string, f partition.Fragment) {
 	}
 	p.size += f.Size
 	part.Add(f)
-	p.bumpGen(id)
 	p.emit(datastore.Record{Op: "add_frag", View: id, Attr: attr, Iv: f.Iv, Path: f.Path, Size: f.Size})
 }
 
@@ -324,7 +234,6 @@ func (p *Pool) RemoveFragment(id, attr string, iv interval.Interval) bool {
 	}
 	p.size -= f.Size
 	part.Remove(iv)
-	p.bumpGen(id)
 	p.emit(datastore.Record{Op: "remove_frag", View: id, Attr: attr, Iv: iv})
 	return true
 }
@@ -444,7 +353,6 @@ func (p *Pool) gcView(id string, v *View) {
 	if empty {
 		p.size -= v.TotalSize() // only a stray Size could remain; keep the counter exact
 		delete(p.views, id)
-		p.bumpGen(id)
 		p.emit(datastore.Record{Op: "remove_view", View: id})
 	}
 }

@@ -3,7 +3,6 @@ package pool
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -224,42 +223,6 @@ func TestPartAttrsSorted(t *testing.T) {
 	got := v.PartAttrs()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Errorf("PartAttrs = %v", got)
-	}
-}
-
-// TestGenerationBumpCostIndependentOfIDs: 10 000 generation bumps spread
-// over 1 000 view ids allocate a constant few bytes each — not a copy of
-// every id the pool has seen — and readers see every bump.
-func TestGenerationBumpCostIndependentOfIDs(t *testing.T) {
-	const ids, bumps = 1000, 10000
-	p := New(0)
-	names := make([]string, ids)
-	for i := range names {
-		names[i] = fmt.Sprintf("view-%04d", i)
-		p.Ensure(names[i], testSchema())
-		p.Invalidate(names[i]) // creates the counter
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < bumps; i++ {
-		p.Invalidate(names[i%ids])
-	}
-	runtime.ReadMemStats(&after)
-	if perBump := (after.TotalAlloc - before.TotalAlloc) / bumps; perBump > 64 {
-		t.Errorf("a generation bump allocates %d bytes with %d ids in the pool, want a constant few", perBump, ids)
-	}
-	for _, id := range names {
-		if got := p.Generation(id); got != 1+bumps/ids {
-			t.Fatalf("Generation(%s) = %d, want %d", id, got, 1+bumps/ids)
-		}
-	}
-	if got := p.Generations(); len(got) != ids || got[names[0]] != 1+bumps/ids {
-		t.Errorf("Generations() holds %d ids and %d for the first, want %d and %d", len(got), got[names[0]], ids, 1+bumps/ids)
-	}
-	p.Remove(names[0])
-	p.RestoreGenerations(map[string]uint64{names[0]: 5, names[1]: 500, "never-seen": 7})
-	if a, b, c := p.Generation(names[0]), p.Generation(names[1]), p.Generation("never-seen"); a != 2+bumps/ids || b != 500 || c != 7 {
-		t.Errorf("after Remove and RestoreGenerations: %d, %d, %d; a counter survives removal and only moves forward", a, b, c)
 	}
 }
 

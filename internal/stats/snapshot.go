@@ -14,11 +14,11 @@ import (
 
 // ViewSnap is one ViewStat's durable state.
 type ViewSnap struct {
-	ID       string `json:"id"`
-	Size     int64  `json:"size,omitempty"`
+	ID       string  `json:"id"`
+	Size     int64   `json:"size,omitempty"`
 	Cost     float64 `json:"cost,omitempty"`
-	Measured bool   `json:"measured,omitempty"`
-	Uses     []Use  `json:"uses,omitempty"`
+	Measured bool    `json:"measured,omitempty"`
+	Uses     []Use   `json:"uses,omitempty"`
 }
 
 // FragSnap is one FragStat's durable state.

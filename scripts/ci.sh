@@ -4,7 +4,8 @@
 # same check by construction.
 #
 # Stages:
-#    1. go vet + build + full test suite
+#    1. gofmt (fails on any unformatted .go file outside .bench_build/,
+#       the benchmark's Go caches) + go vet + build + full test suite
 #    2. full race-detector run (the concurrency suite's anchor)
 #    3. shuffled double run — flushes ordering-dependent tests
 #    4. chaos smoke — the seeded fault-injection and cancellation suite
@@ -120,6 +121,14 @@ skipped() {
         echo "::warning title=ci.sh stage skipped::$1: $2"
     fi
 }
+
+echo "==> gofmt"
+UNFORMATTED=$("$($GO env GOROOT)/bin/gofmt" -l $(find . -path ./.bench_build -prune -o -name '*.go' -print))
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt -l lists files that need formatting:"
+    echo "$UNFORMATTED"
+    exit 1
+fi
 
 echo "==> vet"
 $GO vet ./...
