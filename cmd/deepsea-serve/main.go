@@ -11,8 +11,8 @@
 //
 //	POST /query   — run one query; body example:
 //	                {"template": "Q1", "lo": 0, "hi": 4000}
-//	GET  /healthz — liveness + degradation summary
-//	GET  /statz   — full operational snapshot
+//	GET  /statz   — the status document: verdict, health, admission, serving
+//	GET  /healthz — the same document, 503 while draining
 //	GET  /poolz   — materialized-pool contents
 package main
 
@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"deepsea"
@@ -49,7 +47,7 @@ func main() {
 
 	var opts []deepsea.Option
 	if *pool != "" {
-		smax, err := parseBytes(*pool)
+		smax, err := server.ParseBytes(*pool)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -57,7 +55,7 @@ func main() {
 		opts = append(opts, deepsea.WithPoolLimit(smax))
 	}
 	if *cache != "" {
-		cb, err := parseBytes(*cache)
+		cb, err := server.ParseBytes(*cache)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -139,22 +137,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("drained cleanly")
-}
-
-func parseBytes(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "GB"):
-		mult = 1 << 30
-		s = strings.TrimSuffix(s, "GB")
-	case strings.HasSuffix(s, "MB"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "MB")
-	}
-	n, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return int64(n * float64(mult)), nil
 }

@@ -32,8 +32,10 @@
 //	POST /append  — append rows to a base table: keyed tables split per
 //	                owning range group (every replica must accept),
 //	                keyless tables broadcast
-//	GET  /healthz — routing table + per-replica reachability and probe state
-//	GET  /statz   — scatter/failover counters + the routing table
+//	GET  /statz   — the status document: scatter, failover and append
+//	                counters, the routing table with each replica's
+//	                reachability, status and probe state
+//	GET  /healthz — the same document
 package main
 
 import (

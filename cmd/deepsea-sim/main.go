@@ -46,7 +46,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *pool != "" {
-		smax, err := parseBytes(*pool)
+		smax, err := server.ParseBytes(*pool)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -158,24 +158,6 @@ func parseTemplate(s string) (workload.Template, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown template %q", s)
-}
-
-func parseBytes(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "GB"):
-		mult = 1 << 30
-		s = strings.TrimSuffix(s, "GB")
-	case strings.HasSuffix(s, "MB"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "MB")
-	}
-	n, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return int64(n * float64(mult)), nil
 }
 
 func fmtBytes(b int64) string {

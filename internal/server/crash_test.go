@@ -100,7 +100,7 @@ func crashPost(t *testing.T, addr string, spec QuerySpec) QueryResponse {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e errResponse
+		var e ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		t.Fatalf("POST /query: status %d: %s", resp.StatusCode, e.Error)
 	}

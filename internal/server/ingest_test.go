@@ -52,7 +52,7 @@ func postAppend(t testing.TB, url string, sp ingest.Spec) (int, AppendResponse, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e errResponse
+		var e ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		return resp.StatusCode, AppendResponse{}, e.Error
 	}
@@ -119,21 +119,15 @@ func TestAppendEndpoint(t *testing.T) {
 		}
 	}
 
-	var hz struct {
-		IngestAppends    uint64 `json:"ingest_appends"`
-		IngestRows       uint64 `json:"ingest_rows"`
-		IngestStaleViews int    `json:"ingest_stale_views"`
-	}
+	var hz statusResponse
 	crashGet(t, ts.Listener.Addr().String(), "/healthz", &hz)
-	if hz.IngestAppends == 0 || hz.IngestRows != 120 {
-		t.Errorf("healthz ingest counters = %+v, want 1 append / 120 rows", hz)
+	if h := hz.Health; h.IngestAppends == 0 || h.IngestAppendedRows != 120 {
+		t.Errorf("healthz ingest counters = %d appends / %d rows, want 1 / 120", h.IngestAppends, h.IngestAppendedRows)
 	}
-	if hz.IngestStaleViews != 0 {
-		t.Errorf("healthz reports %d stale views after inline refresh", hz.IngestStaleViews)
+	if hz.Health.IngestStaleViews != 0 {
+		t.Errorf("healthz reports %d stale views after inline refresh", hz.Health.IngestStaleViews)
 	}
-	var sz struct {
-		Serving ServingStats `json:"serving"`
-	}
+	var sz statusResponse
 	crashGet(t, ts.Listener.Addr().String(), "/statz", &sz)
 	if sz.Serving.Appends != 1 || sz.Serving.AppendBatches == 0 {
 		t.Errorf("statz serving append counters = %+v", sz.Serving)
@@ -333,7 +327,7 @@ func TestAppendOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var re RangeErrResponse
+	var re ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&re); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +335,7 @@ func TestAppendOwnership(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("out-of-range append status %d, want 409", resp.StatusCode)
 	}
-	if re.OwnedLo != 0 || re.OwnedHi != 200000 {
+	if re.OwnedLo == nil || re.OwnedHi == nil || *re.OwnedLo != 0 || *re.OwnedHi != 200000 {
 		t.Errorf("409 body does not name the owned range: %+v", re)
 	}
 	// customer has no routing key: any shard accepts it.
@@ -495,11 +489,9 @@ func TestCrashRecoveryMidIngest(t *testing.T) {
 	// applied batch proves three acknowledged ones; an applied batch alone
 	// proves nothing about its own acknowledgement.
 	for {
-		var hz struct {
-			IngestAppends uint64 `json:"ingest_appends"`
-		}
+		var hz statusResponse
 		crashGet(t, addr1, "/healthz", &hz)
-		if hz.IngestAppends >= 4 {
+		if hz.Health.IngestAppends >= 4 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

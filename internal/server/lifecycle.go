@@ -2,8 +2,12 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 )
 
@@ -30,4 +34,23 @@ func SignalContext(parent context.Context, sigs ...os.Signal) (context.Context, 
 		}
 	}()
 	return ctx, cancel
+}
+
+// ParseBytes parses a size flag: a non-negative number of bytes, or of
+// megabytes or gigabytes with an MB or GB suffix (any case, fractions
+// allowed: "1.5GB"). Shared by deepsea-serve and deepsea-sim.
+func ParseBytes(s string) (int64, error) {
+	t := strings.ToUpper(strings.TrimSpace(s))
+	mult := float64(1)
+	switch {
+	case strings.HasSuffix(t, "GB"):
+		mult, t = 1<<30, strings.TrimSuffix(t, "GB")
+	case strings.HasSuffix(t, "MB"):
+		mult, t = 1<<20, strings.TrimSuffix(t, "MB")
+	}
+	n, err := strconv.ParseFloat(t, 64)
+	if err != nil || !(n >= 0) || n*mult >= math.MaxInt64 {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	return int64(n * mult), nil
 }

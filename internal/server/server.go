@@ -9,20 +9,18 @@
 //
 //	POST /query   — run one query (body: QuerySpec JSON)
 //	POST /append  — ingest a batch of base-table rows (body: ingest.Spec JSON)
-//	GET  /healthz — liveness + degradation summary
-//	GET  /statz   — full operational snapshot (health, admission, serving)
+//	GET  /statz   — the status document: verdict, health, admission, serving
+//	GET  /healthz — the same document, 503 while draining
 //	GET  /poolz   — materialized-pool contents
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +53,10 @@ const (
 	// defaultTimeout bounds a request's total processing when its spec
 	// sets no timeout_ms (an append always gets it).
 	defaultTimeout = 30 * time.Second
-	// retryAfterFloor is the floor, in seconds, of the Retry-After hint
-	// on shed responses (see retryAfter).
-	retryAfterFloor = 1
+	// shedRetryAfter is the Retry-After, in seconds, of a shed response.
+	// It is a constant: the coordinator fails over on a 429 instead of
+	// waiting, so no client reads an estimate of the drain rate.
+	shedRetryAfter = "1"
 	// appendDedupWindow is how many recently applied append tokens the
 	// server remembers for idempotent retries (ingest.Spec.Token).
 	appendDedupWindow = 4096
@@ -138,9 +137,6 @@ type Server struct {
 	appends       atomic.Uint64
 	appendBatches atomic.Uint64
 	appendDedups  atomic.Uint64
-
-	// completions feeds the drain-rate estimate behind Retry-After.
-	completions completionRing
 
 	// testExecGate, when set (tests only, before serving), runs after
 	// admission and before execution — it lets tests hold all slots busy
@@ -247,99 +243,22 @@ type QueryResponse struct {
 	SimulatedSeconds float64  `json:"simulated_seconds"`
 }
 
-type errResponse struct {
-	Error string `json:"error"`
-}
-
-// WriteJSON writes v as the JSON body of a response with the given
-// status (HTML escaping off: error strings and view ids go out as
-// written). The coordinator tier answers with it too.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// completionRing tracks request completions in one-second buckets so
-// shed responses can estimate the server's drain rate without keeping
-// per-request timestamps. The window is len(buckets) seconds; buckets
-// older than the window are lazily zeroed as the clock wraps onto them.
-type completionRing struct {
-	mu      sync.Mutex
-	buckets [8]uint64
-	stamps  [8]int64 // unix second each bucket currently counts for
-}
-
-func (r *completionRing) note(now time.Time) {
-	sec := now.Unix()
-	i := int(sec % int64(len(r.buckets)))
-	r.mu.Lock()
-	if r.stamps[i] != sec {
-		r.stamps[i] = sec
-		r.buckets[i] = 0
-	}
-	r.buckets[i]++
-	r.mu.Unlock()
-}
-
-// rate returns completions per second averaged over the full window.
-// Idle seconds count as zeros (silence is signal); 0 means no
-// completion landed inside the window at all.
-func (r *completionRing) rate(now time.Time) float64 {
-	sec := now.Unix()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n uint64
-	for i := range r.buckets {
-		if age := sec - r.stamps[i]; age >= 0 && age < int64(len(r.buckets)) {
-			n += r.buckets[i]
-		}
-	}
-	return float64(n) / float64(len(r.buckets))
-}
-
-// retryAfter derives the Retry-After hint for a shed response: with
-// depth requests already queued and the recent drain rate, a new
-// arrival reaches the front in about (depth+1)/rate seconds. Clamped
-// to [retryAfterFloor, 60]; an unknown rate (no recent completions)
-// falls back to the floor.
-func (s *Server) retryAfter() int {
-	_, _, depth := s.lim.snapshot()
-	rate := s.completions.rate(time.Now())
-	if rate <= 0 {
-		return retryAfterFloor
-	}
-	secs := int(math.Ceil(float64(depth+1) / rate))
-	if secs < retryAfterFloor {
-		secs = retryAfterFloor
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
-}
-
 func (s *Server) writeShed(w http.ResponseWriter) {
 	s.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	WriteJSON(w, http.StatusTooManyRequests, errResponse{Error: ErrShed.Error()})
+	w.Header().Set("Retry-After", shedRetryAfter)
+	WriteError(w, http.StatusTooManyRequests, ErrShed.Error())
 }
 
 // guarded is the guard chain POST /query and POST /append share. In
-// order: the method check; the drain handshake; prepare, which decodes
-// and validates the body, writes its own 4xx and returns false to stop,
-// or returns the request's time budget; the deadline context;
-// admission. run executes holding one admission slot.
-func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
+// order: the drain handshake; the request reader (405, 413 or 400 —
+// each counted as a bad request) with decode; prepare, which validates
+// the decoded request, writes its own 4xx and returns false to stop, or
+// returns the request's time budget; the deadline context; admission.
+// run executes holding one admission slot.
+func (s *Server) guarded(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error,
 	prepare func() (timeout time.Duration, ok bool), run func(ctx context.Context)) {
-	if r.Method != http.MethodPost {
-		WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
-		return
-	}
 	if s.draining.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
+		WriteError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		return
 	}
 	s.reqWG.Add(1)
@@ -347,10 +266,14 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 	// Re-check under the WaitGroup: a drain that started before the Add
 	// observes either the flag refusing us or the Add it must wait for.
 	if s.draining.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: ErrDraining.Error()})
+		WriteError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		return
 	}
 
+	if !ReadRequest(w, r, decode) {
+		s.badRequest.Add(1)
+		return
+	}
 	timeout, ok := prepare()
 	if !ok {
 		return
@@ -373,35 +296,24 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request,
 			s.writeShed(w)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timedOut.Add(1)
-			WriteJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded in queue"})
+			WriteError(w, http.StatusGatewayTimeout, "deadline exceeded in queue")
 		default: // client went away
 			s.failed.Add(1)
-			WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+			WriteError(w, http.StatusServiceUnavailable, err.Error())
 		}
 		return
 	}
-	// Every slot hand-back counts toward the drain rate, success or not:
-	// Retry-After estimates slot turnover, not success throughput.
-	defer func() {
-		s.lim.release()
-		s.completions.note(time.Now())
-	}()
+	defer s.lim.release()
 
 	run(ctx)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var spec QuerySpec
 	var q *deepsea.Query
-	s.guarded(w, r, func() (time.Duration, bool) {
-		var spec QuerySpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			s.badRequest.Add(1)
-			WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
-			return 0, false
-		}
+	s.guarded(w, r, JSONInto(&spec), func() (time.Duration, bool) {
 		lo, hi, keyed := spec.ItemRange()
-		if resp, ok := s.checkOwnership(lo, hi, keyed); !ok {
-			WriteJSON(w, http.StatusConflict, resp)
+		if !s.checkOwnership(w, lo, hi, keyed) {
 			return 0, false
 		}
 		var err error
@@ -414,7 +326,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			s.badRequest.Add(1)
-			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return 0, false
 		}
 		if spec.TimeoutMS > 0 {
@@ -430,13 +342,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case errors.Is(err, context.DeadlineExceeded):
 				s.timedOut.Add(1)
-				WriteJSON(w, http.StatusGatewayTimeout, errResponse{Error: "deadline exceeded"})
+				WriteError(w, http.StatusGatewayTimeout, "deadline exceeded")
 			case errors.Is(err, context.Canceled):
 				s.failed.Add(1)
-				WriteJSON(w, http.StatusServiceUnavailable, errResponse{Error: err.Error()})
+				WriteError(w, http.StatusServiceUnavailable, err.Error())
 			default:
 				s.failed.Add(1)
-				WriteJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+				WriteError(w, http.StatusInternalServerError, err.Error())
 			}
 			return
 		}
@@ -483,21 +395,19 @@ type AppendResponse struct {
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var sp *ingest.Spec
 	var rows []relation.Row
-	s.guarded(w, r, func() (time.Duration, bool) {
-		var err error
-		if sp, err = ingest.DecodeSpec(r.Body); err != nil {
-			s.badRequest.Add(1)
-			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
-			return 0, false
-		}
+	decode := func(body io.Reader) (err error) {
+		sp, err = ingest.DecodeSpec(body)
+		return err
+	}
+	s.guarded(w, r, decode, func() (time.Duration, bool) {
 		lo, hi, keyed := sp.ItemRange(s.sys.RoutingKeyIndex(sp.Table))
-		if resp, ok := s.checkOwnership(lo, hi, keyed); !ok {
-			WriteJSON(w, http.StatusConflict, resp)
+		if !s.checkOwnership(w, lo, hi, keyed) {
 			return 0, false
 		}
+		var err error
 		if rows, err = s.sys.ConvertRows(sp.Table, sp.Rows); err != nil {
 			s.badRequest.Add(1)
-			WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return 0, false
 		}
 		return defaultTimeout, true
@@ -507,7 +417,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			// Rows were converted before admission, so a failure here is a
 			// server-side journal or refresh error, not the request's fault.
 			s.failed.Add(1)
-			WriteJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+			WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		s.appends.Add(1)
@@ -555,104 +465,15 @@ func (s *Server) landAppend(sp *ingest.Spec, rows []relation.Row) (deepsea.Appen
 	}
 }
 
-// healthzResponse is GET /healthz: a liveness summary. Status is "ok",
-// "degraded" (quarantined files, blacklisted views, journal append
-// errors, a saturated maintenance queue, a stuck ingest retry backlog,
-// or a recovery that fell back to a cold start) or "draining".
-type healthzResponse struct {
-	Status    string `json:"status"`
-	InFlight  int64  `json:"in_flight"`
-	Queries   uint64 `json:"queries"`
-	PoolBytes int64  `json:"pool_bytes"`
-	PoolLimit int64  `json:"pool_limit"`
-	// Quarantined is the most recent quarantined paths (bounded);
-	// QuarantinedTotal counts every path ever quarantined.
-	Quarantined      []string `json:"quarantined,omitempty"`
-	QuarantinedTotal uint64   `json:"quarantined_total,omitempty"`
-	Backoff          []string `json:"backoff,omitempty"`
-	Blacklisted      []string `json:"blacklisted,omitempty"`
-	// Journal durability summary (all zero without a datastore):
-	// JournalAppendErrors > 0 or a non-empty RecoveryError degrades the
-	// status — the server still answers queries, but state written since
-	// the last good append would not survive a crash.
-	JournalEnabled      bool   `json:"journal_enabled,omitempty"`
-	JournalAppendErrors uint64 `json:"journal_append_errors,omitempty"`
-	JournalLastSeq      uint64 `json:"journal_last_seq,omitempty"`
-	RecoveryError       string `json:"recovery_error,omitempty"`
-	// Background maintenance summary (absent in inline mode). A
-	// saturated queue degrades the status: candidates are being dropped,
-	// so the pool adapts slower than the workload demands.
-	MaintEnabled    bool `json:"maint_enabled,omitempty"`
-	MaintQueueDepth int  `json:"maint_queue_depth,omitempty"`
-	MaintSaturated  bool `json:"maint_saturated,omitempty"`
-	// Range ownership, present when the server runs as one shard of a
-	// scatter-gather cluster: the owned partition-key range.
-	RangeOwned bool  `json:"range_owned,omitempty"`
-	OwnedLo    int64 `json:"owned_lo,omitempty"`
-	OwnedHi    int64 `json:"owned_hi,omitempty"`
+// statusResponse is the one status document: GET /statz serves it with
+// 200, and GET /healthz with its verdict's code — 503 while draining, 200
+// otherwise (degraded is alive).
+type statusResponse struct {
+	// Status is the verdict: "ok", "degraded" or "draining" (see verdict).
+	Status string `json:"status"`
 	// RangeRole is the replica role the last range assignment carried
 	// ("primary" or "follower"; absent when standalone).
-	RangeRole string `json:"range_role,omitempty"`
-	// Ingest summary: appended batches and rows landed, incremental view
-	// refreshes applied, and views currently stale awaiting a background
-	// refresh (transient; stale views are never served).
-	// IngestRetryBacklog > 0 degrades the status: those views are stuck
-	// still-stale with no refresh scheduled — in inline mode only a
-	// later append retries them, so an operator should notice.
-	IngestAppends      uint64         `json:"ingest_appends,omitempty"`
-	IngestRows         uint64         `json:"ingest_rows,omitempty"`
-	IngestRefreshes    uint64         `json:"ingest_refreshes,omitempty"`
-	IngestStaleViews   int            `json:"ingest_stale_views,omitempty"`
-	IngestRetryBacklog int            `json:"ingest_retry_backlog,omitempty"`
-	Admission          AdmissionStats `json:"admission"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.sys.Health()
-	adm, _, _ := s.lim.snapshot()
-	resp := healthzResponse{
-		Status:              "ok",
-		InFlight:            h.InFlight,
-		Queries:             h.Queries,
-		PoolBytes:           h.PoolBytes,
-		PoolLimit:           h.PoolLimit,
-		Quarantined:         h.Quarantined,
-		QuarantinedTotal:    h.QuarantinedTotal,
-		Backoff:             h.Backoff,
-		Blacklisted:         h.Blacklisted,
-		JournalEnabled:      h.JournalEnabled,
-		JournalAppendErrors: h.JournalAppendErrors,
-		JournalLastSeq:      h.JournalLastSeq,
-		RecoveryError:       h.RecoveryError,
-		MaintEnabled:        h.MaintEnabled,
-		MaintQueueDepth:     h.MaintQueueDepth,
-		MaintSaturated:      h.MaintSaturated,
-		RangeOwned:          h.RangeOwned,
-		OwnedLo:             h.OwnedLo,
-		OwnedHi:             h.OwnedHi,
-		RangeRole:           s.Role(),
-		IngestAppends:       h.IngestAppends,
-		IngestRows:          h.IngestAppendedRows,
-		IngestRefreshes:     h.IngestRefreshes,
-		IngestStaleViews:    h.IngestStaleViews,
-		IngestRetryBacklog:  h.IngestRetryBacklog,
-		Admission:           adm,
-	}
-	status := http.StatusOK
-	if len(h.Quarantined) > 0 || len(h.Blacklisted) > 0 ||
-		h.JournalAppendErrors > 0 || h.RecoveryError != "" || h.MaintSaturated ||
-		h.IngestRetryBacklog > 0 {
-		resp.Status = "degraded"
-	}
-	if s.draining.Load() {
-		resp.Status = "draining"
-		status = http.StatusServiceUnavailable
-	}
-	WriteJSON(w, status, resp)
-}
-
-// statzResponse is GET /statz: the full operational snapshot.
-type statzResponse struct {
+	RangeRole string         `json:"range_role,omitempty"`
 	Health    deepsea.Health `json:"health"`
 	Admission AdmissionStats `json:"admission"`
 	Serving   ServingStats   `json:"serving"`
@@ -662,17 +483,15 @@ type statzResponse struct {
 	// SnapshotTickErrors counts failed periodic checkpoints taken by the
 	// SnapshotEvery ticker (store-level counters live in Health).
 	SnapshotTickErrors uint64 `json:"snapshot_tick_errors,omitempty"`
-	// CompletionRate is the recent slot-turnover rate (requests per
-	// second over the drain-rate window); RetryAfterHint is the
-	// Retry-After a shed response would carry right now.
-	CompletionRate float64 `json:"completion_rate"`
-	RetryAfterHint int     `json:"retry_after_hint"`
 }
 
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
+// status builds the status document.
+func (s *Server) status() statusResponse {
 	h := s.sys.Health()
 	adm, inflight, depth := s.lim.snapshot()
-	resp := statzResponse{
+	return statusResponse{
+		Status:    verdict(h, s.draining.Load()),
+		RangeRole: s.Role(),
 		Health:    h,
 		Admission: adm,
 		Serving: ServingStats{
@@ -688,10 +507,38 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		InFlightSlots:      inflight,
 		QueueDepth:         depth,
 		SnapshotTickErrors: s.snapErrs.Load(),
-		CompletionRate:     s.completions.rate(time.Now()),
-		RetryAfterHint:     s.retryAfter(),
 	}
-	WriteJSON(w, http.StatusOK, resp)
+}
+
+// verdict is the status a health snapshot earns. "draining" once a drain
+// began. "degraded" while the server still answers but an operator should
+// look: quarantined files, blacklisted views, failed journal appends (state
+// written since would not survive a crash), a recovery that fell back to a
+// cold start, a saturated maintenance queue (candidates are dropped, so the
+// pool adapts slower than the workload demands), or views stuck stale with
+// no refresh scheduled. "ok" otherwise.
+func verdict(h deepsea.Health, draining bool) string {
+	switch {
+	case draining:
+		return "draining"
+	case len(h.Quarantined) > 0 || len(h.Blacklisted) > 0 || h.JournalAppendErrors > 0 ||
+		h.RecoveryError != "" || h.MaintSaturated || h.IngestRetryBacklog > 0:
+		return "degraded"
+	}
+	return "ok"
+}
+
+func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.status())
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	doc := s.status()
+	code := http.StatusOK
+	if doc.Status == "draining" {
+		code = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, code, doc)
 }
 
 // poolzResponse is GET /poolz: the materialized pool's contents.
@@ -733,19 +580,12 @@ func (s *Server) Role() string {
 	return ""
 }
 
-// RangeErrResponse is the 409 body for ownership violations. It names
-// the range the shard owns.
-type RangeErrResponse struct {
-	Error   string `json:"error"`
-	OwnedLo int64  `json:"owned_lo"`
-	OwnedHi int64  `json:"owned_hi"`
-}
-
-// rangeConflict is a 409 body: what the request asked for, and the
+// writeRangeConflict answers 409: what the request asked for, and the
 // range the shard owns instead.
-func rangeConflict(what string, or deepsea.OwnedRange) RangeErrResponse {
-	return RangeErrResponse{Error: fmt.Sprintf("%s: shard owns [%d,%d]", what, or.Lo, or.Hi),
-		OwnedLo: or.Lo, OwnedHi: or.Hi}
+func writeRangeConflict(w http.ResponseWriter, what string, or deepsea.OwnedRange) {
+	WriteJSON(w, http.StatusConflict, ErrorResponse{
+		Error:   fmt.Sprintf("%s: shard owns [%d,%d]", what, or.Lo, or.Hi),
+		OwnedLo: &or.Lo, OwnedHi: &or.Hi})
 }
 
 // checkOwnership enforces the shard's owned range against a query or an
@@ -753,13 +593,15 @@ func rangeConflict(what string, or deepsea.OwnedRange) RangeErrResponse {
 // replicated-dimension append is not). Standalone servers (no owned
 // range) accept everything; a sharded server rejects keys outside its
 // range with a 409 naming the range, since the caller routed the
-// request to the wrong shard rather than sending a malformed one.
-func (s *Server) checkOwnership(lo, hi int64, keyed bool) (RangeErrResponse, bool) {
+// request to the wrong shard rather than sending a malformed one. It
+// returns false once it has answered.
+func (s *Server) checkOwnership(w http.ResponseWriter, lo, hi int64, keyed bool) bool {
 	or, owned := s.sys.OwnedRange()
 	if owned && keyed && (lo < or.Lo || hi > or.Hi) {
-		return rangeConflict(fmt.Sprintf("keys [%d,%d] not owned", lo, hi), or), false
+		writeRangeConflict(w, fmt.Sprintf("keys [%d,%d] not owned", lo, hi), or)
+		return false
 	}
-	return RangeErrResponse{}, true
+	return true
 }
 
 // rangeRequest is the JSON body of POST /admin/range: the range to own.
@@ -783,8 +625,7 @@ type rangeResponse struct {
 }
 
 func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
+	if r.Method == http.MethodGet {
 		or, owned := s.sys.OwnedRange()
 		if !owned {
 			WriteJSON(w, http.StatusOK, rangeResponse{Lo: 0, Hi: -1})
@@ -792,23 +633,18 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 		}
 		WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Role: s.Role()})
 		return
-	case http.MethodPost:
-	default:
-		WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "GET or POST only"})
-		return
 	}
 	var req rangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
+	if !ReadRequest(w, r, JSONInto(&req)) {
 		return
 	}
 	if req.Lo > req.Hi {
-		WriteJSON(w, http.StatusBadRequest, errResponse{Error: "empty range"})
+		WriteError(w, http.StatusBadRequest, "empty range")
 		return
 	}
 	or, ok := s.sys.SetOwnedRange(req.Lo, req.Hi)
 	if !ok {
-		WriteJSON(w, http.StatusConflict, rangeConflict(fmt.Sprintf("range [%d,%d] refused", req.Lo, req.Hi), or))
+		writeRangeConflict(w, fmt.Sprintf("range [%d,%d] refused", req.Lo, req.Hi), or)
 		return
 	}
 	if req.Role != "" {

@@ -184,8 +184,8 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 }
 
 // TestLoadShedding holds every execution slot and the whole queue busy
-// via the test gate, then verifies extra requests shed with 429 and a
-// Retry-After hint — and that the held requests all still succeed.
+// via the test gate, then verifies extra requests shed with 429 and
+// Retry-After: 1 — and that the held requests all still succeed.
 func TestLoadShedding(t *testing.T) {
 	leakcheck.Check(t)
 	sys := newTestSystem(t)
@@ -231,8 +231,8 @@ func TestLoadShedding(t *testing.T) {
 		if status != http.StatusTooManyRequests {
 			t.Fatalf("overload request %d: status %d, want 429", i, status)
 		}
-		if hdr.Get("Retry-After") == "" {
-			t.Error("shed response missing Retry-After")
+		if got := hdr.Get("Retry-After"); got != "1" {
+			t.Errorf("shed response Retry-After %q, want 1", got)
 		}
 	}
 	close(gate)
@@ -364,7 +364,7 @@ func TestHealthzReflectsDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var hz healthzResponse
+	var hz statusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestHealthzReflectsDegradation(t *testing.T) {
 	if hz.Status != "degraded" {
 		t.Errorf("healthz status %q, want degraded", hz.Status)
 	}
-	if len(hz.Quarantined) == 0 {
+	if len(hz.Health.Quarantined) == 0 {
 		t.Error("healthz lists no quarantined files after injected read faults")
 	}
 }
@@ -393,7 +393,7 @@ func TestStatzAndPoolz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sz statzResponse
+	var sz statusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sz); err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 // postRange POSTs body to /admin/range and returns the status and the
-// decoded answer (a rangeResponse or a RangeErrResponse, by status).
+// decoded answer (a rangeResponse or an ErrorResponse, by status).
 func postRange(t *testing.T, url, body string) (int, map[string]any) {
 	t.Helper()
 	resp, err := http.Post(url+"/admin/range", "application/json", bytes.NewReader([]byte(body)))

@@ -174,8 +174,8 @@ func New(cfg Config) (*Coordinator, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", c.handleQuery)
 	mux.HandleFunc("/append", c.handleAppend)
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	mux.HandleFunc("/statz", c.handleStatz)
+	mux.HandleFunc("/healthz", c.handleStatus)
+	mux.HandleFunc("/statz", c.handleStatus)
 	c.mux = mux
 	if cfg.ProbeInterval > 0 {
 		c.proberStop = make(chan struct{})
@@ -280,45 +280,24 @@ type Response struct {
 	Failovers int `json:"failovers,omitempty"`
 }
 
-// errResponse is the coordinator's error body. FailedLo/FailedHi name
-// the range slice whose whole replica group failed, so operators (and
-// the CI smoke test) see which part of the domain is down.
-type errResponse struct {
-	Error    string `json:"error"`
-	Shard    string `json:"shard,omitempty"`
-	FailedLo *int64 `json:"failed_lo,omitempty"`
-	FailedHi *int64 `json:"failed_hi,omitempty"`
-	// Token is the append batch's idempotency key (client-supplied or
-	// coordinator-generated). A failed append may have landed on some
-	// replicas; retrying the batch with this exact token lets the
-	// serving tier deduplicate the slices that already applied.
-	Token string `json:"token,omitempty"`
-}
-
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
+	var spec server.QuerySpec
+	if !server.ReadRequest(w, r, server.JSONInto(&spec)) {
 		return
 	}
 	c.queries.Add(1)
-	var spec server.QuerySpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
-		return
-	}
 	lo, hi, ok := spec.ItemRange()
 	if !ok {
 		// Without a partition-key predicate the coordinator cannot slice
 		// the query: every shard holds the full base tables, so fanning
 		// out unclamped would multiply-count every row.
-		server.WriteJSON(w, http.StatusBadRequest, errResponse{
-			Error: "coordinator queries need an item_sk range predicate (or the template form's lo/hi)"})
+		server.WriteError(w, http.StatusBadRequest,
+			"coordinator queries need an item_sk range predicate (or the template form's lo/hi)")
 		return
 	}
 	if lo > hi || hi < c.cfg.DomainLo || lo > c.cfg.DomainHi {
-		server.WriteJSON(w, http.StatusBadRequest, errResponse{
-			Error: fmt.Sprintf("range [%d,%d] outside domain [%d,%d]",
-				lo, hi, c.cfg.DomainLo, c.cfg.DomainHi)})
+		server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("range [%d,%d] outside domain [%d,%d]",
+			lo, hi, c.cfg.DomainLo, c.cfg.DomainHi))
 		return
 	}
 	status, body := c.scatter(r.Context(), &spec, lo, hi)
@@ -354,7 +333,7 @@ func (c *Coordinator) scatter(ctx context.Context, spec *server.QuerySpec, lo, h
 		}
 		var err error
 		if p.body, err = json.Marshal(&sub); err != nil {
-			return http.StatusInternalServerError, errResponse{Error: err.Error()}
+			return http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()}
 		}
 	}
 	c.scattered.Add(uint64(len(parts)))
@@ -386,7 +365,7 @@ func (c *Coordinator) scatter(ctx context.Context, spec *server.QuerySpec, lo, h
 		outRows, err = ConcatSorted(rowSets)
 	}
 	if err != nil {
-		return http.StatusInternalServerError, errResponse{Error: err.Error()}
+		return http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()}
 	}
 	return http.StatusOK, Response{
 		Columns:          outCols,
@@ -404,15 +383,10 @@ func specAggregates(spec *server.QuerySpec) bool {
 	return spec.Template != "" || len(spec.Aggs) > 0
 }
 
-// replicaBodyLimit bounds how much of one replica response the
-// coordinator buffers: far above any aggregate answer the templates
-// produce, and a ceiling on what a misbehaving replica can make it hold.
-const replicaBodyLimit = 64 << 20
-
 // call runs one HTTP request against one replica — every coordinator →
 // replica exchange goes through here. It applies the per-call
 // RequestTimeout (callers wanting less pass a shorter ctx), sends body
-// as JSON when non-nil, and reads at most replicaBodyLimit bytes of the
+// as JSON when non-nil, and reads at most server.MaxBodyBytes of the
 // response. err is a transport failure; every status comes back with its
 // raw body for the caller to classify.
 func (c *Coordinator) call(ctx context.Context, method, url string, body []byte) (status int, respBody []byte, err error) {
@@ -437,7 +411,7 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte)
 	// A read that fails part-way leaves a truncated body, which the
 	// caller's decode rejects — where a streaming decode would have met
 	// the same error.
-	respBody, _ = io.ReadAll(io.LimitReader(resp.Body, replicaBodyLimit))
+	respBody, _ = io.ReadAll(io.LimitReader(resp.Body, server.MaxBodyBytes))
 	return resp.StatusCode, respBody, nil
 }
 
@@ -468,11 +442,8 @@ func (c *Coordinator) ownsRange(ctx context.Context, addr string, lo, hi int64) 
 	return rr.Lo == lo && rr.Hi == hi, nil
 }
 
-// probeLoop is the background health prober: every interval it checks
-// each replica's /healthz, pushes its group's range to a replica that
-// does not own it (one unreachable at Init, or restarted: ownership
-// lives in memory), and hands a group's preference back to its primary
-// once the primary is healthy.
+// probeLoop is the background health prober: every interval it sweeps
+// the replicas with repair on.
 func (c *Coordinator) probeLoop(interval time.Duration) {
 	defer close(c.proberDone)
 	t := time.NewTicker(interval)
@@ -482,72 +453,36 @@ func (c *Coordinator) probeLoop(interval time.Duration) {
 		case <-c.proberStop:
 			return
 		case <-t.C:
-			c.probeAll()
+			c.sweep(context.Background(), true)
 		}
 	}
 }
 
-// probeAll runs one probe sweep over every replica.
-func (c *Coordinator) probeAll() {
-	var wg sync.WaitGroup
-	for gi, sh := range c.shards {
-		for ri := range sh.Replicas {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c.probeOne(gi, ri)
-			}()
-		}
-	}
-	wg.Wait()
-}
-
-// probeTimeout bounds one probe request: short, so a sweep over a dead
-// replica costs the prober (not queries) a bounded wait.
+// probeTimeout bounds one replica's check: short, so a sweep over a dead
+// replica costs its caller (the prober or a status request, never a
+// query) a bounded wait.
 func (c *Coordinator) probeTimeout() time.Duration {
-	if c.cfg.RequestTimeout < 2*time.Second {
-		return c.cfg.RequestTimeout
-	}
-	return 2 * time.Second
+	return min(c.cfg.RequestTimeout, 2*time.Second)
 }
 
-// probeOne checks replica ri of group gi: /healthz for liveness, then
-// /admin/range for ownership, pushing the group's range when the
-// replica does not own it.
-func (c *Coordinator) probeOne(gi, ri int) {
-	sh := c.shards[gi]
-	addr := sh.Replicas[ri]
-	rs := c.replicas[addr]
-	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
-	defer cancel()
-	status, _, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil || status < 200 || status > 299 {
-		// Unreachable, or reachable but unhealthy (draining, dependency
-		// down): either way not a replica to hand preference back to.
-		rs.noteProbe(false)
-		return
-	}
-
-	owns, err := c.ownsRange(ctx, addr, sh.Lo, sh.Hi)
-	if err == nil && !owns && c.pushRange(ctx, gi, ri) == nil {
-		owns = true
-		rs.mu.Lock()
-		rs.repushes++
-		rs.mu.Unlock()
-	}
-	rs.noteProbe(owns)
-	// If the group's declared primary is healthy again, prefer it.
-	if owns && ri == 0 {
-		c.preferred[gi].Store(0)
-	}
-}
-
-// healthzResponse is the coordinator's GET /healthz: the routing table
-// with per-replica reachability. Status is "ok" or "degraded" (some
-// replica unreachable or unhealthy).
-type healthzResponse struct {
-	Status string        `json:"status"`
-	Shards []shardHealth `json:"shards"`
+// statusResponse is the coordinator's one status document, served by
+// GET /statz and GET /healthz alike (always 200: the coordinator never
+// drains): scatter, failover and append counters, and the routing table
+// with each replica's health as one sweep saw it. Status is "ok" or
+// "degraded" (some replica unreachable, or not "ok" itself).
+type statusResponse struct {
+	Status    string `json:"status"`
+	Queries   uint64 `json:"queries"`
+	Scattered uint64 `json:"scattered"`
+	Attempts  uint64 `json:"attempts"`
+	Failures  uint64 `json:"failures"`
+	// Failovers counts retries that moved to a different replica.
+	Failovers uint64 `json:"failovers"`
+	// AppendsRouted/AppendRows count POST /append batches scattered by
+	// routing key and the rows they carried.
+	AppendsRouted uint64        `json:"appends_routed"`
+	AppendRows    uint64        `json:"append_rows"`
+	Shards        []shardHealth `json:"shards"`
 }
 
 type shardHealth struct {
@@ -567,63 +502,9 @@ type replicaHealth struct {
 	Repushes  uint64 `json:"repushes,omitempty"`
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	out := make([]shardHealth, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		out[i] = shardHealth{ShardInfo: sh, ReplicaHealth: make([]replicaHealth, len(sh.Replicas))}
-		for j, addr := range sh.Replicas {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rh := replicaHealth{Addr: addr, Role: roleOf(j)}
-				rh.OwnsRange, rh.Repushes = c.replicas[addr].probeSnapshot()
-				ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
-				defer cancel()
-				if _, b, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil); err == nil {
-					// Any answer proves the replica reachable; a body without
-					// a status (not a deepsea server) leaves Health empty.
-					var hz struct {
-						Status string `json:"status"`
-					}
-					_ = json.Unmarshal(b, &hz)
-					rh.Reachable = true
-					rh.Health = hz.Status
-				}
-				out[i].ReplicaHealth[j] = rh
-			}()
-		}
-	}
-	wg.Wait()
-	resp := healthzResponse{Status: "ok", Shards: out}
-	for _, sh := range out {
-		for _, rh := range sh.ReplicaHealth {
-			if !rh.Reachable || (rh.Health != "" && rh.Health != "ok") {
-				resp.Status = "degraded"
-			}
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-// statzResponse is the coordinator's GET /statz: scatter and failover
-// counters and the routing table.
-type statzResponse struct {
-	Queries   uint64 `json:"queries"`
-	Scattered uint64 `json:"scattered"`
-	Attempts  uint64 `json:"attempts"`
-	Failures  uint64 `json:"failures"`
-	// Failovers counts retries that moved to a different replica.
-	Failovers uint64 `json:"failovers"`
-	// AppendsRouted/AppendRows count POST /append batches scattered by
-	// routing key and the rows they carried.
-	AppendsRouted uint64      `json:"appends_routed"`
-	AppendRows    uint64      `json:"append_rows"`
-	Shards        []ShardInfo `json:"shards"`
-}
-
-func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, statzResponse{
+func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
+	doc := statusResponse{
+		Status:        "ok",
 		Queries:       c.queries.Load(),
 		Scattered:     c.scattered.Load(),
 		Attempts:      c.attempts.Load(),
@@ -631,6 +512,70 @@ func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Failovers:     c.failovers.Load(),
 		AppendsRouted: c.appendsRouted.Load(),
 		AppendRows:    c.appendRows.Load(),
-		Shards:        c.shards,
-	})
+		Shards:        c.sweep(r.Context(), false),
+	}
+	for _, sh := range doc.Shards {
+		for _, rh := range sh.ReplicaHealth {
+			if !rh.Reachable || (rh.Health != "" && rh.Health != "ok") {
+				doc.Status = "degraded"
+			}
+		}
+	}
+	server.WriteJSON(w, http.StatusOK, doc)
+}
+
+// sweep is the one walk over the replicas, all checked at once; it
+// returns what it saw in routing-table order. Each replica's GET /healthz
+// tells whether it is reachable (any answer) and its status. With repair
+// — the prober's sweep — a replica whose /healthz is 2xx is also asked
+// whether it owns its group's range and is pushed the range when it does
+// not (it was unreachable at Init, or restarted: ownership lives in
+// memory), and a healthy primary that owns its range gets its group's
+// preference back.
+func (c *Coordinator) sweep(ctx context.Context, repair bool) []shardHealth {
+	out := make([]shardHealth, len(c.shards))
+	var wg sync.WaitGroup
+	for gi, sh := range c.shards {
+		out[gi] = shardHealth{ShardInfo: sh, ReplicaHealth: make([]replicaHealth, len(sh.Replicas))}
+		for ri, addr := range sh.Replicas {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rs := c.replicas[addr]
+				ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
+				defer cancel()
+				rh := replicaHealth{Addr: addr, Role: roleOf(ri)}
+				status, b, err := c.call(ctx, http.MethodGet, addr+"/healthz", nil)
+				if err == nil {
+					// A body without a status (not a deepsea server) leaves
+					// Health empty.
+					var hz struct {
+						Status string `json:"status"`
+					}
+					_ = json.Unmarshal(b, &hz)
+					rh.Reachable, rh.Health = true, hz.Status
+				}
+				if repair {
+					// Unreachable, or reachable but unhealthy (draining):
+					// either way not a replica to hand preference back to.
+					owns := false
+					if err == nil && status >= 200 && status <= 299 {
+						owns, err = c.ownsRange(ctx, addr, sh.Lo, sh.Hi)
+						if err == nil && !owns && c.pushRange(ctx, gi, ri) == nil {
+							owns = true
+							rs.repushes.Add(1)
+						}
+					}
+					rs.ownsRange.Store(owns)
+					if owns && ri == 0 {
+						c.preferred[gi].Store(0)
+					}
+				}
+				rh.OwnsRange, rh.Repushes = rs.ownsRange.Load(), rs.repushes.Load()
+				out[gi].ReplicaHealth[ri] = rh
+			}()
+		}
+	}
+	wg.Wait()
+	return out
 }

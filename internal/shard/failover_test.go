@@ -187,7 +187,7 @@ func TestFailoverToFollower(t *testing.T) {
 }
 
 // coordHealthz reads the coordinator's /healthz.
-func coordHealthz(t *testing.T, c *Coordinator) healthzResponse {
+func coordHealthz(t *testing.T, c *Coordinator) statusResponse {
 	t.Helper()
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
@@ -196,7 +196,7 @@ func coordHealthz(t *testing.T, c *Coordinator) healthzResponse {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var hz healthzResponse
+	var hz statusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func coordHealthz(t *testing.T, c *Coordinator) healthzResponse {
 }
 
 // replicaHealthOf finds one replica's entry on /healthz.
-func replicaHealthOf(hz healthzResponse, addr string) (replicaHealth, bool) {
+func replicaHealthOf(hz statusResponse, addr string) (replicaHealth, bool) {
 	for _, sh := range hz.Shards {
 		for _, rh := range sh.ReplicaHealth {
 			if rh.Addr == addr {
@@ -459,7 +459,7 @@ func TestProberTreatsUnhealthyHealthzAsFailure(t *testing.T) {
 	defer c.Close()
 	c.preferred[0].Store(1) // failover moved preference to the follower
 
-	c.probeOne(0, 0)
+	c.sweep(context.Background(), true)
 
 	if p := c.preferred[0].Load(); p != 1 {
 		t.Fatalf("unhealthy primary restored as preferred (preferred=%d)", p)

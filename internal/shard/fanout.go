@@ -64,7 +64,7 @@ func (c *Coordinator) settle(parts []part, replies []reply, failStatus int, toke
 		}
 		p := parts[i]
 		primary := c.shards[p.shard].Replicas[0]
-		return failStatus, errResponse{
+		return failStatus, server.ErrorResponse{
 			Error: fmt.Sprintf("replica group %s serving range [%d,%d] failed: %v", primary, p.lo, p.hi, r.err),
 			Shard: primary, FailedLo: &p.lo, FailedHi: &p.hi, Token: token,
 		}

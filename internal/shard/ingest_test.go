@@ -79,7 +79,7 @@ func salesBatch(seed int64, n int) [][]any {
 }
 
 // coordAppend posts one append spec to the coordinator.
-func coordAppend(t *testing.T, c *Coordinator, sp ingest.Spec) (int, AppendResponse, errResponse) {
+func coordAppend(t *testing.T, c *Coordinator, sp ingest.Spec) (int, AppendResponse, server.ErrorResponse) {
 	t.Helper()
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
@@ -95,7 +95,7 @@ func coordAppend(t *testing.T, c *Coordinator, sp ingest.Spec) (int, AppendRespo
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	var out AppendResponse
-	var eresp errResponse
+	var eresp server.ErrorResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 			t.Fatalf("decode: %v (body %q)", err, buf.String())
@@ -340,24 +340,13 @@ func TestCoordinatorAppendRetryDoesNotDuplicate(t *testing.T) {
 	var total uint64
 	var dedups uint64
 	for _, ts := range servers {
-		var hz struct {
-			IngestRows uint64 `json:"ingest_rows"`
-		}
-		r, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&hz); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		total += hz.IngestRows
 		var sz struct {
+			Health  deepsea.Health `json:"health"`
 			Serving struct {
 				AppendDedups uint64 `json:"append_dedups"`
 			} `json:"serving"`
 		}
-		r, err = http.Get(ts.URL + "/statz")
+		r, err := http.Get(ts.URL + "/statz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,6 +354,7 @@ func TestCoordinatorAppendRetryDoesNotDuplicate(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Body.Close()
+		total += sz.Health.IngestAppendedRows
 		dedups += sz.Serving.AppendDedups
 	}
 	if total != n {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"deepsea/internal/ingest"
@@ -47,13 +48,11 @@ type AppendResponse struct {
 // earlier attempt answer the retry from their dedup window instead of
 // appending again.
 func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteJSON(w, http.StatusMethodNotAllowed, errResponse{Error: "POST only"})
-		return
-	}
-	sp, err := ingest.DecodeSpec(r.Body)
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, errResponse{Error: err.Error()})
+	var sp *ingest.Spec
+	if !server.ReadRequest(w, r, func(body io.Reader) (err error) {
+		sp, err = ingest.DecodeSpec(body)
+		return err
+	}) {
 		return
 	}
 	token := sp.Token
@@ -81,17 +80,17 @@ func (c *Coordinator) routeAppend(ctx context.Context, sp *ingest.Spec, token st
 	if keyed {
 		for _, row := range sp.Rows {
 			if ki < 0 || ki >= len(row) {
-				return http.StatusBadRequest, errResponse{
+				return http.StatusBadRequest, server.ErrorResponse{
 					Error: fmt.Sprintf("table %s routing key index %d out of row width %d",
 						sp.Table, ki, len(row))}
 			}
 			k, ok := row[ki].(int64)
 			if !ok {
-				return http.StatusBadRequest, errResponse{
+				return http.StatusBadRequest, server.ErrorResponse{
 					Error: fmt.Sprintf("table %s routing key must be an integer, got %T", sp.Table, row[ki])}
 			}
 			if k < c.cfg.DomainLo || k > c.cfg.DomainHi {
-				return http.StatusBadRequest, errResponse{
+				return http.StatusBadRequest, server.ErrorResponse{
 					Error: fmt.Sprintf("routing key %d outside domain [%d,%d]",
 						k, c.cfg.DomainLo, c.cfg.DomainHi)}
 			}
@@ -117,7 +116,7 @@ func (c *Coordinator) routeAppend(ctx context.Context, sp *ingest.Spec, token st
 		body, err := json.Marshal(&ingest.Spec{Table: sp.Table, Rows: slices[gi],
 			Token: fmt.Sprintf("%s@%d:%d", token, sh.Lo, sh.Hi)})
 		if err != nil {
-			return http.StatusInternalServerError, errResponse{Error: err.Error(), Token: token}
+			return http.StatusInternalServerError, server.ErrorResponse{Error: err.Error(), Token: token}
 		}
 		parts = append(parts, part{shard: gi, lo: sh.Lo, hi: sh.Hi, body: body})
 	}

@@ -19,6 +19,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -369,8 +370,6 @@ func asInt64(v any) (int64, error) {
 }
 
 // pickExtreme keeps the smaller (min=true) or larger of cur and next.
-// Numbers compare numerically, strings lexically — matching the
-// engine's own min/max semantics per column type.
 func pickExtreme(cur, next any, min bool) (any, error) {
 	if cur == nil {
 		return next, nil
@@ -385,11 +384,25 @@ func pickExtreme(cur, next any, min bool) (any, error) {
 	return cur, nil
 }
 
+// scalarLess orders two min/max states the way the engine orders the
+// cells they came from: integral numbers as int64, which is exact where a
+// float64 would round two values beyond 2^53 together and let the first
+// shard's win; other numbers as float64; strings lexically. Of two equal
+// numbers -0 comes first, so a tie between -0 and 0 cannot follow shard
+// order either.
 func scalarLess(a, b any) (bool, error) {
-	na, aNum := toFloat(a)
-	nb, bNum := toFloat(b)
+	fa, aNum := toFloat(a)
+	fb, bNum := toFloat(b)
 	if aNum && bNum {
-		return na < nb, nil
+		ia, aInt := toInt(a)
+		ib, bInt := toInt(b)
+		switch {
+		case aInt && bInt && ia != ib:
+			return ia < ib, nil
+		case !(aInt && bInt) && fa != fb:
+			return fa < fb, nil
+		}
+		return math.Signbit(fa) && !math.Signbit(fb), nil
 	}
 	sa, aStr := a.(string)
 	sb, bStr := b.(string)
@@ -397,6 +410,18 @@ func scalarLess(a, b any) (bool, error) {
 		return sa < sb, nil
 	}
 	return false, fmt.Errorf("cannot compare %T with %T", a, b)
+}
+
+func toInt(v any) (int64, bool) {
+	switch t := v.(type) {
+	case json.Number:
+		n, err := t.Int64()
+		return n, err == nil
+	case int64:
+		return t, true
+	default:
+		return 0, false
+	}
 }
 
 func toFloat(v any) (float64, bool) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -298,7 +299,7 @@ func newCluster(t *testing.T, k int) (*Coordinator, []*httptest.Server) {
 	return c, servers
 }
 
-func coordQuery(t *testing.T, c *Coordinator, spec string) (*http.Response, Response, errResponse) {
+func coordQuery(t *testing.T, c *Coordinator, spec string) (*http.Response, Response, server.ErrorResponse) {
 	t.Helper()
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
@@ -311,7 +312,7 @@ func coordQuery(t *testing.T, c *Coordinator, spec string) (*http.Response, Resp
 	dec := json.NewDecoder(io2(&buf, resp))
 	dec.UseNumber()
 	var out Response
-	var eresp errResponse
+	var eresp server.ErrorResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := dec.Decode(&out); err != nil {
 			t.Fatalf("decode: %v (body %q)", err, buf.String())
@@ -428,11 +429,73 @@ func TestOutOfRangeQueryRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("query outside the owned range: status %d, want 409", resp.StatusCode)
 	}
-	var re server.RangeErrResponse
+	var re server.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&re); err != nil {
 		t.Fatal(err)
 	}
-	if re.OwnedLo != own.Lo || re.OwnedHi != own.Hi {
+	if re.OwnedLo == nil || re.OwnedHi == nil || *re.OwnedLo != own.Lo || *re.OwnedHi != own.Hi {
 		t.Fatalf("409 body does not name the owned range: %+v (want [%d,%d])", re, own.Lo, own.Hi)
+	}
+}
+
+// oversizedBody streams a JSON document of server.MaxBodyBytes+1 bytes:
+// prefix, then one string value long enough to cross the cap.
+type oversizedBody struct {
+	prefix string
+	sent   int
+}
+
+func (b *oversizedBody) Read(p []byte) (int, error) {
+	const size = server.MaxBodyBytes + 1
+	if b.sent >= size {
+		return 0, io.EOF
+	}
+	n := min(len(p), size-b.sent)
+	for i := range p[:n] {
+		if at := b.sent + i; at < len(b.prefix) {
+			p[i] = b.prefix[at]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	b.sent += n
+	return n, nil
+}
+
+// TestOversizedBodyIs413: a request streaming a body one byte over the
+// cap is a 413 on both tiers' /query and /append, and each tier still
+// answers after. The body declares its length, so neither tier reads it;
+// server.TestReadRequestCapsUndeclaredBodies covers a body that does not.
+func TestOversizedBodyIs413(t *testing.T) {
+	c, servers := newKeyedCluster(t, 1)
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	for _, base := range []string{servers[0].URL, front.URL} {
+		for path, prefix := range map[string]string{"/query": `{"template":"`, "/append": `{"table":"`} {
+			req, err := http.NewRequest(http.MethodPost, base+path, &oversizedBody{prefix: prefix})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.ContentLength = server.MaxBodyBytes + 1
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s%s: %v", base, path, err)
+			}
+			var e server.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+				t.Errorf("%s%s: status %d, body %+v (%v); want 413 with an error", base, path, resp.StatusCode, e, err)
+			}
+		}
+		resp, err := http.Post(base+"/query", "application/json",
+			strings.NewReader(`{"template":"Q1","lo":0,"hi":3000}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s/query after the oversized bodies: status %d", base, resp.StatusCode)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func startShardProcess(t *testing.T, dir string, id int) (*exec.Cmd, string) {
 // status plus a canonical rendering of the merged result (columns
 // header, then rows in coordinator order — the merge sorts
 // deterministically, so order is part of the byte contract).
-func smokePost(t *testing.T, url, spec string) (int, string, errResponse) {
+func smokePost(t *testing.T, url, spec string) (int, string, server.ErrorResponse) {
 	t.Helper()
 	resp, err := http.Post(url+"/query", "application/json", strings.NewReader(spec))
 	if err != nil {
@@ -91,7 +91,7 @@ func smokePost(t *testing.T, url, spec string) (int, string, errResponse) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e errResponse
+		var e server.ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatalf("decode error body (HTTP %d): %v", resp.StatusCode, err)
 		}
@@ -110,7 +110,7 @@ func smokePost(t *testing.T, url, spec string) (int, string, errResponse) {
 		}
 		lines = append(lines, string(b))
 	}
-	return resp.StatusCode, strings.Join(lines, "\n"), errResponse{}
+	return resp.StatusCode, strings.Join(lines, "\n"), server.ErrorResponse{}
 }
 
 // TestShardClusterSmoke is the CI multi-process acceptance test: a
@@ -331,7 +331,7 @@ func TestReplicatedClusterSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var hz healthzResponse
+	var hz statusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}

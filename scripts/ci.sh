@@ -90,7 +90,11 @@
 #       journal scan, FuzzScanJournal (no panic; a refused journal is
 #       ErrJournalFormat and left byte-for-byte alone; an accepted one
 #       is truncated to its intact prefix, Load returns that prefix's
-#       records, and an append after reopening lands behind them).
+#       records, and an append after reopening lands behind them), and
+#       of the coordinator's merge, FuzzMergePlacement (typed partial
+#       rows — Int, Float and String group keys; count, sum, avg, min
+#       and max states — dealt to 1-4 shards in any order merge to the
+#       same bytes as from one shard, or fail on both).
 #       Their seed corpora already
 #       ran as ordinary tests in stage 1; a failure leaves its input
 #       under the package's testdata/fuzz to be checked in as a
@@ -198,5 +202,6 @@ $GO test -run '^$' -fuzz FuzzMergePartialSums -fuzztime 5s ./internal/engine
 $GO test -run '^$' -fuzz FuzzQuerySpec -fuzztime 5s ./internal/server
 $GO test -run '^$' -fuzz FuzzAlgebra -fuzztime 5s ./internal/interval
 $GO test -run '^$' -fuzz FuzzScanJournal -fuzztime 5s ./internal/datastore
+$GO test -run '^$' -fuzz FuzzMergePlacement -fuzztime 5s ./internal/shard
 
 echo "==> ci passed"
