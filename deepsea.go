@@ -379,10 +379,12 @@ func (s *System) Insert(table string, values []any) error {
 // InsertRows appends rows to a base table at load time: the
 // relation.Row twin of Insert, as AppendRows is of Append. It checks the
 // table and every row's width before it changes anything. The rows are
-// kept, not copied: the table's own row slice takes their headers and
-// reads their cells in place, so the caller must not change them
-// afterwards. Like Insert it bypasses the view manager and is refused
-// once the System has started.
+// kept, not copied: an empty table adopts rows itself, clipped to its
+// length so a later Insert or append reallocates instead of writing
+// into the caller's array, and a non-empty table appends their headers.
+// Either way the cells are read in place, so the caller must not change
+// them afterwards. Like Insert it bypasses the view manager and is
+// refused once the System has started.
 func (s *System) InsertRows(table string, rows []relation.Row) error {
 	if err := s.errStarted(table); err != nil {
 		return err
@@ -398,7 +400,11 @@ func (s *System) InsertRows(table string, rows []relation.Row) error {
 		}
 	}
 	t := s.ds.Eng.BaseTable(table)
-	t.Rows = append(t.Rows, rows...)
+	if len(t.Rows) == 0 {
+		t.Rows = rows[:len(rows):len(rows)]
+	} else {
+		t.Rows = append(t.Rows, rows...)
+	}
 	return nil
 }
 

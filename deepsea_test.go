@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"deepsea/internal/relation"
 )
@@ -252,6 +253,47 @@ func TestInsertAfterStartIsRefused(t *testing.T) {
 		if got, want := answer(s, 100, 400), answer(vanilla, 100, 400); got != want {
 			t.Errorf("%s: answer %s after refused inserts, want %s", trigger.name, got, want)
 		}
+	}
+}
+
+// TestInsertRowsAdoptsTheCallersArray: InsertRows into an empty table
+// keeps the caller's header array itself, clipped to its length, so the
+// System holds no copy of it; a later Insert, InsertRows or Append
+// reallocates instead of writing into the array's spare capacity.
+func TestInsertRowsAdoptsTheCallersArray(t *testing.T) {
+	s := New()
+	s.MustCreateTable(TableDef{Name: "t", Columns: []ColumnDef{
+		{Name: "k", Kind: Int, Ordered: true, Lo: 0, Hi: 99, Width: 8},
+	}})
+	backing := make([]relation.Row, 4)
+	rows := backing[:2]
+	for i := range rows {
+		rows[i] = relation.Row{relation.IntVal(int64(i))}
+	}
+	if err := s.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	got := s.ds.Eng.BaseTable("t").Rows
+	if unsafe.SliceData(got) != unsafe.SliceData(rows) || len(got) != 2 || cap(got) != 2 {
+		t.Fatalf("table rows %p len %d cap %d, want the caller's array %p clipped to len 2",
+			unsafe.SliceData(got), len(got), cap(got), unsafe.SliceData(rows))
+	}
+	if err := s.Insert("t", []any{int64(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertRows("t", []relation.Row{{relation.IntVal(8)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendRows("t", []relation.Row{{relation.IntVal(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range backing[2:] {
+		if r != nil {
+			t.Errorf("spare slot %d of the caller's array written: %v", i+2, r)
+		}
+	}
+	if n := len(s.ds.Eng.BaseTable("t").Rows); n != 5 {
+		t.Errorf("table holds %d rows, want 5", n)
 	}
 }
 

@@ -117,14 +117,16 @@ func (d *DeepSea) trackViewCandidate(root, n query.Node) string {
 		// entry once so a warm restart matches views without having seen
 		// their defining queries.
 		if d.store != nil {
-			sch := n.Schema()
+			sch := sig.Schema()
 			d.appendRecord(datastore.Record{Op: "track_view", View: id, Sig: sig, Schema: &sch})
 		}
 		if saving := d.initialSaving(root, n, vs.Size); saving > 0 {
 			vs.RecordUse(d.Eng.Now(), saving)
 		}
 	}
-	d.Tree.Add(&matching.Entry{ID: id, Sig: sig, Schema: n.Schema()})
+	if _, ok := d.Tree.Lookup(id); !ok {
+		d.Tree.Add(&matching.Entry{ID: id, Sig: sig, Schema: sig.Schema()})
+	}
 	return id
 }
 

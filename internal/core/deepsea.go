@@ -133,8 +133,8 @@ type DeepSea struct {
 	ownedRange atomic.Pointer[OwnedRange]
 
 	// ingest is the append-path registry: which views depend on which
-	// base tables, each view's refresh consistency point, and the
-	// accumulated append log for snapshots (see ingest.go).
+	// base tables, each view's refresh consistency point, and each
+	// appended table's loaded row count for snapshots (see ingest.go).
 	ingest *ingestState
 
 	// recoveredAppends buffers appends found during recovery (snapshot

@@ -70,25 +70,29 @@ type ingestMeta struct {
 
 // ingestState is the instance-wide ingest registry.
 type ingestState struct {
-	// appendMu serializes one append's base-table apply, its append_rows
-	// journal record, and its append-log entry as a single atomic step:
-	// concurrent Appends to the same table would otherwise journal (and
-	// snapshot) in a different order than they applied in memory, and a
-	// warm restart — which replays in journal order — would rebuild the
-	// table with a different row order than the live instance, breaking
-	// the byte-identical-to-remat invariant of surviving views. Acquired
-	// before mu and before the engine/datastore locks; nothing acquires
-	// it while holding any other lock.
+	// appendMu serializes one append's base-table apply and its
+	// append_rows journal record as a single atomic step: concurrent
+	// Appends to the same table would otherwise journal in a different
+	// order than they applied in memory, and a warm restart — which
+	// replays in journal order — would rebuild the table with a
+	// different row order than the live instance, breaking the
+	// byte-identical-to-remat invariant of surviving views. Snapshot
+	// holds it too, so a snapshot's appended rows are exactly the
+	// journaled ones. Acquired before the manager lock, mu and the
+	// engine/datastore locks; nothing acquires it while holding any
+	// other lock.
 	appendMu sync.Mutex
 
 	mu      sync.Mutex
 	views   map[string]*ingestMeta
 	byTable map[string]map[string]bool
-	// appLog accumulates the rows appended to each base table since the
-	// original catalog load — the snapshot payload that lets a warm
-	// restart rebuild the grown tables from the host's re-added
-	// originals.
-	appLog map[string]*relation.Table
+	// loaded is each appended base table's row count before its first
+	// append (live or recovered): the rows the host loads itself. The
+	// base table's rows past it are the snapshot payload that lets a
+	// warm restart rebuild the grown table from the re-added original.
+	// Load-time inserts are refused once a System has started, so the
+	// count never moves after it is set.
+	loaded map[string]int64
 
 	appends        uint64
 	appendRows     uint64
@@ -103,7 +107,7 @@ func newIngestState() *ingestState {
 	return &ingestState{
 		views:   make(map[string]*ingestMeta),
 		byTable: make(map[string]map[string]bool),
-		appLog:  make(map[string]*relation.Table),
+		loaded:  make(map[string]int64),
 	}
 }
 
@@ -211,9 +215,8 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 		counts := d.Eng.BaseCounts([]string{table})
 		return AppendReport{Table: table, NewCount: counts[table]}, nil
 	}
-	// appendMu makes apply + journal + append-log one atomic step, so
-	// journal replay order always matches in-memory apply order (see the
-	// field comment).
+	// appendMu makes apply + journal one atomic step, so journal replay
+	// order always matches in-memory apply order (see the field comment).
 	d.ingest.appendMu.Lock()
 	newCount, err := d.Eng.AppendBase(table, rows)
 	if err != nil {
@@ -224,7 +227,7 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 	deltaTbl := &relation.Table{Schema: schema, Rows: rows}
 	d.appendRecord(datastore.Record{Op: "append_rows", Rows: deltaTbl, Size: newCount})
 
-	ids := d.markDependentsStale(table, deltaTbl)
+	ids := d.markDependentsStale(table, len(rows), newCount)
 	d.ingest.appendMu.Unlock()
 	rep := AppendReport{Table: table, NewCount: newCount, StaleViews: ids}
 	tasks := make([]*maintain.Task, len(ids))
@@ -248,22 +251,17 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 	return rep, nil
 }
 
-// markDependentsStale records the append in the ingest log and flips the
-// stale flag of every dependent view, journaling each transition.
-// Returns the dependents sorted by id. Takes only the ingest leaf lock.
-func (d *DeepSea) markDependentsStale(table string, delta *relation.Table) []string {
+// markDependentsStale counts an append of n rows that grew table to
+// newCount and flips the stale flag of every dependent view, journaling
+// each transition. Returns the dependents sorted by id. Takes only the
+// ingest leaf lock.
+func (d *DeepSea) markDependentsStale(table string, n int, newCount int64) []string {
 	s := d.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.appends++
-	s.appendRows += uint64(len(delta.Rows))
-	if cur := s.appLog[table]; cur == nil {
-		cp := &relation.Table{Schema: delta.Schema}
-		cp.Rows = append([]relation.Row(nil), delta.Rows...)
-		s.appLog[table] = cp
-	} else {
-		cur.Rows = append(cur.Rows, delta.Rows...)
-	}
+	s.appendRows += uint64(n)
+	s.noteAppended(table, newCount-int64(n))
 	var ids []string
 	for id := range s.byTable[table] {
 		ids = append(ids, id)
@@ -275,6 +273,14 @@ func (d *DeepSea) markDependentsStale(table string, delta *relation.Table) []str
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// noteAppended records before as table's loaded row count unless an
+// earlier append already did. Caller holds s.mu.
+func (s *ingestState) noteAppended(table string, before int64) {
+	if _, ok := s.loaded[table]; !ok {
+		s.loaded[table] = before
+	}
 }
 
 // refreshTask is the maintenance payload of one view's refresh.
@@ -769,27 +775,38 @@ type ingestSnap struct {
 	Stale  bool             `json:"stale,omitempty"`
 }
 
-// appendSnap is one base table's accumulated appended rows in a
-// snapshot.
+// appendSnap is one base table's appended rows in a snapshot: every
+// row past its loaded count, in apply order.
 type appendSnap struct {
 	Table string          `json:"table"`
 	Rows  *relation.Table `json:"rows"`
 }
 
 // ingestSnapshot captures the registry for a snapshot. Caller quiesced
-// the instance (Snapshot's locks).
+// the instance (Snapshot's locks, appendMu among them, so no append is
+// between its apply and its journal record). The appended rows are read
+// from the base tables themselves: each table's suffix past its loaded
+// count.
 func (d *DeepSea) ingestSnapshot() (appends []appendSnap, metas []ingestSnap) {
 	s := d.ingest
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	tables := make([]string, 0, len(s.appLog))
-	for t := range s.appLog {
+	loaded := make(map[string]int64, len(s.loaded))
+	for t, n := range s.loaded {
+		loaded[t] = n
+	}
+	s.mu.Unlock()
+	tables := make([]string, 0, len(loaded))
+	for t := range loaded {
 		tables = append(tables, t)
 	}
 	sort.Strings(tables)
 	for _, t := range tables {
-		appends = append(appends, appendSnap{Table: t, Rows: s.appLog[t]})
+		base := d.Eng.BaseTable(t)
+		appends = append(appends, appendSnap{Table: t,
+			Rows: &relation.Table{Schema: base.Schema, Rows: base.Rows[loaded[t]:]}})
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.views))
 	for id := range s.views {
 		ids = append(ids, id)
@@ -885,21 +902,17 @@ func (d *DeepSea) ApplyRecoveredAppends() (RecoveredIngest, error) {
 	hadAppends := len(d.recoveredAppendOrder) > 0
 	for _, table := range d.recoveredAppendOrder {
 		rows := d.recoveredAppends[table]
-		if _, err := d.Eng.AppendBase(table, rows.Rows); err != nil {
+		newCount, err := d.Eng.AppendBase(table, rows.Rows)
+		if err != nil {
 			return info, fmt.Errorf("core: replay recovered append for %s: %w", table, err)
 		}
 		info.Tables++
 		info.Rows += len(rows.Rows)
-		// The replayed rows flow into the append log so the next snapshot
-		// carries the full accumulated suffix.
-		s := d.ingest
-		s.mu.Lock()
-		if cur := s.appLog[table]; cur == nil {
-			s.appLog[table] = rows
-		} else {
-			cur.Rows = append(cur.Rows, rows.Rows...)
-		}
-		s.mu.Unlock()
+		// The replayed rows count as appended, so the next snapshot
+		// carries them with every later append.
+		d.ingest.mu.Lock()
+		d.ingest.noteAppended(table, newCount-int64(len(rows.Rows)))
+		d.ingest.mu.Unlock()
 	}
 	d.recoveredAppends = make(map[string]*relation.Table)
 	d.recoveredAppendOrder = nil

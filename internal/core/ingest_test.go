@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -299,6 +300,85 @@ func TestAppendRecoveryWarmRestart(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesAppendedRowsInApplyOrder: a snapshot's appends are
+// each base table's rows past the count it had before its first append.
+// After live appends, and after a warm restart that replays recovered
+// appends and then takes more, they are exactly the appended rows of
+// every table, in apply order.
+func TestSnapshotCarriesAppendedRowsInApplyOrder(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string][]relation.Row{}
+	appendTo := func(d *DeepSea, table string, rows []relation.Row) {
+		t.Helper()
+		if _, err := d.Append(table, rows); err != nil {
+			t.Fatalf("Append %s: %v", table, err)
+		}
+		want[table] = append(want[table], rows...)
+	}
+	itemRows := func(first int64, n int) []relation.Row {
+		rows := make([]relation.Row, n)
+		for i := range rows {
+			rows[i] = relation.Row{relation.IntVal(first + int64(i)), relation.StringVal("extra")}
+		}
+		return rows
+	}
+	check := func(phase string, d *DeepSea) {
+		t.Helper()
+		d.mu.Lock()
+		snap := d.buildSnapshot()
+		d.mu.Unlock()
+		got := map[string][]relation.Row{}
+		for _, a := range snap.Appends {
+			got[a.Table] = a.Rows.Rows
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot appends differ from the applied rows:\n got %v\nwant %v", phase, got, want)
+		}
+		counts := d.Eng.BaseCounts([]string{"sales", "item"})
+		if counts["sales"] != 20000+int64(len(want["sales"])) || counts["item"] != testDomHi+1+int64(len(want["item"])) {
+			t.Fatalf("%s: base counts %v do not match the appended rows", phase, counts)
+		}
+	}
+	boot := func() (*DeepSea, *datastore.FileStore) {
+		s := openStore(t, dir)
+		d := newTestSystem(t, func(c *Config) { c.Datastore = s })
+		if _, err := d.ApplyRecoveredAppends(); err != nil {
+			t.Fatal(err)
+		}
+		return d, s
+	}
+
+	d1, s1 := boot()
+	run(t, d1, q30(0, 4999))
+	appendTo(d1, "sales", appendRows(21, 40))
+	appendTo(d1, "item", itemRows(10, 3))
+	appendTo(d1, "sales", appendRows(22, 25))
+	check("live", d1)
+	if err := d1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	appendTo(d1, "sales", appendRows(23, 7)) // journal tail only
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, s2 := boot()
+	check("recovered", d2)
+	appendTo(d2, "item", itemRows(20, 2))
+	appendTo(d2, "sales", appendRows(24, 11))
+	check("recovered then appended", d2)
+	if err := d2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d3, s3 := boot()
+	defer s3.Close()
+	check("second restart", d3)
+}
+
 // countingStore counts the append_rows records that reach Append.
 type countingStore struct {
 	datastore.Store
@@ -576,10 +656,11 @@ func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
 
 	// The append up to the point its refresh would start.
 	b := appendRows(12, 600)
-	if _, err := d.Eng.AppendBase("sales", b); err != nil {
+	newCount, err := d.Eng.AppendBase("sales", b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ids := d.markDependentsStale("sales", &relation.Table{Schema: d.Eng.BaseTable("sales").Schema, Rows: b})
+	ids := d.markDependentsStale("sales", len(b), newCount)
 
 	// The second query's materialization, with rows captured after the
 	// append landed.

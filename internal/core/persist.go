@@ -122,15 +122,17 @@ func (d *DeepSea) Datastore() datastore.Store { return d.store }
 func (d *DeepSea) Recovery() RecoveryInfo { return d.recovered }
 
 // Snapshot persists the full durable state to the attached datastore and
-// truncates the journal. It holds the manager lock, so no mutation —
-// pool, statistics, engine files, clock — is in flight while the state
-// is captured, and no journal record can slip between the capture and
-// the snapshot's covering sequence number. A nil datastore makes it a
-// no-op.
+// truncates the journal. It holds the append lock and the manager lock,
+// so no mutation — base-table append, pool, statistics, engine files,
+// clock — is in flight while the state is captured, and no journal
+// record can slip between the capture and the snapshot's covering
+// sequence number. A nil datastore makes it a no-op.
 func (d *DeepSea) Snapshot() error {
 	if d.store == nil {
 		return nil
 	}
+	d.ingest.appendMu.Lock()
+	defer d.ingest.appendMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	data, err := json.Marshal(d.buildSnapshot())

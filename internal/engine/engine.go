@@ -168,13 +168,14 @@ func (e *Engine) BaseTable(name string) *relation.Table {
 }
 
 // AppendBase appends rows to a base table by publishing a fresh table
-// value whose row slice has its own backing array: plan executions that
-// already resolved the old *Table keep reading a consistent prefix
-// snapshot, and earlier snapshots remain exact prefixes of later ones —
-// the invariant incremental view maintenance depends on. The
-// base-catalog version is deliberately not bumped: an append is a
-// precise-invalidation event (per-table row counts in cache keys,
-// per-view staleness), not a catalog change. Returns the new row count.
+// value whose row slice has its own backing array, sized exactly: plan
+// executions that already resolved the old *Table keep reading a
+// consistent prefix snapshot, and earlier snapshots remain exact
+// prefixes of later ones — the invariant incremental view maintenance
+// depends on. The base-catalog version is deliberately not bumped: an
+// append is a precise-invalidation event (per-table row counts in cache
+// keys, per-view staleness), not a catalog change. Returns the new row
+// count.
 func (e *Engine) AppendBase(name string, rows []relation.Row) (int64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -188,10 +189,18 @@ func (e *Engine) AppendBase(name string, rows []relation.Row) (int64, error) {
 				len(r), len(old.Schema.Cols), name)
 		}
 	}
-	nt := &relation.Table{Schema: old.Schema}
-	nt.Rows = append(old.Rows[:len(old.Rows):len(old.Rows)], rows...)
+	nt := &relation.Table{Schema: old.Schema, Rows: concatRows(old.Rows, rows)}
 	e.base[name] = nt
 	return int64(len(nt.Rows)), nil
+}
+
+// concatRows returns old followed by rows in a fresh backing array of
+// exactly their combined length. Every append publishes a new array, so
+// growth slack would never be written: the next append copies again.
+func concatRows(old, rows []relation.Row) []relation.Row {
+	out := make([]relation.Row, len(old)+len(rows))
+	copy(out[copy(out, old):], rows)
+	return out
 }
 
 // BaseSnapshots returns the current snapshot of each named base table
@@ -281,9 +290,9 @@ func (e *Engine) writeMaterialized(path string, t *relation.Table, copyRows bool
 // AppendMaterialized extends a stored materialized file with delta
 // rows, charging only the delta's write cost — the storage primitive of
 // incremental view refresh. The combined table is published as a fresh
-// value with its own backing array, so a concurrent reader holding the
-// old table keeps a consistent earlier version of the view. Like
-// WriteMaterialized it stores a copy of the delta rows.
+// value with its own backing array, sized exactly, so a concurrent
+// reader holding the old table keeps a consistent earlier version of
+// the view. Like WriteMaterialized it stores a copy of the delta rows.
 func (e *Engine) AppendMaterialized(path string, delta []relation.Row) (Cost, error) {
 	e.mu.RLock()
 	old := e.mat[path]
@@ -296,8 +305,7 @@ func (e *Engine) AppendMaterialized(path string, delta []relation.Row) (Cost, er
 		return Cost{}, err
 	}
 	delta = relation.CloneRows(delta)
-	nt := &relation.Table{Schema: old.Schema}
-	nt.Rows = append(old.Rows[:len(old.Rows):len(old.Rows)], delta...)
+	nt := &relation.Table{Schema: old.Schema, Rows: concatRows(old.Rows, delta)}
 	deltaTbl := &relation.Table{Schema: old.Schema, Rows: delta}
 	deltaBytes := deltaTbl.Bytes()
 	e.mu.Lock()

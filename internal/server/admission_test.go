@@ -11,6 +11,16 @@ import (
 	"deepsea/internal/leakcheck"
 )
 
+// acquire is enter then wait, as Server.guarded runs them around the
+// body read: nil (the caller must release), ErrShed (every place taken
+// or queue timeout), or ctx.Err().
+func (l *limiter) acquire(ctx context.Context) error {
+	if err := l.enter(); err != nil {
+		return err
+	}
+	return l.wait(ctx)
+}
+
 // waitQueueDepth polls until the limiter's queue reaches depth n.
 func waitQueueDepth(t *testing.T, l *limiter, n int) {
 	t.Helper()
@@ -24,6 +34,35 @@ func waitQueueDepth(t *testing.T, l *limiter, n int) {
 			t.Fatalf("queue depth never reached %d (at %d)", n, depth)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLimiterSlotsGoToDecodedRequests: entering takes a place, not a
+// slot, so a request still reading its body holds no slot and a request
+// that leaves without running gives its place back.
+func TestLimiterSlotsGoToDecodedRequests(t *testing.T) {
+	l := newLimiter(1, 1, 0)
+	if err := l.enter(); err != nil { // a request still reading its body
+		t.Fatal(err)
+	}
+	if err := l.acquire(context.Background()); err != nil {
+		t.Fatalf("a decoded request behind a reading one: %v, want the slot", err)
+	}
+	if err := l.enter(); !errors.Is(err, ErrShed) {
+		t.Fatalf("enter with every place taken: %v, want ErrShed", err)
+	}
+	l.leave() // the reader's body did not decode
+	if err := l.enter(); err != nil {
+		t.Fatalf("enter after a leave: %v", err)
+	}
+	l.leave()
+	l.release()
+	stats, inflight, depth := l.snapshot()
+	if inflight != 0 || depth != 0 || l.places != 0 {
+		t.Errorf("limiter not drained: %d in flight, %d queued, %d places", inflight, depth, l.places)
+	}
+	if stats.Admitted != 1 || stats.ShedQueueFull != 1 {
+		t.Errorf("stats = %+v, want 1 admitted / 1 shed", stats)
 	}
 }
 
@@ -131,7 +170,7 @@ func TestLimiterQueueTimeout(t *testing.T) {
 // keeping the slot accounted to exactly one owner.
 func TestLimiterReleaseSkipsAbandonedWaiter(t *testing.T) {
 	l := newLimiter(1, 8, 0)
-	l.inflight = 1
+	l.places, l.inflight = 2, 1
 	abandoned := &waiter{ready: make(chan struct{}), abandoned: true}
 	live := &waiter{ready: make(chan struct{})}
 	l.queue = []*waiter{abandoned, live}
@@ -163,8 +202,8 @@ func TestLimiterReleaseSkipsAbandonedWaiter(t *testing.T) {
 	// With only abandoned waiters queued, release frees the slot.
 	l.queue = []*waiter{{ready: make(chan struct{}), abandoned: true}}
 	l.release()
-	if _, inflight, depth := l.snapshot(); inflight != 0 || depth != 0 {
-		t.Errorf("after abandoned-only release: inflight=%d depth=%d, want 0 and 0", inflight, depth)
+	if _, inflight, depth := l.snapshot(); inflight != 0 || depth != 0 || l.places != 0 {
+		t.Errorf("after abandoned-only release: inflight=%d depth=%d places=%d, want 0, 0 and 0", inflight, depth, l.places)
 	}
 }
 

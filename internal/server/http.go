@@ -59,28 +59,45 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 // r is a POST, then hands decode the body capped at MaxBodyBytes and
 // answers 413 when the body is longer (a declared length over the cap is
 // refused unread), 400 when decode failed otherwise. It returns false
-// once it has answered.
+// once it has answered. The serving tier runs its two halves apart,
+// checkRequest before admission and readBody after it.
 func ReadRequest(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error) bool {
+	return checkRequest(w, r) && readBody(w, r, decode)
+}
+
+// checkRequest is what ReadRequest refuses without reading the body: a
+// method other than POST (405) and a declared length over MaxBodyBytes
+// (413).
+func checkRequest(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	var err error
 	if r.ContentLength > MaxBodyBytes {
-		err = &http.MaxBytesError{Limit: MaxBodyBytes}
-	} else {
-		err = decode(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		writeTooLarge(w)
+		return false
 	}
+	return true
+}
+
+// readBody is the rest of ReadRequest: decode the body capped at
+// MaxBodyBytes, 413 past the cap, 400 when decode failed otherwise.
+func readBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error) bool {
+	err := decode(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
-		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", MaxBodyBytes))
+		writeTooLarge(w)
 		return false
 	case err != nil:
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return false
 	}
 	return true
+}
+
+func writeTooLarge(w http.ResponseWriter) {
+	WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", MaxBodyBytes))
 }
 
 // JSONInto returns a ReadRequest decoder that decodes one JSON value

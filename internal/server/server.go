@@ -37,7 +37,9 @@ type Config struct {
 	// GOMAXPROCS).
 	MaxInFlight int
 	// MaxQueue bounds the admission wait queue; a request arriving with
-	// the queue full is shed immediately (default 4 × MaxInFlight).
+	// MaxInFlight + MaxQueue requests already inside (reading their
+	// bodies, queued or executing) is shed unread (default 4 ×
+	// MaxInFlight).
 	MaxQueue int
 	// QueueTimeout sheds a request that has waited this long for a slot
 	// (default 1s; negative disables the timeout).
@@ -250,11 +252,16 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 }
 
 // guarded is the guard chain POST /query and POST /append share. In
-// order: the drain handshake; the request reader (405, 413 or 400 —
-// each counted as a bad request) with decode; prepare, which validates
-// the decoded request, writes its own 4xx and returns false to stop, or
-// returns the request's time budget; the deadline context; admission.
-// run executes holding one admission slot.
+// order: the drain handshake; the checks that need no body (405, or 413
+// for a declared length over the cap — each counted as a bad request);
+// the request's place in admission, taken before its body is read so
+// MaxInFlight + MaxQueue bound the bodies held in memory, not only the
+// executions (with every place taken the request is shed unread); the
+// body reader (413 or 400) with decode; prepare, which validates the
+// decoded request, writes its own 4xx and returns false to stop, or
+// returns the request's time budget; the deadline context; the wait for
+// a slot, which only a decoded request takes, so a slow body holds a
+// place but never a slot. run executes holding one admission slot.
 func (s *Server) guarded(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error,
 	prepare func() (timeout time.Duration, ok bool), run func(ctx context.Context)) {
 	if s.draining.Load() {
@@ -270,12 +277,24 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, decode func(io.
 		return
 	}
 
-	if !ReadRequest(w, r, decode) {
+	if !checkRequest(w, r) {
+		s.badRequest.Add(1)
+		return
+	}
+	// Queries and appends share the limiter: under overload both shed, so
+	// an append burst cannot starve reads of slots (nor the reverse).
+	if err := s.lim.enter(); err != nil {
+		s.writeShed(w)
+		return
+	}
+	if !readBody(w, r, decode) {
+		s.lim.leave()
 		s.badRequest.Add(1)
 		return
 	}
 	timeout, ok := prepare()
 	if !ok {
+		s.lim.leave()
 		return
 	}
 
@@ -288,9 +307,7 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, decode func(io.
 	stop := context.AfterFunc(s.baseCtx, cancelReq)
 	defer stop()
 
-	// Queries and appends share the limiter: under overload both shed, so
-	// an append burst cannot starve reads of slots (nor the reverse).
-	if err := s.lim.acquire(ctx); err != nil {
+	if err := s.lim.wait(ctx); err != nil {
 		switch {
 		case errors.Is(err, ErrShed):
 			s.writeShed(w)
@@ -321,7 +338,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// Building the template key resolves every table the query
 			// scans and every column it names, with the type its
 			// operator reads: a malformed query is a client error,
-			// caught here before admission and before planning.
+			// caught here before it waits for a slot and before
+			// planning.
 			_, err = s.sys.TemplateKey(q)
 		}
 		if err != nil {
@@ -388,10 +406,10 @@ type AppendResponse struct {
 
 // handleAppend is POST /append: the online ingest path. It runs behind
 // the same drain/admission guards as /query, converts the batch
-// against the table schema before admission (so bad rows 400 without
-// taking a slot), and lands the converted rows on its own goroutine
-// inside its admission slot — journaled, dependent views refreshed
-// incrementally.
+// against the table schema before it waits for a slot (so bad rows 400
+// and give their admission place back without executing), and lands
+// the converted rows on its own goroutine inside its admission slot —
+// journaled, dependent views refreshed incrementally.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var sp *ingest.Spec
 	var rows []relation.Row
@@ -414,8 +432,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}, func(context.Context) {
 		rep, deduped, err := s.landAppend(sp, rows)
 		if err != nil {
-			// Rows were converted before admission, so a failure here is a
-			// server-side journal or refresh error, not the request's fault.
+			// Rows were converted before the slot was granted, so a failure
+			// here is a server-side journal or refresh error, not the
+			// request's fault.
 			s.failed.Add(1)
 			WriteError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -247,6 +248,217 @@ func TestLoadShedding(t *testing.T) {
 	}
 	if srv.shed.Load() != 6 {
 		t.Errorf("shed counter = %d, want 6", srv.shed.Load())
+	}
+}
+
+// countingBody counts the bytes a handler reads from a request body.
+type countingBody struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// saturate starts two gated queries against a server with one slot and
+// one queue position and returns once the first holds the slot and the
+// second the queue position. Their statuses arrive on the channel.
+func saturate(t *testing.T, srv *Server, url string, spec QuerySpec, gated *atomic.Int32) <-chan int {
+	t.Helper()
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			status, _, _ := postQuery(t, url, spec)
+			codes <- status
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, _, depth := srv.lim.snapshot()
+		if gated.Load() == 1 && depth == 1 {
+			return codes
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("saturation never reached: %d gated, queue %d", gated.Load(), depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShedBeforeBodyRead: a request takes its place in admission before
+// its body is read, so MaxInFlight + MaxQueue bound the bodies a server
+// holds. With the slot and the queue position held, a new request is
+// shed with 429 and Retry-After: 1 without a byte of its body read; the
+// method check and the declared-length 413 still answer first.
+func TestShedBeforeBodyRead(t *testing.T) {
+	leakcheck.Check(t)
+	sys := newTestSystem(t)
+	srv := New(sys, Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: -1})
+	gate := make(chan struct{})
+	var gated atomic.Int32
+	srv.testExecGate = func(ctx context.Context) {
+		gated.Add(1)
+		<-gate
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	spec := QuerySpec{Template: "Q1", Lo: workload.ItemSkLo, Hi: workload.ItemSkLo + 3000}
+	codes := saturate(t, srv, ts.URL, spec, &gated)
+
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method string, declared int64) (*httptest.ResponseRecorder, int64) {
+		cb := &countingBody{r: bytes.NewReader(body)}
+		req := httptest.NewRequest(method, "/query", cb)
+		if declared != 0 {
+			req.ContentLength = declared
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return rec, cb.n.Load()
+	}
+	rec, read := serve(http.MethodPost, 0)
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
+		t.Errorf("request past a full queue: %d Retry-After %q, want 429 and 1", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if read != 0 {
+		t.Errorf("shed request: %d body bytes read, want 0", read)
+	}
+	if rec, _ := serve(http.MethodGet, 0); rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET under overload: %d, want 405", rec.Code)
+	}
+	if rec, read := serve(http.MethodPost, MaxBodyBytes+1); rec.Code != http.StatusRequestEntityTooLarge || read != 0 {
+		t.Errorf("declared oversized body under overload: %d with %d bytes read, want 413 unread", rec.Code, read)
+	}
+
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if status := <-codes; status != http.StatusOK {
+			t.Errorf("held request: status %d, want 200", status)
+		}
+	}
+	if n := srv.shed.Load(); n != 1 {
+		t.Errorf("shed counter = %d, want 1", n)
+	}
+}
+
+// TestStalledBodyHoldsNoSlot: a request whose body has not arrived
+// holds a place in admission but not the execution slot, so with one
+// slot a complete request still runs while the stalled one waits.
+func TestStalledBodyHoldsNoSlot(t *testing.T) {
+	leakcheck.Check(t)
+	sys := newTestSystem(t)
+	srv := New(sys, Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: -1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	pr, pw := io.Pipe()
+	stalled := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/query", "application/json", pr)
+		if err != nil {
+			stalled <- 0
+			return
+		}
+		resp.Body.Close()
+		stalled <- resp.StatusCode
+	}()
+	waitPlaces(t, srv.lim, 1) // the stalled request is inside
+
+	spec := QuerySpec{Template: "Q1", Lo: workload.ItemSkLo, Hi: workload.ItemSkLo + 3000}
+	complete := make(chan int, 1)
+	go func() {
+		status, _, _ := postQuery(t, ts.URL, spec)
+		complete <- status
+	}()
+	select {
+	case status := <-complete:
+		if status != http.StatusOK {
+			t.Errorf("complete request beside a stalled body: status %d, want 200", status)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("complete request still waiting behind a stalled body after 10s")
+		defer func() { <-complete }()
+	}
+	pw.Close() // the stalled body ends empty
+	if status := <-stalled; status != http.StatusBadRequest {
+		t.Errorf("stalled request: status %d, want 400", status)
+	}
+	waitPlaces(t, srv.lim, 0)
+}
+
+// waitPlaces polls until n requests hold a place in the limiter.
+func waitPlaces(t *testing.T, l *limiter, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		places := l.places
+		l.mu.Unlock()
+		if places == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("limiter holds %d places, want %d", places, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueuedRequestTimesOut: a request whose own timeout_ms runs out
+// while it waits in the queue is answered 504, and the request holding
+// the slot still completes.
+func TestQueuedRequestTimesOut(t *testing.T) {
+	leakcheck.Check(t)
+	sys := newTestSystem(t)
+	srv := New(sys, Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: -1})
+	gate := make(chan struct{})
+	var gated atomic.Int32
+	srv.testExecGate = func(ctx context.Context) {
+		gated.Add(1)
+		<-gate
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	spec := QuerySpec{Template: "Q1", Lo: workload.ItemSkLo, Hi: workload.ItemSkLo + 3000}
+	held := make(chan int, 1)
+	go func() {
+		status, _, _ := postQuery(t, ts.URL, spec)
+		held <- status
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for gated.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first request never reached execution")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	spec.TimeoutMS = 30
+	if status, _, _ := postQuery(t, ts.URL, spec); status != http.StatusGatewayTimeout {
+		t.Errorf("queued request past its timeout_ms: status %d, want 504", status)
+	}
+	close(gate)
+	if status := <-held; status != http.StatusOK {
+		t.Errorf("held request: status %d, want 200", status)
 	}
 }
 

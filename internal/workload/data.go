@@ -119,6 +119,13 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 		return w
 	}
 
+	// newTable allocates a table's row headers at its exact row count:
+	// Load hands this array to every System as is, so growth slack here
+	// would be held once per process for nothing.
+	newTable := func(schema relation.Schema, n int) *relation.Table {
+		return &relation.Table{Schema: schema, Rows: make([]relation.Row, 0, n)}
+	}
+
 	cats := []string{"apparel", "books", "electronics", "garden", "grocery",
 		"jewelry", "music", "shoes", "sports", "toys"}
 	regions := []string{"north", "south", "east", "west"}
@@ -134,7 +141,7 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 			{Name: "i_price", Type: relation.Float, Width: w},
 			{Name: "i_pad", Type: relation.String, Width: padWidth(3, 4, n)},
 		}}
-		t := relation.NewTable(schema)
+		t := newTable(schema, n)
 		for i := 0; i < n; i++ {
 			cid := int64(i % len(cats))
 			t.Append(relation.Row{
@@ -158,7 +165,7 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 			{Name: "c_income", Type: relation.Float, Width: w},
 			{Name: "c_pad", Type: relation.String, Width: padWidth(4, 3, nCust)},
 		}}
-		t := relation.NewTable(schema)
+		t := newTable(schema, nCust)
 		for i := 0; i < nCust; i++ {
 			t.Append(relation.Row{
 				relation.IntVal(int64(i)),
@@ -179,7 +186,7 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 			{Name: "s_region", Type: relation.String, Width: w},
 			{Name: "s_pad", Type: relation.String, Width: padWidth(5, 2, nStore)},
 		}}
-		t := relation.NewTable(schema)
+		t := newTable(schema, nStore)
 		for i := 0; i < nStore; i++ {
 			t.Append(relation.Row{
 				relation.IntVal(int64(i)),
@@ -203,7 +210,7 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 			{Name: "ss_sold_date_sk", Type: relation.Int, Ordered: true, Lo: 0, Hi: 3650, Width: w},
 			{Name: "ss_pad", Type: relation.String, Width: padWidth(0, 6, n)},
 		}}
-		t := relation.NewTable(schema)
+		t := newTable(schema, n)
 		for i := 0; i < n; i++ {
 			t.Append(relation.Row{
 				relation.IntVal(d.ItemKeys[sampler(rng, nItem)]),
@@ -228,7 +235,7 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 			{Name: "wcs_click_date_sk", Type: relation.Int, Ordered: true, Lo: 0, Hi: 3650, Width: w},
 			{Name: "wcs_pad", Type: relation.String, Width: padWidth(1, 3, n)},
 		}}
-		t := relation.NewTable(schema)
+		t := newTable(schema, n)
 		for i := 0; i < n; i++ {
 			t.Append(relation.Row{
 				relation.IntVal(d.ItemKeys[sampler(rng, nItem)]),
@@ -250,7 +257,7 @@ func Generate(gb int64, seed int64, sampler Sampler) *Data {
 			{Name: "pr_rating", Type: relation.Float, Width: w},
 			{Name: "pr_pad", Type: relation.String, Width: padWidth(2, 3, n)},
 		}}
-		t := relation.NewTable(schema)
+		t := newTable(schema, n)
 		for i := 0; i < n; i++ {
 			t.Append(relation.Row{
 				relation.IntVal(d.ItemKeys[sampler(rng, nItem)]),

@@ -5,7 +5,11 @@
 #
 # Stages:
 #    1. gofmt (fails on any unformatted .go file outside .bench_build/,
-#       the benchmark's Go caches) + go vet + build + full test suite
+#       the benchmark's Go caches) + go vet + build + full test suite,
+#       among it the memory gate TestLoadRetainsNoRowHeaders
+#       (internal/workload — the heap New + Load retains does not grow
+#       from a 50 GB to a 200 GB instance: every System shares the
+#       loader's row headers)
 #    2. full race-detector run (the concurrency suite's anchor)
 #    3. shuffled double run — flushes ordering-dependent tests
 #    4. chaos smoke — the seeded fault-injection and cancellation suite
@@ -29,9 +33,11 @@
 #       each, among them the probe kernel's two-output pass
 #       (BenchmarkProbe/join+project+select5pct+capture10pct) and its
 #       one-pass join chains (BenchmarkProbe/chain+select5pct and
-#       chain+select5pct+capture10pct: fact ⋈ dim ⋈ small dim), and the
-#       manager's planning section (core BenchmarkPlanSection): they must
-#       run, their numbers are advisory (the exact allocation gates are
+#       chain+select5pct+capture10pct: fact ⋈ dim ⋈ small dim), the
+#       manager's planning section (core BenchmarkPlanSection) and the
+#       signature index's Add at 100 and 10 000 entries (matching
+#       BenchmarkFilterTreeAdd): they must run, their numbers are
+#       advisory (the exact allocation gates are
 #       TestFusedProbeAllocations — one output and, serving a ranged
 #       capture, two — TestFusedChainAllocations — the same for a chain,
 #       with nothing that grows with the inner join it never writes — and
@@ -182,6 +188,7 @@ fi
 echo "==> microbench smoke"
 $GO test -run '^$' -bench . -benchtime 1x ./internal/engine
 $GO test $CORE_TIMEOUT -run '^$' -bench BenchmarkPlanSection -benchtime 1x ./internal/core
+$GO test -run '^$' -bench BenchmarkFilterTreeAdd -benchtime 1x ./internal/matching
 
 echo "==> sharded-cluster smoke (race)"
 $GO test -race ./internal/shard
