@@ -73,7 +73,7 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancels the context: the in-flight query unwinds
-	// promptly (locks released, pins dropped) and the partial summary
+	// promptly (locks released) and the partial summary
 	// still prints.
 	ctx, stop := server.SignalContext(context.Background())
 	defer stop()

@@ -39,7 +39,6 @@ import (
 
 	"deepsea/internal/core"
 	"deepsea/internal/datastore"
-	"deepsea/internal/engine"
 	"deepsea/internal/faults"
 	"deepsea/internal/interval"
 	"deepsea/internal/maintain"
@@ -125,19 +124,6 @@ func WithUnboundedFragments() Option {
 // of DeepSea's decayed Φ.
 func WithNectarSelection() Option {
 	return func(c *core.Config) { c.Selection = core.SelectNectar }
-}
-
-// WithCostModel overrides the simulated cluster's cost constants.
-func WithCostModel(cm engine.CostModel) Option {
-	return func(c *core.Config) { c.CostModel = &cm }
-}
-
-// WithParallelism sets the engine's data-path worker count (0 keeps the
-// default of runtime.GOMAXPROCS, 1 forces sequential execution). Query
-// results and pool contents are identical for every setting; only real
-// wall-clock time changes.
-func WithParallelism(n int) Option {
-	return func(c *core.Config) { c.Parallelism = n }
 }
 
 // WithResultCache enables the fingerprint-keyed result cache, bounded
@@ -551,8 +537,8 @@ func (s *System) Run(q *Query) (Report, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled or its
-// deadline passes, in-flight execution stops promptly, every lock and
-// pin is released, and the error is ctx.Err(). The system stays fully
+// deadline passes, in-flight execution stops promptly, every lock is
+// released, and the error is ctx.Err(). The system stays fully
 // usable afterwards.
 func (s *System) RunContext(ctx context.Context, q *Query) (Report, error) {
 	plan, err := q.build(s)

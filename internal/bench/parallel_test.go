@@ -30,7 +30,7 @@ func parallelArms(t *testing.T, data *workload.Data, queries []query.Node, cfg c
 			}
 			prints = append(prints, rep.Result.Fingerprint())
 		}
-		for _, f := range d.Eng.FS().List() {
+		for _, f := range d.Eng.StoredFiles() {
 			files += fmt.Sprintf("%s:%d\n", f.Path, f.Size)
 		}
 		return prints, files

@@ -7,8 +7,8 @@ import (
 
 // Layer microbenchmark for the planning section — Algorithm 1 steps 1–7
 // as a served query pays for them: take the manager lock, planLocked
-// (matching, statistics update, candidate generation, selection over
-// the whole pool, pinning), release, unpin. ns/op and allocs/op are
+// (the read snapshot, matching, statistics update, candidate generation,
+// selection over the whole pool), release. ns/op and allocs/op are
 // advisory; they are the baseline a cheaper selection will be held to.
 //
 //	go test -run '^$' -bench PlanSection -benchmem ./internal/core
@@ -41,12 +41,11 @@ func BenchmarkPlanSection(b *testing.B) {
 			plan := func(i int) {
 				lo := int64(i%ranges) * (testDomHi + 1 - width) / (ranges - 1)
 				d.mu.Lock()
-				pq, err := d.planLocked(q30(lo, lo+width-1), "", nil)
+				pq, err := d.planLocked(q30(lo, lo+width-1), nil)
 				d.mu.Unlock()
 				if err != nil {
 					b.Fatal(err)
 				}
-				d.unpin(pq.pins)
 				benchPlan = pq
 			}
 			for i := 0; i < ranges; i++ {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestProcessQueryContextPreCancelled: a context cancelled before the
-// call returns immediately, takes no locks, leaves no pins, and the
-// manager answers the next query normally.
+// call returns immediately, takes no locks, and the manager answers the
+// next query normally.
 func TestProcessQueryContextPreCancelled(t *testing.T) {
 	leakcheck.Check(t)
 	d := newTestSystem(t, nil)
@@ -20,11 +20,8 @@ func TestProcessQueryContextPreCancelled(t *testing.T) {
 	if _, err := d.ProcessQueryContext(ctx, q30(1000, 2999)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ProcessQueryContext = %v, want context.Canceled", err)
 	}
-	d.pinMu.Lock()
-	pins := len(d.pinned)
-	d.pinMu.Unlock()
-	if pins != 0 {
-		t.Errorf("pre-cancelled query left %d pins", pins)
+	if n := d.planAcq.Load(); n != 0 {
+		t.Errorf("pre-cancelled query entered %d planning sections", n)
 	}
 	run(t, d, q30(1000, 2999))
 }
@@ -42,17 +39,17 @@ func TestProcessQueryContextExpiredDeadline(t *testing.T) {
 }
 
 // TestProcessQueryContextMidExecutionCancel cancels deterministically
-// between planning and execution via the OnPlanned hook: the paths are
-// pinned at that point, so the abort path must drain the pins, hold no
-// manager lock, keep the pool consistent, and leave the manager fully
-// usable — the same query then succeeds with the exact vanilla answer.
+// between planning and execution via the OnPlanned hook: the abort path
+// must hold no manager lock, keep the pool consistent, and leave the
+// manager fully usable — the same query then succeeds with the exact
+// vanilla answer.
 func TestProcessQueryContextMidExecutionCancel(t *testing.T) {
 	leakcheck.Check(t)
 	vanilla := newTestSystem(t, func(c *Config) { c.Materialize = false })
 	want := run(t, vanilla, q30(1000, 2999)).Result.Fingerprint()
 
 	d := newTestSystem(t, nil)
-	run(t, d, q30(1000, 2999)) // populate the pool so the plan pins paths
+	run(t, d, q30(1000, 2999)) // populate the pool so the plan reads views
 
 	ctx, cancel := context.WithCancel(context.Background())
 	d.OnPlanned = func([]string) { cancel() }
@@ -62,12 +59,6 @@ func TestProcessQueryContextMidExecutionCancel(t *testing.T) {
 		t.Fatalf("mid-execution cancel = %v, want context.Canceled", err)
 	}
 
-	d.pinMu.Lock()
-	pins := len(d.pinned)
-	d.pinMu.Unlock()
-	if pins != 0 {
-		t.Errorf("cancelled query left %d pins", pins)
-	}
 	assertPoolInvariants(t, d, "after cancel")
 
 	// The manager lock was released: the same query runs to completion

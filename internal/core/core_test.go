@@ -309,8 +309,8 @@ func TestEvictionRemovesFiles(t *testing.T) {
 		t.Skip("no evictions triggered; pool larger than workload footprint")
 	}
 	// FS and pool accounting must agree.
-	if d.Eng.FS().TotalSize() != d.Pool.TotalSize() {
-		t.Errorf("FS size %d != pool size %d", d.Eng.FS().TotalSize(), d.Pool.TotalSize())
+	if d.Eng.StoredBytes() != d.Pool.TotalSize() {
+		t.Errorf("FS size %d != pool size %d", d.Eng.StoredBytes(), d.Pool.TotalSize())
 	}
 }
 
@@ -540,5 +540,25 @@ func TestFullAndPartialAggregatesShareASystem(t *testing.T) {
 	}
 	if _, ok := signature.Match(signature.Of(partialQ30(0, 4999)), signature.Of(q30(0, 4999))); ok {
 		t.Error("a partial-mode view signature matches the full-mode query")
+	}
+}
+
+// TestBlockSizeFallbacks pins the two fragment-size lower bounds a
+// Config falls back to: with no cost model, the 128 MB HDFS block of
+// Section 9; with one, its block size — 64 MB for the engine's default
+// model. An explicit MinFragBytes wins over both.
+func TestBlockSizeFallbacks(t *testing.T) {
+	var bare Config
+	if got := bare.minFragBytes(); got != 128<<20 {
+		t.Errorf("no cost model: minFragBytes = %d, want 128 MB", got)
+	}
+	cm := engine.DefaultCostModel()
+	withModel := Config{CostModel: &cm}
+	if got := withModel.minFragBytes(); got != 64<<20 || got != cm.BlockSize {
+		t.Errorf("default cost model: minFragBytes = %d, want its 64 MB block", got)
+	}
+	withModel.MinFragBytes = 1 << 20
+	if got := withModel.minFragBytes(); got != 1<<20 {
+		t.Errorf("explicit MinFragBytes: minFragBytes = %d, want 1 MB", got)
 	}
 }

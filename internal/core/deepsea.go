@@ -32,8 +32,9 @@ import (
 // materialize, evict, split, merge, refresh) — run one at a time under
 // mu, the one manager lock. Step 8 — the row execution itself, where the
 // time goes — runs outside it, so concurrent queries overlap on the data
-// path. Lock order: mu before pinMu before the leaf locks. See
-// DESIGN.md, "Concurrency model".
+// path, over the read snapshot its planning bound (engine.Snapshot), so
+// nothing the manager does meanwhile can change or break it. Lock order:
+// mu before the leaf locks. See DESIGN.md, "Concurrency model".
 type DeepSea struct {
 	Cfg   Config
 	Eng   *engine.Engine
@@ -86,14 +87,6 @@ type DeepSea struct {
 	// the recovery reconcile. It is never held across execution and is
 	// not reentrant — no section calls into another.
 	mu sync.Mutex
-
-	// pinned counts, per storage path, the in-flight executions whose
-	// plan reads the path. Eviction, merging and horizontal-split drops
-	// skip pinned paths so a concurrent query never loses a file it was
-	// planned against. Guarded by pinMu, which nests inside mu but is
-	// also taken alone: pins are dropped with no manager lock held.
-	pinMu  sync.Mutex
-	pinned map[string]int
 
 	// mleCache memoizes MLE fits within one selection pass. Guarded by
 	// mu.
@@ -212,7 +205,6 @@ func build(cfg Config) *DeepSea {
 		Pool:    p,
 		Stats:   st,
 		Tree:    tree,
-		pinned:  make(map[string]int),
 		faults:  inj,
 		backoff: newMatBackoff(),
 		rewriter: &matching.Rewriter{
@@ -225,7 +217,6 @@ func build(cfg Config) *DeepSea {
 		ingest:           newIngestState(),
 		recoveredAppends: make(map[string]*relation.Table),
 	}
-	d.rewriter.Stale = d.staleView
 	d.maint = maintain.NewPool(cfg.MaintWorkers, cfg.maintQueue(), maintBatchMax, d.applyMaintBatch)
 	return d
 }
@@ -236,28 +227,35 @@ func (d *DeepSea) AddBaseTable(t *relation.Table) { d.Eng.AddBaseTable(t) }
 // Now returns the simulated clock.
 func (d *DeepSea) Now() float64 { return d.Eng.Now() }
 
-// cacheKey builds the result-cache key for a user query: the canonical
-// plan fingerprint qualified by the base-catalog version and by the row
-// count of every base table the plan reads. A catalog change orphans
-// every earlier entry; an append moves the counts (they are monotone),
-// so a result cached before the append is unreachable by any lookup
-// planned after it — the cache needs no explicit invalidation on
-// ingest.
-func (d *DeepSea) cacheKey(q query.Node) string {
+// cacheKey builds the result-cache key for a user query answered at the
+// given base-table row counts: the canonical plan fingerprint qualified
+// by the base-catalog version and by the row count of every base table
+// the plan reads. A catalog change orphans every earlier entry; an
+// append moves the counts (they are monotone), so a result cached before
+// the append is unreachable by any lookup planned after it — the cache
+// needs no explicit invalidation on ingest. Empty without a cache.
+func (d *DeepSea) cacheKey(q query.Node, counts map[string]int64) string {
+	if d.Cache == nil {
+		return ""
+	}
 	var b strings.Builder
 	b.WriteString(query.Fingerprint(q))
 	b.WriteByte('@')
 	b.WriteString(strconv.FormatUint(d.Eng.BaseVersion(), 10))
-	tables := append([]string(nil), query.BaseTables(q)...)
-	sort.Strings(tables)
-	counts := d.Eng.BaseCounts(tables)
-	for _, t := range tables {
+	for _, t := range baseTables(q) {
 		b.WriteByte('|')
 		b.WriteString(t)
 		b.WriteByte('=')
 		b.WriteString(strconv.FormatInt(counts[t], 10))
 	}
 	return b.String()
+}
+
+// baseTables lists the base tables q reads, sorted.
+func baseTables(q query.Node) []string {
+	tables := append([]string(nil), query.BaseTables(q)...)
+	sort.Strings(tables)
+	return tables
 }
 
 // maintenanceViews computes the scope of the query's maintenance: every
@@ -310,8 +308,8 @@ func (d *DeepSea) ProcessQuery(q query.Node) (QueryReport, error) {
 
 // ProcessQueryContext is ProcessQuery with cancellation and graceful
 // degradation. A cancelled or expired ctx makes the call return
-// promptly with ctx.Err(), with no manager lock held, all pins
-// dropped and the pool consistent. Recoverable faults degrade instead
+// promptly with ctx.Err(), with no manager lock held and the pool
+// consistent. Recoverable faults degrade instead
 // of failing the query: a failed fragment or view-file read quarantines
 // that file (pool removal) and the query is re-planned against the
 // shrunken pool — falling back to base tables when nothing usable
@@ -333,15 +331,14 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 	// The key is the whole validity check (see cacheKey): a rewriting
 	// answers exactly what the base plan answers, so a hit is right
 	// whatever the pool has done since the entry was stored.
-	var key string
 	if d.Cache != nil {
-		key = d.cacheKey(q)
+		key := d.cacheKey(q, d.Eng.BaseCounts(query.BaseTables(q)))
 		if tbl, ok := d.Cache.Get(key); ok {
 			return QueryReport{Result: tbl, CacheHit: true}, nil
 		}
 	}
 
-	return d.processWithRetries(ctx, q, key)
+	return d.processWithRetries(ctx, q)
 }
 
 // processWithRetries is the retry loop of ProcessQueryContext.
@@ -353,7 +350,7 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 // between attempts, and a query that re-planned onto it would fault on
 // it again until its retries ran out. With the exclusion each
 // storage-read retry has strictly fewer files to fault on.
-func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string) (QueryReport, error) {
+func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node) (QueryReport, error) {
 	maxRetries := d.Cfg.faultRetries()
 	var quarantined []string
 	for attempt := 0; ; attempt++ {
@@ -364,7 +361,7 @@ func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key stri
 				exclude[p] = true
 			}
 		}
-		rep, quar, err := d.processOnce(ctx, q, key, exclude)
+		rep, quar, err := d.processOnce(ctx, q, exclude)
 		quarantined = append(quarantined, quar...)
 		if err == nil {
 			rep.Quarantined = quarantined
@@ -381,9 +378,9 @@ func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key stri
 		}
 		switch {
 		case f.Site == faults.StorageRead:
-			// The unreadable file was quarantined above (or is pinned by
-			// a concurrent query and left in place); re-plan — without the
-			// file the new plan answers the lost range from base tables.
+			// The unreadable file was quarantined above; re-plan —
+			// without the file the new plan answers the lost range from
+			// base tables.
 		case f.Site == faults.Worker && !f.Permanent:
 			// Transient worker fault (lost container, timeout): the plan
 			// is fine, re-execute it.
@@ -396,17 +393,21 @@ func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key stri
 // processOnce runs one attempt of Algorithm 1. It returns the paths it
 // quarantined while handling an execution failure (the caller
 // accumulates them across retries and passes them back as exclude).
-func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string, exclude map[string]bool) (QueryReport, []string, error) {
+func (d *DeepSea) processOnce(ctx context.Context, q query.Node, exclude map[string]bool) (QueryReport, []string, error) {
 	if !d.Cfg.Materialize {
 		// Vanilla engine: the optimizer pushes selections down to the
 		// scans (DeepSea deliberately does not, Section 10.2); execute
 		// and account time, nothing else.
-		res, err := d.Eng.RunContext(ctx, query.PushDownRanges(q), nil)
+		snap, err := d.Eng.SnapshotTables(baseTables(q))
+		if err != nil {
+			return QueryReport{}, nil, err
+		}
+		res, err := d.Eng.RunSnapshot(ctx, snap, query.PushDownRanges(q), nil)
 		if err != nil {
 			return QueryReport{}, nil, err
 		}
 		d.Eng.Advance(res.Cost.Seconds)
-		d.Cache.Put(key, res.Table)
+		d.Cache.Put(d.cacheKey(q, snap.Counts()), res.Table)
 		return QueryReport{
 			Result:       res.Table,
 			ExecCost:     res.Cost,
@@ -417,12 +418,12 @@ func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string, exc
 	// Planning section: Algorithm 1 steps 1-7 under mu, so no other
 	// planner and no maintenance runs while this query plans — the pool
 	// it matches against is stable, and its statistics writes (use
-	// records, candidate refinement) cannot race a maintainer. Pinning
-	// before release guarantees no concurrent query evicts a path
-	// between planning and execution.
+	// records, candidate refinement) cannot race a maintainer. The read
+	// snapshot bound before release is all execution reads, so nothing
+	// the pool does afterwards reaches it.
 	d.planAcq.Add(1)
 	d.mu.Lock()
-	pq, err := d.planLocked(q, key, exclude)
+	pq, err := d.planLocked(q, exclude)
 	d.mu.Unlock()
 	if err != nil {
 		return QueryReport{}, nil, err
@@ -434,10 +435,13 @@ func (d *DeepSea) processOnce(ctx context.Context, q query.Node, key string, exc
 }
 
 // plannedQuery carries one query's planning output (Algorithm 1 steps
-// 1–7) from the planning section to execution and maintenance. Pins on
-// every materialized path the plan reads are already taken; finishPlanned
-// drops them on every path.
+// 1–7) from the planning section to execution and maintenance.
 type plannedQuery struct {
+	// snap is the read snapshot: the base tables the query reads and the
+	// stored files qbest reads, bound under mu. Execution reads nothing
+	// else.
+	snap *engine.Snapshot
+	// key is the result-cache key at the snapshot's counts.
 	key      string
 	qbest    query.Node
 	bestRW   *matching.Rewriting
@@ -449,22 +453,28 @@ type plannedQuery struct {
 	// maintViews is maintenanceViews of the plan: the views this query's
 	// maintenance may touch, sorted.
 	maintViews []string
-	pins       []string
-	// baseCounts is the per-table row count of every base table the
-	// query reads, captured at planning time. Materialization uses it as
-	// the proposed view's ingest consistency point: if the counts still
-	// match when the captured rows register, no append raced the
-	// execution (counts are monotone), so the content is exact at these
-	// counts.
+	// baseCounts is the snapshot's row count of every base table the
+	// query reads. Everything the query captures is exact at these
+	// counts, so they are the ingest consistency point a view
+	// materialized from its rows registers under.
 	baseCounts map[string]int64
 }
 
-// planLocked runs Algorithm 1 steps 1–7 for one query and pins the
-// materialized paths its chosen plan reads. The caller holds mu. exclude
-// lists stored paths the plan must not read.
-func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) (*plannedQuery, error) {
+// planLocked runs Algorithm 1 steps 1–7 for one query and binds the
+// read snapshot of its chosen plan. The caller holds mu. exclude lists
+// stored paths the plan must not read.
+func (d *DeepSea) planLocked(q query.Node, exclude map[string]bool) (*plannedQuery, error) {
+	// The base tables the query reads, in one catalog-lock acquisition:
+	// the state the plan is chosen for and executes against.
+	snap, err := d.Eng.SnapshotTables(baseTables(q))
+	if err != nil {
+		return nil, err
+	}
+	counts := snap.Counts()
+
 	// Step 1-2: compute rewritings and update statistics (Section 8.4).
-	rewritings, origCost, err := d.rewriter.ComputeRewritingsExcluding(q, exclude)
+	// Only views whose stored content is exact at the snapshot may serve.
+	rewritings, origCost, err := d.rewriter.ComputeRewritingsExcluding(q, d.servesAt(counts), exclude)
 	if err != nil {
 		return nil, err
 	}
@@ -523,15 +533,14 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 	}
 	maintViews := maintenanceViews(qbest, vcands, selFrags, evict, mergeRW)
 
-	// Pin every materialized path the plan reads; the caller then
-	// releases mu for the long step: concurrent queries may plan and
-	// execute while this one runs, but cannot evict what it reads.
-	pins := planPins(qbest)
-	d.pin(pins)
-	tables := append([]string(nil), query.BaseTables(q)...)
-	sort.Strings(tables)
+	// The stored files qbest reads join the snapshot, still under mu; the
+	// caller then releases mu for the long step: concurrent queries may
+	// plan, maintain and evict while this one runs, but what it reads is
+	// already bound.
+	d.Eng.BindFiles(snap, qbest)
 	return &plannedQuery{
-		key:        key,
+		snap:       snap,
+		key:        d.cacheKey(q, counts),
 		qbest:      qbest,
 		bestRW:     bestRW,
 		vcands:     vcands,
@@ -540,8 +549,7 @@ func (d *DeepSea) planLocked(q query.Node, key string, exclude map[string]bool) 
 		evict:      evict,
 		capture:    capture,
 		maintViews: maintViews,
-		pins:       pins,
-		baseCounts: d.Eng.BaseCounts(tables),
+		baseCounts: counts,
 	}, nil
 }
 
@@ -562,14 +570,14 @@ func (d *DeepSea) captureRange(sv selectedView) (col string, ivs []interval.Inte
 // maintain.go). It returns the paths it quarantined
 // while handling an execution failure.
 func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryReport, []string, error) {
-	// Step 8: EXECUTEQUERY — outside every manager lock.
-	res, runErr := d.Eng.RunContext(ctx, pq.qbest, pq.capture)
+	// Step 8: EXECUTEQUERY — outside every manager lock, over the
+	// snapshot.
+	res, runErr := d.Eng.RunSnapshot(ctx, pq.snap, pq.qbest, pq.capture)
 	if runErr != nil {
-		// Failed executions skip maintenance entirely: drop the pins,
-		// quarantine the unreadable file if the failure was an injected
-		// storage-read fault, and let the caller decide whether to
-		// re-plan. mu is not held on this path.
-		d.unpin(pq.pins)
+		// Failed executions skip maintenance entirely: quarantine the
+		// unreadable file if the failure was an injected storage-read
+		// fault, and let the caller decide whether to re-plan. mu is not
+		// held on this path.
 		quarantined := d.quarantineFromError(pq.qbest, runErr)
 		d.advancePending()
 		return QueryReport{}, quarantined, runErr
@@ -592,7 +600,7 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 	// taking mu again. It pays execution cost only; the deferred
 	// mutations re-validate against the live pool when a drain cycle
 	// applies them.
-	if n, ok := d.enqueueTasks(tasks, pq.pins); ok {
+	if n, ok := d.enqueueTasks(tasks); ok {
 		report.TotalSeconds = res.Cost.Seconds
 		report.DeferredMaintenance = true
 		report.MaintTasksEnqueued = n
@@ -603,12 +611,11 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 
 	// Inline mode: steps 9+ under mu. The selection was computed against
 	// a possibly older pool, so every task re-validates against the live
-	// pool (pins, cover checks) exactly as a stale selection requires.
+	// pool (cover checks) exactly as a stale selection requires.
 	d.mu.Lock()
 	if d.OnMaintain != nil {
 		d.OnMaintain(pq.maintViews, true)
 	}
-	d.unpin(pq.pins)
 	var out maintOutcome
 	err := d.applyQueryTasks(pq, tasks, &out)
 	if err == nil {
@@ -633,12 +640,11 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 	return report, nil, nil
 }
 
-// advancePending is a leaving query's applyPending: its pins are
-// dropped and mu released, so a stale view whose drop those pins blocked
-// — or one this query registered stale because an append raced its
-// materialization — can settle now instead of sitting unreadable until
-// some later append happens by. The work is charged to the clock on its
-// own.
+// advancePending is a leaving query's applyPending, with mu released:
+// a refresh left still-stale — or a view this query registered stale
+// because an append landed after its snapshot — settles now instead of
+// sitting unreadable until some later append happens by. The work is
+// charged to the clock on its own.
 func (d *DeepSea) advancePending() {
 	var out maintOutcome
 	d.applyPending(&out)
@@ -654,9 +660,8 @@ const quarLogCap = 256
 // quarantineFromError quarantines the stored file named by an injected
 // storage-read fault in runErr: the file is removed from the engine and
 // the pool, so the retry's planning cannot choose it again. Returns the
-// quarantined paths (nil when runErr is not a read fault, the path is
-// not in the executed plan, or the file is pinned by a concurrent query
-// — which keeps it alive until that query drains).
+// quarantined paths (nil when runErr is not a read fault, or the path
+// is not in the executed plan or no longer in the pool).
 func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 	f, ok := faults.AsFault(runErr)
 	if !ok || f.Site != faults.StorageRead || f.Key == "" {
@@ -699,10 +704,8 @@ func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 }
 
 // quarantine removes one stored file of a view from the engine and the
-// pool, under mu, through evict: files still pinned by a concurrent
-// execution are left alone, since that query planned against them and
-// dropping them now would turn its read into a missing-file logic error.
-// Reports whether the file was removed. Nothing restores it: a later
+// pool, under mu, through evict; a concurrent query that bound the file
+// keeps reading its snapshot. Reports whether the file was removed. Nothing restores it: a later
 // query that needs the range again re-derives it, like any other
 // materialization.
 func (d *DeepSea) quarantine(viewID, path string) bool {
@@ -737,8 +740,8 @@ func (d *DeepSea) poolItemAt(viewID, path string) (pool.Candidate, bool) {
 }
 
 // evict removes one pool item and its storage. It reports whether the
-// item was actually removed: items missing from the pool or pinned by a
-// concurrent execution are left alone. The caller holds mu.
+// item was actually removed: items missing from the pool are left
+// alone. The caller holds mu.
 func (d *DeepSea) evict(item pool.Candidate) bool {
 	pv := d.Pool.View(item.ViewID)
 	if pv == nil {
@@ -746,7 +749,7 @@ func (d *DeepSea) evict(item pool.Candidate) bool {
 	}
 	switch item.Kind {
 	case pool.WholeView:
-		if pv.Path == "" || d.isPinned(pv.Path) {
+		if pv.Path == "" {
 			return false
 		}
 		d.Eng.DeleteMaterialized(pv.Path)
@@ -758,7 +761,7 @@ func (d *DeepSea) evict(item pool.Candidate) bool {
 			return false
 		}
 		f, ok := part.Lookup(item.Iv)
-		if !ok || d.isPinned(f.Path) {
+		if !ok {
 			return false
 		}
 		d.Eng.DeleteMaterialized(f.Path)
@@ -766,61 +769,6 @@ func (d *DeepSea) evict(item pool.Candidate) bool {
 		return true
 	}
 	return false
-}
-
-// planPins collects the materialized paths a plan reads: every
-// ViewScan's fragment files, or its whole-view file when unpartitioned.
-// Walk descends into remainder subplans, so nested ViewScans are
-// covered.
-func planPins(plan query.Node) []string {
-	var paths []string
-	query.Walk(plan, func(n query.Node) {
-		vs, ok := n.(*query.ViewScan)
-		if !ok {
-			return
-		}
-		if len(vs.FragIDs) > 0 {
-			paths = append(paths, vs.FragIDs...)
-		} else if vs.ViewPath != "" {
-			paths = append(paths, vs.ViewPath)
-		}
-	})
-	return paths
-}
-
-// pin increments the in-flight read count of each path. Called only
-// from the planning section (under mu).
-func (d *DeepSea) pin(paths []string) {
-	d.pinMu.Lock()
-	for _, p := range paths {
-		d.pinned[p]++
-	}
-	d.pinMu.Unlock()
-}
-
-// unpin reverses pin.
-func (d *DeepSea) unpin(paths []string) {
-	d.pinMu.Lock()
-	for _, p := range paths {
-		if d.pinned[p] <= 1 {
-			delete(d.pinned, p)
-		} else {
-			d.pinned[p]--
-		}
-	}
-	d.pinMu.Unlock()
-}
-
-// isPinned reports whether a concurrent execution still reads path.
-// Mutators call it before dropping a file; they hold mu, so a pin
-// observed as zero cannot reappear for a path the mutator is about to
-// drop: new pins are taken only during planning, which mu excludes while
-// the mutator runs.
-func (d *DeepSea) isPinned(path string) bool {
-	d.pinMu.Lock()
-	p := d.pinned[path] > 0
-	d.pinMu.Unlock()
-	return p
 }
 
 // shortID returns a compact stable hash of a view id for paths and logs.

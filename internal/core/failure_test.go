@@ -52,8 +52,8 @@ func TestEvictionThenRemainderCorrectness(t *testing.T) {
 		}
 	}
 	// FS and pool must agree after the churn.
-	if d.Eng.FS().TotalSize() != d.Pool.TotalSize() {
-		t.Errorf("FS size %d != pool size %d", d.Eng.FS().TotalSize(), d.Pool.TotalSize())
+	if d.Eng.StoredBytes() != d.Pool.TotalSize() {
+		t.Errorf("FS size %d != pool size %d", d.Eng.StoredBytes(), d.Pool.TotalSize())
 	}
 }
 
@@ -116,13 +116,13 @@ func TestLongRandomWorkloadInvariants(t *testing.T) {
 					t.Fatalf("query %d: %v", i, err)
 				}
 				for _, f := range part.Fragments() {
-					if !d.Eng.FS().Exists(f.Path) {
+					if !isStored(d, f.Path) {
 						t.Fatalf("query %d: pool references missing file %s", i, f.Path)
 					}
 				}
 			}
 		}
-		if fs, pool := d.Eng.FS().TotalSize(), d.Pool.TotalSize(); fs != pool {
+		if fs, pool := d.Eng.StoredBytes(), d.Pool.TotalSize(); fs != pool {
 			t.Fatalf("query %d: FS %d != pool %d", i, fs, pool)
 		}
 	}

@@ -127,11 +127,8 @@ func TestConcurrentWorkloadMatchesSerial(t *testing.T) {
 	if err := d.Pool.VerifySize(); err != nil {
 		t.Error(err)
 	}
-	if fs, pool := d.Eng.FS().TotalSize(), d.Pool.TotalSize(); fs != pool {
+	if fs, pool := d.Eng.StoredBytes(), d.Pool.TotalSize(); fs != pool {
 		t.Errorf("FS size %d != pool size %d", fs, pool)
-	}
-	if len(d.pinned) != 0 {
-		t.Errorf("pins leaked: %v", d.pinned)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,12 +26,11 @@ import (
 //
 // The invariants the path maintains:
 //
-//   - A query planned after Append returns never reads stale view
-//     content: Append flips every dependent view's stale flag before
-//     returning, the rewriter skips stale views (their virtual
-//     rewritings still accumulate statistics), and result-cache keys
-//     embed per-table base row counts, so a pre-append cached result is
-//     unreachable by any post-append lookup.
+//   - A query reads one state, its snapshot's: a tracked view serves it
+//     only when the view's marks equal the snapshot's base counts (other
+//     views get virtual rewritings, which still accumulate statistics),
+//     and result-cache keys embed per-table base row counts, so a
+//     pre-append cached result is unreachable by any post-append lookup.
 //   - A refreshed view is byte-identical to rematerializing it from the
 //     grown base tables: refresh drops the view whenever delta
 //     propagation cannot guarantee that (join build-side growth,
@@ -43,7 +43,7 @@ import (
 //
 // Lock discipline: ingestMu (d.ingest.mu) is a leaf lock — it guards
 // only the registry maps and the stale flags, and nothing acquires the
-// manager lock or pinMu while holding it. Everything else
+// manager lock while holding it. Everything else
 // about a meta (plan, marks, refresh plan, retained states) mutates only
 // under the manager lock, which serializes refresh, registration and
 // drop.
@@ -57,8 +57,8 @@ type ingestMeta struct {
 	// tables lists the base tables the plan reads, sorted.
 	tables []string
 	// marks is the consistency point: per-table row counts at which the
-	// stored content is exact. nil means unknown (content captured while
-	// an append raced the materialization) — the refresh drops the view.
+	// stored content is exact. nil means unknown (a recovered record that
+	// carried none) — the refresh drops the view.
 	marks map[string]int64
 	// rp is the primed refresh state (per-node sizes, retained aggregate
 	// states); nil until the first refresh primes it lazily.
@@ -176,13 +176,19 @@ func (d *DeepSea) IngestStats() IngestStats {
 	return st
 }
 
-// staleView is the rewriter's staleness hook: stale view content must
-// not serve queries.
-func (d *DeepSea) staleView(id string) bool {
-	d.ingest.mu.Lock()
-	defer d.ingest.mu.Unlock()
-	m := d.ingest.views[id]
-	return m != nil && m.stale
+// servesAt returns the rewriter's test of which pool views may answer a
+// query whose snapshot has the given base counts: an untracked view
+// always, a tracked one only when its marks equal the counts on every
+// table it reads — its stored content is then exactly what the
+// snapshot's base tables define. A view an append has left behind fails
+// it, whether or not its stale flag is set yet.
+func (d *DeepSea) servesAt(counts map[string]int64) func(string) bool {
+	return func(id string) bool {
+		d.ingest.mu.Lock()
+		defer d.ingest.mu.Unlock()
+		m := d.ingest.views[id]
+		return m == nil || (m.marks != nil && countsEqual(m.marks, counts, m.tables))
+	}
 }
 
 // AppendReport summarises how one batched append was processed.
@@ -234,7 +240,7 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 	for i, id := range ids {
 		tasks[i] = refreshTaskFor(id)
 	}
-	if _, ok := d.enqueueTasks(tasks, nil); ok {
+	if _, ok := d.enqueueTasks(tasks); ok {
 		rep.Deferred = len(ids) > 0
 		return rep, nil
 	}
@@ -319,9 +325,9 @@ const (
 	refreshApplied
 	// refreshDropped: the view (files and metadata) was dropped.
 	refreshDropped
-	// refreshStillStale: the view is still stale (pinned files blocked a
-	// drop, a write fault interrupted the apply, or appends kept racing
-	// past the retry bound) and a retry is enqueued.
+	// refreshStillStale: the view is still stale (a write fault
+	// interrupted a replace, or appends kept racing past the retry bound)
+	// and a retry is enqueued.
 	refreshStillStale
 )
 
@@ -351,18 +357,14 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 			return total, refreshNoop
 		}
 		if m.plan == nil || m.marks == nil {
-			if d.dropStaleView(id) {
-				return total, refreshDropped
-			}
-			return total, d.refreshRetry(id)
+			d.dropStaleView(id)
+			return total, refreshDropped
 		}
 		snaps, err := d.Eng.BaseSnapshots(m.tables)
 		if err != nil {
 			// A table left the catalog: the plan is unanswerable.
-			if d.dropStaleView(id) {
-				return total, refreshDropped
-			}
-			return total, d.refreshRetry(id)
+			d.dropStaleView(id)
+			return total, refreshDropped
 		}
 		counts := make(map[string]int64, len(snaps))
 		prefixes := make(map[string]*relation.Table, len(snaps))
@@ -382,10 +384,8 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 			}
 		}
 		if !valid {
-			if d.dropStaleView(id) {
-				return total, refreshDropped
-			}
-			return total, d.refreshRetry(id)
+			d.dropStaleView(id)
+			return total, refreshDropped
 		}
 		if len(deltas) == 0 {
 			// Marked stale but nothing actually grew past the marks (a
@@ -406,10 +406,8 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 			rp, pc, perr := d.Eng.PrimeRefresh(m.plan, prefixes)
 			total.Add(pc)
 			if perr != nil {
-				if d.dropStaleView(id) {
-					return total, refreshDropped
-				}
-				return total, d.refreshRetry(id)
+				d.dropStaleView(id)
+				return total, refreshDropped
 			}
 			m.rp = rp
 			d.ingest.mu.Lock()
@@ -418,23 +416,19 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 		}
 		res, derr := d.Eng.DeltaApply(m.rp, snaps, deltas)
 		if derr != nil {
-			if d.dropStaleView(id) {
-				return total, refreshDropped
-			}
-			return total, d.refreshRetry(id)
+			d.dropStaleView(id)
+			return total, refreshDropped
 		}
 		total.Add(res.Cost)
 		empty := false
 		switch res.Kind {
 		case engine.DeltaRemat:
-			if d.dropStaleView(id) {
-				return total, refreshDropped
-			}
-			return total, d.refreshRetry(id)
+			d.dropStaleView(id)
+			return total, refreshDropped
 		case engine.DeltaEmpty:
 			empty = true
 		case engine.DeltaAppend:
-			c, aerr := d.applyViewAppend(id, res.Rows)
+			c, aerr := d.writeBack(id, res.Rows, true)
 			total.Add(c)
 			if aerr != nil {
 				// A write fault mid-apply is not retryable: each
@@ -443,20 +437,13 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 				// fault already hold the delta, and re-running the apply
 				// (marks unchanged, same delta) would append it to them a
 				// second time. The only safe completion is dropping the
-				// view. Poison the marks first so that if pinned files
-				// block the drop, every later attempt drops instead of
-				// re-applying. (Crash recovery is safe the same way: the
-				// view was journaled stale, and recovery drops stale
-				// views.)
-				m.marks = nil
-				m.rp = nil
-				if d.dropStaleView(id) {
-					return total, refreshDropped
-				}
-				return total, d.refreshRetry(id)
+				// view. (Crash recovery is safe the same way: the view was
+				// journaled stale, and recovery drops stale views.)
+				d.dropStaleView(id)
+				return total, refreshDropped
 			}
 		case engine.DeltaAgg:
-			c, aerr := d.applyViewReplace(id, res.Rows)
+			c, aerr := d.writeBack(id, res.Rows, false)
 			total.Add(c)
 			if aerr != nil {
 				// Unlike the append path, a partial replace IS retryable:
@@ -530,105 +517,65 @@ func countsEqual(a, b map[string]int64, tables []string) bool {
 	return true
 }
 
-// applyViewAppend extends the view's stored files with the delta output
-// rows: the whole-view file gains all of them, each fragment gains the
-// rows falling in its interval. Caller holds the manager lock.
-func (d *DeepSea) applyViewAppend(id string, delta *relation.Table) (engine.Cost, error) {
+// writeBack puts a refresh's rows into every stored file of a view: the
+// whole-view file takes all of rows, each fragment the rows in its
+// interval. extend appends them to what each file holds (a DeltaAppend's
+// delta; a fragment with no new rows is left alone); otherwise they
+// replace it (a DeltaAgg's merged content). Each file's new size is
+// read back from the store and set on the pool and the statistics, and
+// journaled. It stops at the first failed write. Caller holds the
+// manager lock.
+func (d *DeepSea) writeBack(id string, rows *relation.Table, extend bool) (engine.Cost, error) {
 	var cost engine.Cost
 	pv := d.Pool.View(id)
-	if pv == nil || delta == nil || len(delta.Rows) == 0 {
+	if pv == nil || rows == nil || (extend && len(rows.Rows) == 0) {
 		return cost, nil
 	}
-	if pv.Path != "" {
-		c, err := d.Eng.AppendMaterialized(pv.Path, delta.Rows)
+	write := func(path string, t *relation.Table) (int64, error) {
+		var c engine.Cost
+		var err error
+		if extend {
+			c, err = d.Eng.AppendMaterialized(path, t.Rows)
+		} else {
+			c, err = d.Eng.WriteMaterialized(path, t)
+		}
 		cost.Add(c)
+		return d.Eng.MaterializedBytes(path), err
+	}
+	if pv.Path != "" {
+		size, err := write(pv.Path, rows)
 		if err != nil {
 			return cost, err
 		}
-		newBytes := pv.Size + delta.Bytes()
-		d.Pool.SetViewFile(id, pv.Path, newBytes)
+		d.Pool.SetViewFile(id, pv.Path, size)
 		vs := d.Stats.View(id)
-		vs.Size = newBytes
-		vs.Measured = true
+		vs.Size, vs.Measured = size, true
 		d.journalVStat(vs)
 	}
 	for _, attr := range pv.PartAttrs() {
 		part := pv.Parts[attr]
-		ai := delta.Schema.ColIndex(attr)
+		ai := rows.Schema.ColIndex(attr)
 		if ai < 0 {
 			continue
 		}
 		pstat := d.Stats.Partition(id, attr, part.Dom)
 		for _, fr := range part.Fragments() {
-			var sub []relation.Row
-			for _, row := range delta.Rows {
+			sub := relation.NewTable(rows.Schema)
+			for _, row := range rows.Rows {
 				if fr.Iv.Contains(row[ai].Int()) {
-					sub = append(sub, row)
+					sub.Rows = append(sub.Rows, row)
 				}
 			}
-			if len(sub) == 0 {
+			if extend && len(sub.Rows) == 0 {
 				continue
 			}
-			c, err := d.Eng.AppendMaterialized(fr.Path, sub)
-			cost.Add(c)
+			size, err := write(fr.Path, sub)
 			if err != nil {
 				return cost, err
 			}
-			newBytes := fr.Size + (&relation.Table{Schema: delta.Schema, Rows: sub}).Bytes()
-			d.Pool.AddFragment(id, attr, partition.Fragment{Iv: fr.Iv, Path: fr.Path, Size: newBytes})
+			d.Pool.AddFragment(id, attr, partition.Fragment{Iv: fr.Iv, Path: fr.Path, Size: size})
 			fs := pstat.Frag(fr.Iv)
-			fs.Size = newBytes
-			fs.Measured = true
-			d.journalFStat(id, attr, fs)
-		}
-	}
-	return cost, nil
-}
-
-// applyViewReplace rewrites the view's stored files with the merged
-// content (aggregate roots: group states changed in place, so the files
-// cannot be extended). Caller holds the manager lock.
-func (d *DeepSea) applyViewReplace(id string, content *relation.Table) (engine.Cost, error) {
-	var cost engine.Cost
-	pv := d.Pool.View(id)
-	if pv == nil || content == nil {
-		return cost, nil
-	}
-	if pv.Path != "" {
-		c, err := d.Eng.WriteMaterialized(pv.Path, content)
-		cost.Add(c)
-		if err != nil {
-			return cost, err
-		}
-		d.Pool.SetViewFile(id, pv.Path, content.Bytes())
-		vs := d.Stats.View(id)
-		vs.Size = content.Bytes()
-		vs.Measured = true
-		d.journalVStat(vs)
-	}
-	for _, attr := range pv.PartAttrs() {
-		part := pv.Parts[attr]
-		ai := content.Schema.ColIndex(attr)
-		if ai < 0 {
-			continue
-		}
-		pstat := d.Stats.Partition(id, attr, part.Dom)
-		for _, fr := range part.Fragments() {
-			sub := relation.NewTable(content.Schema)
-			for _, row := range content.Rows {
-				if fr.Iv.Contains(row[ai].Int()) {
-					sub.Append(row)
-				}
-			}
-			c, err := d.Eng.WriteMaterialized(fr.Path, sub)
-			cost.Add(c)
-			if err != nil {
-				return cost, err
-			}
-			d.Pool.AddFragment(id, attr, partition.Fragment{Iv: fr.Iv, Path: fr.Path, Size: sub.Bytes()})
-			fs := pstat.Frag(fr.Iv)
-			fs.Size = sub.Bytes()
-			fs.Measured = true
+			fs.Size, fs.Measured = size, true
 			d.journalFStat(id, attr, fs)
 		}
 	}
@@ -636,30 +583,17 @@ func (d *DeepSea) applyViewReplace(id string, content *relation.Table) (engine.C
 }
 
 // dropStaleView removes a view the refresh cannot maintain: files, pool
-// entries and ingest metadata. Files pinned by an in-flight execution
-// block the drop (that query planned against them); the view then stays
-// stale — unreadable by new queries — until a retry finds the pins
-// released. Caller holds the manager lock. Reports whether the drop
-// completed.
-func (d *DeepSea) dropStaleView(id string) bool {
-	pv := d.Pool.View(id)
-	if pv != nil {
-		if pv.Path != "" && d.isPinned(pv.Path) {
-			return false
-		}
-		for _, attr := range pv.PartAttrs() {
-			for _, fr := range pv.Parts[attr].Fragments() {
-				if d.isPinned(fr.Path) {
-					return false
-				}
-			}
-		}
+// entries and ingest metadata. A query already running over its files
+// keeps reading its snapshot. Caller holds the manager lock.
+func (d *DeepSea) dropStaleView(id string) {
+	if pv := d.Pool.View(id); pv != nil {
 		if pv.Path != "" {
 			d.Eng.DeleteMaterialized(pv.Path)
 			d.Pool.DropViewFile(id)
 		}
 		for _, attr := range pv.PartAttrs() {
-			for _, fr := range pv.Parts[attr].Fragments() {
+			// A copy: RemoveFragment shifts the partition's own slice.
+			for _, fr := range slices.Clone(pv.Parts[attr].Fragments()) {
 				d.Eng.DeleteMaterialized(fr.Path)
 				d.Pool.RemoveFragment(id, attr, fr.Iv)
 			}
@@ -676,20 +610,16 @@ func (d *DeepSea) dropStaleView(id string) bool {
 	}
 	s.drops++
 	s.mu.Unlock()
-	return true
 }
 
 // registerIngestView records refresh metadata for a freshly
-// materialized view. planCounts are the base-table row counts captured
-// during the proposing query's planning; if they still match the
-// current counts, no append landed between planning and now (counts are
-// monotone), so the captured content is exactly consistent at
-// planCounts. Otherwise an append raced the materialization and the
-// content's consistency point is unknowable — the view registers stale
-// with invalid marks, and its first refresh drops it. fromFiles marks
-// content rebuilt from the view's own stored files (re-partitioning),
-// whose consistency point is whatever the existing metadata says.
-// Caller holds the manager lock.
+// materialized view. planCounts are the base counts of the proposing
+// query's snapshot, which its captured rows are exact at: they become
+// the view's marks. If an append has moved a table past them since, the
+// view registers stale too, and its first refresh applies the delta.
+// fromFiles marks content rebuilt from the view's own stored files
+// (re-partitioning), whose consistency point is whatever the existing
+// metadata says. Caller holds the manager lock.
 func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[string]int64, fromFiles bool) {
 	if plan == nil {
 		return
@@ -716,16 +646,13 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 		}
 		return
 	}
-	m := &ingestMeta{plan: plan, tables: tables}
-	cur := d.Eng.BaseCounts(tables)
-	if countsEqual(cur, planCounts, tables) {
-		marks := make(map[string]int64, len(tables))
-		for _, t := range tables {
-			marks[t] = planCounts[t]
-		}
-		m.marks = marks
-		d.appendRecord(datastore.Record{Op: "ingest_marks", View: id, Tables: tables, Marks: marks})
-	} else {
+	marks := make(map[string]int64, len(tables))
+	for _, t := range tables {
+		marks[t] = planCounts[t]
+	}
+	m := &ingestMeta{plan: plan, tables: tables, marks: marks}
+	d.appendRecord(datastore.Record{Op: "ingest_marks", View: id, Tables: tables, Marks: marks})
+	if !countsEqual(d.Eng.BaseCounts(tables), marks, tables) {
 		m.stale = true
 		d.appendRecord(datastore.Record{Op: "ingest_stale", View: id})
 	}
@@ -737,8 +664,8 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 		s.byTable[t][id] = true
 	}
 	if m.stale {
-		// The view's first refresh will drop it (no valid marks). In
-		// inline mode the registering query runs it as it leaves.
+		// In inline mode the registering query runs the refresh as it
+		// leaves.
 		d.enqueueRefresh(id)
 	}
 }
@@ -945,10 +872,9 @@ func (d *DeepSea) ApplyRecoveredAppends() (RecoveredIngest, error) {
 	sort.Strings(drop)
 	for _, id := range drop {
 		d.mu.Lock()
-		if d.dropStaleView(id) {
-			info.Dropped = append(info.Dropped, id)
-		}
+		d.dropStaleView(id)
 		d.mu.Unlock()
 	}
+	info.Dropped = drop
 	return info, nil
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"deepsea/internal/datastore"
+	"deepsea/internal/faults"
 	"deepsea/internal/leakcheck"
 	"deepsea/internal/maintain"
 	"deepsea/internal/query"
@@ -525,56 +528,108 @@ func TestAppendPartialApplyDropsView(t *testing.T) {
 	}
 }
 
-// TestInlineRetryBacklogDrains: when a faulted view's drop is blocked by
-// a pinned file in inline mode, the view joins the retry backlog (the
-// operator-visible degraded signal) instead of being stuck forever, and
-// the next Append — after the pin releases — drains the backlog.
-func TestInlineRetryBacklogDrains(t *testing.T) {
+// TestDropStaleViewRemovesEveryFile: a refresh's drop leaves nothing
+// of the view behind — no pool fragment, no stored file. A fragment left
+// in the pool without its ingest metadata would be an untracked view,
+// free to serve content that lags every later append.
+func TestDropStaleViewRemovesEveryFile(t *testing.T) {
 	d := newTestSystem(t, nil)
 	persistWorkload(t, d)
 	id, frags := appendMaintainedView(t, d)
+	if len(frags) < 3 {
+		t.Fatalf("view has %d fragments; the fixture needs 3", len(frags))
+	}
+	d.mu.Lock()
+	d.dropStaleView(id)
+	d.mu.Unlock()
+	if d.Pool.View(id) != nil {
+		t.Errorf("pool still holds view %s after its drop", id)
+	}
+	for _, p := range frags {
+		if isStored(d, p) {
+			t.Errorf("fragment %s still stored after its view's drop", p)
+		}
+	}
+	if err := d.Pool.VerifySize(); err != nil {
+		t.Error(err)
+	}
+}
 
-	// A concurrent query holds the first fragment pinned; the last
-	// fragment's backing file is gone, so the refresh faults mid-apply
-	// and the pin blocks the only safe completion (the drop).
-	d.pin(frags[:1])
-	d.Eng.DeleteMaterialized(frags[len(frags)-1])
+// aggregateViews lists the warmed pool's stored views with an
+// aggregate root — the DeltaAgg refresh path, whose write-back replaces
+// every file of the view — sorted by id.
+func aggregateViews(t *testing.T, d *DeepSea) []string {
+	t.Helper()
+	s := d.ingest
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []string
+	for id, m := range s.views {
+		if _, isAgg := m.plan.(*query.Aggregate); isAgg && d.Pool.View(id) != nil {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		t.Fatal("warmed pool has no aggregate view")
+	}
+	sort.Strings(ids)
+	return ids
+}
 
+// failWrites arms (on) or disarms an injector that fails every stored
+// file write.
+func failWrites(d *DeepSea, on bool) {
+	var in *faults.Injector
+	if on {
+		in = faults.New(faults.Config{Seed: 1, StorageWrite: 1})
+	}
+	d.Eng.SetFaults(in)
+}
+
+// TestInlineRetryBacklogDrains: when a write fault interrupts an
+// aggregate view's refresh in inline mode — a replace is retryable, so
+// the view is not dropped — the view joins the retry backlog (the
+// operator-visible degraded signal) instead of being stuck forever, and
+// the next Append, with writes working again, drains the backlog.
+func TestInlineRetryBacklogDrains(t *testing.T) {
+	d := newTestSystem(t, nil)
+	persistWorkload(t, d)
+	aggs := aggregateViews(t, d)
+
+	failWrites(d, true)
 	b1 := appendRows(9, 300)
 	rep1, err := d.Append("sales", b1)
+	failWrites(d, false)
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	for _, v := range append(rep1.Refreshed, rep1.Dropped...) {
-		if v == id {
-			t.Fatalf("pinned faulted view reported resolved: %+v", rep1)
+		if slices.Contains(aggs, v) {
+			t.Fatalf("faulted aggregate view %s reported resolved: %+v", v, rep1)
 		}
 	}
 	is := d.IngestStats()
-	if is.RetryBacklog != 1 || is.StaleViews != 1 {
-		t.Fatalf("stuck view not in retry backlog: %+v", is)
+	if is.RetryBacklog != len(aggs) || is.StaleViews != len(aggs) {
+		t.Fatalf("stuck views not in retry backlog: %+v, want %d", is, len(aggs))
 	}
-	if h := d.Health(); h.IngestRetryBacklog != 1 {
-		t.Fatalf("Health.IngestRetryBacklog = %d, want 1", h.IngestRetryBacklog)
+	if h := d.Health(); h.IngestRetryBacklog != len(aggs) {
+		t.Fatalf("Health.IngestRetryBacklog = %d, want %d", h.IngestRetryBacklog, len(aggs))
 	}
 
-	// Pin released: the next append (same or different dependents) drains
-	// the backlog, and the poisoned marks force the drop.
-	d.unpin(frags[:1])
+	// Writes work again: the next append drains the backlog, and the
+	// retried replace refreshes the views instead of dropping them.
 	b2 := appendRows(10, 200)
 	rep2, err := d.Append("sales", b2)
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	dropped := false
-	for _, v := range rep2.Dropped {
-		dropped = dropped || v == id
-	}
-	if !dropped {
-		t.Fatalf("backlog view not dropped on the next append: %+v", rep2)
+	for _, id := range aggs {
+		if !slices.Contains(rep2.Refreshed, id) {
+			t.Fatalf("backlog view %s not refreshed on the next append: %+v", id, rep2)
+		}
 	}
 	is = d.IngestStats()
-	if is.RetryBacklog != 0 || is.StaleViews != 0 || is.Drops == 0 {
+	if is.RetryBacklog != 0 || is.StaleViews != 0 {
 		t.Fatalf("backlog did not drain: %+v", is)
 	}
 
@@ -592,32 +647,32 @@ func TestInlineRetryBacklogDrains(t *testing.T) {
 func TestInlineRetryBacklogDrainsOnQuery(t *testing.T) {
 	d := newTestSystem(t, nil)
 	persistWorkload(t, d)
-	_, frags := appendMaintainedView(t, d)
+	aggs := aggregateViews(t, d)
 
-	// Same stuck state as TestInlineRetryBacklogDrains: a pin blocks the
-	// drop a mid-apply fault requires.
-	d.pin(frags[:1])
-	d.Eng.DeleteMaterialized(frags[len(frags)-1])
+	// Same stuck state as TestInlineRetryBacklogDrains: a write fault
+	// interrupts every aggregate view's replace.
+	failWrites(d, true)
 	b1 := appendRows(9, 300)
 	if _, err := d.Append("sales", b1); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if is := d.IngestStats(); is.RetryBacklog != 1 || is.StaleViews != 1 {
-		t.Fatalf("stuck view not in retry backlog: %+v", is)
+	if is := d.IngestStats(); is.RetryBacklog != len(aggs) || is.StaleViews != len(aggs) {
+		t.Fatalf("stuck views not in retry backlog: %+v, want %d", is, len(aggs))
 	}
 
-	// While the pin is held a finishing query retries and fails again;
-	// the entry stays.
+	// While writes still fail a finishing query retries and fails again;
+	// the entries stay.
 	run(t, d, q30(0, 4999))
-	if is := d.IngestStats(); is.RetryBacklog != 1 || is.StaleViews != 1 {
-		t.Fatalf("pinned view left the backlog: %+v", is)
+	if is := d.IngestStats(); is.RetryBacklog != len(aggs) || is.StaleViews != len(aggs) {
+		t.Fatalf("faulted views left the backlog: %+v", is)
 	}
 
-	// Pin released, no further append: the next query to finish settles
-	// the view.
-	d.unpin(frags[:1])
+	// Writes work again, no further append: the next query to finish
+	// settles the views.
+	failWrites(d, false)
+	refreshed := d.IngestStats().Refreshes
 	got := resultJSON(t, run(t, d, q30(0, 4999)))
-	if is := d.IngestStats(); is.RetryBacklog != 0 || is.StaleViews != 0 || is.Drops == 0 {
+	if is := d.IngestStats(); is.RetryBacklog != 0 || is.StaleViews != 0 || is.Refreshes < refreshed+uint64(len(aggs)) {
 		t.Fatalf("query did not drain the backlog: %+v", is)
 	}
 	want := resultJSON(t, run(t, freshWithAppends(t, b1), q30(0, 4999)))
@@ -672,8 +727,8 @@ func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if created || !d.staleView(id) {
-		t.Fatalf("view lagging an append re-registered fresh (created=%v, stale=%v)", created, d.staleView(id))
+	if stale := d.ingest.views[id].stale; created || !stale {
+		t.Fatalf("view lagging an append re-registered fresh (created=%v, stale=%v)", created, stale)
 	}
 
 	var tasks []*maintain.Task

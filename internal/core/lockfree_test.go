@@ -6,11 +6,11 @@ import (
 )
 
 // TestCacheHitTakesNoManagerLock pins the lock-free read path: with the
-// manager lock and the pin lock both held by the test, a repeated query
+// manager lock held by the test, a repeated query
 // must still come back from the result cache — its key reads the
 // engine's base row counts and its lookup the cache alone. The control
 // proves the test would notice a hit that took the lock: a fresh range
-// issued the same way stays blocked until the locks are released.
+// issued the same way stays blocked until the lock is released.
 func TestCacheHitTakesNoManagerLock(t *testing.T) {
 	d := newTestSystem(t, func(c *Config) { c.CacheBytes = 64 << 20 })
 
@@ -33,11 +33,9 @@ func TestCacheHitTakesNoManagerLock(t *testing.T) {
 	}
 
 	d.mu.Lock()
-	d.pinMu.Lock()
 	locked := true
 	unlock := func() {
 		if locked {
-			d.pinMu.Unlock()
 			d.mu.Unlock()
 			locked = false
 		}

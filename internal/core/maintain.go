@@ -41,13 +41,14 @@ import (
 //     left still-stale — until the next finishing query or Append takes
 //     them (applyPending).
 //
-// Correctness rests on one property: every maintenance mutation
-// re-validates against the live pool (pins, cover checks, stale guards,
+// Correctness rests on two properties. Every maintenance mutation
+// re-validates against the live pool (cover checks, stale guards,
 // idempotent writes), so a task applied against a pool newer than the
 // one it was planned on either does the same work or skips as stale.
-// Results are unaffected either way — rewrites are exact, so query
-// output is byte-identical whether maintenance ran at once, later, or
-// not at all.
+// And no mutation reaches a running query, which reads only the snapshot
+// its planning bound. Results are unaffected either way — rewrites are
+// exact, so query output is byte-identical whether maintenance ran at
+// once, later, or not at all.
 
 // maintBatchMax bounds how many tasks one drain cycle commits under a
 // single acquisition of the manager lock.
@@ -209,18 +210,14 @@ func (d *DeepSea) maintenanceTasks(pq *plannedQuery, res *engine.Result) []*main
 	return tasks
 }
 
-// enqueueTasks is the driver choice. In background mode it drops the
-// caller's pins — first, so a worker that pops a task at once does not
-// find its proposer's pins in the way — pushes the tasks to the worker
-// pool and reports how many were accepted (a duplicate key or a full
-// queue rejects). In inline mode it does nothing and reports ok=false:
-// the caller applies the tasks itself, and drops its pins once it holds
-// the manager lock.
-func (d *DeepSea) enqueueTasks(tasks []*maintain.Task, pins []string) (accepted int, ok bool) {
+// enqueueTasks is the driver choice. In background mode it pushes the
+// tasks to the worker pool and reports how many were accepted (a
+// duplicate key or a full queue rejects). In inline mode it does nothing
+// and reports ok=false: the caller applies the tasks itself.
+func (d *DeepSea) enqueueTasks(tasks []*maintain.Task) (accepted int, ok bool) {
 	if !d.Cfg.background() {
 		return 0, false
 	}
-	d.unpin(pins)
 	for _, t := range tasks {
 		if d.maint.Push(t) {
 			accepted++
@@ -303,14 +300,10 @@ func (d *DeepSea) applyEach(tasks []*maintain.Task, out *maintOutcome) {
 // applyPending is inline mode's retry step: the caller takes what the
 // worker-less pool holds right now — refreshes an earlier synchronous
 // apply left still-stale — and applies it. Tasks re-enqueued during the
-// apply (a drop still blocked by another query's pins) wait for the next
+// apply (a refresh that comes out still-stale again) wait for the next
 // caller, so nothing spins. Every finishing query and every Append calls
-// it with its own pins dropped and mu released: a refresh pushes its
-// retry while it holds mu, and a query drops its pins while it holds
-// mu, so the query whose pins blocked a drop finds the retry here. (A
-// failed execution drops its pins without mu; a retry it misses waits
-// for the next caller.) In background mode the workers own the queue
-// and this takes nothing.
+// it with mu released. In background mode the workers own the queue and
+// this takes nothing.
 func (d *DeepSea) applyPending(out *maintOutcome) {
 	batch := d.maint.Take()
 	if len(batch) == 0 {
@@ -346,9 +339,7 @@ func (d *DeepSea) applyMaintTask(t *maintain.Task, out *maintOutcome) error {
 				d.journalVStat(vs)
 			}
 		}
-		// Items pinned by a concurrent execution are skipped; the
-		// selection rejects them again next query if they stay
-		// unattractive.
+		// Items already gone are skipped.
 		for _, item := range p.evict {
 			if d.evict(item) {
 				out.evicted = append(out.evicted, item.Key())

@@ -107,7 +107,7 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 			if err != nil {
 				// Fragments from earlier iterations are already registered
 				// in the pool and stay: a partial partition is valid (gaps
-				// fall back to remainder plans), and the FS and pool still
+				// fall back to remainder plans), and the store and pool still
 				// agree.
 				return cost, false, fmt.Errorf("core: materialize view %s: %w", shortID(vc.id), err)
 			}
@@ -127,9 +127,9 @@ func (d *DeepSea) materializeView(p *matViewTask) (engine.Cost, bool, error) {
 	vs.Measured = true
 	d.journalVStat(vs)
 	// Register the view's ingest consistency point: captured content is
-	// exact at the proposing query's planning-time base counts (or
-	// registers stale if an append raced the execution); reconstructed
-	// content keeps the existing metadata's consistency point.
+	// exact at the proposing query's snapshot counts (stale too if an
+	// append has landed since); reconstructed content keeps the existing
+	// metadata's consistency point.
 	d.registerIngestView(vc.id, vc.node, planCounts, fromFiles)
 	return cost, true, nil
 }
@@ -475,15 +475,6 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, pla
 	if len(ref.Write) == 0 {
 		return cost, nil, nil // candidate coincides with existing boundaries
 	}
-	// A horizontal refinement replaces its parents. If a concurrent
-	// execution still reads one of them, skip the whole refinement (a
-	// partial one would leave the partition overlapping); a later query
-	// can retry once the reader finishes.
-	for _, f := range ref.Drop {
-		if d.isPinned(f.Path) {
-			return cost, nil, nil
-		}
-	}
 	// The candidate was derived against the pool as it stood during
 	// selection; a concurrent query may have evicted a parent since. If
 	// the surviving parents no longer cover what would be written, skip
@@ -521,7 +512,7 @@ func (d *DeepSea) materializeFrag(fc fragCandidate, gapRows *relation.Table, pla
 	var pending []partition.Fragment
 	// undoPending deletes fragments written by this refinement but not
 	// yet pool-registered; on a mid-loop write failure it restores the
-	// FS/pool agreement (registration only happens after the loop).
+	// store/pool agreement (registration only happens after the loop).
 	undoPending := func(pending []partition.Fragment) {
 		for _, f := range pending {
 			d.Eng.DeleteMaterialized(f.Path)

@@ -54,9 +54,6 @@ func (d *DeepSea) maybeMergeFragments(bestRW *matching.Rewriting) (engine.Cost, 
 		if !okA || !okB {
 			continue
 		}
-		if d.isPinned(fa.Path) || d.isPinned(fb.Path) {
-			continue // a concurrent execution still reads one of the pair
-		}
 		if maxBytes > 0 && fa.Size+fb.Size > maxBytes {
 			continue
 		}

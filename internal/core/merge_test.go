@@ -56,7 +56,7 @@ func TestFragmentMerging(t *testing.T) {
 			}
 		}
 	}
-	if d.Eng.FS().TotalSize() != d.Pool.TotalSize() {
+	if d.Eng.StoredBytes() != d.Pool.TotalSize() {
 		t.Error("FS and pool disagree after merges")
 	}
 }

@@ -27,7 +27,7 @@ type coreSnapshot struct {
 	// Clock is the simulated time; restoring it keeps decay weights
 	// monotone across the restart.
 	Clock float64 `json:"clock"`
-	// Files is the simulated file system's contents — every materialized
+	// Files is the engine store's contents — every materialized
 	// view file and fragment, with its rows.
 	Files []fileSnap `json:"files,omitempty"`
 	// Views is the pool manifest. (Snapshots of older builds also carry
@@ -150,10 +150,8 @@ func (d *DeepSea) buildSnapshot() *coreSnapshot {
 		Stats:   d.Stats.Snapshot(),
 		Entries: d.Tree.Entries(),
 	}
-	for _, f := range d.Eng.FS().List() {
-		snap.Files = append(snap.Files, fileSnap{
-			Path: f.Path, Size: f.Size, Rows: d.Eng.Materialized(f.Path),
-		})
+	for _, f := range d.Eng.StoredFiles() {
+		snap.Files = append(snap.Files, fileSnap{Path: f.Path, Size: f.Size, Rows: f.Rows})
 	}
 	for _, v := range d.Pool.Views() {
 		vs := poolViewSnap{ID: v.ID, Schema: v.Schema, Path: v.Path, Size: v.Size}
@@ -282,19 +280,10 @@ func (d *DeepSea) applyRecord(rec *datastore.Record) (err error) {
 	case "del_file":
 		d.Eng.DeleteMaterialized(rec.Path)
 	case "append_file":
-		// Rows carries the appended suffix; combine with whatever the file
-		// held when the record was written (snapshot state or an earlier
-		// put_file/append_file replay) and restore at the new total size.
-		var combined *relation.Table
-		if rec.Rows != nil {
-			if prev := d.Eng.Materialized(rec.Path); prev != nil {
-				combined = &relation.Table{Schema: prev.Schema}
-				combined.Rows = append(append([]relation.Row(nil), prev.Rows...), rec.Rows.Rows...)
-			} else {
-				combined = rec.Rows
-			}
-		}
-		d.Eng.RestoreFile(rec.Path, rec.Size, combined)
+		// Rows carries the appended suffix of whatever the file held when
+		// the record was written (snapshot state or an earlier
+		// put_file/append_file replay).
+		d.Eng.RestoreAppend(rec.Path, rec.Size, rec.Rows)
 	case "inval_view":
 		// Retired: older builds journaled a per-view cache generation
 		// bump here. It changed no pool content, so it replays as nothing.

@@ -33,7 +33,7 @@ func persistWorkload(t *testing.T, d *DeepSea) {
 		run(t, d, q30(q.lo, q.hi))
 	}
 	sums := 0
-	for _, f := range d.Eng.FS().List() {
+	for _, f := range d.Eng.StoredFiles() {
 		for _, c := range d.Eng.Materialized(f.Path).Schema.Cols {
 			if _, kind, ok := query.SplitPartialCol(c.Name); ok && kind == query.PartialSum {
 				sums++
@@ -69,7 +69,7 @@ const mixedPath = "views/mixed/full"
 func storedFingerprints(t *testing.T, d *DeepSea) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, f := range d.Eng.FS().List() {
+	for _, f := range d.Eng.StoredFiles() {
 		tab := d.Eng.Materialized(f.Path)
 		if tab == nil {
 			t.Fatalf("stored file %s has no rows", f.Path)

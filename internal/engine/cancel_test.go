@@ -29,19 +29,32 @@ func aggPlan() query.Node {
 }
 
 // TestRunContextPreCancelled: an already-cancelled context returns
-// immediately with context.Canceled, before any work starts.
+// immediately with context.Canceled, before any work starts — a view
+// scan under it reads no stored file, so the injector sees no
+// storage-read check.
 func TestRunContextPreCancelled(t *testing.T) {
 	leakcheck.Check(t)
-	e := bigEngine(2 * chunkRows)
+	e := testEngine()
+	ivs := []interval.Interval{interval.New(0, 49), interval.New(50, 99)}
+	materializeJoinView(t, e, ivs)
+	in := faults.New(faults.Config{Seed: 9, StorageRead: 1})
+	e.SetFaults(in)
+	vs := &query.ViewScan{
+		ViewID:     "j",
+		ViewSchema: joinPlan().Schema(),
+		PartAttr:   "ss_item_sk",
+		FragIDs:    []string{fragPath(ivs[0]), fragPath(ivs[1])},
+		Reads:      ivs,
+		FragIvs:    ivs,
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := e.FS().BytesRead()
-	_, err := e.RunContext(ctx, aggPlan(), nil)
+	_, err := e.RunContext(ctx, vs, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if e.FS().BytesRead() != before {
-		t.Error("cancelled run touched storage")
+	if n := in.Stats()[faults.StorageRead].Checks; n != 0 {
+		t.Errorf("cancelled run made %d storage-read checks, want 0", n)
 	}
 }
 

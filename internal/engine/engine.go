@@ -3,17 +3,17 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"deepsea/internal/datastore"
 	"deepsea/internal/faults"
 	"deepsea/internal/relation"
-	"deepsea/internal/storage"
 )
 
 // Engine is the simulated SQL-on-Hadoop execution engine. It owns the
-// base-table catalog, the materialized view/fragment store, the simulated
-// file system and the simulated clock.
+// base-table catalog, the store of materialized view and fragment files
+// (the simulated HDFS) and the simulated clock.
 //
 // Every plan is evaluated over real rows, so rewriting correctness is
 // observable, and the cost model charges simulated seconds for what the
@@ -25,13 +25,13 @@ import (
 // the first concurrent use.
 type Engine struct {
 	cm CostModel
-	fs *storage.FS
 
-	// mu guards base, mat and clock so concurrent Run calls can overlap
+	// mu guards base, files and clock so concurrent Run calls can overlap
 	// a view manager's materialize/evict critical section.
 	mu   sync.RWMutex
 	base map[string]*relation.Table
-	mat  map[string]*relation.Table
+	// files is the one record of the stored materialized files, by path.
+	files map[string]StoredFile
 
 	// Parallelism is the worker count for the row data path (filter,
 	// project, join, aggregate). New sets it to runtime.GOMAXPROCS(0);
@@ -41,8 +41,9 @@ type Engine struct {
 	Parallelism int
 
 	// faults, when non-nil, injects deterministic faults into the data
-	// path (worker tasks, view/fragment reads). Set before concurrent
-	// use; nil is the fault-free production configuration.
+	// path (worker tasks) and the store (file reads and writes). Set
+	// before concurrent use; nil is the fault-free production
+	// configuration.
 	faults *faults.Injector
 
 	clock float64
@@ -64,9 +65,8 @@ type Engine struct {
 func New(cm CostModel) *Engine {
 	return &Engine{
 		cm:          cm,
-		fs:          storage.NewFS(cm.BlockSize),
 		base:        make(map[string]*relation.Table),
-		mat:         make(map[string]*relation.Table),
+		files:       make(map[string]StoredFile),
 		Parallelism: runtime.GOMAXPROCS(0),
 		clock:       1,
 	}
@@ -83,16 +83,9 @@ func (e *Engine) par() int {
 // CostModel returns the engine's cost model.
 func (e *Engine) CostModel() *CostModel { return &e.cm }
 
-// FS exposes the simulated file system (pool accounting, tests).
-func (e *Engine) FS() *storage.FS { return e.fs }
-
-// SetFaults attaches a fault injector to the engine and its file
-// system; nil (the default) disables injection. Set before concurrent
-// use.
-func (e *Engine) SetFaults(in *faults.Injector) {
-	e.faults = in
-	e.fs.SetFaults(in)
-}
+// SetFaults attaches a fault injector to the engine; nil (the default)
+// disables injection. Set before concurrent use.
+func (e *Engine) SetFaults(in *faults.Injector) { e.faults = in }
 
 // Faults returns the attached fault injector (nil when fault-free).
 func (e *Engine) Faults() *faults.Injector { return e.faults }
@@ -168,9 +161,9 @@ func (e *Engine) BaseTable(name string) *relation.Table {
 }
 
 // AppendBase appends rows to a base table by publishing a fresh table
-// value whose row slice has its own backing array, sized exactly: plan
-// executions that already resolved the old *Table keep reading a
-// consistent prefix snapshot, and earlier snapshots remain exact
+// value whose row slice has its own backing array, sized exactly: a
+// Snapshot holding the old *Table keeps reading a consistent prefix,
+// and earlier snapshots remain exact
 // prefixes of later ones — the invariant incremental view maintenance
 // depends on. The base-catalog version is deliberately not bumped: an
 // append is a precise-invalidation event (per-table row counts in cache
@@ -203,22 +196,16 @@ func concatRows(old, rows []relation.Row) []relation.Row {
 	return out
 }
 
-// BaseSnapshots returns the current snapshot of each named base table
+// BaseSnapshots returns the current value of each named base table
 // under one catalog-lock acquisition, so the per-table row counts are
 // mutually consistent even while appends land concurrently. Unknown
 // tables surface as an error.
 func (e *Engine) BaseSnapshots(names []string) (map[string]*relation.Table, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make(map[string]*relation.Table, len(names))
-	for _, n := range names {
-		t := e.base[n]
-		if t == nil {
-			return nil, fmt.Errorf("engine: unknown base table %q", n)
-		}
-		out[n] = t
+	s, err := e.SnapshotTables(names)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return s.base, nil
 }
 
 // BaseCounts returns the current row count of each named base table
@@ -248,6 +235,15 @@ func (e *Engine) BaseBytes() int64 {
 	return total
 }
 
+// StoredFile is one materialized view or fragment file: its modelled
+// size and its rows. Rows is nil for a file restored without a payload;
+// reading such a file fails rather than answering.
+type StoredFile struct {
+	Path string
+	Size int64
+	Rows *relation.Table
+}
+
 // WriteMaterialized stores a materialized result under path and
 // returns the write cost. The caller decides whether the cost is
 // charged to the workload (view creation is; test setup is not). A
@@ -273,96 +269,154 @@ func (e *Engine) RewriteMaterialized(path string, t *relation.Table) (Cost, erro
 }
 
 func (e *Engine) writeMaterialized(path string, t *relation.Table, copyRows bool) (Cost, error) {
-	bytes := t.Bytes()
-	if err := e.fs.Write(path, bytes); err != nil {
+	if err := e.checkWrite(path); err != nil {
 		return Cost{}, err
 	}
 	if copyRows {
 		t = t.Clone()
 	}
+	bytes := t.Bytes()
 	e.mu.Lock()
-	e.mat[path] = t
+	e.files[path] = StoredFile{Path: path, Size: bytes, Rows: t}
 	e.emit(datastore.Record{Op: "put_file", Path: path, Size: bytes, Rows: t})
 	e.mu.Unlock()
 	return Cost{Seconds: e.cm.WriteCost(bytes, 1), WriteBytes: bytes}, nil
 }
 
+// checkWrite is the StorageWrite fault site of every file write.
+func (e *Engine) checkWrite(path string) error {
+	if err := e.faults.Check(faults.StorageWrite, path); err != nil {
+		return fmt.Errorf("engine: write %s: %w", path, err)
+	}
+	return nil
+}
+
 // AppendMaterialized extends a stored materialized file with delta
 // rows, charging only the delta's write cost — the storage primitive of
-// incremental view refresh. The combined table is published as a fresh
-// value with its own backing array, sized exactly, so a concurrent
-// reader holding the old table keeps a consistent earlier version of
-// the view. Like WriteMaterialized it stores a copy of the delta rows.
+// incremental view refresh. Like WriteMaterialized it stores a copy of
+// the delta rows, and a failed write stores nothing.
 func (e *Engine) AppendMaterialized(path string, delta []relation.Row) (Cost, error) {
-	e.mu.RLock()
-	old := e.mat[path]
-	e.mu.RUnlock()
-	if old == nil {
+	old, _ := e.file(path)
+	if old.Rows == nil {
 		return Cost{}, fmt.Errorf("engine: materialized file %s has no stored rows to append to", path)
 	}
-	bytes := int64(len(old.Rows)+len(delta)) * old.Schema.RowWidth()
-	if err := e.fs.Write(path, bytes); err != nil {
+	if err := e.checkWrite(path); err != nil {
 		return Cost{}, err
 	}
-	delta = relation.CloneRows(delta)
-	nt := &relation.Table{Schema: old.Schema, Rows: concatRows(old.Rows, delta)}
-	deltaTbl := &relation.Table{Schema: old.Schema, Rows: delta}
-	deltaBytes := deltaTbl.Bytes()
+	deltaTbl := &relation.Table{Schema: old.Rows.Schema, Rows: relation.CloneRows(delta)}
 	e.mu.Lock()
-	e.mat[path] = nt
-	e.emit(datastore.Record{Op: "append_file", Path: path, Size: bytes, Rows: deltaTbl})
+	size := e.appendLocked(path, deltaTbl, 0)
+	e.emit(datastore.Record{Op: "append_file", Path: path, Size: size, Rows: deltaTbl})
 	e.mu.Unlock()
+	deltaBytes := deltaTbl.Bytes()
 	return Cost{Seconds: e.cm.WriteCost(deltaBytes, 1), WriteBytes: deltaBytes}, nil
 }
 
+// appendLocked extends the file at path by delta and returns its new
+// size. The combined rows are published as a fresh table with its own
+// backing array, sized exactly, so a snapshot holding the old table
+// keeps reading a consistent earlier version of the file. A file held
+// without rows, or extended by an unknown delta, holds none after and
+// takes size. Caller holds e.mu for writing.
+func (e *Engine) appendLocked(path string, delta *relation.Table, size int64) int64 {
+	f := e.files[path]
+	if f.Rows != nil && delta != nil {
+		f.Rows = &relation.Table{Schema: f.Rows.Schema, Rows: concatRows(f.Rows.Rows, delta.Rows)}
+		size = f.Rows.Bytes()
+	} else {
+		f.Rows = nil
+	}
+	f.Path, f.Size = path, size
+	e.files[path] = f
+	return size
+}
+
+// file returns the stored file at path.
+func (e *Engine) file(path string) (StoredFile, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	f, ok := e.files[path]
+	return f, ok
+}
+
 // ReadMaterialized returns the stored rows for path (nil for a file
-// restored without rows) and the cost of a full scan of the file. A failed read (missing
-// file, injected storage fault) is the caller's to handle: the file may
-// still exist, only this read of it failed.
+// restored without rows) and the cost of a full scan of the file. A
+// failed read (missing file, injected storage fault) is the caller's to
+// handle: the file may still exist, only this read of it failed.
 func (e *Engine) ReadMaterialized(path string) (*relation.Table, Cost, error) {
-	if !e.fs.Exists(path) {
+	f, ok := e.file(path)
+	if !ok {
 		return nil, Cost{}, fmt.Errorf("engine: materialized file %s does not exist", path)
 	}
-	bytes, err := e.fs.Read(path)
-	if err != nil {
-		return nil, Cost{}, err
+	if err := e.faults.Check(faults.StorageRead, path); err != nil {
+		return nil, Cost{}, fmt.Errorf("engine: read %s: %w", path, err)
 	}
-	sec, tasks := e.cm.ReadCost(bytes, 1)
-	return e.Materialized(path), Cost{Seconds: sec, ReadBytes: bytes, MapTasks: tasks}, nil
+	sec, tasks := e.cm.ReadCost(f.Size, 1)
+	return f.Rows, Cost{Seconds: sec, ReadBytes: f.Size, MapTasks: tasks}, nil
 }
 
 // Materialized returns the stored rows for path without accounting any
-// cost (used by the executor, which accounts reads itself).
+// cost (nil when absent or restored without rows).
 func (e *Engine) Materialized(path string) *relation.Table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.mat[path]
+	f, _ := e.file(path)
+	return f.Rows
 }
 
 // MaterializedBytes returns the stored size of path (0 if absent).
-func (e *Engine) MaterializedBytes(path string) int64 { return e.fs.Size(path) }
+func (e *Engine) MaterializedBytes(path string) int64 {
+	f, _ := e.file(path)
+	return f.Size
+}
 
 // DeleteMaterialized evicts a stored file. Deletion is metadata-only and
-// costs nothing, like an HDFS delete.
+// costs nothing, like an HDFS delete; a snapshot that holds the file
+// keeps reading it.
 func (e *Engine) DeleteMaterialized(path string) {
-	e.fs.Delete(path)
 	e.mu.Lock()
-	delete(e.mat, path)
+	delete(e.files, path)
 	e.emit(datastore.Record{Op: "del_file", Path: path})
 	e.mu.Unlock()
 }
 
 // RestoreFile recreates a materialized file during recovery — no write
-// cost, no I/O accounting, no fault check, no journal echo. rows may be
-// nil when the journal or snapshot being replayed carries no payload for
-// the file; a later read of it then fails rather than answering.
+// cost, no fault check, no journal echo. rows may be nil when the
+// journal or snapshot being replayed carries no payload for the file; a
+// later read of it then fails rather than answering.
 func (e *Engine) RestoreFile(path string, size int64, rows *relation.Table) {
-	e.fs.Restore(path, size)
 	e.mu.Lock()
-	if rows != nil {
-		e.mat[path] = rows
-	} else {
-		delete(e.mat, path)
-	}
+	e.files[path] = StoredFile{Path: path, Size: max(size, 0), Rows: rows}
 	e.mu.Unlock()
+}
+
+// RestoreAppend replays an append_file record during recovery through
+// the primitive live appends use — no cost, no fault check, no journal
+// echo. size is the file's size after the append, as journaled.
+func (e *Engine) RestoreAppend(path string, size int64, delta *relation.Table) {
+	e.mu.Lock()
+	e.appendLocked(path, delta, size)
+	e.mu.Unlock()
+}
+
+// StoredFiles returns every stored file, sorted by path.
+func (e *Engine) StoredFiles() []StoredFile {
+	e.mu.RLock()
+	out := make([]StoredFile, 0, len(e.files))
+	for _, f := range e.files {
+		out = append(out, f)
+	}
+	e.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
+// StoredBytes returns the summed size of every stored file — the S(C)
+// of the current configuration.
+func (e *Engine) StoredBytes() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var total int64
+	for _, f := range e.files {
+		total += f.Size
+	}
+	return total
 }

@@ -191,10 +191,11 @@ func (e *Engine) estimateViewScan(v *query.ViewScan) (estOut, error) {
 			if i < len(v.FragSizes) && v.FragSizes[i] > 0 {
 				sz = v.FragSizes[i] // virtual rewriting: size from stats
 			} else {
-				if !e.fs.Exists(path) {
+				f, ok := e.file(path)
+				if !ok {
 					return estOut{}, fmt.Errorf("engine: fragment %s of view %s missing", path, v.ViewID)
 				}
-				sz = e.fs.Size(path)
+				sz = f.Size
 			}
 			srcBytes += sz
 			srcFiles++
@@ -207,10 +208,11 @@ func (e *Engine) estimateViewScan(v *query.ViewScan) (estOut, error) {
 		if v.ViewBytes > 0 {
 			srcBytes = v.ViewBytes // virtual rewriting: size from stats
 		} else {
-			if !e.fs.Exists(v.ViewPath) {
+			f, ok := e.file(v.ViewPath)
+			if !ok {
 				return estOut{}, fmt.Errorf("engine: view file %s missing", v.ViewPath)
 			}
-			srcBytes = e.fs.Size(v.ViewPath)
+			srcBytes = f.Size
 		}
 		srcFiles = 1
 		rows = float64(srcBytes) / float64(rowWidth)

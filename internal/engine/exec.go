@@ -106,11 +106,87 @@ func (e *Engine) Run(plan query.Node, capture map[query.Node]Capture) (Result, e
 // the time it returns — success, failure, or cancellation — every
 // goroutine the run spawned has joined, so runs never leak workers.
 // Injected worker faults and panics anywhere in the data path likewise
-// surface as errors rather than crashing the process.
-func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[query.Node]Capture) (res Result, err error) {
+// surface as errors rather than crashing the process. It reads the
+// snapshot it takes at entry of everything the plan names.
+func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[query.Node]Capture) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	snap, err := e.SnapshotTables(query.BaseTables(plan))
+	if err != nil {
+		return Result{}, err
+	}
+	e.BindFiles(snap, plan)
+	return e.RunSnapshot(ctx, snap, plan, capture)
+}
+
+// Snapshot is what one plan execution reads: the base tables and the
+// stored files the plan names, bound before it runs. The catalog and the
+// store publish a fresh value on every change and never write one they
+// published, so a snapshot stays exact while appends, refreshes,
+// evictions and splits move on: a running plan reads one state, the one
+// it was planned against, and nothing can be taken from under it.
+type Snapshot struct {
+	base  map[string]*relation.Table
+	files map[string]StoredFile
+}
+
+// SnapshotTables binds the named base tables under one catalog-lock
+// acquisition, so their row counts are mutually consistent. Unknown
+// tables are an error.
+func (e *Engine) SnapshotTables(names []string) (*Snapshot, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	s := &Snapshot{base: make(map[string]*relation.Table, len(names)), files: make(map[string]StoredFile)}
+	for _, n := range names {
+		t := e.base[n]
+		if t == nil {
+			return nil, fmt.Errorf("engine: unknown base table %q", n)
+		}
+		s.base[n] = t
+	}
+	return s, nil
+}
+
+// BindFiles adds to s every stored file plan reads, under one store-lock
+// acquisition. A file the plan names that is not stored stays out: the
+// run that reads it fails.
+func (e *Engine) BindFiles(s *Snapshot, plan query.Node) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	query.Walk(plan, func(n query.Node) {
+		vs, ok := n.(*query.ViewScan)
+		if !ok {
+			return
+		}
+		paths := vs.FragIDs
+		if len(paths) == 0 {
+			paths = []string{vs.ViewPath}
+		}
+		for _, p := range paths {
+			if f, ok := e.files[p]; ok {
+				s.files[p] = f
+			}
+		}
+	})
+}
+
+// Counts returns the row count of every base table in the snapshot.
+func (s *Snapshot) Counts() map[string]int64 {
+	out := make(map[string]int64, len(s.base))
+	for n, t := range s.base {
+		out[n] = int64(len(t.Rows))
+	}
+	return out
+}
+
+// RunSnapshot is RunContext over a snapshot the caller bound: the plan
+// reads its base tables and stored files from snap and from nothing
+// else.
+func (e *Engine) RunSnapshot(ctx context.Context, snap *Snapshot, plan query.Node, capture map[query.Node]Capture) (res Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -125,6 +201,7 @@ func (e *Engine) RunContext(ctx context.Context, plan query.Node, capture map[qu
 	bud := newBudget(e.par())
 	bud.ctx = ctx
 	bud.faults = e.faults
+	bud.snap = snap
 	// Panics on the calling goroutine (operator setup and merge steps
 	// outside the task pools) become errors too; forEachTask has already
 	// recovered worker-goroutine panics into the budget by this point.
@@ -271,9 +348,9 @@ func (e *Engine) evalNode(n query.Node, capture map[query.Node]Capture, res *Res
 	}
 	switch t := n.(type) {
 	case *query.Scan:
-		tbl := e.BaseTable(t.Table)
+		tbl := bud.snap.base[t.Table]
 		if tbl == nil {
-			return evalOut{}, fmt.Errorf("engine: unknown base table %q", t.Table)
+			return evalOut{}, fmt.Errorf("engine: base table %q is not in the run's snapshot", t.Table)
 		}
 		return evalOut{tbl: tbl, pending: true, srcBytes: tbl.Bytes(), srcFiles: 1}, nil
 
@@ -412,41 +489,36 @@ func (e *Engine) evalViewScan(v *query.ViewScan, capture map[query.Node]Capture,
 			v.ViewID, len(v.FragIDs), len(v.Reads))
 	}
 
-	// Resolve the stored sources sequentially (metadata only), so
-	// missing-file errors surface before any rows are touched.
+	// Take the stored sources from the run's snapshot, sequentially, so
+	// read faults surface before any rows are touched.
 	type storedSrc struct {
 		tbl  *relation.Table
 		clip *interval.Interval
 	}
-	var srcs []storedSrc
-	var srcBytes, srcFiles int64
-	if len(v.FragIDs) > 0 {
-		for i, path := range v.FragIDs {
-			if !e.fs.Exists(path) {
-				return evalOut{}, fmt.Errorf("engine: fragment %s of view %s missing", path, v.ViewID)
-			}
-			// An injected read fault on a stored fragment fails the run;
-			// the fault's Key names the path so the caller can quarantine
-			// exactly the file that failed and replan around it.
-			if err := e.faults.Check(faults.StorageRead, path); err != nil {
-				return evalOut{}, fmt.Errorf("engine: read fragment %s of view %s: %w", path, v.ViewID, err)
-			}
-			srcBytes += e.fs.Size(path)
-			srcFiles++
-			clip := v.Reads[i]
-			srcs = append(srcs, storedSrc{tbl: e.Materialized(path), clip: &clip})
-		}
-	} else {
-		if !e.fs.Exists(v.ViewPath) {
-			return evalOut{}, fmt.Errorf("engine: view file %s missing", v.ViewPath)
-		}
-		if err := e.faults.Check(faults.StorageRead, v.ViewPath); err != nil {
-			return evalOut{}, fmt.Errorf("engine: read view file %s: %w", v.ViewPath, err)
-		}
-		srcBytes = e.fs.Size(v.ViewPath)
-		srcFiles = 1
-		srcs = append(srcs, storedSrc{tbl: e.Materialized(v.ViewPath), clip: nil})
+	paths := v.FragIDs
+	if len(paths) == 0 {
+		paths = []string{v.ViewPath}
 	}
+	srcs := make([]storedSrc, len(paths))
+	var srcBytes int64
+	for i, path := range paths {
+		f, ok := bud.snap.files[path]
+		if !ok {
+			return evalOut{}, fmt.Errorf("engine: file %s of view %s is not stored", path, v.ViewID)
+		}
+		// An injected read fault on a stored file fails the run; the
+		// fault's Key names the path so the caller can quarantine
+		// exactly the file that failed and replan around it.
+		if err := e.faults.Check(faults.StorageRead, path); err != nil {
+			return evalOut{}, fmt.Errorf("engine: read %s of view %s: %w", path, v.ViewID, err)
+		}
+		srcBytes += f.Size
+		srcs[i].tbl = f.Rows
+		if len(v.FragIDs) > 0 {
+			srcs[i].clip = &v.Reads[i]
+		}
+	}
+	srcFiles := int64(len(srcs))
 
 	// filterStored keeps the stored rows passing the clip range and the
 	// compensating predicates, preserving row order.

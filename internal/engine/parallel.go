@@ -52,6 +52,9 @@ type budget struct {
 	// faults, when non-nil, draws one Worker-site injection decision
 	// per task.
 	faults *faults.Injector
+	// snap is the run's read snapshot: every base table and stored file
+	// the plan reads comes from it.
+	snap *Snapshot
 
 	// err records the first failure of the run — an injected worker
 	// fault, a recovered worker panic, or the context's cancellation.

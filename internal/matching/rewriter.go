@@ -60,12 +60,6 @@ type Rewriter struct {
 	// PhysicalOnly restricts matching to exact signature equality (no
 	// compensation) — ReStore-style physical matching.
 	PhysicalOnly bool
-	// Stale, when non-nil, reports views whose stored content lags their
-	// base tables (a pending ingest refresh). A stale view's pool
-	// content is skipped — rewriting through it would serve rows missing
-	// the appended suffix — but its virtual rewriting still accumulates
-	// statistics, so the view stays a live candidate.
-	Stale func(id string) bool
 }
 
 // ComputeRewritings implements COMPUTEREWRITINGS of Algorithm 1: it
@@ -75,15 +69,19 @@ type Rewriter struct {
 // statistics still accumulate the benefit it would have provided). The
 // original plan's estimated cost is returned alongside.
 func (r *Rewriter) ComputeRewritings(root query.Node) ([]Rewriting, engine.Cost, error) {
-	return r.ComputeRewritingsExcluding(root, nil)
+	return r.ComputeRewritingsExcluding(root, nil, nil)
 }
 
-// ComputeRewritingsExcluding is ComputeRewritings for a query that has
-// already failed to read some stored files: no rewriting it returns
-// reads a path in exclude, whatever the pool holds under that path by
-// now. A view left with nothing else to read gets its virtual rewriting,
-// as if the files were gone.
-func (r *Rewriter) ComputeRewritingsExcluding(root query.Node, exclude map[string]bool) ([]Rewriting, engine.Cost, error) {
+// ComputeRewritingsExcluding is ComputeRewritings limited in what a
+// rewriting may read. serves, when non-nil, reports whether a pool
+// view's stored content may answer the query: content at another
+// consistency point than the query's would serve rows the query must
+// not see, or miss rows it must. No rewriting reads a path in exclude —
+// stored files the query already failed to read — whatever the pool
+// holds under that path by now. A view left with nothing to read gets
+// its virtual rewriting, so its statistics still accumulate and it stays
+// a live candidate.
+func (r *Rewriter) ComputeRewritingsExcluding(root query.Node, serves func(viewID string) bool, exclude map[string]bool) ([]Rewriting, engine.Cost, error) {
 	origCost, err := r.Eng.EstimateCost(root)
 	if err != nil {
 		return nil, engine.Cost{}, err
@@ -105,7 +103,7 @@ func (r *Rewriter) ComputeRewritingsExcluding(root query.Node, exclude map[strin
 			if r.PhysicalOnly && (len(comp.Ranges) > 0 || len(comp.Residuals) > 0 || comp.Project != nil) {
 				continue // physical matching: the stored result must be the query verbatim
 			}
-			rws, err := r.buildRewritings(root, n, entry, comp, exclude)
+			rws, err := r.buildRewritings(root, n, entry, comp, serves, exclude)
 			if err != nil {
 				return nil, engine.Cost{}, err
 			}
@@ -118,12 +116,12 @@ func (r *Rewriter) ComputeRewritingsExcluding(root query.Node, exclude map[strin
 // buildRewritings constructs the rewritings for one matched (view,
 // subtree) pair: one per partition of the view in the pool, one for the
 // unpartitioned file if stored, and a virtual one when nothing in the
-// pool can serve the match — or nothing outside exclude can.
-func (r *Rewriter) buildRewritings(root, target query.Node, entry *Entry, comp signature.Compensation, exclude map[string]bool) ([]Rewriting, error) {
+// pool can serve the match — or nothing serves admits outside exclude.
+func (r *Rewriter) buildRewritings(root, target query.Node, entry *Entry, comp signature.Compensation, serves func(string) bool, exclude map[string]bool) ([]Rewriting, error) {
 	var out []Rewriting
 	pv := r.Pool.View(entry.ID)
-	if pv != nil && r.Stale != nil && r.Stale(entry.ID) {
-		pv = nil // stale content must not serve queries; fall through to virtual
+	if pv != nil && serves != nil && !serves(entry.ID) {
+		pv = nil // the content must not serve this query; fall through to virtual
 	}
 	if pv != nil {
 		attrs := make([]string, 0, len(pv.Parts))

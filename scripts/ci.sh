@@ -14,8 +14,8 @@
 #    3. shuffled double run — flushes ordering-dependent tests
 #    4. chaos smoke — the seeded fault-injection and cancellation suite
 #       under the race detector: every surviving query byte-identical to
-#       the fault-free run, no leaked goroutines, no leaked pins, and
-#       quarantine restores nothing with workers on either — a lost
+#       the fault-free run, no leaked goroutines, the pool consistent,
+#       and quarantine restores nothing with workers on either — a lost
 #       range comes back only through a later query
 #       (TestChaosBackgroundQuarantineLeavesRangeToQueries)
 #    5. serving smoke — the HTTP frontend's admission, drain and fence
@@ -64,7 +64,12 @@
 #   10. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite with the inline retry queue, the
 #       lagging-view guard and the journal-before-return rule
-#       (TestAppendJournaledBeforeReturnWithWorkers), the all-template
+#       (TestAppendJournaledBeforeReturnWithWorkers), the read snapshot
+#       (a query reads the state it was planned against across an append,
+#       a view captured before an append registers at the snapshot and is
+#       refreshed, files removed after planning do not reach the query:
+#       TestQueryReadsOneState, TestCaptureRegistersAtSnapshot,
+#       TestPlannedFilesSurviveRemoval), the all-template
 #       delta-vs-remat property tests with the sublinear-refresh check,
 #       the serving tier's /append suite (an append burst racing a query
 #       burst, concurrent appends each reporting their own batch,
@@ -197,7 +202,7 @@ $GO test -race -count=1 -run 'TestFailover|TestStragglerIsWaitedOutNotRaced|Test
 $GO test -race -count=1 -run 'TestOwnedRangeIsAssignedOnce' ./internal/server
 
 echo "==> ingest smoke (race)"
-$GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend' ./internal/core
+$GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend|TestQueryReadsOneState|TestCaptureRegistersAtSnapshot|TestPlannedFilesSurviveRemoval' ./internal/core
 $GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
 $GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendIdempotencyToken|TestConcurrentAppendsReportTheirOwnBatch|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
