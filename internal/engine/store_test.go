@@ -47,35 +47,79 @@ func TestReadFaultReturnsTheFault(t *testing.T) {
 	}
 }
 
+// TestStoreWriteReadDelete: a written file is recorded with its size
+// and rows, a read returns those rows at the file's size, and a deleted
+// file is gone from the store and fails to read.
+func TestStoreWriteReadDelete(t *testing.T) {
+	e := testEngine()
+	item := e.BaseTable("item").Clone()
+	if _, err := e.WriteMaterialized("v/f0", item); err != nil {
+		t.Fatal(err)
+	}
+	if e.MaterializedBytes("v/f0") != item.Bytes() || e.Materialized("v/f0") == nil {
+		t.Fatal("written file not recorded")
+	}
+	got, c, err := e.ReadMaterialized("v/f0")
+	if err != nil || got == nil || len(got.Rows) != len(item.Rows) || c.ReadBytes != item.Bytes() {
+		t.Fatalf("ReadMaterialized = %v, %+v, %v", got, c, err)
+	}
+	e.DeleteMaterialized("v/f0")
+	if e.Materialized("v/f0") != nil || e.MaterializedBytes("v/f0") != 0 || len(e.StoredFiles()) != 0 || e.StoredBytes() != 0 {
+		t.Error("file survived delete")
+	}
+	if _, _, err := e.ReadMaterialized("v/f0"); err == nil {
+		t.Error("read of deleted file did not error")
+	}
+}
+
 // TestStoredFilesAndBytes: the store lists its files sorted by path and
-// totals their sizes; a restore is not a write (no fault check), a file
-// restored without rows stays without them through an appended record,
-// and reading it fails rather than answering.
+// totals their sizes; rewriting a path replaces its file.
 func TestStoredFilesAndBytes(t *testing.T) {
 	e := testEngine()
 	item := e.BaseTable("item").Clone()
-	for _, p := range []string{"v/b", "v/a"} {
-		if _, err := e.WriteMaterialized(p, item); err != nil {
+	small := &relation.Table{Schema: item.Schema, Rows: item.Rows[:3]}
+	for _, w := range []struct {
+		path string
+		tbl  *relation.Table
+	}{{"v/b", small}, {"v/a", item}, {"v/b", item}} {
+		if _, err := e.WriteMaterialized(w.path, w.tbl); err != nil {
 			t.Fatal(err)
 		}
+	}
+	files := e.StoredFiles()
+	if len(files) != 2 || files[0].Path != "v/a" || files[1].Path != "v/b" {
+		t.Fatalf("StoredFiles = %+v, want [v/a v/b]", files)
+	}
+	if files[1].Size != item.Bytes() || len(files[1].Rows.Rows) != len(item.Rows) {
+		t.Errorf("rewritten v/b = %d bytes, %d rows; want the second write", files[1].Size, len(files[1].Rows.Rows))
+	}
+	if want := 2 * item.Bytes(); e.StoredBytes() != want {
+		t.Errorf("StoredBytes = %d, want %d", e.StoredBytes(), want)
+	}
+}
+
+// TestRestoreChecksNoFault: a restore is not a write (no fault check);
+// a file restored without rows stays without them through an appended
+// record, and reading it fails rather than answering.
+func TestRestoreChecksNoFault(t *testing.T) {
+	e := testEngine()
+	item := e.BaseTable("item").Clone()
+	if _, err := e.WriteMaterialized("v/a", item); err != nil {
+		t.Fatal(err)
 	}
 	e.SetFaults(faults.New(faults.Config{Seed: 1, StorageWrite: 1}))
 	e.RestoreFile("v/c", 100, nil)
 	e.RestoreAppend("v/c", 150, &relation.Table{Schema: item.Schema, Rows: item.Rows[:1]})
 	e.RestoreAppend("v/a", 0, &relation.Table{Schema: item.Schema, Rows: item.Rows[:2]})
 	files := e.StoredFiles()
-	var paths []string
-	for _, f := range files {
-		paths = append(paths, f.Path)
-	}
-	if len(paths) != 3 || paths[0] != "v/a" || paths[1] != "v/b" || paths[2] != "v/c" {
-		t.Fatalf("StoredFiles paths = %v, want [v/a v/b v/c]", paths)
+	if len(files) != 2 || files[0].Path != "v/a" || files[1].Path != "v/c" {
+		t.Fatalf("StoredFiles = %+v, want [v/a v/c]", files)
 	}
 	grown := int64(len(item.Rows)+2) * item.Schema.RowWidth()
-	if files[0].Size != grown || len(files[0].Rows.Rows) != len(item.Rows)+2 || files[2].Size != 150 || files[2].Rows != nil {
-		t.Errorf("restored sizes = %d, %d (rows %v)", files[0].Size, files[2].Size, files[2].Rows != nil)
+	if files[0].Size != grown || len(files[0].Rows.Rows) != len(item.Rows)+2 || files[1].Size != 150 || files[1].Rows != nil {
+		t.Errorf("restored sizes = %d, %d (rows %v)", files[0].Size, files[1].Size, files[1].Rows != nil)
 	}
-	if want := files[0].Size + files[1].Size + 150; e.StoredBytes() != want {
+	if want := grown + 150; e.StoredBytes() != want {
 		t.Errorf("StoredBytes = %d, want %d", e.StoredBytes(), want)
 	}
 	vs := &query.ViewScan{ViewID: "c", ViewPath: "v/c", ViewSchema: item.Schema}
