@@ -103,7 +103,7 @@ func main() {
 		scfg.SnapshotEvery = *snapshotEvery
 	}
 	srv := server.New(sys, scfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: server.ReadHeaderTimeout}
 
 	ctx, stop := server.SignalContext(context.Background())
 	defer stop()

@@ -107,8 +107,9 @@ func main() {
 				}
 				srv := server.New(sys, server.Config{})
 				hs := &http.Server{
-					Addr:    fmt.Sprintf("127.0.0.1:%d", port),
-					Handler: srv.Handler(),
+					Addr:              fmt.Sprintf("127.0.0.1:%d", port),
+					Handler:           srv.Handler(),
+					ReadHeaderTimeout: server.ReadHeaderTimeout,
 				}
 				port++
 				go func() {
@@ -165,7 +166,7 @@ func main() {
 			gi, sh.Lo, sh.Hi, strings.Join(sh.Replicas, " "))
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: coord.Handler(), ReadHeaderTimeout: server.ReadHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Printf("coordinating %d shard groups on %s\n", len(groups), *addr)

@@ -617,27 +617,6 @@ func (s *System) MaintStats() MaintStats { return s.ds.MaintStats() }
 // Now returns the simulated clock in seconds.
 func (s *System) Now() float64 { return s.ds.Now() }
 
-// OwnedRange describes the partition-key range a sharded instance
-// owns; see System.SetOwnedRange.
-type OwnedRange = core.OwnedRange
-
-// SetOwnedRange declares this System one shard of a scatter-gather
-// cluster, owning the contiguous partition-key range [lo, hi].
-// Standalone systems never call this. Ownership is set once: a System
-// that already owns a range keeps it. SetOwnedRange returns the range
-// owned after the call, and whether it is [lo, hi]. The range is
-// advisory to the engine (the shard still holds the full base tables —
-// ownership controls which rows a coordinator routes here, and the view
-// pool specializes to the ranges actually queried); the serving layer
-// enforces it by rejecting out-of-range requests.
-func (s *System) SetOwnedRange(lo, hi int64) (OwnedRange, bool) {
-	return s.ds.SetOwnedRange(lo, hi)
-}
-
-// OwnedRange returns the declared shard range; ok is false for a
-// standalone System.
-func (s *System) OwnedRange() (r OwnedRange, ok bool) { return s.ds.OwnedRange() }
-
 // PoolBytes returns the current materialized-pool size in bytes.
 func (s *System) PoolBytes() int64 { return s.ds.Pool.TotalSize() }
 

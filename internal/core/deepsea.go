@@ -119,12 +119,6 @@ type DeepSea struct {
 	// retries for the next caller (see maintain.go).
 	maint *maintain.Pool
 
-	// ownedRange is the partition-key range this instance owns when it
-	// serves as one shard of a scatter-gather cluster (nil when
-	// standalone). Set at most once; published atomically so Health and
-	// the serving layer read it without a lock.
-	ownedRange atomic.Pointer[OwnedRange]
-
 	// ingest is the append-path registry: which views depend on which
 	// base tables, each view's refresh consistency point, and each
 	// appended table's loaded row count for snapshots (see ingest.go).
@@ -136,12 +130,6 @@ type DeepSea struct {
 	// keeps replay deterministic.
 	recoveredAppends     map[string]*relation.Table
 	recoveredAppendOrder []string
-}
-
-// OwnedRange is the contiguous partition-key range a sharded instance
-// is responsible for.
-type OwnedRange struct {
-	Lo, Hi int64
 }
 
 // New assembles a DeepSea instance (or a baseline, depending on cfg).

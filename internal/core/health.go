@@ -55,14 +55,11 @@ type Health struct {
 	CacheCapacity         int64
 	CacheEntries          int
 
-	// Statistics-registry sizes, read from one epoch-published snapshot
-	// (views, partitions and fragments are mutually consistent — they
-	// describe the same epoch). StatsEpoch is the snapshot's mutation
-	// count.
+	// Statistics-registry sizes: the tracked view, partition and
+	// fragment records, each one atomic count.
 	StatsViews      int
 	StatsPartitions int
 	StatsFragments  int
-	StatsEpoch      uint64
 
 	// The maintenance pool. MaintEnabled reports background mode
 	// (workers apply maintenance); in inline mode MaintWorkers is zero
@@ -119,13 +116,6 @@ type Health struct {
 	JournalTornRepairs    uint64
 	JournalLastSeq        uint64
 	JournalSnapshotSeq    uint64
-
-	// Range ownership, for instances serving as one shard of a
-	// scatter-gather cluster. RangeOwned false means standalone (the
-	// other two fields are zero).
-	RangeOwned bool
-	OwnedLo    int64
-	OwnedHi    int64
 
 	// Recovery outcome of this instance's construction (see
 	// core.RecoveryInfo). RecoveryError non-empty means the stored state
@@ -187,11 +177,7 @@ func (d *DeepSea) Health() Health {
 	h.CacheCapacity = d.Cache.Capacity()
 	h.CacheEntries = d.Cache.Len()
 
-	sc := d.Stats.Counters()
-	h.StatsViews = sc.Views
-	h.StatsPartitions = sc.Partitions
-	h.StatsFragments = sc.Fragments
-	h.StatsEpoch = sc.Epoch
+	h.StatsViews, h.StatsPartitions, h.StatsFragments = d.Stats.Counts()
 
 	ms := d.maint.Stats()
 	h.MaintEnabled = d.Cfg.background()
@@ -242,11 +228,6 @@ func (d *DeepSea) Health() Health {
 		h.JournalLastSeq = ss.LastSeq
 		h.JournalSnapshotSeq = ss.SnapshotSeq
 	}
-	if or := d.ownedRange.Load(); or != nil {
-		h.RangeOwned = true
-		h.OwnedLo = or.Lo
-		h.OwnedHi = or.Hi
-	}
 
 	h.Recovered = d.recovered.Ran
 	h.RecoveredSnapshot = d.recovered.FromSnapshot
@@ -254,29 +235,4 @@ func (d *DeepSea) Health() Health {
 	h.RecoverySkipped = d.recovered.Skipped
 	h.RecoveryError = d.recovered.Err
 	return h
-}
-
-// InFlight returns the number of queries currently executing.
-func (d *DeepSea) InFlight() int64 { return d.inflight.Load() }
-
-// SetOwnedRange publishes [lo, hi] as the partition-key range this
-// instance owns as a shard, unless it already owns a range: ownership
-// is set once. It returns the range owned after the call, and whether
-// that range is [lo, hi]. The serving layer rejects requests outside the
-// owned range.
-func (d *DeepSea) SetOwnedRange(lo, hi int64) (OwnedRange, bool) {
-	want := OwnedRange{Lo: lo, Hi: hi}
-	d.ownedRange.CompareAndSwap(nil, &want)
-	got := *d.ownedRange.Load()
-	return got, got == want
-}
-
-// OwnedRange returns the published shard range, or ok=false when the
-// instance is standalone.
-func (d *DeepSea) OwnedRange() (r OwnedRange, ok bool) {
-	p := d.ownedRange.Load()
-	if p == nil {
-		return OwnedRange{}, false
-	}
-	return *p, true
 }

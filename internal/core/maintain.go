@@ -432,7 +432,3 @@ func (d *DeepSea) CloseMaintenance() { d.maint.Close() }
 // MaintStats returns the maintenance pool's counter snapshot. In inline
 // mode only refresh retries pass through the pool.
 func (d *DeepSea) MaintStats() maintain.Stats { return d.maint.Stats() }
-
-// MaintSaturated reports whether the maintenance queue is at capacity —
-// the degraded signal for health surfaces.
-func (d *DeepSea) MaintSaturated() bool { return d.maint.Saturated() }

@@ -114,10 +114,6 @@ func (d *DeepSea) journalFStat(viewID, attr string, fs *stats.FragStat) {
 	d.appendRecord(datastore.Record{Op: "fstat", View: viewID, Attr: attr, Iv: fs.Iv, Size: fs.Size, Measured: fs.Measured})
 }
 
-// Datastore returns the attached store (nil when the instance runs
-// without persistence).
-func (d *DeepSea) Datastore() datastore.Store { return d.store }
-
 // Recovery returns what recovery did when this instance was built.
 func (d *DeepSea) Recovery() RecoveryInfo { return d.recovered }
 

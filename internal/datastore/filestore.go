@@ -124,9 +124,6 @@ func Open(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 // SetFaults attaches a fault injector; nil runs fault-free.
 func (s *FileStore) SetFaults(in *faults.Injector) { s.faults = in }
 

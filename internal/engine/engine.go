@@ -224,17 +224,6 @@ func (e *Engine) BaseCounts(names []string) map[string]int64 {
 	return out
 }
 
-// BaseBytes returns the total modelled size of all base tables.
-func (e *Engine) BaseBytes() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var total int64
-	for _, t := range e.base {
-		total += t.Bytes()
-	}
-	return total
-}
-
 // StoredFile is one materialized view or fragment file: its modelled
 // size and its rows. Rows is nil for a file restored without a payload;
 // reading such a file fails rather than answering.

@@ -166,12 +166,6 @@ func (s Set) IsHorizontalPartition(dom Interval) bool {
 	return s.Disjoint() && s.Covers(dom)
 }
 
-// IsOverlappingPartitioning reports whether the set covers dom
-// (Definition 2); overlap is permitted.
-func (s Set) IsOverlappingPartitioning(dom Interval) bool {
-	return s.Covers(dom)
-}
-
 // Gaps returns the maximal subintervals of want that are not covered by
 // any interval in the set, in increasing order. It is the remainder
 // computation used when the pool holds only a partial cover of a query's

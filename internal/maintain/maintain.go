@@ -369,14 +369,6 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Saturated reports whether the queue is at capacity (health surface:
-// the system is degraded when maintenance cannot keep up).
-func (p *Pool) Saturated() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.heap.Len() >= p.capacity
-}
-
 // taskHeap orders tasks by band desc, then priority desc, then FIFO.
 type taskHeap []*Task
 

@@ -6,9 +6,9 @@
 package matching
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"deepsea/internal/relation"
 	"deepsea/internal/signature"
@@ -24,15 +24,6 @@ type Entry struct {
 	Schema relation.Schema
 }
 
-// treeState is one immutable epoch of the index. Readers load it with a
-// single atomic pointer read and then work on maps and slices that no
-// writer will ever mutate again — a reader can never observe a
-// partially built tree, whatever the interleaving.
-type treeState struct {
-	families map[string][]*Entry
-	byID     map[string]*Entry
-}
-
 // FilterTree indexes view signatures for fast candidate pruning. The
 // original filter tree of Goldstein and Larson is a multi-level trie
 // keyed by signature parts (relations, then join predicates, ...); since
@@ -41,84 +32,75 @@ type treeState struct {
 // — same pruning power, simpler structure. Detailed range/residual/
 // output checks run only within the matching family.
 //
-// Concurrency: the index is epoch-published. The current state lives
-// behind an atomic pointer to an immutable treeState; every lookup is a
-// single lock-free load. Writers (candidate registration under the
-// planning lock, the maintenance committer) serialize on writeMu, build
-// a copy-on-write successor state, and publish it atomically. Entries
-// themselves are immutable once added.
+// Concurrency: one RWMutex guards both maps, which Add changes in place.
+// core's callers (the planner's rewriter, candidate registration,
+// Snapshot and recovery) already hold the view manager's lock, so the
+// mutex is uncontended there; it keeps the index safe for any other
+// caller. Entries are immutable once added.
 type FilterTree struct {
-	writeMu sync.Mutex
-	state   atomic.Pointer[treeState]
+	mu       sync.RWMutex
+	families map[string][]*Entry // family key -> entries sorted by ID
+	byID     map[string]*Entry
 }
 
 // NewFilterTree returns an empty index.
 func NewFilterTree() *FilterTree {
-	ft := &FilterTree{}
-	ft.state.Store(&treeState{
+	return &FilterTree{
 		families: make(map[string][]*Entry),
 		byID:     make(map[string]*Entry),
-	})
-	return ft
+	}
 }
 
-// Add indexes a view entry: copy-on-write of the affected family, then
-// an atomic publish. Adding an already-indexed ID is a no-op.
+// Add indexes a view entry, inserting it at its sorted place in its
+// family. Adding an already-indexed ID is a no-op.
 func (ft *FilterTree) Add(e *Entry) {
-	ft.writeMu.Lock()
-	defer ft.writeMu.Unlock()
-	cur := ft.state.Load()
-	if _, ok := cur.byID[e.ID]; ok {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if _, ok := ft.byID[e.ID]; ok {
 		return
 	}
-	next := &treeState{
-		families: make(map[string][]*Entry, len(cur.families)+1),
-		byID:     make(map[string]*Entry, len(cur.byID)+1),
-	}
-	for k, v := range cur.families {
-		next.families[k] = v // published slices are immutable; share them
-	}
-	for k, v := range cur.byID {
-		next.byID[k] = v
-	}
-	next.byID[e.ID] = e
+	ft.byID[e.ID] = e
 	famKey := e.Sig.FamilyKey()
-	fam := make([]*Entry, 0, len(cur.families[famKey])+1)
-	fam = append(fam, cur.families[famKey]...)
-	fam = append(fam, e)
-	sort.Slice(fam, func(i, j int) bool { return fam[i].ID < fam[j].ID })
-	next.families[famKey] = fam
-	ft.state.Store(next)
+	fam := ft.families[famKey]
+	at := sort.Search(len(fam), func(i int) bool { return fam[i].ID > e.ID })
+	ft.families[famKey] = slices.Insert(fam, at, e)
 }
 
-// Lookup returns the entry with the given ID. Lock-free.
+// Lookup returns the entry with the given ID.
 func (ft *FilterTree) Lookup(id string) (*Entry, bool) {
-	e, ok := ft.state.Load().byID[id]
+	ft.mu.RLock()
+	defer ft.mu.RUnlock()
+	e, ok := ft.byID[id]
 	return e, ok
 }
 
-// Len returns the number of indexed views. Lock-free.
+// Len returns the number of indexed views.
 func (ft *FilterTree) Len() int {
-	return len(ft.state.Load().byID)
+	ft.mu.RLock()
+	defer ft.mu.RUnlock()
+	return len(ft.byID)
 }
 
 // Entries returns every indexed entry, sorted by ID — the persistence
-// boundary walks this to snapshot the index. Lock-free and consistent:
-// all entries come from one published epoch.
+// boundary walks this to snapshot the index.
 func (ft *FilterTree) Entries() []*Entry {
-	st := ft.state.Load()
-	out := make([]*Entry, 0, len(st.byID))
-	for _, e := range st.byID {
+	ft.mu.RLock()
+	out := make([]*Entry, 0, len(ft.byID))
+	for _, e := range ft.byID {
 		out = append(out, e)
 	}
+	ft.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Candidates returns the entries whose family matches the query
 // signature — the survivors of the index's pruning, still subject to the
-// detailed sufficient condition. Lock-free. The returned slice is a
-// copy, so callers may reorder or extend it freely.
+// detailed sufficient condition. The returned slice is a copy, so
+// callers may reorder or extend it freely.
 func (ft *FilterTree) Candidates(q *signature.Signature) []*Entry {
-	return append([]*Entry(nil), ft.state.Load().families[q.FamilyKey()]...)
+	key := q.FamilyKey()
+	ft.mu.RLock()
+	defer ft.mu.RUnlock()
+	return append([]*Entry(nil), ft.families[key]...)
 }

@@ -21,12 +21,12 @@ func testEntry(fam, i int) *Entry {
 	return &Entry{ID: fmt.Sprintf("f%d-e%04d", fam, i), Sig: sig}
 }
 
-// TestTreeConcurrentPublishRead is the epoch-publication stress test:
-// writers add entries while readers hammer every read path. Run under
-// -race this proves readers never observe a partially built tree; the
-// in-test assertions prove every observed snapshot is internally
-// consistent (sorted families, fully formed entries, monotone size).
-func TestTreeConcurrentPublishRead(t *testing.T) {
+// TestTreeConcurrentAddRead is the index's locking stress test: writers
+// add entries while readers hammer every read path. Run under -race this
+// proves readers never observe a partially built tree; the in-test
+// assertions prove every observed state is internally consistent
+// (sorted families, fully formed entries, monotone size).
+func TestTreeConcurrentAddRead(t *testing.T) {
 	ft := NewFilterTree()
 	const families = 4
 	const perFamily = 200

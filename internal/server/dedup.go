@@ -9,11 +9,11 @@ import (
 // appendDedup makes POST /append idempotent per Spec.Token: the first
 // request carrying a token applies its batch and remembers the result;
 // a repeated token returns the remembered result without appending the
-// rows again. This is what makes retries safe after partial failures —
-// a coordinator's 409-refresh retry re-sends slices that some replicas
-// already applied, and a client retrying a 502 re-sends a batch some
-// replicas hold — without it every such retry silently duplicates
-// base-table rows.
+// rows again. This is what makes retries safe after partial failures:
+// the coordinator lands a group's slice on its replicas one after
+// another and answers 502 with the batch's token when one fails, so a
+// client retrying that 502 re-sends a batch some replicas already hold
+// — without it every such retry silently duplicates base-table rows.
 //
 // Scope: best-effort within one serving process. The window is bounded
 // (oldest completed tokens evicted) and in-memory — after a restart the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 )
 
 // The wire plumbing both HTTP tiers share: the serving tier here and the
@@ -17,6 +18,13 @@ import (
 // any append batch or aggregate answer the workloads produce, and a
 // ceiling on what one peer can make a process hold.
 const MaxBodyBytes = 64 << 20
+
+// ReadHeaderTimeout bounds how long an http.Server serving either tier
+// waits for a request's headers, so a client that stalls them cannot
+// hold a connection and its goroutine without limit. It does not bound
+// the body: a stalled body holds its admission place until the
+// connection drops.
+const ReadHeaderTimeout = 10 * time.Second
 
 // ErrorResponse is the JSON body of every error answer on both tiers.
 // Error is always set; the other fields name what failed, when known.

@@ -310,11 +310,10 @@ func TestAppendBadRequests(t *testing.T) {
 func TestAppendOwnership(t *testing.T) {
 	leakcheck.Check(t)
 	data := workload.Generate(1, 1, nil)
-	sys := newTestSystem(t)
-	if _, ok := sys.SetOwnedRange(0, 200000); !ok {
-		t.Fatal("fresh system refused its first range")
+	_, ts := newTestServer(t, newTestSystem(t), Config{})
+	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":200000}`); code != http.StatusOK {
+		t.Fatalf("fresh server refused its first range: status %d: %v", code, m)
 	}
-	_, ts := newTestServer(t, sys, Config{})
 
 	inRange := [][]any{{int64(150), int64(0), int64(0), int64(1), 9.5, int64(0), ""}}
 	outRange := [][]any{{int64(350000), int64(0), int64(0), int64(1), 9.5, int64(0), ""}}

@@ -119,11 +119,10 @@ type Server struct {
 	draining atomic.Bool
 	reqWG    sync.WaitGroup
 
-	// role is the replica role the last range assignment carried
-	// ("primary" or "follower"; empty when standalone). Informational:
-	// any replica answers queries for its range — the role only tells
-	// operators which replica the coordinator prefers.
-	role atomic.Value // string
+	// owned is the partition-key range this server owns as one shard of
+	// a scatter-gather cluster (nil when standalone). POST /admin/range
+	// sets it once; checkOwnership reads it on every request.
+	owned atomic.Pointer[keyRange]
 
 	// snapStop/snapDone bound the periodic-snapshot goroutine (nil
 	// without SnapshotEvery).
@@ -490,9 +489,9 @@ func (s *Server) landAppend(sp *ingest.Spec, rows []relation.Row) (deepsea.Appen
 type statusResponse struct {
 	// Status is the verdict: "ok", "degraded" or "draining" (see verdict).
 	Status string `json:"status"`
-	// RangeRole is the replica role the last range assignment carried
-	// ("primary" or "follower"; absent when standalone).
-	RangeRole string         `json:"range_role,omitempty"`
+	// Range is the partition-key range the server owns (absent when
+	// standalone).
+	Range     *keyRange      `json:"range,omitempty"`
 	Health    deepsea.Health `json:"health"`
 	Admission AdmissionStats `json:"admission"`
 	Serving   ServingStats   `json:"serving"`
@@ -510,7 +509,7 @@ func (s *Server) status() statusResponse {
 	adm, inflight, depth := s.lim.snapshot()
 	return statusResponse{
 		Status:    verdict(h, s.draining.Load()),
-		RangeRole: s.Role(),
+		Range:     s.owned.Load(),
 		Health:    h,
 		Admission: adm,
 		Serving: ServingStats{
@@ -582,26 +581,9 @@ func (s *Server) handlePoolz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Replica roles a range assignment can carry. Base tables are static
-// and fully replicated, so the roles do not gate reads — the primary is
-// simply the coordinator's first-choice replica for the range.
-const (
-	RolePrimary  = "primary"
-	RoleFollower = "follower"
-)
-
-// Role returns the replica role the last range assignment carried (""
-// when the server is standalone or no assignment carried a role).
-func (s *Server) Role() string {
-	if v, ok := s.role.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
 // writeRangeConflict answers 409: what the request asked for, and the
 // range the shard owns instead.
-func writeRangeConflict(w http.ResponseWriter, what string, or deepsea.OwnedRange) {
+func writeRangeConflict(w http.ResponseWriter, what string, or *keyRange) {
 	WriteJSON(w, http.StatusConflict, ErrorResponse{
 		Error:   fmt.Sprintf("%s: shard owns [%d,%d]", what, or.Lo, or.Hi),
 		OwnedLo: &or.Lo, OwnedHi: &or.Hi})
@@ -615,45 +597,37 @@ func writeRangeConflict(w http.ResponseWriter, what string, or deepsea.OwnedRang
 // request to the wrong shard rather than sending a malformed one. It
 // returns false once it has answered.
 func (s *Server) checkOwnership(w http.ResponseWriter, lo, hi int64, keyed bool) bool {
-	or, owned := s.sys.OwnedRange()
-	if owned && keyed && (lo < or.Lo || hi > or.Hi) {
+	or := s.owned.Load()
+	if or != nil && keyed && (lo < or.Lo || hi > or.Hi) {
 		writeRangeConflict(w, fmt.Sprintf("keys [%d,%d] not owned", lo, hi), or)
 		return false
 	}
 	return true
 }
 
-// rangeRequest is the JSON body of POST /admin/range: the range to own.
+// keyRange is a partition-key range [Lo, Hi]: the body of POST
+// /admin/range (the range to own), its answer and GET's (the range
+// owned; [0,-1] when standalone), and the status document's range.
 // Ownership is set once and lives in memory only: the first push sets
-// it, a push of the same range is a 200 that may update the role, and a
-// push of any other range is a 409 naming the owned range.
-type rangeRequest struct {
+// it, a push of the same range is a 200, and a push of any other range
+// is a 409 naming the owned range. The range does not restrict what the
+// System stores — every shard holds the full base tables — only which
+// keys this server answers for.
+type keyRange struct {
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
-	// Role is the replica role this assignment carries ("primary" or
-	// "follower"; empty keeps the current role). Informational — see
-	// RolePrimary.
-	Role string `json:"role,omitempty"`
-}
-
-// rangeResponse reports the owned range and role.
-type rangeResponse struct {
-	Lo   int64  `json:"lo"`
-	Hi   int64  `json:"hi"`
-	Role string `json:"role,omitempty"`
 }
 
 func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
-		or, owned := s.sys.OwnedRange()
-		if !owned {
-			WriteJSON(w, http.StatusOK, rangeResponse{Lo: 0, Hi: -1})
-			return
+		or := s.owned.Load()
+		if or == nil {
+			or = &keyRange{Lo: 0, Hi: -1}
 		}
-		WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Role: s.Role()})
+		WriteJSON(w, http.StatusOK, or)
 		return
 	}
-	var req rangeRequest
+	var req keyRange
 	if !ReadRequest(w, r, JSONInto(&req)) {
 		return
 	}
@@ -661,13 +635,11 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "empty range")
 		return
 	}
-	or, ok := s.sys.SetOwnedRange(req.Lo, req.Hi)
-	if !ok {
+	s.owned.CompareAndSwap(nil, &req)
+	or := s.owned.Load()
+	if *or != req {
 		writeRangeConflict(w, fmt.Sprintf("range [%d,%d] refused", req.Lo, req.Hi), or)
 		return
 	}
-	if req.Role != "" {
-		s.role.Store(req.Role)
-	}
-	WriteJSON(w, http.StatusOK, rangeResponse{Lo: or.Lo, Hi: or.Hi, Role: s.Role()})
+	WriteJSON(w, http.StatusOK, or)
 }

@@ -733,35 +733,31 @@ func postRange(t *testing.T, url, body string) (int, map[string]any) {
 }
 
 // TestOwnedRangeIsAssignedOnce pins set-once ownership: the first push
-// sets the range; a push of the same range is a 200 that may change the
-// role; a push of any other range — whatever else its body carries — is
-// a 409 naming the owned range, which stays.
+// sets the range; a push of the same range is a 200; a push of any other
+// range — whatever else its body carries — is a 409 naming the owned
+// range, which stays.
 func TestOwnedRangeIsAssignedOnce(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, newTestSystem(t), Config{})
 
-	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":199999,"role":"primary"}`); code != http.StatusOK {
+	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":199999}`); code != http.StatusOK {
 		t.Fatalf("first push: status %d: %v", code, m)
 	}
-	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":199999,"role":"follower"}`); code != http.StatusOK {
+	if code, m := postRange(t, ts.URL, `{"lo":0,"hi":199999}`); code != http.StatusOK {
 		t.Fatalf("same range again: status %d: %v", code, m)
 	}
 	resp, err := http.Get(ts.URL + "/admin/range")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got struct {
-		Lo   int64  `json:"lo"`
-		Hi   int64  `json:"hi"`
-		Role string `json:"role"`
-	}
+	var got keyRange
 	err = json.NewDecoder(resp.Body).Decode(&got)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Lo != 0 || got.Hi != 199999 || got.Role != RoleFollower {
-		t.Fatalf("GET /admin/range = %+v, want [0,199999] as follower", got)
+	if got != (keyRange{Lo: 0, Hi: 199999}) {
+		t.Fatalf("GET /admin/range = %+v, want [0,199999]", got)
 	}
 
 	code, m := postRange(t, ts.URL, `{"lo":0,"hi":99999,"epoch":99}`)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,6 +60,38 @@ func TestStatzAndHealthzServeOneDocument(t *testing.T) {
 		if doc := srv.status(); doc.Status != verdict(doc.Health, draining) || doc.Serving.Served != 1 {
 			t.Errorf("draining=%v: status %q, served %d", draining, doc.Status, doc.Serving.Served)
 		}
+	}
+}
+
+// TestStatzReportsOwnedRange: the status document carries no range
+// while the server is standalone, and the owned range once one was
+// pushed.
+func TestStatzReportsOwnedRange(t *testing.T) {
+	leakcheck.Check(t)
+	_, ts := newTestServer(t, newTestSystem(t), Config{})
+	statzRange := func() *keyRange {
+		t.Helper()
+		_, body := getBody(t, ts.URL+"/statz")
+		var doc struct {
+			Status string    `json:"status"`
+			Range  *keyRange `json:"range"`
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Status != "ok" {
+			t.Fatalf("status %q, want ok", doc.Status)
+		}
+		return doc.Range
+	}
+	if got := statzRange(); got != nil {
+		t.Fatalf("standalone /statz reports range %+v, want none", *got)
+	}
+	if code, m := postRange(t, ts.URL, `{"lo":100,"hi":199999}`); code != http.StatusOK {
+		t.Fatalf("push: status %d: %v", code, m)
+	}
+	if got := statzRange(); got == nil || *got != (keyRange{Lo: 100, Hi: 199999}) {
+		t.Fatalf("/statz range %v after the push, want [100,199999]", got)
 	}
 }
 

@@ -230,13 +230,13 @@ func (c *Coordinator) Shards() []ShardInfo {
 	return out
 }
 
-// roleOf is the role replica ri of a group is assigned: the first is
-// the primary.
+// roleOf is replica ri's role in its group, as /statz reports it: the
+// first is the primary, the coordinator's first choice for reads.
 func roleOf(ri int) string {
 	if ri == 0 {
-		return server.RolePrimary
+		return "primary"
 	}
-	return server.RoleFollower
+	return "follower"
 }
 
 // pushRange assigns group gi's range to its replica ri via POST
@@ -245,7 +245,7 @@ func roleOf(ri int) string {
 // a dead cluster for the full timeout.
 func (c *Coordinator) pushRange(ctx context.Context, gi, ri int) error {
 	sh := c.shards[gi]
-	body, _ := json.Marshal(map[string]any{"lo": sh.Lo, "hi": sh.Hi, "role": roleOf(ri)})
+	body, _ := json.Marshal(map[string]any{"lo": sh.Lo, "hi": sh.Hi})
 	status, b, err := c.call(ctx, http.MethodPost, sh.Replicas[ri]+"/admin/range", body)
 	if err != nil {
 		return err

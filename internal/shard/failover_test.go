@@ -65,27 +65,39 @@ func spanningSpec() string {
 	return fmt.Sprintf(`{"template":"Q1","lo":%d,"hi":%d}`, workload.ItemSkLo, workload.ItemSkHi)
 }
 
-// TestReplicatedInitPushesRoles verifies Init assigns every replica of
-// a group the group's range, with primary/follower roles.
-func TestReplicatedInitPushesRoles(t *testing.T) {
+// TestReplicatedInitPushesRanges verifies Init assigns every replica of
+// a group the group's range, and the coordinator's /statz names the
+// first replica of each group its primary and the others followers.
+func TestReplicatedInitPushesRanges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system cluster test")
 	}
 	leakcheck.Check(t)
 	c, groups := newReplicatedCluster(t, 2, 2, nil)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statz statusResponse
+	err = json.NewDecoder(resp.Body).Decode(&statz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for gi, sh := range c.Shards() {
 		if len(sh.Replicas) != 2 {
 			t.Fatalf("group %d routing entry has %d replicas, want 2", gi, len(sh.Replicas))
 		}
-		for ri, ts := range groups[gi] {
-			resp, err := http.Get(ts.URL + "/admin/range")
+		for ri, rs := range groups[gi] {
+			resp, err := http.Get(rs.URL + "/admin/range")
 			if err != nil {
 				t.Fatal(err)
 			}
 			var rr struct {
-				Lo   int64  `json:"lo"`
-				Hi   int64  `json:"hi"`
-				Role string `json:"role"`
+				Lo int64 `json:"lo"`
+				Hi int64 `json:"hi"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 				t.Fatal(err)
@@ -95,12 +107,12 @@ func TestReplicatedInitPushesRoles(t *testing.T) {
 				t.Fatalf("group %d replica %d owns [%d,%d], want [%d,%d]",
 					gi, ri, rr.Lo, rr.Hi, sh.Lo, sh.Hi)
 			}
-			want := server.RoleFollower
+			want := "follower"
 			if ri == 0 {
-				want = server.RolePrimary
+				want = "primary"
 			}
-			if rr.Role != want {
-				t.Fatalf("group %d replica %d role %q, want %q", gi, ri, rr.Role, want)
+			if rh, ok := replicaHealthOf(statz, rs.URL); !ok || rh.Role != want {
+				t.Fatalf("group %d replica %d: /statz role %q (listed %v), want %q", gi, ri, rh.Role, ok, want)
 			}
 		}
 	}

@@ -32,51 +32,24 @@ func (j *journalRef) emit(rec datastore.Record) {
 	j.fn(rec)
 }
 
-// Counters is one epoch-published snapshot of the registry's object
-// counts. Epoch increments on every change, so two reads with equal
-// epochs saw the identical state. Health surfaces read one snapshot
-// atomically, without the registry lock.
-type Counters struct {
-	// Views, Partitions and Fragments count tracked statistics records
-	// (candidates and pool members alike).
-	Views      int
-	Partitions int
-	Fragments  int
-	// Epoch is the number of counter mutations published so far.
-	Epoch uint64
-}
-
-// countersRef is the registry's shared counter cell, threaded into
-// every PartitionStat it creates (like journalRef) so fragment
-// creation and deletion deep inside a record can bump the published
-// counts without a registry lookup. Writers serialize on mu and
-// publish a fresh immutable snapshot; readers load it lock-free.
+// countersRef is the registry's shared count of tracked records,
+// threaded into every PartitionStat it creates (like journalRef) so
+// fragment creation and deletion deep inside a record can bump the
+// count without a registry lookup. Each count is one atomic, so Health
+// reads them without the registry lock.
 type countersRef struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[Counters]
+	views, parts, frags atomic.Int64
 }
 
-func newCountersRef() *countersRef {
-	c := &countersRef{}
-	c.snap.Store(&Counters{})
-	return c
-}
-
-// add publishes a new snapshot with the deltas applied. Nil-safe, like
-// journalRef.emit, for records built outside a registry.
+// add applies the deltas. Nil-safe, like journalRef.emit, for records
+// built outside a registry.
 func (c *countersRef) add(views, parts, frags int) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	cur := c.snap.Load()
-	c.snap.Store(&Counters{
-		Views:      cur.Views + views,
-		Partitions: cur.Partitions + parts,
-		Fragments:  cur.Fragments + frags,
-		Epoch:      cur.Epoch + 1,
-	})
-	c.mu.Unlock()
+	c.views.Add(int64(views))
+	c.parts.Add(int64(parts))
+	c.frags.Add(int64(frags))
 }
 
 // Decay is the paper's DEC(tnow, t): zero once a benefit is older than
@@ -446,7 +419,7 @@ func NewRegistry(d Decay) *Registry {
 		views:    make(map[string]*ViewStat),
 		parts:    make(map[string]map[string]*PartitionStat),
 		journal:  &journalRef{},
-		counters: newCountersRef(),
+		counters: &countersRef{},
 	}
 }
 
@@ -497,10 +470,12 @@ func (r *Registry) NumViews() int {
 	return len(r.views)
 }
 
-// Counters returns the current epoch-published count snapshot: one
-// lock-free load, internally consistent — views, partitions and
-// fragments all describe the same epoch.
-func (r *Registry) Counters() Counters { return *r.counters.snap.Load() }
+// Counts returns the number of tracked view, partition and fragment
+// records (candidates and pool members alike).
+func (r *Registry) Counts() (views, partitions, fragments int) {
+	c := r.counters
+	return int(c.views.Load()), int(c.parts.Load()), int(c.frags.Load())
+}
 
 // Partition returns the partition statistics for (view, attr), creating
 // an empty record over dom on first use.

@@ -9,7 +9,11 @@
 #       among it the memory gate TestLoadRetainsNoRowHeaders
 #       (internal/workload — the heap New + Load retains does not grow
 #       from a 50 GB to a 200 GB instance: every System shares the
-#       loader's row headers)
+#       loader's row headers) and the exact allocation gates, among
+#       them TestAggregateAllocations (internal/engine) and
+#       TestFilterTreeAddAllocations (internal/matching — indexing one
+#       view allocates at 10 000 entries within 2x of what it does at
+#       100: nothing that grows with the index is copied)
 #    2. full race-detector run (the concurrency suite's anchor)
 #    3. shuffled double run — flushes ordering-dependent tests
 #    4. chaos smoke — the seeded fault-injection and cancellation suite
@@ -18,7 +22,7 @@
 #       and quarantine restores nothing with workers on either — a lost
 #       range comes back only through a later query
 #       (TestChaosBackgroundQuarantineLeavesRangeToQueries)
-#    5. serving smoke — the HTTP frontend's admission, drain and fence
+#    5. serving smoke — the HTTP frontend's admission and drain
 #       suite under the race detector in shuffled order (stage 2 already
 #       ran it in declaration order)
 #    6. crash-recovery chaos — the datastore suite, the core recovery
@@ -40,8 +44,9 @@
 #       advisory (the exact allocation gates are
 #       TestFusedProbeAllocations — one output and, serving a ranged
 #       capture, two — TestFusedChainAllocations — the same for a chain,
-#       with nothing that grows with the inner join it never writes — and
-#       TestAggregateAllocations, part of stage 1).
+#       with nothing that grows with the inner join it never writes —
+#       TestAggregateAllocations and, for BenchmarkFilterTreeAdd,
+#       TestFilterTreeAddAllocations, all part of stage 1).
 #       Every registered (paper) experiment already ran at short scale
 #       in stage 1, with its output checked byte for byte
 #       (internal/bench TestExperimentsGolden). Wall-clock performance
