@@ -196,8 +196,8 @@ func WithFaultRetries(n int) Option {
 
 // Datastore is the persistence boundary a System journals through. Use
 // OpenJournal for the file-backed implementation or implement the
-// interface for custom backends; datastore.Null (and a nil store) keep
-// the historical in-memory-only behaviour.
+// interface for custom backends; without one (a nil store) a System
+// keeps its state in memory only.
 type Datastore = datastore.Store
 
 // OpenJournal opens (or creates) the file-backed datastore rooted at

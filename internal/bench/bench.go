@@ -104,7 +104,6 @@ func scaleCfg(cfg core.Config, gb, paperGB int64) core.Config {
 	}
 	cm.BlockSize = bs
 	cfg.CostModel = &cm
-	cfg.MinFragBytes = bs
 	return cfg
 }
 

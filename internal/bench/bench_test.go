@@ -40,9 +40,6 @@ func TestScaleCfgPreservesGranularity(t *testing.T) {
 	if scaled.CostModel.BlockSize >= cfg.CostModel.BlockSize {
 		t.Error("block size not scaled down")
 	}
-	if scaled.MinFragBytes != scaled.CostModel.BlockSize {
-		t.Error("MinFragBytes != scaled block size")
-	}
 	same := scaleCfg(cfg, 500, 500)
 	if same.CostModel.BlockSize != cfg.CostModel.BlockSize {
 		t.Error("paper scale should be unscaled")

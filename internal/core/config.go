@@ -113,9 +113,6 @@ type Config struct {
 	// MaxFragFraction is the paper's φ: fragments larger than
 	// φ·S(V) are split at materialization time. 0 disables the bound.
 	MaxFragFraction float64
-	// MinFragBytes is the lower bound for fragment sizes; 0 selects the
-	// file-system block size, as in the paper.
-	MinFragBytes int64
 	// PhysicalMatch restricts view matching to exact signature equality
 	// (no compensating selections or projections) — ReStore-style
 	// physical matching, the weaker alternative the paper contrasts its
@@ -153,9 +150,9 @@ type Config struct {
 	FaultRetries int
 	// Datastore is the persistence boundary: pool, statistics and
 	// materialized-file mutations journal through it and recovery replays
-	// them on construction. nil — the default — keeps the historical
-	// in-memory-only behaviour (as does datastore.Null). The caller owns
-	// the store's lifecycle (Close after the instance drains).
+	// them on construction. nil — the default — keeps the instance
+	// in memory only. The caller owns the store's lifecycle (Close after
+	// the instance drains).
 	Datastore datastore.Store
 	// MaintWorkers moves pool maintenance (materialization, splits,
 	// merges, eviction, refresh) off the query and append path onto a
@@ -186,10 +183,9 @@ func DefaultConfig() Config {
 	}
 }
 
+// minFragBytes is the lower bound for fragment sizes: the file-system
+// block size, as in the paper.
 func (c *Config) minFragBytes() int64 {
-	if c.MinFragBytes > 0 {
-		return c.MinFragBytes
-	}
 	if c.CostModel != nil && c.CostModel.BlockSize > 0 {
 		return c.CostModel.BlockSize
 	}
@@ -197,7 +193,7 @@ func (c *Config) minFragBytes() int64 {
 }
 
 // defaultMinFragBytes is the fragment-size lower bound of a Config with
-// neither MinFragBytes nor a CostModel: the 128 MB HDFS block of
+// no CostModel: the 128 MB HDFS block of
 // Section 9 ("Bounding Fragment Size"), below which a fragment costs a
 // whole map task to open for less than a block of data. The engine's
 // default cost model prices reads in 64 MB blocks (engine/cost.go), so

@@ -88,13 +88,12 @@ func q30(lo, hi int64) query.Node {
 	}
 }
 
-// testConfig returns a DeepSea config tuned for the small test tables: a
-// small block size so fragments can form.
+// testConfig returns a DeepSea config tuned for the small test tables:
+// the default cost model's 64 MB block bounds fragments, so they can form.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cm := engine.DefaultCostModel()
 	cfg.CostModel = &cm
-	cfg.MinFragBytes = 64 << 20 // 64 MB at paper scale
 	return cfg
 }
 
@@ -438,12 +437,8 @@ func TestStringersAndDefaults(t *testing.T) {
 			t.Errorf("SelectionPolicy(%d).String() = %q, want %q", p, p.String(), want)
 		}
 	}
-	// minFragBytes fallbacks: explicit > cost model block > default block.
-	c := Config{MinFragBytes: 42}
-	if c.minFragBytes() != 42 {
-		t.Error("explicit MinFragBytes ignored")
-	}
-	c = Config{}
+	// minFragBytes fallbacks: cost model block > default block.
+	c := Config{}
 	if c.minFragBytes() <= 0 {
 		t.Error("default minFragBytes not positive")
 	}
@@ -546,7 +541,7 @@ func TestFullAndPartialAggregatesShareASystem(t *testing.T) {
 // TestBlockSizeFallbacks pins the two fragment-size lower bounds a
 // Config falls back to: with no cost model, the 128 MB HDFS block of
 // Section 9; with one, its block size — 64 MB for the engine's default
-// model. An explicit MinFragBytes wins over both.
+// model.
 func TestBlockSizeFallbacks(t *testing.T) {
 	var bare Config
 	if got := bare.minFragBytes(); got != 128<<20 {
@@ -556,9 +551,5 @@ func TestBlockSizeFallbacks(t *testing.T) {
 	withModel := Config{CostModel: &cm}
 	if got := withModel.minFragBytes(); got != 64<<20 || got != cm.BlockSize {
 		t.Errorf("default cost model: minFragBytes = %d, want its 64 MB block", got)
-	}
-	withModel.MinFragBytes = 1 << 20
-	if got := withModel.minFragBytes(); got != 1<<20 {
-		t.Errorf("explicit MinFragBytes: minFragBytes = %d, want 1 MB", got)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"deepsea/internal/relation"
 )
 
-// This file is the ingest path: batched base-table appends that mark
+// This file is the ingest path: batched base-table appends that leave
 // dependent materialized views stale and bring them fresh again by
 // incremental delta propagation (internal/engine's DeltaApply) instead
 // of rematerialization. A refresh is a maintenance task like any other
@@ -23,6 +23,11 @@ import (
 // workers in background mode — through applyRefreshLocked either way.
 // A refresh that cannot finish re-enqueues itself, whichever mode it
 // runs in.
+//
+// A view has one consistency point, its marks: the per-table row counts
+// its stored content is exact at. It is stale exactly when it has no
+// marks or they differ from its base tables' current counts; nothing
+// else records staleness, so an append journals only its rows.
 //
 // The invariants the path maintains:
 //
@@ -42,11 +47,11 @@ import (
 //     counts.
 //
 // Lock discipline: ingestMu (d.ingest.mu) is a leaf lock — it guards
-// only the registry maps and the stale flags, and nothing acquires the
-// manager lock while holding it. Everything else
-// about a meta (plan, marks, refresh plan, retained states) mutates only
-// under the manager lock, which serializes refresh, registration and
-// drop.
+// the registry maps and every meta's marks, and nothing acquires the
+// manager lock while holding it (the engine's base-count reads nest
+// inside it). Everything about a meta mutates only under the manager
+// lock too, which serializes refresh, registration and drop; the marks
+// change under both, so a reader holding either sees them whole.
 
 // ingestMeta is one registered view's refresh state.
 type ingestMeta struct {
@@ -63,9 +68,18 @@ type ingestMeta struct {
 	// rp is the primed refresh state (per-node sizes, retained aggregate
 	// states); nil until the first refresh primes it lazily.
 	rp *engine.RefreshPlan
-	// stale marks content lagging its base tables. Guarded by ingestMu;
-	// every other field is guarded by the manager lock.
-	stale bool
+}
+
+// staleAt reports whether the view's content lags base tables at
+// counts: it has no marks, or they differ on a table it reads.
+func (m *ingestMeta) staleAt(counts map[string]int64) bool {
+	return m.marks == nil || !countsEqual(m.marks, counts, m.tables)
+}
+
+// staleNow is staleAt the base tables' current counts. Caller holds
+// ingestMu.
+func (d *DeepSea) staleNow(m *ingestMeta) bool {
+	return m.staleAt(d.Eng.BaseCounts(m.tables))
 }
 
 // ingestState is the instance-wide ingest registry.
@@ -83,9 +97,8 @@ type ingestState struct {
 	// other lock.
 	appendMu sync.Mutex
 
-	mu      sync.Mutex
-	views   map[string]*ingestMeta
-	byTable map[string]map[string]bool
+	mu    sync.Mutex
+	views map[string]*ingestMeta
 	// loaded is each appended base table's row count before its first
 	// append (live or recovered): the rows the host loads itself. The
 	// base table's rows past it are the snapshot payload that lets a
@@ -105,9 +118,8 @@ type ingestState struct {
 
 func newIngestState() *ingestState {
 	return &ingestState{
-		views:   make(map[string]*ingestMeta),
-		byTable: make(map[string]map[string]bool),
-		loaded:  make(map[string]int64),
+		views:  make(map[string]*ingestMeta),
+		loaded: make(map[string]int64),
 	}
 }
 
@@ -169,7 +181,7 @@ func (d *DeepSea) IngestStats() IngestStats {
 		RefreshWriteBytes: s.refreshCost.WriteBytes,
 	}
 	for _, m := range s.views {
-		if m.stale {
+		if d.staleNow(m) {
 			st.StaleViews++
 		}
 	}
@@ -180,14 +192,13 @@ func (d *DeepSea) IngestStats() IngestStats {
 // query whose snapshot has the given base counts: an untracked view
 // always, a tracked one only when its marks equal the counts on every
 // table it reads — its stored content is then exactly what the
-// snapshot's base tables define. A view an append has left behind fails
-// it, whether or not its stale flag is set yet.
+// snapshot's base tables define.
 func (d *DeepSea) servesAt(counts map[string]int64) func(string) bool {
 	return func(id string) bool {
 		d.ingest.mu.Lock()
 		defer d.ingest.mu.Unlock()
 		m := d.ingest.views[id]
-		return m == nil || (m.marks != nil && countsEqual(m.marks, counts, m.tables))
+		return m == nil || !m.staleAt(counts)
 	}
 }
 
@@ -196,7 +207,7 @@ type AppendReport struct {
 	// Table is the grown base table; NewCount its post-append row count.
 	Table    string
 	NewCount int64
-	// StaleViews lists the dependent views marked stale.
+	// StaleViews lists the dependent views the append left stale.
 	StaleViews []string
 	// Refreshed and Dropped list the views brought fresh incrementally /
 	// dropped during the synchronous (inline-mode) refresh: this
@@ -212,8 +223,8 @@ type AppendReport struct {
 	RefreshCost engine.Cost
 }
 
-// Append journals a batch of new rows for a base table, marks every
-// dependent materialized view stale and brings them fresh —
+// Append journals a batch of new rows for a base table, which leaves
+// every dependent materialized view stale, and brings them fresh —
 // synchronously in inline mode, via the maintenance pool's refresh band
 // in background mode.
 func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error) {
@@ -233,7 +244,7 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 	deltaTbl := &relation.Table{Schema: schema, Rows: rows}
 	d.appendRecord(datastore.Record{Op: "append_rows", Rows: deltaTbl, Size: newCount})
 
-	ids := d.markDependentsStale(table, len(rows), newCount)
+	ids := d.tallyAppend(table, len(rows), newCount)
 	d.ingest.appendMu.Unlock()
 	rep := AppendReport{Table: table, NewCount: newCount, StaleViews: ids}
 	tasks := make([]*maintain.Task, len(ids))
@@ -257,11 +268,10 @@ func (d *DeepSea) Append(table string, rows []relation.Row) (AppendReport, error
 	return rep, nil
 }
 
-// markDependentsStale counts an append of n rows that grew table to
-// newCount and flips the stale flag of every dependent view, journaling
-// each transition. Returns the dependents sorted by id. Takes only the
-// ingest leaf lock.
-func (d *DeepSea) markDependentsStale(table string, n int, newCount int64) []string {
+// tallyAppend counts an append of n rows that grew table to newCount and
+// returns the views that read table — the append's dependents, sorted
+// by id. Takes only the ingest leaf lock.
+func (d *DeepSea) tallyAppend(table string, n int, newCount int64) []string {
 	s := d.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,12 +279,9 @@ func (d *DeepSea) markDependentsStale(table string, n int, newCount int64) []str
 	s.appendRows += uint64(n)
 	s.noteAppended(table, newCount-int64(n))
 	var ids []string
-	for id := range s.byTable[table] {
-		ids = append(ids, id)
-		m := s.views[id]
-		if m != nil && !m.stale {
-			m.stale = true
-			d.appendRecord(datastore.Record{Op: "ingest_stale", View: id})
+	for id, m := range s.views {
+		if slices.Contains(m.tables, table) {
+			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
@@ -318,7 +325,8 @@ func (d *DeepSea) enqueueRefresh(id string) {
 type refreshOutcome int
 
 const (
-	// refreshNoop: the view was not registered or already fresh.
+	// refreshNoop: the view was not registered or its marks equal the
+	// counts (already fresh).
 	refreshNoop refreshOutcome = iota
 	// refreshApplied: the view is fresh again (incrementally, or the
 	// delta produced no content change).
@@ -335,8 +343,8 @@ const (
 // concurrent appends before handing back (still stale, retried later).
 const maxRefreshRounds = 8
 
-// applyRefreshLocked brings one stale view fresh. Caller holds the
-// manager lock. The returned cost covers delta computation,
+// applyRefreshLocked brings one view fresh if it is stale. Caller holds
+// the manager lock. The returned cost covers delta computation,
 // priming and the writes that applied the result; the caller advances
 // the clock.
 func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
@@ -351,7 +359,7 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 	for round := 0; ; round++ {
 		d.ingest.mu.Lock()
 		m := d.ingest.views[id]
-		stale := m != nil && m.stale
+		stale := m != nil && d.staleNow(m)
 		d.ingest.mu.Unlock()
 		if !stale {
 			return total, refreshNoop
@@ -386,17 +394,6 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 		if !valid {
 			d.dropStaleView(id)
 			return total, refreshDropped
-		}
-		if len(deltas) == 0 {
-			// Marked stale but nothing actually grew past the marks (a
-			// raced refresh already consumed the delta).
-			if d.finalizeRefresh(id, m, counts, true) {
-				return total, refreshApplied
-			}
-			if round >= maxRefreshRounds {
-				return total, d.refreshRetry(id)
-			}
-			continue
 		}
 		if m.rp == nil {
 			// Lazy priming: evaluate the plan once over the old base
@@ -437,8 +434,9 @@ func (d *DeepSea) applyRefreshLocked(id string) (engine.Cost, refreshOutcome) {
 				// fault already hold the delta, and re-running the apply
 				// (marks unchanged, same delta) would append it to them a
 				// second time. The only safe completion is dropping the
-				// view. (Crash recovery is safe the same way: the view was
-				// journaled stale, and recovery drops stale views.)
+				// view. (Crash recovery is safe the same way: the view's
+				// journaled marks trail the journaled append, and recovery
+				// drops views whose marks miss the recovered counts.)
 				d.dropStaleView(id)
 				return total, refreshDropped
 			}
@@ -482,28 +480,23 @@ func (d *DeepSea) refreshRetry(id string) refreshOutcome {
 }
 
 // finalizeRefresh publishes a refresh's new consistency point: marks
-// move to the refreshed counts (journaled), and the stale flag clears
-// only if no further append landed meanwhile — the count re-read and the
-// flag write share the ingest lock with Append's stale-marking, so a
-// racing append either moves the counts first (the flag stays set) or
-// marks stale after (overwriting the clear). Reports whether the view
-// came out fresh. Counts the refresh.
+// move to the refreshed counts (journaled). Reports whether the view
+// came out fresh — no append grew a table past counts meanwhile — and
+// counts the refresh if so.
 func (d *DeepSea) finalizeRefresh(id string, m *ingestMeta, counts map[string]int64, empty bool) bool {
 	s := d.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m.marks = counts
 	d.appendRecord(datastore.Record{Op: "ingest_marks", View: id, Tables: m.tables, Marks: counts})
-	cur := d.Eng.BaseCounts(m.tables)
-	fresh := countsEqual(cur, counts, m.tables)
-	if fresh {
-		m.stale = false
-		s.refreshes++
-		if empty {
-			s.emptyRefreshes++
-		}
+	if d.staleNow(m) {
+		return false
 	}
-	return fresh
+	s.refreshes++
+	if empty {
+		s.emptyRefreshes++
+	}
+	return true
 }
 
 // countsEqual reports whether two per-table count maps agree on every
@@ -602,12 +595,7 @@ func (d *DeepSea) dropStaleView(id string) {
 	}
 	s := d.ingest
 	s.mu.Lock()
-	if m := s.views[id]; m != nil {
-		for _, t := range m.tables {
-			delete(s.byTable[t], id)
-		}
-		delete(s.views, id)
-	}
+	delete(s.views, id)
 	s.drops++
 	s.mu.Unlock()
 }
@@ -638,12 +626,6 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 		// known again.
 		m.plan = plan
 		m.rp = nil
-		for _, t := range tables {
-			if s.byTable[t] == nil {
-				s.byTable[t] = make(map[string]bool)
-			}
-			s.byTable[t][id] = true
-		}
 		return
 	}
 	marks := make(map[string]int64, len(tables))
@@ -652,18 +634,8 @@ func (d *DeepSea) registerIngestView(id string, plan query.Node, planCounts map[
 	}
 	m := &ingestMeta{plan: plan, tables: tables, marks: marks}
 	d.appendRecord(datastore.Record{Op: "ingest_marks", View: id, Tables: tables, Marks: marks})
-	if !countsEqual(d.Eng.BaseCounts(tables), marks, tables) {
-		m.stale = true
-		d.appendRecord(datastore.Record{Op: "ingest_stale", View: id})
-	}
 	s.views[id] = m
-	for _, t := range tables {
-		if s.byTable[t] == nil {
-			s.byTable[t] = make(map[string]bool)
-		}
-		s.byTable[t][id] = true
-	}
-	if m.stale {
+	if d.staleNow(m) {
 		// In inline mode the registering query runs the refresh as it
 		// leaves.
 		d.enqueueRefresh(id)
@@ -684,22 +656,17 @@ func (d *DeepSea) ingestFragGuard(id string, planCounts map[string]int64) bool {
 	d.ingest.mu.Lock()
 	defer d.ingest.mu.Unlock()
 	m := d.ingest.views[id]
-	if m == nil {
-		return true
-	}
-	if m.stale || m.marks == nil {
-		return false
-	}
-	return countsEqual(m.marks, planCounts, m.tables)
+	return m == nil || (!d.staleNow(m) && countsEqual(m.marks, planCounts, m.tables))
 }
 
 // ingestSnap is a view's refresh metadata in a snapshot (plans and
-// primed state are rebuilt lazily, not persisted).
+// primed state are rebuilt lazily, not persisted). Snapshots of older
+// builds also carry a "stale" flag; decoding ignores it, since the
+// marks alone say whether the view is stale.
 type ingestSnap struct {
 	View   string           `json:"view"`
 	Tables []string         `json:"tables,omitempty"`
 	Marks  map[string]int64 `json:"marks,omitempty"`
-	Stale  bool             `json:"stale,omitempty"`
 }
 
 // appendSnap is one base table's appended rows in a snapshot: every
@@ -741,7 +708,7 @@ func (d *DeepSea) ingestSnapshot() (appends []appendSnap, metas []ingestSnap) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		m := s.views[id]
-		metas = append(metas, ingestSnap{View: id, Tables: m.tables, Marks: m.marks, Stale: m.stale})
+		metas = append(metas, ingestSnap{View: id, Tables: m.tables, Marks: m.marks})
 	}
 	return appends, metas
 }
@@ -750,7 +717,7 @@ func (d *DeepSea) ingestSnapshot() (appends []appendSnap, metas []ingestSnap) {
 // recovery. Recovered metas are plan-less: a view whose tables grow
 // after the restart cannot be refreshed and is dropped instead, which
 // is the self-healing contract of the journal-only refresh state.
-func (d *DeepSea) restoreIngestMeta(id string, tables []string, marks map[string]int64, stale bool) {
+func (d *DeepSea) restoreIngestMeta(id string, tables []string, marks map[string]int64) {
 	s := d.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -761,30 +728,9 @@ func (d *DeepSea) restoreIngestMeta(id string, tables []string, marks map[string
 	}
 	if len(tables) > 0 {
 		m.tables = append([]string(nil), tables...)
-		for _, t := range m.tables {
-			if s.byTable[t] == nil {
-				s.byTable[t] = make(map[string]bool)
-			}
-			s.byTable[t][id] = true
-		}
 	}
 	m.marks = marks
-	m.stale = stale
 	m.plan, m.rp = nil, nil
-}
-
-// markIngestStale flips a recovered view's stale flag (journal replay
-// of an ingest_stale record).
-func (d *DeepSea) markIngestStale(id string) {
-	s := d.ingest
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.views[id]
-	if m == nil {
-		m = &ingestMeta{}
-		s.views[id] = m
-	}
-	m.stale = true
 }
 
 // bufferRecoveredAppend stashes a recovered append (snapshot payload or
@@ -811,16 +757,16 @@ type RecoveredIngest struct {
 	Tables int
 	Rows   int
 	// Dropped lists views removed because their stored content could not
-	// be proven consistent with the recovered base counts (stale at
-	// crash time, marks mismatching, or untracked while appends exist).
+	// be proven consistent with the recovered base counts (marks missing
+	// or mismatching, or untracked while appends exist).
 	Dropped []string
 }
 
 // ApplyRecoveredAppends replays the appends recovered from the
 // datastore onto the host-re-added base tables and reconciles the view
 // pool against the result: a view survives only if its journaled marks
-// match the recovered counts exactly — anything stale, mismatched or
-// untracked is dropped (recovered metas carry no plan, so incremental
+// match the recovered counts exactly — anything stale or untracked is
+// dropped (recovered metas carry no plan, so incremental
 // refresh is impossible and dropping is the only safe completion).
 // Call after every AddBaseTable and before serving traffic; recovered
 // rows are already durable, so the replay journals nothing.
@@ -850,8 +796,7 @@ func (d *DeepSea) ApplyRecoveredAppends() (RecoveredIngest, error) {
 	s.mu.Lock()
 	var drop []string
 	for id, m := range s.views {
-		counts := d.Eng.BaseCounts(m.tables)
-		if m.stale || m.marks == nil || len(m.tables) == 0 || !countsEqual(counts, m.marks, m.tables) {
+		if len(m.tables) == 0 || d.staleNow(m) {
 			drop = append(drop, id)
 		}
 	}

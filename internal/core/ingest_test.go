@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -450,6 +451,79 @@ func TestAppendJournaledBeforeReturnWithWorkers(t *testing.T) {
 	}
 }
 
+// opStore records the op of every record that reaches Append.
+type opStore struct {
+	datastore.Store
+	mu  sync.Mutex
+	ops []string
+}
+
+func (s *opStore) Append(rec *datastore.Record) error {
+	s.mu.Lock()
+	s.ops = append(s.ops, rec.Op)
+	s.mu.Unlock()
+	return s.Store.Append(rec)
+}
+
+func (s *opStore) since(n int) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.ops[n:])
+}
+
+// TestAppendJournalsOnlyItsRows: staleness is the marks trailing the
+// base counts, so an Append journals its one append_rows record and
+// nothing per dependent view. The worker is held at the start of the
+// refresh cycle, so every record after the append_rows up to then is
+// the Append's own.
+func TestAppendJournalsOnlyItsRows(t *testing.T) {
+	store := &opStore{Store: openStore(t, t.TempDir())}
+	defer store.Close()
+	d := newTestSystem(t, func(c *Config) {
+		c.MaintWorkers = 1
+		c.Datastore = store
+	})
+	defer d.CloseMaintenance()
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	d.OnMaintain = func(_ []string, enter bool) {
+		if enter && park.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}
+	persistWorkload(t, d)
+	if err := d.DrainMaintenance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	park.Store(true)
+	n := len(store.since(0))
+	rep, err := d.Append("sales", appendRows(6, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.StaleViews) == 0 || !rep.Deferred {
+		t.Fatalf("append report %+v: want deferred refreshes of dependent views", rep)
+	}
+	<-parked
+	got := store.since(n)
+	close(release)
+	if !slices.Equal(got, []string{"append_rows"}) {
+		t.Errorf("an append with %d dependent views journaled %v before its refreshes ran, want [append_rows]",
+			len(rep.StaleViews), got)
+	}
+	if is := d.IngestStats(); is.StaleViews != len(rep.StaleViews) {
+		t.Errorf("IngestStats.StaleViews = %d before the refreshes ran, want %d", is.StaleViews, len(rep.StaleViews))
+	}
+	if err := d.DrainMaintenance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if is := d.IngestStats(); is.StaleViews != 0 || is.Refreshes == 0 {
+		t.Errorf("after the drain: %+v, want refreshes and no stale view", is)
+	}
+}
+
 // appendMaintainedView finds the warmed pool's append-maintained view
 // (non-aggregate root, fragment-partitioned — the DeltaAppend refresh
 // path) and returns its id plus its fragment paths in partition order.
@@ -715,7 +789,7 @@ func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := d.markDependentsStale("sales", len(b), newCount)
+	ids := d.tallyAppend("sales", len(b), newCount)
 
 	// The second query's materialization, with rows captured after the
 	// append landed.
@@ -727,7 +801,8 @@ func TestMaterializeSkipsViewLaggingAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stale := d.ingest.views[id].stale; created || !stale {
+	m := d.ingest.views[id]
+	if stale := !countsEqual(m.marks, d.Eng.BaseCounts(m.tables), m.tables); created || !stale {
 		t.Fatalf("view lagging an append re-registered fresh (created=%v, stale=%v)", created, stale)
 	}
 

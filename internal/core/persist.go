@@ -41,7 +41,7 @@ type coreSnapshot struct {
 	// Appends is the accumulated ingest suffix of each base table (base
 	// originals are workload input the host re-adds; the appends are
 	// learned state only this snapshot holds). Ingest is the per-view
-	// refresh metadata — tables read, consistency marks, staleness.
+	// refresh metadata — tables read and consistency marks.
 	Appends []appendSnap `json:"appends,omitempty"`
 	Ingest  []ingestSnap `json:"ingest,omitempty"`
 }
@@ -238,7 +238,7 @@ func (d *DeepSea) applySnapshot(snap *coreSnapshot) {
 		d.bufferRecoveredAppend(a.Table, a.Rows)
 	}
 	for _, m := range snap.Ingest {
-		d.restoreIngestMeta(m.View, m.Tables, m.Marks, m.Stale)
+		d.restoreIngestMeta(m.View, m.Tables, m.Marks)
 	}
 }
 
@@ -280,9 +280,11 @@ func (d *DeepSea) applyRecord(rec *datastore.Record) (err error) {
 		// the record was written (snapshot state or an earlier
 		// put_file/append_file replay).
 		d.Eng.RestoreAppend(rec.Path, rec.Size, rec.Rows)
-	case "inval_view":
-		// Retired: older builds journaled a per-view cache generation
-		// bump here. It changed no pool content, so it replays as nothing.
+	case "inval_view", "ingest_stale":
+		// Retired: older builds journaled a per-view cache generation bump
+		// (inval_view) and a view's stale flag (ingest_stale; staleness is
+		// now the marks trailing the base counts). Neither changed pool
+		// content, so they replay as nothing.
 	case "append_rows":
 		// Base-table appends replay after the host re-adds the originals:
 		// buffer until ApplyRecoveredAppends.
@@ -291,9 +293,7 @@ func (d *DeepSea) applyRecord(rec *datastore.Record) (err error) {
 		}
 		d.bufferRecoveredAppend(rec.Rows.Schema.Name, rec.Rows)
 	case "ingest_marks":
-		d.restoreIngestMeta(rec.View, rec.Tables, rec.Marks, false)
-	case "ingest_stale":
-		d.markIngestStale(rec.View)
+		d.restoreIngestMeta(rec.View, rec.Tables, rec.Marks)
 	case "clock":
 		d.Eng.SetClock(rec.T)
 	case "track_view":

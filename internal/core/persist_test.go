@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,18 +242,27 @@ func TestRecoverySnapshotPlusTail(t *testing.T) {
 }
 
 // retiredGenStore writes what builds with per-view cache generations
-// wrote: every snapshot carries a "gens" map, and every ingest_stale
-// record is followed by an inval_view record for the same view.
+// and stale flags wrote: every snapshot carries a "gens" map, and every
+// append_rows record is followed, for each view in deps, by an
+// ingest_stale and an inval_view record for that view.
 type retiredGenStore struct {
 	datastore.Store
-	views []string
+	views []string // the views the snapshot's "gens" map names
+	deps  []string // the views that read the appended table
 }
 
 func (s *retiredGenStore) Append(rec *datastore.Record) error {
-	if err := s.Store.Append(rec); err != nil || rec.Op != "ingest_stale" {
+	if err := s.Store.Append(rec); err != nil || rec.Op != "append_rows" {
 		return err
 	}
-	return s.Store.Append(&datastore.Record{Op: "inval_view", View: rec.View})
+	for _, id := range s.deps {
+		for _, op := range []string{"ingest_stale", "inval_view"} {
+			if err := s.Store.Append(&datastore.Record{Op: op, View: id}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (s *retiredGenStore) WriteSnapshot(data []byte) error {
@@ -276,10 +286,10 @@ func (s *retiredGenStore) WriteSnapshot(data []byte) error {
 }
 
 // TestRecoveryReadsRetiredGenerationState: a store holding the retired
-// cache-generation state — a snapshot with a "gens" map, a tail with
-// inval_view records — recovers with nothing skipped, to the pool and
-// the answers of the instance that wrote it, which never applied any
-// of that state.
+// cache-generation and stale-flag state — a snapshot with a "gens" map,
+// a tail with ingest_stale and inval_view records — recovers with
+// nothing skipped, to the pool and the answers of the instance that
+// wrote it, which never applied any of that state.
 func TestRecoveryReadsRetiredGenerationState(t *testing.T) {
 	dir := t.TempDir()
 	s1 := &retiredGenStore{Store: openStore(t, dir)}
@@ -287,6 +297,11 @@ func TestRecoveryReadsRetiredGenerationState(t *testing.T) {
 	persistWorkload(t, d1)
 	for _, v := range d1.Pool.Views() {
 		s1.views = append(s1.views, v.ID)
+	}
+	for id, m := range d1.ingest.views {
+		if slices.Contains(m.tables, "sales") {
+			s1.deps = append(s1.deps, id)
+		}
 	}
 	if err := d1.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -306,15 +321,18 @@ func TestRecoveryReadsRetiredGenerationState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inval := 0
+	inval, stale := 0, 0
 	for _, rec := range tail {
-		if rec.Op == "inval_view" {
+		switch rec.Op {
+		case "inval_view":
 			inval++
+		case "ingest_stale":
+			stale++
 		}
 	}
-	if !json.Valid(snap) || !strings.Contains(string(snap), `"gens":{`) || inval != len(rep.StaleViews) {
-		t.Fatalf("store holds no retired state: gens in snapshot=%v, %d inval_view records",
-			strings.Contains(string(snap), `"gens":{`), inval)
+	if !json.Valid(snap) || !strings.Contains(string(snap), `"gens":{`) || inval != len(rep.StaleViews) || stale != len(rep.StaleViews) {
+		t.Fatalf("store holds no retired state: gens in snapshot=%v, %d inval_view and %d ingest_stale records for %d dependent views",
+			strings.Contains(string(snap), `"gens":{`), inval, stale, len(rep.StaleViews))
 	}
 
 	s2 := openStore(t, dir)

@@ -6,10 +6,9 @@
 // and replays records, but never interprets them; building and applying
 // snapshots and records is the caller's job (see core's recovery).
 //
-// Two implementations ship: Null, the in-memory no-op that preserves the
-// historical volatile behaviour, and FileStore, a directory holding a
+// One implementation ships: FileStore, a directory holding a
 // CRC-protected JSON-lines journal plus an atomically replaced snapshot
-// file. Recovery is snapshot load + journal tail replay; records carry
+// file. An instance with no store keeps its state in memory only. Recovery is snapshot load + journal tail replay; records carry
 // monotone sequence numbers so a tail overlapping the snapshot (a crash
 // between snapshot publication and journal truncation) replays each
 // mutation exactly once.
@@ -37,10 +36,11 @@ import (
 //	ingest:  append_rows (Rows carries appended base rows, the table
 //	         named by their schema; Size is the table's new count),
 //	         ingest_marks (View's content is consistent with Tables at
-//	         the row counts in Marks), ingest_stale (View's content
-//	         lags its base tables)
-//	retired: inval_view (a per-view cache generation bump older builds
-//	         wrote; replay reads it and ignores it)
+//	         the row counts in Marks; it is stale while they trail the
+//	         tables' counts)
+//	retired: inval_view (a per-view cache generation bump) and
+//	         ingest_stale (a view's stale flag), which older builds
+//	         wrote; replay reads them and ignores them
 type Record struct {
 	Seq uint64 `json:"seq"`
 	Op  string `json:"op"`
@@ -138,32 +138,3 @@ type Store interface {
 	// sites); nil runs fault-free. Set before concurrent use.
 	SetFaults(in *faults.Injector)
 }
-
-// Null is the in-memory no-op store: nothing is journaled, Load finds
-// nothing, and every operation succeeds. It is the explicit spelling of
-// the historical volatile behaviour.
-type Null struct{}
-
-// Append discards the record.
-func (Null) Append(*Record) error { return nil }
-
-// AppendGroup discards the records.
-func (Null) AppendGroup([]*Record) error { return nil }
-
-// WriteSnapshot discards the snapshot.
-func (Null) WriteSnapshot([]byte) error { return nil }
-
-// Load finds nothing.
-func (Null) Load() ([]byte, []Record, error) { return nil, nil, nil }
-
-// Flush is a no-op.
-func (Null) Flush() error { return nil }
-
-// Close is a no-op.
-func (Null) Close() error { return nil }
-
-// Stats returns zeros.
-func (Null) Stats() StoreStats { return StoreStats{} }
-
-// SetFaults is a no-op.
-func (Null) SetFaults(*faults.Injector) {}

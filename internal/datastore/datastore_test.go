@@ -307,20 +307,3 @@ func TestFileStoreAppendAfterClose(t *testing.T) {
 		t.Fatal("Append after Close succeeded")
 	}
 }
-
-func TestNullStore(t *testing.T) {
-	var n Null
-	if err := n.Append(&Record{Op: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.WriteSnapshot([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	snap, tail, err := n.Load()
-	if err != nil || snap != nil || tail != nil {
-		t.Fatalf("Null.Load = %v %v %v, want all nil", snap, tail, err)
-	}
-	if st := n.Stats(); st != (StoreStats{}) {
-		t.Errorf("Null.Stats = %+v, want zeros", st)
-	}
-}

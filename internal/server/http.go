@@ -22,9 +22,15 @@ const MaxBodyBytes = 64 << 20
 // ReadHeaderTimeout bounds how long an http.Server serving either tier
 // waits for a request's headers, so a client that stalls them cannot
 // hold a connection and its goroutine without limit. It does not bound
-// the body: a stalled body holds its admission place until the
-// connection drops.
+// the body; the serving tier bounds that with bodyReadTimeout.
 const ReadHeaderTimeout = 10 * time.Second
+
+// bodyReadTimeout bounds how long the serving tier reads one request
+// body, counted from when the request takes its admission place: a body
+// that stalls past it fails like any unreadable body (400) and gives the
+// place back. 60 s carries a MaxBodyBytes body at about 1.1 MB/s. A
+// variable only so tests can shorten it.
+var bodyReadTimeout = 60 * time.Second
 
 // ErrorResponse is the JSON body of every error answer on both tiers.
 // Error is always set; the other fields name what failed, when known.

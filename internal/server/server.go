@@ -256,7 +256,8 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 // the request's place in admission, taken before its body is read so
 // MaxInFlight + MaxQueue bound the bodies held in memory, not only the
 // executions (with every place taken the request is shed unread); the
-// body reader (413 or 400) with decode; prepare, which validates the
+// body reader (413 or 400, also for a body that stalls past
+// bodyReadTimeout) with decode; prepare, which validates the
 // decoded request, writes its own 4xx and returns false to stop, or
 // returns the request's time budget; the deadline context; the wait for
 // a slot, which only a decoded request takes, so a slow body holds a
@@ -286,7 +287,13 @@ func (s *Server) guarded(w http.ResponseWriter, r *http.Request, decode func(io.
 		s.writeShed(w)
 		return
 	}
-	if !readBody(w, r, decode) {
+	// The deadline covers the body read only: left armed, it would fail
+	// the connection's background read mid-run and cancel r.Context().
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	read := readBody(w, r, decode)
+	_ = rc.SetReadDeadline(time.Time{})
+	if !read {
 		s.lim.leave()
 		s.badRequest.Add(1)
 		return

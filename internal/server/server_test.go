@@ -401,6 +401,61 @@ func TestStalledBodyHoldsNoSlot(t *testing.T) {
 	waitPlaces(t, srv.lim, 0)
 }
 
+// TestStalledBodyGivesBackItsPlace: a body that stalls past
+// bodyReadTimeout is answered 400, counted as a bad request, and gives
+// its admission place back, so stalled bodies holding every place
+// (MaxInFlight + MaxQueue) shut complete requests out only until the
+// deadline.
+func TestStalledBodyGivesBackItsPlace(t *testing.T) {
+	leakcheck.Check(t)
+	old := bodyReadTimeout
+	bodyReadTimeout = 500 * time.Millisecond
+	t.Cleanup(func() { bodyReadTimeout = old })
+	sys := newTestSystem(t)
+	srv := New(sys, Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: -1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	const places = 2
+	stalled := make(chan int, places)
+	for i := 0; i < places; i++ {
+		pr, pw := io.Pipe()
+		t.Cleanup(func() { pw.Close() })
+		go func() {
+			resp, err := http.Post(ts.URL+"/query", "application/json", pr)
+			if err != nil {
+				stalled <- 0
+				return
+			}
+			resp.Body.Close()
+			stalled <- resp.StatusCode
+		}()
+	}
+	waitPlaces(t, srv.lim, places)
+	for i := 0; i < places; i++ {
+		select {
+		case status := <-stalled:
+			if status != http.StatusBadRequest {
+				t.Errorf("stalled body: status %d, want 400", status)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a stalled body still holds its place 10s past the body deadline")
+		}
+	}
+	waitPlaces(t, srv.lim, 0)
+	if n := srv.badRequest.Load(); n != places {
+		t.Errorf("bad_request = %d, want %d", n, places)
+	}
+	spec := QuerySpec{Template: "Q1", Lo: workload.ItemSkLo, Hi: workload.ItemSkLo + 3000}
+	if status, _, _ := postQuery(t, ts.URL, spec); status != http.StatusOK {
+		t.Errorf("complete request after the stalled bodies timed out: status %d, want 200", status)
+	}
+}
+
 // waitPlaces polls until n requests hold a place in the limiter.
 func waitPlaces(t *testing.T, l *limiter, n int) {
 	t.Helper()

@@ -68,8 +68,11 @@
 #       same cluster, and set-once range ownership on the serving tier
 #   10. ingest smoke — the batched append path under the race detector:
 #       the core delta-propagation suite with the inline retry queue, the
-#       lagging-view guard and the journal-before-return rule
-#       (TestAppendJournaledBeforeReturnWithWorkers), the read snapshot
+#       lagging-view guard, the journal-before-return rule
+#       (TestAppendJournaledBeforeReturnWithWorkers) and the one-record
+#       append (TestAppendJournalsOnlyItsRows: staleness is the marks
+#       trailing the counts, so an append journals its append_rows record
+#       and nothing per dependent view), the read snapshot
 #       (a query reads the state it was planned against across an append,
 #       a view captured before an append registers at the snapshot and is
 #       refreshed, files removed after planning do not reach the query:
@@ -79,9 +82,11 @@
 #       the serving tier's /append suite (an append burst racing a query
 #       burst, concurrent appends each reporting their own batch,
 #       idempotency-token retries landing rows once, bad-request and
-#       ownership rejections, a kill -9 mid-ingest whose warm restart
-#       replays the journal to byte-identical results), and the
-#       coordinator routing suite (keyed split, keyless broadcast, a dead
+#       ownership rejections, a stalled request body answered 400 once
+#       bodyReadTimeout passes, its admission place given back
+#       (TestStalledBodyGivesBackItsPlace), a kill -9 mid-ingest whose
+#       warm restart replays the journal to byte-identical results), and
+#       the coordinator routing suite (keyed split, keyless broadcast, a dead
 #       group failing the batch with a 502, a retried token landing once,
 #       a batch landing on every replica of a replicated group)
 #   11. fuzz smoke — five seconds each of stdlib fuzzing (no network, no
@@ -209,7 +214,7 @@ $GO test -race -count=1 -run 'TestOwnedRangeIsAssignedOnce' ./internal/server
 echo "==> ingest smoke (race)"
 $GO test -race -count=1 $CORE_TIMEOUT -run 'TestAppend|TestCacheInvalidationOnAppend|TestBackgroundRefresh|TestEmptyAppend|TestInlineRetryBacklog|TestMaterializeSkipsViewLaggingAppend|TestQueryReadsOneState|TestCaptureRegistersAtSnapshot|TestPlannedFilesSurviveRemoval' ./internal/core
 $GO test -race -count=1 -run 'TestDeltaRefresh|TestSteadyStateRefresh' .
-$GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendIdempotencyToken|TestConcurrentAppendsReportTheirOwnBatch|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
+$GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendIdempotencyToken|TestConcurrentAppendsReportTheirOwnBatch|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestStalledBodyGivesBackItsPlace|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
 
 echo "==> fuzz smoke"
